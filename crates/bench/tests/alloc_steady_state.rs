@@ -2,7 +2,9 @@
 //! **allocation-free steady state**. After a two-step warm-up every scratch
 //! buffer a step needs is already sitting in a per-thread arena, so
 //! `alloc.pool_misses` stops growing — for a single-process image-trainer
-//! step and for a full data-parallel round.
+//! step, for a batch-32 step of the paper's hybrid ResNet-18 (where it also
+//! has to fit under the arena's byte cap), and for a full data-parallel
+//! round.
 //!
 //! Both tests read the probe's process-global counters, so they serialize
 //! on a file-local lock (`puffer_probe::testutil::lock` is crate-private;
@@ -11,6 +13,8 @@
 use puffer_compress::none::NoCompression;
 use puffer_dist::cost::ClusterProfile;
 use puffer_dist::trainer::{train_data_parallel_with, DistConfig, RunOptions};
+use puffer_models::resnet::{ResNet, ResNetConfig, ResNetHybridPlan};
+use puffer_models::units::FactorInit;
 use puffer_nn::activation::Relu;
 use puffer_nn::conv::Conv2d;
 use puffer_nn::layer::{Layer, Mode};
@@ -46,7 +50,7 @@ fn image_model(seed: u64) -> Sequential {
     ])
 }
 
-fn train_step(model: &mut Sequential, opt: &mut Sgd, images: &Tensor, labels: &[usize]) {
+fn train_step(model: &mut impl Layer, opt: &mut Sgd, images: &Tensor, labels: &[usize]) {
     model.zero_grad();
     let logits = model.forward(images, Mode::Train);
     let (_, dl) = softmax_cross_entropy(&logits, labels, 0.0).expect("loss");
@@ -88,6 +92,48 @@ fn image_trainer_step_is_allocation_free_after_warmup() {
     assert!(hits > 0.0, "steady-state step recorded no pool hits");
 
     probe::reset();
+}
+
+/// The shape the end-to-end benchmark trains (`dp2_resnet18_hybrid_bucketed`,
+/// one worker's share): hybrid ResNet-18 ×0.25 at batch 32. A step's
+/// working set used to outgrow the arena's 256 MiB cap — cached patch
+/// matrices, 9× the activations — so buffers recycled past the cap were
+/// freed and the next step allocated them again. With convolutions caching
+/// their inputs instead, the whole step fits and stays allocation-free.
+#[test]
+fn hybrid_resnet18_batch32_step_is_allocation_free_and_under_the_arena_cap() {
+    let _guard = GLOBAL.lock().unwrap();
+    workspace::set_enabled(true);
+    workspace::clear_thread_arena();
+
+    let mut model = ResNet::new(ResNetConfig::resnet18(0.25, 10, 7))
+        .expect("valid config")
+        .to_hybrid(&ResNetHybridPlan::resnet18_paper(), FactorInit::Random(8))
+        .expect("valid plan");
+    let mut opt = Sgd::new(0.05, 0.9, 1e-4);
+    let images = Tensor::randn(&[32, 3, 32, 32], 1.0, 11);
+    let labels: Vec<usize> = (0..32).map(|i| i % 10).collect();
+
+    probe::reset();
+    probe::configure(probe::ProbeConfig::in_memory());
+    train_step(&mut model, &mut opt, &images, &labels);
+    train_step(&mut model, &mut opt, &images, &labels);
+
+    let warm = pool_misses();
+    train_step(&mut model, &mut opt, &images, &labels);
+    let after = pool_misses();
+    let held = workspace::thread_arena_bytes();
+    probe::reset();
+    workspace::clear_thread_arena();
+
+    assert_eq!(
+        after,
+        warm,
+        "steady-state step allocated fresh buffers: {} new pool misses",
+        after - warm
+    );
+    let cap = workspace::MAX_ARENA_BYTES;
+    assert!(held < cap, "arena holds {held} bytes, the cap is {cap}");
 }
 
 /// One data-parallel round after warm-up must add zero pool misses.

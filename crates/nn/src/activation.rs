@@ -7,13 +7,15 @@ use puffer_tensor::Tensor;
 /// Rectified linear unit `max(0, x)`.
 #[derive(Debug, Default)]
 pub struct Relu {
-    mask: Option<Vec<bool>>,
+    /// The train-mode output: `y > 0` exactly where `x > 0`, so it doubles
+    /// as the backward mask, and being a tensor it lives in the arena.
+    cached_output: Option<Tensor>,
 }
 
 impl Relu {
     /// Creates a ReLU layer.
     pub fn new() -> Self {
-        Relu { mask: None }
+        Relu { cached_output: None }
     }
 }
 
@@ -21,21 +23,16 @@ impl Layer for Relu {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let out = input.map(|x| x.max(0.0));
         if mode == Mode::Train {
-            self.mask = Some(input.as_slice().iter().map(|&x| x > 0.0).collect());
+            self.cached_output = Some(out.clone());
         }
         out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mask = self.mask.as_ref().expect("backward before train-mode forward");
-        assert_eq!(mask.len(), grad_output.len(), "Relu gradient shape mismatch");
-        let mut g = grad_output.clone();
-        for (gv, &m) in g.as_mut_slice().iter_mut().zip(mask) {
-            if !m {
-                *gv = 0.0;
-            }
-        }
-        g
+        let y = self.cached_output.as_ref().expect("backward before train-mode forward");
+        grad_output
+            .zip_map(y, |g, y| if y > 0.0 { g } else { 0.0 })
+            .expect("Relu gradient shape mismatch")
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -6,13 +6,15 @@
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use crate::{NnError, Result};
-use puffer_tensor::conv::{col2im, im2col, ConvGeometry};
+use puffer_tensor::conv::{conv2d_forward, conv2d_grad_input, conv2d_grad_weight, ConvGeometry};
 use puffer_tensor::init::kaiming_normal;
-use puffer_tensor::matmul::{matmul, matmul_nt, matmul_tn};
+use puffer_tensor::matmul::matmul;
 use puffer_tensor::Tensor;
 
 /// 2-D convolution `y = W * x (+ b)` with weight `(c_out, c_in, k, k)`,
-/// lowered to matmul through im2col.
+/// run as implicit GEMMs over the NCHW activations
+/// ([`puffer_tensor::conv`]). Training caches the layer's input — not its
+/// patch matrix — for the weight gradient.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
@@ -22,8 +24,7 @@ pub struct Conv2d {
     k: usize,
     stride: usize,
     padding: usize,
-    cached_cols: Option<Tensor>,
-    cached_geo: Option<(ConvGeometry, usize)>,
+    cached_input: Option<(Tensor, ConvGeometry)>,
 }
 
 impl Conv2d {
@@ -52,17 +53,7 @@ impl Conv2d {
         let fan_in = c_in * k * k;
         let weight = Param::new("weight", kaiming_normal(&[c_out, c_in, k, k], fan_in, seed));
         let bias = bias.then(|| Param::new_no_decay("bias", Tensor::zeros(&[c_out])));
-        Ok(Conv2d {
-            weight,
-            bias,
-            c_in,
-            c_out,
-            k,
-            stride,
-            padding,
-            cached_cols: None,
-            cached_geo: None,
-        })
+        Ok(Conv2d { weight, bias, c_in, c_out, k, stride, padding, cached_input: None })
     }
 
     /// Creates a convolution from an explicit weight `(c_out, c_in, k, k)`.
@@ -109,59 +100,38 @@ impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         assert_eq!(input.ndim(), 4, "Conv2d expects [N, C, H, W]");
         let s = input.shape();
-        let (n, h, w) = (s[0], s[2], s[3]);
         assert_eq!(s[1], self.c_in, "Conv2d channel mismatch");
         let geo = ConvGeometry {
             c_in: self.c_in,
-            h,
-            w,
+            h: s[2],
+            w: s[3],
             k: self.k,
             stride: self.stride,
             padding: self.padding,
         };
-        let cols = im2col(input, &geo).expect("validated geometry");
-        let w_mat = self
-            .weight
-            .value
-            .reshape(&[self.c_out, self.c_in * self.k * self.k])
-            .expect("weight shape");
-        let out_mat = matmul(&w_mat, &cols).expect("shapes checked"); // [c_out, N·ho·wo]
-        let mut out = cols_to_nchw(&out_mat, n, self.c_out, geo.h_out(), geo.w_out());
+        let mut out = conv2d_forward(input, &self.weight.value, &geo).expect("kernel fits input");
         if let Some(b) = &self.bias {
             add_channel_bias(&mut out, &b.value);
         }
         if mode == Mode::Train {
-            self.cached_cols = Some(cols);
-            self.cached_geo = Some((geo, n));
+            self.cached_input = Some((input.clone(), geo));
         }
         out
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let cols = self.cached_cols.as_ref().expect("backward before train-mode forward");
-        let (geo, n) = self.cached_geo.as_ref().expect("backward before train-mode forward");
-        let (ho, wo) = (geo.h_out(), geo.w_out());
+        let (input, geo) = self.cached_input.as_ref().expect("backward before train-mode forward");
         assert_eq!(
             grad_output.shape(),
-            &[*n, self.c_out, ho, wo],
+            &[input.shape()[0], self.c_out, geo.h_out(), geo.w_out()],
             "Conv2d gradient shape mismatch"
         );
-        let dout_mat = nchw_to_cols(grad_output); // [c_out, N·ho·wo]
-                                                  // dW = dOut · colsᵀ
-        let dw = matmul_nt(&dout_mat, cols).expect("shapes checked");
-        let dw4 = dw.reshape(self.weight.value.shape()).expect("element count matches");
-        self.weight.grad.axpy(1.0, &dw4).expect("grad shape");
+        let dw = conv2d_grad_weight(input, grad_output, geo).expect("shapes checked");
+        self.weight.grad.axpy(1.0, &dw).expect("grad shape");
         if let Some(b) = &mut self.bias {
             accumulate_channel_bias_grad(&mut b.grad, grad_output);
         }
-        // dX = col2im(Wᵀ · dOut)
-        let w_mat = self
-            .weight
-            .value
-            .reshape(&[self.c_out, self.c_in * self.k * self.k])
-            .expect("weight shape");
-        let dcols = matmul_tn(&w_mat, &dout_mat).expect("shapes checked");
-        col2im(&dcols, geo, *n).expect("validated geometry")
+        conv2d_grad_input(&self.weight.value, grad_output, geo).expect("shapes checked")
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -306,43 +276,6 @@ impl Layer for LowRankConv2d {
     }
 }
 
-/// Reorders a `[c_out, N·ho·wo]` matmul result into `[N, c_out, ho, wo]`.
-fn cols_to_nchw(mat: &Tensor, n: usize, c: usize, ho: usize, wo: usize) -> Tensor {
-    let mut out = Tensor::zeros(&[n, c, ho, wo]);
-    let src = mat.as_slice();
-    let dst = out.as_mut_slice();
-    let spatial = ho * wo;
-    let total = n * spatial;
-    for ci in 0..c {
-        let row = &src[ci * total..(ci + 1) * total];
-        for ni in 0..n {
-            let dst_base = (ni * c + ci) * spatial;
-            let src_base = ni * spatial;
-            dst[dst_base..dst_base + spatial].copy_from_slice(&row[src_base..src_base + spatial]);
-        }
-    }
-    out
-}
-
-/// Inverse of [`cols_to_nchw`]: `[N, c, ho, wo] → [c, N·ho·wo]`.
-fn nchw_to_cols(t: &Tensor) -> Tensor {
-    let s = t.shape();
-    let (n, c, ho, wo) = (s[0], s[1], s[2], s[3]);
-    let spatial = ho * wo;
-    let total = n * spatial;
-    let mut out = Tensor::zeros(&[c, total]);
-    let src = t.as_slice();
-    let dst = out.as_mut_slice();
-    for ni in 0..n {
-        for ci in 0..c {
-            let src_base = (ni * c + ci) * spatial;
-            let dst_base = ci * total + ni * spatial;
-            dst[dst_base..dst_base + spatial].copy_from_slice(&src[src_base..src_base + spatial]);
-        }
-    }
-    out
-}
-
 fn add_channel_bias(t: &mut Tensor, bias: &Tensor) {
     let s = t.shape().to_vec();
     let (n, c, spatial) = (s[0], s[1], s[2] * s[3]);
@@ -451,15 +384,6 @@ mod tests {
         assert!(Conv2d::new(4, 4, 3, 0, 1, false, 1).is_err());
         assert!(LowRankConv2d::new(2, 4, 3, 1, 1, 0, 1).is_err());
         assert!(LowRankConv2d::new(2, 4, 3, 1, 1, 5, 1).is_err()); // > min(18, 4)
-    }
-
-    #[test]
-    fn nchw_round_trip() {
-        let t = Tensor::randn(&[2, 3, 4, 5], 1.0, 9);
-        let cols = nchw_to_cols(&t);
-        assert_eq!(cols.shape(), &[3, 2 * 4 * 5]);
-        let back = cols_to_nchw(&cols, 2, 3, 4, 5);
-        assert_eq!(back, t);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! (no tape autograd): every layer caches what it needs during
 //! [`Layer::forward`] and produces parameter gradients plus the input
 //! gradient in [`Layer::backward`]. The framework covers everything the
-//! paper trains: fully connected, convolutional (via im2col), batch/layer
+//! paper trains: fully connected, convolutional (implicit GEMM), batch/layer
 //! normalization, LSTM, and Transformer attention blocks — each with a
 //! **low-rank factorized twin** (`U·Vᵀ` for FC/LSTM/attention, a thin
 //! `k×k` convolution followed by a `1×1` convolution for conv layers),
@@ -12,8 +12,9 @@
 //!
 //! # Threading
 //!
-//! Every layer bottoms out in `puffer-tensor`'s cache-blocked SIMD GEMM and
-//! im2col kernels, which fan out to the process-wide worker pool
+//! Every layer bottoms out in `puffer-tensor`'s cache-blocked SIMD GEMM —
+//! convolutions feed it straight from their NCHW activations — which fans
+//! out to the process-wide worker pool
 //! (re-exported here as [`threading`], since [`pool`] is pooling layers)
 //! under the default `Optimized` matmul profile. Forward/backward results
 //! are bitwise identical for every thread count; set

@@ -135,6 +135,7 @@ impl Layer for BatchNorm2d {
         assert_eq!(c, self.channels, "BatchNorm2d channel mismatch");
         let count = (n * spatial) as f32;
 
+        let x = input.as_slice();
         let (mean, var): (Vec<f32>, Vec<f32>) = match mode {
             Mode::Train => {
                 let mut mean = vec![0.0f32; c];
@@ -142,18 +143,17 @@ impl Layer for BatchNorm2d {
                 for ci in 0..c {
                     let mut sum = 0.0;
                     for ni in 0..n {
-                        let base = (ni * c + ci) * spatial;
-                        sum += input.as_slice()[base..base + spatial].iter().sum::<f32>();
+                        sum += x[(ni * c + ci) * spatial..][..spatial].iter().sum::<f32>();
                     }
-                    mean[ci] = sum / count;
+                    let m = sum / count;
                     let mut sq = 0.0;
                     for ni in 0..n {
-                        let base = (ni * c + ci) * spatial;
-                        for &x in &input.as_slice()[base..base + spatial] {
-                            let d = x - mean[ci];
+                        for &v in &x[(ni * c + ci) * spatial..][..spatial] {
+                            let d = v - m;
                             sq += d * d;
                         }
                     }
+                    mean[ci] = m;
                     var[ci] = sq / count;
                 }
                 // Update running statistics (unbiased variance, as PyTorch).
@@ -172,19 +172,22 @@ impl Layer for BatchNorm2d {
         let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect();
         let mut x_hat = Tensor::zeros(&s);
         let mut out = Tensor::zeros(&s);
-        for ni in 0..n {
-            for ci in 0..c {
-                let base = (ni * c + ci) * spatial;
-                let (g, b) = if self.affine {
-                    (self.gamma.value.as_slice()[ci], self.beta.value.as_slice()[ci])
-                } else {
-                    (1.0, 0.0)
-                };
-                for i in base..base + spatial {
-                    let xh = (input.as_slice()[i] - mean[ci]) * inv_std[ci];
-                    x_hat.as_mut_slice()[i] = xh;
-                    out.as_mut_slice()[i] = g * xh + b;
-                }
+        let planes = out
+            .as_mut_slice()
+            .chunks_exact_mut(spatial)
+            .zip(x_hat.as_mut_slice().chunks_exact_mut(spatial))
+            .zip(x.chunks_exact(spatial));
+        for (idx, ((o, xh), xs)) in planes.enumerate() {
+            let ci = idx % c;
+            let (g, b) = if self.affine {
+                (self.gamma.value.as_slice()[ci], self.beta.value.as_slice()[ci])
+            } else {
+                (1.0, 0.0)
+            };
+            let (m, is) = (mean[ci], inv_std[ci]);
+            for ((o, h), &v) in o.iter_mut().zip(xh).zip(xs) {
+                *h = (v - m) * is;
+                *o = g * *h + b;
             }
         }
         if mode == Mode::Train {
@@ -201,15 +204,15 @@ impl Layer for BatchNorm2d {
         let count = (n * spatial) as f32;
 
         let mut gin = Tensor::zeros(s);
+        let (dy, x_hat, dx) = (grad_output.as_slice(), cache.x_hat.as_slice(), gin.as_mut_slice());
         for ci in 0..c {
             // Channel-wise sums: Σdy, Σdy·x̂.
             let (mut sum_dy, mut sum_dy_xhat) = (0.0f32, 0.0f32);
             for ni in 0..n {
                 let base = (ni * c + ci) * spatial;
-                for i in base..base + spatial {
-                    let dy = grad_output.as_slice()[i];
-                    sum_dy += dy;
-                    sum_dy_xhat += dy * cache.x_hat.as_slice()[i];
+                for (&g, &xh) in dy[base..][..spatial].iter().zip(&x_hat[base..][..spatial]) {
+                    sum_dy += g;
+                    sum_dy_xhat += g * xh;
                 }
             }
             if self.affine {
@@ -218,12 +221,14 @@ impl Layer for BatchNorm2d {
             }
             let g = if self.affine { self.gamma.value.as_slice()[ci] } else { 1.0 };
             let k = g * cache.inv_std[ci];
+            // `xh * sum_dy_xhat / count` divides a per-element product, so
+            // only the first of the two quotients is loop-invariant.
+            let mean_dy = sum_dy / count;
             for ni in 0..n {
                 let base = (ni * c + ci) * spatial;
-                for i in base..base + spatial {
-                    let dy = grad_output.as_slice()[i];
-                    let xh = cache.x_hat.as_slice()[i];
-                    gin.as_mut_slice()[i] = k * (dy - sum_dy / count - xh * sum_dy_xhat / count);
+                let rows = dy[base..][..spatial].iter().zip(&x_hat[base..][..spatial]);
+                for (d, (&g, &xh)) in dx[base..][..spatial].iter_mut().zip(rows) {
+                    *d = k * (g - mean_dy - xh * sum_dy_xhat / count);
                 }
             }
         }

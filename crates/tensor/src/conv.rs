@@ -1,22 +1,40 @@
-//! im2col / col2im convolution primitives.
+//! Convolution as matrix multiplication: the implicit-GEMM primitives the
+//! layers call, and the explicit im2col / col2im lowering they are defined
+//! against.
 //!
-//! Convolution layers in `puffer-nn` lower to matrix multiplication through
-//! [`im2col`]: an input batch `(N, C, H, W)` becomes a patch matrix of shape
-//! `(C·k², N·H_out·W_out)`, so a convolution with weight `(c_out, c_in, k, k)`
-//! is one matmul against the unrolled `(c_out, c_in·k²)` weight. This is the
-//! same unrolling the paper uses to define conv-layer factorization
-//! (`W_unrolled ∈ R^{c_in k² × c_out}`, paper §2.2).
+//! A convolution with weight `(c_out, c_in, k, k)` over an input batch
+//! `(N, C, H, W)` is the product of the unrolled `(c_out, c_in·k²)` weight
+//! with the patch matrix `(c_in·k², N·H_out·W_out)` of the input — the
+//! unrolling the paper uses to define conv-layer factorization
+//! (`W_unrolled ∈ R^{c_in k² × c_out}`, paper §2.2). [`im2col`] writes that
+//! patch matrix out and [`col2im`] is its adjoint; they are the reference
+//! the rest of this module is tested against, and what the `Reproducible`
+//! profile runs.
 //!
-//! Above a size threshold, and under the `Optimized` default matmul
-//! profile, both lowerings fan out to the process-wide worker pool
-//! ([`crate::pool`]): [`im2col`] partitions over patch-matrix rows and
-//! [`col2im`] over `(image, channel)` planes. Both write disjoint output
-//! regions and keep the per-element visit/accumulation order of the
-//! sequential loop, so results are bitwise identical for every thread
+//! Under the `Optimized` profile [`conv2d_forward`], [`conv2d_grad_weight`]
+//! and [`conv2d_grad_input`] never build the patch matrix. They hand the
+//! GEMM engine a [`PanelSource`] that packs each micro-panel straight from
+//! the NCHW activation — a panel row is an edge-clipped run of input pixels
+//! — and a [`CLayout`] that stores C tiles straight into NCHW, so a
+//! convolution reads its input once per KC×NC block and writes its output
+//! once. Forward and weight gradient run the same ascending fused chain per
+//! element as `matmul(W, im2col(x))` / `matmul_nt(dOut, im2col(x))` and are
+//! bitwise equal to them; the input gradient is `col2im` applied block by
+//! block to `Wᵀ · dOut` while the block is still cached, bitwise equal to
+//! `col2im(matmul_tn(W, dOut))` (see [`conv2d_grad_input`]).
+//!
+//! The explicit lowerings fan out to the worker pool above a size threshold
+//! ([`im2col`] over patch-matrix rows, [`col2im`] over `(image, channel)`
+//! planes); every path here writes disjoint output regions in a fixed
+//! per-element order, so results are bitwise identical for every thread
 //! count.
 
-use crate::matmul::parallel_under_default;
-use crate::{pool, Result, Tensor, TensorError};
+use crate::gemm::{self, copy_run, CLayout, PanelSource, SendPtr, View, NR};
+use crate::matmul::{
+    default_profile, kernel_span, matmul, matmul_nt, matmul_tn, parallel_under_default,
+    MatmulProfile,
+};
+use crate::{pool, workspace, Result, Tensor, TensorError};
 use puffer_probe as probe;
 
 /// Geometry of a 2-D convolution.
@@ -82,19 +100,8 @@ impl ConvGeometry {
 /// Returns [`TensorError::WrongDimensions`] for non-4-D input or
 /// [`TensorError::ShapeMismatch`] if the input shape disagrees with `geo`.
 pub fn im2col(input: &Tensor, geo: &ConvGeometry) -> Result<Tensor> {
-    if input.ndim() != 4 {
-        return Err(TensorError::WrongDimensions { expected: 4, got: input.ndim(), op: "im2col" });
-    }
-    geo.validate()?;
-    let shape = input.shape();
-    let (n, c, h, w) = (shape[0], shape[1], shape[2], shape[3]);
-    if c != geo.c_in || h != geo.h || w != geo.w {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![n, geo.c_in, geo.h, geo.w],
-            got: shape.to_vec(),
-            op: "im2col",
-        });
-    }
+    let n = batch_of(input, geo, "im2col")?;
+    let (c, h, w) = (geo.c_in, geo.h, geo.w);
     let (ho, wo, k) = (geo.h_out(), geo.w_out(), geo.k);
     let rows = geo.patch_rows();
     let cols = n * ho * wo;
@@ -121,15 +128,24 @@ pub fn im2col(input: &Tensor, geo: &ConvGeometry) -> Result<Tensor> {
                 let img_base = (ni * c + ci) * h * w;
                 for oy in 0..ho {
                     let iy = (oy * stride) as isize + ky as isize - pad;
-                    let col_base = (ni * ho + oy) * wo;
                     if iy < 0 || iy >= h as isize {
                         continue; // zero padding, dst already 0
                     }
-                    let src_row = img_base + iy as usize * w;
-                    for ox in 0..wo {
+                    let src_row = &src[img_base + iy as usize * w..][..w];
+                    let dst_run = &mut dst_row[(ni * ho + oy) * wo..][..wo];
+                    if stride == 1 {
+                        // ox and ix differ by a constant: one clipped copy.
+                        let (lo, hi) = clip(0, wo, valid_cols(kx, pad, 1, w));
+                        let ix = (lo + kx) as isize - pad;
+                        if hi > lo {
+                            dst_run[lo..hi].copy_from_slice(&src_row[ix as usize..][..hi - lo]);
+                        }
+                        continue;
+                    }
+                    for (ox, d) in dst_run.iter_mut().enumerate() {
                         let ix = (ox * stride) as isize + kx as isize - pad;
                         if ix >= 0 && ix < w as isize {
-                            dst_row[col_base + ox] = src[src_row + ix as usize];
+                            *d = src_row[ix as usize];
                         }
                     }
                 }
@@ -142,6 +158,45 @@ pub fn im2col(input: &Tensor, geo: &ConvGeometry) -> Result<Tensor> {
         fill_rows(0, out.as_mut_slice());
     }
     Ok(out)
+}
+
+/// Checks that `input` is the `(N, c_in, h, w)` batch `geo` describes and
+/// returns `N`.
+fn batch_of(input: &Tensor, geo: &ConvGeometry, op: &'static str) -> Result<usize> {
+    if input.ndim() != 4 {
+        return Err(TensorError::WrongDimensions { expected: 4, got: input.ndim(), op });
+    }
+    geo.validate()?;
+    let shape = input.shape();
+    if shape[1..] != [geo.c_in, geo.h, geo.w] {
+        return Err(TensorError::ShapeMismatch {
+            expected: vec![shape[0], geo.c_in, geo.h, geo.w],
+            got: shape.to_vec(),
+            op,
+        });
+    }
+    Ok(shape[0])
+}
+
+/// The output columns `ox` whose input column `ox·stride + kx − pad` falls
+/// inside `0..w`, as an unclamped half-open range: a property of the kernel
+/// column alone, so the panel sources divide once per `kx`, not per run.
+#[inline]
+fn valid_cols(kx: usize, pad: isize, stride: usize, w: usize) -> (isize, isize) {
+    let (shift, s) = (kx as isize - pad, stride as isize);
+    // ⌈a / s⌉ for either sign of a; stride 1, nearly every call, divides
+    // nothing.
+    let ceil_div = |a: isize| if s == 1 { a } else { (a + s - 1).div_euclid(s) };
+    (ceil_div(-shift), ceil_div(w as isize - shift))
+}
+
+/// The positions `lo..hi` of a run of `len` output columns starting at
+/// `ox0` that lie inside `cols` (from [`valid_cols`]).
+#[inline]
+fn clip(ox0: usize, len: usize, cols: (isize, isize)) -> (usize, usize) {
+    let lo = (cols.0 - ox0 as isize).clamp(0, len as isize);
+    let hi = (cols.1 - ox0 as isize).clamp(lo, len as isize);
+    (lo as usize, hi as usize)
 }
 
 /// Adjoint of [`im2col`]: scatters a patch-matrix gradient
@@ -158,13 +213,7 @@ pub fn col2im(cols: &Tensor, geo: &ConvGeometry, n: usize) -> Result<Tensor> {
     let (ho, wo, k) = (geo.h_out(), geo.w_out(), geo.k);
     let rows = geo.patch_rows();
     let ncols = n * ho * wo;
-    if cols.shape() != [rows, ncols] {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![rows, ncols],
-            got: cols.shape().to_vec(),
-            op: "col2im",
-        });
-    }
+    check_shape(cols, &[rows, ncols], "col2im")?;
     let (c, h, w) = (geo.c_in, geo.h, geo.w);
     let mut out = Tensor::zeros(&[n, c, h, w]);
     if out.is_empty() {
@@ -173,40 +222,13 @@ pub fn col2im(cols: &Tensor, geo: &ConvGeometry, n: usize) -> Result<Tensor> {
     let _sp = probe::span_with("tensor", "col2im", || {
         vec![("rows", rows.into()), ("cols", ncols.into()), ("n", n.into())]
     });
-    let src = cols.as_slice();
-    let pad = geo.padding as isize;
-    let stride = geo.stride;
-
     // Each (image, channel) plane of the output accumulates only from the
     // k² patch rows of its own channel, so planes partition the scatter
-    // without write conflicts. Per pixel, the (ky, kx, oy, ox) accumulation
-    // order matches the sequential loop exactly.
+    // without write conflicts.
     let plane_len = h * w;
     let fill_planes = |p0: usize, chunk: &mut [f32]| {
-        for (pi, plane) in chunk.chunks_exact_mut(plane_len).enumerate() {
-            let idx = p0 + pi;
-            let ci = idx % c;
-            let ni = idx / c;
-            for ky in 0..k {
-                for kx in 0..k {
-                    let row = (ci * k + ky) * k + kx;
-                    let row_base = row * ncols;
-                    for oy in 0..ho {
-                        let iy = (oy * stride) as isize + ky as isize - pad;
-                        if iy < 0 || iy >= h as isize {
-                            continue;
-                        }
-                        let dst_row = iy as usize * w;
-                        let col_base = row_base + (ni * ho + oy) * wo;
-                        for ox in 0..wo {
-                            let ix = (ox * stride) as isize + kx as isize - pad;
-                            if ix >= 0 && ix < w as isize {
-                                plane[dst_row + ix as usize] += src[col_base + ox];
-                            }
-                        }
-                    }
-                }
-            }
+        for (idx, plane) in (p0..).zip(chunk.chunks_exact_mut(plane_len)) {
+            scatter_plane(cols.as_slice(), ncols, (idx / c) * ho * wo, idx % c, geo, plane);
         }
     };
     if parallel_under_default(n * c * k * k * ho * wo) {
@@ -215,6 +237,471 @@ pub fn col2im(cols: &Tensor, geo: &ConvGeometry, n: usize) -> Result<Tensor> {
         fill_planes(0, out.as_mut_slice());
     }
     Ok(out)
+}
+
+/// Adds one image's share of a patch-matrix gradient into one `(image,
+/// channel)` plane: the `k²` rows of channel `ci` of the row-major `cols`
+/// (row stride `ld`), columns `col0..col0 + h_out·w_out`. The `(ky, kx, oy,
+/// ox)` nesting is the accumulation order of every pixel — ascending
+/// `(ky, kx)` — and is what [`col2im`] means bit for bit.
+fn scatter_plane(
+    cols: &[f32],
+    ld: usize,
+    col0: usize,
+    ci: usize,
+    geo: &ConvGeometry,
+    plane: &mut [f32],
+) {
+    let (w, k, stride, pad) = (geo.w, geo.k, geo.stride, geo.padding as isize);
+    let (ho, wo) = (geo.h_out(), geo.w_out());
+    for ky in 0..k {
+        for kx in 0..k {
+            let src = &cols[((ci * k + ky) * k + kx) * ld + col0..][..ho * wo];
+            let (lo, hi) = clip(0, wo, valid_cols(kx, pad, stride, w));
+            if hi == lo {
+                continue;
+            }
+            let ix = ((lo * stride + kx) as isize - pad) as usize;
+            for (oy, src_run) in src.chunks_exact(wo).enumerate() {
+                let iy = (oy * stride + ky) as isize - pad;
+                if iy < 0 || iy >= geo.h as isize {
+                    continue;
+                }
+                let dst = &mut plane[iy as usize * w + ix..(iy as usize + 1) * w];
+                if stride == 1 {
+                    for (d, s) in dst.iter_mut().zip(&src_run[lo..hi]) {
+                        *d += s;
+                    }
+                } else {
+                    for (d, s) in dst.iter_mut().step_by(stride).zip(&src_run[lo..hi]) {
+                        *d += s;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The patch geometry the panel sources walk. A 1×1, stride-1, unpadded
+/// patch row is the channel plane itself, so that case is re-read as one
+/// `1 × h·w` row per plane: runs of positions are then cut at image ends
+/// only, not at every image row.
+#[derive(Clone, Copy)]
+struct PatchGeo {
+    c: usize,
+    h: usize,
+    w: usize,
+    k: usize,
+    stride: usize,
+    pad: isize,
+    ho: usize,
+    wo: usize,
+}
+
+impl PatchGeo {
+    fn new(geo: &ConvGeometry) -> Self {
+        let (mut h, mut w, mut ho, mut wo) = (geo.h, geo.w, geo.h_out(), geo.w_out());
+        if geo.k == 1 && geo.stride == 1 && geo.padding == 0 {
+            (h, w, ho, wo) = (1, h * w, 1, h * w);
+        }
+        PatchGeo {
+            c: geo.c_in,
+            h,
+            w,
+            k: geo.k,
+            stride: geo.stride,
+            pad: geo.padding as isize,
+            ho,
+            wo,
+        }
+    }
+
+    /// Splits position `j` of the `(img, oy, ox)` row-major order.
+    fn position(&self, j: usize) -> (usize, usize, usize) {
+        let per_img = self.ho * self.wo;
+        (j / per_img, (j % per_img) / self.wo, j % self.wo)
+    }
+
+    /// Calls `f(offset, len, img, oy, ox0)` for each maximal run of the
+    /// positions `j0..j0+count` that stays inside one output row; `offset`
+    /// counts from `j0`.
+    fn for_each_run(
+        &self,
+        j0: usize,
+        count: usize,
+        mut f: impl FnMut(usize, usize, usize, usize, usize),
+    ) {
+        let (mut img, mut oy, mut ox) = self.position(j0);
+        let mut done = 0;
+        while done < count {
+            let len = (self.wo - ox).min(count - done);
+            f(done, len, img, oy, ox);
+            done += len;
+            ox = 0;
+            oy += 1;
+            if oy == self.ho {
+                oy = 0;
+                img += 1;
+            }
+        }
+    }
+
+    /// Offset in the activation of the input row that kernel row `ky` reads
+    /// at output row `oy` of plane `(img, ci)`, or `None` in the padding.
+    #[inline]
+    fn row_start(&self, img: usize, ci: usize, oy: usize, ky: usize) -> Option<usize> {
+        let iy = (oy * self.stride + ky) as isize - self.pad;
+        (0..self.h as isize)
+            .contains(&iy)
+            .then(|| ((img * self.c + ci) * self.h + iy as usize) * self.w)
+    }
+
+    /// Input column that kernel column `kx` reads at output column `ox`.
+    #[inline]
+    fn col(&self, ox: usize, kx: usize) -> isize {
+        (ox * self.stride + kx) as isize - self.pad
+    }
+}
+
+/// The patch matrix of an NCHW activation as a GEMM operand that is never
+/// written out: depth `p = (ci, ky, kx)`, lanes `j = (img, oy, ox)` — the
+/// element [`im2col`] would store at `(p, j)`. A panel row is one
+/// edge-clipped run of input pixels per output row the lanes touch.
+struct Patches<'a> {
+    x: &'a [f32],
+    g: PatchGeo,
+}
+
+impl PanelSource for Patches<'_> {
+    /// The lanes are cut into runs inside one output row; per run the loops
+    /// go kernel column → kernel row → channel, so that edge clipping (a
+    /// property of `kx`), row validity (of `ky`) and the source offset (one
+    /// plane further per `ci`) are each worked out where they change, and
+    /// the innermost loop is one fixed-length copy every `k²`-th panel row.
+    fn pack_panel(&self, p0: usize, kc: usize, j0: usize, w: usize, r: usize, dst: &mut [f32]) {
+        let (g, kk) = (&self.g, self.g.k * self.g.k);
+        if w < r {
+            for row in dst.chunks_exact_mut(r) {
+                row[w..].fill(0.0);
+            }
+        }
+        // Depth rows p0..p0+kc cover channels ci_a..=ci_b, the first from
+        // tap t_a on and the last up to tap t_b.
+        let (ci_a, t_a) = (p0 / kk, p0 % kk);
+        let (ci_b, t_b) = ((p0 + kc - 1) / kk, (p0 + kc - 1) % kk);
+        g.for_each_run(j0, w, |q0, len, img, oy, ox0| {
+            for kx in 0..g.k {
+                let (lo, hi) = clip(ox0, len, valid_cols(kx, g.pad, g.stride, g.w));
+                for ky in 0..g.k {
+                    let t = ky * g.k + kx;
+                    let (ci_lo, ci_hi) =
+                        (ci_a + usize::from(t < t_a), ci_b + usize::from(t <= t_b));
+                    if ci_lo >= ci_hi {
+                        continue;
+                    }
+                    let mut at = (ci_lo * kk + t - p0) * r + q0;
+                    let row = g.row_start(img, ci_lo, oy, ky).filter(|_| hi > lo);
+                    let mut start = row.map(|row| row as isize + g.col(ox0, kx));
+                    for _ in ci_lo..ci_hi {
+                        let lanes = &mut dst[at..at + len];
+                        match start {
+                            Some(start) => self.gather(start, (lo, hi), lanes),
+                            None => lanes.fill(0.0),
+                        }
+                        at += kk * r;
+                        start = start.map(|start| start + (g.h * g.w) as isize);
+                    }
+                }
+            }
+        });
+    }
+}
+
+impl Patches<'_> {
+    /// Fills `lanes` — one run of output columns — from the activation:
+    /// lane `t` reads `x[start + t·stride]`, lanes outside `lo..hi` are in
+    /// the padding and get zeros.
+    #[inline]
+    fn gather(&self, start: isize, (lo, hi): (usize, usize), lanes: &mut [f32]) {
+        let (len, stride) = (lanes.len(), self.g.stride);
+        // Stride 1: copy the whole window — even where it hangs over the
+        // row's ends into its neighbours — then zero the overhang: a
+        // fixed-size move and, at an edge, one lane of fill, instead of a
+        // variable-length copy on every edge row.
+        let window = (stride == 1)
+            .then(|| usize::try_from(start).ok())
+            .flatten()
+            .and_then(|start| self.x.get(start..start + len));
+        if let Some(window) = window {
+            copy_run(lanes, window);
+        } else {
+            let src = self.x[(start + (lo * stride) as isize) as usize..].iter();
+            for (d, &v) in lanes[lo..hi].iter_mut().zip(src.step_by(stride)) {
+                *d = v;
+            }
+        }
+        match (lo, len - hi) {
+            (0, 0) => {}
+            (1, 0) => lanes[0] = 0.0,
+            (0, 1) => lanes[len - 1] = 0.0,
+            _ => {
+                lanes[..lo].fill(0.0);
+                lanes[hi..].fill(0.0);
+            }
+        }
+    }
+}
+
+/// The transposed patch matrix: depth `p = (img, oy, ox)`, lanes
+/// `j = (ci, ky, kx)`. With a 1×1 geometry this is an NCHW activation read
+/// as its `N·H·W × C` matrix, which is how the weight gradient reads
+/// `dOut`.
+struct PatchesT<'a> {
+    x: &'a [f32],
+    g: PatchGeo,
+}
+
+impl PanelSource for PatchesT<'_> {
+    fn pack_panel(&self, p0: usize, kc: usize, j0: usize, w: usize, r: usize, dst: &mut [f32]) {
+        let g = &self.g;
+        assert!(w <= r && r <= NR);
+        // Padding positions and lanes past `w` are never written below.
+        dst.fill(0.0);
+        // Per lane: its tap and the output columns the tap can read.
+        let mut taps = [(0usize, 0usize, 0usize, (0isize, 0isize)); NR];
+        for (q, tap) in taps.iter_mut().enumerate().take(w) {
+            let j = j0 + q;
+            let kx = j % g.k;
+            *tap = (j / (g.k * g.k), (j / g.k) % g.k, kx, valid_cols(kx, g.pad, g.stride, g.w));
+        }
+        g.for_each_run(p0, kc, |pl, len, img, oy, ox0| {
+            for (q, &(ci, ky, kx, cols)) in taps[..w].iter().enumerate() {
+                let Some(row) = g.row_start(img, ci, oy, ky) else { continue };
+                let (lo, hi) = clip(ox0, len, cols);
+                if hi == lo {
+                    continue;
+                }
+                let src = &self.x[row + g.col(ox0 + lo, kx) as usize..];
+                let rows = dst[(pl + lo) * r..(pl + hi) * r].chunks_exact_mut(r);
+                if g.stride == 1 {
+                    for (d, &v) in rows.zip(src) {
+                        d[q] = v;
+                    }
+                } else {
+                    for (d, &v) in rows.zip(src.iter().step_by(g.stride)) {
+                        d[q] = v;
+                    }
+                }
+            }
+        });
+    }
+}
+
+fn check_shape(t: &Tensor, expected: &[usize], op: &'static str) -> Result<()> {
+    if t.shape() != expected {
+        return Err(TensorError::ShapeMismatch {
+            expected: expected.to_vec(),
+            got: t.shape().to_vec(),
+            op,
+        });
+    }
+    Ok(())
+}
+
+/// `y = W ∗ x`: `x: (N, c_in, h, w)`, `weight: (c_out, c_in, k, k)` →
+/// `(N, c_out, h_out, w_out)`.
+///
+/// Under the `Optimized` profile this is one GEMM `W · patches(x)` whose B
+/// panels are packed from `x` and whose C tiles are stored into NCHW; every
+/// output element is the fused chain over ascending `(ci, ky, kx)` that
+/// `matmul(W, im2col(x))` computes, bit for bit. `Reproducible` runs that
+/// explicit lowering image by image.
+///
+/// # Errors
+///
+/// Returns [`TensorError::WrongDimensions`] / [`TensorError::ShapeMismatch`]
+/// if `x` or `weight` disagree with `geo`.
+pub fn conv2d_forward(x: &Tensor, weight: &Tensor, geo: &ConvGeometry) -> Result<Tensor> {
+    let n = batch_of(x, geo, "conv2d_forward")?;
+    let c_out = weight.shape().first().copied().unwrap_or(0);
+    check_shape(weight, &[c_out, geo.c_in, geo.k, geo.k], "conv2d_forward")?;
+    let (rows, hw) = (geo.patch_rows(), geo.h_out() * geo.w_out());
+    let mut out = Tensor::zeros(&[n, c_out, geo.h_out(), geo.w_out()]);
+    if out.is_empty() {
+        return Ok(out);
+    }
+    if default_profile() == MatmulProfile::Reproducible {
+        let w_mat = weight.reshape(&[c_out, rows])?;
+        for (img, slab) in out.as_mut_slice().chunks_exact_mut(c_out * hw).enumerate() {
+            let y = matmul(&w_mat, &im2col(&image(x, img), geo)?)?;
+            slab.copy_from_slice(y.as_slice());
+        }
+        return Ok(out);
+    }
+    let _sp = kernel_span("conv2d_forward", c_out, rows, n * hw);
+    gemm::gemm(
+        &View::row_major(weight.as_slice(), rows).t(),
+        &Patches { x: x.as_slice(), g: PatchGeo::new(geo) },
+        out.as_mut_slice(),
+        CLayout::nchw(c_out, hw),
+        c_out,
+        rows,
+        n * hw,
+        parallel_under_default(c_out * rows * n * hw),
+    );
+    Ok(out)
+}
+
+/// `dW = dOut ∗ x`: `x: (N, c_in, h, w)`, `dout: (N, c_out, h_out, w_out)`
+/// → `(c_out, c_in, k, k)`.
+///
+/// Under the `Optimized` profile this is one GEMM `dOut · patches(x)ᵀ` with
+/// both operands packed from NCHW — `x` is the layer's *input*, so nothing
+/// patch-sized is kept between forward and backward — and every element is
+/// the fused chain over ascending `(img, oy, ox)` that
+/// `matmul_nt(dOut, im2col(x))` computes, bit for bit. `Reproducible` sums
+/// that explicit lowering over the images.
+///
+/// # Errors
+///
+/// Returns [`TensorError::WrongDimensions`] / [`TensorError::ShapeMismatch`]
+/// if `x` or `dout` disagree with `geo`.
+pub fn conv2d_grad_weight(x: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> Result<Tensor> {
+    let n = batch_of(x, geo, "conv2d_grad_weight")?;
+    let c_out = dout.shape().get(1).copied().unwrap_or(0);
+    check_shape(dout, &[n, c_out, geo.h_out(), geo.w_out()], "conv2d_grad_weight")?;
+    let (rows, hw) = (geo.patch_rows(), geo.h_out() * geo.w_out());
+    let mut dw = Tensor::zeros(&[c_out, geo.c_in, geo.k, geo.k]);
+    if default_profile() == MatmulProfile::Reproducible {
+        for img in 0..n {
+            let dy = image(dout, img).reshape(&[c_out, hw])?;
+            let part = matmul_nt(&dy, &im2col(&image(x, img), geo)?)?;
+            for (d, s) in dw.as_mut_slice().iter_mut().zip(part.as_slice()) {
+                *d += s;
+            }
+        }
+        return Ok(dw);
+    }
+    let _sp = kernel_span("conv2d_grad_weight", c_out, n * hw, rows);
+    let dout_geo = ConvGeometry { c_in: c_out, h: 1, w: hw, k: 1, stride: 1, padding: 0 };
+    gemm::gemm(
+        &PatchesT { x: dout.as_slice(), g: PatchGeo::new(&dout_geo) },
+        &PatchesT { x: x.as_slice(), g: PatchGeo::new(geo) },
+        dw.as_mut_slice(),
+        CLayout::row_major(rows),
+        c_out,
+        n * hw,
+        rows,
+        parallel_under_default(c_out * rows * n * hw),
+    );
+    Ok(dw)
+}
+
+/// Elements of `Wᵀ · dOut` one step of [`conv2d_grad_input`] holds (1 MiB):
+/// half an L2, so the block is still cached when it is scattered.
+pub const SCATTER_BLOCK: usize = 1 << 18;
+
+/// `dX = Wᵀ ∗ dOut`: `weight: (c_out, c_in, k, k)`,
+/// `dout: (N, c_out, h_out, w_out)` → `(N, c_in, h, w)`.
+///
+/// Under the `Optimized` profile a group of whole images at a time (as many
+/// as fit [`SCATTER_BLOCK`], at least one), `Wᵀ · dOut_group` is computed
+/// into cache-resident scratch — B panels packed straight from `dOut` — and
+/// scattered into those images' planes at once, in [`col2im`]'s order: each
+/// patch-matrix element is the fused chain over ascending `co` that
+/// `matmul_tn(W, dOut)` computes, and each input pixel adds its elements in
+/// ascending `(ky, kx)`. The result is bitwise equal to
+/// `col2im(matmul_tn(W, dOut))`, whatever the grouping. Threads split the
+/// images, each running its groups start to finish, so a call is one pool
+/// dispatch. `Reproducible` runs the explicit lowering image by image.
+///
+/// # Errors
+///
+/// Returns [`TensorError::WrongDimensions`] / [`TensorError::ShapeMismatch`]
+/// if `weight` or `dout` disagree with `geo`.
+pub fn conv2d_grad_input(weight: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> Result<Tensor> {
+    geo.validate()?;
+    let c_out = weight.shape().first().copied().unwrap_or(0);
+    check_shape(weight, &[c_out, geo.c_in, geo.k, geo.k], "conv2d_grad_input")?;
+    let n = dout.shape().first().copied().unwrap_or(0);
+    check_shape(dout, &[n, c_out, geo.h_out(), geo.w_out()], "conv2d_grad_input")?;
+    let (c_in, rows) = (geo.c_in, geo.patch_rows());
+    let (hw_in, hw_out) = (geo.h * geo.w, geo.h_out() * geo.w_out());
+    let mut dx = Tensor::zeros(&[n, c_in, geo.h, geo.w]);
+    if dx.is_empty() || c_out == 0 {
+        return Ok(dx);
+    }
+
+    if default_profile() == MatmulProfile::Reproducible {
+        let w_mat = weight.reshape(&[c_out, rows])?;
+        for (img, planes) in dx.as_mut_slice().chunks_exact_mut(c_in * hw_in).enumerate() {
+            let dy = image(dout, img).reshape(&[c_out, hw_out])?;
+            planes.copy_from_slice(col2im(&matmul_tn(&w_mat, &dy)?, geo, 1)?.as_slice());
+        }
+        return Ok(dx);
+    }
+
+    let _sp = kernel_span("conv2d_grad_input", rows, c_out, n * hw_out);
+    let group = (SCATTER_BLOCK / (rows * hw_out)).clamp(1, n);
+    let parts = if parallel_under_default(c_out * rows * n * hw_out) {
+        pool::num_threads().min(n)
+    } else {
+        1
+    };
+    // Per part: one group's Wᵀ·dOut and the block scratch of its GEMM, all
+    // taken on this thread (see `gemm::gemm` for why).
+    let (cols_len, gemm_len) =
+        (rows * group * hw_out, gemm::scratch_len(rows, c_out, group * hw_out));
+    let mut scratch = workspace::take(parts * (cols_len + gemm_len));
+    let (w, dy) = (weight.as_slice(), dout.as_slice());
+    let dy_geo = ConvGeometry { c_in: c_out, h: 1, w: hw_out, k: 1, stride: 1, padding: 0 };
+    let planes = SendPtr(dx.as_mut_slice().as_mut_ptr());
+    pool::run_chunked(&mut scratch, cols_len + gemm_len, |first, chunk| {
+        // Capture the whole SendPtr, not its raw-pointer field.
+        let planes = &planes;
+        for (part, scratch) in (first..).zip(chunk.chunks_exact_mut(cols_len + gemm_len)) {
+            let (cols, blocks) = scratch.split_at_mut(cols_len);
+            let imgs = pool::chunk_range(n, parts, part);
+            // SAFETY: `chunk_range` gives distinct parts disjoint image
+            // ranges inside `0..n`, so this slice of `dx` is in bounds and
+            // no other part touches it; `run_chunked` joins every part
+            // before `dx` is used again.
+            let planes = unsafe {
+                std::slice::from_raw_parts_mut(
+                    planes.0.add(imgs.start * c_in * hw_in),
+                    imgs.len() * c_in * hw_in,
+                )
+            };
+            for (gi, planes) in planes.chunks_mut(group * c_in * hw_in).enumerate() {
+                let ncols = planes.len() / (c_in * hw_in) * hw_out;
+                let cols = &mut cols[..rows * ncols];
+                cols.fill(0.0);
+                let dy = &dy[(imgs.start + gi * group) * c_out * hw_out..][..c_out * ncols];
+                gemm::gemm_in(
+                    &View::row_major(w, rows),
+                    &Patches { x: dy, g: PatchGeo::new(&dy_geo) },
+                    cols,
+                    CLayout::row_major(ncols),
+                    rows,
+                    c_out,
+                    ncols,
+                    blocks,
+                );
+                for (idx, plane) in planes.chunks_exact_mut(hw_in).enumerate() {
+                    scatter_plane(cols, ncols, (idx / c_in) * hw_out, idx % c_in, geo, plane);
+                }
+            }
+        }
+    });
+    Ok(dx)
+}
+
+/// Image `img` of an NCHW batch as its own `(1, C, H, W)` tensor.
+fn image(t: &Tensor, img: usize) -> Tensor {
+    let s = t.shape();
+    let len = s[1] * s[2] * s[3];
+    let data = workspace::take_copied(&t.as_slice()[img * len..][..len]);
+    Tensor::from_vec(data, &[1, s[1], s[2], s[3]]).expect("length is the shape's product")
 }
 
 #[cfg(test)]

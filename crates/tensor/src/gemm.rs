@@ -2,27 +2,38 @@
 //! micro-kernel.
 //!
 //! This module is the single dense-compute core of the repository: the
-//! `Optimized` profile of [`crate::matmul`] (plain, `ᵀ·` and `·ᵀ` variants,
-//! and through them the im2col convolution lowering in `puffer-nn`) all
+//! `Optimized` profile of [`crate::matmul`] (plain, `ᵀ·` and `·ᵀ` variants)
+//! and the implicit-GEMM convolution primitives of [`crate::conv`] all
 //! funnel into [`gemm`]. The engine follows the classic three-level
-//! blocking hierarchy (Goto/BLIS):
+//! blocking hierarchy (Goto/BLIS), packing each operand block right where
+//! it is consumed:
 //!
 //! ```text
-//! for jc in 0..n step NC         # B column block   → L3-resident
-//!   for pc in 0..k step KC       # K block          → panels sliced per pass
-//!     for ic in 0..m step MC     # A row block      → L2-resident packed A
-//!       for jr (NR-wide panels)  # B micro-panel    → L1-resident (KC×NR)
+//! for jc in 0..n step NC         # B column block
+//!   for pc in 0..k step KC       #   pack B[pc.., jc..] → KC×NC block, L2-resident
+//!     for ic in 0..m step MC     #     pack A[ic.., pc..] → MC×KC block
+//!       for jr (NR-wide panels)  #       B micro-panel → L1-resident (KC×NR)
 //!         for ir (MR-wide panels)
 //!           MR×NR register-tile micro-kernel over p = pc..pc+kc
 //! ```
 //!
-//! Both operands are repacked once per call into micro-panels grouped by
-//! KC block (A: `[pc][ir][p][MR]`, B: `[pc][jr][p][NR]`), drawn from the
-//! per-thread scratch arenas ([`crate::workspace`]) so steady-state steps
-//! allocate nothing fresh. Threads own whole `(jc, ic)` tiles of C — the
-//! NC/MC loop nest, not raw output rows — so each worker streams
-//! cache-resident panels instead of fighting its siblings for the same
-//! B panel bandwidth.
+//! # Panel sources
+//!
+//! The engine never sees an operand's storage. It asks a [`PanelSource`]
+//! for one micro-panel at a time — `kc` rows of `r` lanes — and the source
+//! writes it straight into the block. A strided [`View`] is one source
+//! (row-major and transposed matrices; unit strides take `copy_from_slice`
+//! / slice-zip fast paths); the convolution sources in [`crate::conv`] read
+//! edge-clipped runs of pixels from the NCHW activation, so no patch matrix
+//! is ever materialised. Where a C element lives is a [`CLayout`]: plain
+//! row-major, or an NCHW activation addressed as its `C × N·H·W` matrix, so
+//! a convolution's output needs no reshuffle either.
+//!
+//! Block scratch comes from the per-thread arenas ([`crate::workspace`]) and
+//! is sized `min(KC, k) × min(NC, n)`, so steady-state steps allocate
+//! nothing fresh and a small product holds a small block. Threads split the
+//! panels of the larger of `n` and `m`; each packs the blocks of its own
+//! range, so there is no shared packed operand and no barrier.
 //!
 //! # The micro-kernel
 //!
@@ -44,13 +55,16 @@
 //! lanes* — different output elements — so lane order never touches any
 //! element's reduction order. KC blocking stores the accumulator to C at a
 //! block boundary and reloads the same bits for the next block, which is
-//! bit-for-bit the uninterrupted chain; MC/NC/tile partitioning only picks
-//! *which thread* owns an element. Results are therefore bitwise invariant
-//! to thread count, SIMD on/off, **and** the KC/MC/NC choices — pinned by
+//! bit-for-bit the uninterrupted chain; MC/NC/thread partitioning only picks
+//! *which thread* owns an element, and packing is pure copying, so a
+//! panel's contents do not depend on which block or thread packed it.
+//! Results are therefore bitwise invariant to thread count, SIMD on/off,
+//! **and** the KC/MC/NC choices — pinned by
 //! `crates/tensor/tests/simd_bitwise.rs` against the scalar `mul_add`
 //! reference.
 
 use crate::{pool, workspace};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 /// Register-tile height: rows of C held in accumulators by the micro-kernel.
@@ -73,14 +87,9 @@ const MC_DEFAULT: usize = 96;
 /// for an L3 share; one `(jc, ic)` tile of C is the unit of thread work.
 const NC_DEFAULT: usize = 2048;
 
-/// Minimum packed-element count before operand packing itself fans out to
-/// the worker pool (overridable via `PUFFER_GEMM_PAR_MIN_PACK`).
-const PAR_MIN_PACK_DEFAULT: usize = 1 << 16;
-
 static KC: AtomicUsize = AtomicUsize::new(0);
 static MC: AtomicUsize = AtomicUsize::new(0);
 static NC: AtomicUsize = AtomicUsize::new(0);
-static PAR_MIN_PACK: AtomicUsize = AtomicUsize::new(0);
 
 /// `0` = unresolved, `1` = scalar fallback, `2` = AVX2+FMA kernel.
 static SIMD: AtomicU8 = AtomicU8::new(0);
@@ -165,10 +174,36 @@ pub fn set_blocking(kc: usize, mc: usize, nc: usize) {
     NC.store(nc.div_ceil(NR).max(1) * NR, Ordering::Relaxed);
 }
 
-/// The packed-element count above which operand packing fans out
-/// (`PUFFER_GEMM_PAR_MIN_PACK`, default `2^16`).
-pub fn pack_parallel_threshold() -> usize {
-    resolve(&PAR_MIN_PACK, "PUFFER_GEMM_PAR_MIN_PACK", PAR_MIN_PACK_DEFAULT, 1)
+/// A logical `k×d` operand the engine pulls micro-panels from: `k` is the
+/// reduction depth, `d` the operand's extent along C (`m` for A, whose
+/// lanes are rows of C; `n` for B, whose lanes are columns of C).
+pub trait PanelSource: Sync {
+    /// Packs rows `p0..p0+kc` of lanes `j0..j0+w` into `dst` as `kc`
+    /// consecutive rows of `r` lanes (`dst.len() == kc·r`, `w ≤ r`) with
+    /// zeros in lanes `w..r`. Must overwrite every element of `dst` — the
+    /// block it belongs to is reused — and must only copy, so packed
+    /// contents cannot depend on who packs them.
+    fn pack_panel(&self, p0: usize, kc: usize, j0: usize, w: usize, r: usize, dst: &mut [f32]);
+}
+
+/// Copies a run of lanes. The lengths panels are usually cut into move as
+/// fixed-size arrays — vector loads and stores instead of a `memcpy` call.
+#[inline]
+pub(crate) fn copy_run(dst: &mut [f32], src: &[f32]) {
+    #[inline]
+    fn fixed<const N: usize>(dst: &mut [f32], src: &[f32]) {
+        let (Ok(d), Ok(s)) = (<&mut [f32; N]>::try_from(dst), <&[f32; N]>::try_from(src)) else {
+            unreachable!("copy_run matched both lengths");
+        };
+        *d = *s;
+    }
+    assert_eq!(dst.len(), src.len(), "copy_run: length mismatch");
+    match dst.len() {
+        NR => fixed::<NR>(dst, src),
+        8 => fixed::<8>(dst, src),
+        4 => fixed::<4>(dst, src),
+        _ => dst.copy_from_slice(src),
+    }
 }
 
 /// A strided read-only view of a row-major operand: element `(i, j)` lives
@@ -197,210 +232,343 @@ impl<'a> View<'a> {
     }
 }
 
-/// Shared pointer to the output matrix, handed to pool workers that write
-/// disjoint `(jc, ic)` tiles.
-struct SendPtr(*mut f32);
-// SAFETY: only disjoint C tiles derived from distinct tile indices are ever
-// written through this pointer, and the dispatching call joins all workers
-// before returning.
+/// Rows of the view are the reduction depth, columns the lanes. Unit lane
+/// stride (a row-major B) copies whole rows; unit depth stride (a row-major
+/// A seen through [`View::t`]) zips each lane's contiguous source run into
+/// its strided panel column.
+impl PanelSource for View<'_> {
+    fn pack_panel(&self, p0: usize, kc: usize, j0: usize, w: usize, r: usize, dst: &mut [f32]) {
+        let base = p0 * self.rs + j0 * self.cs;
+        if self.cs == 1 {
+            for (p, row) in dst.chunks_exact_mut(r).enumerate() {
+                copy_run(&mut row[..w], &self.data[base + p * self.rs..][..w]);
+                row[w..].fill(0.0);
+            }
+            return;
+        }
+        if w < r {
+            dst.fill(0.0);
+        }
+        for q in 0..w {
+            let lane = dst[q..].iter_mut().step_by(r);
+            let start = base + q * self.cs;
+            if self.rs == 1 {
+                for (d, &v) in lane.zip(&self.data[start..start + kc]) {
+                    *d = v;
+                }
+            } else {
+                for (d, &v) in lane.zip(self.data[start..].iter().step_by(self.rs)) {
+                    *d = v;
+                }
+            }
+        }
+    }
+}
+
+/// Where element `(i, j)` of the `m×n` product lives in the output buffer.
+/// Columns come in segments of `seg` consecutive `j`; inside a segment a
+/// row is contiguous and rows are `seg` apart; segment `s` starts at
+/// `s · seg_stride`. Row-major is the one-segment case.
+#[derive(Debug, Clone, Copy)]
+pub struct CLayout {
+    seg: usize,
+    seg_stride: usize,
+}
+
+impl CLayout {
+    /// Row-major `m×n`.
+    pub fn row_major(n: usize) -> Self {
+        CLayout { seg: n.max(1), seg_stride: 0 }
+    }
+
+    /// An `[N, channels, H, W]` activation addressed as its
+    /// `channels × N·H·W` matrix: `(c, (img, sp))` lives at
+    /// `(img·channels + c)·hw + sp`.
+    pub fn nchw(channels: usize, hw: usize) -> Self {
+        CLayout { seg: hw.max(1), seg_stride: channels * hw }
+    }
+
+    #[inline]
+    fn offset(&self, i: usize, j: usize) -> usize {
+        (j / self.seg) * self.seg_stride + i * self.seg + j % self.seg
+    }
+}
+
+/// Shared pointer to an output buffer, handed to pool workers that write
+/// disjoint regions of it.
+pub(crate) struct SendPtr(pub(crate) *mut f32);
+// SAFETY: every user derives only disjoint regions from distinct part
+// indices through this pointer, and the dispatching call joins all workers
+// before the buffer's borrow ends.
 unsafe impl Send for SendPtr {}
 // SAFETY: shared references to SendPtr only read the pointer value; the
-// disjoint-tile argument above covers every derived write.
+// disjoint-region argument above covers every derived write.
 unsafe impl Sync for SendPtr {}
 
-/// `C += A · B` on a zero-initialized row-major `m×n` C, with `A: m×k` and
-/// `B: k×n` given as [`View`]s. `parallel` fans the `(jc, ic)` tile grid
-/// (and, above [`pack_parallel_threshold`], the operand packing) out to the
+/// `C += A · B` for an `m×k` A and a `k×n` B, both given as depth-major
+/// [`PanelSource`]s — `a_cols` is the logical `k×m` operand `Aᵀ` (for a
+/// [`View`] of A, `a.t()`), `b` the logical `k×n` operand — accumulated into
+/// `c` through `layout`. Each element continues its fused chain from the
+/// value already in `c`, so a zeroed `c` yields the product and successive
+/// calls over consecutive depth ranges yield the same bits as one call.
+/// `parallel` splits the panels of the larger of `n` and `m` across the
 /// worker pool; results are bitwise identical for every thread count and
 /// for SIMD on/off.
-pub fn gemm(a: View<'_>, b: View<'_>, c: &mut [f32], m: usize, k: usize, n: usize, parallel: bool) {
+///
+/// # Panics
+///
+/// Panics if `c` is too short for `layout`, or `layout`'s segments overlap
+/// for an `m`-row product.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm(
+    a_cols: &dyn PanelSource,
+    b: &dyn PanelSource,
+    c: &mut [f32],
+    layout: CLayout,
+    m: usize,
+    k: usize,
+    n: usize,
+    parallel: bool,
+) {
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    debug_assert!(c.len() == m * n);
-    let (kc, mc, nc) = blocking();
-    let a_panels = m.div_ceil(MR);
-    let b_panels = n.div_ceil(NR);
-
-    let mut packed_a = workspace::take(a_panels * MR * k);
-    let mut packed_b = workspace::take(b_panels * NR * k);
-    // Pack A's columns (the k×m transposed view) into MR-wide micro-panels
-    // and B's rows into NR-wide ones, both grouped by KC block.
-    pack_operand(a.t(), k, m, MR, kc, packed_a.as_mut_slice(), parallel);
-    pack_operand(b, k, n, NR, kc, packed_b.as_mut_slice(), parallel);
-
-    let eng = Engine {
-        packed_a: packed_a.as_slice(),
-        packed_b: packed_b.as_slice(),
-        c: SendPtr(c.as_mut_ptr()),
-        m,
-        k,
-        n,
-        kc,
-        mc,
-        nc,
-        simd: simd_enabled(),
-    };
-    let n_ic = m.div_ceil(mc);
-    let n_jc = n.div_ceil(nc);
-    let n_tiles = n_ic * n_jc;
-    if parallel && n_tiles > 1 {
-        pool::run_partitioned(n_tiles, |range| {
-            for tile in range {
-                eng.process_tile(tile / n_ic, tile % n_ic);
-            }
-        });
-    } else {
-        for tile in 0..n_tiles {
-            eng.process_tile(tile / n_ic, tile % n_ic);
+    let eng = Engine::new(a_cols, b, c, layout, m, k, n);
+    // Threads split the panels of the longer side of C. All block scratch
+    // is taken here, on the calling thread, and handed out by part: which
+    // pool thread runs a part is up to the scheduler, and scratch drawn
+    // from the workers' own arenas would make a warmed-up step allocate
+    // whenever a part lands on a thread that has not run one before.
+    let split = Split::new(m, k, n, if parallel { pool::num_threads() } else { 1 });
+    let mut scratch = workspace::take(split.parts * split.scratch_len());
+    pool::run_chunked(&mut scratch, split.scratch_len(), |first, chunk| {
+        for (part, blocks) in (first..).zip(chunk.chunks_exact_mut(split.scratch_len())) {
+            eng.run_part(&split, part, blocks);
         }
-    }
+    });
 }
 
-/// Packs a logical `k×d` operand (element `(p, j)` of `src`) into `r`-wide
-/// zero-padded micro-panels grouped by KC block: panel `(pc, id)` holds
-/// `kc_len` rows of `r` consecutive `j` lanes, laid out contiguously so the
-/// micro-kernel streams it. The destination comes zeroed from the
-/// workspace, so padding lanes need no explicit writes. Pure element
-/// copies — packed contents are independent of the thread partition.
-fn pack_operand(
-    src: View<'_>,
+/// Floats of block scratch [`gemm_in`] needs for an `m×k×n` product.
+pub(crate) fn scratch_len(m: usize, k: usize, n: usize) -> usize {
+    Split::new(m, k, n, 1).scratch_len()
+}
+
+/// [`gemm`] on the calling thread alone, packing into `scratch` (at least
+/// [`scratch_len`] floats) instead of this thread's arena: for callers that
+/// are themselves one part of a pool dispatch and were handed their scratch
+/// by the dispatching thread. Same bits as [`gemm`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_in(
+    a_cols: &dyn PanelSource,
+    b: &dyn PanelSource,
+    c: &mut [f32],
+    layout: CLayout,
+    m: usize,
     k: usize,
-    d: usize,
-    r: usize,
-    kc: usize,
-    packed: &mut [f32],
-    parallel: bool,
+    n: usize,
+    scratch: &mut [f32],
 ) {
-    let panels = d.div_ceil(r);
-    let n_pc = k.div_ceil(kc);
-    let n_items = n_pc * panels;
-    let fill = |pc: usize, id: usize, dst: &mut [f32]| {
-        let p0 = pc * kc;
-        let kc_len = kc.min(k - p0);
-        let j0 = id * r;
-        let w = r.min(d - j0);
-        for p in 0..kc_len {
-            let row = &mut dst[p * r..p * r + w];
-            for (q, slot) in row.iter_mut().enumerate() {
-                *slot = src.data[(p0 + p) * src.rs + (j0 + q) * src.cs];
-            }
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    let split = Split::new(m, k, n, 1);
+    Engine::new(a_cols, b, c, layout, m, k, n).run_part(
+        &split,
+        0,
+        &mut scratch[..split.scratch_len()],
+    );
+}
+
+/// How one product is cut into parts and how large each part's packed
+/// blocks are.
+struct Split {
+    /// Whether parts are ranges of B (column) panels rather than A panels.
+    cols: bool,
+    /// Panels along the split side, and along the other one.
+    panels: usize,
+    others: usize,
+    parts: usize,
+    b_len: usize,
+    a_len: usize,
+}
+
+impl Split {
+    fn new(m: usize, k: usize, n: usize, threads: usize) -> Self {
+        let (kc, mc, nc) = blocking();
+        let (pm, pn) = (m.div_ceil(MR), n.div_ceil(NR));
+        let cols = n >= m;
+        let (panels, others) = if cols { (pn, pm) } else { (pm, pn) };
+        let parts = threads.min(panels).max(1);
+        let per_part = panels.div_ceil(parts);
+        // MC is a multiple of MR and NC of NR, so blocks are whole panels.
+        let b_panels = (nc / NR).min(if cols { per_part } else { pn });
+        let a_panels = (mc / MR).min(if cols { pm } else { per_part });
+        Split {
+            cols,
+            panels,
+            others,
+            parts,
+            b_len: b_panels * NR * kc.min(k),
+            a_len: a_panels * MR * kc.min(k),
         }
-    };
-    // Panel (pc, id) starts at block base `panels·r·(pc·kc)` (previous
-    // blocks hold exactly pc·kc packed rows) plus `id` whole panels.
-    let offset = |pc: usize, id: usize| {
-        let kc_len = kc.min(k - pc * kc);
-        (panels * r * (pc * kc) + id * r * kc_len, r * kc_len)
-    };
-    if parallel && packed.len() >= pack_parallel_threshold() {
-        let base = SendPtr(packed.as_mut_ptr());
-        pool::run_partitioned(n_items, |range| {
-            let base = &base;
-            for item in range {
-                let (pc, id) = (item / panels, item % panels);
-                let (off, len) = offset(pc, id);
-                // SAFETY: panel ranges `(off, len)` are disjoint across item
-                // indices and in-bounds for `packed`; run_partitioned hands
-                // each worker distinct items and joins before returning.
-                let dst = unsafe { std::slice::from_raw_parts_mut(base.0.add(off), len) };
-                fill(pc, id, dst);
-            }
-        });
-    } else {
-        for item in 0..n_items {
-            let (pc, id) = (item / panels, item % panels);
-            let (off, len) = offset(pc, id);
-            fill(pc, id, &mut packed[off..off + len]);
-        }
+    }
+
+    fn scratch_len(&self) -> usize {
+        self.b_len + self.a_len
     }
 }
 
-/// Everything a worker needs to compute one `(jc, ic)` tile of C.
+/// Packs panels `panels` (each `r` lanes of the `d`-lane operand `src`) of
+/// depth rows `p0..p0+kc` back to back into `block`.
+fn pack_block(
+    src: &dyn PanelSource,
+    p0: usize,
+    kc: usize,
+    panels: Range<usize>,
+    r: usize,
+    d: usize,
+    block: &mut [f32],
+) {
+    for (dst, id) in block.chunks_exact_mut(r * kc).zip(panels) {
+        let j0 = id * r;
+        src.pack_panel(p0, kc, j0, r.min(d - j0), r, dst);
+    }
+}
+
+/// Everything a worker needs to compute its share of C.
 struct Engine<'a> {
-    packed_a: &'a [f32],
-    packed_b: &'a [f32],
+    a: &'a dyn PanelSource,
+    b: &'a dyn PanelSource,
     c: SendPtr,
+    layout: CLayout,
     m: usize,
     k: usize,
     n: usize,
     kc: usize,
-    mc: usize,
-    nc: usize,
     simd: bool,
 }
 
-impl Engine<'_> {
-    /// Computes the C tile `(jc, ic)`: for each KC block, sweep the tile's
-    /// NR-wide B panels (L1-resident) over its MR-wide A panels. Per
-    /// element the KC loop continues the same fused accumulator chain —
-    /// stored to C at a block edge and reloaded bit-for-bit — so the
-    /// result is independent of `kc` and of which thread owns the tile.
-    fn process_tile(&self, jc: usize, ic: usize) {
-        let (m, k, n) = (self.m, self.k, self.n);
-        let a_panels = m.div_ceil(MR);
-        let b_panels = n.div_ceil(NR);
-        let (i0, i1) = (ic * self.mc, m.min((ic + 1) * self.mc));
-        let (j0, j1) = (jc * self.nc, n.min((jc + 1) * self.nc));
-        let mut p0 = 0;
-        while p0 < k {
-            let kc_len = self.kc.min(k - p0);
-            let a_base = a_panels * MR * p0;
-            let b_base = b_panels * NR * p0;
-            // MC is a multiple of MR and NC of NR, so block edges coincide
-            // with whole panels.
-            for jp in j0 / NR..j1.div_ceil(NR) {
-                let pb = &self.packed_b[b_base + jp * NR * kc_len..][..NR * kc_len];
-                let cols = NR.min(n - jp * NR);
-                for ip in i0 / MR..i1.div_ceil(MR) {
-                    let pa = &self.packed_a[a_base + ip * MR * kc_len..][..MR * kc_len];
-                    let rows = MR.min(m - ip * MR);
-                    // SAFETY: the tile pointer stays inside this worker's
-                    // disjoint (jc, ic) region of C: rows ip·MR..ip·MR+rows
-                    // and cols jp·NR..jp·NR+cols are in-bounds and owned by
-                    // this tile alone.
-                    let c_tile = unsafe { self.c.0.add(ip * MR * n + jp * NR) };
-                    micro_tile(self.simd, kc_len, pa, pb, c_tile, n, rows, cols);
+impl<'a> Engine<'a> {
+    /// Checks that `c` can hold the product through `layout` and captures
+    /// the current blocking and kernel choice.
+    fn new(
+        a: &'a dyn PanelSource,
+        b: &'a dyn PanelSource,
+        c: &mut [f32],
+        layout: CLayout,
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Self {
+        // Memory safety of every tile store rests on these two: distinct
+        // (i, j) map to distinct offsets, and the largest one is in bounds.
+        assert!(n <= layout.seg || layout.seg_stride >= m * layout.seg, "gemm: C segments overlap");
+        assert!(layout.offset(m - 1, n - 1) < c.len(), "gemm: C buffer too short for its layout");
+        Engine {
+            a,
+            b,
+            c: SendPtr(c.as_mut_ptr()),
+            layout,
+            m,
+            k,
+            n,
+            kc: blocking().0,
+            simd: simd_enabled(),
+        }
+    }
+
+    /// Runs part `part` of `split` with `blocks` as its B and A block
+    /// scratch.
+    fn run_part(&self, split: &Split, part: usize, blocks: &mut [f32]) {
+        let (b_block, a_block) = blocks.split_at_mut(split.b_len);
+        let own = pool::chunk_range(split.panels, split.parts, part);
+        let (rows, cols) = if split.cols { (0..split.others, own) } else { (own, 0..split.others) };
+        self.run(rows, cols, a_block, b_block);
+    }
+
+    /// Computes the C elements of A panels `rows` × B panels `cols` with
+    /// the full `jc → pc → ic` nest, packing each B block and each A block
+    /// into this part's scratch just before sweeping it; the blocks hold as
+    /// many whole panels as the scratch has room for. Per element the KC
+    /// loop continues the same fused accumulator chain — stored to C at a
+    /// block edge and reloaded bit-for-bit — so the result is independent
+    /// of the blocking and of which thread owns the range.
+    fn run(
+        &self,
+        rows: Range<usize>,
+        cols: Range<usize>,
+        a_block: &mut [f32],
+        b_block: &mut [f32],
+    ) {
+        let kc_cap = self.kc.min(self.k);
+        let nb = b_block.len() / (NR * kc_cap);
+        let mb = a_block.len() / (MR * kc_cap);
+        for jb in cols.clone().step_by(nb.max(1)) {
+            let jb_end = (jb + nb).min(cols.end);
+            for p0 in (0..self.k).step_by(self.kc) {
+                let kc = self.kc.min(self.k - p0);
+                pack_block(self.b, p0, kc, jb..jb_end, NR, self.n, b_block);
+                for ib in rows.clone().step_by(mb.max(1)) {
+                    let ib_end = (ib + mb).min(rows.end);
+                    pack_block(self.a, p0, kc, ib..ib_end, MR, self.m, a_block);
+                    for (pb, jp) in b_block.chunks_exact(NR * kc).zip(jb..jb_end) {
+                        let j = jp * NR;
+                        let cols_live = NR.min(self.n - j);
+                        let in_one_segment = j % self.layout.seg + cols_live <= self.layout.seg;
+                        for (pa, ip) in a_block.chunks_exact(MR * kc).zip(ib..ib_end) {
+                            let i = ip * MR;
+                            let rows_live = MR.min(self.m - i);
+                            if rows_live == MR && cols_live == NR && in_one_segment {
+                                // SAFETY: (i..i+MR) × (j..j+NR) is inside
+                                // this worker's panel range, its NR columns
+                                // are contiguous within one segment, and
+                                // gemm() checked that the layout's largest
+                                // offset is in bounds.
+                                let tile = unsafe { self.c.0.add(self.layout.offset(i, j)) };
+                                kernel(self.simd, kc, pa, pb, tile, self.layout.seg);
+                            } else {
+                                self.edge_tile(kc, pa, pb, (i, rows_live), (j, cols_live));
+                            }
+                        }
+                    }
                 }
             }
-            p0 += kc_len;
         }
     }
-}
 
-/// Runs the register-tile kernel on one `rows×cols` tile of C (top-left at
-/// `c`, row stride `ldc`). Full MR×NR tiles run in place; edge tiles stage
-/// through a stack buffer: valid C elements are loaded into the buffer, the
-/// same full-size kernel runs (padded lanes compute over packed zeros and
-/// are discarded), and the valid region is stored back — per element this
-/// is the identical fused chain, so edge handling never perturbs results.
-#[allow(clippy::too_many_arguments)]
-fn micro_tile(
-    simd: bool,
-    kc: usize,
-    pa: &[f32],
-    pb: &[f32],
-    c: *mut f32,
-    ldc: usize,
-    rows: usize,
-    cols: usize,
-) {
-    if rows == MR && cols == NR {
-        kernel(simd, kc, pa, pb, c, ldc);
-        return;
-    }
-    let mut tile = [0.0f32; MR * NR];
-    for r in 0..rows {
-        for q in 0..cols {
-            // SAFETY: (r, q) < (rows, cols) stays inside the caller's C tile.
-            unsafe { tile[r * NR + q] = *c.add(r * ldc + q) };
+    /// Runs the register-tile kernel on a tile that is short (the last
+    /// rows or columns of C) or whose columns straddle a layout segment.
+    /// The tile stages through a stack buffer: valid C elements are loaded
+    /// into it, the same full-size kernel runs (padded lanes compute over
+    /// packed zeros and are discarded), and the valid region is stored back
+    /// — per element the identical fused chain, so edge handling never
+    /// perturbs results.
+    fn edge_tile(
+        &self,
+        kc: usize,
+        pa: &[f32],
+        pb: &[f32],
+        (i, rows): (usize, usize),
+        (j, cols): (usize, usize),
+    ) {
+        let mut tile = [0.0f32; MR * NR];
+        let mut col = [0usize; NR];
+        for (q, off) in col.iter_mut().enumerate().take(cols) {
+            *off = self.layout.offset(i, j + q);
         }
-    }
-    kernel(simd, kc, pa, pb, tile.as_mut_ptr(), NR);
-    for r in 0..rows {
-        for q in 0..cols {
-            // SAFETY: same in-bounds argument as the load above.
-            unsafe { *c.add(r * ldc + q) = tile[r * NR + q] };
+        for t in 0..rows {
+            for q in 0..cols {
+                // SAFETY: (i+t, j+q) is a valid element of this worker's
+                // panel range; gemm() checked the layout's bounds.
+                unsafe { tile[t * NR + q] = *self.c.0.add(col[q] + t * self.layout.seg) };
+            }
+        }
+        kernel(self.simd, kc, pa, pb, tile.as_mut_ptr(), NR);
+        for t in 0..rows {
+            for q in 0..cols {
+                // SAFETY: same element set as the loads above.
+                unsafe { *self.c.0.add(col[q] + t * self.layout.seg) = tile[t * NR + q] };
+            }
         }
     }
 }
@@ -412,7 +580,7 @@ fn kernel(simd: bool, kc: usize, pa: &[f32], pb: &[f32], c: *mut f32, ldc: usize
     if simd {
         // SAFETY: `simd` is only true when is_x86_feature_detected! reported
         // AVX2+FMA (see simd_enabled/set_simd_enabled), and the pointer
-        // contract is the same as kernel_scalar's, upheld by micro_tile.
+        // contract is the same as kernel_scalar's, upheld by Engine::run.
         unsafe { avx::kernel_6x16(kc, pa.as_ptr(), pb.as_ptr(), c, ldc) };
         return;
     }
@@ -427,8 +595,8 @@ fn kernel_scalar(kc: usize, pa: &[f32], pb: &[f32], c: *mut f32, ldc: usize) {
     let mut acc = [[0.0f32; NR]; MR];
     for (t, row) in acc.iter_mut().enumerate() {
         for (q, slot) in row.iter_mut().enumerate() {
-            // SAFETY: micro_tile hands a tile with MR rows of stride ldc
-            // and NR valid columns per row.
+            // SAFETY: Engine hands a tile with MR rows of stride ldc and
+            // NR valid columns per row.
             *slot = unsafe { *c.add(t * ldc + q) };
         }
     }
@@ -523,7 +691,16 @@ mod tests {
 
     fn run_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut c = vec![0.0f32; m * n];
-        gemm(View::row_major(a, k), View::row_major(b, n), &mut c, m, k, n, false);
+        gemm(
+            &View::row_major(a, k).t(),
+            &View::row_major(b, n),
+            &mut c,
+            CLayout::row_major(n),
+            m,
+            k,
+            n,
+            false,
+        );
         c
     }
 
@@ -574,7 +751,16 @@ mod tests {
         }
         let want = run_gemm(&a, &b, m, k, n);
         let mut got = vec![0.0f32; m * n];
-        gemm(View::row_major(&at, m).t(), View::row_major(&b, n), &mut got, m, k, n, false);
+        gemm(
+            &View::row_major(&at, m),
+            &View::row_major(&b, n),
+            &mut got,
+            CLayout::row_major(n),
+            m,
+            k,
+            n,
+            false,
+        );
         assert_eq!(got, want);
     }
 

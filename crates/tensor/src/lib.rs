@@ -2,7 +2,8 @@
 //!
 //! This crate provides the linear-algebra kernel that the rest of the
 //! workspace is built on: a row-major dense [`Tensor`], cache-blocked
-//! matrix multiplication, im2col-based convolution primitives, a one-sided
+//! matrix multiplication, implicit-GEMM convolution primitives (with the
+//! explicit im2col / col2im lowering kept as their reference), a one-sided
 //! Jacobi [singular value decomposition](svd) (the operation at the heart of
 //! Pufferfish's "vanilla warm-up" factorization), IEEE 754 binary16
 //! emulation used by the mixed-precision experiments, and the random weight
@@ -14,7 +15,7 @@
 //!
 //! # Threading
 //!
-//! Dense kernels (GEMM, im2col/col2im, large elementwise ops) fan out to a
+//! Dense kernels (GEMM, convolution, large elementwise ops) fan out to a
 //! lazily-initialized process-wide worker [`pool`] under the default
 //! `Optimized` matmul profile. `PUFFER_NUM_THREADS` (or
 //! [`pool::set_num_threads`]) controls the width; `PUFFER_NUM_THREADS=1`
@@ -25,8 +26,8 @@
 //!
 //! # Memory reuse
 //!
-//! Tensor storage and kernel scratch (GEMM packing panels, im2col
-//! matrices) come from per-thread scratch arenas ([`workspace`]) and are
+//! Tensor storage and kernel scratch (GEMM operand blocks, convolution
+//! scatter blocks) come from per-thread scratch arenas ([`workspace`]) and are
 //! returned on drop, so a steady-state training step allocates nothing
 //! fresh. Pooled buffers are zeroed or fully overwritten before use —
 //! results are bitwise identical to fresh allocation

@@ -4,11 +4,12 @@
 //! Table 20): [`MatmulProfile::Reproducible`] uses a straightforward,
 //! strictly sequential ikj loop, while [`MatmulProfile::Optimized`] routes
 //! through the BLIS-style cache-blocked SIMD engine in [`crate::gemm`] —
-//! KC/MC/NC blocking, workspace-packed micro-panels, a runtime-detected
-//! AVX2+FMA 6×16 register-tile kernel, and thread partitioning over
-//! `(jc, ic)` cache tiles. The fused-transpose variants ([`matmul_tn`],
-//! [`matmul_nt`]) feed the same engine through strided views, so the
-//! convolution lowering and every `puffer-nn` layer hit the fast path too.
+//! KC/MC/NC blocking, micro-panels packed block by block into workspace
+//! scratch, a runtime-detected AVX2+FMA 6×16 register-tile kernel, and
+//! thread partitioning over panel ranges. The fused-transpose variants
+//! ([`matmul_tn`], [`matmul_nt`]) feed the same engine through strided
+//! views, as do the implicit-GEMM convolutions of [`crate::conv`], so every
+//! `puffer-nn` layer hits the fast path too.
 //!
 //! The engine is **bitwise deterministic across thread counts and SIMD
 //! on/off**: every `(i, j)` element is a single accumulator reduced over
@@ -17,7 +18,7 @@
 //! distinct output columns). Only the profile switch changes results
 //! (within f32 associativity); the thread count never does.
 
-use crate::gemm::{self, View};
+use crate::gemm::{self, CLayout, View};
 use crate::pool;
 use crate::{Result, Tensor, TensorError};
 use puffer_probe as probe;
@@ -25,7 +26,7 @@ use puffer_probe as probe;
 /// Opens a probe span over a dense kernel and bumps the process-global
 /// multiply–add counter. One relaxed atomic load when the probe is off.
 #[inline]
-fn kernel_span(name: &'static str, m: usize, k: usize, n: usize) -> probe::SpanGuard {
+pub(crate) fn kernel_span(name: &'static str, m: usize, k: usize, n: usize) -> probe::SpanGuard {
     if !probe::enabled() {
         return probe::span(Q, name); // disabled fast path: returns an empty guard
     }
@@ -160,9 +161,10 @@ pub fn matmul_with_profile(a: &Tensor, b: &Tensor, profile: MatmulProfile) -> Re
             mm_ikj(a.as_slice(), b.as_slice(), c.as_mut_slice(), m, ka, n)
         }
         MatmulProfile::Optimized => gemm::gemm(
-            View::row_major(a.as_slice(), ka),
-            View::row_major(b.as_slice(), n),
+            &View::row_major(a.as_slice(), ka).t(),
+            &View::row_major(b.as_slice(), n),
             c.as_mut_slice(),
+            CLayout::row_major(n),
             m,
             ka,
             n,
@@ -200,10 +202,12 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         return Ok(c);
     }
     if default_profile() == MatmulProfile::Optimized {
+        // A is stored k×m, which is already the depth-major operand.
         gemm::gemm(
-            View::row_major(a.as_slice(), m).t(),
-            View::row_major(b.as_slice(), n),
+            &View::row_major(a.as_slice(), m),
+            &View::row_major(b.as_slice(), n),
             c.as_mut_slice(),
+            CLayout::row_major(n),
             m,
             k,
             n,
@@ -257,9 +261,10 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     }
     if default_profile() == MatmulProfile::Optimized {
         gemm::gemm(
-            View::row_major(a.as_slice(), k),
-            View::row_major(b.as_slice(), k).t(),
+            &View::row_major(a.as_slice(), k).t(),
+            &View::row_major(b.as_slice(), k).t(),
             c.as_mut_slice(),
+            CLayout::row_major(n),
             m,
             k,
             n,

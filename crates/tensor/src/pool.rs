@@ -1,6 +1,6 @@
 //! Process-wide persistent worker pool for data-parallel kernels.
 //!
-//! Every threaded kernel in this crate (`matmul`, `im2col`/`col2im`, the
+//! Every threaded kernel in this crate (`matmul`, convolution, the
 //! large-tensor elementwise ops) funnels through [`run_partitioned`], which
 //! splits an index space into one contiguous chunk per thread and executes
 //! the chunks on a lazily-initialized pool of persistent workers. The
@@ -21,15 +21,30 @@
 //! ever spawned**, so single-threaded CI and the `Reproducible` matmul
 //! profile pay zero threading overhead.
 //!
+//! # Idle workers
+//!
+//! A worker that runs out of jobs polls for the next one for
+//! [`SPIN_BEFORE_PARK`] before it blocks on the job channel. A training
+//! step fans out every few hundred microseconds, and a worker that parks in
+//! every gap makes the step's time depend on how the machine treats a
+//! sleeping thread's wake-up: on a small virtual machine the hypervisor
+//! takes an idle virtual CPU off its core, the guest scheduler then avoids
+//! that CPU, and every woken worker lands on the caller's CPU — the same
+//! binary runs a quarter slower for as long as that lasts (minutes; see
+//! EXPERIMENTS.md, "Steadiness"). Polling through the gaps keeps the
+//! worker's CPU in use, so the state does not arise and a cold start leaves
+//! it within a second. The cost is bounded: at most [`SPIN_BEFORE_PARK`] of
+//! CPU per worker after each dispatch, nothing once the pool is idle.
+//!
 //! # Determinism
 //!
 //! [`run_partitioned`] guarantees nothing about *which* thread runs which
 //! chunk, only that chunks are contiguous, disjoint, cover `0..n_items`,
 //! and have all completed when the call returns. Kernels built on it keep
 //! bitwise-deterministic results by making each item's output depend only
-//! on the item index — e.g. GEMM partitions over output rows and keeps the
-//! per-row reduction order identical to the sequential kernel — so the
-//! result is the same for every thread count.
+//! on the item index — e.g. GEMM partitions over output panels and keeps
+//! each element's reduction order identical to the sequential kernel — so
+//! the result is the same for every thread count.
 //!
 //! # Panics
 //!
@@ -41,6 +56,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
+use std::time::Duration;
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use puffer_probe as probe;
@@ -49,8 +65,22 @@ use puffer_probe as probe;
 /// `PUFFER_NUM_THREADS` values spawning unbounded OS threads.
 pub const MAX_THREADS: usize = 256;
 
+/// How long a worker with nothing to do polls for the next job before it
+/// parks on the job channel. It has to outlast the gaps between the
+/// fan-outs of one training step (a BatchNorm or ReLU between two
+/// convolutions: 0.1–0.4 ms at the benchmark's sizes) and the ~0.2 ms a
+/// hypervisor itself polls before it deschedules a halted virtual CPU;
+/// below 0.2 ms the stacked state described in the module docs lasted whole
+/// runs, from 0.5 ms on a cold start left it within a second.
+pub const SPIN_BEFORE_PARK: Duration = Duration::from_micros(500);
+
 /// `0` means "not yet resolved"; any other value is the effective setting.
 static SETTING: AtomicUsize = AtomicUsize::new(0);
+
+/// Jobs sent to the pool and not yet taken by a worker. Only a hint that
+/// tells polling workers when to look at the channel — the channel itself
+/// hands over the job and everything it borrows — hence `Relaxed`.
+static QUEUED: AtomicUsize = AtomicUsize::new(0);
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
@@ -109,20 +139,33 @@ fn pool_with_workers(needed: usize) -> &'static Pool {
         let rx = pool.rx.clone();
         std::thread::Builder::new()
             .name(format!("puffer-pool-{spawned}"))
-            .spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    job();
-                }
-            })
+            .spawn(move || work(&rx))
             .expect("failed to spawn puffer-pool worker");
         *spawned += 1;
     }
     pool
 }
 
+/// A worker's life: take a job, run it, poll for the next one for
+/// [`SPIN_BEFORE_PARK`], then block on the channel. When several workers
+/// see fewer jobs than there are workers, the ones that find the channel
+/// empty again park there until the next dispatch, as all of them did
+/// before workers polled.
+fn work(rx: &Receiver<Job>) {
+    loop {
+        let idle = probe::Stopwatch::start();
+        while QUEUED.load(Ordering::Relaxed) == 0 && idle.elapsed() < SPIN_BEFORE_PARK {
+            std::hint::spin_loop();
+        }
+        let Ok(job) = rx.recv() else { return };
+        QUEUED.fetch_sub(1, Ordering::Relaxed);
+        job();
+    }
+}
+
 /// Balanced contiguous partition: the first `n_items % parts` chunks get one
 /// extra item.
-fn chunk_range(n_items: usize, parts: usize, idx: usize) -> Range<usize> {
+pub(crate) fn chunk_range(n_items: usize, parts: usize, idx: usize) -> Range<usize> {
     let base = n_items / parts;
     let rem = n_items % parts;
     let start = idx * base + idx.min(rem);
@@ -178,6 +221,7 @@ where
         // the job's last action. Extending the borrow to 'static therefore
         // never outlives the data.
         let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
+        QUEUED.fetch_add(1, Ordering::Relaxed);
         pool.tx.send(job).expect("puffer-pool job channel closed");
     }
 

@@ -25,7 +25,7 @@
 //! buffer handed out is either fully zeroed ([`take_zeroed`], [`take`]) or
 //! fully overwritten from a source slice ([`take_copied`]) before any
 //! element can be read, so recycled contents can never leak into results.
-//! Kernels that rely on zero-initialized output (`pack_b`'s panel padding,
+//! Kernels that rely on zero-initialized output (GEMM accumulating into C,
 //! `im2col`'s implicit zero padding) see exactly the state a fresh
 //! `vec![0.0; len]` would give them. [`set_enabled`] switches the whole
 //! subsystem off so tests can compare pooled and fresh execution bit for
@@ -55,7 +55,7 @@ const N_CLASSES: usize = usize::BITS as usize;
 
 /// Per-thread cap on retained free bytes; recycling beyond it frees the
 /// buffer instead, bounding worst-case memory held by idle threads.
-const MAX_ARENA_BYTES: usize = 256 << 20;
+pub const MAX_ARENA_BYTES: usize = 256 << 20;
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 

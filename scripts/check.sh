@@ -40,8 +40,9 @@ cargo test -q --release -p puffer-tensor --test probe_overhead
 
 echo "== tensor suite under the scalar GEMM fallback (PUFFER_SIMD=0)"
 # The blocked engine promises bitwise-identical results with the SIMD
-# micro-kernel disabled; prove the whole tensor suite agrees, not just
-# the dedicated A/B tests (which force both paths in-process anyway).
+# micro-kernel disabled; prove the whole tensor suite agrees — the
+# implicit-GEMM convolution suite (tests/conv_implicit.rs) included — not
+# just the dedicated A/B tests (which force both paths in-process anyway).
 PUFFER_SIMD=0 cargo test -q -p puffer-tensor
 
 echo "== allocation steady-state guard (warmed-up step must not miss the pool)"
