@@ -4,13 +4,16 @@
 //! `alloc.pool_misses` stops growing — for a single-process image-trainer
 //! step, for a batch-32 step of the paper's hybrid ResNet-18 (where it also
 //! has to fit under the arena's byte cap), and for a full data-parallel
-//! round.
+//! round — one flat bucket, several buckets, and PowerSGD's two-phase
+//! worker codec alike.
 //!
 //! Both tests read the probe's process-global counters, so they serialize
 //! on a file-local lock (`puffer_probe::testutil::lock` is crate-private;
 //! this is the same idiom as `crates/dist/tests/probe_breakdown.rs`).
 
 use puffer_compress::none::NoCompression;
+use puffer_compress::powersgd::PowerSgd;
+use puffer_compress::GradCompressor;
 use puffer_dist::cost::ClusterProfile;
 use puffer_dist::trainer::{train_data_parallel_with, DistConfig, RunOptions};
 use puffer_models::resnet::{ResNet, ResNetConfig, ResNetHybridPlan};
@@ -136,7 +139,10 @@ fn hybrid_resnet18_batch32_step_is_allocation_free_and_under_the_arena_cap() {
     assert!(held < cap, "arena holds {held} bytes, the cap is {cap}");
 }
 
-/// One data-parallel round after warm-up must add zero pool misses.
+/// One data-parallel round after warm-up must add zero pool misses, on
+/// any thread: payload buffers are written again by the thread that
+/// allocated them (worker → aggregator and back), means likewise, and a
+/// worker-side codec's temporaries cycle through its worker's own arena.
 ///
 /// Worker and aggregator threads are created per run, so their arenas
 /// cannot be warmed across runs from here; instead compare two otherwise
@@ -156,7 +162,7 @@ fn dist_round_is_allocation_free_after_warmup() {
         profile: ClusterProfile::p3_like(2),
     };
 
-    let misses_for = |rounds: usize| -> f64 {
+    let misses_for = |rounds: usize, comp: &mut dyn GradCompressor, opts: &RunOptions| -> f64 {
         workspace::clear_thread_arena();
         let batches: Vec<(Tensor, Vec<usize>)> = (0..rounds * cfg.workers)
             .map(|b| {
@@ -167,28 +173,31 @@ fn dist_round_is_allocation_free_after_warmup() {
             .collect();
         probe::reset();
         probe::configure(probe::ProbeConfig::in_memory());
-        let mut comp = NoCompression::new();
-        let out = train_data_parallel_with(
-            |w| image_model(30 + w as u64),
-            &batches,
-            &mut comp,
-            &cfg,
-            &RunOptions::default(),
-        )
-        .expect("clean run");
+        let out =
+            train_data_parallel_with(|w| image_model(30 + w as u64), &batches, comp, &cfg, opts)
+                .expect("clean run");
         assert!(out.breakdown.skipped_steps == 0);
         let misses = pool_misses();
         probe::reset();
         misses
     };
 
-    let warm = misses_for(3);
-    let extended = misses_for(4);
-    assert!(warm > 0.0, "warm-up rounds must have allocated through the pool");
-    assert_eq!(
-        extended,
-        warm,
-        "the post-warm-up round allocated fresh buffers: {} new pool misses",
-        extended - warm
-    );
+    // The model's gradients are ~3.6 KB: 1 KiB buckets cut them in four.
+    let bucketed = RunOptions { bucket_bytes: Some(1024), ..RunOptions::default() };
+    let cases: [(&str, fn() -> Box<dyn GradCompressor>, RunOptions); 3] = [
+        ("identity, one bucket", || Box::new(NoCompression::new()), RunOptions::default()),
+        ("identity, four buckets", || Box::new(NoCompression::new()), bucketed),
+        ("powersgd rank 2", || Box::new(PowerSgd::new(2, 3)), RunOptions::default()),
+    ];
+    for (what, compressor, opts) in cases {
+        let warm = misses_for(3, compressor().as_mut(), &opts);
+        let extended = misses_for(4, compressor().as_mut(), &opts);
+        assert!(warm > 0.0, "{what}: warm-up rounds must have allocated through the pool");
+        assert_eq!(
+            extended,
+            warm,
+            "{what}: the post-warm-up rounds allocated fresh buffers: {} new pool misses",
+            extended - warm
+        );
+    }
 }

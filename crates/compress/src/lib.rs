@@ -22,10 +22,22 @@
 //!   flattened gradient buffer (§4.1).
 //!
 //! Every method implements [`GradCompressor::round`], which plays one
-//! synchronization round: it consumes each worker's per-layer gradients and
-//! returns the aggregated gradient every worker decodes, along with
-//! measured encode/decode times and the exact message size in bytes (fed to
-//! the `puffer-dist` communication cost model).
+//! synchronization round in-process: it consumes each worker's per-layer
+//! gradients and returns the aggregated gradient every worker decodes,
+//! along with measured encode/decode times and the exact message size in
+//! bytes (fed to the `puffer-dist` communication cost model).
+//!
+//! Allreduce-compatible methods additionally hand out a **worker-side
+//! half** ([`GradCompressor::worker_codec`] → [`WorkerCodec`]): every node
+//! encodes its own gradient into a flat payload, the payloads are reduced
+//! by a plain pinned-order mean (an allreduce), and every node decodes the
+//! reduced payload itself. A round is a short sequence of such linear
+//! *phases* — one for the uncompressed baseline, two for PowerSGD (`P`,
+//! then `Q`) — so a trainer never moves a full-size gradient to run them.
+//! For these methods `round` is a driver over the same halves, and the
+//! arithmetic exists once. Allgather methods (Signum, Top-k, binary
+//! quantization, ATOMO) need every worker's message to decode and have no
+//! worker half; `round` is their only form.
 //!
 //! The linear-algebra-heavy compressors — PowerSGD's power iteration /
 //! Gram–Schmidt orthogonalization and ATOMO's per-step SVD — run on
@@ -42,8 +54,9 @@ pub mod quant;
 pub mod signum;
 pub mod topk;
 
+use crate::pack::PackLayout;
 use puffer_probe as probe;
-use puffer_tensor::Tensor;
+use puffer_tensor::{Result, Tensor, TensorError};
 use std::time::Duration;
 
 /// Which collective the encoded messages are compatible with. This drives
@@ -138,32 +151,117 @@ pub trait GradCompressor {
         state.is_empty()
     }
 
-    /// Whether the method's aggregation distributes over a bucketed flat
-    /// buffer: reducing each contiguous bucket independently and
-    /// concatenating must equal one reduction of the whole buffer. True
-    /// only for linear, stateless aggregation (the exact mean); methods
-    /// with error feedback, low-rank factorization, or whole-tensor
-    /// statistics must see complete tensors and keep the default.
-    fn supports_bucketed_overlap(&self) -> bool {
-        false
+    /// The worker-side half of the method for worker `worker`, carrying
+    /// that worker's share of the cross-round state (which leaves `self`:
+    /// hand the halves' [`WorkerCodec::state_snapshot`]s back through
+    /// [`GradCompressor::restore_state`] to make `self` whole again).
+    /// `None` — the default — for methods whose decode needs every
+    /// worker's message.
+    fn worker_codec(&mut self, worker: usize) -> Option<Box<dyn WorkerCodec>> {
+        let _ = worker;
+        None
     }
 }
 
+/// One node's half of an allreduce-compatible compressor.
+///
+/// A round runs [`WorkerCodec::phases`] phases. In phase `p` every node
+/// calls [`WorkerCodec::encode`] with the mean of the previous phase's
+/// payloads (`None` in phase 0) and contributes the payload it wrote to a
+/// linear reduction (sum in a pinned order, one scale by `1/n`); after the
+/// last phase [`WorkerCodec::decode`] turns the last mean into the round's
+/// gradient, in place. Nodes that see the same means hold the same shared
+/// state afterwards, whatever their own gradients were.
+///
+/// `encode` may overwrite `grads` (the round's gradient is whatever
+/// `decode` writes there); state that outlives the round changes only in
+/// `decode`, so a round dropped by [`WorkerCodec::abort`] leaves no trace.
+pub trait WorkerCodec: Send {
+    /// Number of reduce phases per round (at least 1). A one-phase codec's
+    /// payload must be tensor-by-tensor linear in the gradient list, so a
+    /// trainer may ship a payload tensor as soon as backward has produced
+    /// the gradient tensor of the same index.
+    fn phases(&self) -> usize;
+
+    /// The tensors `phase`'s payload is made of, for gradients shaped
+    /// like `grads`. Buckets are cut along these boundaries.
+    fn payload_layout(&self, phase: usize, grads: &[&Tensor]) -> PackLayout;
+
+    /// Writes this node's `phase` payload into `out`
+    /// (`payload_layout(phase, ..).total_len()` elements, all overwritten).
+    ///
+    /// # Errors
+    ///
+    /// Returns the tensor error of the first shape that does not fit:
+    /// `out`, `reduced_prev` or a gradient that changed shape mid-run.
+    fn encode(
+        &mut self,
+        phase: usize,
+        grads: &mut [&mut Tensor],
+        reduced_prev: Option<&[f32]>,
+        out: &mut [f32],
+    ) -> Result<()>;
+
+    /// Writes the round's mean gradient into `grads` from the mean of the
+    /// last phase's payloads and commits the cross-round state.
+    /// `contributed` is false when this node's payloads did not reach the
+    /// means (lost, late or rejected): it still decodes the same gradient
+    /// and shared state as everyone else, but its own error feedback keeps
+    /// the value it had before the round.
+    ///
+    /// # Errors
+    ///
+    /// As [`WorkerCodec::encode`].
+    fn decode(
+        &mut self,
+        reduced_last: &[f32],
+        grads: &mut [&mut Tensor],
+        contributed: bool,
+    ) -> Result<()>;
+
+    /// Drops the round in flight (a skipped step). Cross-round state is
+    /// bit-for-bit what it was before the round's first `encode`.
+    fn abort(&mut self) {}
+
+    /// This node's share of the compressor's cross-round state, under the
+    /// names [`GradCompressor::state_snapshot`] uses. Shared entries are
+    /// identical on every node.
+    fn state_snapshot(&self) -> Vec<(String, Tensor)> {
+        Vec::new()
+    }
+}
+
+/// The error of a flat buffer that is not as long as the tensors it is
+/// packed from or unpacked into.
+pub(crate) fn length_mismatch(expected: usize, got: usize, op: &'static str) -> TensorError {
+    TensorError::ShapeMismatch { expected: vec![expected], got: vec![got], op }
+}
+
+/// Exact mean of same-shaped tensors in slice order — the reduction a
+/// [`WorkerCodec`] phase asks for: copy the first, add the rest in order,
+/// scale once by the f32 `1/n`. `puffer-dist`'s bucketed reducer produces
+/// the same bits bucket by bucket.
+///
+/// # Panics
+///
+/// Panics if `tensors` is empty or the shapes differ.
+pub fn mean_in_order(tensors: &[&Tensor]) -> Tensor {
+    let (first, rest) = tensors.split_first().expect("no workers");
+    let mut mean = (*first).clone();
+    for t in rest {
+        mean.axpy(1.0, t).expect("worker gradient shapes must match");
+    }
+    mean.scale(1.0 / tensors.len() as f32);
+    mean
+}
+
 /// Exact mean of per-worker gradient lists (the reference aggregation all
-/// compressors approximate).
+/// compressors approximate): [`mean_in_order`], layer by layer.
 pub fn exact_mean(worker_grads: &[Vec<Tensor>]) -> Vec<Tensor> {
     assert!(!worker_grads.is_empty(), "no workers");
-    let n = worker_grads.len() as f32;
-    let mut out = worker_grads[0].clone();
-    for grads in &worker_grads[1..] {
-        for (acc, g) in out.iter_mut().zip(grads) {
-            acc.axpy(1.0, g).expect("worker gradient shapes must match");
-        }
-    }
-    for t in &mut out {
-        t.scale(1.0 / n);
-    }
-    out
+    (0..worker_grads[0].len())
+        .map(|li| mean_in_order(&worker_grads.iter().map(|g| &g[li]).collect::<Vec<_>>()))
+        .collect()
 }
 
 #[cfg(test)]

@@ -18,27 +18,26 @@ pub struct PackLayout {
 }
 
 impl PackLayout {
+    /// The layout of tensors with the given shapes, packed in order.
+    pub fn from_shapes(shapes: Vec<Vec<usize>>) -> Self {
+        let mut offsets = Vec::with_capacity(shapes.len());
+        let mut total = 0;
+        for s in &shapes {
+            offsets.push(total);
+            total += s.iter().product::<usize>();
+        }
+        PackLayout { shapes, offsets, total }
+    }
+
     /// Derives the layout from a tensor list.
     pub fn of(tensors: &[Tensor]) -> Self {
-        let mut offsets = Vec::with_capacity(tensors.len());
-        let mut total = 0;
-        for t in tensors {
-            offsets.push(total);
-            total += t.len();
-        }
-        PackLayout { shapes: tensors.iter().map(|t| t.shape().to_vec()).collect(), offsets, total }
+        Self::from_shapes(tensors.iter().map(|t| t.shape().to_vec()).collect())
     }
 
     /// Derives the layout from borrowed tensors (e.g. live parameter
     /// gradients) without requiring an owned slice of them.
     pub fn of_refs(tensors: &[&Tensor]) -> Self {
-        let mut offsets = Vec::with_capacity(tensors.len());
-        let mut total = 0;
-        for t in tensors {
-            offsets.push(total);
-            total += t.len();
-        }
-        PackLayout { shapes: tensors.iter().map(|t| t.shape().to_vec()).collect(), offsets, total }
+        Self::from_shapes(tensors.iter().map(|t| t.shape().to_vec()).collect())
     }
 
     /// Total number of f32 elements in the packed buffer.
@@ -98,13 +97,7 @@ impl PackLayout {
         if it.next().is_some() {
             return None;
         }
-        let mut offsets = Vec::with_capacity(n);
-        let mut total = 0;
-        for s in &shapes {
-            offsets.push(total);
-            total += s.iter().product::<usize>();
-        }
-        Some(PackLayout { shapes, offsets, total })
+        Some(Self::from_shapes(shapes))
     }
 }
 
@@ -149,13 +142,27 @@ pub(crate) fn restore_flat_state(
     Some((layout, bufs.into_iter().map(|(_, t)| t).collect()))
 }
 
+/// Copies tensors into `out`, one after the other.
+///
+/// # Panics
+///
+/// Panics if `out` is not exactly as long as the tensors together.
+pub fn pack_into<'a>(tensors: impl IntoIterator<Item = &'a Tensor>, out: &mut [f32]) {
+    let mut rest = out;
+    for t in tensors {
+        assert!(t.len() <= rest.len(), "tensors overflow the packed buffer");
+        let (head, tail) = rest.split_at_mut(t.len());
+        head.copy_from_slice(t.as_slice());
+        rest = tail;
+    }
+    assert!(rest.is_empty(), "tensors leave {} packed elements unwritten", rest.len());
+}
+
 /// Packs a tensor list into one flat buffer.
 pub fn pack(tensors: &[Tensor]) -> (Tensor, PackLayout) {
     let layout = PackLayout::of(tensors);
     let mut buf = Tensor::zeros(&[layout.total]);
-    for (t, &off) in tensors.iter().zip(&layout.offsets) {
-        buf.as_mut_slice()[off..off + t.len()].copy_from_slice(t.as_slice());
-    }
+    pack_into(tensors, buf.as_mut_slice());
     (buf, layout)
 }
 
@@ -176,9 +183,7 @@ pub fn pack_refs(tensors: &[&Tensor]) -> (Tensor, PackLayout) {
 pub fn pack_refs_with(layout: &PackLayout, tensors: &[&Tensor]) -> Tensor {
     assert_eq!(tensors.len(), layout.shapes.len(), "tensor/layout count mismatch");
     let mut buf = Tensor::zeros(&[layout.total]);
-    for (t, &off) in tensors.iter().zip(&layout.offsets) {
-        buf.as_mut_slice()[off..off + t.len()].copy_from_slice(t.as_slice());
-    }
+    pack_into(tensors.iter().copied(), buf.as_mut_slice());
     buf
 }
 

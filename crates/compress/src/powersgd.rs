@@ -13,22 +13,34 @@
 //! sent uncompressed, as in the reference implementation. PowerSGD is
 //! allreduce-compatible — the reason the paper picks it as the strongest
 //! communication baseline in Figure 4(b).
+//!
+//! The arithmetic lives in [`PowerSgdWorker`], one node's half: phase 0
+//! ships `P_w` of every matrix layer next to the raw 1-D tensors, phase 1
+//! ships `Q_w`, and each node decodes and keeps its **own** error memory —
+//! keyed by worker id, so a node that misses a round, leaves or joins never
+//! touches anybody else's residual. [`PowerSgd::round`] drives one half per
+//! worker in-process and reduces their payloads with
+//! [`crate::mean_in_order`], the sum a trainer's allreduce performs.
 
-use crate::{AggregationKind, GradCompressor, RoundStats};
+use crate::pack::PackLayout;
+use crate::{
+    length_mismatch, mean_in_order, AggregationKind, GradCompressor, RoundStats, WorkerCodec,
+};
 use puffer_probe::Stopwatch;
-use puffer_tensor::matmul::{matmul, matmul_tn};
+use puffer_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use puffer_tensor::svd::orthogonalize_columns;
-use puffer_tensor::Tensor;
-use std::time::Duration;
+use puffer_tensor::{workspace, Result, Tensor, TensorError};
+use std::collections::BTreeMap;
 
-/// PowerSGD compressor state.
+/// PowerSGD compressor state: what the worker halves share and what each
+/// of them owns, between rounds.
 #[derive(Debug)]
 pub struct PowerSgd {
     rank: usize,
-    /// Warm-started Q per compressible layer.
+    /// Warm-started Q per compressible layer (the same on every worker).
     queries: Vec<Option<Tensor>>,
-    /// Error-feedback memory per worker per layer.
-    memory: Vec<Vec<Option<Tensor>>>,
+    /// Error-feedback memory per worker id, per layer.
+    memory: BTreeMap<usize, Vec<Option<Tensor>>>,
     seed: u64,
 }
 
@@ -42,7 +54,7 @@ impl PowerSgd {
     /// Panics if `rank` is zero.
     pub fn new(rank: usize, seed: u64) -> Self {
         assert!(rank > 0, "PowerSGD rank must be nonzero");
-        PowerSgd { rank, queries: Vec::new(), memory: Vec::new(), seed }
+        PowerSgd { rank, queries: Vec::new(), memory: BTreeMap::new(), seed }
     }
 
     /// The compression rank.
@@ -50,15 +62,316 @@ impl PowerSgd {
         self.rank
     }
 
-    /// Reshapes a gradient to the 2-D matrix PowerSGD factorizes
-    /// (`c_out × rest` for conv weights), or `None` for 1-D tensors.
-    fn as_matrix(t: &Tensor) -> Option<Tensor> {
-        if t.ndim() < 2 {
-            return None;
+    /// Worker `worker`'s half: a copy of the shared queries and, moved out
+    /// of `self`, its error memory (none for a worker first seen now).
+    fn take_half(&mut self, worker: usize) -> PowerSgdWorker {
+        PowerSgdWorker {
+            worker,
+            rank: self.rank,
+            seed: self.seed,
+            queries: self.queries.clone(),
+            memory: self.memory.remove(&worker).unwrap_or_default(),
+            p_hat: Vec::new(),
         }
-        let rows = t.shape()[0];
-        let cols = t.len() / rows;
-        Some(t.reshape(&[rows, cols]).expect("element count"))
+    }
+}
+
+impl PowerSgd {
+    /// One round over one half per worker, in-process: both phases reduced
+    /// by [`mean_in_order`], `M̂` decoded once and shared.
+    fn drive_halves(&mut self, worker_grads: &[Vec<Tensor>]) -> Result<(Vec<Tensor>, RoundStats)> {
+        let n_workers = worker_grads.len();
+        let mut halves: Vec<PowerSgdWorker> = (0..n_workers).map(|w| self.take_half(w)).collect();
+        // The halves work in place, so each gets its own copy to work on.
+        let mut grads: Vec<Vec<Tensor>> = worker_grads.to_vec();
+        let no_workers = length_mismatch(1, 0, "powersgd round");
+        let shapes: Vec<&Tensor> = worker_grads.first().ok_or(no_workers)?.iter().collect();
+
+        let t_enc = Stopwatch::start();
+        let mut bytes = 0usize;
+        let mut reduced: Option<Tensor> = None;
+        for phase in 0..2 {
+            let len = halves.first().map_or(0, |h| h.payload_layout(phase, &shapes).total_len());
+            bytes += len * 4;
+            let mut payloads: Vec<Tensor> = Vec::with_capacity(n_workers);
+            for (half, g) in halves.iter_mut().zip(&mut grads) {
+                let mut out = Tensor::zeros(&[len]);
+                let mut g: Vec<&mut Tensor> = g.iter_mut().collect();
+                let prev = reduced.as_ref().map(Tensor::as_slice);
+                half.encode(phase, &mut g, prev, out.as_mut_slice())?;
+                payloads.push(out);
+            }
+            reduced = Some(mean_in_order(&payloads.iter().collect::<Vec<_>>()));
+        }
+        // Per-node encode: each node computes only its own P/Q products
+        // (the allreduce sums them in flight).
+        let encode_time = t_enc.elapsed() / n_workers.max(1) as u32;
+
+        let t_dec = Stopwatch::start();
+        let q_mean = reduced.unwrap_or_default();
+        let mut decoded: Vec<Tensor> = Vec::new();
+        for (half, g) in halves.iter_mut().zip(&mut grads) {
+            let mut g: Vec<&mut Tensor> = g.iter_mut().collect();
+            if decoded.is_empty() {
+                half.finish(q_mean.as_slice(), &mut g, true, None)?;
+                decoded = g.into_iter().map(std::mem::take).collect();
+            } else {
+                half.finish(q_mean.as_slice(), &mut g, true, Some(&decoded))?;
+            }
+        }
+        let decode_time = t_dec.elapsed();
+
+        for half in halves {
+            self.queries = half.queries;
+            self.memory.insert(half.worker, half.memory);
+        }
+        let stats = RoundStats::new(bytes, n_workers, self.aggregation(), encode_time, decode_time);
+        Ok((decoded, stats))
+    }
+}
+
+/// One node's half of PowerSGD (see the module docs).
+#[derive(Debug)]
+pub struct PowerSgdWorker {
+    worker: usize,
+    rank: usize,
+    seed: u64,
+    queries: Vec<Option<Tensor>>,
+    /// This worker's error-feedback memory per layer, as `m×n` matrices.
+    memory: Vec<Option<Tensor>>,
+    /// The orthogonalized mean `P̂` per matrix layer, from phase 1's
+    /// `encode` until `decode` (or `abort`).
+    p_hat: Vec<Option<Tensor>>,
+}
+
+/// The `m×n` matrix PowerSGD factorizes a gradient as (`c_out × rest` for
+/// conv weights) and the rank it gets, or `None` for the tensors sent raw.
+fn factor_dims(t: &Tensor, rank: usize) -> Option<(usize, usize, usize)> {
+    if t.ndim() < 2 || t.is_empty() {
+        return None;
+    }
+    let &m = t.shape().first()?;
+    let n = t.len() / m;
+    Some((m, n, rank.min(m).min(n)))
+}
+
+/// Gives `t` a new shape over the same storage (no copy, unlike
+/// [`Tensor::reshape`]).
+fn reshape(t: &mut Tensor, shape: &[usize]) -> Result<()> {
+    *t = Tensor::from_vec(std::mem::take(t).into_vec(), shape)?;
+    Ok(())
+}
+
+impl PowerSgdWorker {
+    /// Payload lengths of the two phases for these gradients.
+    fn payload_lens(&self, grads: &[&mut Tensor]) -> (usize, usize) {
+        grads.iter().fold((0, 0), |(p, q), g| match factor_dims(g, self.rank) {
+            Some((m, n, r)) => (p + m * r, q + n * r),
+            None => (p + g.len(), q),
+        })
+    }
+
+    /// Phase 0: `M_w = g + e_w` in place of `g`, then `P_w = M_w·Q` per
+    /// matrix layer; 1-D tensors travel raw.
+    fn encode_p(&mut self, grads: &mut [&mut Tensor], mut out: &mut [f32]) -> Result<()> {
+        for (li, g) in grads.iter_mut().enumerate() {
+            let Some((m, n, r)) = factor_dims(g, self.rank) else {
+                let (head, tail) = out.split_at_mut(g.len());
+                head.copy_from_slice(g.as_slice());
+                out = tail;
+                continue;
+            };
+            let (head, tail) = out.split_at_mut(m * r);
+            out = tail;
+            let shape = g.shape().to_vec();
+            reshape(g, &[m, n])?;
+            if let Some(e) = self.memory.get(li).and_then(Option::as_ref) {
+                g.axpy(1.0, e)?;
+            }
+            let warm =
+                self.queries.get(li).and_then(Option::as_ref).filter(|q| q.shape() == [n, r]);
+            let p = match warm {
+                Some(q) => matmul(g, q)?,
+                None => {
+                    let q = Tensor::randn(&[n, r], 1.0, self.seed.wrapping_add(li as u64));
+                    matmul(g, &q)?
+                }
+            };
+            head.copy_from_slice(p.as_slice());
+            reshape(g, &shape)?;
+        }
+        Ok(())
+    }
+
+    /// Phase 1: `P̂ = orthogonalize(P̄)`, then `Q_w = M_wᵀ·P̂` per matrix
+    /// layer; the mean of a 1-D tensor is already the round's gradient.
+    fn encode_q(
+        &mut self,
+        grads: &mut [&mut Tensor],
+        mut p_mean: &[f32],
+        mut out: &mut [f32],
+    ) -> Result<()> {
+        self.p_hat.clear();
+        self.p_hat.resize_with(grads.len(), || None);
+        for (g, slot) in grads.iter_mut().zip(&mut self.p_hat) {
+            let Some((m, n, r)) = factor_dims(g, self.rank) else {
+                let (head, tail) = p_mean.split_at(g.len());
+                g.as_mut_slice().copy_from_slice(head);
+                p_mean = tail;
+                continue;
+            };
+            let (head, tail) = p_mean.split_at(m * r);
+            p_mean = tail;
+            let mut p_hat = Tensor::from_vec(workspace::take_copied(head), &[m, r])?;
+            orthogonalize_columns(&mut p_hat);
+            let (head, tail) = out.split_at_mut(n * r);
+            out = tail;
+            let shape = g.shape().to_vec();
+            reshape(g, &[m, n])?;
+            head.copy_from_slice(matmul_tn(g, &p_hat)?.as_slice());
+            reshape(g, &shape)?;
+            *slot = Some(p_hat);
+        }
+        Ok(())
+    }
+
+    /// The end of a round: `M̂ = P̂·Q̄ᵀ` replaces the gradient, the error
+    /// memory becomes `M_w − M̂` (if this worker contributed) and `Q̄` the
+    /// next round's warm start. `decoded`, when given, is the list another
+    /// half of the same round already decoded into — `M̂` is the same on
+    /// every node, so an in-process driver computes it once.
+    fn finish(
+        &mut self,
+        mut q_mean: &[f32],
+        grads: &mut [&mut Tensor],
+        contributed: bool,
+        decoded: Option<&[Tensor]>,
+    ) -> Result<()> {
+        let (_, len) = self.payload_lens(grads);
+        if q_mean.len() != len {
+            return Err(length_mismatch(len, q_mean.len(), "powersgd decode"));
+        }
+        self.queries.resize_with(grads.len(), || None);
+        self.memory.resize_with(grads.len(), || None);
+        self.p_hat.resize_with(grads.len(), || None);
+        let state = self.queries.iter_mut().zip(&mut self.memory).zip(&mut self.p_hat);
+        for ((li, g), ((query, memory), p_hat)) in grads.iter_mut().enumerate().zip(state) {
+            let Some((m, n, r)) = factor_dims(g, self.rank) else { continue };
+            let (head, tail) = q_mean.split_at(n * r);
+            q_mean = tail;
+            let q = Tensor::from_vec(workspace::take_copied(head), &[n, r])?;
+            let p_hat = p_hat.take();
+            match decoded.and_then(|d| d.get(li)) {
+                Some(m_hat) => {
+                    // `g` is not the round's output here: it turns into the
+                    // residual where it stands.
+                    g.axpy(-1.0, m_hat)?;
+                    let mut e = std::mem::take(&mut **g);
+                    reshape(&mut e, &[m, n])?;
+                    *memory = Some(e);
+                }
+                None => {
+                    let p_hat = p_hat.ok_or(TensorError::WrongDimensions {
+                        expected: 2,
+                        got: 0,
+                        op: "powersgd decode before phase 1",
+                    })?;
+                    let mut m_hat = matmul_nt(&p_hat, &q)?;
+                    let shape = g.shape().to_vec();
+                    reshape(g, &[m, n])?;
+                    if contributed {
+                        g.axpy(-1.0, &m_hat)?;
+                        std::mem::swap(&mut **g, &mut m_hat);
+                        *memory = Some(m_hat);
+                    } else {
+                        std::mem::swap(&mut **g, &mut m_hat);
+                    }
+                    reshape(g, &shape)?;
+                }
+            }
+            *query = Some(q);
+        }
+        Ok(())
+    }
+}
+
+/// The rows PowerSGD state is snapshot under, by the compressor and by a
+/// half alike: `meta` = (layers, workers, rank), the shared `q.{layer}`,
+/// and `m.{worker}.{layer}` for every worker in `memory`.
+fn state_rows<'a>(
+    rank: usize,
+    n_workers: usize,
+    queries: &'a [Option<Tensor>],
+    memory: impl IntoIterator<Item = (usize, &'a [Option<Tensor>])>,
+) -> Vec<(String, Tensor)> {
+    let mut meta = Tensor::zeros(&[3]);
+    meta.as_mut_slice().copy_from_slice(&[queries.len() as f32, n_workers as f32, rank as f32]);
+    let mut out = vec![("meta".to_string(), meta)];
+    let some = |layers: &'a [Option<Tensor>]| {
+        layers.iter().enumerate().filter_map(|(li, t)| t.as_ref().map(|t| (li, t)))
+    };
+    out.extend(some(queries).map(|(li, q)| (format!("q.{li:04}"), q.clone())));
+    for (w, layers) in memory {
+        out.extend(some(layers).map(|(li, e)| (format!("m.{w:02}.{li:04}"), e.clone())));
+    }
+    out
+}
+
+impl WorkerCodec for PowerSgdWorker {
+    fn phases(&self) -> usize {
+        2
+    }
+
+    fn payload_layout(&self, phase: usize, grads: &[&Tensor]) -> PackLayout {
+        let shapes = grads.iter().filter_map(|g| match (factor_dims(g, self.rank), phase) {
+            (Some((m, _, r)), 0) => Some(vec![m, r]),
+            (Some((_, n, r)), _) => Some(vec![n, r]),
+            (None, 0) => Some(g.shape().to_vec()),
+            (None, _) => None,
+        });
+        PackLayout::from_shapes(shapes.collect())
+    }
+
+    fn encode(
+        &mut self,
+        phase: usize,
+        grads: &mut [&mut Tensor],
+        reduced_prev: Option<&[f32]>,
+        out: &mut [f32],
+    ) -> Result<()> {
+        let (p_len, q_len) = self.payload_lens(grads);
+        match (phase, reduced_prev) {
+            (0, _) if out.len() == p_len => self.encode_p(grads, out),
+            (1, Some(p_mean)) if out.len() == q_len && p_mean.len() == p_len => {
+                self.encode_q(grads, p_mean, out)
+            }
+            _ => Err(length_mismatch(
+                if phase == 0 { p_len } else { q_len },
+                out.len(),
+                "powersgd encode",
+            )),
+        }
+    }
+
+    fn decode(
+        &mut self,
+        reduced_last: &[f32],
+        grads: &mut [&mut Tensor],
+        contributed: bool,
+    ) -> Result<()> {
+        self.finish(reduced_last, grads, contributed, None)
+    }
+
+    fn abort(&mut self) {
+        self.p_hat.clear();
+    }
+
+    fn state_snapshot(&self) -> Vec<(String, Tensor)> {
+        if self.queries.is_empty() {
+            return Vec::new();
+        }
+        let mine = [(self.worker, self.memory.as_slice())];
+        state_rows(self.rank, self.worker + 1, &self.queries, mine)
     }
 }
 
@@ -72,125 +385,26 @@ impl GradCompressor for PowerSgd {
     }
 
     fn round(&mut self, worker_grads: &[Vec<Tensor>]) -> (Vec<Tensor>, RoundStats) {
-        let n_workers = worker_grads.len();
-        let n_layers = worker_grads[0].len();
-        if self.queries.len() != n_layers {
-            self.queries = vec![None; n_layers];
-        }
-        if self.memory.len() != n_workers {
-            self.memory = (0..n_workers).map(|_| vec![None; n_layers]).collect();
-        }
+        // lint:allow(dist-panic-reachability) — the trait's documented panic; the trainer never plays this round, PowerSGD has a worker half
+        self.drive_halves(worker_grads).expect("workers must agree on layer shapes")
+    }
 
-        let mut out = Vec::with_capacity(n_layers);
-        let mut bytes = 0usize;
-        let mut encode_time = Duration::ZERO;
-        let mut decode_time = Duration::ZERO;
-
-        for li in 0..n_layers {
-            let sample = &worker_grads[0][li];
-            match Self::as_matrix(sample) {
-                None => {
-                    // Uncompressed small tensor: exact mean.
-                    let mut mean = worker_grads[0][li].clone();
-                    for w in &worker_grads[1..] {
-                        mean.axpy(1.0, &w[li]).expect("shape");
-                    }
-                    mean.scale(1.0 / n_workers as f32);
-                    bytes += mean.len() * 4;
-                    out.push(mean);
-                }
-                Some(m0) => {
-                    let (m, n) = (m0.shape()[0], m0.shape()[1]);
-                    let r = self.rank.min(m).min(n);
-                    let t_enc = Stopwatch::start();
-                    // Error-compensated per-worker matrices.
-                    let mats: Vec<Tensor> = worker_grads
-                        .iter()
-                        .enumerate()
-                        .map(|(w, grads)| {
-                            let mut mat = Self::as_matrix(&grads[li]).expect("checked");
-                            if let Some(e) = &self.memory[w][li] {
-                                mat.axpy(1.0, e).expect("shape");
-                            }
-                            mat
-                        })
-                        .collect();
-                    // Warm-started shared query.
-                    let q = self.queries[li].take().filter(|q| q.shape() == [n, r]).unwrap_or_else(
-                        || Tensor::randn(&[n, r], 1.0, self.seed.wrapping_add(li as u64)),
-                    );
-                    // P_w = M_w Q; allreduce-mean; orthogonalize.
-                    let mut p_mean = Tensor::zeros(&[m, r]);
-                    for mat in &mats {
-                        p_mean.axpy(1.0, &matmul(mat, &q).expect("shape")).expect("shape");
-                    }
-                    p_mean.scale(1.0 / n_workers as f32);
-                    orthogonalize_columns(&mut p_mean);
-                    // Q_w = M_wᵀ P̂; allreduce-mean.
-                    let mut q_mean = Tensor::zeros(&[n, r]);
-                    for mat in &mats {
-                        q_mean.axpy(1.0, &matmul_tn(mat, &p_mean).expect("shape")).expect("shape");
-                    }
-                    q_mean.scale(1.0 / n_workers as f32);
-                    encode_time += t_enc.elapsed();
-
-                    let t_dec = Stopwatch::start();
-                    let decoded = matmul(&p_mean, &q_mean.transpose()).expect("shape");
-                    // Update error feedback: e_w = M_w − M̂.
-                    for (w, mat) in mats.iter().enumerate() {
-                        let mut e = mat.clone();
-                        e.axpy(-1.0, &decoded).expect("shape");
-                        self.memory[w][li] = Some(e);
-                    }
-                    self.queries[li] = Some(q_mean.clone());
-                    decode_time += t_dec.elapsed();
-
-                    bytes += (m * r + n * r) * 4; // P and Q per worker
-                    out.push(decoded.reshape(sample.shape()).expect("element count"));
-                }
-            }
-        }
-        // Per-node encode: each node computes only its own P/Q products
-        // (the allreduce sums them in flight).
-        encode_time /= n_workers.max(1) as u32;
-        (
-            out,
-            RoundStats::new(
-                bytes,
-                worker_grads.len(),
-                self.aggregation(),
-                encode_time,
-                decode_time,
-            ),
-        )
+    fn worker_codec(&mut self, worker: usize) -> Option<Box<dyn WorkerCodec>> {
+        Some(Box::new(self.take_half(worker)))
     }
 
     fn state_snapshot(&self) -> Vec<(String, Tensor)> {
-        let mut out = Vec::new();
         if self.queries.is_empty() && self.memory.is_empty() {
-            return out;
+            return Vec::new();
         }
-        let n_layers = self.queries.len();
-        let n_workers = self.memory.len();
-        let meta =
-            Tensor::from_vec(vec![n_layers as f32, n_workers as f32, self.rank as f32], &[3])
-                .expect("meta shape");
-        out.push(("meta".into(), meta));
-        for (li, q) in self.queries.iter().enumerate() {
-            if let Some(q) = q {
-                out.push((format!("q.{li:04}"), q.clone()));
-            }
-        }
-        for (w, layers) in self.memory.iter().enumerate() {
-            for (li, e) in layers.iter().enumerate() {
-                if let Some(e) = e {
-                    out.push((format!("m.{w:02}.{li:04}"), e.clone()));
-                }
-            }
-        }
-        out
+        let n_workers = self.memory.keys().next_back().map_or(0, |w| w + 1);
+        let memory = self.memory.iter().map(|(&w, layers)| (w, layers.as_slice()));
+        state_rows(self.rank, n_workers, &self.queries, memory)
     }
 
+    /// Accepts this method's own snapshot and any union of its halves'
+    /// (their `meta` rows differ in the worker count, which is not read:
+    /// the `m.{w}.*` rows say which workers have memory).
     fn restore_state(&mut self, state: &[(String, Tensor)]) -> bool {
         if state.is_empty() {
             self.queries.clear();
@@ -200,38 +414,32 @@ impl GradCompressor for PowerSgd {
         let Some(meta) = state.iter().find(|(n, _)| n == "meta") else {
             return false;
         };
-        let m = meta.1.as_slice();
-        if m.len() != 3 || m[2] as usize != self.rank {
+        let &[n_layers, _, rank] = meta.1.as_slice() else {
+            return false;
+        };
+        if rank as usize != self.rank {
             return false;
         }
-        let n_layers = m[0] as usize;
-        let n_workers = m[1] as usize;
+        let n_layers = n_layers as usize;
         let mut queries = vec![None; n_layers];
-        let mut memory: Vec<Vec<Option<Tensor>>> =
-            (0..n_workers).map(|_| vec![None; n_layers]).collect();
+        let mut memory: BTreeMap<usize, Vec<Option<Tensor>>> = BTreeMap::new();
         for (name, t) in state {
             if name == "meta" {
                 continue;
             }
-            if let Some(li) = name.strip_prefix("q.").and_then(|s| s.parse::<usize>().ok()) {
-                if li >= n_layers {
-                    return false;
-                }
-                queries[li] = Some(t.clone());
-            } else if let Some(rest) = name.strip_prefix("m.") {
-                let mut it = rest.splitn(2, '.');
-                let w = it.next().and_then(|s| s.parse::<usize>().ok());
-                let li = it.next().and_then(|s| s.parse::<usize>().ok());
-                let (Some(w), Some(li)) = (w, li) else {
+            let slot = if let Some(li) = name.strip_prefix("q.") {
+                li.parse::<usize>().ok().and_then(|li| queries.get_mut(li))
+            } else if let Some((w, li)) = name.strip_prefix("m.").and_then(|r| r.split_once('.')) {
+                let (Ok(w), Ok(li)) = (w.parse::<usize>(), li.parse::<usize>()) else {
                     return false;
                 };
-                if w >= n_workers || li >= n_layers {
-                    return false;
-                }
-                memory[w][li] = Some(t.clone());
+                memory.entry(w).or_insert_with(|| vec![None; n_layers]).get_mut(li)
             } else {
-                return false;
-            }
+                None
+            };
+            // An unknown row, or a layer the meta row does not cover.
+            let Some(slot) = slot else { return false };
+            *slot = Some(t.clone());
         }
         self.queries = queries;
         self.memory = memory;
@@ -281,7 +489,7 @@ mod tests {
         let mut c = PowerSgd::new(1, 6);
         let g = Tensor::randn(&[6, 6], 1.0, 7);
         let (out, _) = c.round(&[vec![g.clone()]]);
-        let mem = c.memory[0][0].as_ref().unwrap();
+        let mem = c.memory[&0][0].as_ref().unwrap();
         assert!(l2_norm(mem) > 1e-3);
         let sum = &out[0].reshape(&[6, 6]).unwrap() + mem;
         assert!(rel_error(&g, &sum) < 1e-4);

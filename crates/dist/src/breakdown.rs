@@ -131,6 +131,7 @@ impl BreakdownAccumulator {
     ) {
         let comm = round_comm_time(profile, compressor.aggregation(), stats);
         self.record_with_comm(step, compressor.aggregation(), profile.nodes, comm, compute, stats);
+        self.record_decode(step, stats.decode_time);
     }
 
     /// Records one round with an explicitly priced communication time —
@@ -138,7 +139,10 @@ impl BreakdownAccumulator {
     /// (surviving member set, heterogeneous links, comm jitter). `nodes`
     /// is the participant count the comm phase was priced at; together
     /// with the byte counts on the collective span it makes the measured
-    /// α–β fit in `puffer-insight` well-posed.
+    /// α–β fit in `puffer-insight` well-posed. The round's decode is booked
+    /// apart, by [`BreakdownAccumulator::record_decode`]: in the threaded
+    /// trainer every node decodes for itself after the round's last
+    /// broadcast, and the slowest one is only known later.
     pub fn record_with_comm(
         &mut self,
         step: usize,
@@ -150,7 +154,6 @@ impl BreakdownAccumulator {
     ) {
         self.acc.compute += compute;
         self.acc.encode += stats.encode_time;
-        self.acc.decode += stats.decode_time;
         self.acc.comm += comm;
         // The synchronous round serializes after compute: every comm
         // nanosecond is exposed.
@@ -176,7 +179,6 @@ impl BreakdownAccumulator {
                     ("exposed_ns", (comm.as_nanos() as u64).into()),
                 ],
             );
-            probe::emit_span("dist", "decode", stats.decode_time, vec![("step", step.into())]);
             probe::counter_add("dist.rounds", 1);
             probe::counter_add("dist.wire_bytes", stats.encoded_bytes as u64);
         }
@@ -191,7 +193,8 @@ impl BreakdownAccumulator {
     /// index, per-worker bytes, and the `exposed_ns` share that outlasted
     /// compute — so the trace's span sum still equals the breakdown's
     /// `comm` exactly, while `Σ exposed_ns` reproduces `comm_exposed`.
-    /// `group` stamps the intra-group size on hierarchical spans.
+    /// `group` stamps the intra-group size on hierarchical spans. Decode is
+    /// booked apart, as for [`BreakdownAccumulator::record_with_comm`].
     #[allow(clippy::too_many_arguments)]
     pub fn record_overlapped(
         &mut self,
@@ -205,7 +208,6 @@ impl BreakdownAccumulator {
     ) {
         self.acc.compute += compute;
         self.acc.encode += stats.encode_time;
-        self.acc.decode += stats.decode_time;
         for b in buckets {
             self.acc.comm += b.comm;
             self.acc.comm_exposed += b.exposed;
@@ -228,10 +230,17 @@ impl BreakdownAccumulator {
                 }
                 probe::emit_span("dist", span_name, b.comm, args);
             }
-            probe::emit_span("dist", "decode", stats.decode_time, vec![("step", step.into())]);
             probe::counter_add("dist.rounds", 1);
             probe::counter_add("dist.wire_bytes", stats.encoded_bytes as u64);
         }
+    }
+
+    /// Books the decode phase of the round recorded at `step`: the
+    /// per-node decode wall-clock (for worker-side codecs the slowest
+    /// node's, i.e. the round's critical path).
+    pub fn record_decode(&mut self, step: usize, decode: Duration) {
+        self.acc.decode += decode;
+        probe::emit_span("dist", "decode", decode, vec![("step", step.into())]);
     }
 
     /// Records a step skipped by the non-finite-gradient guard: compute

@@ -13,13 +13,16 @@
 //! * **compute slowdown / straggler jitter** — per-worker multiplicative
 //!   slowdown plus seeded multiplicative jitter, realized as a real sleep
 //!   and accounted as compute time;
-//! * **crash-at-step** — the worker thread exits before contributing;
+//! * **crash-at-step** — the worker thread exits before contributing
+//!   ([`FaultPlan::with_crash`]) or right after its first payload of the
+//!   round left ([`FaultPlan::with_crash_mid_round`]: between the phases of
+//!   a multi-phase codec, before the verdict otherwise);
 //! * **dropped messages** — a gradient message is lost on its first send
 //!   attempt ([`FaultPlan::with_drop`], recovered by the worker's bounded
 //!   resend) or on every attempt ([`FaultPlan::with_drop_all`], degraded
 //!   around by the aggregator's step timeout);
 //! * **bit corruption** — one seeded bit of the encoded message flips;
-//!   detected by the aggregator via [`message_checksum`] and the
+//!   detected by the aggregator via [`wire_checksum`] and the
 //!   contribution is discarded;
 //! * **non-finite gradients** — one element becomes `NaN`; the
 //!   aggregator's AMP-style guard skips the step.
@@ -66,6 +69,9 @@ pub struct FaultPlan {
     /// first crash is history, and only crash steps at or after its
     /// re-entry step apply (see [`FaultPlan::should_crash_since`]).
     crashes: BTreeMap<usize, BTreeSet<usize>>,
+    /// `(worker, step)` rounds in which the worker dies after its first
+    /// payload left.
+    mid_round_crashes: BTreeSet<(usize, usize)>,
     /// Messages lost on the first send attempt only (resend recovers).
     drop_once: BTreeSet<(usize, usize)>,
     /// Messages lost on every attempt (the contribution is gone).
@@ -110,6 +116,15 @@ impl FaultPlan {
     /// contains it, so a rejoined worker can be crashed again.
     pub fn with_crash(mut self, worker: usize, step: usize) -> Self {
         self.crashes.entry(worker).or_default().insert(step);
+        self
+    }
+
+    /// Crashes `worker` in the middle of round `step`: its thread exits
+    /// once its first payload of the round has been sent, so a multi-phase
+    /// round loses it between two phases and a one-phase round before the
+    /// verdict is applied.
+    pub fn with_crash_mid_round(mut self, worker: usize, step: usize) -> Self {
+        self.mid_round_crashes.insert((worker, step));
         self
     }
 
@@ -197,6 +212,11 @@ impl FaultPlan {
         self.crashes.get(&worker).is_some_and(|s| s.range(entry..=step).next().is_some())
     }
 
+    /// Whether `worker` dies in round `step` after its first payload left.
+    pub fn crashes_mid_round(&self, worker: usize, step: usize) -> bool {
+        self.mid_round_crashes.contains(&(worker, step))
+    }
+
     /// Whether `worker`'s step-`step` message is lost on send `attempt`.
     pub fn drops_message(&self, worker: usize, step: usize, attempt: u32) -> bool {
         if self.drop_all.contains(&(worker, step)) {
@@ -251,18 +271,55 @@ impl FaultPlan {
     }
 }
 
-/// FNV-1a over the bit patterns of every element of a gradient message —
-/// the integrity check the aggregator uses to reject bit-corrupted
-/// contributions.
+/// FNV-1a over the bit patterns of every element of a tensor list, one
+/// dependency chain from the first element to the last: the digest the
+/// benchmark and the goldens identify a parameter set by. Messages on the
+/// wire carry [`wire_checksum`] instead.
 pub fn message_checksum(grads: &[Tensor]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h: u64 = FNV_OFFSET;
     for g in grads {
         h ^= g.len() as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
         for &v in g.as_slice() {
             h ^= u64::from(v.to_bits());
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            h = h.wrapping_mul(FNV_PRIME);
         }
+    }
+    h
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Independent FNV-1a chains [`wire_checksum`] folds a payload through.
+const WIRE_LANES: usize = 8;
+
+/// The integrity check a gradient message carries: element `i` goes
+/// through FNV-1a chain `i mod 8`, and the eight chain values and the
+/// length are folded through one more. The chains do not wait for each
+/// other, so a sender and a receiver pay about a quarter of what
+/// [`message_checksum`]'s single chain costs per float.
+///
+/// Every step — xor a word in, multiply by an odd constant — is a bijection
+/// of the running value for a fixed word and injective in the word for a
+/// fixed running value, in the chains and in the fold alike. A message that
+/// differs from the checksummed one in exactly one element (a flipped bit
+/// anywhere) therefore never keeps its checksum.
+pub fn wire_checksum(payload: &[f32]) -> u64 {
+    let mut lanes = [FNV_OFFSET; WIRE_LANES];
+    let step = |h: &mut u64, v: f32| *h = (*h ^ u64::from(v.to_bits())).wrapping_mul(FNV_PRIME);
+    let chunks = payload.chunks_exact(WIRE_LANES);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        for (h, &v) in lanes.iter_mut().zip(chunk) {
+            step(h, v);
+        }
+    }
+    for (h, &v) in lanes.iter_mut().zip(tail) {
+        step(h, v);
+    }
+    let mut h = (FNV_OFFSET ^ payload.len() as u64).wrapping_mul(FNV_PRIME);
+    for lane in lanes {
+        h = (h ^ lane).wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -399,6 +456,52 @@ mod tests {
             .filter(|(x, y)| x.to_bits() != y.to_bits())
             .count();
         assert_eq!(diffs, 1);
+    }
+
+    #[test]
+    fn message_checksum_keeps_its_recorded_values() {
+        // Parameter digests in benchmark/golden.json tooling and in recorded
+        // test expectations are these values; the wire check may change,
+        // this may not.
+        assert_eq!(message_checksum(&[]), 0xcbf2_9ce4_8422_2325);
+        let t = Tensor::from_vec(vec![1.0, -2.5, 0.0, 3.25], &[2, 2]).unwrap();
+        assert_eq!(message_checksum(std::slice::from_ref(&t)), 0xf307_2e32_025e_3fc3);
+    }
+
+    #[test]
+    fn wire_checksum_catches_every_single_bit_flip() {
+        // Every bit position of every element, at lengths that end on each
+        // lane: full chunks only, a tail, shorter than one chunk, empty.
+        for len in [0usize, 1, 5, 8, 9, 16, 23, 64] {
+            let t = Tensor::randn(&[len.max(1)], 1.0, len as u64);
+            let clean = &t.as_slice()[..len];
+            let sum = wire_checksum(clean);
+            assert_eq!(sum, wire_checksum(&clean.to_vec()), "len {len}: not a function of data");
+            for i in 0..len {
+                for bit in 0..32 {
+                    let mut dirty = clean.to_vec();
+                    dirty[i] = f32::from_bits(dirty[i].to_bits() ^ (1 << bit));
+                    assert_ne!(wire_checksum(&dirty), sum, "len {len}: flip {i}/{bit} missed");
+                }
+            }
+        }
+        // Length and order are part of the message.
+        assert_ne!(wire_checksum(&[0.0; 8]), wire_checksum(&[0.0; 9]));
+        assert_ne!(wire_checksum(&[1.0, 2.0]), wire_checksum(&[2.0, 1.0]));
+        let mut swapped: Vec<f32> = (0..16).map(|i| i as f32).collect();
+        let sum = wire_checksum(&swapped);
+        swapped.swap(0, 8); // same lane, different position
+        assert_ne!(wire_checksum(&swapped), sum);
+    }
+
+    #[test]
+    fn mid_round_crash_is_keyed_by_worker_and_step() {
+        let p = FaultPlan::new(1).with_crash_mid_round(2, 4);
+        assert!(p.crashes_mid_round(2, 4));
+        assert!(!p.crashes_mid_round(2, 5));
+        assert!(!p.crashes_mid_round(1, 4));
+        assert!(!p.should_crash(2, 4), "a mid-round crash still starts the round");
+        assert!(!p.is_empty());
     }
 
     #[test]

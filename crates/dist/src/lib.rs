@@ -13,9 +13,10 @@
 //! * [`collectives`] — executable simulations of the tree and
 //!   hierarchical schedules whose message traces validate the closed
 //!   forms;
-//! * [`bucket`] — DDP-style reverse-backward bucket assignment over the
-//!   packed flat gradient, plus the pinned-order bucketed reducer the
-//!   trainer overlaps communication with backward through;
+//! * [`bucket`] — DDP-style reverse-backward bucket assignment over a
+//!   flat payload (the packed gradient, or whatever a worker-side codec
+//!   encoded), plus the pinned-order bucketed reducer that is all the
+//!   trainer's aggregator does to one;
 //! * [`breakdown`] — per-epoch breakdown accounting combining measured
 //!   compute/encode/decode times with modeled communication;
 //! * [`ddp`] — PyTorch-DDP-style 25 MB gradient bucketing with
@@ -25,8 +26,10 @@
 //!   validates the closed-form cost model;
 //! * [`trainer`] — a **real multi-threaded data-parallel trainer**
 //!   (crossbeam workers, shared-memory allreduce) whose workers compute
-//!   real gradients on data shards; under an exact compressor it is
-//!   step-equivalent to single-process training.
+//!   real gradients on data shards and, for allreduce-compatible
+//!   compressors, encode and decode them too — a round is a sequence of
+//!   linear reduce phases over worker-encoded payloads; under an exact
+//!   compressor it is step-equivalent to single-process training.
 //!
 //! The trainer is **fault-tolerant**: [`fault`] injects deterministic
 //! seeded faults (stragglers, crashes, dropped/corrupted messages,

@@ -4,12 +4,25 @@
 //! Worker threads each hold an identical model replica and a shard of
 //! every global batch. Per step: the aggregator broadcasts a `Step`
 //! message naming the round and the current member set, workers compute
-//! real gradients (forward/backward), the aggregator plays one
-//! compression round (exact mean for vanilla SGD), and every worker
-//! applies the same update — the synchronous data-parallel SGD the
-//! paper's prototype implements with allreduce. Communication cost is
-//! accounted by the α–β model; computation and encode/decode are measured
-//! wall-clock.
+//! real gradients (forward/backward), the gradients are averaged under the
+//! run's compressor, and every worker applies the same update — the
+//! synchronous data-parallel SGD the paper's prototype implements with
+//! allreduce. Communication cost is accounted by the α–β model;
+//! computation and encode/decode are measured wall-clock.
+//!
+//! How a round is averaged depends on the compressor. An
+//! allreduce-compatible one (vanilla SGD, PowerSGD) hands every worker its
+//! own [`WorkerCodec`]: the round is a short sequence of *linear reduce
+//! phases* in which each worker encodes a flat payload, the aggregator sums
+//! the payloads in worker-id order, scales once by `1/n` and broadcasts the
+//! mean, and after the last phase every worker decodes the mean gradient
+//! straight into its own `p.grad`. The aggregator never sees, copies or
+//! decodes a gradient — PowerSGD moves `Σ(m+n)·r` floats per worker and
+//! round, and its encode/decode cost is paid once per node, in parallel,
+//! the way the paper's Fig. 4(b) charges it. Only the allgather methods
+//! (Signum, Top-k, binary quantization, ATOMO), whose decode needs every
+//! worker's message, still ship the packed gradient to the aggregator,
+//! which plays their [`GradCompressor::round`] centrally.
 //!
 //! On top of that baseline the trainer is **fault-tolerant**
 //! ([`train_data_parallel_with`]): a seeded [`FaultPlan`] injects
@@ -34,28 +47,26 @@
 //! set the same way, and [`crate::cost::HeteroProfile`] re-prices α/β for
 //! whatever member set is live each round.
 //!
-//! Gradient exchange is **bucketed** ([`crate::bucket`]): every worker
-//! splits its packed flat gradient into size-targeted buckets
+//! Payload exchange is **bucketed** ([`crate::bucket`]): every worker
+//! splits each phase's payload into size-targeted buckets
 //! ([`RunOptions::bucket_bytes`] / `PUFFER_BUCKET_BYTES`), assigned by
-//! walking the layer list in reverse so the first buckets to fill are the
-//! first the backward pass finalizes — each bucket ships as its own
-//! message the moment backward reaches it, and the aggregator reduces a
-//! bucket eagerly once every expected member delivered it. The apply
-//! order is pinned (worker-id order per bucket, buckets concatenated),
-//! so the final parameters are **bitwise identical** to the
-//! one-flat-bucket run at any bucket size, worker count, or collective
-//! algorithm; the default (`usize::MAX`) *is* the one-flat-bucket run.
-//! Per-bucket communication is priced by the selected
+//! walking the payload's tensors in reverse so the first buckets to fill
+//! are the first the backward pass finalizes — each bucket ships as its
+//! own message, and the aggregator reduces a bucket eagerly once every
+//! expected member delivered it. The apply order is pinned (worker-id
+//! order per bucket, buckets concatenated), so the final parameters are
+//! **bitwise identical** to the one-flat-bucket run at any bucket size,
+//! worker count, or collective algorithm; the default (`usize::MAX`) *is*
+//! the one-flat-bucket run. For a one-phase codec — the payload is the
+//! gradient itself — per-bucket communication is priced by the selected
 //! [`CollectiveAlgo`] (ring, binary tree, or two-level hierarchical —
 //! [`RunOptions::collective`] / `PUFFER_COLLECTIVE`) and laid on an
 //! overlap timeline against the measured per-bucket readiness offsets:
 //! the share of comm hidden under still-running backward is *overlapped*,
 //! the remainder is *exposed* ([`EpochBreakdown::comm_exposed`]).
-//! Compressors that cannot aggregate per-bucket
-//! ([`GradCompressor::supports_bucketed_overlap`] is false) still ride
-//! the bucketed transport: the aggregator reassembles each worker's flat
-//! buffer and plays the classic whole-tensor round, with all comm
-//! exposed.
+//! Payloads that exist only once backward is over (PowerSGD's `P` and `Q`,
+//! a central round's messages) are priced as one collective over the
+//! round's bytes, all of it exposed.
 //!
 //! Worker compute runs on `puffer-tensor`'s threaded kernels; for the
 //! duration of a run the tensor pool is capped so that
@@ -70,20 +81,23 @@ use crate::bucket::{BucketPlan, BucketedReducer, ReadyTracker};
 use crate::checkpoint::DistCheckpoint;
 use crate::cost::{hier_group, ClusterProfile, CollectiveAlgo};
 use crate::error::{DistError, DistResult};
-use crate::fault::{any_nonfinite, message_checksum, FaultPlan, FaultReport};
+use crate::fault::{any_nonfinite, wire_checksum, FaultPlan, FaultReport};
 use crate::membership::{
     MemberEvent, MemberEventKind, Membership, MembershipPlan, EV_CATCH_UP, EV_CRASHED, EV_JOINED,
     EV_LEFT, PROBE_CATEGORY, ROW_TYPE,
 };
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use puffer_compress::pack::{pack_refs_with, unpack, PackLayout};
-use puffer_compress::{AggregationKind, GradCompressor, RoundStats};
+use puffer_compress::none::IdentityCodec;
+use puffer_compress::pack::{pack_into, unpack, PackLayout};
+use puffer_compress::{AggregationKind, GradCompressor, RoundStats, WorkerCodec};
 use puffer_nn::layer::{Layer, Mode};
 use puffer_nn::loss::softmax_cross_entropy;
 use puffer_nn::optim::Sgd;
+use puffer_nn::param::Param;
 use puffer_probe as probe;
 use puffer_tensor::Tensor;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -270,34 +284,44 @@ pub struct DistOutcome {
     pub final_epoch: u64,
 }
 
-/// One bucket of one worker's per-step gradient contribution. The full
-/// flat buffer (the paper's single-allreduce pack, §4.1, encoded straight
-/// from the live `Param::grad` borrows) is split into [`BucketPlan`]
-/// buckets in reverse-backward order; each travels as its own message
-/// with its own checksum and readiness offset, so the aggregator can
-/// start reducing (and the α–β timeline can start pricing) a bucket
-/// before the sender's remaining buckets even exist. The default plan is
-/// one bucket — exactly the old flat protocol. The layout is derived once
-/// per worker and shared by reference.
+/// One bucket of one phase of one worker's per-step contribution. A round
+/// is a short sequence of linear reduce *phases* (one for the identity
+/// codec, two for PowerSGD — see [`WorkerCodec`]); in each the worker
+/// encodes a flat payload (the paper's single-allreduce pack, §4.1, for the
+/// identity codec), which is split into [`BucketPlan`] buckets in
+/// reverse-backward order. Each bucket travels as its own message with its
+/// own checksum and readiness offset, so the aggregator can start reducing
+/// (and the α–β timeline can start pricing) a bucket before the sender's
+/// remaining buckets have arrived. The default plan is one bucket. The
+/// messages of a phase all point into the worker's one payload buffer: the
+/// worker keeps a handle and writes the next round's payload into the same
+/// storage once the aggregator has let go of it, so no gradient-sized
+/// allocation ever changes threads.
 struct GradMsg {
     worker: usize,
     step: usize,
+    /// Reduce phase of the round this bucket belongs to.
+    phase: usize,
     /// Bucket index in [`BucketPlan`] ready order.
     bucket: usize,
-    /// Total buckets this round (protocol check: must match the
+    /// Total buckets of this phase (protocol check: must match the
     /// aggregator's own plan).
     buckets: usize,
-    /// This bucket's slice of the flat gradient buffer.
-    payload: Tensor,
+    /// The sender's whole phase payload; this message is `range` of it.
+    payload: Arc<Tensor>,
+    range: Range<usize>,
+    /// Layout of the phase payload (what the bucket plan is cut from).
     layout: Arc<PackLayout>,
     /// Microseconds into the worker's compute at which this bucket's
-    /// gradients were final (straggler delay included, clamped to the
+    /// payload could have left (straggler delay included, clamped to the
     /// total compute time) — drives the modeled overlap timeline.
     ready_us: u64,
     loss: f32,
     compute: Duration,
-    /// FNV-1a over this bucket's payload only: corruption rejects the
-    /// whole contribution but is *detected* per bucket.
+    /// What the worker spent in [`WorkerCodec::encode`] for this phase.
+    encode: Duration,
+    /// [`wire_checksum`] over this bucket's range only: corruption rejects
+    /// the whole contribution but is *detected* per bucket.
     checksum: u64,
 }
 
@@ -306,13 +330,26 @@ enum WorkerMsg {
     Fatal { worker: usize, reason: String },
 }
 
-/// Aggregator-side per-worker round bookkeeping: the scalar metadata of a
-/// contribution whose payload lives in the [`BucketedReducer`] slot.
+/// Aggregator-side bookkeeping of one worker's contribution to one phase:
+/// the scalar metadata of a payload that lives in the [`BucketedReducer`]
+/// slot.
 struct Contribution {
     loss: f32,
     compute: Duration,
+    encode: Duration,
     /// Per-bucket readiness offsets (µs into the worker's compute).
     ready_us: Vec<u64>,
+}
+
+/// What a worker reports back after a round's verdict, for checkpoints and
+/// joiner catch-up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Report {
+    Nothing,
+    /// Its codec's share of the compressor state.
+    Codec,
+    /// That, and parameters + momentum + buffers (the snapshot leader).
+    Full,
 }
 
 #[derive(Clone)]
@@ -321,14 +358,16 @@ enum AggMsg {
     /// ascending active set; a worker re-shards its slice of the stream
     /// when its (rank, member count) changes.
     Step { step: usize, epoch: u64, members: Arc<Vec<usize>> },
-    /// Apply this aggregated gradient (packed flat, same layout as the
-    /// worker's own contribution); if `snapshot`, report post-update
-    /// state for checkpointing/catch-up.
-    Mean { flat: Tensor, snapshot: bool },
+    /// The reduced payload of the phase the worker is waiting on, shared by
+    /// every member. After the last phase the worker decodes it into its
+    /// gradients, applies the update and answers `report`. `contributed`
+    /// is false for a member whose payload did not make it into the mean:
+    /// it follows the rest of the round without sending.
+    Reduced { payload: Arc<Tensor>, contributed: bool, report: Report },
     /// Skip this step without updating (non-finite guard tripped or no
-    /// usable contribution survived); if `snapshot`, report the — still
+    /// usable contribution survived) and answer `report` with the — still
     /// valid — unchanged state.
-    Skip { snapshot: bool },
+    Skip { report: Report },
     /// Liveness probe; carries no state change.
     Ping,
     /// Retire voluntarily: exit now without reporting final parameters.
@@ -347,12 +386,87 @@ enum CatchUp {
     Memory(Arc<DistCheckpoint>),
 }
 
-/// Final parameters reported by a finished worker: `(worker index, params)`.
-type FinalParams = (usize, Vec<Tensor>);
+/// What a finished worker leaves behind.
+struct FinalReport {
+    worker: usize,
+    params: Vec<Tensor>,
+    /// Its codec's share of the compressor state.
+    codec: Vec<(String, Tensor)>,
+    /// `(step, wall-clock of WorkerCodec::decode)` for every applied step.
+    decodes: Vec<(usize, Duration)>,
+}
 
-/// Post-update state reported by the checkpoint leader:
-/// `(next step, params, velocity, buffers)`.
-type Snapshot = (usize, Vec<Tensor>, Vec<Tensor>, Vec<Tensor>);
+/// Replica state after a round, as the snapshot leader reports it.
+struct ModelState {
+    params: Vec<Tensor>,
+    velocity: Vec<Tensor>,
+    buffers: Vec<Tensor>,
+}
+
+/// A worker's answer to a [`Report`] request.
+struct Snapshot {
+    worker: usize,
+    next_step: usize,
+    /// `Some` from the leader only.
+    model: Option<ModelState>,
+    codec: Vec<(String, Tensor)>,
+}
+
+/// Frees tensors that another thread allocated instead of recycling them
+/// into this thread's arena: the caller's arena would otherwise grow by a
+/// model's worth of foreign buffers with every run in the process.
+fn release(tensors: impl IntoIterator<Item = Tensor>) {
+    for t in tensors {
+        drop(t.into_vec());
+    }
+}
+
+/// Asks the allocator to hand the memory it holds free back to the
+/// operating system. What a thread frees when it exits (its tensor arena
+/// included) goes back to the allocator, not to the kernel, and glibc keeps
+/// what a dead thread's malloc arena held — and finds only part of it again
+/// for the next run's fresh threads, so a process that runs one training
+/// after another saw its resident set grow run over run. A no-op where the
+/// allocator has no such call.
+fn trim_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: `malloc_trim` takes no pointer and has no precondition;
+        // glibc serializes it against concurrent malloc/free per arena.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
+/// Merges codec snapshots into one compressor state: the union by name,
+/// first occurrence wins (shared rows are identical on every worker).
+fn merge_codec_states(
+    into: &mut Vec<(String, Tensor)>,
+    from: impl IntoIterator<Item = (String, Tensor)>,
+) {
+    for (name, t) in from {
+        if into.iter().any(|(n, _)| *n == name) {
+            release([t]);
+        } else {
+            into.push((name, t));
+        }
+    }
+}
+
+/// The buffer behind `slot`, if nobody else still holds it and it has
+/// `len` elements; otherwise a fresh one put in its place. Senders keep
+/// one handle to every payload they share, so in a steady run the storage
+/// is written again and again by the thread that allocated it.
+fn reclaim(slot: &mut Arc<Tensor>, len: usize) -> Option<&mut Tensor> {
+    if Arc::get_mut(slot).is_none_or(|t| t.len() != len) {
+        *slot = Arc::new(Tensor::zeros(&[len]));
+    }
+    Arc::get_mut(slot)
+}
 
 /// Runs synchronous data-parallel SGD over `global_batches` with no
 /// injected faults and default recovery (see
@@ -508,7 +622,7 @@ where
     let mut pool_guard = PoolWidthGuard::cap_for(membership.active_count());
 
     let (to_agg, from_workers): (Sender<WorkerMsg>, Receiver<WorkerMsg>) = unbounded();
-    let (param_tx, param_rx): (Sender<FinalParams>, Receiver<FinalParams>) = unbounded();
+    let (final_tx, final_rx): (Sender<FinalReport>, Receiver<FinalReport>) = unbounded();
     let (snap_tx, snap_rx): (Sender<Snapshot>, Receiver<Snapshot>) = unbounded();
 
     let ctx = AggCtx {
@@ -521,38 +635,74 @@ where
         factory: &factory,
         batches: global_batches,
         to_agg,
-        param_tx,
+        final_tx,
         snap_tx,
     };
     let pool_guard_ref = &mut pool_guard;
-    let agg = crossbeam::scope(|scope| {
-        run_aggregator(&ctx, scope, membership, &from_workers, &snap_rx, compressor, pool_guard_ref)
-    })
-    .map_err(|_| DistError::WorkerPanicked)??;
+    let compressor_ref = &mut *compressor;
+    let joined = crossbeam::scope(|scope| {
+        run_aggregator(
+            &ctx,
+            scope,
+            membership,
+            &from_workers,
+            &snap_rx,
+            compressor_ref,
+            pool_guard_ref,
+        )
+    });
+    // The worker threads are gone and so are their arenas — a replica's
+    // worth of activations and gradients each. Give it back to the system
+    // rather than to the allocator's free lists, where the next run's
+    // fresh threads only find part of it again.
+    trim_heap();
+    let mut agg = joined.map_err(|_| DistError::WorkerPanicked)??;
 
     // The aggregator context holds channel templates (it needs them to
-    // spawn joiners mid-run); drop them so `param_rx` terminates now that
+    // spawn joiners mid-run); drop them so `final_rx` terminates now that
     // every worker has been joined by the scope.
     drop(ctx);
 
     // The lowest-indexed survivor's parameters stand for the run (all
-    // survivors applied identical updates).
-    let mut finals: Option<FinalParams> = None;
-    for (w, params) in param_rx.iter() {
-        let replace = match &finals {
-            Some((best, _)) => w < *best,
-            None => true,
-        };
-        if replace {
-            finals = Some((w, params));
+    // survivors applied identical updates). Everything a worker hands over
+    // was allocated on its thread: what is kept is copied into this
+    // thread's storage, the originals are freed.
+    let mut finals: Option<Vec<Tensor>> = None;
+    let mut codec_state: Vec<(String, Tensor)> = Vec::new();
+    let mut slowest_decode: BTreeMap<usize, Duration> = BTreeMap::new();
+    let mut reports: Vec<FinalReport> = final_rx.iter().collect();
+    reports.sort_by_key(|r| r.worker);
+    for r in reports {
+        for (step, d) in r.decodes {
+            let slot = slowest_decode.entry(step).or_default();
+            *slot = (*slot).max(d);
+        }
+        merge_codec_states(&mut codec_state, r.codec);
+        if finals.is_none() {
+            finals = Some(r.params.clone());
+        }
+        release(r.params);
+    }
+    let Some(final_params) = finals else {
+        return Err(DistError::AllWorkersDead { step: steps });
+    };
+    // Every worker decoded for itself after the aggregator had moved on;
+    // the slowest one is the round's critical path.
+    for (step, base) in agg.decode_base {
+        let slowest = slowest_decode.get(&step).copied().unwrap_or_default();
+        agg.acc.record_decode(step, base + slowest);
+    }
+    if agg.worker_side {
+        let restored = compressor.restore_state(&codec_state);
+        release(codec_state.into_iter().map(|(_, t)| t));
+        if !restored {
+            return Err(DistError::Checkpoint {
+                reason: format!("compressor {} rejected its own workers' state", compressor.name()),
+            });
         }
     }
-    let final_params = match finals {
-        Some((_, p)) => p,
-        None => return Err(DistError::AllWorkersDead { step: steps }),
-    };
     Ok(DistOutcome {
-        breakdown: agg.breakdown,
+        breakdown: agg.acc.breakdown(),
         step_losses: agg.step_losses,
         final_params,
         faults: agg.report,
@@ -576,7 +726,7 @@ struct AggCtx<'a, F> {
     factory: &'a F,
     batches: &'a [(Tensor, Vec<usize>)],
     to_agg: Sender<WorkerMsg>,
-    param_tx: Sender<FinalParams>,
+    final_tx: Sender<FinalReport>,
     snap_tx: Sender<Snapshot>,
 }
 
@@ -590,11 +740,79 @@ struct WorkerCtx<'a> {
     batches: &'a [(Tensor, Vec<usize>)],
     rx: Receiver<AggMsg>,
     to_agg: Sender<WorkerMsg>,
-    param_tx: Sender<FinalParams>,
+    final_tx: Sender<FinalReport>,
     snap_tx: Sender<Snapshot>,
     cfg: &'a DistConfig,
     opts: &'a RunOptions,
     catch_up: Option<CatchUp>,
+}
+
+/// The aggregator's view of the fleet: who is a member, how to reach them,
+/// and the account of what went wrong so far.
+struct Fleet {
+    membership: Membership,
+    senders: BTreeMap<usize, Sender<AggMsg>>,
+    report: FaultReport,
+}
+
+impl Fleet {
+    /// Records `worker` as crashed: drops its command channel, retires it
+    /// from the membership (bumping the epoch), and emits fault +
+    /// membership attribution. Idempotent for an already departed worker.
+    fn mark_crashed(&mut self, worker: usize, step: usize) {
+        self.senders.remove(&worker);
+        if !self.membership.is_active(worker) {
+            return;
+        }
+        self.membership.crash(worker, step);
+        self.report.crashed.push((worker, step));
+        probe::counter_add("dist.crashes", 1);
+        probe::event(
+            "fault",
+            "crash_detected",
+            vec![
+                ("worker", worker.into()),
+                ("step", step.into()),
+                ("survivors", self.membership.active_count().into()),
+            ],
+        );
+        note_member_event(self.membership.log().last());
+    }
+
+    /// Whether `worker`'s command channel still takes messages (a crashed
+    /// worker dropped its receiver).
+    fn deliver(&self, worker: usize, msg: AggMsg) -> bool {
+        self.senders.get(&worker).is_some_and(|tx| tx.send(msg).is_ok())
+    }
+
+    /// Sends `msg(worker)` to every worker with a channel, marking those
+    /// that no longer take it as crashed.
+    fn broadcast(&mut self, step: usize, msg: impl Fn(usize) -> AggMsg) {
+        let ids: Vec<usize> = self.senders.keys().copied().collect();
+        for x in ids {
+            if !self.deliver(x, msg(x)) {
+                self.mark_crashed(x, step);
+            }
+        }
+    }
+
+    fn count_stale(&mut self) {
+        self.report.stale_messages += 1;
+        probe::counter_add("dist.stale_messages", 1);
+    }
+}
+
+/// The worker half a member runs: the compressor's own if it has one
+/// (the bool), else the identity codec carrying raw gradients to the
+/// aggregator's central [`GradCompressor::round`].
+fn member_codec(
+    compressor: &mut dyn GradCompressor,
+    worker: usize,
+) -> (Box<dyn WorkerCodec>, bool) {
+    match compressor.worker_codec(worker) {
+        Some(codec) => (codec, true),
+        None => (Box::new(IdentityCodec), false),
+    }
 }
 
 /// Spawns one member thread (initial worker or mid-run joiner) and
@@ -606,6 +824,7 @@ fn spawn_member<'env, M, F>(
     worker: usize,
     entry_step: usize,
     catch_up: Option<CatchUp>,
+    codec: Box<dyn WorkerCodec>,
 ) where
     M: Layer + Send,
     F: Fn(usize) -> M + Sync,
@@ -613,7 +832,7 @@ fn spawn_member<'env, M, F>(
     let (tx, rx) = unbounded();
     senders.insert(worker, tx);
     let to_agg = ctx.to_agg.clone();
-    let param_tx = ctx.param_tx.clone();
+    let final_tx = ctx.final_tx.clone();
     let snap_tx = ctx.snap_tx.clone();
     let factory = ctx.factory;
     let cfg = ctx.cfg;
@@ -629,13 +848,13 @@ fn spawn_member<'env, M, F>(
             batches,
             rx,
             to_agg,
-            param_tx,
+            final_tx,
             snap_tx,
             cfg,
             opts,
             catch_up,
         };
-        run_worker(wctx, model);
+        run_worker(wctx, model, codec);
     });
 }
 
@@ -702,40 +921,107 @@ fn note_member_event(ev: Option<&MemberEvent>) {
     );
 }
 
-/// Records `worker` as crashed: drops its command channel, retires it
-/// from the membership (bumping the epoch), and emits fault + membership
-/// attribution. Idempotent for an already departed worker.
-fn mark_crashed(
-    membership: &mut Membership,
-    senders: &mut BTreeMap<usize, Sender<AggMsg>>,
-    report: &mut FaultReport,
-    worker: usize,
-    step: usize,
-) {
-    senders.remove(&worker);
-    if !membership.is_active(worker) {
-        return;
+/// One reduce phase as a worker sees it: how its payload is laid out and
+/// bucketed, and the buffer the payload is written into every round.
+struct PhasePlan {
+    layout: Arc<PackLayout>,
+    plan: BucketPlan,
+    payload: Arc<Tensor>,
+}
+
+/// Borrows every parameter's gradient, in parameter order.
+fn grads_of<'a>(params: &'a mut [&mut Param]) -> Vec<&'a mut Tensor> {
+    params.iter_mut().map(|p| &mut p.grad).collect()
+}
+
+/// Waits for the verdict of the phase in flight, consuming liveness
+/// probes. `None`: the worker is to exit without a word (retired, or the
+/// aggregator is gone).
+fn await_verdict(rx: &Receiver<AggMsg>, worker: usize) -> Option<AggMsg> {
+    loop {
+        match rx.recv() {
+            Ok(msg @ (AggMsg::Reduced { .. } | AggMsg::Skip { .. })) => return Some(msg),
+            Ok(AggMsg::Retire) => {
+                probe::event("dist", "worker_retired", vec![("worker", worker.into())]);
+                return None;
+            }
+            // Lockstep forbids a new round before this one's verdict.
+            Ok(AggMsg::Ping | AggMsg::Step { .. } | AggMsg::Finish) => {}
+            Err(_) => return None, // aggregator shut down
+        }
     }
-    membership.crash(worker, step);
-    report.crashed.push((worker, step));
-    probe::counter_add("dist.crashes", 1);
-    probe::event(
-        "fault",
-        "crash_detected",
-        vec![
-            ("worker", worker.into()),
-            ("step", step.into()),
-            ("survivors", membership.active_count().into()),
-        ],
-    );
-    note_member_event(membership.log().last());
+}
+
+/// Sends one phase payload bucket by bucket, through the fault plan's
+/// drops and bounded resends. `false`: the aggregator is gone.
+#[allow(clippy::too_many_arguments)]
+fn send_phase(
+    ctx: &WorkerCtx<'_>,
+    step: usize,
+    phase: usize,
+    plan: &PhasePlan,
+    checksums: &[u64],
+    ready_us: &dyn Fn(usize) -> u64,
+    loss: f32,
+    compute: Duration,
+    encode: Duration,
+) -> bool {
+    let w = ctx.worker;
+    let faults = &ctx.opts.faults;
+    for (b, &checksum) in checksums.iter().enumerate() {
+        probe::hist_record("dist", "message_bytes", plan.plan.bytes(b) as u64);
+        let mut pending = Some(WorkerMsg::Grads(GradMsg {
+            worker: w,
+            step,
+            phase,
+            bucket: b,
+            buckets: checksums.len(),
+            payload: Arc::clone(&plan.payload),
+            range: plan.plan.range(b),
+            layout: Arc::clone(&plan.layout),
+            ready_us: ready_us(b),
+            loss,
+            compute,
+            encode,
+            checksum,
+        }));
+        let mut attempt = 0u32;
+        let sent = loop {
+            if !faults.drops_message(w, step, attempt) {
+                match pending.take() {
+                    Some(msg) => break ctx.to_agg.send(msg).is_ok(),
+                    None => break true,
+                }
+            }
+            probe::counter_add("dist.dropped_messages", 1);
+            probe::event(
+                "fault",
+                "message_dropped",
+                vec![
+                    ("worker", w.into()),
+                    ("step", step.into()),
+                    ("bucket", b.into()),
+                    ("attempt", attempt.into()),
+                ],
+            );
+            if attempt >= ctx.opts.recovery.max_retries {
+                break true; // bucket lost for good; the aggregator degrades
+            }
+            attempt += 1;
+            std::thread::sleep(Duration::from_millis(u64::from(attempt)));
+        };
+        if !sent {
+            return false;
+        }
+    }
+    true
 }
 
 /// The worker loop. Never panics: channel failures mean the aggregator is
 /// gone (a fatal error elsewhere) and the worker just exits; its own
 /// fatal conditions are reported via [`WorkerMsg::Fatal`]. An injected
 /// crash exits without a word — the aggregator must *detect* it.
-fn run_worker<M: Layer>(ctx: WorkerCtx<'_>, mut model: M) {
+fn run_worker<M: Layer>(ctx: WorkerCtx<'_>, mut model: M, mut codec: Box<dyn WorkerCodec>) {
     let w = ctx.worker;
     let faults = &ctx.opts.faults;
     let mut opt = Sgd::new(ctx.cfg.lr, ctx.cfg.momentum, ctx.cfg.weight_decay);
@@ -787,15 +1073,30 @@ fn run_worker<M: Layer>(ctx: WorkerCtx<'_>, mut model: M) {
             }
         }
     }
-    // Gradient shapes are fixed for the whole run: derive the flat
-    // layout and its bucket plan once and reuse them every round.
-    let layout = {
+    // Gradient shapes are fixed for the whole run: derive every phase's
+    // payload layout, bucket plan and payload buffer once and reuse them
+    // every round.
+    let mut phases: Vec<PhasePlan> = {
         let params = model.params();
         let grad_refs: Vec<&Tensor> = params.iter().map(|p| &p.grad).collect();
-        Arc::new(PackLayout::of_refs(&grad_refs))
+        (0..codec.phases())
+            .map(|p| {
+                let layout = Arc::new(codec.payload_layout(p, &grad_refs));
+                let plan = BucketPlan::new(&layout, ctx.bucket_bytes);
+                let payload = Arc::new(Tensor::zeros(&[layout.total_len()]));
+                PhasePlan { layout, plan, payload }
+            })
+            .collect()
     };
-    let plan = BucketPlan::new(&layout, ctx.bucket_bytes);
-    let mut tracker = ReadyTracker::new(&plan);
+    // Backward announces gradients tensor by tensor; only a one-phase
+    // codec's payload tensors are final the moment their gradients are.
+    let overlaps = phases.len() == 1;
+    let Some(first) = phases.first() else {
+        report_fatal(&ctx, ctx.entry_step, "codec declares no reduce phase".into());
+        return;
+    };
+    let mut tracker = ReadyTracker::new(&first.plan);
+    let mut decodes: Vec<(usize, Duration)> = Vec::new();
     // This member's shard of the remaining stream, re-extracted only when
     // its (rank, member count) changes — a clean static run extracts once
     // and the steady state stays allocation-free.
@@ -813,7 +1114,7 @@ fn run_worker<M: Layer>(ctx: WorkerCtx<'_>, mut model: M) {
             }
             Ok(AggMsg::Finish) => break,
             // A verdict outside a round cannot happen in lockstep; drain it.
-            Ok(AggMsg::Mean { .. }) | Ok(AggMsg::Skip { .. }) => continue,
+            Ok(AggMsg::Reduced { .. }) | Ok(AggMsg::Skip { .. }) => continue,
             Err(_) => return, // aggregator shut down
         };
         if epoch_seen != Some(epoch) {
@@ -876,13 +1177,6 @@ fn run_worker<M: Layer>(ctx: WorkerCtx<'_>, mut model: M) {
             tracker.on_ready(first, clock.elapsed().as_micros() as u64);
         });
         tracker.finish(clock.elapsed().as_micros() as u64);
-        // Serialize straight from the borrowed gradients into one flat
-        // buffer (no per-tensor clones), then split per bucket below.
-        let mut flat = {
-            let params = model.params();
-            let grad_refs: Vec<&Tensor> = params.iter().map(|p| &p.grad).collect();
-            pack_refs_with(&layout, &grad_refs)
-        };
         let measured = sp.finish();
         let delay = faults.compute_delay(w, step, measured);
         if delay > Duration::ZERO {
@@ -899,132 +1193,142 @@ fn run_worker<M: Layer>(ctx: WorkerCtx<'_>, mut model: M) {
         }
         let compute = measured + delay;
         let delay_us = delay.as_micros() as u64;
-        let compute_us = compute.as_micros() as u64;
-        // Non-finite injection happens before checksumming (the worker
-        // "really" computed it); bit corruption after (it happens on the
-        // wire, so a checksum catches it). Both act on the full flat
-        // buffer / the whole message set, exactly as on the flat path —
-        // bucketing changes how the payload is sliced, not what faults
-        // see.
-        faults.inject_nonfinite(w, step, std::slice::from_mut(&mut flat));
-        let mut payloads: Vec<Tensor> = if plan.buckets() == 1 {
-            vec![flat]
-        } else {
-            (0..plan.buckets())
-                .map(|b| {
-                    let r = plan.range(b);
-                    let mut t = Tensor::zeros(&[r.len()]);
-                    // lint:allow(dist-panic-reachability) — plan ranges cover exactly the flat buffer
-                    t.as_mut_slice().copy_from_slice(&flat.as_slice()[r]);
-                    t
-                })
-                .collect()
-        };
-        let checksums: Vec<u64> =
-            payloads.iter().map(|p| message_checksum(std::slice::from_ref(p))).collect();
-        // One seeded bit flip lands in exactly one bucket's payload; that
-        // bucket's checksum catches it at the aggregator.
-        faults.corrupt_message(w, step, &mut payloads);
-
-        let buckets = payloads.len();
-        let mut aggregator_gone = false;
-        for (b, (payload, checksum)) in payloads.into_iter().zip(checksums).enumerate() {
-            // A straggler's buckets were ready during backward but only
-            // reach the wire after the injected sleep: readiness shifts by
-            // the delay, capped at the full compute time.
-            // lint:allow(dist-panic-reachability) — payloads and the tracker share the plan's bucket count
-            let ready_us = (tracker.ready_us()[b] + delay_us).min(compute_us);
-            let mut pending = Some(WorkerMsg::Grads(GradMsg {
-                worker: w,
-                step,
-                bucket: b,
-                buckets,
-                payload,
-                layout: Arc::clone(&layout),
-                ready_us,
-                loss,
-                compute,
-                checksum,
-            }));
-            let mut attempt = 0u32;
-            let sent = loop {
-                if !faults.drops_message(w, step, attempt) {
-                    match pending.take() {
-                        Some(msg) => break ctx.to_agg.send(msg).is_ok(),
-                        None => break true,
-                    }
-                }
-                probe::counter_add("dist.dropped_messages", 1);
-                probe::event(
-                    "fault",
-                    "message_dropped",
-                    vec![
-                        ("worker", w.into()),
-                        ("step", step.into()),
-                        ("bucket", b.into()),
-                        ("attempt", attempt.into()),
-                    ],
-                );
-                if attempt >= ctx.opts.recovery.max_retries {
-                    break true; // bucket lost for good; the aggregator degrades
-                }
-                attempt += 1;
-                std::thread::sleep(Duration::from_millis(u64::from(attempt)));
-            };
-            if !sent {
-                aggregator_gone = true;
+        // Non-finite injection happens on the gradient itself, before
+        // anything is encoded (the worker "really" computed it); bit
+        // corruption after checksumming (it happens on the wire, so the
+        // checksum catches it).
+        for g in grads_of(&mut model.params_mut()) {
+            if faults.inject_nonfinite(w, step, std::slice::from_mut(g)) {
                 break;
             }
         }
-        if aggregator_gone {
-            return;
-        }
-        // Wait for this step's verdict, consuming liveness probes.
-        loop {
-            match ctx.rx.recv() {
-                Ok(AggMsg::Ping) => {}
-                Ok(AggMsg::Skip { snapshot }) => {
-                    if snapshot {
-                        send_snapshot(step + 1, &model, &opt, &ctx.snap_tx);
-                    }
-                    break;
+
+        // ---- The round: encode, ship, and wait for the mean, once per
+        // phase. A worker whose payload missed a mean keeps following the
+        // round — it needs every mean to end on the same parameters — but
+        // has nothing more to contribute to it. ----
+        let mut reduced: Option<Arc<Tensor>> = None;
+        let mut contributing = true;
+        let mut report = Report::Nothing;
+        for (p, plan) in phases.iter_mut().enumerate() {
+            let len = plan.layout.total_len();
+            let clock = probe::Stopwatch::start();
+            let Some(payload) = reclaim(&mut plan.payload, len) else {
+                report_fatal(&ctx, step, "payload buffer is still shared".into());
+                return;
+            };
+            let prev = reduced.as_deref().map(Tensor::as_slice);
+            let encoded = codec.encode(
+                p,
+                &mut grads_of(&mut model.params_mut()),
+                prev,
+                payload.as_mut_slice(),
+            );
+            if let Err(e) = encoded {
+                report_fatal(&ctx, step, format!("encode, phase {p}: {e}"));
+                return;
+            }
+            // A one-phase codec's payload is the buckets themselves: writing
+            // it is part of the window they are produced (and their
+            // collectives overlapped) in, so it counts as compute, the way
+            // the flat pack always did. Otherwise it is the codec's encode.
+            let (compute, encode) = match clock.elapsed() {
+                packing if overlaps => (compute + packing, Duration::ZERO),
+                encoding => (compute, encoding),
+            };
+            let compute_us = compute.as_micros() as u64;
+            if contributing {
+                let checksums: Vec<u64> = (0..plan.plan.buckets())
+                    .map(|b| payload.as_slice().get(plan.plan.range(b)).map_or(0, wire_checksum))
+                    .collect();
+                // One seeded bit flip lands in exactly one bucket's range;
+                // that bucket's checksum catches it at the aggregator.
+                faults.corrupt_message(w, step, std::slice::from_mut(payload));
+                // A straggler's buckets were ready during backward but only
+                // reach the wire after the injected sleep: readiness shifts
+                // by the delay, capped at the full compute time.
+                let ready = tracker.ready_us();
+                let ready_us = |b: usize| match ready.get(b) {
+                    Some(&at) if overlaps => (at + delay_us).min(compute_us),
+                    _ => compute_us,
+                };
+                if !send_phase(&ctx, step, p, plan, &checksums, &ready_us, loss, compute, encode) {
+                    return; // aggregator gone
                 }
-                Ok(AggMsg::Mean { flat: mean, snapshot }) => {
-                    let ap = probe::timed_span_with("dist", "apply", || {
-                        vec![("worker", w.into()), ("step", step.into())]
-                    });
-                    for (p, g) in model.params_mut().into_iter().zip(unpack(&mean, &layout)) {
-                        p.grad = g;
-                    }
-                    opt.step(&mut model.params_mut());
-                    let _ = ap.finish();
-                    if snapshot {
-                        send_snapshot(step + 1, &model, &opt, &ctx.snap_tx);
-                    }
-                    break;
-                }
-                Ok(AggMsg::Retire) => {
-                    probe::event("dist", "worker_retired", vec![("worker", w.into())]);
+                if p == 0 && faults.crashes_mid_round(w, step) {
+                    probe::event(
+                        "fault",
+                        "worker_crash",
+                        vec![("worker", w.into()), ("step", step.into()), ("phase", p.into())],
+                    );
                     return;
                 }
-                // Lockstep forbids a new round before this one's verdict.
-                Ok(AggMsg::Step { .. }) | Ok(AggMsg::Finish) => {}
-                Err(_) => return, // aggregator shut down
+            }
+            match await_verdict(&ctx.rx, w) {
+                Some(AggMsg::Reduced { payload, contributed, report: r }) => {
+                    contributing &= contributed;
+                    reduced = Some(payload);
+                    report = r;
+                }
+                Some(AggMsg::Skip { report: r }) => {
+                    codec.abort();
+                    report = r;
+                    reduced = None;
+                    break;
+                }
+                _ => return,
             }
         }
+        if let Some(mean) = reduced {
+            let ap = probe::timed_span_with("dist", "apply", || {
+                vec![("worker", w.into()), ("step", step.into())]
+            });
+            let clock = probe::Stopwatch::start();
+            let decoded =
+                codec.decode(mean.as_slice(), &mut grads_of(&mut model.params_mut()), contributing);
+            if let Err(e) = decoded {
+                report_fatal(&ctx, step, format!("decode: {e}"));
+                return;
+            }
+            decodes.push((step, clock.elapsed()));
+            // The mean goes back to the aggregator's buffer pool before the
+            // optimizer runs: by its next round nobody else holds it.
+            drop(mean);
+            opt.step(&mut model.params_mut());
+            let _ = ap.finish();
+        }
+        send_snapshot(report, w, step + 1, &model, &opt, codec.as_ref(), &ctx.snap_tx);
     }
-    let finals: Vec<Tensor> = model.params().iter().map(|p| p.value.clone()).collect();
-    // Best-effort: the trainer may already have collected enough replicas.
-    ctx.param_tx.send((w, finals)).ok();
+    let params: Vec<Tensor> = model.params().iter().map(|p| p.value.clone()).collect();
+    // Best-effort: the trainer may already be on its way out.
+    ctx.final_tx
+        .send(FinalReport { worker: w, params, codec: codec.state_snapshot(), decodes })
+        .ok();
 }
 
 /// Reports post-round replica state to the aggregator for checkpointing
-/// and joiner catch-up.
-fn send_snapshot<M: Layer>(next_step: usize, model: &M, opt: &Sgd, snap_tx: &Sender<Snapshot>) {
-    let params = model.params().iter().map(|p| p.value.clone()).collect();
+/// and joiner catch-up, as far as `report` asks for it.
+fn send_snapshot<M: Layer>(
+    report: Report,
+    worker: usize,
+    next_step: usize,
+    model: &M,
+    opt: &Sgd,
+    codec: &dyn WorkerCodec,
+    snap_tx: &Sender<Snapshot>,
+) {
+    let model = match report {
+        Report::Nothing => return,
+        Report::Codec => None,
+        Report::Full => Some(ModelState {
+            params: model.params().iter().map(|p| p.value.clone()).collect(),
+            velocity: opt.velocity().to_vec(),
+            buffers: model.buffers(),
+        }),
+    };
     // Best-effort: a closed snapshot channel just means the aggregator is
     // shutting down.
-    snap_tx.send((next_step, params, opt.velocity().to_vec(), model.buffers())).ok();
+    snap_tx.send(Snapshot { worker, next_step, model, codec: codec.state_snapshot() }).ok();
 }
 
 /// Extracts one member's shard of every batch from `from` on, for its
@@ -1068,7 +1372,18 @@ fn load_resume_state<M: Layer>(model: &mut M, opt: &mut Sgd, ck: &DistCheckpoint
 }
 
 struct AggOutput {
-    breakdown: EpochBreakdown,
+    /// Every phase of every round but the decodes, which the caller books
+    /// once the workers have reported theirs.
+    acc: BreakdownAccumulator,
+    /// Per executed (not skipped) step, the decode time already known to
+    /// the aggregator: a central round's, zero for worker-side codecs.
+    decode_base: Vec<(usize, Duration)>,
+    /// Whether the compressor's state lived in worker halves.
+    worker_side: bool,
+    /// The broadcast buffers, handed out of the aggregator so that they
+    /// outlive the workers: whoever drops the last handle to a mean gets
+    /// its storage, and that has to be the thread that allocated it.
+    _slots: Vec<PhaseSlot>,
     step_losses: Vec<f32>,
     report: FaultReport,
     checkpoints: Vec<PathBuf>,
@@ -1076,15 +1391,176 @@ struct AggOutput {
     final_epoch: u64,
 }
 
+/// One reduce phase as the aggregator sees it. The reducer is created from
+/// the first contribution's layout and reused, buffers and all, for every
+/// later round; `mean` is the buffer the reduced payload is broadcast in,
+/// written again once every worker has dropped its handle.
+struct PhaseSlot {
+    reducer: Option<BucketedReducer>,
+    layout: Option<Arc<PackLayout>>,
+    mean: Arc<Tensor>,
+}
+
+/// Collects one phase's contributions from `expected`, one bucket message
+/// at a time. A bucket is spliced into its sender's reducer slot on
+/// arrival, and with `eager` any bucket every expected member has
+/// delivered is reduced at once — the reduction work tracks the message
+/// stream instead of waiting for the slowest sender's last bucket. The
+/// apply order stays pinned regardless (see [`BucketedReducer`]).
+///
+/// Slow members get `recovery.step_timeout` with bounded retry/backoff;
+/// silent ones are probed and, if their channel is dead, marked crashed;
+/// a bucket failing its checksum rejects its sender's whole contribution
+/// once. Returns the members that delivered every bucket intact, in
+/// worker-id order (the pinned reduction order).
+#[allow(clippy::too_many_arguments)]
+fn collect_phase(
+    from_workers: &Receiver<WorkerMsg>,
+    fleet: &mut Fleet,
+    recovery: &RecoveryPolicy,
+    bucket_bytes: usize,
+    slot: &mut PhaseSlot,
+    step: usize,
+    phase: usize,
+    mut expected: BTreeSet<usize>,
+    eager: bool,
+) -> DistResult<BTreeMap<usize, Contribution>> {
+    let mut expected_vec: Vec<usize> = expected.iter().copied().collect();
+    let mut got: BTreeMap<usize, Contribution> = BTreeMap::new();
+    let mut done: BTreeSet<usize> = BTreeSet::new();
+    if let Some(r) = slot.reducer.as_mut() {
+        r.start_round();
+    }
+    let mut timeout = recovery.step_timeout;
+    let mut retries = 0u32;
+    while done.len() < expected.len() {
+        match from_workers.recv_timeout(timeout) {
+            Ok(WorkerMsg::Fatal { worker, reason }) => {
+                return Err(DistError::WorkerFailed { worker, reason });
+            }
+            Ok(WorkerMsg::Grads(m)) => {
+                if m.step != step || m.phase != phase || !expected.contains(&m.worker) {
+                    // A straggler's bucket from an already-closed step or
+                    // phase (or from an already-rejected sender): discard.
+                    fleet.count_stale();
+                    probe::event(
+                        "fault",
+                        "stale_message",
+                        vec![
+                            ("worker", m.worker.into()),
+                            ("msg_step", m.step.into()),
+                            ("step", step.into()),
+                        ],
+                    );
+                    continue;
+                }
+                // The run's first contribution to a phase fixes its bucket
+                // plan (every worker derives the identical layout).
+                let red = slot.reducer.get_or_insert_with(|| {
+                    let mut r = BucketedReducer::new(BucketPlan::new(&m.layout, bucket_bytes));
+                    r.start_round();
+                    r
+                });
+                slot.layout.get_or_insert_with(|| Arc::clone(&m.layout));
+                let data = m.payload.as_slice().get(m.range.clone());
+                let intact = m.buckets == red.plan().buckets()
+                    && data.is_some_and(|d| wire_checksum(d) == m.checksum);
+                let Some(data) = data.filter(|_| intact) else {
+                    // Bit corruption on the wire (or a protocol mismatch):
+                    // the first bad bucket rejects the whole contribution
+                    // once; the worker stays live.
+                    fleet.report.corrupted_messages += 1;
+                    probe::counter_add("dist.corrupted_messages", 1);
+                    probe::event(
+                        "fault",
+                        "message_corrupted",
+                        vec![
+                            ("worker", m.worker.into()),
+                            ("step", step.into()),
+                            ("bucket", m.bucket.into()),
+                        ],
+                    );
+                    expected.remove(&m.worker);
+                    expected_vec.retain(|&x| x != m.worker);
+                    done.remove(&m.worker);
+                    got.remove(&m.worker);
+                    continue;
+                };
+                if !red.accept(m.worker, m.bucket, data) {
+                    fleet.count_stale(); // duplicate bucket delivery
+                    continue;
+                }
+                let c = got.entry(m.worker).or_insert_with(|| Contribution {
+                    loss: m.loss,
+                    compute: m.compute,
+                    encode: m.encode,
+                    ready_us: vec![0; m.buckets],
+                });
+                if let Some(at) = c.ready_us.get_mut(m.bucket) {
+                    *at = m.ready_us;
+                }
+                if red.complete(m.worker) {
+                    done.insert(m.worker);
+                }
+                if eager {
+                    red.try_reduce(&expected_vec);
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                // Probe the missing members: a crashed worker dropped
+                // its receiver, so the probe send fails.
+                let missing: Vec<usize> =
+                    expected.iter().copied().filter(|x| !done.contains(x)).collect();
+                for x in missing {
+                    if !fleet.deliver(x, AggMsg::Ping) {
+                        expected.remove(&x);
+                        expected_vec.retain(|&y| y != x);
+                        got.remove(&x);
+                        fleet.mark_crashed(x, step);
+                    }
+                }
+                if fleet.membership.active_count() == 0 {
+                    return Err(DistError::AllWorkersDead { step });
+                }
+                if done.len() >= expected.len() {
+                    break; // crashes explained every missing member
+                }
+                retries += 1;
+                probe::counter_add("dist.retries", 1);
+                if retries > recovery.max_retries {
+                    let lost = expected.len() - done.len();
+                    fleet.report.lost_contributions += lost;
+                    probe::counter_add("dist.lost_contributions", lost as u64);
+                    probe::event(
+                        "fault",
+                        "contribution_lost",
+                        vec![("step", step.into()), ("lost", lost.into())],
+                    );
+                    break; // degrade: proceed with what arrived
+                }
+                timeout = Duration::from_secs_f64(timeout.as_secs_f64() * recovery.backoff);
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                return Err(DistError::AllWorkersDead { step });
+            }
+        }
+    }
+    if fleet.membership.active_count() == 0 {
+        return Err(DistError::AllWorkersDead { step });
+    }
+    got.retain(|x, _| done.contains(x) && expected.contains(x));
+    Ok(got)
+}
+
 /// The aggregator loop: processes the membership boundary (leaves, join
 /// admission with catch-up, periodic checkpoints), broadcasts each round,
-/// collects contributions with timeout/retry, detects crashes,
-/// re-normalizes the mean over survivors, and prices the round for the
-/// live member set.
+/// runs it phase by phase — collect with timeout/retry and crash
+/// detection, reduce over whoever delivered, broadcast the mean — and
+/// prices the round for the live member set.
 fn run_aggregator<'env, M, F>(
     ctx: &AggCtx<'env, F>,
     scope: &crossbeam::thread::Scope<'env>,
-    mut membership: Membership,
+    membership: Membership,
     from_workers: &Receiver<WorkerMsg>,
     snap_rx: &Receiver<Snapshot>,
     compressor: &mut dyn GradCompressor,
@@ -1096,9 +1572,14 @@ where
 {
     let recovery = &ctx.opts.recovery;
     let plan = &ctx.opts.membership;
-    let mut senders: BTreeMap<usize, Sender<AggMsg>> = BTreeMap::new();
-    for w in membership.active() {
-        spawn_member(ctx, scope, &mut senders, w, ctx.start_step, None);
+    let mut fleet = Fleet { membership, senders: BTreeMap::new(), report: FaultReport::default() };
+    // Every member runs the same kind of codec, so the first one spawned
+    // tells how many phases a round has and where compressor state lives.
+    let (mut worker_side, mut n_phases) = (false, 1);
+    for w in fleet.membership.active() {
+        let (codec, own) = member_codec(compressor, w);
+        (worker_side, n_phases) = (own, codec.phases());
+        spawn_member(ctx, scope, &mut fleet.senders, w, ctx.start_step, None, codec);
     }
     // Join requests at or before the resume point were already satisfied
     // by the original run: a checkpoint at step `u` implies the leader
@@ -1109,34 +1590,33 @@ where
     let mut admitted: BTreeSet<(usize, usize)> = plan.joins_through(ctx.start_step).collect();
 
     let mut acc = BreakdownAccumulator::new();
+    let mut decode_base: Vec<(usize, Duration)> = Vec::new();
     let mut step_losses = Vec::with_capacity(ctx.steps.saturating_sub(ctx.start_step));
-    let mut report = FaultReport::default();
-    // Bucketed reduction state, created from the first contribution's
-    // layout and reused (buffers and all) for every later round.
-    let mut reducer: Option<BucketedReducer> = None;
-    let mut round_layout: Option<Arc<PackLayout>> = None;
+    let mut slots: Vec<PhaseSlot> = (0..n_phases)
+        .map(|_| PhaseSlot { reducer: None, layout: None, mean: Arc::new(Tensor::default()) })
+        .collect();
     let mut checkpoints: Vec<PathBuf> = Vec::new();
     // Leader snapshot of the previous round, keyed by the boundary step
     // it describes; feeds both periodic checkpoints and joiner catch-up.
-    let mut pending_snapshot: Option<Snapshot> = None;
-    let mut members_arc: Arc<Vec<usize>> = Arc::new(membership.active());
-    let mut broadcast_epoch = membership.epoch();
+    let mut pending_snapshot: Option<(usize, ModelState)> = None;
+    let mut members_arc: Arc<Vec<usize>> = Arc::new(fleet.membership.active());
+    let mut broadcast_epoch = fleet.membership.epoch();
 
-    for step in ctx.start_step..ctx.steps {
+    'steps: for step in ctx.start_step..ctx.steps {
         // ---- Membership boundary: leaves, then join admission, then the
         // checkpoint that records the post-transition member set. ----
         let leavers: Vec<usize> = plan.leaves_at(step).collect();
         for wk in leavers {
-            if !membership.is_active(wk) {
+            if !fleet.membership.is_active(wk) {
                 continue; // departed earlier (e.g. crashed); nothing to retire
             }
-            let ok = senders.get(&wk).is_some_and(|tx| tx.send(AggMsg::Retire).is_ok());
-            senders.remove(&wk);
+            let ok = fleet.deliver(wk, AggMsg::Retire);
+            fleet.senders.remove(&wk);
             if ok {
-                membership.leave(wk, step)?;
-                note_member_event(membership.log().last());
+                fleet.membership.leave(wk, step)?;
+                note_member_event(fleet.membership.log().last());
             } else {
-                mark_crashed(&mut membership, &mut senders, &mut report, wk, step);
+                fleet.mark_crashed(wk, step);
             }
         }
         let pending: Vec<(usize, usize)> =
@@ -1145,7 +1625,7 @@ where
         let mut admitted_now: Vec<usize> = Vec::new();
         if snap_ready {
             for &(wk, sched) in &pending {
-                if membership.is_active(wk) {
+                if fleet.membership.is_active(wk) {
                     return Err(DistError::Membership {
                         reason: format!(
                             "worker {wk} is scheduled to join at step {sched} but is already \
@@ -1153,8 +1633,8 @@ where
                         ),
                     });
                 }
-                membership.join(wk, step)?;
-                note_member_event(membership.log().last());
+                fleet.membership.join(wk, step)?;
+                note_member_event(fleet.membership.log().last());
                 admitted.insert((wk, sched));
                 admitted_now.push(wk);
             }
@@ -1168,25 +1648,11 @@ where
             && step > ctx.start_step
             && step.is_multiple_of(ctx.opts.checkpoint.every);
         if (want_ckpt_here || !admitted_now.is_empty()) && snap_ready {
-            if let Some((s, params, velocity, buffers)) = pending_snapshot.take() {
-                let ck = DistCheckpoint {
-                    step: s,
-                    params,
-                    velocity,
-                    buffers,
-                    compressor: compressor.state_snapshot(),
-                    members: membership.active(),
-                    epoch: membership.epoch(),
-                };
+            if let Some((s, state)) = pending_snapshot.take() {
+                let ck = checkpoint_of(s, state, &*compressor, &fleet.membership);
                 let mut on_disk: Option<PathBuf> = None;
                 if want_ckpt_here {
-                    if let Some(path) = ctx.opts.checkpoint.path_for(s) {
-                        ck.save(&path)?;
-                        probe::counter_add("dist.checkpoint_writes", 1);
-                        probe::event("dist", "checkpoint_written", vec![("step", s.into())]);
-                        checkpoints.push(path.clone());
-                        on_disk = Some(path);
-                    }
+                    on_disk = write_checkpoint(ctx, &ck, &mut checkpoints)?;
                 }
                 let shared = Arc::new(ck);
                 for &wk in &admitted_now {
@@ -1194,16 +1660,19 @@ where
                         Some(p) => CatchUp::Disk(p.clone()),
                         None => CatchUp::Memory(Arc::clone(&shared)),
                     };
-                    spawn_member(ctx, scope, &mut senders, wk, step, Some(catch_up));
+                    // A joiner's codec starts from the shared state the
+                    // snapshot gathered and no memory of its own.
+                    let (codec, _) = member_codec(compressor, wk);
+                    spawn_member(ctx, scope, &mut fleet.senders, wk, step, Some(catch_up), codec);
                 }
             }
         }
         // ---- Epoch sync: refresh the broadcast member view and re-price
         // the tensor-pool width for the current member count. ----
-        if membership.epoch() != broadcast_epoch {
-            broadcast_epoch = membership.epoch();
-            members_arc = Arc::new(membership.active());
-            pool_guard.recap(membership.active_count());
+        if fleet.membership.epoch() != broadcast_epoch {
+            broadcast_epoch = fleet.membership.epoch();
+            members_arc = Arc::new(fleet.membership.active());
+            pool_guard.recap(fleet.membership.active_count());
         }
 
         let round_sp = probe::timed_span_with("dist", "round", || {
@@ -1215,166 +1684,16 @@ where
         });
 
         // ---- Begin the round: a crashed member fails the send. ----
-        for &x in members_arc.clone().iter() {
+        for &x in members_arc.iter() {
             let msg =
                 AggMsg::Step { step, epoch: broadcast_epoch, members: Arc::clone(&members_arc) };
-            let sent = senders.get(&x).is_some_and(|tx| tx.send(msg).is_ok());
-            if !sent {
-                mark_crashed(&mut membership, &mut senders, &mut report, x, step);
+            if !fleet.deliver(x, msg) {
+                fleet.mark_crashed(x, step);
             }
         }
-        if membership.active_count() == 0 {
+        if fleet.membership.active_count() == 0 {
             return Err(DistError::AllWorkersDead { step });
         }
-
-        // ---- Collect this step's contributions from live members, one
-        // bucket message at a time. A bucket is spliced into its sender's
-        // reducer slot on arrival, and any bucket every expected member
-        // has delivered is reduced *eagerly* — the reduction work tracks
-        // the message stream instead of waiting for the slowest sender's
-        // last bucket. The apply order stays pinned regardless (see
-        // [`BucketedReducer`]). ----
-        let mut expected: BTreeSet<usize> = membership.active().into_iter().collect();
-        let mut expected_vec: Vec<usize> = expected.iter().copied().collect();
-        let mut got: BTreeMap<usize, Contribution> = BTreeMap::new();
-        let mut done: BTreeSet<usize> = BTreeSet::new();
-        if let Some(r) = reducer.as_mut() {
-            r.start_round();
-        }
-        let mut timeout = recovery.step_timeout;
-        let mut retries = 0u32;
-        while done.len() < expected.len() {
-            match from_workers.recv_timeout(timeout) {
-                Ok(WorkerMsg::Fatal { worker, reason }) => {
-                    return Err(DistError::WorkerFailed { worker, reason });
-                }
-                Ok(WorkerMsg::Grads(m)) => {
-                    if m.step != step || !expected.contains(&m.worker) {
-                        // A straggler's bucket from an already-closed step
-                        // (or from an already-rejected sender): discard.
-                        report.stale_messages += 1;
-                        probe::counter_add("dist.stale_messages", 1);
-                        probe::event(
-                            "fault",
-                            "stale_message",
-                            vec![
-                                ("worker", m.worker.into()),
-                                ("msg_step", m.step.into()),
-                                ("step", step.into()),
-                            ],
-                        );
-                        continue;
-                    }
-                    if reducer.is_none() {
-                        // First contribution of the run fixes the bucket
-                        // plan (every worker derives the identical layout).
-                        let mut r =
-                            BucketedReducer::new(BucketPlan::new(&m.layout, ctx.bucket_bytes));
-                        r.start_round();
-                        reducer = Some(r);
-                        round_layout = Some(Arc::clone(&m.layout));
-                    }
-                    let Some(red) = reducer.as_mut() else { continue };
-                    if m.buckets != red.plan().buckets()
-                        || message_checksum(std::slice::from_ref(&m.payload)) != m.checksum
-                    {
-                        // Bit corruption on the wire (or a protocol
-                        // mismatch): the first bad bucket rejects the whole
-                        // contribution once; the worker stays live.
-                        report.corrupted_messages += 1;
-                        probe::counter_add("dist.corrupted_messages", 1);
-                        probe::event(
-                            "fault",
-                            "message_corrupted",
-                            vec![
-                                ("worker", m.worker.into()),
-                                ("step", step.into()),
-                                ("bucket", m.bucket.into()),
-                            ],
-                        );
-                        expected.remove(&m.worker);
-                        expected_vec.retain(|&x| x != m.worker);
-                        done.remove(&m.worker);
-                        got.remove(&m.worker);
-                        continue;
-                    }
-                    if !red.accept(m.worker, m.bucket, m.payload.as_slice()) {
-                        // Duplicate bucket delivery: stale, discard.
-                        report.stale_messages += 1;
-                        probe::counter_add("dist.stale_messages", 1);
-                        continue;
-                    }
-                    let c = got.entry(m.worker).or_insert_with(|| Contribution {
-                        loss: m.loss,
-                        compute: m.compute,
-                        ready_us: vec![0; m.buckets],
-                    });
-                    // lint:allow(dist-panic-reachability) — accept() verified bucket < buckets above
-                    c.ready_us[m.bucket] = m.ready_us;
-                    if red.complete(m.worker) {
-                        done.insert(m.worker);
-                    }
-                    red.try_reduce(&expected_vec);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    // Probe the missing members: a crashed worker dropped
-                    // its receiver, so the probe send fails.
-                    let missing: Vec<usize> =
-                        expected.iter().copied().filter(|x| !done.contains(x)).collect();
-                    for x in missing {
-                        let alive = senders.get(&x).is_some_and(|tx| tx.send(AggMsg::Ping).is_ok());
-                        if !alive {
-                            expected.remove(&x);
-                            expected_vec.retain(|&y| y != x);
-                            got.remove(&x);
-                            mark_crashed(&mut membership, &mut senders, &mut report, x, step);
-                        }
-                    }
-                    if membership.active_count() == 0 {
-                        return Err(DistError::AllWorkersDead { step });
-                    }
-                    if done.len() >= expected.len() {
-                        break; // crashes explained every missing member
-                    }
-                    retries += 1;
-                    probe::counter_add("dist.retries", 1);
-                    if retries > recovery.max_retries {
-                        let lost = expected.len() - done.len();
-                        report.lost_contributions += lost;
-                        probe::counter_add("dist.lost_contributions", lost as u64);
-                        probe::event(
-                            "fault",
-                            "contribution_lost",
-                            vec![("step", step.into()), ("lost", lost.into())],
-                        );
-                        break; // degrade: proceed with what arrived
-                    }
-                    timeout = Duration::from_secs_f64(timeout.as_secs_f64() * recovery.backoff);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(DistError::AllWorkersDead { step });
-                }
-            }
-        }
-        if membership.active_count() == 0 {
-            return Err(DistError::AllWorkersDead { step });
-        }
-
-        // Contributors: members that delivered every bucket intact, in
-        // worker-id order (the pinned reduction order).
-        let contributors: Vec<usize> =
-            done.iter().copied().filter(|x| expected.contains(x)).collect();
-        let slowest = contributors
-            .iter()
-            .filter_map(|x| got.get(x).map(|c| c.compute))
-            .max()
-            .unwrap_or_default();
-        let loss_mean = if contributors.is_empty() {
-            f32::NAN
-        } else {
-            contributors.iter().filter_map(|x| got.get(x).map(|c| c.loss)).sum::<f32>()
-                / contributors.len() as f32
-        };
 
         // The *next* boundary needs catch-up state if a periodic
         // checkpoint falls on it or a join is waiting for admission.
@@ -1384,159 +1703,192 @@ where
         let pending_join = next_step < ctx.steps
             && plan.joins_through(next_step).any(|key| !admitted.contains(&key));
         let want_state = want_ckpt || pending_join;
-        // The lowest-indexed live member doubles as snapshot leader.
-        let leader = senders.keys().next().copied();
 
-        // ---- AMP-style guard: a poisoned gradient (or a round with no
-        // usable contribution) skips the step on every replica. The
-        // unchanged state is still valid, so snapshots proceed. ----
-        let poisoned = contributors.iter().any(|x| {
-            reducer
-                .as_ref()
-                .and_then(|r| r.assembled(*x))
-                .is_some_and(|t| any_nonfinite(std::slice::from_ref(t)))
-        });
-        if contributors.is_empty() || poisoned {
-            if let Some(r) = reducer.as_mut() {
-                r.mark_dirty();
-            }
-            let ids: Vec<usize> = senders.keys().copied().collect();
-            for x in ids {
-                let snapshot = want_state && Some(x) == leader;
-                let sent =
-                    senders.get(&x).is_some_and(|tx| tx.send(AggMsg::Skip { snapshot }).is_ok());
-                if !sent {
-                    mark_crashed(&mut membership, &mut senders, &mut report, x, step);
+        // ---- The round, phase by phase. Whoever delivered a phase intact
+        // is whom the next phase waits for; everybody with a channel gets
+        // every verdict. ----
+        let mut expected: BTreeSet<usize> = fleet.membership.active().into_iter().collect();
+        let mut slowest = Duration::ZERO;
+        let mut loss_mean = f32::NAN;
+        let mut encode = Duration::ZERO;
+        let mut ready_us: Vec<u64> = Vec::new();
+        let mut contributors: Vec<usize> = Vec::new();
+        let mut central: Option<RoundStats> = None;
+        for (phase, slot) in slots.iter_mut().enumerate() {
+            let got = collect_phase(
+                from_workers,
+                &mut fleet,
+                recovery,
+                ctx.bucket_bytes,
+                slot,
+                step,
+                phase,
+                expected,
+                worker_side,
+            )?;
+            contributors = got.keys().copied().collect();
+            if phase == 0 {
+                slowest = got.values().map(|c| c.compute).max().unwrap_or_default();
+                if !got.is_empty() {
+                    loss_mean = got.values().map(|c| c.loss).sum::<f32>() / got.len() as f32;
                 }
+                let buckets = got.values().map(|c| c.ready_us.len()).max().unwrap_or(0);
+                ready_us = (0..buckets)
+                    .map(|b| {
+                        got.values().filter_map(|c| c.ready_us.get(b).copied()).max().unwrap_or(0)
+                    })
+                    .collect();
             }
-            report.skipped_steps.push(step);
-            probe::event(
-                "fault",
-                "step_skipped",
-                vec![("step", step.into()), ("contributors", contributors.len().into())],
-            );
-            acc.record_skipped(step, slowest);
-            step_losses.push(loss_mean);
-            probe::metrics_row(
-                "dist_step",
-                &[
-                    ("step", step.into()),
-                    ("loss", loss_mean.into()),
-                    ("contributors", contributors.len().into()),
-                    ("live", membership.active_count().into()),
-                    ("skipped", 1usize.into()),
-                ],
-            );
-            collect_snapshot(
-                ctx,
-                snap_rx,
-                &membership,
-                &mut report,
-                &mut pending_snapshot,
-                want_state,
-                want_ckpt,
-                leader,
-                next_step,
-            );
-            round_sp.finish();
-            continue;
+            encode += got.values().map(|c| c.encode).max().unwrap_or_default();
+            // The lowest-indexed live member doubles as snapshot leader.
+            let leader = fleet.senders.keys().next().copied();
+            let last = phase + 1 == n_phases;
+            let report_of = |x: usize| match (want_state, Some(x) == leader) {
+                (true, true) => Report::Full,
+                (true, false) if worker_side => Report::Codec,
+                _ => Report::Nothing,
+            };
+
+            // ---- Reduce what arrived. AMP-style guard: a poisoned
+            // gradient (or a phase with no usable contribution) skips the
+            // step on every replica. The unchanged state is still valid,
+            // so snapshots proceed. ----
+            let reduced = match (slot.reducer.as_mut(), slot.layout.as_ref()) {
+                (Some(red), Some(layout)) if !contributors.is_empty() => {
+                    if worker_side {
+                        Some(red.finalize(&contributors))
+                            .filter(|mean| !any_nonfinite(std::slice::from_ref(*mean)))
+                            .and_then(|mean| {
+                                let out = reclaim(&mut slot.mean, mean.len())?;
+                                out.as_mut_slice().copy_from_slice(mean.as_slice());
+                                Some(())
+                            })
+                    } else {
+                        central_round(red, layout, &contributors, compressor, &mut slot.mean)
+                            .map(|stats| central = Some(stats))
+                    }
+                }
+                _ => None,
+            };
+            if reduced.is_none() {
+                if let Some(r) = slot.reducer.as_mut() {
+                    r.mark_dirty();
+                }
+                fleet.broadcast(step, |x| AggMsg::Skip { report: report_of(x) });
+                fleet.report.skipped_steps.push(step);
+                probe::event(
+                    "fault",
+                    "step_skipped",
+                    vec![("step", step.into()), ("contributors", contributors.len().into())],
+                );
+                acc.record_skipped(step, slowest);
+                step_losses.push(loss_mean);
+                probe::metrics_row(
+                    "dist_step",
+                    &[
+                        ("step", step.into()),
+                        ("loss", loss_mean.into()),
+                        ("contributors", contributors.len().into()),
+                        ("live", fleet.membership.active_count().into()),
+                        ("skipped", 1usize.into()),
+                    ],
+                );
+                pending_snapshot = collect_snapshot(
+                    ctx,
+                    snap_rx,
+                    &mut fleet,
+                    compressor,
+                    worker_side,
+                    want_state,
+                    want_ckpt,
+                    next_step,
+                );
+                round_sp.finish();
+                continue 'steps;
+            }
+            let mean = &slot.mean;
+            probe::hist_record("dist", "broadcast_bytes", (mean.len() * 4) as u64);
+            fleet.broadcast(step, |x| AggMsg::Reduced {
+                payload: Arc::clone(mean),
+                contributed: contributors.binary_search(&x).is_ok(),
+                report: if last { report_of(x) } else { Report::Nothing },
+            });
+            expected = contributors.iter().copied().collect();
         }
 
-        // ---- One aggregation round over the collected contributions. ----
-        let n_contributors = contributors.len();
-        let (Some(red), Some(layout)) = (reducer.as_mut(), round_layout.as_ref()) else {
-            // Unreachable: a non-empty contributor set implies at least one
-            // accepted message, which created the reducer. Degrade to skip.
-            continue;
-        };
-
         // ---- Price the round for the member set actually live. ----
-        let live_vec: Vec<usize> = membership.active();
+        let live_vec: Vec<usize> = fleet.membership.active();
         let (profile, jitter) = match &ctx.opts.hetero {
             Some(h) => (h.effective(&live_vec)?, h.jitter_factor(step as u64)),
             None => (ClusterProfile { nodes: live_vec.len(), ..ctx.cfg.profile }, 1.0),
         };
-
-        let (mean_flat, wire_bytes) = if compressor.supports_bucketed_overlap() {
-            // Pinned-order bucket finalize: bitwise equal to unpacking the
-            // flats and running the compressor's exact mean, at any bucket
-            // size. Each bucket's collective is priced with the selected
-            // algorithm and laid on a modeled timeline that starts when the
-            // slowest contributor produced that bucket's gradients — the
-            // comm time hidden under still-running backward is the round's
-            // *overlapped* share, the remainder is exposed.
-            let bplan = red.plan();
-            let mut bucket_comms: Vec<BucketComm> = Vec::with_capacity(bplan.buckets());
-            let mut cursor = Duration::ZERO;
-            for b in 0..bplan.buckets() {
-                let ready_us = contributors
-                    .iter()
-                    .filter_map(|x| got.get(x).and_then(|c| c.ready_us.get(b).copied()))
-                    .max()
-                    .unwrap_or(0);
-                let ready = Duration::from_micros(ready_us).min(slowest);
-                let start = ready.max(cursor);
-                let t = profile.allreduce_with(ctx.collective, bplan.bytes(b)).mul_f64(jitter);
-                let end = start + t;
-                let exposed = end.saturating_sub(start.max(slowest));
-                bucket_comms.push(BucketComm {
-                    bytes_per_worker: bplan.bytes(b),
-                    wire_bytes: bplan.bytes(b) * n_contributors,
-                    comm: t,
-                    exposed,
-                });
-                cursor = end;
-            }
-            let t0 = probe::Stopwatch::start();
-            let mean = red.finalize(&contributors);
-            let mut flat = Tensor::zeros(&[mean.len()]);
-            flat.as_mut_slice().copy_from_slice(mean.as_slice());
-            let decode_time = t0.elapsed();
-            let stats = RoundStats::new(
-                layout.total_bytes(),
+        let n_contributors = contributors.len();
+        let stats = match central {
+            // Every node also packed its gradient for the central round.
+            Some(s) => RoundStats { encode_time: s.encode_time + encode, ..s },
+            None => RoundStats::new(
+                slots.iter().filter_map(|s| s.layout.as_ref()).map(|l| l.total_bytes()).sum(),
                 n_contributors,
                 AggregationKind::AllReduce,
+                encode,
                 Duration::ZERO,
-                decode_time,
-            );
-            let group = match ctx.collective {
-                CollectiveAlgo::Hierarchical { group } => Some(hier_group(profile.nodes, group)),
-                _ => None,
-            };
-            acc.record_overlapped(
-                step,
-                ctx.collective.span_name(),
-                group,
-                profile.nodes,
-                &bucket_comms,
-                slowest,
-                &stats,
-            );
-            (flat, stats.encoded_bytes)
-        } else {
-            // The compressor needs whole tensors: reassemble each
-            // contributor's flat buffer, unpack, and run the classic round.
-            // All comm happens after the slowest backward, so it is fully
-            // exposed.
-            let contributions: Vec<Vec<Tensor>> = contributors
-                .iter()
-                .filter_map(|x| red.assembled(*x))
-                .map(|flat| unpack(flat, layout))
-                .collect();
-            red.mark_dirty();
-            let (mean, stats) = compressor.round(&contributions);
-            let comm = round_comm_time(&profile, compressor.aggregation(), &stats).mul_f64(jitter);
-            acc.record_with_comm(
-                step,
-                compressor.aggregation(),
-                profile.nodes,
-                comm,
-                slowest,
-                &stats,
-            );
-            let mean_refs: Vec<&Tensor> = mean.iter().collect();
-            (pack_refs_with(layout, &mean_refs), stats.encoded_bytes)
+            ),
         };
+        // A central round's decode is the aggregator's; a worker-side
+        // codec's is whatever the slowest worker reports when the run ends.
+        decode_base.push((step, stats.decode_time));
+        match slots.first().and_then(|s| s.reducer.as_ref()) {
+            Some(red) if worker_side && n_phases == 1 => {
+                // One linear phase over the gradient itself: each bucket's
+                // collective is priced with the selected algorithm and laid
+                // on a modeled timeline that starts when the slowest
+                // contributor produced that bucket's gradients — the comm
+                // time hidden under still-running backward is the round's
+                // *overlapped* share, the remainder is exposed.
+                let bplan = red.plan();
+                let mut bucket_comms: Vec<BucketComm> = Vec::with_capacity(bplan.buckets());
+                let mut cursor = Duration::ZERO;
+                for b in 0..bplan.buckets() {
+                    let at = ready_us.get(b).copied().unwrap_or(0);
+                    let ready = Duration::from_micros(at).min(slowest);
+                    let start = ready.max(cursor);
+                    let t = profile.allreduce_with(ctx.collective, bplan.bytes(b)).mul_f64(jitter);
+                    let end = start + t;
+                    let exposed = end.saturating_sub(start.max(slowest));
+                    bucket_comms.push(BucketComm {
+                        bytes_per_worker: bplan.bytes(b),
+                        wire_bytes: bplan.bytes(b) * n_contributors,
+                        comm: t,
+                        exposed,
+                    });
+                    cursor = end;
+                }
+                let group = match ctx.collective {
+                    CollectiveAlgo::Hierarchical { group } => {
+                        Some(hier_group(profile.nodes, group))
+                    }
+                    _ => None,
+                };
+                acc.record_overlapped(
+                    step,
+                    ctx.collective.span_name(),
+                    group,
+                    profile.nodes,
+                    &bucket_comms,
+                    slowest,
+                    &stats,
+                );
+            }
+            _ => {
+                // Payloads that exist only once backward is over (a
+                // multi-phase codec's, or a central round's messages): one
+                // collective over the round's bytes, all of it exposed.
+                let kind =
+                    if worker_side { AggregationKind::AllReduce } else { compressor.aggregation() };
+                let comm = round_comm_time(&profile, kind, &stats).mul_f64(jitter);
+                acc.record_with_comm(step, kind, profile.nodes, comm, slowest, &stats);
+            }
+        }
         step_losses.push(loss_mean);
         probe::metrics_row(
             "dist_step",
@@ -1545,31 +1897,18 @@ where
                 ("loss", loss_mean.into()),
                 ("contributors", n_contributors.into()),
                 ("live", live_vec.len().into()),
-                ("bytes", wire_bytes.into()),
+                ("bytes", stats.encoded_bytes.into()),
             ],
         );
 
-        // ---- Broadcast the verdict (same flat layout the workers used to
-        // encode their contributions). ----
-        let ids: Vec<usize> = senders.keys().copied().collect();
-        for x in ids {
-            let snapshot = want_state && Some(x) == leader;
-            let msg = AggMsg::Mean { flat: mean_flat.clone(), snapshot };
-            let sent = senders.get(&x).is_some_and(|tx| tx.send(msg).is_ok());
-            if !sent {
-                mark_crashed(&mut membership, &mut senders, &mut report, x, step);
-            }
-        }
-
-        collect_snapshot(
+        pending_snapshot = collect_snapshot(
             ctx,
             snap_rx,
-            &membership,
-            &mut report,
-            &mut pending_snapshot,
+            &mut fleet,
+            compressor,
+            worker_side,
             want_state,
             want_ckpt,
-            leader,
             next_step,
         );
         round_sp.finish();
@@ -1581,76 +1920,139 @@ where
         && ctx.steps > ctx.start_step
         && ctx.steps.is_multiple_of(ctx.opts.checkpoint.every);
     if want_ckpt_final && pending_snapshot.as_ref().is_some_and(|s| s.0 == ctx.steps) {
-        if let Some((s, params, velocity, buffers)) = pending_snapshot.take() {
-            let ck = DistCheckpoint {
-                step: s,
-                params,
-                velocity,
-                buffers,
-                compressor: compressor.state_snapshot(),
-                members: membership.active(),
-                epoch: membership.epoch(),
-            };
-            if let Some(path) = ctx.opts.checkpoint.path_for(s) {
-                ck.save(&path)?;
-                probe::counter_add("dist.checkpoint_writes", 1);
-                probe::event("dist", "checkpoint_written", vec![("step", s.into())]);
-                checkpoints.push(path);
-            }
+        if let Some((s, state)) = pending_snapshot.take() {
+            let ck = checkpoint_of(s, state, &*compressor, &fleet.membership);
+            write_checkpoint(ctx, &ck, &mut checkpoints)?;
         }
     }
 
     // ---- Finish: survivors report their final parameters. ----
-    let ids: Vec<usize> = senders.keys().copied().collect();
-    for x in ids {
-        let sent = senders.get(&x).is_some_and(|tx| tx.send(AggMsg::Finish).is_ok());
-        if !sent {
-            mark_crashed(&mut membership, &mut senders, &mut report, x, ctx.steps);
-        }
-    }
-    report.survivors = membership.active_count();
+    fleet.broadcast(ctx.steps, |_| AggMsg::Finish);
+    fleet.report.survivors = fleet.membership.active_count();
     Ok(AggOutput {
-        breakdown: acc.breakdown(),
+        acc,
+        decode_base,
+        worker_side,
+        _slots: slots,
         step_losses,
-        report,
+        report: fleet.report,
         checkpoints,
-        final_epoch: membership.epoch(),
-        membership: membership.into_log(),
+        final_epoch: fleet.membership.epoch(),
+        membership: fleet.membership.into_log(),
     })
 }
 
-/// Collects the leader's post-round snapshot for the upcoming boundary.
-/// A missed snapshot when a periodic checkpoint is due is a recorded
-/// checkpoint failure; joins waiting on it are simply deferred.
+/// The classic whole-tensor round, for compressors whose decode needs
+/// every worker's message: reassembles each contributor's flat gradient,
+/// plays [`GradCompressor::round`] and packs the decoded mean into the
+/// broadcast buffer. `None` when a contribution is poisoned (the round is
+/// not played).
+fn central_round(
+    red: &mut BucketedReducer,
+    layout: &PackLayout,
+    contributors: &[usize],
+    compressor: &mut dyn GradCompressor,
+    mean: &mut Arc<Tensor>,
+) -> Option<RoundStats> {
+    let flats: Vec<&Tensor> = contributors.iter().filter_map(|x| red.assembled(*x)).collect();
+    if flats.iter().any(|t| any_nonfinite(std::slice::from_ref(*t))) {
+        return None;
+    }
+    let contributions: Vec<Vec<Tensor>> = flats.iter().map(|flat| unpack(flat, layout)).collect();
+    let (decoded, stats) = compressor.round(&contributions);
+    let out = reclaim(mean, layout.total_len())?;
+    pack_into(decoded.iter(), out.as_mut_slice());
+    Some(stats)
+}
+
+/// The checkpoint of boundary `step`: the leader's replica state, the
+/// compressor's (for worker-side codecs, what the snapshot gathered from
+/// the members) and the member set as of now.
+fn checkpoint_of(
+    step: usize,
+    state: ModelState,
+    compressor: &dyn GradCompressor,
+    membership: &Membership,
+) -> DistCheckpoint {
+    DistCheckpoint {
+        step,
+        params: state.params,
+        velocity: state.velocity,
+        buffers: state.buffers,
+        compressor: compressor.state_snapshot(),
+        members: membership.active(),
+        epoch: membership.epoch(),
+    }
+}
+
+/// Writes a periodic checkpoint, if the policy names a path for its step.
+fn write_checkpoint<F>(
+    ctx: &AggCtx<'_, F>,
+    ck: &DistCheckpoint,
+    checkpoints: &mut Vec<PathBuf>,
+) -> DistResult<Option<PathBuf>> {
+    let Some(path) = ctx.opts.checkpoint.path_for(ck.step) else { return Ok(None) };
+    ck.save(&path)?;
+    probe::counter_add("dist.checkpoint_writes", 1);
+    probe::event("dist", "checkpoint_written", vec![("step", ck.step.into())]);
+    checkpoints.push(path.clone());
+    Ok(Some(path))
+}
+
+/// Collects the post-round reports for the upcoming boundary: the leader's
+/// replica state and, for worker-side codecs, every member's share of the
+/// compressor state, which is merged back into `compressor` so a
+/// checkpoint (or a joiner's codec) can be cut from it. A report that does
+/// not come is probed for like a missing gradient. A missed leader
+/// snapshot when a periodic checkpoint is due is a recorded checkpoint
+/// failure; joins waiting on it are simply deferred.
 #[allow(clippy::too_many_arguments)]
 fn collect_snapshot<F>(
     ctx: &AggCtx<'_, F>,
     snap_rx: &Receiver<Snapshot>,
-    membership: &Membership,
-    report: &mut FaultReport,
-    pending_snapshot: &mut Option<Snapshot>,
+    fleet: &mut Fleet,
+    compressor: &mut dyn GradCompressor,
+    worker_side: bool,
     want_state: bool,
     want_ckpt: bool,
-    leader: Option<usize>,
     next_step: usize,
-) {
+) -> Option<(usize, ModelState)> {
     if !want_state {
-        *pending_snapshot = None;
-        return;
+        return None;
     }
     let recovery = &ctx.opts.recovery;
-    let deadline = recovery.step_timeout * (recovery.max_retries + 1);
-    let leader_alive = leader.is_some_and(|l| membership.is_active(l));
-    *pending_snapshot = if leader_alive {
-        snap_rx.recv_timeout(deadline).ok().filter(|(s, ..)| *s == next_step)
-    } else {
-        None
+    // Whoever was asked: the leader, and with it every member whose codec
+    // holds state.
+    let mut asked: BTreeSet<usize> = match fleet.senders.keys().next() {
+        Some(_) if worker_side => fleet.senders.keys().copied().collect(),
+        Some(&leader) => [leader].into(),
+        None => BTreeSet::new(),
     };
-    if pending_snapshot.is_none() && want_ckpt {
-        report.checkpoint_failures += 1;
+    let mut model: Option<ModelState> = None;
+    let mut codec_state: Vec<(String, Tensor)> = Vec::new();
+    let mut retries = 0u32;
+    while !asked.is_empty() && retries <= recovery.max_retries {
+        match snap_rx.recv_timeout(recovery.step_timeout) {
+            Ok(s) if s.next_step == next_step && asked.remove(&s.worker) => {
+                model = model.or(s.model);
+                merge_codec_states(&mut codec_state, s.codec);
+            }
+            Ok(_) => {} // a report for a boundary long gone
+            Err(RecvTimeoutError::Timeout) => {
+                retries += 1;
+                asked.retain(|&x| fleet.deliver(x, AggMsg::Ping));
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+    let restored = !worker_side || compressor.restore_state(&codec_state);
+    let pending = model.filter(|_| restored).map(|m| (next_step, m));
+    if pending.is_none() && want_ckpt {
+        fleet.report.checkpoint_failures += 1;
         probe::counter_add("dist.checkpoint_failures", 1);
         probe::event("fault", "checkpoint_failed", vec![("step", next_step.into())]);
     }
+    pending
 }
 
 /// Extracts member `w`'s rows of a global batch (rows split evenly across
@@ -1811,10 +2213,11 @@ mod tests {
     }
 
     #[test]
-    fn bucketed_transport_is_transparent_to_ineligible_compressors() {
-        // A compressor that needs whole tensors (PowerSGD's per-matrix
-        // factorization) still rides the bucketed transport: the aggregator
-        // reassembles the flats, and results match the flat run bitwise.
+    fn bucket_size_never_changes_what_a_codec_or_a_central_round_computes() {
+        // PowerSGD's P and Q payloads are bucketed like any other payload,
+        // and a compressor without a worker half (Signum) still rides the
+        // bucketed transport to the aggregator's central round: at any
+        // bucket size the results match the one-bucket run bitwise.
         let batches = synthetic_batches(3, 8);
         let cfg = DistConfig {
             workers: 2,
@@ -1823,16 +2226,25 @@ mod tests {
             weight_decay: 0.0,
             profile: ClusterProfile::p3_like(2),
         };
-        let run = |bytes: usize| {
-            let opts = RunOptions { bucket_bytes: Some(bytes), ..Default::default() };
+        let opts = |bytes: usize| RunOptions { bucket_bytes: Some(bytes), ..Default::default() };
+        let powersgd = |bytes: usize| {
             let mut comp = PowerSgd::new(2, 9);
-            train_data_parallel_with(|_| mlp(13), &batches, &mut comp, &cfg, &opts).unwrap()
+            train_data_parallel_with(|_| mlp(13), &batches, &mut comp, &cfg, &opts(bytes)).unwrap()
         };
-        let flat = run(usize::MAX);
-        let bucketed = run(128);
-        assert_eq!(flat.final_params, bucketed.final_params);
-        // Without bucketed overlap, every comm nanosecond is exposed.
-        assert_eq!(bucketed.breakdown.comm, bucketed.breakdown.comm_exposed);
+        let signum = |bytes: usize| {
+            let mut comp = Signum::new(0.9);
+            train_data_parallel_with(|_| mlp(13), &batches, &mut comp, &cfg, &opts(bytes)).unwrap()
+        };
+        for run in [&powersgd as &dyn Fn(usize) -> DistOutcome, &signum] {
+            let flat = run(usize::MAX);
+            let bucketed = run(64);
+            assert_eq!(flat.final_params, bucketed.final_params);
+            // Neither payload exists before backward is over: every comm
+            // nanosecond is exposed.
+            assert_eq!(bucketed.breakdown.comm, bucketed.breakdown.comm_exposed);
+            assert!(bucketed.breakdown.encode > Duration::ZERO);
+            assert!(bucketed.breakdown.decode > Duration::ZERO);
+        }
     }
 
     #[test]

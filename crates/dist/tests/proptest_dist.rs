@@ -6,6 +6,7 @@ use proptest::prelude::*;
 use puffer_dist::collectives::{hier_allreduce, tree_allreduce};
 use puffer_dist::cost::{ceil_log2, hier_group, ClusterProfile};
 use puffer_dist::ddp::{bucketize, simulate_step, DEFAULT_BUCKET_BYTES};
+use puffer_dist::fault::wire_checksum;
 use puffer_dist::ring::ring_allreduce;
 use std::time::Duration;
 
@@ -34,6 +35,27 @@ proptest! {
         prop_assume!(bytes > 1_000_000);
         let c = ClusterProfile { alpha: 0.0, ..ClusterProfile::p3_like(nodes) };
         prop_assert!(c.allgather(bytes) >= c.allreduce(bytes));
+    }
+
+    #[test]
+    fn wire_checksum_catches_a_flipped_bit_anywhere(
+        values in proptest::collection::vec(any::<u32>(), 1..300),
+        at in any::<usize>(),
+        bit in 0u32..32,
+    ) {
+        // Arbitrary bit patterns (NaNs, infinities and denormals included),
+        // arbitrary length, so the flipped element lands on every lane and
+        // in the tail that no full chunk of lanes covers.
+        let clean: Vec<f32> = values.iter().map(|&b| f32::from_bits(b)).collect();
+        let mut dirty = clean.clone();
+        let i = at % dirty.len();
+        dirty[i] = f32::from_bits(dirty[i].to_bits() ^ (1 << bit));
+        prop_assert_ne!(wire_checksum(&dirty), wire_checksum(&clean));
+        // Truncation and extension are caught too.
+        prop_assert_ne!(wire_checksum(&clean[..clean.len() - 1]), wire_checksum(&clean));
+        dirty.clone_from(&clean);
+        dirty.push(0.0);
+        prop_assert_ne!(wire_checksum(&dirty), wire_checksum(&clean));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! | rule | scope | contract |
 //! |---|---|---|
 //! | `dist-no-panic`* | `crates/dist/src`, non-test | failures route through `DistError`, never panic |
-//! | `dist-panic-reachability`* | `crates/dist/src`, non-test | no panic site transitively reachable from a dist entry point |
+//! | `dist-panic-reachability`* | `crates/dist/src` + the worker-side codecs (`compress/src/{powersgd,none}.rs`), non-test | no panic site transitively reachable from a dist entry point |
 //! | `lock-order-consistency`* | workspace, non-test | every lock pair acquired in one consistent order |
 //! | `guard-across-blocking-op`* | workspace, non-test | no live lock guard across channel `send`/`recv`/thread `join` |
 //! | `nondeterministic-float-reduction`* | workspace minus tensor kernels/probe/insight, non-test | no float reduction over hash iteration order |
@@ -81,8 +81,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "dist-panic-reachability",
         description: "no unwrap/expect/panic!/direct indexing transitively reachable from a \
-                      dist entry point (train_data_parallel*, run_worker, run_aggregator, run) \
-                      — findings pin the call chain",
+                      dist entry point (train_data_parallel*, run_worker, run_aggregator, run), \
+                      in dist or in the worker-side codecs it calls into — findings pin the \
+                      call chain",
         rationale: "dist-no-panic sees one file at a time; this rule walks the call graph, so \
                     a helper three calls below Trainer::run cannot hide an unwrap. A panic \
                     anywhere on a reachable path kills the trainer mid-protocol and strands \

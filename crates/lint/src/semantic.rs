@@ -193,14 +193,20 @@ fn dist_panic_reachability(
     out: &mut Vec<Diagnostic>,
 ) {
     let graph = CallGraph::build(symbols);
+    // The traversal follows calls out of dist into the worker-side codecs:
+    // `codec.encode(..)` in `run_worker` is puffer-compress code, but it
+    // runs on the worker thread all the same.
     let in_scope = |id: usize| {
         let f = &symbols.fns[id];
         let pf = &symbols.files[f.file];
-        !f.is_test && pf.in_dist_src() && !pf.is_test_file
+        !f.is_test && !pf.is_test_file && (pf.in_dist_src() || pf.is_worker_codec_src())
     };
     let roots: Vec<usize> = (0..symbols.fns.len())
         .filter(|&id| {
-            in_scope(id) && DIST_ENTRY_POINTS.contains(&symbols.fns[id].def.name.as_str())
+            let f = &symbols.fns[id];
+            in_scope(id)
+                && symbols.files[f.file].in_dist_src()
+                && DIST_ENTRY_POINTS.contains(&f.def.name.as_str())
         })
         .collect();
     let pred = callgraph::reachable(&graph, &roots, &in_scope);
@@ -955,6 +961,28 @@ fn maybe(_s: usize) -> Option<u32> { None }";
             unwraps[0].message
         );
         assert_eq!(unwraps[0].line, 7);
+    }
+
+    #[test]
+    fn reachability_follows_calls_into_the_worker_codecs() {
+        let trainer = "pub fn run_worker(c: &mut Codec) { c.encode(0); }";
+        let codec = "\
+impl Codec { pub fn encode(&mut self, p: usize) { self.lens[p]; } }
+pub fn round() { None::<u32>.unwrap(); }";
+        let diags = run_rule(
+            &[("crates/dist/src/trainer.rs", trainer), ("crates/compress/src/powersgd.rs", codec)],
+            "dist-panic-reachability",
+        );
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert!(diags[0].file.ends_with("compress/src/powersgd.rs"));
+        assert!(diags[0].message.contains("run_worker → encode"), "{}", diags[0].message);
+        // Other compress files stay out of it, and a codec file has no
+        // entry points of its own (`round` above is not a root).
+        let diags = run_rule(
+            &[("crates/dist/src/trainer.rs", trainer), ("crates/compress/src/quant.rs", codec)],
+            "dist-panic-reachability",
+        );
+        assert!(diags.is_empty(), "{diags:?}");
     }
 
     #[test]

@@ -66,6 +66,15 @@ impl ParsedFile {
     pub fn in_dist_src(&self) -> bool {
         self.rel.contains("crates/dist/src/")
     }
+
+    /// Whether the file holds a worker-side codec: code of another crate
+    /// that runs inside the trainer's worker threads every round, so a
+    /// panic there kills a worker mid-protocol just like one in dist.
+    pub fn is_worker_codec_src(&self) -> bool {
+        ["crates/compress/src/powersgd.rs", "crates/compress/src/none.rs"]
+            .iter()
+            .any(|f| self.rel.ends_with(f))
+    }
 }
 
 /// One function in the workspace index.
@@ -183,13 +192,18 @@ impl<'a> SymbolTable<'a> {
         }
         // Without receiver types, same-crate candidates are the honest
         // over-approximation; cross-crate method dispatch is a documented
-        // analysis boundary.
-        let near: Vec<usize> = live
-            .iter()
+        // analysis boundary — with one crossing: dist drives the
+        // worker-side codecs through a trait object, every round, on its
+        // own threads, so their methods count as dist's.
+        let into_codec = self.files[from_file].in_dist_src();
+        live.iter()
             .copied()
-            .filter(|&id| self.crate_of(self.fns[id].file) == self.crate_of(from_file))
-            .collect();
-        near
+            .filter(|&id| {
+                let callee_file = self.fns[id].file;
+                self.crate_of(callee_file) == self.crate_of(from_file)
+                    || (into_codec && self.files[callee_file].is_worker_codec_src())
+            })
+            .collect()
     }
 
     /// Same-file candidates beat same-crate, which beat the rest.

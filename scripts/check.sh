@@ -45,6 +45,14 @@ echo "== tensor suite under the scalar GEMM fallback (PUFFER_SIMD=0)"
 # just the dedicated A/B tests (which force both paths in-process anyway).
 PUFFER_SIMD=0 cargo test -q -p puffer-tensor
 
+echo "== worker-side codec suites under the scalar GEMM fallback (PUFFER_SIMD=0)"
+# `cargo test -q` above ran them with SIMD on. PowerSGD's halves must equal
+# the central round they replaced, and the threaded trainer its sequential
+# re-enactment (parameters, compressor state, the parent commit's recorded
+# digest), bit for bit on both GEMM paths.
+PUFFER_SIMD=0 cargo test -q -p puffer-compress --test powersgd_worker_halves
+PUFFER_SIMD=0 cargo test -q -p puffer-dist --test worker_codec_suite
+
 echo "== allocation steady-state guard (warmed-up step must not miss the pool)"
 cargo run --release -q -p puffer-bench --bin alloc_churn -- --check
 

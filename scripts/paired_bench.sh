@@ -13,10 +13,12 @@
 # run, each side's median and quartiles, the win count, and the §8 verdict:
 # a gain needs wins in at least nine tenths of the pairs (ties count for
 # neither) and medians further apart than the parent's own quartile spread.
+# The same runs' medians of the other end-to-end metrics follow, so one
+# sitting also answers "and what did it cost elsewhere".
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,15p' "$0" >&2
+    sed -n '2,17p' "$0" >&2
     exit 2
 fi
 parent_rev="$1"
@@ -43,7 +45,7 @@ parent_dir="$(mktemp -d "${TMPDIR:-/tmp}/paired_bench.XXXXXX")"
 trap 'rm -rf "$parent_dir"' EXIT
 git archive "$parent_rev" | tar -x -C "$parent_dir"
 
-# One run: prints the metric's value, or fails if the run was not correct.
+# One run: prints its result line, or fails if the run was not correct.
 measure() { # <checkout> <seed>
     local line
     line="$(bash "$1/benchmark/run.sh" --workload "$workload" --seed "$2" \
@@ -52,13 +54,19 @@ measure() { # <checkout> <seed>
         *'"correct": true'*) ;;
         *) echo "paired_bench: run in $1 was not correct: $line" >&2; return 1 ;;
     esac
-    echo "$line" | sed -n "s/.*\"$metric\": {\"value\": \([-+0-9.eE]*\).*/\1/p"
+    echo "$line"
+}
+# The value of one metric in a result line.
+field() { # <line> <metric>
+    echo "$1" | sed -n "s/.*\"$2\": {\"value\": \([-+0-9.eE]*\).*/\1/p"
 }
 
 echo "building parent ($parent_rev) and change (working tree)..." >&2
 bash "$parent_dir/benchmark/run.sh" --workload "$workload" --seconds 1 --trace 0 >/dev/null
 bash "$root/benchmark/run.sh" --workload "$workload" --seconds 1 --trace 0 >/dev/null
 
+parent_lines=()
+change_lines=()
 parent_vals=()
 change_vals=()
 wins=0
@@ -68,13 +76,17 @@ for ((i = 1; i <= pairs; i++)); do
     seed=$((1000 + i))
     if ((i % 2)); then
         first=parent
-        p="$(measure "$parent_dir" "$seed")"
-        c="$(measure "$root" "$seed")"
+        pl="$(measure "$parent_dir" "$seed")"
+        cl="$(measure "$root" "$seed")"
     else
         first=change
-        c="$(measure "$root" "$seed")"
-        p="$(measure "$parent_dir" "$seed")"
+        cl="$(measure "$root" "$seed")"
+        pl="$(measure "$parent_dir" "$seed")"
     fi
+    parent_lines+=("$pl")
+    change_lines+=("$cl")
+    p="$(field "$pl" "$metric")"
+    c="$(field "$cl" "$metric")"
     parent_vals+=("$p")
     change_vals+=("$c")
     verdict="$(awk -v p="$p" -v c="$c" -v h="$higher" 'BEGIN {
@@ -113,3 +125,16 @@ awk -v pm="$p_med" -v cm="$c_med" -v q1="$p_q1" -v q3="$p_q3" -v w="$wins" -v l=
     else
         print "  verdict: unresolved"
 }'
+
+echo "  the same runs, other end-to-end metrics (medians; parent -> change):"
+for other in $(sed -n '/"end_to_end"/,/\]/s/.*"name": "\([a-z_]*\)".*/\1/p' BENCHMARK.json); do
+    [ "$other" = "$metric" ] && continue
+    pv=()
+    cv=()
+    for l in "${parent_lines[@]}"; do pv+=("$(field "$l" "$other")"); done
+    for l in "${change_lines[@]}"; do cv+=("$(field "$l" "$other")"); done
+    read -r _ pm _ <<<"$(quartiles "${pv[@]}")"
+    read -r _ cm _ <<<"$(quartiles "${cv[@]}")"
+    awk -v n="$other" -v pm="$pm" -v cm="$cm" 'BEGIN {
+        printf "    %-18s %12.4f -> %12.4f  (x%.3f)\n", n, pm, cm, cm / pm }'
+done
