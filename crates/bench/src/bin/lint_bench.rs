@@ -59,10 +59,9 @@ fn main() {
     let all_pass = clean && under_budget;
 
     println!(
-        "lint_bench: {} file(s), {} manifest(s), {} rule(s), {} finding(s); \
+        "lint_bench: {} file(s), {} rule(s), {} finding(s); \
          median {:.4}s over {SAMPLES} cold scans (budget {BUDGET_S}s)",
         report.files_scanned,
-        report.manifests_scanned,
         RULES.len(),
         report.diagnostics.len(),
         median_s,
@@ -77,7 +76,6 @@ fn main() {
     let _ = writeln!(json, "  \"bench\": \"lint_semantic_pass\",");
     let _ = writeln!(json, "  \"samples\": {SAMPLES},");
     let _ = writeln!(json, "  \"files_scanned\": {},", report.files_scanned);
-    let _ = writeln!(json, "  \"manifests_scanned\": {},", report.manifests_scanned);
     let _ = writeln!(json, "  \"rules_run\": {},", RULES.len());
     let _ = writeln!(json, "  \"findings\": {},", report.diagnostics.len());
     let _ = writeln!(json, "  \"scan_median_s\": {median_s:.6},");

@@ -12,9 +12,8 @@
 use crate::pack::{pack, unpack, PackLayout};
 use crate::{AggregationKind, GradCompressor, RoundStats};
 use puffer_probe::Stopwatch;
+use puffer_tensor::rng::Rng;
 use puffer_tensor::Tensor;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 use std::time::Duration;
 
 /// One worker's quantized flat gradient.
@@ -28,14 +27,14 @@ pub struct QuantMessage {
 
 impl QuantMessage {
     /// Stochastically quantizes a flat buffer.
-    pub fn encode<R: Rng>(values: &[f32], rng: &mut R) -> Self {
+    pub fn encode(values: &[f32], rng: &mut Rng) -> Self {
         let min = values.iter().copied().fold(f32::INFINITY, f32::min);
         let max = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let span = (max - min).max(f32::MIN_POSITIVE);
         let mut bits = vec![0u64; values.len().div_ceil(64)];
         for (i, &v) in values.iter().enumerate() {
             let p = ((v - min) / span).clamp(0.0, 1.0);
-            if rng.gen::<f32>() < p {
+            if rng.gen_f32() < p {
                 bits[i / 64] |= 1u64 << (i % 64);
             }
         }
@@ -70,14 +69,14 @@ impl QuantMessage {
 /// Stochastic binary quantization compressor.
 #[derive(Debug)]
 pub struct BinaryQuant {
-    rng: SmallRng,
+    rng: Rng,
     layout: Option<PackLayout>,
 }
 
 impl BinaryQuant {
     /// Creates the compressor.
     pub fn new(seed: u64) -> Self {
-        BinaryQuant { rng: SmallRng::seed_from_u64(seed), layout: None }
+        BinaryQuant { rng: Rng::seed_from_u64(seed), layout: None }
     }
 }
 
@@ -138,7 +137,7 @@ mod tests {
 
     #[test]
     fn quantization_is_unbiased() {
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let vals = vec![0.25f32; 4096];
         // min = max = 0.25 → degenerate span; use a spread buffer instead.
         let mut spread = vals.clone();
@@ -160,7 +159,7 @@ mod tests {
 
     #[test]
     fn decode_returns_levels_only() {
-        let mut rng = SmallRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let vals = [-1.0f32, -0.5, 0.0, 0.5, 1.0];
         let msg = QuantMessage::encode(&vals, &mut rng);
         for i in 0..5 {
@@ -174,7 +173,7 @@ mod tests {
 
     #[test]
     fn message_is_one_bit_per_coordinate() {
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let vals = vec![0.5f32; 1024];
         let msg = QuantMessage::encode(&vals, &mut rng);
         assert_eq!(msg.bytes(), 8 + 1024 / 64 * 8);

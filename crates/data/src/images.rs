@@ -8,9 +8,8 @@
 //! *shape* mirrors real image classification (the property Figures 2–3 of
 //! the paper rely on).
 
+use puffer_tensor::rng::Rng;
 use puffer_tensor::Tensor;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Configuration of a synthetic image dataset.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,7 +57,7 @@ pub struct ImageDataset {
 impl ImageDataset {
     /// Generates the dataset deterministically from the config's seed.
     pub fn generate(config: ImageDatasetConfig) -> Self {
-        let mut rng = SmallRng::seed_from_u64(config.seed);
+        let mut rng = Rng::seed_from_u64(config.seed);
         // Class prototypes: per class and channel, a sum of 3 sinusoids.
         let protos: Vec<Vec<(f32, f32, f32, f32)>> = (0..config.classes)
             .map(|_| {
@@ -75,7 +74,7 @@ impl ImageDataset {
             })
             .collect();
 
-        let gen_split = |count: usize, rng: &mut SmallRng| {
+        let gen_split = |count: usize, rng: &mut Rng| {
             let mut images = Vec::with_capacity(count);
             let mut labels = Vec::with_capacity(count);
             for _ in 0..count {
@@ -139,8 +138,7 @@ impl ImageDataset {
     pub fn train_batches(&self, batch_size: usize, epoch_seed: u64) -> Vec<(Tensor, Vec<usize>)> {
         assert!(batch_size > 0, "batch size must be nonzero");
         let mut order: Vec<usize> = (0..self.train_images.len()).collect();
-        let mut rng =
-            SmallRng::seed_from_u64(self.config.seed ^ epoch_seed.wrapping_mul(0x9E37_79B9));
+        let mut rng = Rng::seed_from_u64(self.config.seed ^ epoch_seed.wrapping_mul(0x9E37_79B9));
         // Fisher–Yates shuffle.
         for i in (1..order.len()).rev() {
             let j = rng.gen_range(0..=i);
@@ -193,7 +191,7 @@ impl ImageDataset {
 fn render_sample(
     config: &ImageDatasetConfig,
     proto: &[(f32, f32, f32, f32)],
-    rng: &mut SmallRng,
+    rng: &mut Rng,
 ) -> Tensor {
     let n = config.size;
     let mut img = Tensor::zeros(&[config.channels, n, n]);
@@ -217,7 +215,7 @@ fn render_sample(
 }
 
 /// Pad-4 random crop + horizontal flip, the appendix-H augmentation.
-fn augment(img: &Tensor, rng: &mut SmallRng) -> Tensor {
+fn augment(img: &Tensor, rng: &mut Rng) -> Tensor {
     let s = img.shape();
     let (c, h, w) = (s[0], s[1], s[2]);
     const PAD: usize = 4;
@@ -305,16 +303,22 @@ mod tests {
         // Mean inter-class distance must exceed intra-class distance:
         // otherwise nothing is learnable.
         let d = tiny();
-        let mut by_class: Vec<Vec<&Tensor>> = vec![Vec::new(); 4];
-        for (img, &lab) in d.train_images.iter().zip(&d.train_labels) {
-            by_class[lab].push(img);
-        }
         let dist = |a: &Tensor, b: &Tensor| -> f32 {
             a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| (x - y) * (x - y)).sum::<f32>()
         };
-        let intra = dist(by_class[0][0], by_class[0][1]);
-        let inter = dist(by_class[0][0], by_class[1][0]);
-        assert!(inter > intra, "inter {inter} <= intra {intra}");
+        // Means over every pair of training images, split by whether the
+        // two share a label.
+        let (mut intra, mut inter) = ((0.0f64, 0u32), (0.0f64, 0u32));
+        let labelled: Vec<_> = d.train_images.iter().zip(&d.train_labels).collect();
+        for (i, (a, la)) in labelled.iter().enumerate() {
+            for (b, lb) in &labelled[i + 1..] {
+                let acc = if la == lb { &mut intra } else { &mut inter };
+                acc.0 += f64::from(dist(a, b));
+                acc.1 += 1;
+            }
+        }
+        let (intra, inter) = (intra.0 / f64::from(intra.1), inter.0 / f64::from(inter.1));
+        assert!(inter > intra, "mean inter {inter} <= mean intra {intra}");
     }
 
     #[test]

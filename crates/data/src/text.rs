@@ -8,8 +8,7 @@
 //! `word_language_model` example the paper builds on (`batchify` +
 //! contiguous `(input, target)` windows).
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use puffer_tensor::rng::Rng;
 
 /// Configuration of the synthetic language corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,23 +61,23 @@ impl TextCorpus {
             config.branching > 0 && config.branching <= config.vocab,
             "branching must be in 1..=vocab"
         );
-        let mut rng = SmallRng::seed_from_u64(config.seed);
+        let mut rng = Rng::seed_from_u64(config.seed);
         // Transition table: token -> `branching` successors with geometric
         // weights (first successor most likely).
         let successors: Vec<Vec<usize>> = (0..config.vocab)
             .map(|_| (0..config.branching).map(|_| rng.gen_range(0..config.vocab)).collect())
             .collect();
-        let sample_stream = |len: usize, rng: &mut SmallRng| -> Vec<usize> {
+        let sample_stream = |len: usize, rng: &mut Rng| -> Vec<usize> {
             let mut out = Vec::with_capacity(len);
             let mut cur = rng.gen_range(0..config.vocab);
             for _ in 0..len {
                 out.push(cur);
                 // Geometric choice over successors with small uniform smoothing.
-                cur = if rng.gen::<f32>() < 0.05 {
+                cur = if rng.gen_f32() < 0.05 {
                     rng.gen_range(0..config.vocab)
                 } else {
                     let mut k = 0;
-                    while k + 1 < config.branching && rng.gen::<f32>() < 0.4 {
+                    while k + 1 < config.branching && rng.gen_f32() < 0.4 {
                         k += 1;
                     }
                     successors[cur][k]

@@ -10,8 +10,7 @@
 //! Special tokens follow the reference Transformer implementation the paper
 //! builds on: `PAD = 0`, `BOS = 1`, `EOS = 2`.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use puffer_tensor::rng::Rng;
 
 /// Padding token id.
 pub const PAD: usize = 0;
@@ -85,7 +84,7 @@ impl TranslationDataset {
     pub fn generate(config: TranslationConfig) -> Self {
         assert!(config.vocab > FIRST_CONTENT + 1, "vocabulary too small");
         assert!(config.min_len >= 1 && config.min_len <= config.max_len, "bad length range");
-        let mut rng = SmallRng::seed_from_u64(config.seed);
+        let mut rng = Rng::seed_from_u64(config.seed);
         // Random bijection over content tokens.
         let content = config.vocab - FIRST_CONTENT;
         let mut perm: Vec<usize> = (0..content).collect();
@@ -95,7 +94,7 @@ impl TranslationDataset {
         }
         let mapping: Vec<usize> = perm.iter().map(|&p| p + FIRST_CONTENT).collect();
 
-        let gen_pairs = |count: usize, rng: &mut SmallRng| -> Vec<SentencePair> {
+        let gen_pairs = |count: usize, rng: &mut Rng| -> Vec<SentencePair> {
             (0..count)
                 .map(|_| {
                     let len = rng.gen_range(config.min_len..=config.max_len);

@@ -1,57 +1,71 @@
-//! Property-based tests for the synthetic workload generators.
+//! Property tests for the synthetic workload generators, on the seeded case
+//! runner (`puffer_tensor::rng::check`).
 
-use proptest::prelude::*;
 use puffer_data::bleu::corpus_bleu;
 use puffer_data::images::{ImageDataset, ImageDatasetConfig};
 use puffer_data::text::{batchify, bptt_batches};
 use puffer_data::translation::{TranslationConfig, TranslationDataset, EOS, FIRST_CONTENT};
+use puffer_tensor::rng::check;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn batchify_preserves_column_contiguity(len in 10usize..200, batch in 1usize..8) {
+#[test]
+fn batchify_preserves_column_contiguity() {
+    check("batchify_preserves_column_contiguity", 16, |rng| {
+        let (len, batch) = (rng.gen_range(10..200usize), rng.gen_range(1..8usize));
         let stream: Vec<usize> = (0..len).collect();
         let b = batchify(&stream, batch);
         let steps = len / batch;
-        prop_assert_eq!(b.len(), steps);
+        assert_eq!(b.len(), steps);
         // Column c holds the contiguous slice starting at c·steps.
         for c in 0..batch {
             for (t, row) in b.iter().enumerate() {
-                prop_assert_eq!(row[c], c * steps + t);
+                assert_eq!(row[c], c * steps + t);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn bptt_windows_tile_the_stream(len in 20usize..200, batch in 1usize..5, bptt in 1usize..12) {
+#[test]
+fn bptt_windows_tile_the_stream() {
+    check("bptt_windows_tile_the_stream", 16, |rng| {
+        let (len, batch) = (rng.gen_range(20..200usize), rng.gen_range(1..5usize));
+        let bptt = rng.gen_range(1..12usize);
         let stream: Vec<usize> = (0..len).collect();
         let b = batchify(&stream, batch);
         let windows = bptt_batches(&b, bptt);
         let covered: usize = windows.iter().map(|w| w.inputs.len()).sum();
-        prop_assert_eq!(covered, b.len().saturating_sub(1));
+        assert_eq!(covered, b.len().saturating_sub(1));
         for w in &windows {
-            prop_assert!(w.inputs.len() <= bptt);
-            prop_assert_eq!(w.inputs.len(), w.targets.len());
+            assert!(w.inputs.len() <= bptt);
+            assert_eq!(w.inputs.len(), w.targets.len());
         }
-    }
+    });
+}
 
-    #[test]
-    fn bleu_is_bounded_and_self_maximal(
-        sents in proptest::collection::vec(proptest::collection::vec(0usize..20, 1..12), 1..6)
-    ) {
+#[test]
+fn bleu_is_bounded_and_self_maximal() {
+    check("bleu_is_bounded_and_self_maximal", 16, |rng| {
+        let n_sents = rng.gen_range(1..6usize);
+        let sents: Vec<Vec<usize>> = (0..n_sents)
+            .map(|_| {
+                let len = rng.gen_range(1..12usize);
+                (0..len).map(|_| rng.gen_range(0..20usize)).collect()
+            })
+            .collect();
         let b = corpus_bleu(&sents, &sents, 4);
-        prop_assert!((0.0..=1.0 + 1e-9).contains(&b));
+        assert!((0.0..=1.0 + 1e-9).contains(&b));
         // Any corruption cannot beat the perfect score.
         let mut corrupted = sents.clone();
         corrupted[0].push(19);
         corrupted[0].push(18);
         let bc = corpus_bleu(&corrupted, &sents, 4);
-        prop_assert!(bc <= b + 1e-9);
-    }
+        assert!(bc <= b + 1e-9);
+    });
+}
 
-    #[test]
-    fn image_batches_partition_training_set(train in 16usize..100, batch in 1usize..32) {
+#[test]
+fn image_batches_partition_training_set() {
+    check("image_batches_partition_training_set", 16, |rng| {
+        let (train, batch) = (rng.gen_range(16..100usize), rng.gen_range(1..32usize));
         let d = ImageDataset::generate(ImageDatasetConfig {
             classes: 3,
             channels: 3,
@@ -63,16 +77,19 @@ proptest! {
         });
         let batches = d.train_batches(batch, 1);
         let total: usize = batches.iter().map(|(_, l)| l.len()).sum();
-        prop_assert_eq!(total, train);
+        assert_eq!(total, train);
         for (imgs, labels) in &batches {
-            prop_assert_eq!(imgs.shape()[0], labels.len());
-            prop_assert!(labels.iter().all(|&l| l < 3));
-            prop_assert!(imgs.as_slice().iter().all(|v| v.is_finite()));
+            assert_eq!(imgs.shape()[0], labels.len());
+            assert!(labels.iter().all(|&l| l < 3));
+            assert!(imgs.as_slice().iter().all(|v| v.is_finite()));
         }
-    }
+    });
+}
 
-    #[test]
-    fn translation_pairs_are_consistent(seed in 0u64..100) {
+#[test]
+fn translation_pairs_are_consistent() {
+    check("translation_pairs_are_consistent", 16, |rng| {
+        let seed = rng.gen_range(0..100u64);
         let d = TranslationDataset::generate(TranslationConfig {
             vocab: 20,
             min_len: 2,
@@ -83,10 +100,14 @@ proptest! {
         });
         for p in d.train_pairs().iter().chain(d.valid_pairs()) {
             // Same content length on both sides; all content tokens valid.
-            prop_assert_eq!(p.source.len(), p.target.len());
-            prop_assert!(p.source[1..p.source.len() - 1].iter().all(|t| (FIRST_CONTENT..20).contains(t)));
-            prop_assert!(p.target[1..p.target.len() - 1].iter().all(|t| (FIRST_CONTENT..20).contains(t)));
-            prop_assert_eq!(*p.source.last().unwrap(), EOS);
+            assert_eq!(p.source.len(), p.target.len());
+            assert!(p.source[1..p.source.len() - 1]
+                .iter()
+                .all(|t| (FIRST_CONTENT..20).contains(t)));
+            assert!(p.target[1..p.target.len() - 1]
+                .iter()
+                .all(|t| (FIRST_CONTENT..20).contains(t)));
+            assert_eq!(*p.source.last().unwrap(), EOS);
         }
-    }
+    });
 }

@@ -25,7 +25,7 @@
 //! * [`ring`] — an executable ring allreduce whose per-step trace
 //!   validates the closed-form cost model;
 //! * [`trainer`] — a **real multi-threaded data-parallel trainer**
-//!   (crossbeam workers, shared-memory allreduce) whose workers compute
+//!   (scoped worker threads, shared-memory allreduce) whose workers compute
 //!   real gradients on data shards and, for allreduce-compatible
 //!   compressors, encode and decode them too — a round is a sequence of
 //!   linear reduce phases over worker-encoded payloads; under an exact
@@ -47,6 +47,21 @@
 //! epoch change, and the tensor-pool width cap is re-priced for the
 //! current member count (pool width is only ever touched through
 //! [`membership::PoolWidthGuard`]).
+
+// The fault-tolerance layer exists to survive worker failure; a panic inside
+// it is a failure mode it cannot model. Every fallible step surfaces as
+// `DistError` (DESIGN.md §6, §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod breakdown;
 pub mod bucket;

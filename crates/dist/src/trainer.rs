@@ -86,7 +86,6 @@ use crate::membership::{
     MemberEvent, MemberEventKind, Membership, MembershipPlan, EV_CATCH_UP, EV_CRASHED, EV_JOINED,
     EV_LEFT, PROBE_CATEGORY, ROW_TYPE,
 };
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use puffer_compress::none::IdentityCodec;
 use puffer_compress::pack::{pack_into, unpack, PackLayout};
 use puffer_compress::{AggregationKind, GradCompressor, RoundStats, WorkerCodec};
@@ -99,7 +98,9 @@ use puffer_tensor::Tensor;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::path::PathBuf;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
 
 pub use crate::membership::PoolWidthGuard;
@@ -621,9 +622,9 @@ where
 
     let mut pool_guard = PoolWidthGuard::cap_for(membership.active_count());
 
-    let (to_agg, from_workers): (Sender<WorkerMsg>, Receiver<WorkerMsg>) = unbounded();
-    let (final_tx, final_rx): (Sender<FinalReport>, Receiver<FinalReport>) = unbounded();
-    let (snap_tx, snap_rx): (Sender<Snapshot>, Receiver<Snapshot>) = unbounded();
+    let (to_agg, from_workers) = channel::<WorkerMsg>();
+    let (final_tx, final_rx) = channel::<FinalReport>();
+    let (snap_tx, snap_rx) = channel::<Snapshot>();
 
     let ctx = AggCtx {
         cfg,
@@ -640,23 +641,38 @@ where
     };
     let pool_guard_ref = &mut pool_guard;
     let compressor_ref = &mut *compressor;
-    let joined = crossbeam::scope(|scope| {
-        run_aggregator(
+    let joined = std::thread::scope(|scope| {
+        let mut members = Vec::new();
+        let agg = run_aggregator(
             &ctx,
             scope,
+            &mut members,
             membership,
             &from_workers,
             &snap_rx,
             compressor_ref,
             pool_guard_ref,
-        )
+        );
+        // The aggregator's command channels are gone, so every member still
+        // running exits. Join them all — the survivors too — before a
+        // member's panic becomes the run's error: the scope itself would
+        // re-panic here for a panicked thread nobody joined.
+        let mut panicked = false;
+        for member in members {
+            panicked |= member.join().is_err();
+        }
+        if panicked {
+            Err(DistError::WorkerPanicked)
+        } else {
+            agg
+        }
     });
     // The worker threads are gone and so are their arenas — a replica's
     // worth of activations and gradients each. Give it back to the system
     // rather than to the allocator's free lists, where the next run's
     // fresh threads only find part of it again.
     trim_heap();
-    let mut agg = joined.map_err(|_| DistError::WorkerPanicked)??;
+    let mut agg = joined?;
 
     // The aggregator context holds channel templates (it needs them to
     // spawn joiners mid-run); drop them so `final_rx` terminates now that
@@ -817,9 +833,11 @@ fn member_codec(
 
 /// Spawns one member thread (initial worker or mid-run joiner) and
 /// registers its command channel.
-fn spawn_member<'env, M, F>(
+#[allow(clippy::too_many_arguments)]
+fn spawn_member<'scope, 'env, M, F>(
     ctx: &AggCtx<'env, F>,
-    scope: &crossbeam::thread::Scope<'env>,
+    scope: &'scope Scope<'scope, 'env>,
+    members: &mut Vec<ScopedJoinHandle<'scope, ()>>,
     senders: &mut BTreeMap<usize, Sender<AggMsg>>,
     worker: usize,
     entry_step: usize,
@@ -829,7 +847,7 @@ fn spawn_member<'env, M, F>(
     M: Layer + Send,
     F: Fn(usize) -> M + Sync,
 {
-    let (tx, rx) = unbounded();
+    let (tx, rx) = channel();
     senders.insert(worker, tx);
     let to_agg = ctx.to_agg.clone();
     let final_tx = ctx.final_tx.clone();
@@ -839,7 +857,7 @@ fn spawn_member<'env, M, F>(
     let opts = ctx.opts;
     let batches = ctx.batches;
     let bucket_bytes = ctx.bucket_bytes;
-    scope.spawn(move |_| {
+    members.push(scope.spawn(move || {
         let model = factory(worker);
         let wctx = WorkerCtx {
             worker,
@@ -855,7 +873,7 @@ fn spawn_member<'env, M, F>(
             catch_up,
         };
         run_worker(wctx, model, codec);
-    });
+    }));
 }
 
 fn report_fatal(ctx: &WorkerCtx<'_>, step: usize, reason: String) {
@@ -1557,9 +1575,11 @@ fn collect_phase(
 /// runs it phase by phase — collect with timeout/retry and crash
 /// detection, reduce over whoever delivered, broadcast the mean — and
 /// prices the round for the live member set.
-fn run_aggregator<'env, M, F>(
+#[allow(clippy::too_many_arguments)]
+fn run_aggregator<'scope, 'env, M, F>(
     ctx: &AggCtx<'env, F>,
-    scope: &crossbeam::thread::Scope<'env>,
+    scope: &'scope Scope<'scope, 'env>,
+    members: &mut Vec<ScopedJoinHandle<'scope, ()>>,
     membership: Membership,
     from_workers: &Receiver<WorkerMsg>,
     snap_rx: &Receiver<Snapshot>,
@@ -1579,7 +1599,7 @@ where
     for w in fleet.membership.active() {
         let (codec, own) = member_codec(compressor, w);
         (worker_side, n_phases) = (own, codec.phases());
-        spawn_member(ctx, scope, &mut fleet.senders, w, ctx.start_step, None, codec);
+        spawn_member(ctx, scope, members, &mut fleet.senders, w, ctx.start_step, None, codec);
     }
     // Join requests at or before the resume point were already satisfied
     // by the original run: a checkpoint at step `u` implies the leader
@@ -1663,7 +1683,16 @@ where
                     // A joiner's codec starts from the shared state the
                     // snapshot gathered and no memory of its own.
                     let (codec, _) = member_codec(compressor, wk);
-                    spawn_member(ctx, scope, &mut fleet.senders, wk, step, Some(catch_up), codec);
+                    spawn_member(
+                        ctx,
+                        scope,
+                        members,
+                        &mut fleet.senders,
+                        wk,
+                        step,
+                        Some(catch_up),
+                        codec,
+                    );
                 }
             }
         }

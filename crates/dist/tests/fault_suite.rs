@@ -16,9 +16,13 @@ use puffer_dist::trainer::{
     train_data_parallel, train_data_parallel_with, DistConfig, RecoveryPolicy, RunOptions,
 };
 use puffer_nn::activation::Relu;
+use puffer_nn::layer::{Layer, Mode};
 use puffer_nn::linear::Linear;
+use puffer_nn::param::Param;
 use puffer_nn::Sequential;
 use puffer_tensor::Tensor;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn mlp(seed_base: u64) -> Sequential {
@@ -355,4 +359,56 @@ fn invalid_inputs_are_rejected_up_front() {
         train_data_parallel_with(|_| mlp(1), &batches, &mut comp, &zero_cost_cfg(2), &stale_resume),
         Err(DistError::Checkpoint { .. })
     ));
+}
+
+/// An identity layer that counts its replica's forward passes and panics in
+/// the one numbered `panic_at`.
+struct CountingIdentity {
+    forwards: Arc<AtomicUsize>,
+    panic_at: Option<usize>,
+}
+
+impl Layer for CountingIdentity {
+    fn forward(&mut self, input: &Tensor, _mode: Mode) -> Tensor {
+        let call = self.forwards.fetch_add(1, Ordering::Relaxed);
+        assert!(self.panic_at != Some(call), "replica panics in forward pass {call}");
+        input.clone()
+    }
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        grad_output.clone()
+    }
+    fn params(&self) -> Vec<&Param> {
+        Vec::new()
+    }
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        Vec::new()
+    }
+    fn describe(&self) -> String {
+        "CountingIdentity".to_string()
+    }
+}
+
+#[test]
+fn panicking_replica_yields_worker_panicked_after_the_survivors_finish() {
+    // Worker 1's second forward pass panics. Its thread unwinds and drops
+    // its channels, which the aggregator sees as a crash: the two survivors
+    // train all four steps. Only then — every thread joined, none left to
+    // re-panic in the caller — does the run report the panic as its error.
+    let batches = mixed_batches(4, 9);
+    let forwards: Vec<Arc<AtomicUsize>> = (0..3).map(|_| Arc::default()).collect();
+    let factory = |w: usize| {
+        Sequential::new(vec![
+            Box::new(CountingIdentity {
+                forwards: Arc::clone(&forwards[w]),
+                panic_at: (w == 1).then_some(1),
+            }),
+            Box::new(mlp(91)),
+        ])
+    };
+    let opts = RunOptions { recovery: quick_recovery(), ..RunOptions::default() };
+    let mut comp = NoCompression::new();
+    let result = train_data_parallel_with(factory, &batches, &mut comp, &zero_cost_cfg(3), &opts);
+    assert!(matches!(result, Err(DistError::WorkerPanicked)), "{:?}", result.map(|_| ()));
+    let counts: Vec<usize> = forwards.iter().map(|f| f.load(Ordering::Relaxed)).collect();
+    assert_eq!(counts, [4, 2, 4], "forward passes per replica");
 }

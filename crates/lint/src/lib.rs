@@ -1,12 +1,12 @@
 //! `puffer-lint`: the workspace's own static analyzer.
 //!
-//! The repo's correctness story rests on contracts no compiler checks:
-//! the fault-tolerance layer must never panic (a panicking aggregator
-//! cannot survive its own fault model), timing must flow through
-//! `puffer-probe` (so the Fig.-4 breakdowns and the Chrome trace are the
-//! same numbers), `unsafe` must carry its safety argument in-source, and
-//! the dependency set must stay frozen. Those contracts used to be two
-//! awk/grep lines in `scripts/check.sh` — comment-blind, string-blind,
+//! The repo's correctness story rests on contracts neither rustc nor
+//! clippy checks: no panic site may be reachable from a dist entry point
+//! (a panicking aggregator cannot survive its own fault model), timing
+//! must flow through `puffer-probe` (so the Fig.-4 breakdowns and the
+//! Chrome trace are the same numbers), locks must nest in one order, and
+//! gradient sums must keep their pinned order. Those contracts used to be
+//! two awk/grep lines in `scripts/check.sh` — comment-blind, string-blind,
 //! and blind to everything after the first `#[cfg(test)]` in a file.
 //!
 //! This crate replaces them with a real (zero-dependency) analyzer:
@@ -23,15 +23,13 @@
 //! 5. [`rules`] — the rule catalog and the file-local token rules;
 //! 6. [`semantic`] — the cross-file rules (panic reachability with
 //!    pinned call chains, lock-order and guard-liveness hazards, float
-//!    determinism, discarded `Result`s);
-//! 7. [`deps`] — a Cargo manifest reader backing `dep-allowlist`.
+//!    determinism, discarded `Result`s).
 //!
 //! [`run`] walks a workspace root and returns a [`Report`]; the binary
 //! renders it as `file:line:col` diagnostics or `--json`.
 
 pub mod ast;
 pub mod callgraph;
-pub mod deps;
 pub mod lexer;
 pub mod rules;
 pub mod scope;
@@ -72,8 +70,6 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// `.rs` files lexed.
     pub files_scanned: usize,
-    /// `Cargo.toml` files checked.
-    pub manifests_scanned: usize,
 }
 
 impl Report {
@@ -83,15 +79,11 @@ impl Report {
     }
 
     /// Renders the machine-readable `--json` document (schema: object with
-    /// `version`, `files_scanned`, `manifests_scanned`, and `diagnostics`,
-    /// an array of `{file, line, col, rule, message}`).
+    /// `version`, `files_scanned`, and `diagnostics`, an array of
+    /// `{file, line, col, rule, message}`).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = write!(
-            out,
-            "  \"version\": 1,\n  \"files_scanned\": {},\n  \"manifests_scanned\": {},\n",
-            self.files_scanned, self.manifests_scanned
-        );
+        let _ = write!(out, "  \"version\": 2,\n  \"files_scanned\": {},\n", self.files_scanned);
         out.push_str("  \"diagnostics\": [");
         for (i, d) in self.diagnostics.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -131,7 +123,7 @@ fn skip_dir(name: &str) -> bool {
     name == "target" || name == "fixtures" || name.starts_with('.')
 }
 
-fn walk(dir: &Path, rs: &mut Vec<PathBuf>, manifests: &mut Vec<PathBuf>) -> Result<(), String> {
+fn walk(dir: &Path, rs: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries = fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
     for entry in entries {
         let entry = entry.map_err(|e| format!("walk error under {}: {e}", dir.display()))?;
@@ -139,12 +131,10 @@ fn walk(dir: &Path, rs: &mut Vec<PathBuf>, manifests: &mut Vec<PathBuf>) -> Resu
         let name = entry.file_name().to_string_lossy().into_owned();
         if path.is_dir() {
             if !skip_dir(&name) {
-                walk(&path, rs, manifests)?;
+                walk(&path, rs)?;
             }
         } else if name.ends_with(".rs") {
             rs.push(path);
-        } else if name == "Cargo.toml" {
-            manifests.push(path);
         }
     }
     Ok(())
@@ -159,10 +149,8 @@ fn walk(dir: &Path, rs: &mut Vec<PathBuf>, manifests: &mut Vec<PathBuf>) -> Resu
 /// [`Report`]).
 pub fn run(config: &Config) -> Result<Report, String> {
     let mut rs_files = Vec::new();
-    let mut manifests = Vec::new();
-    walk(&config.root, &mut rs_files, &mut manifests)?;
+    walk(&config.root, &mut rs_files)?;
     rs_files.sort();
-    manifests.sort();
 
     // Phase 1: lex/mask/parse the whole workspace, so the semantic rules
     // can resolve names across files.
@@ -182,42 +170,6 @@ pub fn run(config: &Config) -> Result<Report, String> {
         report.diagnostics.extend(rules::check_tokens(&ctx, &|rule| config.enabled(rule)));
     }
     report.diagnostics.extend(semantic::check(&parsed, &|rule| config.enabled(rule)));
-
-    // A reachable panic site is reported with its call chain by
-    // dist-panic-reachability; the plain dist-no-panic finding at the
-    // same position is redundant noise.
-    let reach: BTreeSet<(String, u32, u32)> = report
-        .diagnostics
-        .iter()
-        .filter(|d| d.rule == "dist-panic-reachability")
-        .map(|d| (d.file.clone(), d.line, d.col))
-        .collect();
-    report
-        .diagnostics
-        .retain(|d| d.rule != "dist-no-panic" || !reach.contains(&(d.file.clone(), d.line, d.col)));
-
-    if config.enabled("dep-allowlist") {
-        let root_manifest = config.root.join("Cargo.toml");
-        let workspace = if root_manifest.is_file() {
-            let text = fs::read_to_string(&root_manifest)
-                .map_err(|e| format!("cannot read {}: {e}", root_manifest.display()))?;
-            deps::workspace_decls(&text)
-        } else {
-            deps::WorkspaceDeps::new()
-        };
-        for path in &manifests {
-            let text = fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let rel = path.strip_prefix(&config.root).unwrap_or(path);
-            let rel = rel
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
-            report.diagnostics.extend(deps::check_manifest(&rel, &text, &workspace));
-            report.manifests_scanned += 1;
-        }
-    }
 
     report
         .diagnostics
@@ -250,7 +202,7 @@ mod tests {
 
     #[test]
     fn rules_filter_rejects_unknown() {
-        assert!(parse_rules_filter("dist-no-panic, dep-allowlist").is_ok());
+        assert!(parse_rules_filter("dist-no-instant, discarded-result").is_ok());
         assert!(parse_rules_filter("no-such-rule").is_err());
     }
 

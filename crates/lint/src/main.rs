@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p puffer-lint                # lint the workspace
 //! cargo run --release -p puffer-lint -- --json      # machine-readable
-//! cargo run --release -p puffer-lint -- --rules dist-no-panic,dep-allowlist
+//! cargo run --release -p puffer-lint -- --rules dist-no-instant,discarded-result
 //! cargo run --release -p puffer-lint -- --root path/to/tree
 //! cargo run --release -p puffer-lint -- --list      # print the rule catalog
 //! cargo run --release -p puffer-lint -- --explain lock-order-consistency
@@ -108,10 +108,9 @@ fn main() -> ExitCode {
             println!("{}:{}:{}: {}: {}", d.file, d.line, d.col, d.rule, d.message);
         }
         eprintln!(
-            "puffer-lint: {} finding(s) across {} source file(s), {} manifest(s)",
+            "puffer-lint: {} finding(s) across {} source file(s)",
             report.diagnostics.len(),
-            report.files_scanned,
-            report.manifests_scanned
+            report.files_scanned
         );
     }
     if report.is_clean() {

@@ -1,24 +1,24 @@
 //! The rule engine: each rule walks a lexed token stream (with its
-//! `#[cfg(test)]` mask) or a manifest and emits [`Diagnostic`]s.
+//! `#[cfg(test)]` mask) and emits [`Diagnostic`]s.
 //!
 //! # Rule catalog
 //!
 //! Token rules run here; the starred rules are semantic (AST +
-//! call-graph) and live in [`crate::semantic`] — `dist-no-panic`
-//! migrated there when the AST landed. [`RULES`] describes all of them.
+//! call-graph) and live in [`crate::semantic`]. [`RULES`] describes all of
+//! them. What clippy or cargo already enforces is not a rule here: the
+//! panic-family deny list sits in `puffer-dist`'s crate attributes,
+//! `clippy::undocumented_unsafe_blocks` in the workspace lint table, and
+//! `cargo build --offline --locked` is the dependency gate.
 //!
 //! | rule | scope | contract |
 //! |---|---|---|
-//! | `dist-no-panic`* | `crates/dist/src`, non-test | failures route through `DistError`, never panic |
 //! | `dist-panic-reachability`* | `crates/dist/src` + the worker-side codecs (`compress/src/{powersgd,none}.rs`), non-test | no panic site transitively reachable from a dist entry point |
 //! | `lock-order-consistency`* | workspace, non-test | every lock pair acquired in one consistent order |
 //! | `guard-across-blocking-op`* | workspace, non-test | no live lock guard across channel `send`/`recv`/thread `join` |
 //! | `nondeterministic-float-reduction`* | workspace minus tensor kernels/probe/insight, non-test | no float reduction over hash iteration order |
 //! | `discarded-result`* | workspace, non-test | no silent `let _ =`/bare-statement discard of a `Result` |
 //! | `dist-no-instant` | `crates/dist/src`, non-test | dist timing flows through `puffer_probe::TimedSpan` |
-//! | `unsafe-needs-safety-comment` | workspace, incl. tests | every `unsafe` is preceded by a `// SAFETY:` comment |
 //! | `no-wall-clock-outside-probe` | workspace minus `crates/probe`, non-test | `Instant`/`SystemTime` live only in `puffer-probe` |
-//! | `dep-allowlist` | every `Cargo.toml` | external deps restricted to the workspace allowlist |
 //! | `no-vec-alloc-in-kernel` | tensor kernel modules, non-test | kernel scratch comes from `workspace`, not `vec![x; n]`/`Vec::with_capacity` |
 //! | `simd-needs-feature-gate` | workspace, non-test | `_mm*` intrinsic calls live in `#[target_feature]` fns, in a file with an `is_x86_feature_detected!` gate |
 //! | `dist-pool-width-via-membership` | `crates/dist/src` minus `membership.rs`, non-test | pool width changes only through `membership::PoolWidthGuard` |
@@ -69,25 +69,16 @@ pub struct RuleInfo {
 /// Every rule this binary knows, in reporting order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "dist-no-panic",
-        description: "no .unwrap()/.expect()/panic!/unreachable! in crates/dist non-test code \
-                      (route failures through DistError)",
-        rationale: "The fault-tolerance layer exists to survive worker failure; a panic inside \
-                    it is a failure mode it cannot model. Every fallible step in crates/dist \
-                    must surface as DistError so the aggregator's recovery path sees it.",
-        example_bad: "let msg = rx.recv().unwrap();",
-        example_good: "let msg = rx.recv().map_err(|_| DistError::ChannelClosed)?;",
-    },
-    RuleInfo {
         name: "dist-panic-reachability",
         description: "no unwrap/expect/panic!/direct indexing transitively reachable from a \
                       dist entry point (train_data_parallel*, run_worker, run_aggregator, run), \
                       in dist or in the worker-side codecs it calls into — findings pin the \
                       call chain",
-        rationale: "dist-no-panic sees one file at a time; this rule walks the call graph, so \
-                    a helper three calls below Trainer::run cannot hide an unwrap. A panic \
-                    anywhere on a reachable path kills the trainer mid-protocol and strands \
-                    the other workers at a barrier.",
+        rationale: "clippy's unwrap_used/expect_used/panic deny list on puffer-dist sees one \
+                    crate and no indexing; this rule walks the call graph into the codecs and \
+                    pins the chain, so a helper three calls below Trainer::run cannot hide an \
+                    `xs[i]`. A panic anywhere on a reachable path kills the trainer \
+                    mid-protocol and strands the other workers at a barrier.",
         example_bad: "pub fn run_worker(s: &[f32], i: usize) -> f32 { pick(s, i) }\n\
                       fn pick(s: &[f32], i: usize) -> f32 { s[i] }",
         example_good: "pub fn run_worker(s: &[f32], i: usize) -> DistResult<f32> { pick(s, i) }\n\
@@ -155,16 +146,6 @@ pub const RULES: &[RuleInfo] = &[
         example_good: "let span = timed_span(\"step\");\nstep();\nlet dt = span.finish();",
     },
     RuleInfo {
-        name: "unsafe-needs-safety-comment",
-        description: "every unsafe block/fn/impl must be preceded by a // SAFETY: comment",
-        rationale: "unsafe moves a proof obligation from the compiler to the author; the \
-                    SAFETY comment is where that proof lives. Without it, the next editor \
-                    cannot know which invariant they are about to break.",
-        example_bad: "unsafe { pack_b(b.as_ptr(), bp.as_mut_ptr()) }",
-        example_good: "// SAFETY: bp holds KC*NR floats, written before any read.\n\
-                       unsafe { pack_b(b.as_ptr(), bp.as_mut_ptr()) }",
-    },
-    RuleInfo {
         name: "no-wall-clock-outside-probe",
         description: "Instant/SystemTime are confined to crates/probe \
                       (use puffer_probe::{timed_span, Stopwatch})",
@@ -173,16 +154,6 @@ pub const RULES: &[RuleInfo] = &[
                     registry, no histogram, and no trace events.",
         example_bad: "let t0 = std::time::Instant::now();",
         example_good: "let sw = puffer_probe::Stopwatch::start();",
-    },
-    RuleInfo {
-        name: "dep-allowlist",
-        description: "external dependencies restricted to the workspace allowlist \
-                      (rand/crossbeam/parking_lot/serde; criterion/proptest as dev-deps only)",
-        rationale: "The reproduction's claims depend on the code in this repo, not on an \
-                    unreviewed transitive tree; the frozen allowlist keeps the supply chain \
-                    and the build offline-capable.",
-        example_bad: "[dependencies]\nrayon = \"1\"",
-        example_good: "[dependencies]\ncrossbeam = { workspace = true }",
     },
     RuleInfo {
         name: "no-vec-alloc-in-kernel",
@@ -252,11 +223,6 @@ pub const RULES: &[RuleInfo] = &[
 /// workspace module itself is the one place allowed to allocate).
 const KERNEL_MODULES: &[&str] =
     &["crates/tensor/src/matmul.rs", "crates/tensor/src/gemm.rs", "crates/tensor/src/conv.rs"];
-
-/// External crates allowed as regular dependencies.
-pub const ALLOWED_DEPS: &[&str] = &["rand", "crossbeam", "parking_lot", "serde"];
-/// External crates additionally allowed as dev-dependencies.
-pub const ALLOWED_DEV_DEPS: &[&str] = &["proptest", "criterion"];
 
 /// Pre-computed per-file context shared by the token rules.
 pub struct FileContext<'a> {
@@ -348,9 +314,6 @@ pub fn check_tokens(ctx: &FileContext<'_>, enabled: &dyn Fn(&str) -> bool) -> Ve
     if enabled("dist-no-instant") {
         dist_no_instant(ctx, &mut out);
     }
-    if enabled("unsafe-needs-safety-comment") {
-        unsafe_needs_safety_comment(ctx, &mut out);
-    }
     if enabled("no-wall-clock-outside-probe") {
         no_wall_clock_outside_probe(ctx, &mut out);
     }
@@ -399,60 +362,6 @@ fn dist_no_instant(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
                 tok,
                 "raw std::time::Instant in puffer-dist non-test code; time through \
                  puffer_probe::TimedSpan so breakdown bins and traces stay one set of numbers"
-                    .to_string(),
-                out,
-            );
-        }
-    }
-}
-
-/// Tokens that may legitimately sit between a `SAFETY:` comment and the
-/// `unsafe` keyword it justifies: the rest of the item/statement header.
-/// String literals appear in attribute arguments
-/// (`#[target_feature(enable = "avx2")]`); statement boundaries
-/// (`;`/`{`/`}`) still end the search, so a literal in a *previous*
-/// statement cannot extend it.
-fn header_token(t: &Token) -> bool {
-    match t.kind {
-        TokenKind::Ident | TokenKind::Lifetime | TokenKind::NumLit | TokenKind::StrLit => true,
-        TokenKind::Punct(c) => "#[]()<>,:&*=!".contains(c),
-        _ => false,
-    }
-}
-
-fn unsafe_needs_safety_comment(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    for (i, tok) in ctx.tokens.iter().enumerate() {
-        if tok.kind != TokenKind::Ident || tok.text != "unsafe" {
-            continue;
-        }
-        // Walk backward over the header of the construct containing
-        // `unsafe` (`pub`, `let x =`, attributes…) and through the
-        // contiguous comment run above it — a multi-line `//` justification
-        // is several comment tokens, any of which may carry `SAFETY:`. A
-        // statement boundary (`;`, `{`, `}`) or other code token ends the
-        // search, so a comment on an *earlier* statement cannot justify
-        // this one.
-        let mut justified = false;
-        let mut in_comment_run = false;
-        for prev in ctx.tokens[..i].iter().rev() {
-            if prev.is_comment() {
-                in_comment_run = true;
-                if prev.text.contains("SAFETY:") {
-                    justified = true;
-                    break;
-                }
-                continue;
-            }
-            if in_comment_run || !header_token(prev) {
-                break;
-            }
-        }
-        if !justified {
-            ctx.diag(
-                "unsafe-needs-safety-comment",
-                tok,
-                "`unsafe` without a preceding `// SAFETY:` comment; state the invariant that \
-                 makes this sound"
                     .to_string(),
                 out,
             );
@@ -773,57 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_requires_safety_comment() {
-        let good = "// SAFETY: disjoint chunks.\nunsafe { do_it() }";
-        assert!(run("crates/tensor/src/x.rs", good).is_empty());
-        let good_header = "// SAFETY: sound because X.\npub unsafe fn f() {}";
-        assert!(run("crates/tensor/src/x.rs", good_header).is_empty());
-        let good_block = "/* SAFETY: block form. */\nunsafe impl Send for X {}";
-        assert!(run("crates/tensor/src/x.rs", good_block).is_empty());
-        let bad = "fn f() { unsafe { do_it() } }";
-        let diags = run("crates/tensor/src/x.rs", bad);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].0, "unsafe-needs-safety-comment");
-    }
-
-    #[test]
-    fn multi_line_comment_run_with_safety_first_line_counts() {
-        let src = "\
-// SAFETY: the borrow is joined below,
-// so the transmute to 'static never
-// outlives the data.
-let job: Job = unsafe { transmute(job) };";
-        assert!(run("crates/tensor/src/x.rs", src).is_empty());
-        // …but a comment on an earlier statement does not justify this one.
-        let src = "// SAFETY: for that line.\nlet a = 1;\nunsafe { b() }";
-        assert_eq!(run("crates/tensor/src/x.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn attribute_with_string_argument_does_not_break_safety_search() {
-        let src = "\
-// SAFETY: discharged by the runtime detection gate at the call site.
-#[target_feature(enable = \"avx2\", enable = \"fma\")]
-pub unsafe fn kernel(a: *const f32) {}";
-        let diags = run("crates/tensor/src/gemm.rs", src);
-        assert!(
-            !diags.iter().any(|d| d.0 == "unsafe-needs-safety-comment"),
-            "attr string literal must not hide the SAFETY comment: {diags:?}"
-        );
-        // …but a string in a previous *statement* still ends the search.
-        let src = "// SAFETY: for the earlier line.\nlet s = \"x\";\nunsafe { b() }";
-        assert_eq!(run("crates/tensor/src/x.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn second_unsafe_impl_needs_its_own_comment() {
-        let src = "// SAFETY: for Send.\nunsafe impl Send for X {}\nunsafe impl Sync for X {}";
-        let diags = run("crates/tensor/src/x.rs", src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].1, 3);
-    }
-
-    #[test]
     fn lint_allow_suppresses_on_line_and_next_line() {
         let trailing =
             "fn f() { let t = Instant::now(); } // lint:allow(no-wall-clock-outside-probe)";
@@ -831,7 +689,7 @@ pub unsafe fn kernel(a: *const f32) {}";
         let above =
             "// lint:allow(no-wall-clock-outside-probe)\nfn f() { let t = Instant::now(); }";
         assert!(run("crates/core/src/x.rs", above).is_empty());
-        let wrong_rule = "// lint:allow(dist-no-panic)\nfn f() { let t = Instant::now(); }";
+        let wrong_rule = "// lint:allow(dist-no-instant)\nfn f() { let t = Instant::now(); }";
         assert_eq!(run("crates/core/src/x.rs", wrong_rule).len(), 1);
     }
 

@@ -3,7 +3,6 @@
 //!
 //! | rule | what it proves |
 //! |---|---|
-//! | `dist-no-panic` | (migrated from the token engine) no panic constructs in dist non-test code |
 //! | `dist-panic-reachability` | no panic site is *transitively reachable* from a dist entry point — findings pin the call chain |
 //! | `lock-order-consistency` | no two locks are acquired in opposite orders (one-level call-graph propagation) |
 //! | `guard-across-blocking-op` | no live lock guard is held across a channel `send`/`recv`/thread `join` |
@@ -70,9 +69,6 @@ pub fn check(files: &[ParsedFile], enabled: &dyn Fn(&str) -> bool) -> Vec<Diagno
     let ctxs: Vec<FileContext<'_>> =
         files.iter().map(|pf| FileContext::new(Path::new(&pf.rel), &pf.tokens, &pf.mask)).collect();
     let mut out = Vec::new();
-    if enabled("dist-no-panic") {
-        dist_no_panic(&symbols, &ctxs, &mut out);
-    }
     if enabled("dist-panic-reachability") {
         dist_panic_reachability(&symbols, &ctxs, &mut out);
     }
@@ -140,49 +136,6 @@ fn panic_sites(pf: &ParsedFile, def: &FnDef) -> Vec<PanicSite> {
         _ => {}
     });
     sites
-}
-
-// ---- dist-no-panic (AST migration of the token rule) ------------------
-
-fn dist_no_panic(symbols: &SymbolTable<'_>, ctxs: &[FileContext<'_>], out: &mut Vec<Diagnostic>) {
-    for f in &symbols.fns {
-        let pf = &symbols.files[f.file];
-        if f.is_test || !pf.in_dist_src() || pf.is_test_file {
-            continue;
-        }
-        let Some(body) = &f.def.body else { continue };
-        callgraph::walk_own_exprs(body, &mut |e| match &e.kind {
-            ExprKind::MethodCall { name, name_tok, .. } if name == "unwrap" || name == "expect" => {
-                let t = &pf.tokens[*name_tok];
-                push(
-                    &ctxs[f.file],
-                    "dist-no-panic",
-                    t.line,
-                    t.col,
-                    format!(
-                        "`.{name}()` in puffer-dist non-test code; route the failure through \
-                         DistError instead"
-                    ),
-                    out,
-                );
-            }
-            ExprKind::Macro { name, name_tok, .. } if is_panic_macro(name) => {
-                let t = &pf.tokens[*name_tok];
-                push(
-                    &ctxs[f.file],
-                    "dist-no-panic",
-                    t.line,
-                    t.col,
-                    format!(
-                        "`{name}!` in puffer-dist non-test code; a panicking aggregator cannot \
-                         survive its own fault model — return DistError"
-                    ),
-                    out,
-                );
-            }
-            _ => {}
-        });
-    }
 }
 
 // ---- dist-panic-reachability ------------------------------------------
@@ -990,9 +943,6 @@ pub fn round() { None::<u32>.unwrap(); }";
         let src = "fn orphan(x: Option<u32>) -> u32 { x.unwrap() }";
         let diags = run_rule(&[("crates/dist/src/x.rs", src)], "dist-panic-reachability");
         assert!(diags.is_empty(), "{diags:?}");
-        // …but dist-no-panic still sees it.
-        let diags = run_rule(&[("crates/dist/src/x.rs", src)], "dist-no-panic");
-        assert_eq!(diags.len(), 1);
     }
 
     #[test]
@@ -1021,9 +971,9 @@ mod tests {
     }
 
     #[test]
-    fn dist_no_panic_ast_ignores_strings_and_tests() {
+    fn panic_sites_ignore_strings_comments_and_tests() {
         let src = r##"
-fn live(x: Option<u32>) -> u32 {
+pub fn run_worker(x: Option<u32>) -> u32 {
     let s = ".unwrap(";
     /* panic!("decoy") */
     let r = r#"panic!("x")"#;
@@ -1034,31 +984,29 @@ mod tests {
     fn t(x: Option<u32>) { x.unwrap(); panic!("fine in tests"); }
 }
 "##;
-        let diags = run_rule(&[("crates/dist/src/foo.rs", src)], "dist-no-panic");
+        let diags = run_rule(&[("crates/dist/src/foo.rs", src)], "dist-panic-reachability");
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].line, 6);
     }
 
     #[test]
     fn expect_and_macros_flagged() {
-        let src = "fn f(x: Option<u32>) { x.expect(\"m\"); panic!(\"b\"); unreachable!() }";
-        let diags = run_rule(&[("crates/dist/src/foo.rs", src)], "dist-no-panic");
+        let src = "pub fn run(x: Option<u32>) { x.expect(\"m\"); panic!(\"b\"); unreachable!() }";
+        let diags = run_rule(&[("crates/dist/src/foo.rs", src)], "dist-panic-reachability");
         assert_eq!(diags.len(), 3, "{diags:?}");
-        assert!(diags.iter().all(|d| d.rule == "dist-no-panic"));
     }
 
     #[test]
     fn expect_method_name_without_call_not_flagged() {
         // `std::panic::catch_unwind` has `panic` as a path segment, not a
         // macro bang; a field named `expect` is not a call.
-        let src = "fn f() { let _ = std::panic::catch_unwind(|| 1); let e = cfg.expect; }";
-        assert!(run_rule(&[("crates/dist/src/foo.rs", src)], "dist-no-panic").is_empty());
+        let src = "pub fn run() { let _ = std::panic::catch_unwind(|| 1); let e = cfg.expect; }";
+        assert!(run_rule(&[("crates/dist/src/foo.rs", src)], "dist-panic-reachability").is_empty());
     }
 
     #[test]
     fn dist_rules_do_not_apply_outside_dist() {
-        let src = "fn f(x: Option<u32>) { x.unwrap(); }";
-        assert!(run_rule(&[("crates/nn/src/foo.rs", src)], "dist-no-panic").is_empty());
+        let src = "pub fn run(x: Option<u32>) { x.unwrap(); }";
         assert!(run_rule(&[("crates/nn/src/foo.rs", src)], "dist-panic-reachability").is_empty());
     }
 
@@ -1252,9 +1200,9 @@ fn caller(bus: &Bus) { let _ = bus.send(1); }";
 
     #[test]
     fn rules_filter_limits_semantic_output() {
-        let src = "fn f(x: Option<u32>) { x.unwrap(); }";
+        let src = "pub fn run(x: Option<u32>) { x.unwrap(); }";
         let all = run_all(&[("crates/dist/src/x.rs", src)]);
-        assert!(all.iter().any(|d| d.rule == "dist-no-panic"));
+        assert!(all.iter().any(|d| d.rule == "dist-panic-reachability"));
         let only = run_rule(&[("crates/dist/src/x.rs", src)], "discarded-result");
         assert!(only.is_empty());
     }

@@ -20,9 +20,8 @@ fn json_output_parses_and_matches_the_report() {
     let report = run(&Config::new(fixtures_root())).expect("fixture scan");
     let doc = parse(&report.to_json()).expect("lint --json must be valid JSON");
 
-    assert_eq!(num(&doc, "version"), 1.0);
+    assert_eq!(num(&doc, "version"), 2.0);
     assert_eq!(num(&doc, "files_scanned") as usize, report.files_scanned);
-    assert_eq!(num(&doc, "manifests_scanned") as usize, report.manifests_scanned);
 
     let diags = doc.get("diagnostics").and_then(Json::as_arr).expect("diagnostics array");
     assert_eq!(diags.len(), report.diagnostics.len());
@@ -47,7 +46,7 @@ fn empty_report_is_valid_json() {
     // Filter down to a rule with no findings in the probe fixture subtree:
     // the resulting empty diagnostics array must still parse.
     let mut config = Config::new(fixtures_root().join("crates/probe"));
-    config.rules = Some(std::collections::BTreeSet::from(["dist-no-panic".to_string()]));
+    config.rules = Some(std::collections::BTreeSet::from(["dist-no-instant".to_string()]));
     let report = run(&config).expect("scan");
     assert!(report.is_clean());
     let doc = parse(&report.to_json()).expect("empty report must be valid JSON");

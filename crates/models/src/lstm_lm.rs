@@ -6,10 +6,9 @@ use puffer_nn::embedding::Embedding;
 use puffer_nn::lstm::{GateRank, LstmLayer, MatOp};
 use puffer_nn::param::Param;
 use puffer_nn::{NnError, Result};
+use puffer_tensor::rng::Rng;
 use puffer_tensor::svd::truncated_svd_seeded;
 use puffer_tensor::Tensor;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Configuration of the LSTM language model.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,7 +41,7 @@ pub struct LstmLm {
     embedding: Embedding,
     lstms: Vec<LstmLayer>,
     decoder_bias: Param,
-    dropout_rng: SmallRng,
+    dropout_rng: Rng,
     cache: Option<FwdCache>,
 }
 
@@ -78,7 +77,7 @@ impl LstmLm {
             embedding,
             lstms,
             decoder_bias: Param::new_no_decay("decoder.bias", Tensor::zeros(&[config.vocab])),
-            dropout_rng: SmallRng::seed_from_u64(config.seed ^ 0xD0),
+            dropout_rng: Rng::seed_from_u64(config.seed ^ 0xD0),
             cache: None,
         })
     }
@@ -151,16 +150,9 @@ impl LstmLm {
             if train && p > 0.0 {
                 let keep = 1.0 - p;
                 for s in &mut seq {
-                    let mask: Vec<f32> =
-                        (0..s.len())
-                            .map(|_| {
-                                if self.dropout_rng.gen::<f32>() < keep {
-                                    1.0 / keep
-                                } else {
-                                    0.0
-                                }
-                            })
-                            .collect();
+                    let mask: Vec<f32> = (0..s.len())
+                        .map(|_| if self.dropout_rng.gen_f32() < keep { 1.0 / keep } else { 0.0 })
+                        .collect();
                     for (v, m) in s.as_mut_slice().iter_mut().zip(&mask) {
                         *v *= m;
                     }

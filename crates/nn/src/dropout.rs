@@ -2,9 +2,8 @@
 
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
+use puffer_tensor::rng::Rng;
 use puffer_tensor::Tensor;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 /// Inverted dropout: in training, each activation is zeroed with probability
 /// `p` and survivors are scaled by `1/(1-p)`; evaluation is the identity.
@@ -14,7 +13,7 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug)]
 pub struct Dropout {
     p: f32,
-    rng: SmallRng,
+    rng: Rng,
     mask: Option<Vec<f32>>,
 }
 
@@ -26,7 +25,7 @@ impl Dropout {
     /// Panics if `p` is not in `[0, 1)`.
     pub fn new(p: f32, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&p), "dropout probability must be in [0, 1)");
-        Dropout { p, rng: SmallRng::seed_from_u64(seed), mask: None }
+        Dropout { p, rng: Rng::seed_from_u64(seed), mask: None }
     }
 
     /// The drop probability.
@@ -43,9 +42,8 @@ impl Layer for Dropout {
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let mask: Vec<f32> = (0..input.len())
-            .map(|_| if self.rng.gen::<f32>() < keep { scale } else { 0.0 })
-            .collect();
+        let mask: Vec<f32> =
+            (0..input.len()).map(|_| if self.rng.gen_f32() < keep { scale } else { 0.0 }).collect();
         let mut out = input.clone();
         for (o, m) in out.as_mut_slice().iter_mut().zip(&mask) {
             *o *= m;

@@ -7,10 +7,10 @@
 //! parallel threshold forced to zero so the threaded kernels run even at
 //! property-test sizes.
 
-use proptest::prelude::*;
 use puffer_nn::conv::Conv2d;
 use puffer_nn::layer::{Layer, Mode};
 use puffer_nn::lstm::{GateRank, LstmLayer};
+use puffer_tensor::rng::{check, Rng};
 use puffer_tensor::{matmul, pool, workspace, Tensor};
 use std::sync::Mutex;
 
@@ -47,19 +47,13 @@ fn fresh_vs_pooled(f: impl Fn() -> Vec<Tensor>) -> Vec<(usize, Vec<Tensor>, Vec<
     out
 }
 
-fn assert_bitwise(runs: Vec<(usize, Vec<Tensor>, Vec<Tensor>)>) -> Result<(), TestCaseError> {
+fn assert_bitwise(runs: Vec<(usize, Vec<Tensor>, Vec<Tensor>)>) {
     for (threads, fresh, pooled) in runs {
-        prop_assert_eq!(fresh.len(), pooled.len());
+        assert_eq!(fresh.len(), pooled.len());
         for (i, (a, b)) in fresh.iter().zip(&pooled).enumerate() {
-            prop_assert_eq!(
-                a.shape(),
-                b.shape(),
-                "shape drift at tensor {} ({} threads)",
-                i,
-                threads
-            );
+            assert_eq!(a.shape(), b.shape(), "shape drift at tensor {} ({} threads)", i, threads);
             for (j, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
-                prop_assert_eq!(
+                assert_eq!(
                     x.to_bits(),
                     y.to_bits(),
                     "bit drift at tensor {} element {} ({} threads): {} vs {}",
@@ -72,24 +66,19 @@ fn assert_bitwise(runs: Vec<(usize, Vec<Tensor>, Vec<Tensor>)>) -> Result<(), Te
             }
         }
     }
-    Ok(())
 }
 
-fn tensor2(rows: usize, cols: usize) -> impl Strategy<Value = Tensor> {
-    proptest::collection::vec(-3.0f32..3.0, rows * cols)
-        .prop_map(move |v| Tensor::from_vec(v, &[rows, cols]).unwrap())
+fn tensor2(rng: &mut Rng, rows: usize, cols: usize) -> Tensor {
+    let v = (0..rows * cols).map(|_| rng.gen_range(-3.0..3.0)).collect();
+    Tensor::from_vec(v, &[rows, cols]).unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn matmul_pooled_matches_fresh(
-        m in 1usize..6,
-        k in 1usize..6,
-        n in 1usize..6,
-        seed in 0u64..1000,
-    ) {
+#[test]
+fn matmul_pooled_matches_fresh() {
+    check("matmul_pooled_matches_fresh", 8, |rng| {
+        let (m, k, n) =
+            (rng.gen_range(1..6usize), rng.gen_range(1..6usize), rng.gen_range(1..6usize));
+        let seed = rng.gen_range(0..1000u64);
         let a = Tensor::randn(&[m, k], 1.0, seed);
         let b = Tensor::randn(&[k, n], 1.0, seed + 1);
         assert_bitwise(fresh_vs_pooled(|| {
@@ -97,42 +86,41 @@ proptest! {
             let ct = matmul::matmul_tn(&a, &c).unwrap();
             let cn = matmul::matmul_nt(&c, &b).unwrap();
             vec![c, ct, cn]
-        }))?;
-    }
+        }));
+    });
+}
 
-    #[test]
-    fn conv_pooled_matches_fresh(x in tensor2(2, 3 * 5 * 5), seed in 0u64..1000) {
-        let x = x.reshape(&[2, 3, 5, 5]).unwrap();
+#[test]
+fn conv_pooled_matches_fresh() {
+    check("conv_pooled_matches_fresh", 8, |rng| {
+        let x = tensor2(rng, 2, 3 * 5 * 5).reshape(&[2, 3, 5, 5]).unwrap();
+        let seed = rng.gen_range(0..1000u64);
         assert_bitwise(fresh_vs_pooled(|| {
             let mut conv = Conv2d::new(3, 4, 3, 1, 1, true, seed).unwrap();
             let y = conv.forward(&x, Mode::Train);
             let dx = conv.backward(&Tensor::ones(y.shape()));
-            let mut grads: Vec<Tensor> =
-                conv.params().iter().map(|p| p.grad.clone()).collect();
+            let mut grads: Vec<Tensor> = conv.params().iter().map(|p| p.grad.clone()).collect();
             grads.push(y);
             grads.push(dx);
             grads
-        }))?;
-    }
+        }));
+    });
+}
 
-    #[test]
-    fn lstm_pooled_matches_fresh(
-        x0 in tensor2(2, 4),
-        x1 in tensor2(2, 4),
-        x2 in tensor2(2, 4),
-        seed in 0u64..1000,
-    ) {
-        let xs = [x0, x1, x2];
+#[test]
+fn lstm_pooled_matches_fresh() {
+    check("lstm_pooled_matches_fresh", 8, |rng| {
+        let xs = [tensor2(rng, 2, 4), tensor2(rng, 2, 4), tensor2(rng, 2, 4)];
+        let seed = rng.gen_range(0..1000u64);
         assert_bitwise(fresh_vs_pooled(|| {
             let mut lstm = LstmLayer::new(4, 5, GateRank::Full, seed).unwrap();
             let hs = lstm.forward_seq(&xs);
             let dhs: Vec<Tensor> = hs.iter().map(|h| Tensor::ones(h.shape())).collect();
             let dxs = lstm.backward_seq(&dhs);
-            let mut out: Vec<Tensor> =
-                lstm.params().iter().map(|p| p.grad.clone()).collect();
+            let mut out: Vec<Tensor> = lstm.params().iter().map(|p| p.grad.clone()).collect();
             out.extend(hs);
             out.extend(dxs);
             out
-        }))?;
-    }
+        }));
+    });
 }

@@ -4,9 +4,8 @@
 //! workspace is reproducible; the paper averages over 3 seeds and we follow
 //! the same protocol in the bench harness.
 
+use crate::rng::Rng;
 use crate::Tensor;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
 impl Tensor {
     /// Standard-normal tensor scaled by `std`, deterministic in `seed`.
@@ -20,7 +19,7 @@ impl Tensor {
     /// assert_eq!(a, b); // same seed, same tensor
     /// ```
     pub fn randn(shape: &[usize], std: f32, seed: u64) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut t = Tensor::zeros(shape);
         fill_normal(t.as_mut_slice(), std, &mut rng);
         t
@@ -28,7 +27,7 @@ impl Tensor {
 
     /// Uniform tensor on `[lo, hi)`, deterministic in `seed`.
     pub fn rand_uniform(shape: &[usize], lo: f32, hi: f32, seed: u64) -> Self {
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut t = Tensor::zeros(shape);
         for x in t.as_mut_slice() {
             *x = rng.gen_range(lo..hi);
@@ -38,7 +37,7 @@ impl Tensor {
 }
 
 /// Fills `buf` with N(0, std²) samples via Box–Muller.
-pub fn fill_normal<R: Rng>(buf: &mut [f32], std: f32, rng: &mut R) {
+pub fn fill_normal(buf: &mut [f32], std: f32, rng: &mut Rng) {
     let mut i = 0;
     while i < buf.len() {
         let u1: f32 = rng.gen_range(f32::EPSILON..1.0);

@@ -9,8 +9,8 @@
 //! emulation used by the mixed-precision experiments, and the random weight
 //! initializers used by the model zoo.
 //!
-//! Everything is implemented from scratch on `std` + `rand` +
-//! `crossbeam` channels; there is no BLAS or LAPACK dependency, so results
+//! Everything is implemented from scratch on `std` — the generator behind
+//! every seed is [`rng::Rng`] — with no BLAS or LAPACK dependency, so results
 //! are bit-reproducible across machines given a seed.
 //!
 //! # Threading
@@ -54,6 +54,7 @@ pub mod init;
 pub mod io;
 pub mod matmul;
 pub mod pool;
+pub mod rng;
 pub mod stats;
 pub mod svd;
 mod tensor;

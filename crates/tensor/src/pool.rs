@@ -24,7 +24,7 @@
 //! # Idle workers
 //!
 //! A worker that runs out of jobs polls for the next one for
-//! [`SPIN_BEFORE_PARK`] before it blocks on the job channel. A training
+//! [`SPIN_BEFORE_PARK`] before it blocks on the job queue. A training
 //! step fans out every few hundred microseconds, and a worker that parks in
 //! every gap makes the step's time depend on how the machine treats a
 //! sleeping thread's wake-up: on a small virtual machine the hypervisor
@@ -52,13 +52,14 @@
 //! sibling chunks are still waited for (so borrowed data stays alive), and
 //! the panic is then resumed on the calling thread.
 
+use std::any::Any;
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use puffer_probe as probe;
 
 /// Hard cap on the configurable thread count; guards against absurd
@@ -66,7 +67,7 @@ use puffer_probe as probe;
 pub const MAX_THREADS: usize = 256;
 
 /// How long a worker with nothing to do polls for the next job before it
-/// parks on the job channel. It has to outlast the gaps between the
+/// parks on the job queue. It has to outlast the gaps between the
 /// fan-outs of one training step (a BatchNorm or ReLU between two
 /// convolutions: 0.1–0.4 ms at the benchmark's sizes) and the ~0.2 ms a
 /// hypervisor itself polls before it deschedules a halted virtual CPU;
@@ -77,21 +78,42 @@ pub const SPIN_BEFORE_PARK: Duration = Duration::from_micros(500);
 /// `0` means "not yet resolved"; any other value is the effective setting.
 static SETTING: AtomicUsize = AtomicUsize::new(0);
 
-/// Jobs sent to the pool and not yet taken by a worker. Only a hint that
-/// tells polling workers when to look at the channel — the channel itself
-/// hands over the job and everything it borrows — hence `Relaxed`.
+/// Jobs queued and not yet taken by a worker. Only a hint that tells
+/// polling workers when to look at the queue — the queue's mutex hands over
+/// the job and everything it borrows — hence `Relaxed`.
 static QUEUED: AtomicUsize = AtomicUsize::new(0);
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 struct Pool {
-    tx: Sender<Job>,
-    /// Kept alive here so workers can clone it and the channel never closes.
-    rx: Receiver<Job>,
+    queue: Mutex<VecDeque<Job>>,
+    /// Notified once per queued job; parked workers wait here.
+    ready: Condvar,
     spawned: Mutex<usize>,
 }
 
-static POOL: OnceLock<Pool> = OnceLock::new();
+static POOL: Pool =
+    Pool { queue: Mutex::new(VecDeque::new()), ready: Condvar::new(), spawned: Mutex::new(0) };
+
+/// One dispatch's outstanding jobs, counted down to zero. It lives on the
+/// dispatcher's stack: a job must not touch it after its own decrement —
+/// the dispatcher may already have returned — so each job carries its own
+/// handle of the thread to wake.
+struct Latch {
+    remaining: AtomicUsize,
+    /// The payload of a chunk that panicked (the last one, if several did).
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Latch {
+    /// Blocks until every job has counted down; returns a chunk's panic.
+    fn wait(&self) -> Option<Box<dyn Any + Send>> {
+        while self.remaining.load(Ordering::Acquire) != 0 {
+            std::thread::park();
+        }
+        self.panic.lock().expect("pool latch lock poisoned").take()
+    }
+}
 
 fn resolve_default() -> usize {
     if let Ok(v) = std::env::var("PUFFER_NUM_THREADS") {
@@ -129,35 +151,36 @@ pub fn set_num_threads(n: usize) {
     probe::gauge_set("pool.width", clamped as f64);
 }
 
-fn pool_with_workers(needed: usize) -> &'static Pool {
-    let pool = POOL.get_or_init(|| {
-        let (tx, rx) = unbounded::<Job>();
-        Pool { tx, rx, spawned: Mutex::new(0) }
-    });
-    let mut spawned = pool.spawned.lock().expect("pool spawn lock poisoned");
+fn ensure_workers(needed: usize) {
+    let mut spawned = POOL.spawned.lock().expect("pool spawn lock poisoned");
     while *spawned < needed {
-        let rx = pool.rx.clone();
         std::thread::Builder::new()
             .name(format!("puffer-pool-{spawned}"))
-            .spawn(move || work(&rx))
+            .spawn(work)
             .expect("failed to spawn puffer-pool worker");
         *spawned += 1;
     }
-    pool
 }
 
 /// A worker's life: take a job, run it, poll for the next one for
-/// [`SPIN_BEFORE_PARK`], then block on the channel. When several workers
-/// see fewer jobs than there are workers, the ones that find the channel
-/// empty again park there until the next dispatch, as all of them did
-/// before workers polled.
-fn work(rx: &Receiver<Job>) {
+/// [`SPIN_BEFORE_PARK`], then block on the queue. When several workers see
+/// fewer jobs than there are workers, the ones that find the queue empty
+/// again park there until the next dispatch.
+fn work() {
     loop {
         let idle = probe::Stopwatch::start();
         while QUEUED.load(Ordering::Relaxed) == 0 && idle.elapsed() < SPIN_BEFORE_PARK {
             std::hint::spin_loop();
         }
-        let Ok(job) = rx.recv() else { return };
+        let job = {
+            let mut queue = POOL.queue.lock().expect("pool queue lock poisoned");
+            loop {
+                if let Some(job) = queue.pop_front() {
+                    break job;
+                }
+                queue = POOL.ready.wait(queue).expect("pool queue lock poisoned");
+            }
+        };
         QUEUED.fetch_sub(1, Ordering::Relaxed);
         job();
     }
@@ -197,11 +220,13 @@ where
     let _sp = probe::span_with("pool", "dispatch", || {
         vec![("items", n_items.into()), ("parts", parts.into())]
     });
-    let pool = pool_with_workers(n_jobs);
-    let (done_tx, done_rx) = bounded::<std::thread::Result<()>>(n_jobs);
+    ensure_workers(n_jobs);
+    let latch = Latch { remaining: AtomicUsize::new(n_jobs), panic: Mutex::new(None) };
+    let this_thread = std::thread::current();
     for idx in 1..parts {
         let range = chunk_range(n_items, parts, idx);
-        let done = done_tx.clone();
+        let dispatcher = this_thread.clone();
+        let latch = &latch;
         let fref: &(dyn Fn(Range<usize>) + Sync) = &f;
         let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
             // The span runs on the worker thread, so the trace shows
@@ -211,31 +236,31 @@ where
             });
             let result = catch_unwind(AssertUnwindSafe(|| fref(range)));
             drop(sp);
-            // Best-effort: the dispatcher may have bailed after a panic in
-            // an earlier chunk.
-            done.send(result).ok();
+            if let Err(payload) = result {
+                *latch.panic.lock().expect("pool latch lock poisoned") = Some(payload);
+            }
+            // AcqRel: every chunk's writes happen before the Acquire load
+            // that reads zero in `Latch::wait`.
+            if latch.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                dispatcher.unpark();
+            }
         });
-        // SAFETY: the job borrows `f` (and anything `f` captures) for less
-        // than this stack frame: we block on `done_rx` below until every
-        // dispatched job has sent its completion, and the completion send is
-        // the job's last action. Extending the borrow to 'static therefore
-        // never outlives the data.
+        // SAFETY: the job borrows `f` (and anything `f` captures) and
+        // `latch` for less than this stack frame: `latch.wait()` below
+        // returns only after every dispatched job has counted down, and its
+        // decrement is the last time a job touches either. Extending the
+        // borrows to 'static therefore never outlives the data.
         let job: Job = unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
         QUEUED.fetch_add(1, Ordering::Relaxed);
-        pool.tx.send(job).expect("puffer-pool job channel closed");
+        POOL.queue.lock().expect("pool queue lock poisoned").push_back(job);
+        POOL.ready.notify_one();
     }
 
     let caller_result = catch_unwind(AssertUnwindSafe(|| f(chunk_range(n_items, parts, 0))));
 
     // Wait for every dispatched chunk before propagating anything, so
     // borrows held by in-flight jobs cannot dangle.
-    let mut worker_panic = None;
-    for _ in 0..n_jobs {
-        match done_rx.recv().expect("puffer-pool completion channel closed") {
-            Ok(()) => {}
-            Err(payload) => worker_panic = Some(payload),
-        }
-    }
+    let worker_panic = latch.wait();
     if let Err(payload) = caller_result {
         resume_unwind(payload);
     }
@@ -358,6 +383,32 @@ mod tests {
         }));
         set_num_threads(prev);
         assert!(result.is_err(), "panic in a chunk must surface to the caller");
+    }
+
+    #[test]
+    fn more_jobs_than_workers_and_every_chunk_runs_once() {
+        use std::sync::atomic::AtomicU32;
+        let prev = num_threads();
+        set_num_threads(4);
+        // Eight dispatchers at a time keep up to 24 jobs queued for the
+        // pool's workers, so jobs wait in the queue and workers take one
+        // dispatcher's chunks between another's.
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..50 {
+                        let hits: Vec<AtomicU32> = (0..67).map(|_| AtomicU32::new(0)).collect();
+                        run_partitioned(hits.len(), |range| {
+                            for i in range {
+                                hits[i].fetch_add(1, Ordering::Relaxed);
+                            }
+                        });
+                        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+                    }
+                });
+            }
+        });
+        set_num_threads(prev);
     }
 
     #[test]
