@@ -10,10 +10,14 @@
 //! Runs the same straggler-free 8-worker epoch twice on the seeded
 //! p3-like α–β profile: once synchronously (one flat bucket, every comm
 //! nanosecond exposed) and once with size-targeted buckets reduced as
-//! backward produces them. Four gates, all hard under `--check`:
+//! backward produces them. Four gates under `--check`:
 //!
 //! * **overlap** — exposed comm drops by at least [`REDUCTION_FLOOR`]
-//!   versus the synchronous run;
+//!   versus the synchronous run. This one is a wall-clock measurement of
+//!   [`WORKERS`] threads running side by side, so it gates only where
+//!   [`std::thread::available_parallelism`] is at least [`WORKERS`]; on a
+//!   smaller machine the workers time-slice, the measured exposure is the
+//!   scheduler's, and `overlap_pass` is recorded as information;
 //! * **bitwise** — both runs end in identical parameters (overlap is a
 //!   schedule, not an algorithm);
 //! * **alloc** — a warmed-up [`BucketedReducer`] round allocates nothing
@@ -190,10 +194,12 @@ fn main() {
     let bucketed_exposed = bucketed.breakdown.comm_exposed.as_secs_f64();
     let reduction = if sync_exposed > 0.0 { 1.0 - bucketed_exposed / sync_exposed } else { 0.0 };
 
+    let hardware_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let overlap_gated = hardware_threads >= WORKERS;
     let overlap_pass = reduction >= REDUCTION_FLOOR;
     let bitwise_pass = bucketed.final_params == sync.final_params;
     let alloc_pass = fresh_bytes == 0.0 && pool_misses == 0.0;
-    let all_pass = overlap_pass && bitwise_pass && alloc_pass && insight_pass;
+    let all_pass = (overlap_pass || !overlap_gated) && bitwise_pass && alloc_pass && insight_pass;
 
     println!(
         "overlap_sweep: {WORKERS} workers, {STEPS} steps, {buckets} buckets of ≤{BUCKET_BYTES} B \
@@ -212,6 +218,12 @@ fn main() {
         reduction * 100.0,
         REDUCTION_FLOOR * 100.0
     );
+    if !overlap_gated {
+        println!(
+            "  {hardware_threads} hardware threads for {WORKERS} workers: the exposure cut is \
+             information here, not a gate"
+        );
+    }
     println!(
         "  steady-state reducer: {fresh_bytes:.0} fresh bytes, {pool_misses:.0} pool misses \
          over {ALLOC_ROUNDS} rounds"
@@ -221,6 +233,7 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"dist_overlap_sweep\",");
     let _ = writeln!(json, "  \"workers\": {WORKERS},");
+    let _ = writeln!(json, "  \"hardware_threads\": {hardware_threads},");
     let _ = writeln!(json, "  \"steps\": {STEPS},");
     let _ = writeln!(json, "  \"buckets\": {buckets},");
     let _ = writeln!(json, "  \"bucket_bytes\": {BUCKET_BYTES},");
@@ -240,6 +253,7 @@ fn main() {
     let _ = writeln!(json, "  \"steady_fresh_bytes\": {fresh_bytes:.0},");
     let _ = writeln!(json, "  \"steady_pool_misses\": {pool_misses:.0},");
     let _ = writeln!(json, "  \"insight_worst_rel_err\": {worst_rel_err:.6},");
+    let _ = writeln!(json, "  \"overlap_gated\": {overlap_gated},");
     let _ = writeln!(json, "  \"overlap_pass\": {overlap_pass},");
     let _ = writeln!(json, "  \"bitwise_pass\": {bitwise_pass},");
     let _ = writeln!(json, "  \"alloc_pass\": {alloc_pass},");
@@ -259,14 +273,13 @@ fn main() {
     if check && !all_pass {
         eprintln!(
             "overlap_sweep --check FAILED: overlap={overlap_pass} (cut {reduction:.3} vs floor \
-             {REDUCTION_FLOOR}), bitwise={bitwise_pass}, alloc={alloc_pass} \
+             {REDUCTION_FLOOR}, gated={overlap_gated}), bitwise={bitwise_pass}, alloc={alloc_pass} \
              ({fresh_bytes:.0} B / {pool_misses:.0} misses), reconcile={insight_pass}"
         );
         std::process::exit(1);
     }
     if check {
-        println!(
-            "overlap_sweep --check ok: exposure cut, bitwise params, allocation-free, reconciled"
-        );
+        let cut = if overlap_gated { "exposure cut" } else { "exposure cut not gated" };
+        println!("overlap_sweep --check ok: {cut}, bitwise params, allocation-free, reconciled");
     }
 }

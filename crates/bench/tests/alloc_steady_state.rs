@@ -102,7 +102,9 @@ fn image_trainer_step_is_allocation_free_after_warmup() {
 /// working set used to outgrow the arena's 256 MiB cap — cached patch
 /// matrices, 9× the activations — so buffers recycled past the cap were
 /// freed and the next step allocated them again. With convolutions caching
-/// their inputs instead, the whole step fits and stays allocation-free.
+/// their inputs instead, the whole step fits and stays allocation-free —
+/// the direct kernels of the thin stride-1 layers included, which stage one
+/// image's padded operand at a time.
 #[test]
 fn hybrid_resnet18_batch32_step_is_allocation_free_and_under_the_arena_cap() {
     let _guard = GLOBAL.lock().unwrap();
@@ -123,11 +125,20 @@ fn hybrid_resnet18_batch32_step_is_allocation_free_and_under_the_arena_cap() {
     train_step(&mut model, &mut opt, &images, &labels);
 
     let warm = pool_misses();
+    let direct_calls = || probe::counter_value("tensor.conv_direct_calls").unwrap_or(0.0);
+    let direct_before = direct_calls();
     train_step(&mut model, &mut opt, &images, &labels);
     let after = pool_misses();
     let held = workspace::thread_arena_bytes();
+    // The stem, the dense 16→16 block and every stride-1 `U` (c_out = rank
+    // ≤ 32) run the direct kernels, forward, dW and dX: their padded planes,
+    // transposed dOut and packed weights are arena scratch like the
+    // engine's blocks, taken on this thread.
+    let direct = direct_calls() - direct_before;
     probe::reset();
     workspace::clear_thread_arena();
+
+    assert!(direct >= 3.0 * 14.0, "only {direct} convolution calls took the direct kernels");
 
     assert_eq!(
         after,
@@ -184,7 +195,8 @@ fn dist_round_is_allocation_free_after_warmup() {
 
     // The model's gradients are ~3.6 KB: 1 KiB buckets cut them in four.
     let bucketed = RunOptions { bucket_bytes: Some(1024), ..RunOptions::default() };
-    let cases: [(&str, fn() -> Box<dyn GradCompressor>, RunOptions); 3] = [
+    type MakeCompressor = fn() -> Box<dyn GradCompressor>;
+    let cases: [(&str, MakeCompressor, RunOptions); 3] = [
         ("identity, one bucket", || Box::new(NoCompression::new()), RunOptions::default()),
         ("identity, four buckets", || Box::new(NoCompression::new()), bucketed),
         ("powersgd rank 2", || Box::new(PowerSgd::new(2, 3)), RunOptions::default()),

@@ -529,10 +529,10 @@ mod tests {
         red.start_round();
         // All three workers deliver everything; eager reduction runs over
         // the full set.
-        for w in 0..3 {
+        for (w, flat) in flats.iter().enumerate() {
             for b in 0..red.plan().buckets() {
                 let r = red.plan().range(b);
-                assert!(red.accept(w, b, &flats[w].as_slice()[r]));
+                assert!(red.accept(w, b, &flat.as_slice()[r]));
             }
         }
         assert_eq!(red.try_reduce(&[0, 1, 2]), red.plan().buckets());

@@ -476,7 +476,8 @@ mod tests {
             let t = Tensor::randn(&[len.max(1)], 1.0, len as u64);
             let clean = &t.as_slice()[..len];
             let sum = wire_checksum(clean);
-            assert_eq!(sum, wire_checksum(&clean.to_vec()), "len {len}: not a function of data");
+            let copy = clean.to_vec();
+            assert_eq!(sum, wire_checksum(&copy), "len {len}: not a function of data");
             for i in 0..len {
                 for bit in 0..32 {
                     let mut dirty = clean.to_vec();

@@ -221,8 +221,12 @@ pub const RULES: &[RuleInfo] = &[
 /// Kernel modules whose hot loops must draw scratch memory from
 /// `puffer_tensor::workspace` rather than the global allocator (the
 /// workspace module itself is the one place allowed to allocate).
-const KERNEL_MODULES: &[&str] =
-    &["crates/tensor/src/matmul.rs", "crates/tensor/src/gemm.rs", "crates/tensor/src/conv.rs"];
+const KERNEL_MODULES: &[&str] = &[
+    "crates/tensor/src/matmul.rs",
+    "crates/tensor/src/gemm.rs",
+    "crates/tensor/src/conv.rs",
+    "crates/tensor/src/conv_direct.rs",
+];
 
 /// Pre-computed per-file context shared by the token rules.
 pub struct FileContext<'a> {
@@ -702,7 +706,7 @@ mod tests {
     #[test]
     fn kernel_vec_alloc_flagged_in_kernel_modules_only() {
         let src = "fn f(n: usize) { let mut c = vec![0.0f32; n]; c[0] = 1.0; }";
-        for path in ["crates/tensor/src/matmul.rs", "crates/tensor/src/conv.rs"] {
+        for path in KERNEL_MODULES {
             let diags = run(path, src);
             assert_eq!(diags.len(), 1, "{path}: {diags:?}");
             assert_eq!(diags[0].0, "no-vec-alloc-in-kernel");

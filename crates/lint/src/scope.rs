@@ -94,13 +94,17 @@ pub fn target_feature_mask(tokens: &[Token]) -> Vec<bool> {
 
 /// Index one past the extent of the item starting at `i` (the first token
 /// after its attributes): up to a `;` at brace depth 0 (item without body)
-/// or through the matching `}` of the first `{`.
+/// or through the matching `}` of the first `{`. A `;` inside parentheses
+/// or brackets — the `[usize; 2]` of a parameter — ends nothing.
 fn item_end(tokens: &[Token], i: usize) -> usize {
     let mut j = i;
     let mut depth = 0usize;
+    let mut nested = 0usize;
     while j < tokens.len() {
         match tokens[j].kind {
-            TokenKind::Punct(';') if depth == 0 => {
+            TokenKind::Punct('(' | '[') => nested += 1,
+            TokenKind::Punct(')' | ']') => nested = nested.saturating_sub(1),
+            TokenKind::Punct(';') if depth == 0 && nested == 0 => {
                 j += 1;
                 break;
             }
@@ -263,6 +267,18 @@ fn after() { outside(); }";
         assert!(!mask[at("outside")]);
         // cfg(test) masking is unaffected by target_feature attributes.
         assert!(test_mask(&toks).iter().all(|m| !m));
+    }
+
+    #[test]
+    fn array_type_in_a_signature_does_not_end_the_item() {
+        let src = "#[target_feature(enable = \"avx2\")]
+unsafe fn kernel(src: [usize; 2], t: &mut [[f32; 16]; 6]) { inner(); }
+fn after() { outside(); }";
+        let toks = lex(src);
+        let mask = target_feature_mask(&toks);
+        let at = |name: &str| toks.iter().position(|t| t.text == name).unwrap();
+        assert!(mask[at("inner")]);
+        assert!(!mask[at("outside")]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! * ResNet-50 / WideResNet-50-2 (Tables 14–15): factorize only the last
 //!   stage (`conv5_x`), rank `min(c_in, c_out)/4`, downsample included.
 
-use crate::units::{rank_for, ConvBnUnit, FactorInit};
+use crate::units::{rank_for, ConvBnUnit, FactorInit, FusedRelu};
 use puffer_nn::layer::{Layer, Mode};
 use puffer_nn::linear::Linear;
 use puffer_nn::param::Param;
@@ -158,7 +158,7 @@ impl ResNetConfig {
 pub struct ResBlock {
     units: Vec<ConvBnUnit>, // 2 (basic) or 3 (bottleneck); last has relu=false
     shortcut: Option<ConvBnUnit>,
-    relu_mask: Option<Vec<bool>>,
+    relu: FusedRelu,
 }
 
 impl ResBlock {
@@ -170,7 +170,7 @@ impl ResBlock {
         } else {
             None
         };
-        Ok(ResBlock { units: vec![unit1, unit2], shortcut, relu_mask: None })
+        Ok(ResBlock { units: vec![unit1, unit2], shortcut, relu: FusedRelu::default() })
     }
 
     fn bottleneck(
@@ -188,7 +188,7 @@ impl ResBlock {
         } else {
             None
         };
-        Ok(ResBlock { units: vec![unit1, unit2, unit3], shortcut, relu_mask: None })
+        Ok(ResBlock { units: vec![unit1, unit2, unit3], shortcut, relu: FusedRelu::default() })
     }
 
     fn to_low_rank(&self, plan: &ResNetHybridPlan, init: FactorInit) -> Result<Self> {
@@ -207,13 +207,13 @@ impl ResBlock {
             }
             Some(s) => Some(s.clone_dense()?),
         };
-        Ok(ResBlock { units, shortcut, relu_mask: None })
+        Ok(ResBlock { units, shortcut, relu: FusedRelu::default() })
     }
 
     fn clone_dense(&self) -> Result<Self> {
         let units = self.units.iter().map(|u| u.clone_dense()).collect::<Result<Vec<_>>>()?;
         let shortcut = self.shortcut.as_ref().map(|s| s.clone_dense()).transpose()?;
-        Ok(ResBlock { units, shortcut, relu_mask: None })
+        Ok(ResBlock { units, shortcut, relu: FusedRelu::default() })
     }
 
     /// Whether any conv in the block is factorized.
@@ -225,41 +225,32 @@ impl ResBlock {
 
 impl Layer for ResBlock {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        let mut main = input.clone();
-        for u in &mut self.units {
+        let (first, rest) = self.units.split_first_mut().expect("a block has units");
+        let mut main = first.forward(input, mode);
+        for u in rest {
             main = u.forward(&main, mode);
         }
-        let residual = match &mut self.shortcut {
-            Some(s) => s.forward(input, mode),
-            None => input.clone(),
+        let mut y = match &mut self.shortcut {
+            Some(s) => &main + &s.forward(input, mode),
+            None => &main + input,
         };
-        let mut y = &main + &residual;
-        if mode == Mode::Train {
-            self.relu_mask = Some(y.as_slice().iter().map(|&v| v > 0.0).collect());
-        }
-        y.map_inplace(|v| v.max(0.0));
+        self.relu.forward(&mut y, mode);
         y
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let mask = self.relu_mask.as_ref().expect("backward before train-mode forward");
-        let mut g = grad_output.clone();
-        for (gv, &m) in g.as_mut_slice().iter_mut().zip(mask) {
-            if !m {
-                *gv = 0.0;
-            }
-        }
+        let g = self.relu.backward(grad_output);
         // Main path.
-        let mut gm = g.clone();
-        for u in self.units.iter_mut().rev() {
+        let (last, rest) = self.units.split_last_mut().expect("a block has units");
+        let mut gm = last.backward(&g);
+        for u in rest.iter_mut().rev() {
             gm = u.backward(&gm);
         }
         // Residual path.
-        let gr = match &mut self.shortcut {
-            Some(s) => s.backward(&g),
-            None => g,
-        };
-        &gm + &gr
+        match &mut self.shortcut {
+            Some(s) => &gm + &s.backward(&g),
+            None => &gm + &g,
+        }
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -512,6 +503,52 @@ mod tests {
         let _ = block.forward(&x, Mode::Train);
         let g = block.backward(&Tensor::ones(&[1, 4, 6, 6]));
         assert!(puffer_tensor::stats::l2_norm(&g) > 0.1);
+    }
+
+    #[test]
+    fn res_block_equals_its_layers_run_one_by_one_bitwise() {
+        // main = unit₂(unit₁(x)), y = relu(main + shortcut(x)) and its
+        // backward, spelled out with `nn::Relu` and explicit sums, against
+        // the block's fused mask and borrowed operands — identity and
+        // projection shortcuts, over two steps (the second reuses the mask
+        // buffer).
+        use crate::units::tests::{bits, grad_bits};
+        use puffer_nn::activation::Relu;
+        for (c_in, c_out, stride) in [(4, 4, 1), (4, 6, 2)] {
+            let mut block = ResBlock::basic(c_in, c_out, stride, 13).unwrap();
+            let mut twin = block.clone_dense().unwrap();
+            let mut relu = Relu::new();
+            for step in 0..2 {
+                let x = Tensor::randn(&[3, c_in, 6, 6], 1.0, 14 + step);
+                block.zero_grad();
+                twin.zero_grad();
+                let y = block.forward(&x, Mode::Train);
+                let mut main = x.clone();
+                for u in &mut twin.units {
+                    main = u.forward(&main, Mode::Train);
+                }
+                let residual = match &mut twin.shortcut {
+                    Some(s) => s.forward(&x, Mode::Train),
+                    None => x.clone(),
+                };
+                let want_y = relu.forward(&(&main + &residual), Mode::Train);
+                assert_eq!(bits(&y), bits(&want_y), "forward, stride {stride}");
+
+                let g = Tensor::randn(y.shape(), 1.0, 24 + step);
+                let dx = block.backward(&g);
+                let g = relu.backward(&g);
+                let mut gm = g.clone();
+                for u in twin.units.iter_mut().rev() {
+                    gm = u.backward(&gm);
+                }
+                let gr = match &mut twin.shortcut {
+                    Some(s) => s.backward(&g),
+                    None => g,
+                };
+                assert_eq!(bits(&dx), bits(&(&gm + &gr)), "input gradient, stride {stride}");
+                assert_eq!(grad_bits(&block), grad_bits(&twin), "parameter gradients");
+            }
+        }
     }
 
     #[test]

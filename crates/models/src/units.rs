@@ -9,7 +9,7 @@ use puffer_nn::norm::BatchNorm2d;
 use puffer_nn::param::Param;
 use puffer_nn::Result;
 use puffer_tensor::svd::truncated_svd_seeded;
-use puffer_tensor::Tensor;
+use puffer_tensor::{workspace, Tensor};
 
 /// How a factorized layer is initialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +137,43 @@ impl Layer for ConvKind {
     }
 }
 
+/// A ReLU fused into the unit that owns it. All it keeps of a train-mode
+/// forward is where the input was positive, in a buffer it reuses step after
+/// step (a cached output tensor would hold four times as much).
+#[derive(Debug, Default)]
+pub(crate) struct FusedRelu {
+    positive: Vec<bool>,
+}
+
+impl FusedRelu {
+    /// `y ← max(y, 0)`; in train mode, records where `y > 0`.
+    pub(crate) fn forward(&mut self, y: &mut Tensor, mode: Mode) {
+        if mode != Mode::Train {
+            y.map_inplace(|v| v.max(0.0));
+            return;
+        }
+        self.positive.clear();
+        self.positive.extend(y.as_mut_slice().iter_mut().map(|v| {
+            let positive = *v > 0.0;
+            *v = v.max(0.0);
+            positive
+        }));
+    }
+
+    /// `g` where the recorded forward was positive, `+0.0` elsewhere.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no train-mode forward of `g`'s size was recorded.
+    pub(crate) fn backward(&self, g: &Tensor) -> Tensor {
+        assert_eq!(self.positive.len(), g.len(), "backward before train-mode forward");
+        let mut data = workspace::take_with_capacity(g.len());
+        let masked = g.as_slice().iter().zip(&self.positive);
+        data.extend(masked.map(|(&g, &positive)| if positive { g } else { 0.0 }));
+        Tensor::from_vec(data, g.shape()).expect("one element per element of g")
+    }
+}
+
 /// A conv → BN → optional ReLU unit, the repeated motif of VGG and ResNet.
 #[derive(Debug)]
 pub struct ConvBnUnit {
@@ -146,7 +183,7 @@ pub struct ConvBnUnit {
     pub bn: BatchNorm2d,
     /// Whether a ReLU follows BN (residual blocks apply ReLU after the add).
     pub relu: bool,
-    relu_mask: Option<Vec<bool>>,
+    fused_relu: FusedRelu,
 }
 
 impl ConvBnUnit {
@@ -168,13 +205,13 @@ impl ConvBnUnit {
             conv: ConvKind::Dense(Conv2d::new(c_in, c_out, k, stride, padding, false, seed)?),
             bn: BatchNorm2d::new(c_out)?,
             relu,
-            relu_mask: None,
+            fused_relu: FusedRelu::default(),
         })
     }
 
     /// Creates a unit from explicit parts.
     pub fn from_parts(conv: ConvKind, bn: BatchNorm2d, relu: bool) -> Self {
-        ConvBnUnit { conv, bn, relu, relu_mask: None }
+        ConvBnUnit { conv, bn, relu, fused_relu: FusedRelu::default() }
     }
 
     /// Deep-copies a dense unit (weights, BN state). Hybrid conversion uses
@@ -219,7 +256,7 @@ impl ConvBnUnit {
         };
         let mut bn = BatchNorm2d::new(self.bn.channels())?;
         bn.load_state(&self.bn.state())?;
-        Ok(ConvBnUnit { conv: ConvKind::LowRank(conv), bn, relu: self.relu, relu_mask: None })
+        Ok(ConvBnUnit::from_parts(ConvKind::LowRank(conv), bn, self.relu))
     }
 }
 
@@ -228,28 +265,17 @@ impl Layer for ConvBnUnit {
         let x = self.conv.forward(input, mode);
         let mut y = self.bn.forward(&x, mode);
         if self.relu {
-            if mode == Mode::Train {
-                self.relu_mask = Some(y.as_slice().iter().map(|&v| v > 0.0).collect());
-            }
-            y.map_inplace(|v| v.max(0.0));
+            self.fused_relu.forward(&mut y, mode);
         }
         y
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let g = if self.relu {
-            let mask = self.relu_mask.as_ref().expect("backward before train-mode forward");
-            let mut g = grad_output.clone();
-            for (gv, &m) in g.as_mut_slice().iter_mut().zip(mask) {
-                if !m {
-                    *gv = 0.0;
-                }
-            }
-            g
+            self.bn.backward(&self.fused_relu.backward(grad_output))
         } else {
-            grad_output.clone()
+            self.bn.backward(grad_output)
         };
-        let g = self.bn.backward(&g);
         self.conv.backward(&g)
     }
 
@@ -362,7 +388,7 @@ pub fn rank_for(channels: usize, ratio: f32, max: usize) -> usize {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use puffer_tensor::stats::rel_error;
 
@@ -413,6 +439,57 @@ mod tests {
         assert!(y.as_slice().iter().all(|&v| v >= 0.0)); // post-ReLU
         let g = unit.backward(&Tensor::ones(&[2, 8, 6, 6]));
         assert_eq!(g.shape(), x.shape());
+    }
+
+    /// Bits of a layer's parameter gradients, in `params()` order.
+    pub(crate) fn grad_bits(layer: &dyn Layer) -> Vec<u32> {
+        layer.params().iter().flat_map(|p| p.grad.as_slice().iter().map(|v| v.to_bits())).collect()
+    }
+
+    pub(crate) fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn fused_relu_unit_equals_conv_bn_relu_layers_bitwise() {
+        // The fused mask (a reused Vec<bool>, applied as a select) against
+        // the three layers run one after the other, dense and factorized,
+        // over two steps so that the second reuses the first's buffer.
+        use puffer_nn::activation::Relu;
+        use puffer_nn::Sequential;
+        let dense = ConvBnUnit::dense(3, 8, 3, 1, 1, true, 21).unwrap();
+        let low_rank = dense.to_low_rank(2, FactorInit::WarmStart).unwrap();
+        for mut unit in [dense, low_rank] {
+            let conv: Box<dyn Layer> = match &unit.conv {
+                ConvKind::Dense(c) => {
+                    Box::new(Conv2d::from_weight(c.weight().clone(), 1, 1).unwrap())
+                }
+                ConvKind::LowRank(_) => {
+                    let p = unit.conv.params();
+                    let (u, v) = (p[0].value.clone(), p[1].value.reshape(&[8, 2]).unwrap());
+                    Box::new(LowRankConv2d::from_factors(u, v, 1, 1).unwrap())
+                }
+            };
+            let mut layers = Sequential::new(vec![
+                conv,
+                Box::new(BatchNorm2d::new(8).unwrap()),
+                Box::new(Relu::new()),
+            ]);
+            for step in 0..2 {
+                let x = Tensor::randn(&[3, 3, 6, 5], 1.0, 22 + step);
+                let g = Tensor::randn(&[3, 8, 6, 5], 1.0, 32 + step);
+                unit.zero_grad();
+                layers.zero_grad();
+                let (y, want_y) = (unit.forward(&x, Mode::Train), layers.forward(&x, Mode::Train));
+                assert_eq!(bits(&y), bits(&want_y), "forward, {}", unit.describe());
+                assert!(y.as_slice().contains(&0.0) && y.as_slice().iter().any(|&v| v > 0.0));
+                let (dx, want_dx) = (unit.backward(&g), layers.backward(&g));
+                assert_eq!(bits(&dx), bits(&want_dx), "input gradient, {}", unit.describe());
+                assert_eq!(grad_bits(&unit), grad_bits(&layers), "parameter gradients");
+            }
+            let x = Tensor::randn(&[2, 3, 6, 5], 1.0, 40);
+            assert_eq!(bits(&unit.forward(&x, Mode::Eval)), bits(&layers.forward(&x, Mode::Eval)));
+        }
     }
 
     #[test]

@@ -2,7 +2,11 @@
 //! factorized convolutions, both input-gradient lowerings, 1×1 shortcuts —
 //! must leave bit-identical parameters whatever the pool width: every
 //! convolution partitions output regions across threads and keeps each
-//! element's reduction order (DESIGN.md §10).
+//! element's reduction order (DESIGN.md §10). The stem, the dense 16→16
+//! block and every stride-1 `U` run the direct kernels, which split images
+//! (forward, input gradient) and tap tiles (weight gradient); the stride-2
+//! and 1×1 layers run the implicit GEMM, which splits panels. Six images
+//! over four threads is the uneven split of both.
 
 use puffer_models::resnet::{ResNet, ResNetConfig, ResNetHybridPlan};
 use puffer_models::units::FactorInit;
@@ -30,15 +34,17 @@ fn param_bits_after_one_step(threads: usize) -> Vec<u32> {
 }
 
 #[test]
-fn hybrid_resnet18_step_is_bitwise_identical_at_one_and_two_threads() {
+fn hybrid_resnet18_step_is_bitwise_identical_at_one_two_and_four_threads() {
     let (prev_threads, prev_threshold) = (pool::num_threads(), parallel_threshold());
     // Thread every kernel, not only the ones above the fan-out threshold.
     set_parallel_threshold(0);
     let one = param_bits_after_one_step(1);
-    let two = param_bits_after_one_step(2);
+    let wider = [2, 4].map(param_bits_after_one_step);
     pool::set_num_threads(prev_threads);
     set_parallel_threshold(prev_threshold);
-    assert_eq!(one.len(), two.len());
-    let first_diff = one.iter().zip(&two).position(|(a, b)| a != b);
-    assert_eq!(first_diff, None, "parameters diverge at flat index {first_diff:?}");
+    for (threads, bits) in [2, 4].iter().zip(&wider) {
+        assert_eq!(one.len(), bits.len());
+        let first_diff = one.iter().zip(bits).position(|(a, b)| a != b);
+        assert_eq!(first_diff, None, "{threads} threads: parameters diverge at {first_diff:?}");
+    }
 }

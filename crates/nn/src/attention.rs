@@ -130,17 +130,17 @@ impl MultiHeadAttention {
         let scale = 1.0 / (dh as f32).sqrt();
         let mut attn = Tensor::zeros(&[b, p, tq, tk]);
         let mut z = Tensor::zeros(&[b * tq, dm]);
+        let (qs, ks, vs) = (q.as_slice(), k.as_slice(), v.as_slice());
+        let (attn_s, zs) = (attn.as_mut_slice(), z.as_mut_slice());
         for bi in 0..b {
             for h in 0..p {
-                // scores[i][j] = <Q_i, K_j> * scale
                 for i in 0..tq {
-                    let qrow = &q.as_slice()
-                        [(bi * tq + i) * dm + h * dh..(bi * tq + i) * dm + (h + 1) * dh];
-                    let srow_base = ((bi * p + h) * tq + i) * tk;
+                    // scores[i][j] = <Q_i, K_j> * scale
+                    let qrow = &qs[(bi * tq + i) * dm + h * dh..][..dh];
+                    let srow = &mut attn_s[((bi * p + h) * tq + i) * tk..][..tk];
                     let mut max = f32::NEG_INFINITY;
-                    for j in 0..tk {
-                        let krow = &k.as_slice()
-                            [(bi * tk + j) * dm + h * dh..(bi * tk + j) * dm + (h + 1) * dh];
+                    for (j, score) in srow.iter_mut().enumerate() {
+                        let krow = &ks[(bi * tk + j) * dm + h * dh..][..dh];
                         let mut s = 0.0;
                         for (a, bv) in qrow.iter().zip(krow) {
                             s += a * bv;
@@ -149,29 +149,26 @@ impl MultiHeadAttention {
                         if causal && j > i {
                             s = f32::NEG_INFINITY;
                         }
-                        attn.as_mut_slice()[srow_base + j] = s;
+                        *score = s;
                         max = max.max(s);
                     }
                     // softmax in place
                     let mut zsum = 0.0;
-                    for j in 0..tk {
-                        let e = (attn.as_slice()[srow_base + j] - max).exp();
-                        attn.as_mut_slice()[srow_base + j] = e;
+                    for score in srow.iter_mut() {
+                        let e = (*score - max).exp();
+                        *score = e;
                         zsum += e;
                     }
-                    for j in 0..tk {
-                        attn.as_mut_slice()[srow_base + j] /= zsum;
+                    for score in srow.iter_mut() {
+                        *score /= zsum;
                     }
                     // z_i = Σ_j a_ij V_j
-                    let zrow = &mut z.as_mut_slice()
-                        [(bi * tq + i) * dm + h * dh..(bi * tq + i) * dm + (h + 1) * dh];
-                    for j in 0..tk {
-                        let a = attn.as_slice()[srow_base + j];
+                    let zrow = &mut zs[(bi * tq + i) * dm + h * dh..][..dh];
+                    for (j, &a) in srow.iter().enumerate() {
                         if a == 0.0 {
                             continue;
                         }
-                        let vrow = &v.as_slice()
-                            [(bi * tk + j) * dm + h * dh..(bi * tk + j) * dm + (h + 1) * dh];
+                        let vrow = &vs[(bi * tk + j) * dm + h * dh..][..dh];
                         for (zo, vv) in zrow.iter_mut().zip(vrow) {
                             *zo += a * vv;
                         }
@@ -206,48 +203,50 @@ impl MultiHeadAttention {
         // One pooled row buffer shared across all (batch, head, query) rows;
         // every element is overwritten before it is read.
         let mut da = puffer_tensor::workspace::take(tk);
+        let (dzs, attn_s) = (dz.as_slice(), cache.attn.as_slice());
+        let (qs, ks, vs) = (cache.q.as_slice(), cache.k.as_slice(), cache.v.as_slice());
+        let (dqs, dks, dvs) = (dq.as_mut_slice(), dk.as_mut_slice(), dv.as_mut_slice());
         for bi in 0..b {
             for h in 0..p {
                 for i in 0..tq {
-                    let dzrow = &dz.as_slice()
-                        [(bi * tq + i) * dm + h * dh..(bi * tq + i) * dm + (h + 1) * dh];
-                    let arow_base = ((bi * p + h) * tq + i) * tk;
+                    let qrow_base = (bi * tq + i) * dm + h * dh;
+                    let dzrow = &dzs[qrow_base..qrow_base + dh];
+                    let arow = &attn_s[((bi * p + h) * tq + i) * tk..][..tk];
                     // dA_ij = <dZ_i, V_j>; dV_j += a_ij dZ_i
-                    for (j, daj) in da.iter_mut().enumerate() {
-                        let a = cache.attn.as_slice()[arow_base + j];
+                    for (j, (daj, &a)) in da.iter_mut().zip(arow).enumerate() {
                         let vrow_base = (bi * tk + j) * dm + h * dh;
-                        let vrow = &cache.v.as_slice()[vrow_base..vrow_base + dh];
                         let mut acc = 0.0;
-                        for (dzv, vv) in dzrow.iter().zip(vrow) {
+                        for (dzv, vv) in dzrow.iter().zip(&vs[vrow_base..vrow_base + dh]) {
                             acc += dzv * vv;
                         }
                         *daj = acc;
                         if a != 0.0 {
-                            let dvrow = &mut dv.as_mut_slice()[vrow_base..vrow_base + dh];
+                            let dvrow = &mut dvs[vrow_base..vrow_base + dh];
                             for (dvv, dzv) in dvrow.iter_mut().zip(dzrow) {
                                 *dvv += a * dzv;
                             }
                         }
                     }
                     // Softmax backward: dS_ij = a_ij (dA_ij − Σ_l a_il dA_il)
-                    let dot: f32 =
-                        (0..tk).map(|j| cache.attn.as_slice()[arow_base + j] * da[j]).sum();
-                    for (j, daj) in da.iter_mut().enumerate() {
-                        let a = cache.attn.as_slice()[arow_base + j];
+                    let dot: f32 = arow.iter().zip(da.iter()).map(|(a, daj)| a * daj).sum();
+                    for (daj, &a) in da.iter_mut().zip(arow) {
                         *daj = a * (*daj - dot) * scale;
                     }
                     // dQ_i += Σ_j dS_ij K_j ; dK_j += dS_ij Q_i
-                    let qrow_base = (bi * tq + i) * dm + h * dh;
+                    let qrow = &qs[qrow_base..qrow_base + dh];
+                    let dqrow = &mut dqs[qrow_base..qrow_base + dh];
                     for (j, &ds) in da.iter().enumerate() {
                         if ds == 0.0 {
                             continue;
                         }
                         let krow_base = (bi * tk + j) * dm + h * dh;
-                        for l in 0..dh {
-                            dq.as_mut_slice()[qrow_base + l] +=
-                                ds * cache.k.as_slice()[krow_base + l];
-                            dk.as_mut_slice()[krow_base + l] +=
-                                ds * cache.q.as_slice()[qrow_base + l];
+                        let krow = &ks[krow_base..krow_base + dh];
+                        let dkrow = &mut dks[krow_base..krow_base + dh];
+                        for ((dqv, kv), (dkv, qv)) in
+                            dqrow.iter_mut().zip(krow).zip(dkrow.iter_mut().zip(qrow))
+                        {
+                            *dqv += ds * kv;
+                            *dkv += ds * qv;
                         }
                     }
                 }

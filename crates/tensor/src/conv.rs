@@ -23,6 +23,13 @@
 //! block to `Wᵀ · dOut` while the block is still cached, bitwise equal to
 //! `col2im(matmul_tn(W, dOut))` (see [`conv2d_grad_input`]).
 //!
+//! A stride-1 `k × k` layer with at most [`DIRECT_MAX_C_OUT`] output
+//! channels — Pufferfish's factorized `U` convolution above all — would
+//! amortise each packed patch element over too few multiply–adds, so the
+//! three primitives hand it to direct kernels that read the operands in
+//! place (`conv_direct.rs`). Those run the same chains and produce the same
+//! bits; which path a layer takes is decided by its geometry alone.
+//!
 //! The explicit lowerings fan out to the worker pool above a size threshold
 //! ([`im2col`] over patch-matrix rows, [`col2im`] over `(image, channel)`
 //! planes); every path here writes disjoint output regions in a fixed
@@ -34,7 +41,7 @@ use crate::matmul::{
     default_profile, kernel_span, matmul, matmul_nt, matmul_tn, parallel_under_default,
     MatmulProfile,
 };
-use crate::{pool, workspace, Result, Tensor, TensorError};
+use crate::{conv_direct, pool, workspace, Result, Tensor, TensorError};
 use puffer_probe as probe;
 
 /// Geometry of a 2-D convolution.
@@ -508,14 +515,26 @@ fn check_shape(t: &Tensor, expected: &[usize], op: &'static str) -> Result<()> {
     Ok(())
 }
 
+/// Whether a layer takes the direct kernels ([`conv_direct::applies`]);
+/// counts the calls that do in `tensor.conv_direct_calls`, so a trace shows
+/// which engine a model's convolutions ran on.
+fn direct(geo: &ConvGeometry, c_out: usize) -> bool {
+    let direct = conv_direct::applies(geo, c_out);
+    if direct {
+        probe::counter_add("tensor.conv_direct_calls", 1);
+    }
+    direct
+}
+
 /// `y = W ∗ x`: `x: (N, c_in, h, w)`, `weight: (c_out, c_in, k, k)` →
 /// `(N, c_out, h_out, w_out)`.
 ///
 /// Under the `Optimized` profile this is one GEMM `W · patches(x)` whose B
 /// panels are packed from `x` and whose C tiles are stored into NCHW; every
 /// output element is the fused chain over ascending `(ci, ky, kx)` that
-/// `matmul(W, im2col(x))` computes, bit for bit. `Reproducible` runs that
-/// explicit lowering image by image.
+/// `matmul(W, im2col(x))` computes, bit for bit — as it is in the direct
+/// kernel a thin stride-1 layer takes instead (module docs). `Reproducible`
+/// runs that explicit lowering image by image.
 ///
 /// # Errors
 ///
@@ -527,7 +546,7 @@ pub fn conv2d_forward(x: &Tensor, weight: &Tensor, geo: &ConvGeometry) -> Result
     check_shape(weight, &[c_out, geo.c_in, geo.k, geo.k], "conv2d_forward")?;
     let (rows, hw) = (geo.patch_rows(), geo.h_out() * geo.w_out());
     let mut out = Tensor::zeros(&[n, c_out, geo.h_out(), geo.w_out()]);
-    if out.is_empty() {
+    if out.is_empty() || rows == 0 {
         return Ok(out);
     }
     if default_profile() == MatmulProfile::Reproducible {
@@ -539,6 +558,12 @@ pub fn conv2d_forward(x: &Tensor, weight: &Tensor, geo: &ConvGeometry) -> Result
         return Ok(out);
     }
     let _sp = kernel_span("conv2d_forward", c_out, rows, n * hw);
+    let parallel = parallel_under_default(c_out * rows * n * hw);
+    if direct(geo, c_out) {
+        let (x, w) = (x.as_slice(), weight.as_slice());
+        conv_direct::forward(x, w, out.as_mut_slice(), geo, n, c_out, parallel);
+        return Ok(out);
+    }
     gemm::gemm(
         &View::row_major(weight.as_slice(), rows).t(),
         &Patches { x: x.as_slice(), g: PatchGeo::new(geo) },
@@ -547,7 +572,7 @@ pub fn conv2d_forward(x: &Tensor, weight: &Tensor, geo: &ConvGeometry) -> Result
         c_out,
         rows,
         n * hw,
-        parallel_under_default(c_out * rows * n * hw),
+        parallel,
     );
     Ok(out)
 }
@@ -559,7 +584,8 @@ pub fn conv2d_forward(x: &Tensor, weight: &Tensor, geo: &ConvGeometry) -> Result
 /// both operands packed from NCHW — `x` is the layer's *input*, so nothing
 /// patch-sized is kept between forward and backward — and every element is
 /// the fused chain over ascending `(img, oy, ox)` that
-/// `matmul_nt(dOut, im2col(x))` computes, bit for bit. `Reproducible` sums
+/// `matmul_nt(dOut, im2col(x))` computes, bit for bit — as it is in the
+/// direct kernel a thin stride-1 layer takes instead. `Reproducible` sums
 /// that explicit lowering over the images.
 ///
 /// # Errors
@@ -572,6 +598,9 @@ pub fn conv2d_grad_weight(x: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> Resu
     check_shape(dout, &[n, c_out, geo.h_out(), geo.w_out()], "conv2d_grad_weight")?;
     let (rows, hw) = (geo.patch_rows(), geo.h_out() * geo.w_out());
     let mut dw = Tensor::zeros(&[c_out, geo.c_in, geo.k, geo.k]);
+    if dw.is_empty() || n == 0 {
+        return Ok(dw);
+    }
     if default_profile() == MatmulProfile::Reproducible {
         for img in 0..n {
             let dy = image(dout, img).reshape(&[c_out, hw])?;
@@ -583,6 +612,12 @@ pub fn conv2d_grad_weight(x: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> Resu
         return Ok(dw);
     }
     let _sp = kernel_span("conv2d_grad_weight", c_out, n * hw, rows);
+    let parallel = parallel_under_default(c_out * rows * n * hw);
+    if direct(geo, c_out) {
+        let (x, dout) = (x.as_slice(), dout.as_slice());
+        conv_direct::grad_weight(x, dout, dw.as_mut_slice(), geo, n, c_out, parallel);
+        return Ok(dw);
+    }
     let dout_geo = ConvGeometry { c_in: c_out, h: 1, w: hw, k: 1, stride: 1, padding: 0 };
     gemm::gemm(
         &PatchesT { x: dout.as_slice(), g: PatchGeo::new(&dout_geo) },
@@ -592,10 +627,16 @@ pub fn conv2d_grad_weight(x: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> Resu
         c_out,
         n * hw,
         rows,
-        parallel_under_default(c_out * rows * n * hw),
+        parallel,
     );
     Ok(dw)
 }
+
+/// Widest layer, in output channels, whose stride-1 `k × k` (`k > 1`,
+/// `k > padding`) convolutions take the direct kernels instead of the
+/// implicit GEMM (module docs). A constant of the build, not a setting:
+/// results are the same bits on either path.
+pub const DIRECT_MAX_C_OUT: usize = conv_direct::MAX_C_OUT;
 
 /// Elements of `Wᵀ · dOut` one step of [`conv2d_grad_input`] holds (1 MiB):
 /// half an L2, so the block is still cached when it is scattered.
@@ -613,7 +654,10 @@ pub const SCATTER_BLOCK: usize = 1 << 18;
 /// ascending `(ky, kx)`. The result is bitwise equal to
 /// `col2im(matmul_tn(W, dOut))`, whatever the grouping. Threads split the
 /// images, each running its groups start to finish, so a call is one pool
-/// dispatch. `Reproducible` runs the explicit lowering image by image.
+/// dispatch. A thin stride-1 layer takes a direct kernel instead, which
+/// gathers each pixel's taps in that same two-level order without writing
+/// `Wᵀ · dOut` at all. `Reproducible` runs the explicit lowering image by
+/// image.
 ///
 /// # Errors
 ///
@@ -642,12 +686,14 @@ pub fn conv2d_grad_input(weight: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> 
     }
 
     let _sp = kernel_span("conv2d_grad_input", rows, c_out, n * hw_out);
+    let parallel = parallel_under_default(c_out * rows * n * hw_out);
+    if direct(geo, c_out) {
+        let (w, dout) = (weight.as_slice(), dout.as_slice());
+        conv_direct::grad_input(w, dout, dx.as_mut_slice(), geo, n, c_out, parallel);
+        return Ok(dx);
+    }
     let group = (SCATTER_BLOCK / (rows * hw_out)).clamp(1, n);
-    let parts = if parallel_under_default(c_out * rows * n * hw_out) {
-        pool::num_threads().min(n)
-    } else {
-        1
-    };
+    let parts = if parallel { pool::num_threads().min(n) } else { 1 };
     // Per part: one group's Wᵀ·dOut and the block scratch of its GEMM, all
     // taken on this thread (see `gemm::gemm` for why).
     let (cols_len, gemm_len) =

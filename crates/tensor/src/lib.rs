@@ -2,8 +2,9 @@
 //!
 //! This crate provides the linear-algebra kernel that the rest of the
 //! workspace is built on: a row-major dense [`Tensor`], cache-blocked
-//! matrix multiplication, implicit-GEMM convolution primitives (with the
-//! explicit im2col / col2im lowering kept as their reference), a one-sided
+//! matrix multiplication, convolution primitives (implicit GEMM, direct
+//! kernels for thin stride-1 layers, and the explicit im2col / col2im
+//! lowering kept as their reference), a one-sided
 //! Jacobi [singular value decomposition](svd) (the operation at the heart of
 //! Pufferfish's "vanilla warm-up" factorization), IEEE 754 binary16
 //! emulation used by the mixed-precision experiments, and the random weight
@@ -47,6 +48,7 @@
 //! ```
 
 pub mod conv;
+mod conv_direct;
 pub mod error;
 pub mod f16;
 pub mod gemm;

@@ -1,0 +1,284 @@
+//! The direct (pack-free) kernels behind `conv2d_forward`,
+//! `conv2d_grad_weight` and `conv2d_grad_input` against the implicit-GEMM
+//! engine and the explicit `im2col` / `col2im` lowering.
+//!
+//! Contract (DESIGN.md §10): for stride-1 `k × k` layers of at most
+//! `DIRECT_MAX_C_OUT` output channels the three primitives run direct
+//! kernels whose every output element has the engine's bits — `to_bits`
+//! equal to `matmul(W, im2col(x))`, `matmul_nt(dOut, im2col(x))` and
+//! `col2im(matmul_tn(W, dOut))`, non-finite operands included — for every
+//! thread count and with SIMD on or off.
+
+mod common;
+
+use common::{assert_bits, operands, oracle_of, Case, Oracle};
+use puffer_tensor::conv::{
+    conv2d_forward, conv2d_grad_input, conv2d_grad_weight, ConvGeometry, DIRECT_MAX_C_OUT,
+};
+use puffer_tensor::gemm;
+use puffer_tensor::matmul::{parallel_threshold, set_parallel_threshold};
+use puffer_tensor::{pool, Tensor};
+use std::sync::Mutex;
+
+/// Thread count, SIMD switch and parallel threshold are process-global;
+/// every test in this binary serializes on this lock.
+static GLOBAL: Mutex<()> = Mutex::new(());
+
+fn lock() -> std::sync::MutexGuard<'static, ()> {
+    GLOBAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Restores the global knobs when a test ends, pass or fail.
+struct Knobs {
+    threads: usize,
+    threshold: usize,
+    simd: bool,
+}
+
+impl Knobs {
+    /// Saves the knobs and sets the oracle's: one thread, SIMD on, every
+    /// eligible call parallel.
+    fn save() -> Self {
+        let saved = Knobs {
+            threads: pool::num_threads(),
+            threshold: parallel_threshold(),
+            simd: gemm::simd_enabled(),
+        };
+        set_parallel_threshold(0);
+        reference_knobs();
+        saved
+    }
+}
+
+impl Drop for Knobs {
+    fn drop(&mut self) {
+        pool::set_num_threads(self.threads);
+        set_parallel_threshold(self.threshold);
+        gemm::set_simd_enabled(self.simd);
+    }
+}
+
+fn reference_knobs() {
+    pool::set_num_threads(1);
+    gemm::set_simd_enabled(true);
+}
+
+fn macs(case: &Case) -> usize {
+    case.n * case.c_out * case.geo.patch_rows() * case.geo.h_out() * case.geo.w_out()
+}
+
+/// `(y, dW, dX)` of one layer.
+type Results = (Tensor, Tensor, Tensor);
+
+/// The three primitives as the layers call them.
+fn primitives(case: &Case, o: &Oracle) -> Results {
+    (
+        conv2d_forward(&o.x, &o.w, &case.geo).unwrap(),
+        conv2d_grad_weight(&o.x, &o.dout, &case.geo).unwrap(),
+        conv2d_grad_input(&o.w, &o.dout, &case.geo).unwrap(),
+    )
+}
+
+/// The implicit-GEMM engine on the same layer: widened with zero filters
+/// and zero `dOut` channels to one channel more than the direct kernels
+/// take, the primitives fall through to it. Output channels are independent
+/// in `y` and `dW`, and in `dX` a zero channel appends `fma(0, 0, acc)` to a
+/// chain whose `acc` is not `−0.0` — the first `c_out` channels of the
+/// widened results are the engine's results for the layer itself.
+fn engine(case: &Case, o: &Oracle) -> Results {
+    let (g, wide) = (&case.geo, DIRECT_MAX_C_OUT + 1);
+    // Copies `t` with its channel axis resized from `from` to `to` channels
+    // (zero-filled, or cut).
+    let resize = |t: &Tensor, axis: usize, from: usize, to: usize| {
+        let mut shape = t.shape().to_vec();
+        let inner: usize = shape[axis + 1..].iter().product();
+        shape[axis] = to;
+        let mut out = Tensor::zeros(&shape);
+        let slabs = t.as_slice().chunks_exact(from * inner);
+        for (src, dst) in slabs.zip(out.as_mut_slice().chunks_exact_mut(to * inner)) {
+            let kept = src.len().min(dst.len());
+            dst[..kept].copy_from_slice(&src[..kept]);
+        }
+        out
+    };
+    let (w, dout) = (resize(&o.w, 0, case.c_out, wide), resize(&o.dout, 1, case.c_out, wide));
+    (
+        resize(&conv2d_forward(&o.x, &w, g).unwrap(), 1, wide, case.c_out),
+        resize(&conv2d_grad_weight(&o.x, &dout, g).unwrap(), 0, wide, case.c_out),
+        conv2d_grad_input(&w, &dout, g).unwrap(),
+    )
+}
+
+fn assert_same((y, dw, dx): &Results, want: &Oracle, ctx: &str) {
+    assert_bits(y, &want.y, "forward", ctx);
+    assert_bits(dw, &want.dw, "dW", ctx);
+    assert_bits(dx, &want.dx, "dX", ctx);
+}
+
+/// k ∈ {2,3,5,7} × pad ∈ {0 … k−1} × planes {4², 7×5, 8², 9×6, 16², 32²}
+/// (widths that are not lane multiples included) × c_out ∈ {1,4,6,7,8,16,
+/// the constant, the constant + 1 — which falls through to the engine} ×
+/// c_in ∈ {1,3,16,130}, two images.
+fn grid() -> Vec<Case> {
+    let mut out = Vec::new();
+    for &k in &[2usize, 3, 5, 7] {
+        for padding in 0..k {
+            for &(h, w) in &[(4usize, 4usize), (7, 5), (8, 8), (9, 6), (16, 16), (32, 32)] {
+                for &c_out in &[1usize, 4, 6, 7, 8, 16, DIRECT_MAX_C_OUT, DIRECT_MAX_C_OUT + 1] {
+                    for &c_in in &[1usize, 3, 16, 130] {
+                        let geo = ConvGeometry { c_in, h, w, k, stride: 1, padding };
+                        if geo.validate().is_ok() {
+                            out.push(Case { geo, n: 2, c_out });
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The whole grid is some 25 G multiply–adds per primitive, and the scalar
+/// twins run at a few hundred million a second. Every case is checked
+/// against the explicit lowering with the AVX2 kernels at one thread count
+/// (rotating through 1/2/4/8); the cases under a million multiply–adds and
+/// every 16th of the rest are checked at all thread counts × SIMD on/off and
+/// against the engine as well.
+#[test]
+fn direct_equals_engine_equals_explicit_lowering() {
+    let _g = lock();
+    let _knobs = Knobs::save();
+    let threads = [1usize, 2, 4, 8];
+    for (i, case) in grid().iter().enumerate() {
+        reference_knobs();
+        let want = oracle_of(case, operands(case, 1000 + i as u64));
+        let thorough = macs(case) < 1_000_000 || i % 16 == 0;
+        if thorough {
+            assert_same(&engine(case, &want), &want, &format!("engine, {case:?}"));
+        }
+        for simd in [true, false] {
+            for &t in &threads {
+                if thorough || (simd && t == threads[i % 4]) {
+                    gemm::set_simd_enabled(simd);
+                    pool::set_num_threads(t);
+                    let ctx = format!("{case:?} simd={simd} threads={t}");
+                    assert_same(&primitives(case, &want), &want, &ctx);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn more_images_than_threads_and_fewer() {
+    // Threads split images (forward, dX) and tap tiles (dW): five images on
+    // 1/2/4/8 threads, and a one-tap-tile weight gradient (c_in·k² = 4 taps)
+    // on more threads than tiles.
+    let _g = lock();
+    let _knobs = Knobs::save();
+    let cases = [
+        Case {
+            geo: ConvGeometry { c_in: 5, h: 9, w: 11, k: 3, stride: 1, padding: 1 },
+            n: 5,
+            c_out: 9,
+        },
+        Case {
+            geo: ConvGeometry { c_in: 1, h: 6, w: 6, k: 2, stride: 1, padding: 1 },
+            n: 1,
+            c_out: 20,
+        },
+    ];
+    for (i, case) in cases.iter().enumerate() {
+        reference_knobs();
+        let want = oracle_of(case, operands(case, 50 + i as u64));
+        for simd in [true, false] {
+            for threads in [1usize, 2, 4, 8] {
+                gemm::set_simd_enabled(simd);
+                pool::set_num_threads(threads);
+                let ctx = format!("{case:?} simd={simd} threads={threads}");
+                assert_same(&primitives(case, &want), &want, &ctx);
+            }
+        }
+    }
+}
+
+/// Writes `v` at `(img, c, y, x)` of an NCHW tensor.
+fn poke(t: &mut Tensor, (img, c, y, x): (usize, usize, usize, usize), v: f32) {
+    let s = t.shape().to_vec();
+    t.as_mut_slice()[((img * s[1] + c) * s[2] + y) * s[3] + x] = v;
+}
+
+#[test]
+fn non_finite_operands_reach_the_same_elements_with_the_same_bits() {
+    // NaN / ±Inf in dOut, in x and in one weight tap, at corner, edge and
+    // interior positions: a non-finite x meets finite weights only where a
+    // window covers it, a non-finite weight turns the zero border into NaN
+    // in forward and dW (as the packed panel's zeros do) and must not in dX
+    // (the scatter skips taps outside dOut).
+    let _g = lock();
+    let _knobs = Knobs::save();
+    let geos = [
+        ConvGeometry { c_in: 3, h: 9, w: 6, k: 3, stride: 1, padding: 1 },
+        ConvGeometry { c_in: 2, h: 7, w: 5, k: 5, stride: 1, padding: 2 },
+        ConvGeometry { c_in: 3, h: 8, w: 8, k: 2, stride: 1, padding: 1 },
+        ConvGeometry { c_in: 2, h: 10, w: 9, k: 3, stride: 1, padding: 0 },
+    ];
+    let mut checked = 0;
+    for (gi, geo) in geos.iter().enumerate() {
+        let case = Case { geo: *geo, n: 2, c_out: 5 };
+        let (ho, wo, k) = (geo.h_out(), geo.w_out(), geo.k);
+        let spots = |h: usize, w: usize| [(0, 0), (0, w / 2), (h - 1, w - 1), (h / 2, w / 2)];
+        for (vi, &v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY].iter().enumerate() {
+            let mut variants = Vec::new();
+            for (y, x) in spots(ho, wo) {
+                let mut o = operands(&case, 7 + gi as u64);
+                poke(&mut o.2, (vi % 2, 3, y, x), v);
+                variants.push((format!("dOut[{y},{x}]"), o));
+            }
+            for (y, x) in spots(geo.h, geo.w) {
+                let mut o = operands(&case, 7 + gi as u64);
+                poke(&mut o.0, (1 - vi % 2, 1, y, x), v);
+                variants.push((format!("x[{y},{x}]"), o));
+            }
+            for (ky, kx) in spots(k, k) {
+                let mut o = operands(&case, 7 + gi as u64);
+                poke(&mut o.1, (2, 1, ky, kx), v);
+                variants.push((format!("w[{ky},{kx}]"), o));
+            }
+            for (what, o) in variants {
+                reference_knobs();
+                let want = oracle_of(&case, o);
+                let ctx = format!("engine, {v} in {what}, {geo:?}");
+                assert_same(&engine(&case, &want), &want, &ctx);
+                for simd in [true, false] {
+                    for threads in [1usize, 2] {
+                        gemm::set_simd_enabled(simd);
+                        pool::set_num_threads(threads);
+                        let ctx = format!("{v} in {what}, {geo:?} simd={simd} threads={threads}");
+                        assert_same(&primitives(&case, &want), &want, &ctx);
+                    }
+                }
+                let poisoned = |t: &Tensor| t.as_slice().iter().filter(|a| !a.is_finite()).count();
+                assert!(poisoned(&want.y) + poisoned(&want.dw) + poisoned(&want.dx) > 0);
+                checked += 1;
+            }
+        }
+    }
+    assert_eq!(checked, geos.len() * 3 * 12);
+}
+
+#[test]
+fn empty_batch_and_shape_errors_are_the_engine_s() {
+    let geo = ConvGeometry { c_in: 3, h: 8, w: 8, k: 3, stride: 1, padding: 1 };
+    let w = Tensor::randn(&[4, 3, 3, 3], 0.5, 1);
+    let none = Tensor::zeros(&[0, 3, 8, 8]);
+    let no_grad = Tensor::zeros(&[0, 4, 8, 8]);
+    assert_eq!(conv2d_forward(&none, &w, &geo).unwrap().shape(), &[0, 4, 8, 8]);
+    let dw = conv2d_grad_weight(&none, &no_grad, &geo).unwrap();
+    assert_eq!(dw, Tensor::zeros(&[4, 3, 3, 3]));
+    assert_eq!(conv2d_grad_input(&w, &no_grad, &geo).unwrap().shape(), &[0, 3, 8, 8]);
+    let x = Tensor::zeros(&[2, 3, 8, 8]);
+    assert!(conv2d_forward(&x, &Tensor::zeros(&[4, 3, 5, 5]), &geo).is_err());
+    assert!(conv2d_grad_weight(&x, &Tensor::zeros(&[2, 4, 7, 8]), &geo).is_err());
+    assert!(conv2d_grad_input(&w, &Tensor::zeros(&[2, 5, 8, 8]), &geo).is_err());
+}

@@ -7,13 +7,13 @@
 //! all three are bitwise invariant to thread count, SIMD on/off and the
 //! KC/MC/NC blocking.
 
-use puffer_tensor::conv::{
-    col2im, conv2d_forward, conv2d_grad_input, conv2d_grad_weight, im2col, ConvGeometry,
-};
+mod common;
+
+use common::{assert_bits, oracle, Case};
+use puffer_tensor::conv::{conv2d_forward, conv2d_grad_input, conv2d_grad_weight, ConvGeometry};
 use puffer_tensor::gemm;
 use puffer_tensor::matmul::{
-    matmul, matmul_nt, matmul_tn, parallel_threshold, set_default_profile, set_parallel_threshold,
-    MatmulProfile,
+    parallel_threshold, set_default_profile, set_parallel_threshold, MatmulProfile,
 };
 use puffer_tensor::stats::rel_error;
 use puffer_tensor::{pool, Tensor};
@@ -58,12 +58,6 @@ impl Drop for Knobs {
     }
 }
 
-struct Case {
-    geo: ConvGeometry,
-    n: usize,
-    c_out: usize,
-}
-
 /// k ∈ {1, 3, 7} × stride ∈ {1, 2} × padding ∈ {0, 1, 3}, on a non-square
 /// 7×5 plane (35 positions: every 16-lane panel straddles images), a 9×6
 /// one, and a 16×16 one whose panels are aligned; batch sizes chosen so
@@ -95,65 +89,6 @@ fn cases() -> Vec<Case> {
         c_out: 4,
     });
     out
-}
-
-struct Oracle {
-    x: Tensor,
-    w: Tensor,
-    dout: Tensor,
-    y: Tensor,
-    dw: Tensor,
-    dx: Tensor,
-}
-
-/// `[c, N·hw] → [N, c, hw…]`, test-side only: the reference lowering
-/// produces channel-major matrices, the primitives produce NCHW.
-fn cols_to_nchw(mat: &Tensor, n: usize, c: usize, ho: usize, wo: usize) -> Tensor {
-    let hw = ho * wo;
-    let mut out = Tensor::zeros(&[n, c, ho, wo]);
-    for ci in 0..c {
-        for ni in 0..n {
-            let src = &mat.as_slice()[ci * n * hw + ni * hw..][..hw];
-            out.as_mut_slice()[(ni * c + ci) * hw..][..hw].copy_from_slice(src);
-        }
-    }
-    out
-}
-
-fn nchw_to_cols(t: &Tensor) -> Tensor {
-    let s = t.shape();
-    let (n, c, hw) = (s[0], s[1], s[2] * s[3]);
-    let mut out = Tensor::zeros(&[c, n * hw]);
-    for ci in 0..c {
-        for ni in 0..n {
-            let src = &t.as_slice()[(ni * c + ci) * hw..][..hw];
-            out.as_mut_slice()[ci * n * hw + ni * hw..][..hw].copy_from_slice(src);
-        }
-    }
-    out
-}
-
-/// The explicit lowering, computed once per case at one thread with the
-/// default blocking (its own invariance is `simd_bitwise.rs`'s business).
-fn oracle(case: &Case, seed: u64) -> Oracle {
-    let g = &case.geo;
-    let x = Tensor::randn(&[case.n, g.c_in, g.h, g.w], 1.0, seed);
-    let w = Tensor::randn(&[case.c_out, g.c_in, g.k, g.k], 0.5, seed + 1);
-    let dout = Tensor::randn(&[case.n, case.c_out, g.h_out(), g.w_out()], 1.0, seed + 2);
-    let w_mat = w.reshape(&[case.c_out, g.patch_rows()]).unwrap();
-    let cols = im2col(&x, g).unwrap();
-    let y = cols_to_nchw(&matmul(&w_mat, &cols).unwrap(), case.n, case.c_out, g.h_out(), g.w_out());
-    let dout_mat = nchw_to_cols(&dout);
-    let dw = matmul_nt(&dout_mat, &cols).unwrap().reshape(w.shape()).unwrap();
-    let dx = col2im(&matmul_tn(&w_mat, &dout_mat).unwrap(), g, case.n).unwrap();
-    Oracle { x, w, dout, y, dw, dx }
-}
-
-fn assert_bits(got: &Tensor, want: &Tensor, what: &str, ctx: &str) {
-    assert_eq!(got.shape(), want.shape(), "{what} shape, {ctx}");
-    for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "{what}[{i}]: {a} vs {b}, {ctx}");
-    }
 }
 
 #[test]

@@ -14,8 +14,8 @@ cargo build --release --offline --locked
 echo "== cargo fmt --check"
 cargo fmt --check
 
-echo "== cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace --offline --locked -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 
 echo "== cargo test -q"
 cargo test -q --offline --locked
@@ -47,8 +47,9 @@ cargo test -q --offline --locked --release -p puffer-tensor --test probe_overhea
 echo "== tensor suite under the scalar GEMM fallback (PUFFER_SIMD=0)"
 # The blocked engine promises bitwise-identical results with the SIMD
 # micro-kernel disabled; prove the whole tensor suite agrees — the
-# implicit-GEMM convolution suite (tests/conv_implicit.rs) included — not
-# just the dedicated A/B tests (which force both paths in-process anyway).
+# implicit-GEMM convolution suite (tests/conv_implicit.rs) and the direct
+# kernels' (tests/conv_direct.rs) included — not just the dedicated A/B
+# tests (which force both paths in-process anyway).
 PUFFER_SIMD=0 cargo test -q --offline --locked -p puffer-tensor
 
 echo "== worker-side codec suites under the scalar GEMM fallback (PUFFER_SIMD=0)"
@@ -80,6 +81,8 @@ PUFFER_SOAK_SMOKE=1 cargo run --release --offline --locked -q -p puffer-bench --
 echo "== bucketed overlap sweep (exposed-comm cut, bitwise params, alloc-free, DESIGN.md §13)"
 # Sync vs bucketed epoch on the seeded 8-worker α–β profile; rewrites
 # BENCH_dist.json, so keep the committed baseline aside for the diff gate.
+# The exposure cut times eight threads side by side and gates only on a
+# machine with at least eight hardware threads; the other three always do.
 DIST_BASELINE="$(mktemp)"
 trap 'rm -f "$DIST_BASELINE" "$SOAK_BASELINE" "$LINT_BASELINE"' EXIT
 cp BENCH_dist.json "$DIST_BASELINE"
