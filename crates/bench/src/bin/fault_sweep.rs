@@ -10,7 +10,7 @@
 //! lands in `BENCH_faults.json` at the workspace root.
 //!
 //! Usage: `cargo run --release -p puffer-bench --bin fault_sweep`
-//! (`PUFFER_BENCH_SCALE=full` widens the run).
+//! (`-- --quick` shrinks the run).
 
 use puffer_bench::scale::RunScale;
 use puffer_bench::table::Table;

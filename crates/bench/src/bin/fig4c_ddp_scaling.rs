@@ -5,15 +5,18 @@
 //!
 //! Per-batch forward/backward times are measured on the real bench-scale
 //! models; gradient sizes use the **full-scale** ledgers (what determines
-//! real DDP traffic); bucketing/overlap use the 25 MB DDP model. Shape
+//! real DDP traffic); bucketing and overlap are the trainer's own
+//! [`BucketPlan`] and [`overlap_timeline`] at DDP's 25 MB bucket size,
+//! with buckets becoming ready at evenly spaced points of backward. Shape
 //! under reproduction: Pufferfish's per-epoch speedup grows with node
 //! count (paper: 1.52× at 16 nodes).
 
 use puffer_bench::scale::RunScale;
 use puffer_bench::table::Table;
 use puffer_bench::{record_result, setups};
+use puffer_compress::pack::PackLayout;
+use puffer_dist::bucket::{overlap_timeline, BucketPlan};
 use puffer_dist::cost::ClusterProfile;
-use puffer_dist::ddp::{simulate_step, DEFAULT_BUCKET_BYTES};
 use puffer_models::resnet::ResNetHybridPlan;
 use puffer_models::spec::{resnet50_imagenet, SpecVariant};
 use puffer_models::units::FactorInit;
@@ -44,6 +47,33 @@ fn fwd_bwd_time<M: Layer>(
     (fwd / reps as u32, bwd / reps as u32)
 }
 
+/// DDP's default bucket size (25 MB), per the paper's footnote 2.
+const DDP_BUCKET_BYTES: usize = 25 << 20;
+
+/// The full-scale gradient layout DDP ships for `variant`, cut into DDP's
+/// buckets.
+fn ddp_plan(variant: SpecVariant) -> BucketPlan {
+    let spec = resnet50_imagenet(variant);
+    let shapes = spec.layers.iter().map(|l| vec![l.params as usize]).collect();
+    BucketPlan::new(&PackLayout::from_shapes(shapes), DDP_BUCKET_BYTES)
+}
+
+/// Seconds per DDP step: compute plus whatever communication the overlap
+/// could not hide behind backward.
+fn ddp_step_seconds(fwd: Duration, bwd: Duration, plan: &BucketPlan, nodes: usize) -> f64 {
+    let profile = ClusterProfile::p3_like(nodes);
+    let n = plan.buckets();
+    let ready_us: Vec<u64> =
+        (1..=n).map(|i| (fwd + bwd.mul_f64(i as f64 / n as f64)).as_micros() as u64).collect();
+    let compute = fwd + bwd;
+    let exposed: Duration =
+        overlap_timeline(plan, &ready_us, compute, nodes, |bytes| profile.allreduce(bytes))
+            .iter()
+            .map(|b| b.exposed)
+            .sum();
+    (compute + exposed).as_secs_f64()
+}
+
 fn main() {
     let scale = RunScale::from_env();
     let data = setups::imagenet_lite_data(scale);
@@ -70,17 +100,8 @@ fn main() {
     let bp = Duration::from_secs_f64(bv.as_secs_f64() * mac_ratio);
     let _ = (fp_raw, bp_raw);
 
-    // Full-scale gradient layouts (what DDP actually ships).
-    let vanilla_layers: Vec<usize> = resnet50_imagenet(SpecVariant::Vanilla)
-        .layers
-        .iter()
-        .map(|l| l.params as usize * 4)
-        .collect();
-    let puffer_layers: Vec<usize> = resnet50_imagenet(SpecVariant::Pufferfish)
-        .layers
-        .iter()
-        .map(|l| l.params as usize * 4)
-        .collect();
+    let vanilla_plan = ddp_plan(SpecVariant::Vanilla);
+    let puffer_plan = ddp_plan(SpecVariant::Pufferfish);
 
     println!("== Figure 4(c): DDP per-epoch scaling, ResNet-50, {steps_per_epoch} steps/epoch ==");
     println!("compute/batch: vanilla fwd {:.1}ms bwd {:.1}ms (measured) | pufferfish fwd {:.1}ms bwd {:.1}ms (MAC-ratio {:.3})\n",
@@ -89,11 +110,8 @@ fn main() {
     let mut t =
         Table::new(vec!["nodes", "vanilla s/epoch", "pufferfish s/epoch", "speedup", "paper"]);
     for nodes in [2usize, 4, 8, 16] {
-        let profile = ClusterProfile::p3_like(nodes);
-        let sv = simulate_step(fv, bv, &vanilla_layers, DEFAULT_BUCKET_BYTES, &profile);
-        let sp = simulate_step(fp, bp, &puffer_layers, DEFAULT_BUCKET_BYTES, &profile);
-        let ev = sv.total.as_secs_f64() * steps_per_epoch as f64;
-        let ep = sp.total.as_secs_f64() * steps_per_epoch as f64;
+        let ev = ddp_step_seconds(fv, bv, &vanilla_plan, nodes) * steps_per_epoch as f64;
+        let ep = ddp_step_seconds(fp, bp, &puffer_plan, nodes) * steps_per_epoch as f64;
         t.row(vec![
             nodes.to_string(),
             format!("{ev:.2}"),
@@ -118,11 +136,8 @@ fn main() {
     let mut t =
         Table::new(vec!["nodes", "vanilla s/epoch", "pufferfish s/epoch", "speedup", "paper"]);
     for nodes in [2usize, 4, 8, 16] {
-        let profile = ClusterProfile::p3_like(nodes);
-        let sv = simulate_step(fv100, bv100, &vanilla_layers, DEFAULT_BUCKET_BYTES, &profile);
-        let sp = simulate_step(fp100, bp100, &puffer_layers, DEFAULT_BUCKET_BYTES, &profile);
-        let ev = sv.total.as_secs_f64() * steps_per_epoch as f64;
-        let ep = sp.total.as_secs_f64() * steps_per_epoch as f64;
+        let ev = ddp_step_seconds(fv100, bv100, &vanilla_plan, nodes) * steps_per_epoch as f64;
+        let ep = ddp_step_seconds(fp100, bp100, &puffer_plan, nodes) * steps_per_epoch as f64;
         t.row(vec![
             nodes.to_string(),
             format!("{ev:.2}"),

@@ -14,8 +14,9 @@
 //! this sweep documents exactly how fast the local engine is on the
 //! machine that produced any given set of results.
 //!
-//! Usage: `cargo run --release -p puffer-bench --bin gemm_scaling`
-//! (`PUFFER_GEMM_THREADS=1,2,4,8` overrides the thread grid).
+//! Usage: `cargo run --release -p puffer-bench --bin gemm_scaling`. The
+//! thread grid is the powers of two up to the hardware parallelism, plus
+//! the hardware parallelism itself.
 
 use puffer_bench::record_result;
 use puffer_probe::Stopwatch;
@@ -38,13 +39,6 @@ fn time_matmul(a: &Tensor, b: &Tensor, reps: usize) -> f64 {
 }
 
 fn thread_grid() -> Vec<usize> {
-    if let Ok(v) = std::env::var("PUFFER_GEMM_THREADS") {
-        let grid: Vec<usize> =
-            v.split(',').filter_map(|s| s.trim().parse().ok()).filter(|&t| t >= 1).collect();
-        if !grid.is_empty() {
-            return grid;
-        }
-    }
     let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut grid = vec![1];
     let mut t = 2;

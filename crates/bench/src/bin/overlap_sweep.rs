@@ -39,8 +39,8 @@ use puffer_nn::activation::Relu;
 use puffer_nn::linear::Linear;
 use puffer_nn::{Layer, Sequential};
 use puffer_probe as probe;
+use puffer_probe::appendln;
 use puffer_tensor::Tensor;
-use std::fmt::Write as _;
 
 const WORKERS: usize = 8;
 const STEPS: usize = 4;
@@ -231,34 +231,34 @@ fn main() {
     println!("  insight on the overlapped trace: {insight_detail}");
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"dist_overlap_sweep\",");
-    let _ = writeln!(json, "  \"workers\": {WORKERS},");
-    let _ = writeln!(json, "  \"hardware_threads\": {hardware_threads},");
-    let _ = writeln!(json, "  \"steps\": {STEPS},");
-    let _ = writeln!(json, "  \"buckets\": {buckets},");
-    let _ = writeln!(json, "  \"bucket_bytes\": {BUCKET_BYTES},");
-    let _ = writeln!(json, "  \"grad_bytes\": {},", layout.total_bytes());
+    appendln!(json, "  \"bench\": \"dist_overlap_sweep\",");
+    appendln!(json, "  \"workers\": {WORKERS},");
+    appendln!(json, "  \"hardware_threads\": {hardware_threads},");
+    appendln!(json, "  \"steps\": {STEPS},");
+    appendln!(json, "  \"buckets\": {buckets},");
+    appendln!(json, "  \"bucket_bytes\": {BUCKET_BYTES},");
+    appendln!(json, "  \"grad_bytes\": {},", layout.total_bytes());
     // Wall-clock seconds live under info-classified keys (no `_s` suffix):
     // sub-ms exposed-comm readings swing several-fold with machine load, so
     // cross-run gating rides the `*_pass` bools — the within-run paired
     // reduction floor — not absolute timings.
-    let _ = writeln!(json, "  \"wall_seconds\": {{");
-    let _ = writeln!(json, "    \"sync_comm\": {:.6},", sync.breakdown.comm.as_secs_f64());
-    let _ = writeln!(json, "    \"sync_exposed\": {sync_exposed:.6},");
-    let _ = writeln!(json, "    \"bucketed_comm\": {:.6},", bucketed.breakdown.comm.as_secs_f64());
-    let _ = writeln!(json, "    \"bucketed_exposed\": {bucketed_exposed:.6}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"exposed_reduction\": {reduction:.4},");
-    let _ = writeln!(json, "  \"reduction_floor\": {REDUCTION_FLOOR:.2},");
-    let _ = writeln!(json, "  \"steady_fresh_bytes\": {fresh_bytes:.0},");
-    let _ = writeln!(json, "  \"steady_pool_misses\": {pool_misses:.0},");
-    let _ = writeln!(json, "  \"insight_worst_rel_err\": {worst_rel_err:.6},");
-    let _ = writeln!(json, "  \"overlap_gated\": {overlap_gated},");
-    let _ = writeln!(json, "  \"overlap_pass\": {overlap_pass},");
-    let _ = writeln!(json, "  \"bitwise_pass\": {bitwise_pass},");
-    let _ = writeln!(json, "  \"alloc_pass\": {alloc_pass},");
-    let _ = writeln!(json, "  \"reconcile_pass\": {insight_pass},");
-    let _ = writeln!(json, "  \"all_pass\": {all_pass}");
+    appendln!(json, "  \"wall_seconds\": {{");
+    appendln!(json, "    \"sync_comm\": {:.6},", sync.breakdown.comm.as_secs_f64());
+    appendln!(json, "    \"sync_exposed\": {sync_exposed:.6},");
+    appendln!(json, "    \"bucketed_comm\": {:.6},", bucketed.breakdown.comm.as_secs_f64());
+    appendln!(json, "    \"bucketed_exposed\": {bucketed_exposed:.6}");
+    appendln!(json, "  }},");
+    appendln!(json, "  \"exposed_reduction\": {reduction:.4},");
+    appendln!(json, "  \"reduction_floor\": {REDUCTION_FLOOR:.2},");
+    appendln!(json, "  \"steady_fresh_bytes\": {fresh_bytes:.0},");
+    appendln!(json, "  \"steady_pool_misses\": {pool_misses:.0},");
+    appendln!(json, "  \"insight_worst_rel_err\": {worst_rel_err:.6},");
+    appendln!(json, "  \"overlap_gated\": {overlap_gated},");
+    appendln!(json, "  \"overlap_pass\": {overlap_pass},");
+    appendln!(json, "  \"bitwise_pass\": {bitwise_pass},");
+    appendln!(json, "  \"alloc_pass\": {alloc_pass},");
+    appendln!(json, "  \"reconcile_pass\": {insight_pass},");
+    appendln!(json, "  \"all_pass\": {all_pass}");
     json.push_str("}\n");
 
     let root = std::env::var("CARGO_MANIFEST_DIR")

@@ -23,14 +23,10 @@
 //!
 //! Results land in `BENCH_soak.json` at the workspace root.
 //!
-//! Usage: `cargo run --release -p puffer-bench --bin soak [-- --check]`
-//! (`--check` exits non-zero if any gate fails — the `scripts/check.sh`
-//! smoke gate runs it with `PUFFER_SOAK_SMOKE=1`).
-//!
-//! Env knobs: `PUFFER_SOAK_SMOKE=1` shrinks the run to the fixed-seed
-//! smoke length; `PUFFER_SOAK_STEPS` overrides the step count (rounded
-//! down to a multiple of 8, min 16); `PUFFER_SOAK_SEED` reseeds the fault
-//! plan; `PUFFER_SOAK_WORKERS` sets the initial fleet (min 4).
+//! Usage: `cargo run --release -p puffer-bench --bin soak [-- --smoke]
+//! [--check]`: `--smoke` shrinks the run from 96 steps to the 24 the
+//! `scripts/check.sh` gate runs, `--check` exits non-zero if any gate
+//! fails.
 
 use puffer_bench::record_result;
 use puffer_compress::none::NoCompression;
@@ -57,25 +53,23 @@ const DIVERGENCE_BOUND: f32 = 1e-6;
 /// (gate 3).
 const RECOVERY_ROUNDS: usize = 5;
 
+/// The initial fleet; the churn schedule crashes, rejoins and retires
+/// members by id, so it needs at least four.
+const WORKERS: usize = 4;
+
+/// Seeds the fault plan and the data.
+const SEED: u64 = 42;
+
 struct SoakConfig {
+    /// A multiple of 8: the churn schedule is cut in eighths of the run.
     steps: usize,
-    workers: usize,
-    seed: u64,
     smoke: bool,
 }
 
 impl SoakConfig {
-    fn from_env() -> Self {
-        let smoke = std::env::var("PUFFER_SOAK_SMOKE").is_ok_and(|v| v == "1");
-        let env_usize = |name: &str, default: usize| {
-            std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-        };
-        let steps = env_usize("PUFFER_SOAK_STEPS", if smoke { 24 } else { 96 });
-        let steps = (steps.max(16) / 8) * 8;
-        let workers = env_usize("PUFFER_SOAK_WORKERS", 4).max(4);
-        let seed =
-            std::env::var("PUFFER_SOAK_SEED").ok().and_then(|v| v.parse().ok()).unwrap_or(42u64);
-        SoakConfig { steps, workers, seed, smoke }
+    fn from_args() -> Self {
+        let smoke = std::env::args().any(|a| a == "--smoke");
+        SoakConfig { steps: if smoke { 24 } else { 96 }, smoke }
     }
 
     /// The seeded churn schedule, positioned as fractions of the run so it
@@ -83,7 +77,7 @@ impl SoakConfig {
     /// checkpoint boundary) → join → leave, all within the first three
     /// quarters; the final quarter is the steady state the gates measure.
     fn faults(&self) -> FaultPlan {
-        FaultPlan::new(self.seed)
+        FaultPlan::new(SEED)
             .with_crash(1, self.steps / 8)
             .with_crash(3, self.steps / 4)
             .with_slowdown(2, 3.0)
@@ -95,8 +89,8 @@ impl SoakConfig {
     fn membership(&self) -> MembershipPlan {
         MembershipPlan::none()
             .with_join(1, 3 * self.steps / 8)
-            .with_join(self.workers, self.steps / 2)
-            .with_join(self.workers + 1, 5 * self.steps / 8)
+            .with_join(WORKERS, self.steps / 2)
+            .with_join(WORKERS + 1, 5 * self.steps / 8)
             .with_leave(0, 3 * self.steps / 4)
     }
 
@@ -106,18 +100,18 @@ impl SoakConfig {
 
     fn dist_config(&self) -> DistConfig {
         DistConfig {
-            workers: self.workers,
+            workers: WORKERS,
             lr: 0.05,
             momentum: 0.9,
             weight_decay: 1e-4,
-            profile: ClusterProfile::p3_like(self.workers),
+            profile: ClusterProfile::p3_like(WORKERS),
         }
     }
 
     fn batches(&self, n: usize) -> Vec<(Tensor, Vec<usize>)> {
         (0..n)
             .map(|b| {
-                let x = Tensor::randn(&[16, 6], 1.0, self.seed * 1000 + b as u64);
+                let x = Tensor::randn(&[16, 6], 1.0, SEED * 1000 + b as u64);
                 let labels = (0..16).map(|i| (i + b) % 3).collect();
                 (x, labels)
             })
@@ -175,7 +169,7 @@ struct Gate {
 }
 
 fn run_soak() -> (Vec<Gate>, String) {
-    let cfg = SoakConfig::from_env();
+    let cfg = SoakConfig::from_args();
     let scratch = std::env::temp_dir().join(format!("puffer_soak_{}", std::process::id()));
     std::fs::create_dir_all(&scratch).expect("scratch dir");
     let dist_cfg = cfg.dist_config();
@@ -188,8 +182,8 @@ fn run_soak() -> (Vec<Gate>, String) {
     probe::configure(probe::ProbeConfig::in_memory());
     probe::run_header(&[
         ("bench", "soak".into()),
-        ("seed", cfg.seed.into()),
-        ("workers", cfg.workers.into()),
+        ("seed", SEED.into()),
+        ("workers", WORKERS.into()),
         ("steps", cfg.steps.into()),
         ("scheme", "none".into()),
         ("alpha", dist_cfg.profile.alpha.into()),
@@ -230,7 +224,7 @@ fn run_soak() -> (Vec<Gate>, String) {
             && crashes >= 2
             && leaves >= 1
             && main.faults.corrupted_messages >= 1
-            && main.faults.survivors == cfg.workers,
+            && main.faults.survivors == WORKERS,
         detail: format!(
             "joins={joins} rejoins={rejoins} crashes={crashes} leaves={leaves} \
              corrupted={} dropped_retries_ok survivors={} epoch={}",
@@ -395,9 +389,9 @@ fn run_soak() -> (Vec<Gate>, String) {
     let json = format!(
         "{{\n  \"bench\": \"soak\",\n  \"mode\": \"{}\",\n  \"seed\": {},\n  \"steps\": {},\n  \"workers\": {},\n  \"final_epoch\": {},\n  \"membership_events\": {},\n  \"counters\": {{ \"crashes\": {}, \"reshards\": {}, \"join_deferrals\": {}, \"corrupted_messages\": {}, \"dropped_messages\": {}, \"checkpoint_writes\": {} }},\n  \"phases\": {{\n{}\n  }},\n  \"all_pass\": {all_pass},\n  \"gates\": [\n{}\n  ]\n}}\n",
         if cfg.smoke { "smoke" } else { "full" },
-        cfg.seed,
+        SEED,
         cfg.steps,
-        cfg.workers,
+        WORKERS,
         main.final_epoch,
         main.membership.len(),
         counter("dist.crashes"),

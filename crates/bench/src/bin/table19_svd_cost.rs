@@ -39,7 +39,9 @@ fn main() {
     let resnet50 = setups::resnet50(20, 1);
     let (m, s) = time_trials(
         || {
-            let _ = resnet50.to_hybrid(&ResNetHybridPlan::resnet50_paper(), FactorInit::WarmStart);
+            resnet50
+                .to_hybrid(&ResNetHybridPlan::resnet50_paper(), FactorInit::WarmStart)
+                .expect("factorization");
         },
         trials,
     );
@@ -49,7 +51,8 @@ fn main() {
     let wide = setups::wide_resnet50(20, 1);
     let (m, s) = time_trials(
         || {
-            let _ = wide.to_hybrid(&ResNetHybridPlan::resnet50_paper(), FactorInit::WarmStart);
+            wide.to_hybrid(&ResNetHybridPlan::resnet50_paper(), FactorInit::WarmStart)
+                .expect("factorization");
         },
         trials,
     );
@@ -59,7 +62,7 @@ fn main() {
     let vgg = setups::vgg19(10, 1);
     let (m, s) = time_trials(
         || {
-            let _ = vgg.to_hybrid(10, 0.25, FactorInit::WarmStart);
+            vgg.to_hybrid(10, 0.25, FactorInit::WarmStart).expect("factorization");
         },
         trials,
     );
@@ -69,7 +72,9 @@ fn main() {
     let resnet18 = setups::resnet18(10, 1);
     let (m18, s18) = time_trials(
         || {
-            let _ = resnet18.to_hybrid(&ResNetHybridPlan::resnet18_paper(), FactorInit::WarmStart);
+            resnet18
+                .to_hybrid(&ResNetHybridPlan::resnet18_paper(), FactorInit::WarmStart)
+                .expect("factorization");
         },
         trials,
     );
@@ -79,7 +84,7 @@ fn main() {
     let lstm = setups::lstm_lm(200, 1);
     let (m, s) = time_trials(
         || {
-            let _ = lstm.to_low_rank(setups::LSTM_RANK, true);
+            lstm.to_low_rank(setups::LSTM_RANK, true).expect("factorization");
         },
         trials,
     );
@@ -89,7 +94,7 @@ fn main() {
     let transformer = setups::transformer(64, None, 1);
     let (m, s) = time_trials(
         || {
-            let _ = transformer.to_hybrid(setups::TRANSFORMER_RANK, true);
+            transformer.to_hybrid(setups::TRANSFORMER_RANK, true).expect("factorization");
         },
         trials,
     );

@@ -28,7 +28,9 @@ pub fn record_result(name: &str, line: &str) {
     let path = dir.join(format!("{name}.txt"));
     match std::fs::OpenOptions::new().create(true).append(true).open(&path) {
         Ok(mut f) => {
-            let _ = writeln!(f, "{line}");
+            if let Err(e) = writeln!(f, "{line}") {
+                eprintln!("warning: cannot write {}: {e}", path.display());
+            }
         }
         Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
@@ -55,6 +57,6 @@ mod tests {
         let path = results_dir().join("selftest.txt");
         let content = std::fs::read_to_string(&path).unwrap();
         assert!(content.contains("hello"));
-        let _ = std::fs::remove_file(path);
+        std::fs::remove_file(path).ok();
     }
 }

@@ -2,7 +2,6 @@
 //!
 //! Every experiment binary supports `--quick` (CI-sized, seconds) and
 //! `--full` (the default: minutes-scale runs that produce smoother curves).
-//! The `PUFFER_SCALE` environment variable (`quick`/`full`) overrides.
 
 /// How large an experiment run should be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,18 +13,12 @@ pub enum RunScale {
 }
 
 impl RunScale {
-    /// Parses the scale from process args and environment.
+    /// Parses the scale from the process arguments.
     pub fn from_env() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--quick") {
-            return RunScale::Quick;
-        }
-        if args.iter().any(|a| a == "--full") {
-            return RunScale::Full;
-        }
-        match std::env::var("PUFFER_SCALE").as_deref() {
-            Ok("quick") => RunScale::Quick,
-            _ => RunScale::Full,
+        if std::env::args().any(|a| a == "--quick") {
+            RunScale::Quick
+        } else {
+            RunScale::Full
         }
     }
 

@@ -167,5 +167,5 @@ fn churned_run_replays_bitwise_from_its_checkpoint() {
     assert_eq!(replay.faults.survivors, main.faults.survivors);
     assert_eq!(replay.final_epoch, main.final_epoch);
     assert_eq!(replay.step_losses, &main.step_losses[6..], "replayed losses must match");
-    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -2,6 +2,21 @@
 //! "vanilla SGD" means in the paper's Figure 4, including its flat-buffer
 //! packing optimization.
 
+// Reached from the data-parallel trainer's worker threads, which must fail
+// typed, not panic (DESIGN.md §8): same deny list as `puffer-dist`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::pack::{pack, pack_into, unpack, PackLayout};
 use crate::{
     exact_mean, length_mismatch, AggregationKind, GradCompressor, RoundStats, WorkerCodec,

@@ -22,6 +22,21 @@
 //! worker in-process and reduces their payloads with
 //! [`crate::mean_in_order`], the sum a trainer's allreduce performs.
 
+// Reached from the data-parallel trainer's worker threads, which must fail
+// typed, not panic (DESIGN.md §8): same deny list as `puffer-dist`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
 use crate::pack::PackLayout;
 use crate::{
     length_mismatch, mean_in_order, AggregationKind, GradCompressor, RoundStats, WorkerCodec,
@@ -384,8 +399,12 @@ impl GradCompressor for PowerSgd {
         AggregationKind::AllReduce
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "the trait's documented panic; the trainer never plays this round, PowerSGD \
+                  has a worker half"
+    )]
     fn round(&mut self, worker_grads: &[Vec<Tensor>]) -> (Vec<Tensor>, RoundStats) {
-        // lint:allow(dist-panic-reachability) — the trait's documented panic; the trainer never plays this round, PowerSGD has a worker half
         self.drive_halves(worker_grads).expect("workers must agree on layer shapes")
     }
 

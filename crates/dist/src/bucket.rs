@@ -25,10 +25,12 @@
 //!   bucket size, arrival order, or thread count. All buffers are reused
 //!   across rounds — the steady state allocates nothing.
 
+use crate::breakdown::BucketComm;
 use puffer_compress::pack::PackLayout;
 use puffer_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::time::Duration;
 
 /// How a flat gradient buffer is split into buckets, in **ready order**
 /// (bucket 0 = the tail tensors whose gradients finalize first).
@@ -90,8 +92,9 @@ impl BucketPlan {
     /// # Panics
     ///
     /// Panics if `b` is out of range.
+    #[expect(clippy::indexing_slicing, reason = "b comes from iterating 0..buckets()")]
     pub fn range(&self, b: usize) -> Range<usize> {
-        self.ranges[b].clone() // lint:allow(dist-panic-reachability) — b comes from iterating 0..buckets()
+        self.ranges[b].clone()
     }
 
     /// Bucket `b`'s payload in bytes.
@@ -101,8 +104,9 @@ impl BucketPlan {
 
     /// Lowest tensor index in bucket `b` — the bucket is ready once this
     /// tensor's gradient has finalized during backward.
+    #[expect(clippy::indexing_slicing, reason = "b comes from iterating 0..buckets()")]
     pub fn first_tensor(&self, b: usize) -> usize {
-        self.first_tensor[b] // lint:allow(dist-panic-reachability) — b comes from iterating 0..buckets()
+        self.first_tensor[b]
     }
 
     /// Total flat elements across all buckets.
@@ -114,6 +118,42 @@ impl BucketPlan {
     pub fn byte_sizes(&self) -> Vec<usize> {
         (0..self.buckets()).map(|b| self.bytes(b)).collect()
     }
+}
+
+/// Lays one round's per-bucket collectives on the modeled timeline — the
+/// one place overlap is priced, for the trainer's aggregator and for the
+/// Figure 4(c) DDP scaling study alike. Collectives serialize on a single
+/// stream (as on an NCCL stream): bucket `b`'s starts once its gradients
+/// are final — `ready_us[b]` µs into the step's compute (see
+/// [`ReadyTracker`]), never later than `compute` itself — *and* the
+/// previous collective finished. `comm(bytes)` prices one bucket's
+/// collective. Whatever runs past `compute` is the bucket's *exposed*
+/// share; the rest hid behind still-running backward, so the step takes
+/// `compute + Σ exposed`.
+pub fn overlap_timeline(
+    plan: &BucketPlan,
+    ready_us: &[u64],
+    compute: Duration,
+    contributors: usize,
+    comm: impl Fn(usize) -> Duration,
+) -> Vec<BucketComm> {
+    let mut cursor = Duration::ZERO;
+    (0..plan.buckets())
+        .map(|b| {
+            let at = ready_us.get(b).copied().unwrap_or(0);
+            let start = Duration::from_micros(at).min(compute).max(cursor);
+            let bytes = plan.bytes(b);
+            let t = comm(bytes);
+            let end = start + t;
+            cursor = end;
+            BucketComm {
+                bytes_per_worker: bytes,
+                wire_bytes: bytes * contributors,
+                comm: t,
+                exposed: end.saturating_sub(start.max(compute)),
+            }
+        })
+        .collect()
 }
 
 /// Worker-side readiness clock: marks each bucket with the
@@ -153,11 +193,13 @@ impl ReadyTracker {
     /// Records that every tensor with index ≥ `first_ready_tensor` is now
     /// final, at `elapsed_us` µs into the step's compute.
     pub fn on_ready(&mut self, first_ready_tensor: usize, elapsed_us: u64) {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "`next < len` is the loop guard; both vecs share a length"
+        )]
         while self.next < self.first_tensor.len()
-            // lint:allow(dist-panic-reachability) — `next < len` is the loop guard
             && self.first_tensor[self.next] >= first_ready_tensor
         {
-            // lint:allow(dist-panic-reachability) — both vecs share a length
             self.ready_us[self.next] = elapsed_us;
             self.next += 1;
         }
@@ -169,8 +211,8 @@ impl ReadyTracker {
         self.on_ready(0, elapsed_us);
         // A model whose backward never fired the hook (custom Layer impl):
         // everything became ready at the end.
+        #[expect(clippy::indexing_slicing, reason = "`next < len` is the loop guard")]
         while self.next < self.first_tensor.len() {
-            // lint:allow(dist-panic-reachability) — `next < len` is the loop guard
             self.ready_us[self.next] = elapsed_us;
             self.next += 1;
         }
@@ -248,6 +290,11 @@ impl BucketedReducer {
     /// Stores worker `worker`'s bucket `b` payload. Returns `false` (and
     /// stores nothing) on a duplicate delivery or a length mismatch —
     /// both indicate a corrupted or stale message the caller rejects.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`b < buckets()` is checked on entry and every slot's `have` is that long; \
+                  plan ranges lie within the slot by construction"
+    )]
     pub fn accept(&mut self, worker: usize, b: usize, data: &[f32]) -> bool {
         if b >= self.plan.buckets() || data.len() != self.plan.range(b).len() {
             return false;
@@ -258,13 +305,11 @@ impl BucketedReducer {
             .slots
             .entry(worker)
             .or_insert_with(|| Slot { flat: Tensor::zeros(&[total]), have: vec![false; buckets] });
-        // lint:allow(dist-panic-reachability) — `b < buckets()` checked on entry
         if slot.have[b] {
             return false;
         }
-        // lint:allow(dist-panic-reachability) — plan ranges lie within the slot by construction
         slot.flat.as_mut_slice()[self.plan.range(b)].copy_from_slice(data);
-        slot.have[b] = true; // lint:allow(dist-panic-reachability) — `b < buckets()` checked on entry
+        slot.have[b] = true;
         true
     }
 
@@ -300,20 +345,19 @@ impl BucketedReducer {
             self.reduced_over.extend_from_slice(expected);
         }
         let mut newly = 0;
-        // All `[b]` accesses below are in-bounds: `reduced` and every
-        // slot's `have` are sized to `plan.buckets()` on creation.
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "b iterates 0..buckets(); `reduced` and every slot's `have` are sized to \
+                      `plan.buckets()` on creation"
+        )]
         for b in 0..self.plan.buckets() {
-            // lint:allow(dist-panic-reachability) — b iterates 0..buckets()
             if self.reduced[b] {
                 continue;
             }
-            let all_in = expected
-                .iter()
-                // lint:allow(dist-panic-reachability) — b iterates 0..buckets()
-                .all(|w| self.slots.get(w).is_some_and(|s| s.have[b]));
+            let all_in = expected.iter().all(|w| self.slots.get(w).is_some_and(|s| s.have[b]));
             if all_in {
                 self.sum_bucket(b, expected);
-                self.reduced[b] = true; // lint:allow(dist-panic-reachability) — b iterates 0..buckets()
+                self.reduced[b] = true;
                 newly += 1;
             }
         }
@@ -336,11 +380,14 @@ impl BucketedReducer {
             self.reduced_over.clear();
             self.reduced_over.extend_from_slice(contributors);
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "b iterates 0..buckets(), `reduced` is that long"
+        )]
         for b in 0..self.plan.buckets() {
-            // lint:allow(dist-panic-reachability) — b iterates 0..buckets(), `reduced` is that long
             if !self.reduced[b] {
                 self.sum_bucket(b, contributors);
-                self.reduced[b] = true; // lint:allow(dist-panic-reachability) — b iterates 0..buckets()
+                self.reduced[b] = true;
             }
         }
         if !contributors.is_empty() {
@@ -358,12 +405,15 @@ impl BucketedReducer {
     /// exact operation order of `exact_mean` restricted to this range.
     fn sum_bucket(&mut self, b: usize, contributors: &[usize]) {
         let range = self.plan.range(b);
-        // lint:allow(dist-panic-reachability) — plan ranges lie within `mean` by construction
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "plan ranges lie within `mean` by construction"
+        )]
         let mean = &mut self.mean.as_mut_slice()[range.clone()];
         let mut first = true;
         for w in contributors {
             let Some(slot) = self.slots.get(w) else { continue };
-            // lint:allow(dist-panic-reachability) — every slot is sized to the plan's total
+            #[expect(clippy::indexing_slicing, reason = "every slot is sized to the plan's total")]
             let src = &slot.flat.as_slice()[range.clone()];
             if first {
                 mean.copy_from_slice(src);
@@ -406,9 +456,27 @@ mod tests {
         assert_eq!(plan.first_tensor(0), 0);
     }
 
+    /// The oracle for the plan's reverse walk: DDP's bucket assignment
+    /// over a plain list of per-layer byte sizes.
+    fn bucketize(layer_bytes: &[usize], bucket_bytes: usize) -> Vec<usize> {
+        let mut buckets = Vec::new();
+        let mut current = 0usize;
+        for &b in layer_bytes.iter().rev() {
+            current += b;
+            if current >= bucket_bytes {
+                buckets.push(current);
+                current = 0;
+            }
+        }
+        if current > 0 {
+            buckets.push(current);
+        }
+        buckets
+    }
+
     #[test]
     fn reverse_walk_matches_ddp_bucketize() {
-        // The plan's byte sizes must agree with ddp::bucketize over the
+        // The plan's byte sizes must agree with DDP's assignment over the
         // same per-tensor byte list (both walk in reverse).
         let (_, layout) = layout_of(&[&[64, 8], &[8], &[32, 8], &[8], &[8, 4], &[4]]);
         let tensor_bytes: Vec<usize> =
@@ -417,10 +485,45 @@ mod tests {
             let plan = BucketPlan::new(&layout, bucket_bytes);
             assert_eq!(
                 plan.byte_sizes(),
-                crate::ddp::bucketize(&tensor_bytes, bucket_bytes),
+                bucketize(&tensor_bytes, bucket_bytes),
                 "bucket_bytes={bucket_bytes}"
             );
         }
+    }
+
+    #[test]
+    fn timeline_hides_comm_behind_compute_and_serializes_the_rest() {
+        let layout = PackLayout::from_shapes(vec![vec![1 << 20]; 4]);
+        let plan = BucketPlan::new(&layout, 4 << 20);
+        assert_eq!(plan.buckets(), 4);
+        let comm = |bytes: usize| Duration::from_millis(bytes as u64 >> 20);
+        let each = comm(4 << 20);
+
+        // Ready one collective's length apart on a long compute: each
+        // hides behind it but the last, which is ready as compute ends.
+        let compute = Duration::from_millis(14);
+        let out = overlap_timeline(&plan, &[2_000, 6_000, 10_000, 14_000], compute, 3, comm);
+        assert_eq!(out.len(), 4);
+        assert!(out.iter().all(|b| b.comm == each && b.wire_bytes == 3 * b.bytes_per_worker));
+        let exposed: Vec<Duration> = out.iter().map(|b| b.exposed).collect();
+        assert_eq!(exposed, [Duration::ZERO, Duration::ZERO, Duration::ZERO, each]);
+
+        // A payload that exists only once compute is over (or a tracker
+        // that reported late): everything is exposed, back to back.
+        let out = overlap_timeline(&plan, &[99_000; 4], compute, 3, comm);
+        assert!(out.iter().all(|b| b.exposed == each));
+
+        // A short compute under a busy stream: bucket 1 is ready at 1 ms
+        // but waits for bucket 0's collective, and straddles the end of
+        // compute — only what runs past it is exposed.
+        let out =
+            overlap_timeline(&plan, &[0, 1_000, 1_000, 1_000], Duration::from_millis(6), 3, comm);
+        let exposed: Vec<Duration> = out.iter().map(|b| b.exposed).collect();
+        assert_eq!(exposed, [Duration::ZERO, Duration::from_millis(2), each, each]);
+
+        // Missing readiness entries read as "ready at the start".
+        let out = overlap_timeline(&plan, &[], Duration::from_millis(16), 3, comm);
+        assert!(out.iter().all(|b| b.exposed == Duration::ZERO));
     }
 
     #[test]

@@ -151,10 +151,11 @@ impl DistCheckpoint {
         if m.len() != 4 && m.len() != 6 {
             return Err(DistError::Checkpoint { reason: "malformed meta entry".into() });
         }
-        let (step, n_params, n_vel, n_buf) = // lint:allow(dist-panic-reachability) — len is 4 or 6, checked above
+        #[expect(clippy::indexing_slicing, reason = "len is 4 or 6, checked above")]
+        let (step, n_params, n_vel, n_buf) =
             (m[0] as usize, m[1] as usize, m[2] as usize, m[3] as usize);
-        let (epoch, n_members) = // lint:allow(dist-panic-reachability) — guarded by the len == 6 test
-            if m.len() == 6 { (m[4] as u64, m[5] as usize) } else { (0, 0) };
+        #[expect(clippy::indexing_slicing, reason = "guarded by the len == 6 test")]
+        let (epoch, n_members) = if m.len() == 6 { (m[4] as u64, m[5] as usize) } else { (0, 0) };
         let mut params = vec![None; n_params];
         let mut velocity = vec![None; n_vel];
         let mut buffers = vec![None; n_buf];
@@ -224,7 +225,7 @@ mod tests {
         ck.save(&path).unwrap();
         let back = DistCheckpoint::load(&path).unwrap();
         assert_eq!(back, ck);
-        let _ = std::fs::remove_file(path);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -241,7 +242,7 @@ mod tests {
         let path = std::env::temp_dir().join("puffer_dist_ckpt_empty.puft");
         ck.save(&path).unwrap();
         assert_eq!(DistCheckpoint::load(&path).unwrap(), ck);
-        let _ = std::fs::remove_file(path);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -259,7 +260,7 @@ mod tests {
         assert_eq!(ck.params, vec![p]);
         assert!(ck.members.is_empty());
         assert_eq!(ck.epoch, 0);
-        let _ = std::fs::remove_file(path);
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

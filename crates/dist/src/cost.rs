@@ -23,7 +23,7 @@
 //!   to share the same α/β as the inter-group fabric (a pessimistic,
 //!   single-profile model).
 
-use crate::error::{DistError, DistResult};
+use crate::error::{env_knob, DistError, DistResult};
 use std::time::Duration;
 
 /// `⌈log₂ p⌉` for `p ≥ 1` (0 for `p ≤ 1`) — the round count of one
@@ -93,9 +93,28 @@ impl CollectiveAlgo {
         rest.parse::<usize>().ok().map(|group| CollectiveAlgo::Hierarchical { group })
     }
 
-    /// Reads [`ENV_COLLECTIVE`] (`None` when unset, empty, or unparseable).
-    pub fn from_env() -> Option<Self> {
-        std::env::var(ENV_COLLECTIVE).ok().as_deref().and_then(Self::parse)
+    /// Reads [`ENV_COLLECTIVE`]; `Ok(None)` when it is unset.
+    ///
+    /// # Errors
+    ///
+    /// [`DistError::InvalidConfig`], naming the variable and its value,
+    /// when it is set to something [`CollectiveAlgo::parse`] rejects — a
+    /// typo must not price the run as a ring.
+    pub fn from_env() -> DistResult<Option<Self>> {
+        Self::from_env_value(env_knob(ENV_COLLECTIVE)?.as_deref())
+    }
+
+    fn from_env_value(value: Option<&str>) -> DistResult<Option<Self>> {
+        let parse = |v| {
+            Self::parse(v).ok_or_else(|| {
+                DistError::invalid_env(
+                    ENV_COLLECTIVE,
+                    v,
+                    "ring, tree, hier[:G] or hierarchical[:G]",
+                )
+            })
+        };
+        value.map(parse).transpose()
     }
 
     /// The probe span name the trainer emits for a round priced with this
@@ -230,9 +249,9 @@ impl HeteroProfile {
     /// Overrides one node's network parameters (a slow rack, a congested
     /// uplink).
     pub fn with_node(mut self, node: usize, alpha: f64, beta: f64) -> Self {
-        if node < self.alphas.len() {
-            self.alphas[node] = alpha;
-            self.betas[node] = beta;
+        if let (Some(a), Some(b)) = (self.alphas.get_mut(node), self.betas.get_mut(node)) {
+            *a = alpha;
+            *b = beta;
         }
         self
     }
@@ -277,8 +296,12 @@ impl HeteroProfile {
         self.validate_members(live)?;
         let mut alpha = 0.0f64;
         let mut beta = 0.0f64;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "validate_members above rejects out-of-range ids"
+        )]
         for &n in live {
-            alpha = alpha.max(self.alphas[n]); // lint:allow(dist-panic-reachability) — validate_members above rejects out-of-range ids
+            alpha = alpha.max(self.alphas[n]);
             beta = beta.max(self.betas[n]);
         }
         Ok(ClusterProfile { alpha, beta, nodes: live.len() })
@@ -394,6 +417,22 @@ mod tests {
         }
         // Not constant across rounds.
         assert_ne!(h.jitter_factor(0), h.jitter_factor(1));
+    }
+
+    #[test]
+    fn collective_env_value_set_unset_and_garbage() {
+        assert_eq!(CollectiveAlgo::from_env_value(None), Ok(None));
+        assert_eq!(CollectiveAlgo::from_env_value(Some("tree")), Ok(Some(CollectiveAlgo::Tree)));
+        assert_eq!(
+            CollectiveAlgo::from_env_value(Some(" hier:4 ")),
+            Ok(Some(CollectiveAlgo::Hierarchical { group: 4 }))
+        );
+        for garbage in ["rnig", "", "hier:x", "0"] {
+            let err = CollectiveAlgo::from_env_value(Some(garbage)).unwrap_err();
+            let DistError::InvalidConfig { reason } = &err else { panic!("{err:?}") };
+            assert!(reason.contains(ENV_COLLECTIVE), "{reason}");
+            assert!(reason.contains(&format!("{garbage:?}")), "{reason}");
+        }
     }
 
     #[test]

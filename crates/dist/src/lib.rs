@@ -15,13 +15,12 @@
 //!   forms;
 //! * [`bucket`] — DDP-style reverse-backward bucket assignment over a
 //!   flat payload (the packed gradient, or whatever a worker-side codec
-//!   encoded), plus the pinned-order bucketed reducer that is all the
-//!   trainer's aggregator does to one;
+//!   encoded), the pinned-order bucketed reducer that is all the
+//!   trainer's aggregator does to one, and the serialized-collective
+//!   overlap timeline that prices a bucketed round — for the aggregator
+//!   and for the paper's Figure 4(c) DDP scaling study alike;
 //! * [`breakdown`] — per-epoch breakdown accounting combining measured
 //!   compute/encode/decode times with modeled communication;
-//! * [`ddp`] — PyTorch-DDP-style 25 MB gradient bucketing with
-//!   compute/communication overlap, for the paper's Figure 4(c) scaling
-//!   study;
 //! * [`ring`] — an executable ring allreduce whose per-step trace
 //!   validates the closed-form cost model;
 //! * [`trainer`] — a **real multi-threaded data-parallel trainer**
@@ -59,7 +58,8 @@
         clippy::panic,
         clippy::unreachable,
         clippy::todo,
-        clippy::unimplemented
+        clippy::unimplemented,
+        clippy::indexing_slicing
     )
 )]
 
@@ -68,9 +68,39 @@ pub mod bucket;
 pub mod checkpoint;
 pub mod collectives;
 pub mod cost;
-pub mod ddp;
 pub mod error;
 pub mod fault;
 pub mod membership;
 pub mod ring;
 pub mod trainer;
+
+/// One seeded violation per invariant clippy holds in this crate (DESIGN.md
+/// §8). Dropping an entry from `crates/dist/clippy.toml` leaves its
+/// `#[expect]` unfulfilled and fails `cargo clippy -- -D warnings` here. An
+/// `#[expect]` switches its own lint on, so the first two only show that
+/// clippy still recognizes the pattern; that the crate-level `deny` list
+/// still names them is pinned by `puffer-lint`'s `fixture_suite`.
+#[cfg(clippy)]
+#[allow(dead_code, reason = "linted, never called")]
+mod clippy_canaries {
+    #[expect(clippy::indexing_slicing)]
+    fn indexing(xs: &[f32]) -> f32 {
+        xs[0]
+    }
+    #[expect(clippy::unwrap_used)]
+    fn unwrap(x: Option<f32>) -> f32 {
+        x.unwrap()
+    }
+    #[expect(clippy::disallowed_methods)]
+    fn pool_width() {
+        puffer_tensor::pool::set_num_threads(1);
+    }
+    #[expect(clippy::disallowed_types)]
+    type Clock = std::time::Instant;
+    #[expect(clippy::disallowed_types)]
+    type Lock = std::sync::Mutex<()>;
+    #[expect(clippy::disallowed_types)]
+    type SharedLock = std::sync::RwLock<()>;
+    #[expect(clippy::disallowed_types)]
+    type Wait = std::sync::Condvar;
+}

@@ -343,6 +343,10 @@ impl PoolWidthGuard {
     /// Re-prices the cap for a changed active member count (join or
     /// departure): the freed — or newly contended — hardware threads are
     /// redistributed across the members that remain.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this guard is the pool width's one writer in puffer-dist"
+    )]
     pub fn recap(&mut self, n_workers: usize) {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         puffer_tensor::pool::set_num_threads((hw / n_workers.max(1)).max(1).min(self.prev));
@@ -350,6 +354,10 @@ impl PoolWidthGuard {
 }
 
 impl Drop for PoolWidthGuard {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this guard is the pool width's one writer in puffer-dist"
+    )]
     fn drop(&mut self) {
         puffer_tensor::pool::set_num_threads(self.prev);
     }

@@ -76,11 +76,11 @@
 //! guard even if the run errors (see [`PoolWidthGuard`], which lives in
 //! the membership module — the only place allowed to touch pool width).
 
-use crate::breakdown::{round_comm_time, BreakdownAccumulator, BucketComm, EpochBreakdown};
-use crate::bucket::{BucketPlan, BucketedReducer, ReadyTracker};
+use crate::breakdown::{round_comm_time, BreakdownAccumulator, EpochBreakdown};
+use crate::bucket::{overlap_timeline, BucketPlan, BucketedReducer, ReadyTracker};
 use crate::checkpoint::DistCheckpoint;
 use crate::cost::{hier_group, ClusterProfile, CollectiveAlgo};
-use crate::error::{DistError, DistResult};
+use crate::error::{env_knob, DistError, DistResult};
 use crate::fault::{any_nonfinite, wire_checksum, FaultPlan, FaultReport};
 use crate::membership::{
     MemberEvent, MemberEventKind, Membership, MembershipPlan, EV_CATCH_UP, EV_CRASHED, EV_JOINED,
@@ -201,7 +201,8 @@ impl RecoveryPolicy {
 
 /// Environment variable naming the gradient bucket size in bytes for
 /// comm/compute overlap (consulted when [`RunOptions::bucket_bytes`] is
-/// `None`; unset or unparsable means one flat bucket).
+/// `None`; unset means one flat bucket, anything but a positive integer is
+/// rejected).
 pub const ENV_BUCKET_BYTES: &str = "PUFFER_BUCKET_BYTES";
 
 /// Robustness knobs of a run: fault injection, recovery, heterogeneous
@@ -235,7 +236,8 @@ pub struct RunOptions {
     /// (ring, binary tree, or two-level hierarchical). Changes *pricing*
     /// only — the reduction arithmetic is pinned, so final parameters are
     /// bitwise-identical across algorithms. `None` consults
-    /// [`crate::cost::ENV_COLLECTIVE`], defaulting to ring.
+    /// [`crate::cost::ENV_COLLECTIVE`]: unset means ring, an unknown name
+    /// is rejected.
     pub collective: Option<CollectiveAlgo>,
 }
 
@@ -248,19 +250,32 @@ impl RunOptions {
                 Err(DistError::InvalidConfig { reason: "bucket_bytes must be nonzero".into() })
             }
             Some(b) => Ok(b),
-            None => Ok(std::env::var(ENV_BUCKET_BYTES)
-                .ok()
-                .and_then(|s| s.trim().parse::<usize>().ok())
-                .filter(|&b| b > 0)
-                .unwrap_or(usize::MAX)),
+            None => bucket_bytes_from_env(env_knob(ENV_BUCKET_BYTES)?.as_deref()),
         }
     }
 
     /// The effective collective: the explicit option, else the
     /// environment, else ring.
-    fn resolve_collective(&self) -> CollectiveAlgo {
-        self.collective.or_else(CollectiveAlgo::from_env).unwrap_or_default()
+    fn resolve_collective(&self) -> DistResult<CollectiveAlgo> {
+        match self.collective {
+            Some(algo) => Ok(algo),
+            None => Ok(CollectiveAlgo::from_env()?.unwrap_or_default()),
+        }
     }
+}
+
+/// The bucket size [`ENV_BUCKET_BYTES`] asks for (`value` is `None` when it
+/// is unset: one flat bucket). `256k` or `0` must not quietly measure that
+/// default instead of the run that was asked for; like `Some(0)`, they are
+/// rejected.
+fn bucket_bytes_from_env(value: Option<&str>) -> DistResult<usize> {
+    let Some(value) = value else { return Ok(usize::MAX) };
+    value
+        .trim()
+        .parse::<usize>()
+        .ok()
+        .filter(|&b| b > 0)
+        .ok_or_else(|| DistError::invalid_env(ENV_BUCKET_BYTES, value, "a positive byte count"))
 }
 
 /// Result of a data-parallel run.
@@ -549,7 +564,7 @@ where
     cfg.validate()?;
     opts.recovery.validate()?;
     let bucket_bytes = opts.resolve_bucket_bytes()?;
-    let collective = opts.resolve_collective();
+    let collective = opts.resolve_collective()?;
     let plan = &opts.membership;
     plan.validate()?;
     let steps = global_batches.len();
@@ -1351,13 +1366,16 @@ fn send_snapshot<M: Layer>(
 
 /// Extracts one member's shard of every batch from `from` on, for its
 /// rank within a `count`-member set.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "`from` is clamped to len; the worst case is an empty slice"
+)]
 fn resharded(
     batches: &[(Tensor, Vec<usize>)],
     from: usize,
     rank: usize,
     count: usize,
 ) -> DistResult<Vec<(Tensor, Vec<usize>)>> {
-    // lint:allow(dist-panic-reachability) — `from` is clamped to len; the worst case is an empty slice
     batches[from.min(batches.len())..].iter().map(|b| shard_batch(b, rank, count)).collect()
 }
 
@@ -1874,24 +1892,10 @@ where
                 // contributor produced that bucket's gradients — the comm
                 // time hidden under still-running backward is the round's
                 // *overlapped* share, the remainder is exposed.
-                let bplan = red.plan();
-                let mut bucket_comms: Vec<BucketComm> = Vec::with_capacity(bplan.buckets());
-                let mut cursor = Duration::ZERO;
-                for b in 0..bplan.buckets() {
-                    let at = ready_us.get(b).copied().unwrap_or(0);
-                    let ready = Duration::from_micros(at).min(slowest);
-                    let start = ready.max(cursor);
-                    let t = profile.allreduce_with(ctx.collective, bplan.bytes(b)).mul_f64(jitter);
-                    let end = start + t;
-                    let exposed = end.saturating_sub(start.max(slowest));
-                    bucket_comms.push(BucketComm {
-                        bytes_per_worker: bplan.bytes(b),
-                        wire_bytes: bplan.bytes(b) * n_contributors,
-                        comm: t,
-                        exposed,
+                let bucket_comms =
+                    overlap_timeline(red.plan(), &ready_us, slowest, n_contributors, |bytes| {
+                        profile.allreduce_with(ctx.collective, bytes).mul_f64(jitter)
                     });
-                    cursor = end;
-                }
                 let group = match ctx.collective {
                     CollectiveAlgo::Hierarchical { group } => {
                         Some(hier_group(profile.nodes, group))
@@ -2287,7 +2291,7 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(opts.resolve_bucket_bytes().unwrap(), 1 << 20);
-        assert_eq!(opts.resolve_collective(), CollectiveAlgo::Tree);
+        assert_eq!(opts.resolve_collective().unwrap(), CollectiveAlgo::Tree);
 
         // Defaults (when the env knobs are unset): one flat bucket, ring.
         let opts = RunOptions::default();
@@ -2295,7 +2299,18 @@ mod tests {
             assert_eq!(opts.resolve_bucket_bytes().unwrap(), usize::MAX);
         }
         if std::env::var(crate::cost::ENV_COLLECTIVE).is_err() {
-            assert_eq!(opts.resolve_collective(), CollectiveAlgo::Ring);
+            assert_eq!(opts.resolve_collective().unwrap(), CollectiveAlgo::Ring);
+        }
+
+        // The environment's value: unset, set, and spellings that must not
+        // be taken for "unset".
+        assert_eq!(bucket_bytes_from_env(None).unwrap(), usize::MAX);
+        assert_eq!(bucket_bytes_from_env(Some(" 262144 ")).unwrap(), 262_144);
+        for garbage in ["256k", "0", "", "-1"] {
+            let err = bucket_bytes_from_env(Some(garbage)).unwrap_err();
+            let DistError::InvalidConfig { reason } = &err else { panic!("{err:?}") };
+            assert!(reason.contains(ENV_BUCKET_BYTES), "{reason}");
+            assert!(reason.contains(&format!("{garbage:?}")), "{reason}");
         }
 
         // The full entry point surfaces the zero-bucket error too.

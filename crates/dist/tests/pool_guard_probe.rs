@@ -51,6 +51,10 @@ fn pool_width_guard_nests_with_probe_spans_and_survives_panic() {
 
     // Runtime override still works after guards, and the guard composes
     // with it (restoring to whatever was set when it was created).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test plays the user who set a width before the guard was made"
+    )]
     pool::set_num_threads(2);
     {
         let _guard = PoolWidthGuard::cap_for(64);

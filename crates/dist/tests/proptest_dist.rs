@@ -1,11 +1,12 @@
 //! Property tests for the communication cost model (ring, tree, and
-//! hierarchical closed forms vs executed simulations) and the DDP
-//! bucketing simulator, on the seeded case runner
+//! hierarchical closed forms vs executed simulations) and the bucket plan
+//! with its overlap timeline, on the seeded case runner
 //! (`puffer_tensor::rng::check`).
 
+use puffer_compress::pack::PackLayout;
+use puffer_dist::bucket::{overlap_timeline, BucketPlan};
 use puffer_dist::collectives::{hier_allreduce, tree_allreduce};
 use puffer_dist::cost::{ceil_log2, hier_group, ClusterProfile};
-use puffer_dist::ddp::{bucketize, simulate_step, DEFAULT_BUCKET_BYTES};
 use puffer_dist::fault::wire_checksum;
 use puffer_dist::ring::ring_allreduce;
 use puffer_tensor::rng::{check, Rng};
@@ -13,10 +14,10 @@ use std::time::Duration;
 
 /// Per-rank buffers `buffer[i] = [(i+1); n]`, whose elementwise allreduce
 /// sum is exactly `p(p+1)/2` — representable in f32 for every `p ≤ 64`.
-/// `len` layer sizes in bytes, each below `max`.
-fn layer_bytes(rng: &mut Rng, len: std::ops::Range<usize>, max: usize) -> Vec<usize> {
+/// A layout of `len` one-dimensional tensors, each below `max` elements.
+fn layer_layout(rng: &mut Rng, len: std::ops::Range<usize>, max: usize) -> PackLayout {
     let len = rng.gen_range(len);
-    (0..len).map(|_| rng.gen_range(1..max)).collect()
+    PackLayout::from_shapes((0..len).map(|_| vec![rng.gen_range(1..max)]).collect())
 }
 
 fn rank_buffers(p: usize, n: usize) -> Vec<Vec<f32>> {
@@ -71,34 +72,54 @@ fn wire_checksum_catches_a_flipped_bit_anywhere() {
 }
 
 #[test]
-fn bucketize_conserves_bytes() {
-    check("bucketize_conserves_bytes", 48, |rng| {
-        let layers = layer_bytes(rng, 1..40, 10_000_000);
+fn bucket_plan_conserves_bytes() {
+    check("bucket_plan_conserves_bytes", 48, |rng| {
+        let layout = layer_layout(rng, 1..40, 2_500_000);
         let bucket = rng.gen_range(1..50_000_000usize);
-        let buckets = bucketize(&layers, bucket);
-        assert_eq!(buckets.iter().sum::<usize>(), layers.iter().sum::<usize>());
+        let sizes = BucketPlan::new(&layout, bucket).byte_sizes();
+        assert_eq!(sizes.iter().sum::<usize>(), layout.total_bytes());
         // Every bucket except possibly the last-flushed is >= threshold
         // (can't easily identify which; weaker: no empty buckets).
-        assert!(buckets.iter().all(|&b| b > 0));
+        assert!(sizes.iter().all(|&b| b > 0));
     });
 }
 
 #[test]
-fn ddp_step_at_least_compute_and_no_overhidden_comm() {
-    check("ddp_step_at_least_compute_and_no_overhidden_comm", 48, |rng| {
-        let (fwd_ms, bwd_ms) = (rng.gen_range(1..50u64), rng.gen_range(1..100u64));
-        let layers = layer_bytes(rng, 1..20, 20_000_000);
-        let nodes = rng.gen_range(1..32usize);
-        let profile = ClusterProfile::p3_like(nodes);
-        let fwd = Duration::from_millis(fwd_ms);
-        let bwd = Duration::from_millis(bwd_ms);
-        let step = simulate_step(fwd, bwd, &layers, DEFAULT_BUCKET_BYTES, &profile);
-        assert!(step.total >= step.compute);
-        // Total never exceeds compute + fully serialized communication.
-        let serial: Duration =
-            bucketize(&layers, DEFAULT_BUCKET_BYTES).iter().map(|&b| profile.allreduce(b)).sum();
-        assert!(step.total <= step.compute + serial + Duration::from_micros(1));
-        assert_eq!(step.exposed_comm, step.total - step.compute);
+fn overlapped_step_at_least_compute_and_no_overhidden_comm() {
+    check("overlapped_step_at_least_compute_and_no_overhidden_comm", 48, |rng| {
+        let layout = layer_layout(rng, 1..20, 5_000_000);
+        let plan = BucketPlan::new(&layout, 25 << 20);
+        let profile = ClusterProfile::p3_like(rng.gen_range(1..32usize));
+        let compute = Duration::from_millis(rng.gen_range(2..150u64));
+        // Readiness offsets as a `ReadyTracker` reports them: nondecreasing
+        // in ready order, anywhere up to (and, for a late hook, past) the
+        // end of compute.
+        let mut at = 0u64;
+        let ready_us: Vec<u64> = (0..plan.buckets())
+            .map(|_| {
+                at += rng.gen_range(0..60_000u64);
+                at
+            })
+            .collect();
+        let comms =
+            overlap_timeline(&plan, &ready_us, compute, profile.nodes, |b| profile.allreduce(b));
+        assert_eq!(comms.len(), plan.buckets());
+
+        // The serialized stream, replayed: the step ends when both compute
+        // and the last collective are done.
+        let mut stream_free = Duration::ZERO;
+        for (b, c) in comms.iter().enumerate() {
+            assert_eq!(c.bytes_per_worker, plan.bytes(b));
+            assert_eq!(c.comm, profile.allreduce(plan.bytes(b)));
+            assert!(c.exposed <= c.comm, "bucket {b} exposes more than it communicates");
+            stream_free = Duration::from_micros(ready_us[b]).min(compute).max(stream_free) + c.comm;
+        }
+        let step = stream_free.max(compute);
+        let exposed: Duration = comms.iter().map(|c| c.exposed).sum();
+        let serial: Duration = comms.iter().map(|c| c.comm).sum();
+        assert_eq!(compute + exposed, step);
+        // Never more than compute plus fully serialized communication.
+        assert!(step <= compute + serial);
     });
 }
 

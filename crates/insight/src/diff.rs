@@ -13,6 +13,7 @@
 //! side are reported as notes, never as regressions — a bench that gains
 //! a field must not break the gate that compares it to an old baseline.
 
+use puffer_probe::appendln;
 use puffer_probe::json::Json;
 
 /// Default relative threshold: a bad-direction move under 40% is noise.
@@ -110,10 +111,9 @@ impl DiffReport {
     /// Renders the comparison as a deterministic text table.
     #[must_use]
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         let regressions = self.regressions();
-        let _ = writeln!(
+        appendln!(
             out,
             "bench_diff: {} leaves compared, {} regression(s), {} note(s)",
             self.entries.len(),
@@ -124,7 +124,7 @@ impl DiffReport {
             if !e.regressed && !e.improved {
                 continue;
             }
-            let _ = writeln!(
+            appendln!(
                 out,
                 "  [{}] {}: {} -> {} ({:+.1}%)",
                 if e.regressed { "REGRESSED" } else { "improved" },
@@ -135,10 +135,10 @@ impl DiffReport {
             );
         }
         for n in &self.notes {
-            let _ = writeln!(out, "  [note] {n}");
+            appendln!(out, "  [note] {n}");
         }
         if regressions.is_empty() {
-            let _ = writeln!(out, "  ok: no regressions beyond threshold");
+            appendln!(out, "  ok: no regressions beyond threshold");
         }
         out
     }

@@ -11,9 +11,8 @@ use crate::alphabeta::{fit_collectives, reconcile, AlphaBetaFit, ModelReconcilia
 use crate::ingest::{num, str_field, RunData};
 use crate::rounds::{extract_rounds, Bound, Round};
 use puffer_probe::json::Json;
-use puffer_probe::Histogram;
+use puffer_probe::{append, appendln, Histogram};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Tolerance for the analytic-model reconciliation gate: measured comm
 /// may exceed the configured α–β prediction by per-round jitter (the
@@ -225,18 +224,24 @@ pub fn analyze(rd: &RunData, source: &str) -> InsightReport {
 
     // ---- text report ----
     let mut t = String::new();
-    let _ = writeln!(t, "puffer-insight report — source: {source}");
+    appendln!(t, "puffer-insight report — source: {source}");
     if !rd.header.is_empty() {
-        let _ = writeln!(t, "\n== run context ==");
+        appendln!(t, "\n== run context ==");
         for (k, v) in &rd.header {
-            let _ = writeln!(t, "  {k} = {}", header_value(v));
+            appendln!(t, "  {k} = {}", header_value(v));
         }
     }
-    let _ = writeln!(t, "\n== rounds ==");
-    let _ = writeln!(
+    appendln!(t, "\n== rounds ==");
+    appendln!(
         t,
         "  {:>4} {:>5} {:>10} {:>14} {:>11} {:>11} {:>11}  faults",
-        "step", "nodes", "bound", "critical", "round_us", "compute_us", "comm_us"
+        "step",
+        "nodes",
+        "bound",
+        "critical",
+        "round_us",
+        "compute_us",
+        "comm_us"
     );
     for r in &rounds {
         let critical = r
@@ -246,7 +251,7 @@ pub fn analyze(rd: &RunData, source: &str) -> InsightReport {
                 None => s.phase.clone(),
             })
             .unwrap_or_else(|| "-".to_string());
-        let _ = writeln!(
+        appendln!(
             t,
             "  {:>4} {:>5} {:>10} {:>14} {:>11.1} {:>11.1} {:>11.1}  {}",
             r.step,
@@ -259,17 +264,17 @@ pub fn analyze(rd: &RunData, source: &str) -> InsightReport {
             if r.faults.is_empty() { "-".to_string() } else { r.faults.join(",") }
         );
     }
-    let _ = writeln!(t, "\n== bound summary ==");
+    appendln!(t, "\n== bound summary ==");
     for (k, v) in &counts {
-        let _ = writeln!(t, "  {k:>10}: {v}");
+        appendln!(t, "  {k:>10}: {v}");
     }
     if let Some(base) = baseline {
-        let _ = writeln!(
+        appendln!(
             t,
             "\n== fault attribution (round-time inflation vs clean median {base:.1} µs) =="
         );
         for r in rounds.iter().filter(|r| !r.faults.is_empty() && r.round_us > 0.0) {
-            let _ = writeln!(
+            appendln!(
                 t,
                 "  step {:>3}: {:>6.2}x  ({})",
                 r.step,
@@ -279,24 +284,34 @@ pub fn analyze(rd: &RunData, source: &str) -> InsightReport {
         }
     }
     if !phases.is_empty() {
-        let _ = writeln!(t, "\n== phase latency percentiles (µs) ==");
-        let _ = writeln!(
+        appendln!(t, "\n== phase latency percentiles (µs) ==");
+        appendln!(
             t,
             "  {:>16} {:>7} {:>11} {:>11} {:>11} {:>11}",
-            "phase", "count", "p50", "p90", "p99", "max"
+            "phase",
+            "count",
+            "p50",
+            "p90",
+            "p99",
+            "max"
         );
         for p in &phases {
-            let _ = writeln!(
+            appendln!(
                 t,
                 "  {:>16} {:>7} {:>11.1} {:>11.1} {:>11.1} {:>11.1}",
-                p.name, p.count, p.p50_us, p.p90_us, p.p99_us, p.max_us
+                p.name,
+                p.count,
+                p.p50_us,
+                p.p90_us,
+                p.p99_us,
+                p.max_us
             );
         }
     }
     if !fits.is_empty() {
-        let _ = writeln!(t, "\n== measured α–β per collective ==");
+        appendln!(t, "\n== measured α–β per collective ==");
         for f in &fits {
-            let _ = writeln!(
+            appendln!(
                 t,
                 "  {:>10}: α = {:.3e} s, β = {:.3e} s/B over {} rounds{} (max residual {:.4})",
                 f.collective,
@@ -312,34 +327,34 @@ pub fn analyze(rd: &RunData, source: &str) -> InsightReport {
             );
         }
         for r in &reconciliations {
-            let _ = writeln!(
+            appendln!(
                 t,
                 "  {:>10}: configured-model reconciliation over {} rounds: mean rel err {:.4}, max {:.4}",
                 r.collective, r.rounds, r.mean_rel_err, r.max_rel_err
             );
         }
     }
-    let _ = writeln!(t, "\n== gates ==");
+    appendln!(t, "\n== gates ==");
     for (gate, pass, detail) in &gates {
-        let _ = writeln!(t, "  [{}] {gate}: {detail}", if *pass { "PASS" } else { "FAIL" });
+        appendln!(t, "  [{}] {gate}: {detail}", if *pass { "PASS" } else { "FAIL" });
     }
-    let _ = writeln!(t, "\nall gates pass: {all_pass}");
+    appendln!(t, "\nall gates pass: {all_pass}");
 
     // ---- BENCH_insight.json ----
     let mut j = String::new();
-    let _ = write!(j, "{{\n  \"bench\": \"insight\",\n  \"source\": ");
+    append!(j, "{{\n  \"bench\": \"insight\",\n  \"source\": ");
     puffer_probe::json::escape_into(&mut j, source);
-    let _ = write!(j, ",\n  \"rounds\": {},\n  \"bounds\": {{", rounds.len());
+    append!(j, ",\n  \"rounds\": {},\n  \"bounds\": {{", rounds.len());
     for (i, (k, v)) in counts.iter().enumerate() {
-        let _ = write!(j, "{}\"{k}\": {v}", if i > 0 { ", " } else { "" });
+        append!(j, "{}\"{k}\": {v}", if i > 0 { ", " } else { "" });
     }
-    let _ = write!(j, "}},\n  \"straggler_rounds\": [");
+    append!(j, "}},\n  \"straggler_rounds\": [");
     let stragglers: Vec<String> =
         rounds.iter().filter(|r| r.bound == Bound::Straggler).map(|r| r.step.to_string()).collect();
-    let _ = write!(j, "{}]", stragglers.join(", "));
-    let _ = write!(j, ",\n  \"phases\": {{");
+    append!(j, "{}]", stragglers.join(", "));
+    append!(j, ",\n  \"phases\": {{");
     for (i, p) in phases.iter().enumerate() {
-        let _ = write!(
+        append!(
             j,
             "{}\n    \"{}\": {{\"count\": {}, \"p50_us\": {:.3}, \"p90_us\": {:.3}, \"p99_us\": {:.3}, \"max_us\": {:.3}}}",
             if i > 0 { "," } else { "" },
@@ -351,9 +366,9 @@ pub fn analyze(rd: &RunData, source: &str) -> InsightReport {
             p.max_us
         );
     }
-    let _ = write!(j, "\n  }},\n  \"fits\": [");
+    append!(j, "\n  }},\n  \"fits\": [");
     for (i, f) in fits.iter().enumerate() {
-        let _ = write!(
+        append!(
             j,
             "{}\n    {{\"collective\": \"{}\", \"points\": {}, \"alpha_s\": {:.6e}, \"beta_s_per_byte\": {:.6e}, \"degenerate\": {}, \"max_rel_residual\": {:.6}}}",
             if i > 0 { "," } else { "" },
@@ -365,9 +380,9 @@ pub fn analyze(rd: &RunData, source: &str) -> InsightReport {
             f.max_rel_residual
         );
     }
-    let _ = write!(j, "\n  ],\n  \"reconciliation\": [");
+    append!(j, "\n  ],\n  \"reconciliation\": [");
     for (i, r) in reconciliations.iter().enumerate() {
-        let _ = write!(
+        append!(
             j,
             "{}\n    {{\"collective\": \"{}\", \"rounds\": {}, \"mean_rel_err\": {:.6}, \"max_rel_err\": {:.6}}}",
             if i > 0 { "," } else { "" },
@@ -377,17 +392,17 @@ pub fn analyze(rd: &RunData, source: &str) -> InsightReport {
             r.max_rel_err
         );
     }
-    let _ = write!(j, "\n  ],\n  \"gates\": [");
+    append!(j, "\n  ],\n  \"gates\": [");
     for (i, (gate, pass, detail)) in gates.iter().enumerate() {
-        let _ = write!(
+        append!(
             j,
             "{}\n    {{\"gate\": \"{gate}\", \"pass\": {pass}, \"detail\": ",
             if i > 0 { "," } else { "" }
         );
         puffer_probe::json::escape_into(&mut j, detail);
-        let _ = write!(j, "}}");
+        append!(j, "}}");
     }
-    let _ = write!(j, "\n  ],\n  \"all_pass\": {all_pass}\n}}\n");
+    append!(j, "\n  ],\n  \"all_pass\": {all_pass}\n}}\n");
 
     InsightReport { text: t, json: j, gates, all_pass, rounds, phases, fits, reconciliations }
 }

@@ -51,8 +51,6 @@ pub struct Token {
     pub line: u32,
     /// 1-based column (in characters) of the token's first character.
     pub col: u32,
-    /// Byte offset of the token's first character in the source.
-    pub off: usize,
 }
 
 impl Token {
@@ -65,13 +63,6 @@ impl Token {
     /// Whether this token is a comment.
     pub fn is_comment(&self) -> bool {
         matches!(self.kind, TokenKind::LineComment | TokenKind::BlockComment)
-    }
-
-    /// Byte offset one past the token's last character. Source files are
-    /// valid UTF-8, so the token text's byte length equals its source
-    /// extent.
-    pub fn end_off(&self) -> usize {
-        self.off + self.text.len()
     }
 }
 
@@ -288,7 +279,7 @@ impl<'a> Lexer<'a> {
             }
         };
         let text = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
-        Some(Token { kind, text, line, col, off: start })
+        Some(Token { kind, text, line, col })
     }
 
     /// Is a raw/byte string opener at the cursor? (`r"`, `r#…#"`, `b"`,
@@ -397,14 +388,6 @@ mod tests {
         assert_eq!((toks[0].line, toks[0].col), (1, 1));
         let let_tok = toks.iter().find(|t| t.text == "let").unwrap();
         assert_eq!((let_tok.line, let_tok.col), (2, 3));
-    }
-
-    #[test]
-    fn byte_offsets_slice_back_to_token_text() {
-        let src = "fn f(é: &str) { let s = \"münü\"; x.unwrap() } // trailing";
-        for t in lex(src) {
-            assert_eq!(&src[t.off..t.end_off()], t.text, "offset drift at {}:{}", t.line, t.col);
-        }
     }
 
     #[test]

@@ -1,45 +1,35 @@
-//! `puffer-lint`: the workspace's own static analyzer.
+//! `puffer-lint`: the workspace's own token-level analyzer.
 //!
-//! The repo's correctness story rests on contracts neither rustc nor
-//! clippy checks: no panic site may be reachable from a dist entry point
-//! (a panicking aggregator cannot survive its own fault model), timing
-//! must flow through `puffer-probe` (so the Fig.-4 breakdowns and the
-//! Chrome trace are the same numbers), locks must nest in one order, and
-//! gradient sums must keep their pinned order. Those contracts used to be
-//! two awk/grep lines in `scripts/check.sh` — comment-blind, string-blind,
-//! and blind to everything after the first `#[cfg(test)]` in a file.
-//!
-//! This crate replaces them with a real (zero-dependency) analyzer:
+//! Most of the repo's correctness contracts are held by the compiler tool
+//! chain — clippy denies in `puffer-dist` and the worker-side codecs, the
+//! workspace lint table, and the `clippy.toml` `disallowed-types` /
+//! `disallowed-methods` lists (DESIGN.md §8). Four are about how code is
+//! *written* rather than what it resolves to, which no type-resolved lint
+//! expresses: kernel scratch comes from the workspace arena, SIMD
+//! intrinsics sit behind `#[target_feature]` plus a runtime gate, gradient
+//! accumulation stays in its two pinned owners, and quantile math lives in
+//! the probe. Those used to be awk/grep lines in `scripts/check.sh` —
+//! comment-blind, string-blind, and blind to everything after the first
+//! `#[cfg(test)]` in a file. This crate checks them on real tokens:
 //!
 //! 1. [`lexer`] — a full Rust token model (nested block comments, raw
 //!    strings, lifetimes vs. chars, raw identifiers);
 //! 2. [`scope`] — exact per-token `#[cfg(test)]` masking, nested and
 //!    repeated test modules included;
-//! 3. [`ast`] — a lenient recursive-descent parser producing a
-//!    lightweight item/statement/expression tree over those tokens;
-//! 4. [`symbols`] + [`callgraph`] — a workspace-wide function index and
-//!    name-resolved call graph (test-aware: `#[cfg(test)]` code never
-//!    contributes edges);
-//! 5. [`rules`] — the rule catalog and the file-local token rules;
-//! 6. [`semantic`] — the cross-file rules (panic reachability with
-//!    pinned call chains, lock-order and guard-liveness hazards, float
-//!    determinism, discarded `Result`s).
+//! 3. [`rules`] — the rule catalog and the file-local token rules.
 //!
 //! [`run`] walks a workspace root and returns a [`Report`]; the binary
 //! renders it as `file:line:col` diagnostics or `--json`.
 
-pub mod ast;
-pub mod callgraph;
 pub mod lexer;
 pub mod rules;
 pub mod scope;
-pub mod semantic;
-pub mod symbols;
 
 pub use rules::{Diagnostic, RuleInfo, RULES};
 
+use puffer_probe::append;
+use puffer_probe::json::escape_into;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -83,38 +73,21 @@ impl Report {
     /// `{file, line, col, rule, message}`).
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
-        let _ = write!(out, "  \"version\": 2,\n  \"files_scanned\": {},\n", self.files_scanned);
+        append!(out, "  \"version\": 2,\n  \"files_scanned\": {},\n", self.files_scanned);
         out.push_str("  \"diagnostics\": [");
         for (i, d) in self.diagnostics.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    {\"file\": ");
-            json_str(&mut out, &d.file);
-            let _ = write!(out, ", \"line\": {}, \"col\": {}, \"rule\": ", d.line, d.col);
-            json_str(&mut out, d.rule);
+            escape_into(&mut out, &d.file);
+            append!(out, ", \"line\": {}, \"col\": {}, \"rule\": ", d.line, d.col);
+            escape_into(&mut out, d.rule);
             out.push_str(", \"message\": ");
-            json_str(&mut out, &d.message);
+            escape_into(&mut out, &d.message);
             out.push('}');
         }
         out.push_str(if self.diagnostics.is_empty() { "]\n}\n" } else { "\n  ]\n}\n" });
         out
     }
-}
-
-fn json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Directory names never descended into: build output, VCS metadata, and
@@ -152,24 +125,16 @@ pub fn run(config: &Config) -> Result<Report, String> {
     walk(&config.root, &mut rs_files)?;
     rs_files.sort();
 
-    // Phase 1: lex/mask/parse the whole workspace, so the semantic rules
-    // can resolve names across files.
-    let mut parsed = Vec::with_capacity(rs_files.len());
+    let mut report = Report { files_scanned: rs_files.len(), ..Report::default() };
     for path in &rs_files {
         let src =
             fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let tokens = lexer::lex(&src);
+        let mask = scope::test_mask(&tokens);
         let rel = path.strip_prefix(&config.root).unwrap_or(path);
-        parsed.push(symbols::ParsedFile::parse(rel, &src));
-    }
-
-    // Phase 2: file-local token rules, then the workspace-wide semantic
-    // pass over the same parsed files.
-    let mut report = Report { files_scanned: parsed.len(), ..Report::default() };
-    for pf in &parsed {
-        let ctx = rules::FileContext::new(Path::new(&pf.rel), &pf.tokens, &pf.mask);
+        let ctx = rules::FileContext::new(rel, &tokens, &mask);
         report.diagnostics.extend(rules::check_tokens(&ctx, &|rule| config.enabled(rule)));
     }
-    report.diagnostics.extend(semantic::check(&parsed, &|rule| config.enabled(rule)));
 
     report
         .diagnostics
@@ -202,15 +167,8 @@ mod tests {
 
     #[test]
     fn rules_filter_rejects_unknown() {
-        assert!(parse_rules_filter("dist-no-instant, discarded-result").is_ok());
+        assert!(parse_rules_filter("no-vec-alloc-in-kernel, simd-needs-feature-gate").is_ok());
         assert!(parse_rules_filter("no-such-rule").is_err());
-    }
-
-    #[test]
-    fn json_escapes_specials() {
-        let mut s = String::new();
-        json_str(&mut s, "a\"b\\c\nd");
-        assert_eq!(s, "\"a\\\"b\\\\c\\nd\"");
     }
 
     #[test]

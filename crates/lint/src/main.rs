@@ -3,10 +3,10 @@
 //! ```text
 //! cargo run --release -p puffer-lint                # lint the workspace
 //! cargo run --release -p puffer-lint -- --json      # machine-readable
-//! cargo run --release -p puffer-lint -- --rules dist-no-instant,discarded-result
+//! cargo run --release -p puffer-lint -- --rules no-vec-alloc-in-kernel,simd-needs-feature-gate
 //! cargo run --release -p puffer-lint -- --root path/to/tree
 //! cargo run --release -p puffer-lint -- --list      # print the rule catalog
-//! cargo run --release -p puffer-lint -- --explain lock-order-consistency
+//! cargo run --release -p puffer-lint -- --explain bucket-apply-order-pinned
 //! ```
 //!
 //! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.

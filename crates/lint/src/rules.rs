@@ -3,25 +3,18 @@
 //!
 //! # Rule catalog
 //!
-//! Token rules run here; the starred rules are semantic (AST +
-//! call-graph) and live in [`crate::semantic`]. [`RULES`] describes all of
-//! them. What clippy or cargo already enforces is not a rule here: the
-//! panic-family deny list sits in `puffer-dist`'s crate attributes,
-//! `clippy::undocumented_unsafe_blocks` in the workspace lint table, and
-//! `cargo build --offline --locked` is the dependency gate.
+//! Four file-local token rules; [`RULES`] describes them. What the compiler
+//! tool chain can check is not a rule here (DESIGN.md §8, "held by the
+//! compiler"): panic sites in `puffer-dist` and the worker-side codecs are
+//! clippy denies in those files, discarded `Result`s are
+//! `clippy::let_underscore_must_use`, clocks, hash containers, locks and the
+//! pool width are `clippy.toml` `disallowed-types` / `disallowed-methods`
+//! entries, and `cargo build --offline --locked` is the dependency gate.
 //!
 //! | rule | scope | contract |
 //! |---|---|---|
-//! | `dist-panic-reachability`* | `crates/dist/src` + the worker-side codecs (`compress/src/{powersgd,none}.rs`), non-test | no panic site transitively reachable from a dist entry point |
-//! | `lock-order-consistency`* | workspace, non-test | every lock pair acquired in one consistent order |
-//! | `guard-across-blocking-op`* | workspace, non-test | no live lock guard across channel `send`/`recv`/thread `join` |
-//! | `nondeterministic-float-reduction`* | workspace minus tensor kernels/probe/insight, non-test | no float reduction over hash iteration order |
-//! | `discarded-result`* | workspace, non-test | no silent `let _ =`/bare-statement discard of a `Result` |
-//! | `dist-no-instant` | `crates/dist/src`, non-test | dist timing flows through `puffer_probe::TimedSpan` |
-//! | `no-wall-clock-outside-probe` | workspace minus `crates/probe`, non-test | `Instant`/`SystemTime` live only in `puffer-probe` |
 //! | `no-vec-alloc-in-kernel` | tensor kernel modules, non-test | kernel scratch comes from `workspace`, not `vec![x; n]`/`Vec::with_capacity` |
 //! | `simd-needs-feature-gate` | workspace, non-test | `_mm*` intrinsic calls live in `#[target_feature]` fns, in a file with an `is_x86_feature_detected!` gate |
-//! | `dist-pool-width-via-membership` | `crates/dist/src` minus `membership.rs`, non-test | pool width changes only through `membership::PoolWidthGuard` |
 //! | `bucket-apply-order-pinned` | `crates/dist/src` minus `bucket.rs`/`ring.rs`, non-test | gradient accumulation order stays pinned in its two owners |
 //! | `no-raw-percentile-math` | workspace minus `crates/probe`/`crates/insight`, non-test | percentile/median helpers live in the probe's `Histogram` and puffer-insight, not re-derived ad hoc |
 //!
@@ -69,93 +62,6 @@ pub struct RuleInfo {
 /// Every rule this binary knows, in reporting order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "dist-panic-reachability",
-        description: "no unwrap/expect/panic!/direct indexing transitively reachable from a \
-                      dist entry point (train_data_parallel*, run_worker, run_aggregator, run), \
-                      in dist or in the worker-side codecs it calls into — findings pin the \
-                      call chain",
-        rationale: "clippy's unwrap_used/expect_used/panic deny list on puffer-dist sees one \
-                    crate and no indexing; this rule walks the call graph into the codecs and \
-                    pins the chain, so a helper three calls below Trainer::run cannot hide an \
-                    `xs[i]`. A panic anywhere on a reachable path kills the trainer \
-                    mid-protocol and strands the other workers at a barrier.",
-        example_bad: "pub fn run_worker(s: &[f32], i: usize) -> f32 { pick(s, i) }\n\
-                      fn pick(s: &[f32], i: usize) -> f32 { s[i] }",
-        example_good: "pub fn run_worker(s: &[f32], i: usize) -> DistResult<f32> { pick(s, i) }\n\
-                       fn pick(s: &[f32], i: usize) -> DistResult<f32> {\n    \
-                       s.get(i).copied().ok_or(DistError::ShardOutOfRange)\n}",
-    },
-    RuleInfo {
-        name: "lock-order-consistency",
-        description: "two locks acquired in opposite orders in different functions (one level \
-                      of call-graph propagation) are a deadlock under contention",
-        rationale: "Thread A holds lock X and wants Y; thread B holds Y and wants X — both \
-                    block forever. The hazard is invisible file-locally because each function \
-                    looks fine on its own; only comparing acquisition orders across the \
-                    workspace exposes it.",
-        example_bad: "fn a(s: &S) { let g = s.x.lock(); let h = s.y.lock(); }\n\
-                      fn b(s: &S) { let h = s.y.lock(); let g = s.x.lock(); }",
-        example_good: "fn a(s: &S) { let g = s.x.lock(); let h = s.y.lock(); }\n\
-                       fn b(s: &S) { let g = s.x.lock(); let h = s.y.lock(); }",
-    },
-    RuleInfo {
-        name: "guard-across-blocking-op",
-        description: "no live Mutex/RwLock guard held across a channel send/recv or thread \
-                      join; drop the guard before blocking",
-        rationale: "A channel op can block indefinitely (full buffer, dead peer). Holding a \
-                    lock while blocked stalls every other thread that needs that lock — in \
-                    the dist trainer that is the whole worker pool, one heartbeat from being \
-                    declared failed.",
-        example_bad: "let st = state.lock().unwrap();\nlet msg = rx.recv();",
-        example_good: "let snapshot = { state.lock().unwrap().clone() };\nlet msg = rx.recv();",
-    },
-    RuleInfo {
-        name: "nondeterministic-float-reduction",
-        description: "no float .sum()/.fold()/.product() over HashMap/HashSet iteration \
-                      outside crates/tensor kernels and probe/insight (hash order varies per \
-                      process; float addition does not commute)",
-        rationale: "The repo's distributed training is bitwise-deterministic by design \
-                    (seeded data order, exact mean aggregation). Float addition is not \
-                    associative, so reducing over hash iteration order silently produces \
-                    different bits on different runs and breaks replica equivalence checks.",
-        example_bad: "let total: f32 = grads_by_worker.values().sum::<f32>();",
-        example_good: "let mut vals: Vec<(usize, f32)> = grads_by_worker.iter()\n    \
-                       .map(|(k, v)| (*k, *v)).collect();\n\
-                       vals.sort_unstable_by_key(|(k, _)| *k);\n\
-                       let total: f32 = vals.iter().map(|(_, v)| v).sum::<f32>();",
-    },
-    RuleInfo {
-        name: "discarded-result",
-        description: "no `let _ =` or bare-statement discard of a call whose workspace-resolved \
-                      return type is Result (make best-effort calls explicit with .ok())",
-        rationale: "`let _ = fallible()` swallows the error and compiles clean forever. When \
-                    the discard is intentional (best-effort notify on an already-failing \
-                    path), `.ok()` says so; when it is not, this rule is the only thing that \
-                    notices.",
-        example_bad: "let _ = tx.send(Update::Done);",
-        example_good: "tx.send(Update::Done).ok(); // best-effort: receiver may be gone",
-    },
-    RuleInfo {
-        name: "dist-no-instant",
-        description: "no raw std::time::Instant in crates/dist non-test code \
-                      (use puffer_probe::TimedSpan)",
-        rationale: "Dist timing must flow through puffer-probe so the Fig.-4 breakdown bins \
-                    and the Chrome trace are produced from the same clocks; a raw Instant is \
-                    a number nobody can cross-check.",
-        example_bad: "let t0 = Instant::now();\nstep();\nlet dt = t0.elapsed();",
-        example_good: "let span = timed_span(\"step\");\nstep();\nlet dt = span.finish();",
-    },
-    RuleInfo {
-        name: "no-wall-clock-outside-probe",
-        description: "Instant/SystemTime are confined to crates/probe \
-                      (use puffer_probe::{timed_span, Stopwatch})",
-        rationale: "One crate owns the clocks so every latency number in the repo is \
-                    comparable; scattered Instant::now() calls produce timings with no \
-                    registry, no histogram, and no trace events.",
-        example_bad: "let t0 = std::time::Instant::now();",
-        example_good: "let sw = puffer_probe::Stopwatch::start();",
-    },
-    RuleInfo {
         name: "no-vec-alloc-in-kernel",
         description: "no `vec![elem; len]` / `Vec::with_capacity` in tensor kernel modules \
                       (draw scratch from puffer_tensor::workspace so steady-state steps stay \
@@ -179,17 +85,6 @@ pub const RULES: &[RuleInfo] = &[
         example_good: "fn supported() -> bool { is_x86_feature_detected!(\"avx2\") }\n\
                        #[target_feature(enable = \"avx2\")]\n\
                        unsafe fn add(a: __m256, b: __m256) -> __m256 { _mm256_add_ps(a, b) }",
-    },
-    RuleInfo {
-        name: "dist-pool-width-via-membership",
-        description: "no direct pool::set_num_threads in crates/dist non-test code outside the \
-                      membership module (pool width follows the active member set; go through \
-                      membership::PoolWidthGuard)",
-        rationale: "Pool width tracks the live member count across join/leave epochs; a \
-                    second writer fights the guard's save/restore bookkeeping and leaves the \
-                    pool sized for a membership that no longer exists.",
-        example_bad: "pool::set_num_threads(members.len());",
-        example_good: "let _guard = membership::PoolWidthGuard::resize_for(&members);",
     },
     RuleInfo {
         name: "bucket-apply-order-pinned",
@@ -267,14 +162,9 @@ impl<'a> FileContext<'a> {
         FileContext { rel_path, tokens, test_mask, allows, is_test_file }
     }
 
-    /// Whether `lint:allow(rule)` covers this line. Public because the
-    /// semantic rules reuse the same suppression machinery.
-    pub fn suppressed(&self, rule: &str, line: u32) -> bool {
-        self.allows.get(&line).is_some_and(|set| set.contains(rule))
-    }
-
+    /// Reports a finding unless a `lint:allow(rule)` covers its line.
     fn diag(&self, rule: &'static str, tok: &Token, message: String, out: &mut Vec<Diagnostic>) {
-        if !self.suppressed(rule, tok.line) {
+        if !self.allows.get(&tok.line).is_some_and(|set| set.contains(rule)) {
             out.push(Diagnostic {
                 file: self.rel_path.clone(),
                 line: tok.line,
@@ -287,10 +177,6 @@ impl<'a> FileContext<'a> {
 
     fn in_dist_src(&self) -> bool {
         self.rel_path.contains("crates/dist/src/")
-    }
-
-    fn in_probe(&self) -> bool {
-        self.rel_path.contains("crates/probe/")
     }
 }
 
@@ -315,20 +201,11 @@ fn parse_allow_marker(comment: &str) -> Vec<String> {
 /// Runs every enabled token-level rule over one file.
 pub fn check_tokens(ctx: &FileContext<'_>, enabled: &dyn Fn(&str) -> bool) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if enabled("dist-no-instant") {
-        dist_no_instant(ctx, &mut out);
-    }
-    if enabled("no-wall-clock-outside-probe") {
-        no_wall_clock_outside_probe(ctx, &mut out);
-    }
     if enabled("no-vec-alloc-in-kernel") {
         no_vec_alloc_in_kernel(ctx, &mut out);
     }
     if enabled("simd-needs-feature-gate") {
         simd_needs_feature_gate(ctx, &mut out);
-    }
-    if enabled("dist-pool-width-via-membership") {
-        dist_pool_width_via_membership(ctx, &mut out);
     }
     if enabled("bucket-apply-order-pinned") {
         bucket_apply_order_pinned(ctx, &mut out);
@@ -353,47 +230,6 @@ fn code_tokens<'a>(
 /// Next non-comment token after index `i`.
 fn next_code<'a>(ctx: &'a FileContext<'_>, i: usize) -> Option<&'a Token> {
     ctx.tokens[i + 1..].iter().find(|t| !t.is_comment())
-}
-
-fn dist_no_instant(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    if !ctx.in_dist_src() || ctx.is_test_file {
-        return;
-    }
-    for (_, tok, in_test) in code_tokens(ctx) {
-        if !in_test && tok.kind == TokenKind::Ident && tok.text == "Instant" {
-            ctx.diag(
-                "dist-no-instant",
-                tok,
-                "raw std::time::Instant in puffer-dist non-test code; time through \
-                 puffer_probe::TimedSpan so breakdown bins and traces stay one set of numbers"
-                    .to_string(),
-                out,
-            );
-        }
-    }
-}
-
-fn no_wall_clock_outside_probe(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    if ctx.in_probe() || ctx.is_test_file {
-        return;
-    }
-    for (_, tok, in_test) in code_tokens(ctx) {
-        if !in_test
-            && tok.kind == TokenKind::Ident
-            && (tok.text == "Instant" || tok.text == "SystemTime")
-        {
-            ctx.diag(
-                "no-wall-clock-outside-probe",
-                tok,
-                format!(
-                    "`{}` outside crates/probe; use puffer_probe::timed_span for traced \
-                     intervals or puffer_probe::Stopwatch for raw measurements",
-                    tok.text
-                ),
-                out,
-            );
-        }
-    }
 }
 
 /// Index of the next non-comment token after `i`.
@@ -549,29 +385,6 @@ fn simd_needs_feature_gate(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     }
 }
 
-fn dist_pool_width_via_membership(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
-    // The membership module owns the pool width: `PoolWidthGuard` recaps it
-    // to the live member count at each epoch and restores it on drop. Any
-    // other dist call site would fight that bookkeeping, so the identifier
-    // itself is the violation — whether called or merely imported.
-    if !ctx.in_dist_src() || ctx.is_test_file || ctx.rel_path.ends_with("membership.rs") {
-        return;
-    }
-    for (_, tok, in_test) in code_tokens(ctx) {
-        if !in_test && tok.kind == TokenKind::Ident && tok.text == "set_num_threads" {
-            ctx.diag(
-                "dist-pool-width-via-membership",
-                tok,
-                "direct `set_num_threads` in puffer-dist outside the membership module; pool \
-                 width follows the active member set — resize through \
-                 membership::PoolWidthGuard so epoch transitions stay the single owner"
-                    .to_string(),
-                out,
-            );
-        }
-    }
-}
-
 fn bucket_apply_order_pinned(ctx: &FileContext<'_>, out: &mut Vec<Diagnostic>) {
     // Gradient accumulation order is the bitwise-determinism contract:
     // contributors are summed in pinned id order by the bucketed reducer
@@ -670,31 +483,17 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_flagged_outside_probe_but_not_inside() {
-        let src = "use std::time::Instant;\nfn f() { let t = Instant::now(); }";
-        assert_eq!(run("crates/core/src/foo.rs", src).len(), 2);
-        assert!(run("crates/probe/src/span.rs", src).is_empty());
-        let sys = "fn f() { let t = std::time::SystemTime::now(); }";
-        assert_eq!(run("crates/nn/src/x.rs", sys).len(), 1);
-    }
-
-    #[test]
-    fn wall_clock_exempt_in_test_and_bench_files() {
-        let src = "use std::time::Instant;";
-        assert!(run("crates/tensor/tests/probe_overhead.rs", src).is_empty());
-        assert!(run("crates/nn/benches/layer_bench.rs", src).is_empty());
-    }
-
-    #[test]
     fn lint_allow_suppresses_on_line_and_next_line() {
+        let path = "crates/dist/src/x.rs";
         let trailing =
-            "fn f() { let t = Instant::now(); } // lint:allow(no-wall-clock-outside-probe)";
-        assert!(run("crates/core/src/x.rs", trailing).is_empty());
+            "fn f(a: &mut [f32]) { a[0] += 1.0; } // lint:allow(bucket-apply-order-pinned)";
+        assert!(run(path, trailing).is_empty());
         let above =
-            "// lint:allow(no-wall-clock-outside-probe)\nfn f() { let t = Instant::now(); }";
-        assert!(run("crates/core/src/x.rs", above).is_empty());
-        let wrong_rule = "// lint:allow(dist-no-instant)\nfn f() { let t = Instant::now(); }";
-        assert_eq!(run("crates/core/src/x.rs", wrong_rule).len(), 1);
+            "// lint:allow(bucket-apply-order-pinned)\nfn f(a: &mut [f32]) { a[0] += 1.0; }";
+        assert!(run(path, above).is_empty());
+        let wrong_rule =
+            "// lint:allow(no-raw-percentile-math)\nfn f(a: &mut [f32]) { a[0] += 1.0; }";
+        assert_eq!(run(path, wrong_rule).len(), 1);
     }
 
     #[test]
@@ -772,31 +571,6 @@ fn f(a: __m256, b: __m256) -> __m256 { _mm256_add_ps(a, b) }";
         let allowed = "// lint:allow(simd-needs-feature-gate) — cfg-gated call site\n\
                        fn f(a: __m256, b: __m256) -> __m256 { _mm256_add_ps(a, b) }";
         assert!(run("crates/tensor/src/x.rs", allowed).is_empty());
-    }
-
-    #[test]
-    fn pool_width_mutation_flagged_in_dist_outside_membership() {
-        let src = "fn grow(n: usize) { puffer_tensor::pool::set_num_threads(n); }";
-        let diags = run("crates/dist/src/trainer.rs", src);
-        assert_eq!(diags.len(), 1, "{diags:?}");
-        assert_eq!(diags[0].0, "dist-pool-width-via-membership");
-        // The membership module is the one dist file allowed to resize.
-        assert!(run("crates/dist/src/membership.rs", src).is_empty());
-        // Other crates manage their own pools; out of scope.
-        assert!(run("crates/tensor/src/pool.rs", src).is_empty());
-    }
-
-    #[test]
-    fn pool_width_rule_exempts_tests_and_honors_suppression() {
-        let src = "fn grow(n: usize) { puffer_tensor::pool::set_num_threads(n); }";
-        assert!(run("crates/dist/tests/pool_guard_probe.rs", src).is_empty());
-        let in_test = "#[cfg(test)]\nmod tests {\n    fn t() { pool::set_num_threads(1); }\n}";
-        assert!(run("crates/dist/src/trainer.rs", in_test).is_empty());
-        let decoy = "fn f() { let s = \"set_num_threads(\"; } // set_num_threads in comment";
-        assert!(run("crates/dist/src/trainer.rs", decoy).is_empty());
-        let allowed = "// lint:allow(dist-pool-width-via-membership) — startup pinning\n\
-                       fn f() { pool::set_num_threads(1); }";
-        assert!(run("crates/dist/src/trainer.rs", allowed).is_empty());
     }
 
     #[test]

@@ -19,9 +19,8 @@ mod early_tests {
     }
 }
 
-use std::time::Instant; // line 22: flagged by dist-no-instant (and wall-clock)
-
-pub fn timing_hidden_from_awk() -> std::time::Duration {
-    let t0 = Instant::now(); // line 25: flagged
-    t0.elapsed()
+pub fn accumulation_hidden_from_awk(mean: &mut [f32], grad: &[f32]) {
+    for i in 0..grad.len() {
+        mean[i] += grad[i]; // line 24: flagged by bucket-apply-order-pinned
+    }
 }

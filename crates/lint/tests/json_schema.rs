@@ -43,10 +43,10 @@ fn json_output_parses_and_matches_the_report() {
 
 #[test]
 fn empty_report_is_valid_json() {
-    // Filter down to a rule with no findings in the probe fixture subtree:
-    // the resulting empty diagnostics array must still parse.
-    let mut config = Config::new(fixtures_root().join("crates/probe"));
-    config.rules = Some(std::collections::BTreeSet::from(["dist-no-instant".to_string()]));
+    // Filter down to a rule with no findings in the insight fixture
+    // subtree: the resulting empty diagnostics array must still parse.
+    let mut config = Config::new(fixtures_root().join("crates/insight"));
+    config.rules = Some(std::collections::BTreeSet::from(["no-vec-alloc-in-kernel".to_string()]));
     let report = run(&config).expect("scan");
     assert!(report.is_clean());
     let doc = parse(&report.to_json()).expect("empty report must be valid JSON");

@@ -70,18 +70,7 @@ pub(crate) fn header_row() -> Option<String> {
         line.push(',');
         crate::json::escape_into(&mut line, k);
         line.push(':');
-        match v {
-            ArgValue::U64(n) => {
-                use std::fmt::Write as _;
-                let _ = write!(line, "{n}");
-            }
-            ArgValue::I64(n) => {
-                use std::fmt::Write as _;
-                let _ = write!(line, "{n}");
-            }
-            ArgValue::F64(n) => crate::json::number_into(&mut line, *n),
-            ArgValue::Str(s) => crate::json::escape_into(&mut line, s),
-        }
+        v.json_into(&mut line);
     }
     line.push('}');
     Some(line)

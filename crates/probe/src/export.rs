@@ -7,9 +7,8 @@
 //! this final conversion.
 
 use crate::json::{escape_into, number_into};
-use crate::span::{ArgValue, TraceEvent};
+use crate::span::TraceEvent;
 use crate::ProbeConfig;
-use std::fmt::Write as _;
 use std::io;
 use std::path::PathBuf;
 
@@ -32,19 +31,6 @@ fn us(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e6
 }
 
-fn arg_into(out: &mut String, v: &ArgValue) {
-    match v {
-        ArgValue::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        ArgValue::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        ArgValue::F64(n) => number_into(out, *n),
-        ArgValue::Str(s) => escape_into(out, s),
-    }
-}
-
 fn event_into(out: &mut String, ev: &TraceEvent) {
     out.push_str("{\"name\":");
     escape_into(out, ev.name);
@@ -52,7 +38,7 @@ fn event_into(out: &mut String, ev: &TraceEvent) {
         out.push_str(",\"cat\":");
         escape_into(out, if ev.cat.is_empty() { "probe" } else { ev.cat });
     }
-    let _ = write!(out, ",\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":", ev.phase, ev.tid);
+    crate::append!(out, ",\"ph\":\"{}\",\"pid\":1,\"tid\":{},\"ts\":", ev.phase, ev.tid);
     number_into(out, us(ev.ts));
     if ev.phase == 'X' {
         out.push_str(",\"dur\":");
@@ -70,7 +56,7 @@ fn event_into(out: &mut String, ev: &TraceEvent) {
             }
             escape_into(out, k);
             out.push(':');
-            arg_into(out, v);
+            v.json_into(out);
         }
         out.push('}');
     }
@@ -153,6 +139,7 @@ pub(crate) fn export(
 mod tests {
     use super::*;
     use crate::json::validate_chrome_trace;
+    use crate::span::ArgValue;
     use crate::{configure, flush, reset, testutil};
     use std::time::Duration;
 

@@ -282,7 +282,6 @@ pub fn hist_snapshot() -> Vec<((&'static str, &'static str), Histogram)> {
 /// Serializes every non-empty histogram as `{"type":"hist",...}` JSONL
 /// rows — appended by the exporter after the counters summary.
 pub(crate) fn hist_rows() -> Vec<String> {
-    use std::fmt::Write as _;
     registry()
         .iter()
         .filter(|(_, h)| !h.is_empty())
@@ -291,7 +290,7 @@ pub(crate) fn hist_rows() -> Vec<String> {
             crate::json::escape_into(&mut line, cat);
             line.push_str(",\"name\":");
             crate::json::escape_into(&mut line, name);
-            let _ = write!(
+            crate::append!(
                 line,
                 ",\"count\":{},\"min_ns\":{},\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"max_ns\":{},\"mean_ns\":",
                 h.count(),

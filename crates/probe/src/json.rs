@@ -7,7 +7,6 @@
 //! across escapes in our own output, but the parser still handles them).
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +70,7 @@ pub fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                crate::append!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -83,7 +82,7 @@ pub fn escape_into(out: &mut String, s: &str) {
 /// `null` (Chrome's trace viewer rejects bare `NaN`).
 pub fn number_into(out: &mut String, v: f64) {
     if v.is_finite() {
-        let _ = write!(out, "{v}");
+        crate::append!(out, "{v}");
     } else {
         out.push_str("null");
     }

@@ -261,6 +261,47 @@ pub fn reset() {
     context::clear();
 }
 
+/// `write!` into a `String`. `fmt::Write for String` cannot fail, so unlike
+/// `write!` this leaves no `Result` for the caller to drop: the workspace's
+/// report and JSON emitters append through this pair.
+#[macro_export]
+macro_rules! append {
+    ($dst:expr, $($arg:tt)*) => {{
+        use $crate::AppendFmt as _;
+        $dst.append_fmt(::core::format_args!($($arg)*))
+    }};
+}
+
+/// [`append!`] plus a trailing newline: `writeln!` for a `String`.
+#[macro_export]
+macro_rules! appendln {
+    ($dst:expr $(,)?) => {
+        $dst.push('\n')
+    };
+    ($dst:expr, $($arg:tt)*) => {{
+        $crate::append!($dst, $($arg)*);
+        $dst.push('\n')
+    }};
+}
+
+/// The method behind [`append!`].
+pub trait AppendFmt {
+    /// Appends the formatted arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `Display`/`Debug` impl among the arguments returns an
+    /// error — the case `format!` panics on too.
+    fn append_fmt(&mut self, args: std::fmt::Arguments<'_>);
+}
+
+impl AppendFmt for String {
+    fn append_fmt(&mut self, args: std::fmt::Arguments<'_>) {
+        std::fmt::Write::write_fmt(self, args)
+            .expect("a formatting trait implementation returned an error");
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod testutil {
     use std::sync::{Mutex, MutexGuard, PoisonError};

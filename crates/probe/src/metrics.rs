@@ -70,21 +70,6 @@ pub fn counters_snapshot() -> Vec<(&'static str, f64)> {
     registry().iter().map(|(k, v)| (*k, *v)).collect()
 }
 
-fn push_arg_json(out: &mut String, v: &ArgValue) {
-    match v {
-        ArgValue::U64(n) => {
-            use std::fmt::Write as _;
-            let _ = write!(out, "{n}");
-        }
-        ArgValue::I64(n) => {
-            use std::fmt::Write as _;
-            let _ = write!(out, "{n}");
-        }
-        ArgValue::F64(n) => crate::json::number_into(out, *n),
-        ArgValue::Str(s) => crate::json::escape_into(out, s),
-    }
-}
-
 /// Appends one JSONL row to the metrics sink:
 /// `{"type":<row_type>,"t_us":<clock>,<fields...>}`. Serialized
 /// immediately (keys need not be static), buffered until [`crate::flush`].
@@ -96,15 +81,12 @@ pub fn metrics_row(row_type: &str, fields: &[(&str, ArgValue)]) {
     let mut line = String::with_capacity(64 + fields.len() * 16);
     line.push_str("{\"type\":");
     crate::json::escape_into(&mut line, row_type);
-    {
-        use std::fmt::Write as _;
-        let _ = write!(line, ",\"t_us\":{}", now_rel().as_micros());
-    }
+    crate::append!(line, ",\"t_us\":{}", now_rel().as_micros());
     for (k, v) in fields {
         line.push(',');
         crate::json::escape_into(&mut line, k);
         line.push(':');
-        push_arg_json(&mut line, v);
+        v.json_into(&mut line);
     }
     line.push('}');
     with_sink(|s| s.rows.push(line));

@@ -29,6 +29,18 @@ pub enum ArgValue {
     Str(String),
 }
 
+impl ArgValue {
+    /// Appends the value as a JSON scalar.
+    pub(crate) fn json_into(&self, out: &mut String) {
+        match self {
+            ArgValue::U64(n) => crate::append!(out, "{n}"),
+            ArgValue::I64(n) => crate::append!(out, "{n}"),
+            ArgValue::F64(n) => crate::json::number_into(out, *n),
+            ArgValue::Str(s) => crate::json::escape_into(out, s),
+        }
+    }
+}
+
 impl From<usize> for ArgValue {
     fn from(v: usize) -> Self {
         ArgValue::U64(v as u64)

@@ -87,9 +87,13 @@ const MC_DEFAULT: usize = 96;
 /// for an L3 share; one `(jc, ic)` tile of C is the unit of thread work.
 const NC_DEFAULT: usize = 2048;
 
-static KC: AtomicUsize = AtomicUsize::new(0);
-static MC: AtomicUsize = AtomicUsize::new(0);
-static NC: AtomicUsize = AtomicUsize::new(0);
+// Block edges must coincide with register-tile edges; `set_blocking` rounds,
+// the defaults have to be round already.
+const _: () = assert!(MC_DEFAULT.is_multiple_of(MR) && NC_DEFAULT.is_multiple_of(NR));
+
+static KC: AtomicUsize = AtomicUsize::new(KC_DEFAULT);
+static MC: AtomicUsize = AtomicUsize::new(MC_DEFAULT);
+static NC: AtomicUsize = AtomicUsize::new(NC_DEFAULT);
 
 /// `0` = unresolved, `1` = scalar fallback, `2` = AVX2+FMA kernel.
 static SIMD: AtomicU8 = AtomicU8::new(0);
@@ -118,12 +122,10 @@ pub fn simd_enabled() -> bool {
                 .map(|v| matches!(v.trim(), "0" | "false" | "off"))
                 .unwrap_or(false);
             let on = !env_off && simd_supported();
-            let _ = SIMD.compare_exchange(
-                0,
-                if on { 2 } else { 1 },
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
+            // Losing the race means `set_simd_enabled` or another resolver
+            // already stored the answer, which the load below reads.
+            SIMD.compare_exchange(0, if on { 2 } else { 1 }, Ordering::Relaxed, Ordering::Relaxed)
+                .ok();
             SIMD.load(Ordering::Relaxed) == 2
         }
         s => s == 2,
@@ -138,36 +140,17 @@ pub fn set_simd_enabled(on: bool) {
     SIMD.store(if on && simd_supported() { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-fn resolve(cell: &AtomicUsize, env: &str, default: usize, round_to: usize) -> usize {
-    let v = cell.load(Ordering::Relaxed);
-    if v != 0 {
-        return v;
-    }
-    let raw = std::env::var(env)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&x| x > 0)
-        .unwrap_or(default);
-    let rounded = raw.div_ceil(round_to).max(1) * round_to;
-    let _ = cell.compare_exchange(0, rounded, Ordering::Relaxed, Ordering::Relaxed);
-    cell.load(Ordering::Relaxed)
-}
-
-/// The effective `(KC, MC, NC)` blocking, resolving `PUFFER_GEMM_KC` /
-/// `PUFFER_GEMM_MC` / `PUFFER_GEMM_NC` on first use. MC is rounded up to a
-/// multiple of MR and NC to a multiple of NR so block edges coincide with
-/// register-tile edges.
+/// The effective `(KC, MC, NC)` blocking: the defaults above unless
+/// [`set_blocking`] changed them. MC is a multiple of MR and NC a multiple
+/// of NR, so block edges coincide with register-tile edges.
 pub fn blocking() -> (usize, usize, usize) {
-    (
-        resolve(&KC, "PUFFER_GEMM_KC", KC_DEFAULT, 1),
-        resolve(&MC, "PUFFER_GEMM_MC", MC_DEFAULT, MR),
-        resolve(&NC, "PUFFER_GEMM_NC", NC_DEFAULT, NR),
-    )
+    (KC.load(Ordering::Relaxed), MC.load(Ordering::Relaxed), NC.load(Ordering::Relaxed))
 }
 
-/// Overrides the blocking hierarchy at runtime (rounded like [`blocking`]).
-/// Results are bitwise invariant to these choices — the boundary proptests
-/// shrink them to force multi-block paths on small matrices.
+/// Overrides the blocking hierarchy at runtime (MC rounded up to a multiple
+/// of MR, NC of NR). Results are bitwise invariant to these choices — the
+/// boundary proptests shrink them to force multi-block paths on small
+/// matrices.
 pub fn set_blocking(kc: usize, mc: usize, nc: usize) {
     KC.store(kc.max(1), Ordering::Relaxed);
     MC.store(mc.div_ceil(MR).max(1) * MR, Ordering::Relaxed);

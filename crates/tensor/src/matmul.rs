@@ -54,39 +54,25 @@ pub enum MatmulProfile {
 /// the pool. Recalibrated for the blocked SIMD engine: at ~50 GFLOPS a
 /// 2^20-MAC GEMM runs in ~20 µs, about the break-even point against pool
 /// dispatch + packing coordination (the old scalar kernel broke even at
-/// 2^18). Overridable via `PUFFER_GEMM_PAR_MIN_FLOPS`.
+/// 2^18).
 const PAR_MIN_FLOPS: usize = 1 << 20;
 
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 
 static DEFAULT_PROFILE: AtomicU8 = AtomicU8::new(1);
 
-static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(0);
-// Separate resolved flag: 0 is a meaningful threshold ("parallelize
-// everything", used by the determinism tests), so it cannot double as the
-// unresolved sentinel.
-static PAR_THRESHOLD_RESOLVED: AtomicBool = AtomicBool::new(false);
+static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(PAR_MIN_FLOPS);
 
 /// Overrides the multiply–add count above which dense kernels fan out to
-/// the worker pool (default `2^20`, env `PUFFER_GEMM_PAR_MIN_FLOPS`). `0`
-/// parallelizes every eligible call — the determinism test suite uses this
-/// to exercise the threaded path at tiny sizes; results are bitwise
-/// identical either way.
+/// the worker pool (default `2^20`). `0` parallelizes every eligible call —
+/// the determinism test suite uses this to exercise the threaded path at
+/// tiny sizes; results are bitwise identical either way.
 pub fn set_parallel_threshold(min_flops: usize) {
     PAR_THRESHOLD.store(min_flops, Ordering::Relaxed);
-    PAR_THRESHOLD_RESOLVED.store(true, Ordering::Relaxed);
 }
 
-/// The current fan-out threshold in multiply–adds, resolving
-/// `PUFFER_GEMM_PAR_MIN_FLOPS` on first use.
+/// The current fan-out threshold in multiply–adds.
 pub fn parallel_threshold() -> usize {
-    if !PAR_THRESHOLD_RESOLVED.load(Ordering::Relaxed) {
-        let v = std::env::var("PUFFER_GEMM_PAR_MIN_FLOPS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(PAR_MIN_FLOPS);
-        set_parallel_threshold(v);
-    }
     PAR_THRESHOLD.load(Ordering::Relaxed)
 }
 

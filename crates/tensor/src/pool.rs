@@ -134,7 +134,7 @@ pub fn num_threads() -> usize {
             let n = resolve_default();
             // A concurrent set_num_threads may race us; keep whichever wrote
             // last — both are valid settings.
-            let _ = SETTING.compare_exchange(0, n, Ordering::Relaxed, Ordering::Relaxed);
+            SETTING.compare_exchange(0, n, Ordering::Relaxed, Ordering::Relaxed).ok();
             SETTING.load(Ordering::Relaxed)
         }
         n => n,

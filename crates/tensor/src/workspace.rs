@@ -173,26 +173,31 @@ pub fn recycle(buf: Vec<f32>) {
         return;
     }
     let bytes = capacity * std::mem::size_of::<f32>();
-    // Dropped silently during thread-local teardown: the buffer is simply
-    // freed, which is always sound.
-    let _ = ARENA.try_with(move |cell| {
-        let mut arena = cell.borrow_mut();
-        if arena.held_bytes + bytes <= MAX_ARENA_BYTES {
-            arena.held_bytes += bytes;
-            arena.free[class_for_capacity(capacity)].push(buf);
-        }
-    });
+    // `Err` only during thread-local teardown: the buffer is simply freed,
+    // which is always sound.
+    ARENA
+        .try_with(move |cell| {
+            let mut arena = cell.borrow_mut();
+            if arena.held_bytes + bytes <= MAX_ARENA_BYTES {
+                arena.held_bytes += bytes;
+                arena.free[class_for_capacity(capacity)].push(buf);
+            }
+        })
+        .ok();
 }
 
 /// Frees every buffer held by the current thread's arena (test isolation).
 pub fn clear_thread_arena() {
-    let _ = ARENA.try_with(|cell| {
-        let mut arena = cell.borrow_mut();
-        for class in &mut arena.free {
-            class.clear();
-        }
-        arena.held_bytes = 0;
-    });
+    // `Err` only during thread-local teardown, when the arena is gone anyway.
+    ARENA
+        .try_with(|cell| {
+            let mut arena = cell.borrow_mut();
+            for class in &mut arena.free {
+                class.clear();
+            }
+            arena.held_bytes = 0;
+        })
+        .ok();
 }
 
 /// Bytes currently held by the calling thread's free lists.

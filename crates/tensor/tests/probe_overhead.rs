@@ -16,7 +16,7 @@
 use puffer_probe as probe;
 use puffer_tensor::matmul::matmul;
 use puffer_tensor::Tensor;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const DIM: usize = 128;
 const REPS: usize = 4;
@@ -26,7 +26,7 @@ const TRIALS: usize = 7;
 const EXTRA_CALLS: usize = 16;
 
 fn gemm_batch(a: &Tensor, b: &Tensor, extra_probe_calls: bool) -> Duration {
-    let t0 = Instant::now();
+    let t0 = probe::Stopwatch::start();
     for _ in 0..REPS {
         if extra_probe_calls {
             for _ in 0..EXTRA_CALLS {
