@@ -1,19 +1,35 @@
 //! Shared bench-scale workloads and models.
 //!
-//! All experiment binaries draw their datasets and scaled models from here
-//! so that, e.g., "ResNet-18 on CIFAR-10" means the same thing in
+//! All experiments draw their datasets and scaled models from here so
+//! that, e.g., "ResNet-18 on CIFAR-10" means the same thing in
 //! Figure 4(b), Table 4, and Table 8. Width scales are chosen so a full
 //! experiment runs in minutes on one CPU core while preserving each
 //! architecture's shape (stage structure, hybrid plans, rank ratios).
+//! [`breakdown_table`] is the one *method × per-epoch breakdown* loop
+//! behind Figures 4(a), 4(b), 6, 7, the ATOMO claim and the end-to-end
+//! comparison.
 
 use crate::scale::RunScale;
+use puffer_compress::GradCompressor;
 use puffer_data::images::{ImageDataset, ImageDatasetConfig};
 use puffer_data::text::{TextCorpus, TextCorpusConfig};
 use puffer_data::translation::{TranslationConfig, TranslationDataset};
+use puffer_dist::breakdown::{measure_sequential_epoch, EpochBreakdown};
+use puffer_dist::cost::ClusterProfile;
+use puffer_dist::trainer::DistConfig;
 use puffer_models::lstm_lm::{LstmLm, LstmLmConfig};
-use puffer_models::resnet::{ResNet, ResNetConfig};
+use puffer_models::resnet::{ResNet, ResNetConfig, ResNetHybridPlan};
 use puffer_models::transformer::{TransformerConfig, TransformerModel};
+use puffer_models::units::FactorInit;
 use puffer_models::vgg::{Vgg, VggConfig};
+use puffer_nn::layer::{Layer, Mode};
+use puffer_nn::loss::softmax_cross_entropy;
+use puffer_nn::optim::Sgd;
+use puffer_probe::Stopwatch;
+use puffer_tensor::Tensor;
+use pufferfish::ablation::mean_std;
+use pufferfish::lm::{train_lm, LmTrainConfig};
+use pufferfish::trainer::{train, ImageModel, ModelPlan, TrainConfig};
 
 /// Width multiplier used for every bench-scale CNN.
 pub const CNN_SCALE: f32 = 0.125;
@@ -112,6 +128,245 @@ pub fn transformer(vocab: usize, rank: Option<usize>, seed: u64) -> TransformerM
 
 /// The Transformer factorization rank at bench scale (d_model/4).
 pub const TRANSFORMER_RANK: usize = 8;
+
+/// `n` seeded Gaussian batches of `shape` (rows first) with round-robin
+/// labels over `classes`; batch `b` draws from seed `seed + b`. The data of
+/// the system runs (`soak`, `overlap-sweep`, `trace-demo`, `fault-sweep`),
+/// which exercise the trainer rather than learn a task.
+pub fn gaussian_batches(
+    n: usize,
+    shape: &[usize],
+    classes: usize,
+    seed: u64,
+) -> Vec<(Tensor, Vec<usize>)> {
+    let batch = |b: usize| {
+        let labels = (0..shape[0]).map(|i| (i + b) % classes).collect();
+        (Tensor::randn(shape, 1.0, seed + b as u64), labels)
+    };
+    (0..n).map(batch).collect()
+}
+
+/// Stamps the probe's run header for an uncompressed data-parallel run, so
+/// the exported trace and metrics are self-describing and insight can
+/// reconcile its α–β fit against the configured profile. `PUFFER_*` env
+/// knobs ride along. A no-op while the probe is disabled.
+pub fn stamp_run_header(bench: &str, seed: u64, steps: usize, cfg: &DistConfig) {
+    puffer_probe::run_header(&[
+        ("bench", bench.into()),
+        ("seed", seed.into()),
+        ("workers", cfg.workers.into()),
+        ("steps", steps.into()),
+        ("scheme", "none".into()),
+        ("alpha", cfg.profile.alpha.into()),
+        ("beta", cfg.profile.beta.into()),
+    ]);
+    puffer_probe::run_header_env();
+}
+
+/// One SGD training step on a classification batch; returns the logits.
+pub fn train_step<M: Layer>(
+    model: &mut M,
+    opt: &mut Sgd,
+    images: &Tensor,
+    labels: &[usize],
+) -> Tensor {
+    model.zero_grad();
+    let logits = model.forward(images, Mode::Train);
+    let (_, dl) = softmax_cross_entropy(&logits, labels, 0.0).expect("loss");
+    let _ = model.backward(&dl);
+    opt.step(&mut model.params_mut());
+    logits
+}
+
+/// Wall time of `trials` calls of `f`: mean and (population) standard
+/// deviation in seconds — the paper's `mean ± std` timing cells.
+pub fn time_trials(trials: usize, mut f: impl FnMut()) -> (f64, f64) {
+    let times: Vec<f64> = (0..trials)
+        .map(|_| {
+            let t0 = Stopwatch::start();
+            f();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    let mean = times.iter().sum::<f64>() / trials as f64;
+    let var = times.iter().map(|t| (t - mean) * (t - mean)).sum::<f64>() / trials as f64;
+    (mean, var.sqrt())
+}
+
+/// Per-seed train, validation and test perplexity of the bench LSTM under
+/// Algorithm 1 with `warmup` vanilla epochs of `epochs` (`warmup == epochs`
+/// never factorizes; `0` is low-rank from scratch) — Tables 2 and 9.
+pub fn lstm_perplexities(
+    corpus: &TextCorpus,
+    seeds: &[u64],
+    epochs: usize,
+    warmup: usize,
+) -> [Vec<f32>; 3] {
+    let mut ppl = [vec![], vec![], vec![]];
+    for &seed in seeds {
+        let cfg = LmTrainConfig::small(epochs, warmup, LSTM_RANK);
+        let out = train_lm(lstm_lm(corpus.vocab(), seed), corpus, &cfg).expect("lm training");
+        ppl[0].push(out.report.epochs.last().map(|e| e.train_loss.exp()).unwrap_or(f32::NAN));
+        ppl[1].push(out.report.final_perplexity());
+        ppl[2].push(out.test_perplexity);
+    }
+    ppl
+}
+
+/// Final test accuracy (in %) per seed of one Algorithm 1 arm: `cfg` with
+/// its seed set to each of `seeds` in turn, `model(seed)` trained under
+/// `plan` — Tables 4, 21 and 22.
+pub fn accuracies_pct(
+    seeds: &[u64],
+    mut cfg: TrainConfig,
+    plan: ModelPlan,
+    data: &ImageDataset,
+    model: impl Fn(u64) -> ImageModel,
+) -> Vec<f32> {
+    let mut accuracy = |&seed: &u64| {
+        cfg.seed = seed;
+        let out = train(model(seed), plan, data, &cfg).expect("training");
+        out.report.final_test_accuracy() * 100.0
+    };
+    seeds.iter().map(&mut accuracy).collect()
+}
+
+/// `mean ± std` over per-seed values, to two places — the paper's cell
+/// format.
+pub fn mean_pm_std(xs: &[f32]) -> String {
+    let (mean, std) = mean_std(xs);
+    format!("{mean:.2} ± {std:.2}")
+}
+
+/// Builds one arm's gradient compressor (`|| Box::new(Signum::new(0.9))`).
+pub type Codec = fn() -> Box<dyn GradCompressor>;
+
+/// Plain allreduce of the raw gradient.
+pub fn no_codec() -> Box<dyn GradCompressor> {
+    Box::new(puffer_compress::none::NoCompression::new())
+}
+
+/// One arm of a breakdown comparison.
+#[derive(Clone, Copy)]
+pub struct Method {
+    /// Row label.
+    pub name: &'static str,
+    /// Codec of the epochs after the switch (of every epoch, for a
+    /// baseline).
+    pub codec: Codec,
+    /// `Some((epochs, codec))` makes the arm Pufferfish: that many vanilla
+    /// warm-up epochs under that codec, the timed SVD switch to the paper's
+    /// hybrid, then hybrid epochs under [`Method::codec`]. `None` trains
+    /// the vanilla model throughout.
+    pub warmup: Option<(usize, Codec)>,
+}
+
+impl Method {
+    /// The vanilla model under `codec`.
+    pub fn baseline(name: &'static str, codec: Codec) -> Self {
+        Method { name, codec, warmup: None }
+    }
+
+    /// The hybrid, factorized from the freshly initialized model (no
+    /// warm-up epochs), under `codec`.
+    pub fn pufferfish(name: &'static str, codec: Codec) -> Self {
+        Method { name, codec, warmup: Some((0, no_codec)) }
+    }
+}
+
+/// What [`breakdown_table`] measured for one [`Method`].
+pub struct MethodRun {
+    /// The method's row label.
+    pub method: &'static str,
+    /// Breakdown and mean training loss of every epoch run, warm-up epochs
+    /// first.
+    pub epochs: Vec<(EpochBreakdown, f32)>,
+    /// How many of [`MethodRun::epochs`] were vanilla warm-up.
+    pub warmup_epochs: usize,
+    /// Seconds the one-off SVD switch took (0 for a baseline).
+    pub svd_s: f64,
+    /// The trained model.
+    pub model: ImageModel,
+}
+
+impl MethodRun {
+    /// The last epoch's breakdown and loss.
+    pub fn last(&self) -> (EpochBreakdown, f32) {
+        self.epochs.last().copied().unwrap_or((EpochBreakdown::default(), f32::NAN))
+    }
+
+    /// The six cells Figures 4(a), 4(b) and 6 print for a method: `label`,
+    /// compute, encode+decode, modeled comm (to `comm_digits` places),
+    /// total, final loss.
+    pub fn breakdown_row(&self, label: String, comm_digits: usize) -> Vec<String> {
+        let (last, loss) = self.last();
+        vec![
+            label,
+            format!("{:.3}", last.compute.as_secs_f64()),
+            format!("{:.3}", (last.encode + last.decode).as_secs_f64()),
+            format!("{:.comm_digits$}", last.comm.as_secs_f64()),
+            format!("{:.3}", last.total().as_secs_f64()),
+            format!("{loss:.3}"),
+        ]
+    }
+}
+
+/// The rows of a *method × per-epoch breakdown* table: trains each method
+/// for `epochs` epochs over `batches` on a simulated `nodes`-node p3-like
+/// cluster — computation and encode/decode measured on real gradients,
+/// worker by worker on the calling thread (no contention, whatever the
+/// host's core count), communication priced by the α–β model — and returns
+/// every epoch's breakdown. `vanilla` builds the full-rank model, `plan`
+/// is its paper hybrid.
+///
+/// # Panics
+///
+/// Panics if a batch cannot feed `nodes` shards.
+pub fn breakdown_table(
+    nodes: usize,
+    (vanilla, plan): (&dyn Fn() -> ResNet, &ResNetHybridPlan),
+    batches: &[(Tensor, Vec<usize>)],
+    epochs: usize,
+    methods: &[Method],
+) -> Vec<MethodRun> {
+    let profile = ClusterProfile::p3_like(nodes);
+    let run_epochs = |run: &mut MethodRun, codec: Codec, n: usize| {
+        let mut compressor = codec();
+        for _ in 0..n {
+            let epoch = measure_sequential_epoch(
+                &mut run.model,
+                batches,
+                nodes,
+                compressor.as_mut(),
+                &profile,
+                0.05,
+            );
+            run.epochs.push(epoch.expect("epoch"));
+        }
+    };
+    let measure = |m: &Method| {
+        let mut run = MethodRun {
+            method: m.name,
+            epochs: Vec::with_capacity(epochs),
+            warmup_epochs: 0,
+            svd_s: 0.0,
+            model: vanilla().into(),
+        };
+        if let Some((warmup, warmup_codec)) = m.warmup {
+            run_epochs(&mut run, warmup_codec, warmup);
+            run.warmup_epochs = warmup;
+            let ImageModel::ResNet(net) = run.model else { unreachable!("built above") };
+            let t0 = Stopwatch::start();
+            let hybrid = net.to_hybrid(plan, FactorInit::WarmStart).expect("hybrid");
+            run.svd_s = t0.elapsed().as_secs_f64();
+            run.model = hybrid.into();
+        }
+        let rest = epochs - run.warmup_epochs;
+        run_epochs(&mut run, m.codec, rest);
+        run
+    };
+    methods.iter().map(measure).collect()
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,7 @@
 //! Console table rendering for experiment output.
 
+use puffer_probe::json::{escape_into, number_into};
+
 /// A simple left-aligned console table.
 #[derive(Debug, Default)]
 pub struct Table {
@@ -55,6 +57,43 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
     }
+
+    /// Appends the table as a JSON object: its `columns`, and its `rows` as
+    /// objects keyed by column — a cell that is a finite number becomes a
+    /// JSON number, anything else (`1.50x`, `0.12 ± 0.01`) stays a string.
+    pub fn json_into(&self, out: &mut String) {
+        out.push_str("{\"columns\":[");
+        comma_separated(out, &self.headers, |out, h| escape_into(out, h));
+        out.push_str("],\"rows\":[");
+        comma_separated(out, &self.rows, |out, row| {
+            out.push('{');
+            let cells: Vec<(&String, &String)> = self.headers.iter().zip(row).collect();
+            comma_separated(out, &cells, |out, (h, cell)| {
+                escape_into(out, h);
+                out.push(':');
+                match cell.parse::<f64>() {
+                    Ok(v) if v.is_finite() => number_into(out, v),
+                    _ => escape_into(out, cell),
+                }
+            });
+            out.push('}');
+        });
+        out.push_str("]}");
+    }
+}
+
+/// Appends `each(item)` for every item, with a `,` between two.
+pub(crate) fn comma_separated<T>(
+    out: &mut String,
+    items: &[T],
+    mut each: impl FnMut(&mut String, &T),
+) {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(out, item);
+    }
 }
 
 /// Formats a count with thousands separators (`12,345,678`), matching the
@@ -69,11 +108,6 @@ pub fn commas(n: u64) -> String {
         out.push(c);
     }
     out
-}
-
-/// Formats a ratio as `1.23x`.
-pub fn ratio(a: f64, b: f64) -> String {
-    format!("{:.2}x", a / b)
 }
 
 #[cfg(test)]
@@ -103,10 +137,5 @@ mod tests {
         assert_eq!(commas(999), "999");
         assert_eq!(commas(1_000), "1,000");
         assert_eq!(commas(20_560_330), "20,560,330");
-    }
-
-    #[test]
-    fn ratio_format() {
-        assert_eq!(ratio(3.0, 2.0), "1.50x");
     }
 }

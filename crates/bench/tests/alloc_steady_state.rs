@@ -11,6 +11,7 @@
 //! on a file-local lock (`puffer_probe::testutil::lock` is crate-private;
 //! this is the same idiom as `crates/dist/tests/probe_breakdown.rs`).
 
+use puffer_bench::setups::train_step;
 use puffer_compress::none::NoCompression;
 use puffer_compress::powersgd::PowerSgd;
 use puffer_compress::GradCompressor;
@@ -20,9 +21,7 @@ use puffer_models::resnet::{ResNet, ResNetConfig, ResNetHybridPlan};
 use puffer_models::units::FactorInit;
 use puffer_nn::activation::Relu;
 use puffer_nn::conv::Conv2d;
-use puffer_nn::layer::{Layer, Mode};
 use puffer_nn::linear::Linear;
-use puffer_nn::loss::softmax_cross_entropy;
 use puffer_nn::norm::BatchNorm2d;
 use puffer_nn::optim::Sgd;
 use puffer_nn::pool::{Flatten, GlobalAvgPool};
@@ -51,14 +50,6 @@ fn image_model(seed: u64) -> Sequential {
         Box::new(Flatten::new()),
         Box::new(Linear::new(8, 10, true, seed + 2).unwrap()),
     ])
-}
-
-fn train_step(model: &mut impl Layer, opt: &mut Sgd, images: &Tensor, labels: &[usize]) {
-    model.zero_grad();
-    let logits = model.forward(images, Mode::Train);
-    let (_, dl) = softmax_cross_entropy(&logits, labels, 0.0).expect("loss");
-    let _ = model.backward(&dl);
-    opt.step(&mut model.params_mut());
 }
 
 #[test]

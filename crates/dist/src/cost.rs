@@ -23,7 +23,7 @@
 //!   to share the same α/β as the inter-group fabric (a pessimistic,
 //!   single-profile model).
 
-use crate::error::{env_knob, DistError, DistResult};
+use crate::error::{DistError, DistResult};
 use std::time::Duration;
 
 /// `⌈log₂ p⌉` for `p ≥ 1` (0 for `p ≤ 1`) — the round count of one
@@ -73,14 +73,10 @@ pub enum CollectiveAlgo {
     },
 }
 
-/// Environment variable selecting the collective algorithm
-/// (`ring` | `tree` | `hier[:G]` | `hierarchical[:G]`).
-pub const ENV_COLLECTIVE: &str = "PUFFER_COLLECTIVE";
-
 impl CollectiveAlgo {
-    /// Parses a `PUFFER_COLLECTIVE` value. Accepts `ring`, `tree`,
-    /// `hier`/`hierarchical` (auto group), and `hier:G`/`hierarchical:G`
-    /// for an explicit intra-group size.
+    /// Parses a collective's name: `ring`, `tree`, `hier`/`hierarchical`
+    /// (auto group), and `hier:G`/`hierarchical:G` for an explicit
+    /// intra-group size.
     pub fn parse(s: &str) -> Option<Self> {
         let s = s.trim();
         match s {
@@ -91,30 +87,6 @@ impl CollectiveAlgo {
         }
         let rest = s.strip_prefix("hier:").or_else(|| s.strip_prefix("hierarchical:"))?;
         rest.parse::<usize>().ok().map(|group| CollectiveAlgo::Hierarchical { group })
-    }
-
-    /// Reads [`ENV_COLLECTIVE`]; `Ok(None)` when it is unset.
-    ///
-    /// # Errors
-    ///
-    /// [`DistError::InvalidConfig`], naming the variable and its value,
-    /// when it is set to something [`CollectiveAlgo::parse`] rejects — a
-    /// typo must not price the run as a ring.
-    pub fn from_env() -> DistResult<Option<Self>> {
-        Self::from_env_value(env_knob(ENV_COLLECTIVE)?.as_deref())
-    }
-
-    fn from_env_value(value: Option<&str>) -> DistResult<Option<Self>> {
-        let parse = |v| {
-            Self::parse(v).ok_or_else(|| {
-                DistError::invalid_env(
-                    ENV_COLLECTIVE,
-                    v,
-                    "ring, tree, hier[:G] or hierarchical[:G]",
-                )
-            })
-        };
-        value.map(parse).transpose()
     }
 
     /// The probe span name the trainer emits for a round priced with this
@@ -420,22 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn collective_env_value_set_unset_and_garbage() {
-        assert_eq!(CollectiveAlgo::from_env_value(None), Ok(None));
-        assert_eq!(CollectiveAlgo::from_env_value(Some("tree")), Ok(Some(CollectiveAlgo::Tree)));
-        assert_eq!(
-            CollectiveAlgo::from_env_value(Some(" hier:4 ")),
-            Ok(Some(CollectiveAlgo::Hierarchical { group: 4 }))
-        );
-        for garbage in ["rnig", "", "hier:x", "0"] {
-            let err = CollectiveAlgo::from_env_value(Some(garbage)).unwrap_err();
-            let DistError::InvalidConfig { reason } = &err else { panic!("{err:?}") };
-            assert!(reason.contains(ENV_COLLECTIVE), "{reason}");
-            assert!(reason.contains(&format!("{garbage:?}")), "{reason}");
-        }
-    }
-
-    #[test]
     fn ceil_log2_matches_definition() {
         assert_eq!(ceil_log2(0), 0);
         assert_eq!(ceil_log2(1), 0);
@@ -518,18 +474,12 @@ mod tests {
             Some(CollectiveAlgo::Hierarchical { group: 16 })
         );
         assert_eq!(CollectiveAlgo::parse("mesh"), None);
+        assert_eq!(CollectiveAlgo::parse(""), None);
         assert_eq!(CollectiveAlgo::parse("hier:x"), None);
         assert_eq!(CollectiveAlgo::Ring.span_name(), "allreduce");
         assert_eq!(CollectiveAlgo::Tree.span_name(), "tree_allreduce");
         assert_eq!(CollectiveAlgo::Hierarchical { group: 0 }.span_name(), "hier_allreduce");
         assert_eq!(CollectiveAlgo::default(), CollectiveAlgo::Ring);
-    }
-
-    #[test]
-    fn env_collective_round_trips() {
-        // from_env reads the ambient variable, so only exercise the unset
-        // path here (tests run in parallel; parse() covers the grammar).
-        assert_eq!(CollectiveAlgo::parse(""), None);
     }
 
     #[test]

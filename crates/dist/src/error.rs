@@ -71,30 +71,6 @@ pub enum DistError {
     },
 }
 
-impl DistError {
-    /// An environment variable set to a value the run cannot use. A typo'd
-    /// knob must not silently measure the default configuration.
-    pub(crate) fn invalid_env(name: &str, value: &str, expected: &str) -> Self {
-        DistError::InvalidConfig { reason: format!("{name}={value:?} is not {expected}") }
-    }
-}
-
-/// The value of the environment variable `name`; `None` when it is unset.
-///
-/// # Errors
-///
-/// [`DistError::InvalidConfig`] when it is set to something that is not
-/// Unicode.
-pub(crate) fn env_knob(name: &str) -> DistResult<Option<String>> {
-    match std::env::var(name) {
-        Ok(value) => Ok(Some(value)),
-        Err(std::env::VarError::NotPresent) => Ok(None),
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            Err(DistError::invalid_env(name, &raw.to_string_lossy(), "Unicode"))
-        }
-    }
-}
-
 impl fmt::Display for DistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -49,7 +49,7 @@
 //!
 //! Payload exchange is **bucketed** ([`crate::bucket`]): every worker
 //! splits each phase's payload into size-targeted buckets
-//! ([`RunOptions::bucket_bytes`] / `PUFFER_BUCKET_BYTES`), assigned by
+//! ([`RunOptions::bucket_bytes`]), assigned by
 //! walking the payload's tensors in reverse so the first buckets to fill
 //! are the first the backward pass finalizes — each bucket ships as its
 //! own message, and the aggregator reduces a bucket eagerly once every
@@ -60,7 +60,7 @@
 //! the one-flat-bucket run. For a one-phase codec — the payload is the
 //! gradient itself — per-bucket communication is priced by the selected
 //! [`CollectiveAlgo`] (ring, binary tree, or two-level hierarchical —
-//! [`RunOptions::collective`] / `PUFFER_COLLECTIVE`) and laid on an
+//! [`RunOptions::collective`]) and laid on an
 //! overlap timeline against the measured per-bucket readiness offsets:
 //! the share of comm hidden under still-running backward is *overlapped*,
 //! the remainder is *exposed* ([`EpochBreakdown::comm_exposed`]).
@@ -80,7 +80,7 @@ use crate::breakdown::{round_comm_time, BreakdownAccumulator, EpochBreakdown};
 use crate::bucket::{overlap_timeline, BucketPlan, BucketedReducer, ReadyTracker};
 use crate::checkpoint::DistCheckpoint;
 use crate::cost::{hier_group, ClusterProfile, CollectiveAlgo};
-use crate::error::{env_knob, DistError, DistResult};
+use crate::error::{DistError, DistResult};
 use crate::fault::{any_nonfinite, wire_checksum, FaultPlan, FaultReport};
 use crate::membership::{
     MemberEvent, MemberEventKind, Membership, MembershipPlan, EV_CATCH_UP, EV_CRASHED, EV_JOINED,
@@ -199,12 +199,6 @@ impl RecoveryPolicy {
     }
 }
 
-/// Environment variable naming the gradient bucket size in bytes for
-/// comm/compute overlap (consulted when [`RunOptions::bucket_bytes`] is
-/// `None`; unset means one flat bucket, anything but a positive integer is
-/// rejected).
-pub const ENV_BUCKET_BYTES: &str = "PUFFER_BUCKET_BYTES";
-
 /// Robustness knobs of a run: fault injection, recovery, heterogeneous
 /// cost accounting, checkpoint/resume, and elastic membership. The
 /// default is a clean static-fleet run on a homogeneous cluster with no
@@ -227,55 +221,29 @@ pub struct RunOptions {
     /// Gradient bucket size in bytes: the flat buffer is split into
     /// DDP-style buckets assigned in reverse-backward order, each sent
     /// (and, when the compressor allows it, reduced and priced) as soon
-    /// as its gradients are final. `None` consults [`ENV_BUCKET_BYTES`],
-    /// defaulting to `usize::MAX` — one bucket, byte- and
-    /// timeline-identical to the synchronous flat path. `Some(0)` is
-    /// rejected by validation.
+    /// as its gradients are final. `None` is `usize::MAX` — one bucket,
+    /// byte- and timeline-identical to the synchronous flat path.
+    /// `Some(0)` is rejected by validation.
     pub bucket_bytes: Option<usize>,
     /// Collective algorithm pricing the overlap-eligible allreduce rounds
     /// (ring, binary tree, or two-level hierarchical). Changes *pricing*
     /// only — the reduction arithmetic is pinned, so final parameters are
-    /// bitwise-identical across algorithms. `None` consults
-    /// [`crate::cost::ENV_COLLECTIVE`]: unset means ring, an unknown name
-    /// is rejected.
+    /// bitwise-identical across algorithms. `None` is ring.
     pub collective: Option<CollectiveAlgo>,
 }
 
 impl RunOptions {
-    /// The effective bucket size: the explicit option, else the
-    /// environment, else one flat bucket.
+    /// The effective bucket size: the explicit option, else one flat
+    /// bucket.
     fn resolve_bucket_bytes(&self) -> DistResult<usize> {
         match self.bucket_bytes {
             Some(0) => {
                 Err(DistError::InvalidConfig { reason: "bucket_bytes must be nonzero".into() })
             }
             Some(b) => Ok(b),
-            None => bucket_bytes_from_env(env_knob(ENV_BUCKET_BYTES)?.as_deref()),
+            None => Ok(usize::MAX),
         }
     }
-
-    /// The effective collective: the explicit option, else the
-    /// environment, else ring.
-    fn resolve_collective(&self) -> DistResult<CollectiveAlgo> {
-        match self.collective {
-            Some(algo) => Ok(algo),
-            None => Ok(CollectiveAlgo::from_env()?.unwrap_or_default()),
-        }
-    }
-}
-
-/// The bucket size [`ENV_BUCKET_BYTES`] asks for (`value` is `None` when it
-/// is unset: one flat bucket). `256k` or `0` must not quietly measure that
-/// default instead of the run that was asked for; like `Some(0)`, they are
-/// rejected.
-fn bucket_bytes_from_env(value: Option<&str>) -> DistResult<usize> {
-    let Some(value) = value else { return Ok(usize::MAX) };
-    value
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&b| b > 0)
-        .ok_or_else(|| DistError::invalid_env(ENV_BUCKET_BYTES, value, "a positive byte count"))
 }
 
 /// Result of a data-parallel run.
@@ -564,7 +532,7 @@ where
     cfg.validate()?;
     opts.recovery.validate()?;
     let bucket_bytes = opts.resolve_bucket_bytes()?;
-    let collective = opts.resolve_collective()?;
+    let collective = opts.collective.unwrap_or_default();
     let plan = &opts.membership;
     plan.validate()?;
     let steps = global_batches.len();
@@ -2285,33 +2253,11 @@ mod tests {
         let opts = RunOptions { bucket_bytes: Some(0), ..Default::default() };
         assert!(matches!(opts.resolve_bucket_bytes(), Err(DistError::InvalidConfig { .. })));
 
-        let opts = RunOptions {
-            bucket_bytes: Some(1 << 20),
-            collective: Some(CollectiveAlgo::Tree),
-            ..Default::default()
-        };
+        let opts = RunOptions { bucket_bytes: Some(1 << 20), ..Default::default() };
         assert_eq!(opts.resolve_bucket_bytes().unwrap(), 1 << 20);
-        assert_eq!(opts.resolve_collective().unwrap(), CollectiveAlgo::Tree);
 
-        // Defaults (when the env knobs are unset): one flat bucket, ring.
-        let opts = RunOptions::default();
-        if std::env::var(ENV_BUCKET_BYTES).is_err() {
-            assert_eq!(opts.resolve_bucket_bytes().unwrap(), usize::MAX);
-        }
-        if std::env::var(crate::cost::ENV_COLLECTIVE).is_err() {
-            assert_eq!(opts.resolve_collective().unwrap(), CollectiveAlgo::Ring);
-        }
-
-        // The environment's value: unset, set, and spellings that must not
-        // be taken for "unset".
-        assert_eq!(bucket_bytes_from_env(None).unwrap(), usize::MAX);
-        assert_eq!(bucket_bytes_from_env(Some(" 262144 ")).unwrap(), 262_144);
-        for garbage in ["256k", "0", "", "-1"] {
-            let err = bucket_bytes_from_env(Some(garbage)).unwrap_err();
-            let DistError::InvalidConfig { reason } = &err else { panic!("{err:?}") };
-            assert!(reason.contains(ENV_BUCKET_BYTES), "{reason}");
-            assert!(reason.contains(&format!("{garbage:?}")), "{reason}");
-        }
+        // Default: one flat bucket.
+        assert_eq!(RunOptions::default().resolve_bucket_bytes().unwrap(), usize::MAX);
 
         // The full entry point surfaces the zero-bucket error too.
         let batches = synthetic_batches(1, 4);

@@ -1,4 +1,4 @@
-//! Noise-aware comparison of two `BENCH_*.json` documents.
+//! Noise-aware comparison of two bench records (`puffer-bench --out`).
 //!
 //! Every numeric leaf is classified by its key: timing suffixes
 //! (`*_ns`/`*_us`/`*_ms`/`*_s`) are lower-better, throughput-shaped keys
@@ -115,7 +115,7 @@ impl DiffReport {
         let regressions = self.regressions();
         appendln!(
             out,
-            "bench_diff: {} leaves compared, {} regression(s), {} note(s)",
+            "diff: {} leaves compared, {} regression(s), {} note(s)",
             self.entries.len(),
             regressions.len(),
             self.notes.len()

@@ -16,9 +16,9 @@
 //!   from the `(nodes, bytes, duration)` triples on comm spans, reconciled
 //!   against the analytic cost model in `puffer_dist::cost`.
 //! * **[`report`]** — render the per-run text report and
-//!   `BENCH_insight.json`, with gates a CI check can assert.
-//! * **[`diff`]** — compare any two `BENCH_*.json` files with noise-aware
-//!   thresholds (the `bench_diff --check` regression gate).
+//!   its JSON form, with gates a CI check can assert.
+//! * **[`diff`]** — compare any two bench records with noise-aware
+//!   thresholds (the `puffer-bench diff` regression check).
 //!
 //! Everything here is deterministic: the same input document produces
 //! byte-identical reports, so regression gates can compare runs without

@@ -1,5 +1,6 @@
-//! The per-run insight report: text rendering, `BENCH_insight.json`, and
-//! the gates `scripts/check.sh` asserts.
+//! The per-run insight report: text rendering, its JSON form, and the
+//! gates `puffer-bench insight` (and `scripts/check.sh`, through
+//! `crates/bench/tests/trace_demo_pipeline.rs`) asserts.
 //!
 //! Rendering is deterministic — the same [`RunData`] produces
 //! byte-identical text and JSON — so a report can itself be diffed across
@@ -40,9 +41,9 @@ pub struct PhaseStats {
 /// The rendered analysis of one run.
 #[derive(Debug, Clone)]
 pub struct InsightReport {
-    /// Human-readable report (`results/insight_<source>.txt`).
+    /// Human-readable report (what `puffer-bench insight` prints).
     pub text: String,
-    /// Machine-readable report (`BENCH_insight.json` content).
+    /// Machine-readable report: the same analysis as one JSON document.
     pub json: String,
     /// `(gate, pass, detail)` triples.
     pub gates: Vec<(String, bool, String)>,
@@ -340,7 +341,7 @@ pub fn analyze(rd: &RunData, source: &str) -> InsightReport {
     }
     appendln!(t, "\nall gates pass: {all_pass}");
 
-    // ---- BENCH_insight.json ----
+    // ---- JSON form ----
     let mut j = String::new();
     append!(j, "{{\n  \"bench\": \"insight\",\n  \"source\": ");
     puffer_probe::json::escape_into(&mut j, source);

@@ -611,7 +611,7 @@ fn f(a: __m256, b: __m256) -> __m256 { _mm256_add_ps(a, b) }";
     fn percentile_fns_flagged_outside_probe_and_insight() {
         let src =
             "fn median(mut xs: Vec<f64>) -> f64 { xs.sort_by(f64::total_cmp); xs[xs.len() / 2] }";
-        let diags = run("crates/bench/src/bin/soak.rs", src);
+        let diags = run("crates/bench/src/experiments/soak.rs", src);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].0, "no-raw-percentile-math");
         // The two crates that own quantile math are exempt…
@@ -627,7 +627,7 @@ fn f(a: __m256, b: __m256) -> __m256 { _mm256_add_ps(a, b) }";
     fn percentile_rule_spares_consumers_and_honors_suppression() {
         // Compound names consume a quantile, they don't re-derive one.
         let consumer = "fn p50_seconds(xs: &[f64]) -> f64 { hist(xs).p50() as f64 / 1e9 }";
-        assert!(run("crates/bench/src/bin/soak.rs", consumer).is_empty());
+        assert!(run("crates/bench/src/experiments/soak.rs", consumer).is_empty());
         // Calls and variables named median are fine — only `fn` defs claim
         // to implement the math.
         let call = "fn f(h: &Histogram) { let median = h.p50(); report(median); }";

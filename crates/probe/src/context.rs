@@ -38,17 +38,22 @@ pub fn run_header(fields: &[(&str, ArgValue)]) {
     }
 }
 
-/// Captures every `PUFFER_*` environment variable into the run header
-/// (lower-cased keys, e.g. `puffer_num_threads`). A no-op when disabled.
+/// Every `PUFFER_*` environment variable as a header field (lower-cased
+/// key, e.g. `puffer_num_threads`), sorted by key.
+#[must_use]
+pub fn env_knobs() -> Vec<(String, ArgValue)> {
+    let mut knobs: Vec<(String, ArgValue)> = std::env::vars()
+        .filter(|(k, _)| k.starts_with("PUFFER_"))
+        .map(|(k, v)| (k.to_ascii_lowercase(), ArgValue::Str(v)))
+        .collect();
+    knobs.sort_by(|a, b| a.0.cmp(&b.0));
+    knobs
+}
+
+/// Captures [`env_knobs`] into the run header. A no-op when disabled.
 pub fn run_header_env() {
-    if !enabled() {
-        return;
-    }
-    let mut ctx = context();
-    for (k, v) in std::env::vars() {
-        if k.starts_with("PUFFER_") {
-            ctx.insert(k.to_ascii_lowercase(), ArgValue::Str(v));
-        }
+    if enabled() {
+        context().extend(env_knobs());
     }
 }
 

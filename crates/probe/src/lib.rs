@@ -68,7 +68,7 @@ pub mod json;
 pub mod metrics;
 pub mod span;
 
-pub use context::{run_header, run_header_env, run_header_snapshot};
+pub use context::{env_knobs, run_header, run_header_env, run_header_snapshot};
 pub use export::{render_chrome_trace, write_chrome_trace, FlushReport};
 pub use hist::{hist_record, hist_record_duration, hist_snapshot, hist_value, Histogram};
 pub use json::{validate_chrome_trace, Json, TraceSummary};

@@ -31,7 +31,7 @@ pub enum ArgValue {
 
 impl ArgValue {
     /// Appends the value as a JSON scalar.
-    pub(crate) fn json_into(&self, out: &mut String) {
+    pub fn json_into(&self, out: &mut String) {
         match self {
             ArgValue::U64(n) => crate::append!(out, "{n}"),
             ArgValue::I64(n) => crate::append!(out, "{n}"),

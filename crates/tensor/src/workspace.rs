@@ -64,7 +64,7 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 /// While disabled, every take allocates fresh storage and every recycle
 /// frees — the exact allocation behaviour the crate had without the
 /// workspace. Results are bitwise identical either way; tests and the
-/// `alloc_churn` benchmark use this to compare the two regimes.
+/// `alloc-churn` experiment use this to compare the two regimes.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
