@@ -57,10 +57,14 @@ fn demo_model(seed: u64) -> Sequential {
 /// The demo's fault schedule: one straggler, one dropped-then-resent
 /// message, one non-finite gradient (skipped step), one corrupted
 /// message, and one worker crash — at least five distinct fault event
-/// types on the trace.
+/// types on the trace. The straggler's factor is what it takes for the
+/// injected delay to dominate a scheduler time slice: the demo's compute is
+/// some 60 µs a step, so ×250 is a sleep of about 15 ms, and no descheduled
+/// neighbour outlasts the slowed worker on a box with fewer cores than the
+/// demo has workers.
 pub fn demo_faults() -> FaultPlan {
     FaultPlan::new(DEMO_SEED)
-        .with_slowdown(1, 2.5)
+        .with_slowdown(1, 250.0)
         .with_drop(2, 1)
         .with_nonfinite(0, 2)
         .with_corrupt(3, 1)

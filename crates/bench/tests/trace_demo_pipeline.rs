@@ -73,7 +73,7 @@ fn trace_demo_validates_covers_every_layer_and_insight_attributes_its_stragglers
 
     // The acceptance criterion: at least one round with an injected
     // straggler delay is classified straggler-bound, attributed to the
-    // slowed worker (the demo slows worker 1 by 2.5×).
+    // slowed worker (the demo slows worker 1: `demo_faults`).
     let straggler_rounds: Vec<_> = insight
         .rounds
         .iter()

@@ -37,15 +37,17 @@
 //!
 //! It is also **elastic** ([`crate::membership`]): a
 //! [`MembershipPlan`] schedules mid-run joins and voluntary leaves.
-//! A joiner is admitted at a round boundary for which the aggregator
-//! holds catch-up state (the checkpoint-leader snapshot of the previous
-//! round): it loads parameters + momentum + buffers from the latest
-//! checkpoint (the on-disk PUFT file when the boundary is a periodic
-//! checkpoint, an in-memory copy otherwise), takes over a re-sharded
-//! slice of the remaining data stream, and enters lockstep at the next
-//! `Step` broadcast. Departures — voluntary or crash — shrink the active
-//! set the same way, and [`crate::cost::HeteroProfile`] re-prices α/β for
-//! whatever member set is live each round.
+//! Churn happens between rounds, while the members are idle: where a
+//! periodic checkpoint or a waiting join needs it, the aggregator asks the
+//! lowest-indexed member for its replica state (and every member for its
+//! codec's, if it holds any). A joiner is admitted at a boundary whose
+//! state arrived: it loads parameters + momentum + buffers from the
+//! checkpoint cut there — handed over in memory; the PUFT file a periodic
+//! boundary also writes is never read back by this process — takes over a
+//! re-sharded slice of the remaining data stream, and enters lockstep at
+//! the next `Step` broadcast. Departures — voluntary or crash — shrink the
+//! active set the same way, and [`crate::cost::HeteroProfile`] re-prices
+//! α/β for whatever member set is live each round.
 //!
 //! Payload exchange is **bucketed** ([`crate::bucket`]): every worker
 //! splits each phase's payload into size-targeted buckets
@@ -309,9 +311,17 @@ struct GradMsg {
     checksum: u64,
 }
 
+/// Everything a worker ever tells the aggregator, on the run's one uplink.
 enum WorkerMsg {
     Grads(GradMsg),
-    Fatal { worker: usize, reason: String },
+    /// The answer to an [`AggMsg::Report`].
+    Snapshot(Snapshot),
+    /// The answer to [`AggMsg::Finish`]; read once every member is joined.
+    Final(FinalReport),
+    Fatal {
+        worker: usize,
+        reason: String,
+    },
 }
 
 /// Aggregator-side bookkeeping of one worker's contribution to one phase:
@@ -325,17 +335,6 @@ struct Contribution {
     ready_us: Vec<u64>,
 }
 
-/// What a worker reports back after a round's verdict, for checkpoints and
-/// joiner catch-up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Report {
-    Nothing,
-    /// Its codec's share of the compressor state.
-    Codec,
-    /// That, and parameters + momentum + buffers (the snapshot leader).
-    Full,
-}
-
 #[derive(Clone)]
 enum AggMsg {
     /// Begin round `step` under membership `epoch`. `members` is the
@@ -344,30 +343,23 @@ enum AggMsg {
     Step { step: usize, epoch: u64, members: Arc<Vec<usize>> },
     /// The reduced payload of the phase the worker is waiting on, shared by
     /// every member. After the last phase the worker decodes it into its
-    /// gradients, applies the update and answers `report`. `contributed`
-    /// is false for a member whose payload did not make it into the mean:
-    /// it follows the rest of the round without sending.
-    Reduced { payload: Arc<Tensor>, contributed: bool, report: Report },
+    /// gradients and applies the update. `contributed` is false for a
+    /// member whose payload did not make it into the mean: it follows the
+    /// rest of the round without sending.
+    Reduced { payload: Arc<Tensor>, contributed: bool },
     /// Skip this step without updating (non-finite guard tripped or no
-    /// usable contribution survived) and answer `report` with the — still
-    /// valid — unchanged state.
-    Skip { report: Report },
+    /// usable contribution survived); the unchanged state is still valid.
+    Skip,
+    /// Between rounds: answer with a [`Snapshot`] of the codec's share of
+    /// the compressor state and, if `model`, of parameters + momentum +
+    /// buffers (the snapshot leader), for a checkpoint or a joiner.
+    Report { model: bool },
     /// Liveness probe; carries no state change.
     Ping,
     /// Retire voluntarily: exit now without reporting final parameters.
     Retire,
     /// The run is over: report final parameters and exit.
     Finish,
-}
-
-/// Where a mid-run joiner obtains its catch-up state.
-enum CatchUp {
-    /// Load the periodic checkpoint file written at the admission
-    /// boundary (the "latest PUFT checkpoint" path).
-    Disk(PathBuf),
-    /// The same state handed over in memory (checkpointing to disk is
-    /// disabled or the boundary is not a periodic one).
-    Memory(Arc<DistCheckpoint>),
 }
 
 /// What a finished worker leaves behind.
@@ -387,9 +379,10 @@ struct ModelState {
     buffers: Vec<Tensor>,
 }
 
-/// A worker's answer to a [`Report`] request.
+/// A worker's answer to an [`AggMsg::Report`].
 struct Snapshot {
     worker: usize,
+    /// The round the sender plays next: the boundary this state describes.
     next_step: usize,
     /// `Some` from the leader only.
     model: Option<ModelState>,
@@ -499,10 +492,9 @@ where
 /// Membership semantics (see [`MembershipPlan`]):
 ///
 /// * a **join** scheduled at step `s` is admitted at the first round
-///   boundary `u ≥ max(s, start + 1)` for which the aggregator holds a
-///   leader snapshot of the previous round; the joiner catches up from
-///   that state (the on-disk checkpoint when the boundary is a periodic
-///   one) and participates from round `u` on;
+///   boundary `u ≥ max(s, start + 1)` at which the snapshot leader's
+///   state arrived; the joiner catches up from that state and
+///   participates from round `u` on;
 /// * a **leave** scheduled at step `s` retires the member before round
 ///   `s` begins; it reports no final parameters;
 /// * every transition bumps the membership **epoch**; workers re-shard
@@ -532,7 +524,126 @@ where
     cfg.validate()?;
     opts.recovery.validate()?;
     let bucket_bytes = opts.resolve_bucket_bytes()?;
-    let collective = opts.collective.unwrap_or_default();
+    let (start_step, membership) = starting_fleet(global_batches, compressor, cfg, opts)?;
+    let mut pool_guard = PoolWidthGuard::cap_for(membership.active_count());
+    let (uplink, from_workers) = channel::<WorkerMsg>();
+    let env = RunEnv { cfg, opts, bucket_bytes, batches: global_batches, uplink };
+    let joined = std::thread::scope(|scope| {
+        let mut agg = Aggregator {
+            env: &env,
+            factory: &factory,
+            scope,
+            handles: Vec::new(),
+            from_workers: &from_workers,
+            compressor: &mut *compressor,
+            pool_guard: &mut pool_guard,
+            start_step,
+            steps: global_batches.len(),
+            collective: opts.collective.unwrap_or_default(),
+            // Join requests at or before the resume point were already
+            // satisfied by the original run: a checkpoint at step `u`
+            // implies the leader snapshot at `u` succeeded, which implies
+            // every join pending at `u` was admitted there. Whether those
+            // members later departed is encoded in the checkpointed member
+            // set — replaying the admission would resurrect them and
+            // diverge from the original run.
+            admitted: opts.membership.joins_through(start_step).collect(),
+            members_arc: Arc::new(membership.active()),
+            broadcast_epoch: membership.epoch(),
+            fleet: Fleet { membership, senders: BTreeMap::new(), report: FaultReport::default() },
+            books: Books::default(),
+        };
+        let ran = agg.run();
+        // With the aggregator's command channels gone, every member still
+        // running exits. Join them all — the survivors too — before a
+        // member's panic becomes the run's error: the scope itself would
+        // re-panic here for a panicked thread nobody joined.
+        let Aggregator { handles, books, mut fleet, .. } = agg;
+        fleet.senders.clear();
+        let mut panicked = false;
+        for member in handles {
+            panicked |= member.join().is_err();
+        }
+        if panicked {
+            Err(DistError::WorkerPanicked)
+        } else {
+            ran.map(|()| (books, fleet))
+        }
+    });
+    // The worker threads are gone and so are their arenas — a replica's
+    // worth of activations and gradients each. Give it back to the system
+    // rather than to the allocator's free lists, where the next run's
+    // fresh threads only find part of it again.
+    trim_heap();
+    let (mut books, fleet) = joined?;
+
+    // Every member is joined, so whatever it sent is in the channel already:
+    // `try_iter` reads the final reports without waiting for `env`'s sender
+    // to go. The lowest-indexed survivor's parameters stand for the run (all
+    // survivors applied identical updates). Everything a worker hands over
+    // was allocated on its thread: what is kept is copied into this
+    // thread's storage, the originals are freed.
+    let mut finals: Option<Vec<Tensor>> = None;
+    let mut codec_state: Vec<(String, Tensor)> = Vec::new();
+    let mut slowest_decode: BTreeMap<usize, Duration> = BTreeMap::new();
+    let mut reports: Vec<FinalReport> = from_workers
+        .try_iter()
+        .filter_map(|msg| match msg {
+            WorkerMsg::Final(r) => Some(r),
+            _ => None, // a bucket or a snapshot nobody waited for any more
+        })
+        .collect();
+    reports.sort_by_key(|r| r.worker);
+    for r in reports {
+        for (step, d) in r.decodes {
+            let slot = slowest_decode.entry(step).or_default();
+            *slot = (*slot).max(d);
+        }
+        merge_codec_states(&mut codec_state, r.codec);
+        if finals.is_none() {
+            finals = Some(r.params.clone());
+        }
+        release(r.params);
+    }
+    let Some(final_params) = finals else {
+        return Err(DistError::AllWorkersDead { step: global_batches.len() });
+    };
+    // Every worker decoded for itself after the aggregator had moved on;
+    // the slowest one is the round's critical path.
+    for (step, base) in books.decode_base {
+        let slowest = slowest_decode.get(&step).copied().unwrap_or_default();
+        books.acc.record_decode(step, base + slowest);
+    }
+    if books.worker_side {
+        let restored = compressor.restore_state(&codec_state);
+        release(codec_state.into_iter().map(|(_, t)| t));
+        if !restored {
+            return Err(DistError::Checkpoint {
+                reason: format!("compressor {} rejected its own workers' state", compressor.name()),
+            });
+        }
+    }
+    Ok(DistOutcome {
+        breakdown: books.acc.breakdown(),
+        step_losses: books.step_losses,
+        final_params,
+        faults: fleet.report,
+        checkpoints: books.checkpoints,
+        final_epoch: fleet.membership.epoch(),
+        membership: fleet.membership.into_log(),
+    })
+}
+
+/// Checks the batches, the churn plan and the resume checkpoint against the
+/// largest fleet the run can ever assemble, and restores `compressor` from
+/// the checkpoint if there is one. Returns the step the run starts at and
+/// the member set it starts with.
+fn starting_fleet(
+    global_batches: &[(Tensor, Vec<usize>)],
+    compressor: &mut dyn GradCompressor,
+    cfg: &DistConfig,
+    opts: &RunOptions,
+) -> DistResult<(usize, Membership)> {
     let plan = &opts.membership;
     plan.validate()?;
     let steps = global_batches.len();
@@ -562,188 +673,59 @@ where
         h.validate_members(&ids)?;
     }
 
-    let start_step = match &opts.resume {
-        Some(ck) => {
-            if ck.step > steps {
-                return Err(DistError::Checkpoint {
-                    reason: format!(
-                        "checkpoint resumes at step {} but the run has only {steps} batches",
-                        ck.step
-                    ),
-                });
-            }
-            if !compressor.restore_state(&ck.compressor) {
-                return Err(DistError::Checkpoint {
-                    reason: format!(
-                        "compressor {} rejected the checkpoint state",
-                        compressor.name()
-                    ),
-                });
-            }
-            ck.step
-        }
-        None => 0,
-    };
-
+    let Some(ck) = &opts.resume else { return Ok((0, Membership::new(0..cfg.workers))) };
+    if ck.step > steps {
+        return Err(DistError::Checkpoint {
+            reason: format!(
+                "checkpoint resumes at step {} but the run has only {steps} batches",
+                ck.step
+            ),
+        });
+    }
+    if !compressor.restore_state(&ck.compressor) {
+        return Err(DistError::Checkpoint {
+            reason: format!("compressor {} rejected the checkpoint state", compressor.name()),
+        });
+    }
     // The member set the run starts with: a checkpoint with a recorded
     // member list restores exactly that fleet (and continues its epoch
     // sequence); a legacy checkpoint — or a fresh run — activates all
     // configured workers.
-    let membership = match &opts.resume {
-        Some(ck) if !ck.members.is_empty() => {
-            if let Some(&w) = ck.members.iter().find(|w| !all_ids.contains(w)) {
-                return Err(DistError::Membership {
-                    reason: format!(
-                        "checkpoint member {w} is neither an initial worker nor a planned joiner"
-                    ),
-                });
-            }
-            Membership::with_epoch(ck.members.iter().copied(), ck.epoch)
-        }
-        _ => Membership::new(0..cfg.workers),
-    };
-
-    let mut pool_guard = PoolWidthGuard::cap_for(membership.active_count());
-
-    let (to_agg, from_workers) = channel::<WorkerMsg>();
-    let (final_tx, final_rx) = channel::<FinalReport>();
-    let (snap_tx, snap_rx) = channel::<Snapshot>();
-
-    let ctx = AggCtx {
-        cfg,
-        opts,
-        steps,
-        start_step,
-        bucket_bytes,
-        collective,
-        factory: &factory,
-        batches: global_batches,
-        to_agg,
-        final_tx,
-        snap_tx,
-    };
-    let pool_guard_ref = &mut pool_guard;
-    let compressor_ref = &mut *compressor;
-    let joined = std::thread::scope(|scope| {
-        let mut members = Vec::new();
-        let agg = run_aggregator(
-            &ctx,
-            scope,
-            &mut members,
-            membership,
-            &from_workers,
-            &snap_rx,
-            compressor_ref,
-            pool_guard_ref,
-        );
-        // The aggregator's command channels are gone, so every member still
-        // running exits. Join them all — the survivors too — before a
-        // member's panic becomes the run's error: the scope itself would
-        // re-panic here for a panicked thread nobody joined.
-        let mut panicked = false;
-        for member in members {
-            panicked |= member.join().is_err();
-        }
-        if panicked {
-            Err(DistError::WorkerPanicked)
-        } else {
-            agg
-        }
-    });
-    // The worker threads are gone and so are their arenas — a replica's
-    // worth of activations and gradients each. Give it back to the system
-    // rather than to the allocator's free lists, where the next run's
-    // fresh threads only find part of it again.
-    trim_heap();
-    let mut agg = joined?;
-
-    // The aggregator context holds channel templates (it needs them to
-    // spawn joiners mid-run); drop them so `final_rx` terminates now that
-    // every worker has been joined by the scope.
-    drop(ctx);
-
-    // The lowest-indexed survivor's parameters stand for the run (all
-    // survivors applied identical updates). Everything a worker hands over
-    // was allocated on its thread: what is kept is copied into this
-    // thread's storage, the originals are freed.
-    let mut finals: Option<Vec<Tensor>> = None;
-    let mut codec_state: Vec<(String, Tensor)> = Vec::new();
-    let mut slowest_decode: BTreeMap<usize, Duration> = BTreeMap::new();
-    let mut reports: Vec<FinalReport> = final_rx.iter().collect();
-    reports.sort_by_key(|r| r.worker);
-    for r in reports {
-        for (step, d) in r.decodes {
-            let slot = slowest_decode.entry(step).or_default();
-            *slot = (*slot).max(d);
-        }
-        merge_codec_states(&mut codec_state, r.codec);
-        if finals.is_none() {
-            finals = Some(r.params.clone());
-        }
-        release(r.params);
+    if ck.members.is_empty() {
+        return Ok((ck.step, Membership::new(0..cfg.workers)));
     }
-    let Some(final_params) = finals else {
-        return Err(DistError::AllWorkersDead { step: steps });
-    };
-    // Every worker decoded for itself after the aggregator had moved on;
-    // the slowest one is the round's critical path.
-    for (step, base) in agg.decode_base {
-        let slowest = slowest_decode.get(&step).copied().unwrap_or_default();
-        agg.acc.record_decode(step, base + slowest);
+    if let Some(&w) = ck.members.iter().find(|w| !all_ids.contains(w)) {
+        return Err(DistError::Membership {
+            reason: format!(
+                "checkpoint member {w} is neither an initial worker nor a planned joiner"
+            ),
+        });
     }
-    if agg.worker_side {
-        let restored = compressor.restore_state(&codec_state);
-        release(codec_state.into_iter().map(|(_, t)| t));
-        if !restored {
-            return Err(DistError::Checkpoint {
-                reason: format!("compressor {} rejected its own workers' state", compressor.name()),
-            });
-        }
-    }
-    Ok(DistOutcome {
-        breakdown: agg.acc.breakdown(),
-        step_losses: agg.step_losses,
-        final_params,
-        faults: agg.report,
-        checkpoints: agg.checkpoints,
-        membership: agg.membership,
-        final_epoch: agg.final_epoch,
-    })
+    Ok((ck.step, Membership::with_epoch(ck.members.iter().copied(), ck.epoch)))
 }
 
-/// Everything the aggregator needs to drive a run, including the channel
-/// templates and model factory it uses to spawn mid-run joiners.
-struct AggCtx<'a, F> {
+/// What every thread of a run reads, borrowed by all of them: the
+/// configuration, the data, and the one channel that carries worker →
+/// aggregator traffic (a `Sender` is `Sync`; nobody clones it).
+struct RunEnv<'a> {
     cfg: &'a DistConfig,
     opts: &'a RunOptions,
-    steps: usize,
-    start_step: usize,
-    /// Resolved bucket size (option → env → `usize::MAX`).
+    /// Resolved gradient bucket size in bytes (option, else `usize::MAX`).
     bucket_bytes: usize,
-    /// Resolved pricing collective (option → env → ring).
-    collective: CollectiveAlgo,
-    factory: &'a F,
     batches: &'a [(Tensor, Vec<usize>)],
-    to_agg: Sender<WorkerMsg>,
-    final_tx: Sender<FinalReport>,
-    snap_tx: Sender<Snapshot>,
+    uplink: Sender<WorkerMsg>,
 }
 
+/// What makes one member thread that member.
 struct WorkerCtx<'a> {
+    env: &'a RunEnv<'a>,
     worker: usize,
     /// First global step this worker participates in (0 for initial
     /// members of a fresh run; the admission boundary for joiners).
     entry_step: usize,
-    /// Resolved gradient bucket size in bytes.
-    bucket_bytes: usize,
-    batches: &'a [(Tensor, Vec<usize>)],
     rx: Receiver<AggMsg>,
-    to_agg: Sender<WorkerMsg>,
-    final_tx: Sender<FinalReport>,
-    snap_tx: Sender<Snapshot>,
-    cfg: &'a DistConfig,
-    opts: &'a RunOptions,
-    catch_up: Option<CatchUp>,
+    /// The checkpoint of its admission boundary, for a mid-run joiner.
+    catch_up: Option<Arc<DistCheckpoint>>,
 }
 
 /// The aggregator's view of the fleet: who is a member, how to reach them,
@@ -799,6 +781,18 @@ impl Fleet {
         self.report.stale_messages += 1;
         probe::counter_add("dist.stale_messages", 1);
     }
+
+    /// A straggler's bucket from an already-closed step or phase (or from
+    /// an already-rejected sender): counted where it is received, once, and
+    /// discarded. `step` is the round (or boundary) being waited on.
+    fn discard_stale(&mut self, m: &GradMsg, step: usize) {
+        self.count_stale();
+        probe::event(
+            "fault",
+            "stale_message",
+            vec![("worker", m.worker.into()), ("msg_step", m.step.into()), ("step", step.into())],
+        );
+    }
 }
 
 /// The worker half a member runs: the compressor's own if it has one
@@ -814,51 +808,6 @@ fn member_codec(
     }
 }
 
-/// Spawns one member thread (initial worker or mid-run joiner) and
-/// registers its command channel.
-#[allow(clippy::too_many_arguments)]
-fn spawn_member<'scope, 'env, M, F>(
-    ctx: &AggCtx<'env, F>,
-    scope: &'scope Scope<'scope, 'env>,
-    members: &mut Vec<ScopedJoinHandle<'scope, ()>>,
-    senders: &mut BTreeMap<usize, Sender<AggMsg>>,
-    worker: usize,
-    entry_step: usize,
-    catch_up: Option<CatchUp>,
-    codec: Box<dyn WorkerCodec>,
-) where
-    M: Layer + Send,
-    F: Fn(usize) -> M + Sync,
-{
-    let (tx, rx) = channel();
-    senders.insert(worker, tx);
-    let to_agg = ctx.to_agg.clone();
-    let final_tx = ctx.final_tx.clone();
-    let snap_tx = ctx.snap_tx.clone();
-    let factory = ctx.factory;
-    let cfg = ctx.cfg;
-    let opts = ctx.opts;
-    let batches = ctx.batches;
-    let bucket_bytes = ctx.bucket_bytes;
-    members.push(scope.spawn(move || {
-        let model = factory(worker);
-        let wctx = WorkerCtx {
-            worker,
-            entry_step,
-            bucket_bytes,
-            batches,
-            rx,
-            to_agg,
-            final_tx,
-            snap_tx,
-            cfg,
-            opts,
-            catch_up,
-        };
-        run_worker(wctx, model, codec);
-    }));
-}
-
 fn report_fatal(ctx: &WorkerCtx<'_>, step: usize, reason: String) {
     probe::event(
         "fault",
@@ -867,33 +816,35 @@ fn report_fatal(ctx: &WorkerCtx<'_>, step: usize, reason: String) {
     );
     // Best-effort: if the aggregator is already gone there is nobody left
     // to tell.
-    ctx.to_agg.send(WorkerMsg::Fatal { worker: ctx.worker, reason }).ok();
+    ctx.env.uplink.send(WorkerMsg::Fatal { worker: ctx.worker, reason }).ok();
 }
 
-fn note_catch_up(worker: usize, ck: &DistCheckpoint, source: &'static str) {
+/// Emits one membership fact — joined, left, crashed, caught up — as the
+/// instant event and the `membership_event` JSONL row, both from the same
+/// four fields.
+fn note_membership(name: &'static str, kind: &'static str, worker: usize, step: usize, epoch: u64) {
     probe::event(
         PROBE_CATEGORY,
-        EV_CATCH_UP,
+        name,
         vec![
             ("worker", worker.into()),
-            ("step", ck.step.into()),
-            ("epoch", ck.epoch.into()),
-            ("source", source.into()),
+            ("step", step.into()),
+            ("epoch", epoch.into()),
+            ("kind", kind.into()),
         ],
     );
     probe::metrics_row(
         ROW_TYPE,
         &[
-            ("kind", "catch_up".into()),
+            ("kind", kind.into()),
             ("worker", worker.into()),
-            ("step", ck.step.into()),
-            ("epoch", ck.epoch.into()),
+            ("step", step.into()),
+            ("epoch", epoch.into()),
         ],
     );
 }
 
-/// Emits probe attribution (event + JSONL row) for the latest membership
-/// transition.
+/// Emits probe attribution for the latest membership transition.
 fn note_member_event(ev: Option<&MemberEvent>) {
     let Some(ev) = ev else { return };
     let name = match ev.kind {
@@ -901,25 +852,7 @@ fn note_member_event(ev: Option<&MemberEvent>) {
         MemberEventKind::Leave => EV_LEFT,
         MemberEventKind::Crash => EV_CRASHED,
     };
-    probe::event(
-        PROBE_CATEGORY,
-        name,
-        vec![
-            ("worker", ev.worker.into()),
-            ("step", ev.step.into()),
-            ("epoch", ev.epoch.into()),
-            ("kind", ev.kind.name().into()),
-        ],
-    );
-    probe::metrics_row(
-        ROW_TYPE,
-        &[
-            ("kind", ev.kind.name().into()),
-            ("worker", ev.worker.into()),
-            ("step", ev.step.into()),
-            ("epoch", ev.epoch.into()),
-        ],
-    );
+    note_membership(name, ev.kind.name(), ev.worker, ev.step, ev.epoch);
 }
 
 /// One reduce phase as a worker sees it: how its payload is laid out and
@@ -941,13 +874,14 @@ fn grads_of<'a>(params: &'a mut [&mut Param]) -> Vec<&'a mut Tensor> {
 fn await_verdict(rx: &Receiver<AggMsg>, worker: usize) -> Option<AggMsg> {
     loop {
         match rx.recv() {
-            Ok(msg @ (AggMsg::Reduced { .. } | AggMsg::Skip { .. })) => return Some(msg),
+            Ok(msg @ (AggMsg::Reduced { .. } | AggMsg::Skip)) => return Some(msg),
             Ok(AggMsg::Retire) => {
                 probe::event("dist", "worker_retired", vec![("worker", worker.into())]);
                 return None;
             }
-            // Lockstep forbids a new round before this one's verdict.
-            Ok(AggMsg::Ping | AggMsg::Step { .. } | AggMsg::Finish) => {}
+            // Lockstep forbids a new round, or a boundary, before this
+            // round's verdict.
+            Ok(AggMsg::Ping | AggMsg::Step { .. } | AggMsg::Report { .. } | AggMsg::Finish) => {}
             Err(_) => return None, // aggregator shut down
         }
     }
@@ -968,7 +902,7 @@ fn send_phase(
     encode: Duration,
 ) -> bool {
     let w = ctx.worker;
-    let faults = &ctx.opts.faults;
+    let faults = &ctx.env.opts.faults;
     for (b, &checksum) in checksums.iter().enumerate() {
         probe::hist_record("dist", "message_bytes", plan.plan.bytes(b) as u64);
         let mut pending = Some(WorkerMsg::Grads(GradMsg {
@@ -990,7 +924,7 @@ fn send_phase(
         let sent = loop {
             if !faults.drops_message(w, step, attempt) {
                 match pending.take() {
-                    Some(msg) => break ctx.to_agg.send(msg).is_ok(),
+                    Some(msg) => break ctx.env.uplink.send(msg).is_ok(),
                     None => break true,
                 }
             }
@@ -1005,7 +939,7 @@ fn send_phase(
                     ("attempt", attempt.into()),
                 ],
             );
-            if attempt >= ctx.opts.recovery.max_retries {
+            if attempt >= ctx.env.opts.recovery.max_retries {
                 break true; // bucket lost for good; the aggregator degrades
             }
             attempt += 1;
@@ -1018,163 +952,201 @@ fn send_phase(
     true
 }
 
-/// The worker loop. Never panics: channel failures mean the aggregator is
+/// What a worker's forward/backward pass of one step left behind, besides
+/// the gradients in its parameters.
+struct Computed {
+    loss: f32,
+    /// Measured compute plus the injected straggler delay.
+    compute: Duration,
+    delay_us: u64,
+}
+
+/// How a round ended for a worker.
+enum Verdict {
+    /// Decode `mean` and apply the update; `contributing` is whether this
+    /// worker's payload was in every phase's mean.
+    Apply {
+        mean: Arc<Tensor>,
+        contributing: bool,
+    },
+    Skipped,
+}
+
+/// A member thread's state: its replica, its optimizer, its half of the
+/// compressor and the per-phase plans it reuses every round.
+struct Replica<'a, M> {
+    ctx: WorkerCtx<'a>,
+    model: M,
+    opt: Sgd,
+    codec: Box<dyn WorkerCodec>,
+    phases: Vec<PhasePlan>,
+    tracker: ReadyTracker,
+    /// `(step, wall-clock of WorkerCodec::decode)` for every applied step.
+    decodes: Vec<(usize, Duration)>,
+}
+
+/// The worker thread. Never panics: channel failures mean the aggregator is
 /// gone (a fatal error elsewhere) and the worker just exits; its own
 /// fatal conditions are reported via [`WorkerMsg::Fatal`]. An injected
 /// crash exits without a word — the aggregator must *detect* it.
-fn run_worker<M: Layer>(ctx: WorkerCtx<'_>, mut model: M, mut codec: Box<dyn WorkerCodec>) {
+fn run_worker<M: Layer>(mut ctx: WorkerCtx<'_>, mut model: M, codec: Box<dyn WorkerCodec>) {
     let w = ctx.worker;
-    let faults = &ctx.opts.faults;
-    let mut opt = Sgd::new(ctx.cfg.lr, ctx.cfg.momentum, ctx.cfg.weight_decay);
-    match &ctx.catch_up {
-        Some(CatchUp::Disk(path)) => {
-            let ck = match DistCheckpoint::load(path) {
-                Ok(ck) => ck,
-                Err(e) => {
-                    report_fatal(&ctx, ctx.entry_step, format!("catch-up load failed: {e}"));
-                    return;
-                }
-            };
-            if !load_resume_state(&mut model, &mut opt, &ck) {
-                report_fatal(
-                    &ctx,
-                    ctx.entry_step,
-                    "catch-up checkpoint does not match the model".into(),
-                );
-                return;
-            }
-            note_catch_up(w, &ck, "disk");
+    let mut opt = Sgd::new(ctx.env.cfg.lr, ctx.env.cfg.momentum, ctx.env.cfg.weight_decay);
+    // One way to seed a replica: a joiner from the checkpoint of its
+    // admission boundary, everybody else from the run's resume checkpoint.
+    if let Some(ck) = ctx.catch_up.as_deref().or(ctx.env.opts.resume.as_ref()) {
+        if !load_resume_state(&mut model, &mut opt, ck) {
+            let which = if ctx.catch_up.is_some() { "catch-up" } else { "resume" };
+            let reason = format!("{which} checkpoint does not match the model");
+            report_fatal(&ctx, ctx.entry_step, reason);
+            return;
         }
-        Some(CatchUp::Memory(ck)) => {
-            if !load_resume_state(&mut model, &mut opt, ck) {
-                report_fatal(
-                    &ctx,
-                    ctx.entry_step,
-                    "catch-up checkpoint does not match the model".into(),
-                );
-                return;
-            }
-            note_catch_up(w, ck, "memory");
-        }
-        None => {
-            if let Some(ck) = &ctx.opts.resume {
-                if !load_resume_state(&mut model, &mut opt, ck) {
-                    report_fatal(
-                        &ctx,
-                        ctx.entry_step,
-                        "resume checkpoint does not match the model".into(),
-                    );
-                    return;
-                }
-                probe::event(
-                    "dist",
-                    "checkpoint_resumed",
-                    vec![("worker", w.into()), ("step", ck.step.into())],
-                );
-            }
+        if ctx.catch_up.is_some() {
+            note_membership(EV_CATCH_UP, EV_CATCH_UP, w, ck.step, ck.epoch);
+        } else {
+            probe::event(
+                "dist",
+                "checkpoint_resumed",
+                vec![("worker", w.into()), ("step", ck.step.into())],
+            );
         }
     }
+    // Its job done, a joiner's checkpoint does not stay for the rest of the run.
+    ctx.catch_up = None;
     // Gradient shapes are fixed for the whole run: derive every phase's
     // payload layout, bucket plan and payload buffer once and reuse them
     // every round.
-    let mut phases: Vec<PhasePlan> = {
+    let phases: Vec<PhasePlan> = {
         let params = model.params();
         let grad_refs: Vec<&Tensor> = params.iter().map(|p| &p.grad).collect();
         (0..codec.phases())
             .map(|p| {
                 let layout = Arc::new(codec.payload_layout(p, &grad_refs));
-                let plan = BucketPlan::new(&layout, ctx.bucket_bytes);
+                let plan = BucketPlan::new(&layout, ctx.env.bucket_bytes);
                 let payload = Arc::new(Tensor::zeros(&[layout.total_len()]));
                 PhasePlan { layout, plan, payload }
             })
             .collect()
     };
-    // Backward announces gradients tensor by tensor; only a one-phase
-    // codec's payload tensors are final the moment their gradients are.
-    let overlaps = phases.len() == 1;
     let Some(first) = phases.first() else {
         report_fatal(&ctx, ctx.entry_step, "codec declares no reduce phase".into());
         return;
     };
-    let mut tracker = ReadyTracker::new(&first.plan);
-    let mut decodes: Vec<(usize, Duration)> = Vec::new();
-    // This member's shard of the remaining stream, re-extracted only when
-    // its (rank, member count) changes — a clean static run extracts once
-    // and the steady state stays allocation-free.
-    let mut epoch_seen: Option<u64> = None;
-    let (mut rank, mut count) = (0usize, 0usize);
-    let mut shard_base = ctx.entry_step;
-    let mut shard: Vec<(Tensor, Vec<usize>)> = Vec::new();
-    loop {
-        let (step, epoch, members) = match ctx.rx.recv() {
-            Ok(AggMsg::Step { step, epoch, members }) => (step, epoch, members),
-            Ok(AggMsg::Ping) => continue,
-            Ok(AggMsg::Retire) => {
-                probe::event("dist", "worker_retired", vec![("worker", w.into())]);
-                return;
-            }
-            Ok(AggMsg::Finish) => break,
-            // A verdict outside a round cannot happen in lockstep; drain it.
-            Ok(AggMsg::Reduced { .. }) | Ok(AggMsg::Skip { .. }) => continue,
-            Err(_) => return, // aggregator shut down
-        };
-        if epoch_seen != Some(epoch) {
-            let first = epoch_seen.is_none();
-            epoch_seen = Some(epoch);
-            let Ok(new_rank) = members.binary_search(&w) else {
-                // The broadcast member set excludes us: retire quietly.
-                return;
-            };
-            let new_count = members.len();
-            if first || (new_rank, new_count) != (rank, count) {
-                rank = new_rank;
-                count = new_count;
-                shard_base = step;
-                if !first {
-                    probe::counter_add("dist.reshards", 1);
+    let tracker = ReadyTracker::new(&first.plan);
+    Replica { ctx, model, opt, codec, phases, tracker, decodes: Vec::new() }.serve();
+}
+
+impl<M: Layer> Replica<'_, M> {
+    /// The worker loop: answers the aggregator between rounds and plays the
+    /// rounds it broadcasts — compute, round, apply — until told to finish.
+    /// `None`: it left early (retired, crashed, failed, or nobody to serve).
+    fn serve(mut self) -> Option<()> {
+        let w = self.ctx.worker;
+        // The round this replica plays next, i.e. the boundary its state
+        // describes when the aggregator asks for it.
+        let mut next_step = self.ctx.entry_step;
+        // This member's shard of the remaining stream, re-extracted only when
+        // its (rank, member count) changes — a clean static run extracts once
+        // and the steady state stays allocation-free.
+        let mut epoch_seen: Option<u64> = None;
+        let (mut rank, mut count) = (0usize, 0usize);
+        let mut shard_base = self.ctx.entry_step;
+        let mut shard: Vec<(Tensor, Vec<usize>)> = Vec::new();
+        loop {
+            let (step, epoch, members) = match self.ctx.rx.recv() {
+                Ok(AggMsg::Step { step, epoch, members }) => (step, epoch, members),
+                Ok(AggMsg::Ping) => continue,
+                Ok(AggMsg::Report { model }) => {
+                    self.send_snapshot(model, next_step);
+                    continue;
                 }
-                shard = match resharded(ctx.batches, step, rank, count) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        report_fatal(&ctx, step, e.to_string());
-                        return;
-                    }
+                Ok(AggMsg::Retire) => {
+                    probe::event("dist", "worker_retired", vec![("worker", w.into())]);
+                    return None;
+                }
+                Ok(AggMsg::Finish) => break,
+                // A verdict outside a round cannot happen in lockstep; drain it.
+                Ok(AggMsg::Reduced { .. } | AggMsg::Skip) => continue,
+                Err(_) => return None, // aggregator shut down
+            };
+            if epoch_seen != Some(epoch) {
+                let first = epoch_seen.is_none();
+                epoch_seen = Some(epoch);
+                let Ok(new_rank) = members.binary_search(&w) else {
+                    // The broadcast member set excludes us: retire quietly.
+                    return None;
                 };
+                let new_count = members.len();
+                if first || (new_rank, new_count) != (rank, count) {
+                    rank = new_rank;
+                    count = new_count;
+                    shard_base = step;
+                    if !first {
+                        probe::counter_add("dist.reshards", 1);
+                    }
+                    shard = match resharded(self.ctx.env.batches, step, rank, count) {
+                        Ok(s) => s,
+                        Err(e) => {
+                            report_fatal(&self.ctx, step, e.to_string());
+                            return None;
+                        }
+                    };
+                }
             }
+            if self.ctx.env.opts.faults.should_crash_since(w, step, self.ctx.entry_step) {
+                probe::event(
+                    "fault",
+                    "worker_crash",
+                    vec![("worker", w.into()), ("step", step.into())],
+                );
+                return None; // channels drop; the aggregator's probe sees the death
+            }
+            let Some((images, labels)) = shard.get(step - shard_base) else {
+                // A broadcast step outside our extracted shard is a protocol
+                // bug; report it instead of panicking mid-round.
+                let reason = format!("step {step} outside shard from {shard_base}");
+                report_fatal(&self.ctx, step, reason);
+                return None;
+            };
+            let computed = self.compute(step, images, labels)?;
+            if let Verdict::Apply { mean, contributing } = self.round(step, &computed)? {
+                self.apply(step, mean, contributing)?;
+            }
+            next_step = step + 1;
         }
-        if faults.should_crash_since(w, step, ctx.entry_step) {
-            probe::event(
-                "fault",
-                "worker_crash",
-                vec![("worker", w.into()), ("step", step.into())],
-            );
-            return; // channels drop; the aggregator's probe sees the death
-        }
-        let Some((images, labels)) = shard.get(step - shard_base) else {
-            // A broadcast step outside our extracted shard is a protocol
-            // bug; report it instead of panicking mid-round.
-            report_fatal(&ctx, step, format!("step {step} outside shard from {shard_base}"));
-            return;
-        };
+        let params: Vec<Tensor> = self.model.params().iter().map(|p| p.value.clone()).collect();
+        let codec = self.codec.state_snapshot();
+        // Best-effort: the trainer may already be on its way out.
+        let report = FinalReport { worker: w, params, codec, decodes: self.decodes };
+        self.ctx.env.uplink.send(WorkerMsg::Final(report)).ok()
+    }
+
+    /// Forward and backward over this member's shard of `step`, then the
+    /// injected straggler delay and non-finite gradient. `None`: a fatal
+    /// error was reported and the worker exits.
+    fn compute(&mut self, step: usize, images: &Tensor, labels: &[usize]) -> Option<Computed> {
+        let w = self.ctx.worker;
+        let faults = &self.ctx.env.opts.faults;
         let sp = probe::timed_span_with("dist", "worker_compute", || {
             vec![("worker", w.into()), ("step", step.into())]
         });
         let clock = probe::Stopwatch::start();
-        tracker.start_step();
-        model.zero_grad();
-        let logits = model.forward(images, Mode::Train);
+        self.tracker.start_step();
+        self.model.zero_grad();
+        let logits = self.model.forward(images, Mode::Train);
         let (loss, dl) = match softmax_cross_entropy(&logits, labels, 0.0) {
             Ok(v) => v,
             Err(e) => {
-                report_fatal(&ctx, step, e.to_string());
-                return;
+                report_fatal(&self.ctx, step, e.to_string());
+                return None;
             }
         };
         // Backward announces gradient readiness layer by layer (reverse
         // order); the tracker stamps each bucket with the compute offset
         // at which its last gradient finalized — the overlap timeline's
         // inputs.
-        let _ = model.backward_with_ready(&dl, &mut |first| {
+        let tracker = &mut self.tracker;
+        let _ = self.model.backward_with_ready(&dl, &mut |first| {
             tracker.on_ready(first, clock.elapsed().as_micros() as u64);
         });
         tracker.finish(clock.elapsed().as_micros() as u64);
@@ -1192,50 +1164,57 @@ fn run_worker<M: Layer>(ctx: WorkerCtx<'_>, mut model: M, mut codec: Box<dyn Wor
             );
             std::thread::sleep(delay);
         }
-        let compute = measured + delay;
-        let delay_us = delay.as_micros() as u64;
         // Non-finite injection happens on the gradient itself, before
         // anything is encoded (the worker "really" computed it); bit
         // corruption after checksumming (it happens on the wire, so the
         // checksum catches it).
-        for g in grads_of(&mut model.params_mut()) {
+        for g in grads_of(&mut self.model.params_mut()) {
             if faults.inject_nonfinite(w, step, std::slice::from_mut(g)) {
                 break;
             }
         }
+        Some(Computed { loss, compute: measured + delay, delay_us: delay.as_micros() as u64 })
+    }
 
-        // ---- The round: encode, ship, and wait for the mean, once per
-        // phase. A worker whose payload missed a mean keeps following the
-        // round — it needs every mean to end on the same parameters — but
-        // has nothing more to contribute to it. ----
+    /// The round: encode, ship, and wait for the mean, once per phase. A
+    /// worker whose payload missed a mean keeps following the round — it
+    /// needs every mean to end on the same parameters — but has nothing more
+    /// to contribute to it. `None`: the worker exits (the aggregator is
+    /// gone, it was retired, a fatal error was reported, or an injected
+    /// mid-round crash fired).
+    fn round(&mut self, step: usize, done: &Computed) -> Option<Verdict> {
+        let w = self.ctx.worker;
+        let faults = &self.ctx.env.opts.faults;
+        // Backward announces gradients tensor by tensor; only a one-phase
+        // codec's payload tensors are final the moment their gradients are.
+        let overlaps = self.phases.len() == 1;
         let mut reduced: Option<Arc<Tensor>> = None;
         let mut contributing = true;
-        let mut report = Report::Nothing;
-        for (p, plan) in phases.iter_mut().enumerate() {
+        for (p, plan) in self.phases.iter_mut().enumerate() {
             let len = plan.layout.total_len();
             let clock = probe::Stopwatch::start();
             let Some(payload) = reclaim(&mut plan.payload, len) else {
-                report_fatal(&ctx, step, "payload buffer is still shared".into());
-                return;
+                report_fatal(&self.ctx, step, "payload buffer is still shared".into());
+                return None;
             };
             let prev = reduced.as_deref().map(Tensor::as_slice);
-            let encoded = codec.encode(
+            let encoded = self.codec.encode(
                 p,
-                &mut grads_of(&mut model.params_mut()),
+                &mut grads_of(&mut self.model.params_mut()),
                 prev,
                 payload.as_mut_slice(),
             );
             if let Err(e) = encoded {
-                report_fatal(&ctx, step, format!("encode, phase {p}: {e}"));
-                return;
+                report_fatal(&self.ctx, step, format!("encode, phase {p}: {e}"));
+                return None;
             }
             // A one-phase codec's payload is the buckets themselves: writing
             // it is part of the window they are produced (and their
             // collectives overlapped) in, so it counts as compute, the way
             // the flat pack always did. Otherwise it is the codec's encode.
             let (compute, encode) = match clock.elapsed() {
-                packing if overlaps => (compute + packing, Duration::ZERO),
-                encoding => (compute, encoding),
+                packing if overlaps => (done.compute + packing, Duration::ZERO),
+                encoding => (done.compute, encoding),
             };
             let compute_us = compute.as_micros() as u64;
             if contributing {
@@ -1248,13 +1227,14 @@ fn run_worker<M: Layer>(ctx: WorkerCtx<'_>, mut model: M, mut codec: Box<dyn Wor
                 // A straggler's buckets were ready during backward but only
                 // reach the wire after the injected sleep: readiness shifts
                 // by the delay, capped at the full compute time.
-                let ready = tracker.ready_us();
+                let ready = self.tracker.ready_us();
                 let ready_us = |b: usize| match ready.get(b) {
-                    Some(&at) if overlaps => (at + delay_us).min(compute_us),
+                    Some(&at) if overlaps => (at + done.delay_us).min(compute_us),
                     _ => compute_us,
                 };
-                if !send_phase(&ctx, step, p, plan, &checksums, &ready_us, loss, compute, encode) {
-                    return; // aggregator gone
+                let (ctx, loss) = (&self.ctx, done.loss);
+                if !send_phase(ctx, step, p, plan, &checksums, &ready_us, loss, compute, encode) {
+                    return None; // aggregator gone
                 }
                 if p == 0 && faults.crashes_mid_round(w, step) {
                     probe::event(
@@ -1262,74 +1242,64 @@ fn run_worker<M: Layer>(ctx: WorkerCtx<'_>, mut model: M, mut codec: Box<dyn Wor
                         "worker_crash",
                         vec![("worker", w.into()), ("step", step.into()), ("phase", p.into())],
                     );
-                    return;
+                    return None;
                 }
             }
-            match await_verdict(&ctx.rx, w) {
-                Some(AggMsg::Reduced { payload, contributed, report: r }) => {
+            match await_verdict(&self.ctx.rx, w)? {
+                AggMsg::Reduced { payload, contributed } => {
                     contributing &= contributed;
                     reduced = Some(payload);
-                    report = r;
                 }
-                Some(AggMsg::Skip { report: r }) => {
-                    codec.abort();
-                    report = r;
-                    reduced = None;
-                    break;
+                _ => {
+                    self.codec.abort();
+                    return Some(Verdict::Skipped);
                 }
-                _ => return,
             }
         }
-        if let Some(mean) = reduced {
-            let ap = probe::timed_span_with("dist", "apply", || {
-                vec![("worker", w.into()), ("step", step.into())]
-            });
-            let clock = probe::Stopwatch::start();
-            let decoded =
-                codec.decode(mean.as_slice(), &mut grads_of(&mut model.params_mut()), contributing);
-            if let Err(e) = decoded {
-                report_fatal(&ctx, step, format!("decode: {e}"));
-                return;
-            }
-            decodes.push((step, clock.elapsed()));
-            // The mean goes back to the aggregator's buffer pool before the
-            // optimizer runs: by its next round nobody else holds it.
-            drop(mean);
-            opt.step(&mut model.params_mut());
-            let _ = ap.finish();
-        }
-        send_snapshot(report, w, step + 1, &model, &opt, codec.as_ref(), &ctx.snap_tx);
+        reduced.map(|mean| Verdict::Apply { mean, contributing })
     }
-    let params: Vec<Tensor> = model.params().iter().map(|p| p.value.clone()).collect();
-    // Best-effort: the trainer may already be on its way out.
-    ctx.final_tx
-        .send(FinalReport { worker: w, params, codec: codec.state_snapshot(), decodes })
-        .ok();
-}
 
-/// Reports post-round replica state to the aggregator for checkpointing
-/// and joiner catch-up, as far as `report` asks for it.
-fn send_snapshot<M: Layer>(
-    report: Report,
-    worker: usize,
-    next_step: usize,
-    model: &M,
-    opt: &Sgd,
-    codec: &dyn WorkerCodec,
-    snap_tx: &Sender<Snapshot>,
-) {
-    let model = match report {
-        Report::Nothing => return,
-        Report::Codec => None,
-        Report::Full => Some(ModelState {
-            params: model.params().iter().map(|p| p.value.clone()).collect(),
-            velocity: opt.velocity().to_vec(),
-            buffers: model.buffers(),
-        }),
-    };
-    // Best-effort: a closed snapshot channel just means the aggregator is
-    // shutting down.
-    snap_tx.send(Snapshot { worker, next_step, model, codec: codec.state_snapshot() }).ok();
+    /// Decodes the round's mean into the gradients and takes the optimizer
+    /// step. `None`: a fatal error was reported and the worker exits.
+    fn apply(&mut self, step: usize, mean: Arc<Tensor>, contributing: bool) -> Option<()> {
+        let w = self.ctx.worker;
+        let ap = probe::timed_span_with("dist", "apply", || {
+            vec![("worker", w.into()), ("step", step.into())]
+        });
+        let clock = probe::Stopwatch::start();
+        let decoded = self.codec.decode(
+            mean.as_slice(),
+            &mut grads_of(&mut self.model.params_mut()),
+            contributing,
+        );
+        if let Err(e) = decoded {
+            report_fatal(&self.ctx, step, format!("decode: {e}"));
+            return None;
+        }
+        self.decodes.push((step, clock.elapsed()));
+        // The mean goes back to the aggregator's buffer pool before the
+        // optimizer runs: by its next round nobody else holds it.
+        drop(mean);
+        self.opt.step(&mut self.model.params_mut());
+        let _ = ap.finish();
+        Some(())
+    }
+
+    /// Reports replica state to the aggregator for checkpointing and joiner
+    /// catch-up: the codec's share of the compressor state and, from the
+    /// snapshot leader (`with_model`), parameters + momentum + buffers.
+    fn send_snapshot(&self, with_model: bool, next_step: usize) {
+        let model = with_model.then(|| ModelState {
+            params: self.model.params().iter().map(|p| p.value.clone()).collect(),
+            velocity: self.opt.velocity().to_vec(),
+            buffers: self.model.buffers(),
+        });
+        let codec = self.codec.state_snapshot();
+        let snapshot = Snapshot { worker: self.ctx.worker, next_step, model, codec };
+        // Best-effort: a closed uplink just means the aggregator is shutting
+        // down.
+        self.ctx.env.uplink.send(WorkerMsg::Snapshot(snapshot)).ok();
+    }
 }
 
 /// Extracts one member's shard of every batch from `from` on, for its
@@ -1375,24 +1345,25 @@ fn load_resume_state<M: Layer>(model: &mut M, opt: &mut Sgd, ck: &DistCheckpoint
     true
 }
 
-struct AggOutput {
+/// The books of a run so far: what the caller turns into a [`DistOutcome`]
+/// once every member is joined.
+#[derive(Default)]
+struct Books {
     /// Every phase of every round but the decodes, which the caller books
     /// once the workers have reported theirs.
     acc: BreakdownAccumulator,
     /// Per executed (not skipped) step, the decode time already known to
     /// the aggregator: a central round's, zero for worker-side codecs.
     decode_base: Vec<(usize, Duration)>,
-    /// Whether the compressor's state lived in worker halves.
+    /// Whether the compressor's state lives in worker halves.
     worker_side: bool,
-    /// The broadcast buffers, handed out of the aggregator so that they
-    /// outlive the workers: whoever drops the last handle to a mean gets
-    /// its storage, and that has to be the thread that allocated it.
-    _slots: Vec<PhaseSlot>,
+    /// One per reduce phase. The broadcast buffers are handed out of the
+    /// aggregator with the rest so that they outlive the workers: whoever
+    /// drops the last handle to a mean gets its storage, and that has to be
+    /// the thread that allocated it.
+    slots: Vec<PhaseSlot>,
     step_losses: Vec<f32>,
-    report: FaultReport,
     checkpoints: Vec<PathBuf>,
-    membership: Vec<MemberEvent>,
-    final_epoch: u64,
 }
 
 /// One reduce phase as the aggregator sees it. The reducer is created from
@@ -1405,478 +1376,610 @@ struct PhaseSlot {
     mean: Arc<Tensor>,
 }
 
-/// Collects one phase's contributions from `expected`, one bucket message
-/// at a time. A bucket is spliced into its sender's reducer slot on
-/// arrival, and with `eager` any bucket every expected member has
-/// delivered is reduced at once — the reduction work tracks the message
-/// stream instead of waiting for the slowest sender's last bucket. The
-/// apply order stays pinned regardless (see [`BucketedReducer`]).
-///
-/// Slow members get `recovery.step_timeout` with bounded retry/backoff;
-/// silent ones are probed and, if their channel is dead, marked crashed;
-/// a bucket failing its checksum rejects its sender's whole contribution
-/// once. Returns the members that delivered every bucket intact, in
-/// worker-id order (the pinned reduction order).
-#[allow(clippy::too_many_arguments)]
-fn collect_phase(
-    from_workers: &Receiver<WorkerMsg>,
-    fleet: &mut Fleet,
-    recovery: &RecoveryPolicy,
-    bucket_bytes: usize,
-    slot: &mut PhaseSlot,
-    step: usize,
-    phase: usize,
-    mut expected: BTreeSet<usize>,
-    eager: bool,
-) -> DistResult<BTreeMap<usize, Contribution>> {
-    let mut expected_vec: Vec<usize> = expected.iter().copied().collect();
-    let mut got: BTreeMap<usize, Contribution> = BTreeMap::new();
-    let mut done: BTreeSet<usize> = BTreeSet::new();
-    if let Some(r) = slot.reducer.as_mut() {
-        r.start_round();
-    }
-    let mut timeout = recovery.step_timeout;
-    let mut retries = 0u32;
-    while done.len() < expected.len() {
-        match from_workers.recv_timeout(timeout) {
-            Ok(WorkerMsg::Fatal { worker, reason }) => {
-                return Err(DistError::WorkerFailed { worker, reason });
-            }
-            Ok(WorkerMsg::Grads(m)) => {
-                if m.step != step || m.phase != phase || !expected.contains(&m.worker) {
-                    // A straggler's bucket from an already-closed step or
-                    // phase (or from an already-rejected sender): discard.
-                    fleet.count_stale();
-                    probe::event(
-                        "fault",
-                        "stale_message",
-                        vec![
-                            ("worker", m.worker.into()),
-                            ("msg_step", m.step.into()),
-                            ("step", step.into()),
-                        ],
-                    );
-                    continue;
-                }
-                // The run's first contribution to a phase fixes its bucket
-                // plan (every worker derives the identical layout).
-                let red = slot.reducer.get_or_insert_with(|| {
-                    let mut r = BucketedReducer::new(BucketPlan::new(&m.layout, bucket_bytes));
-                    r.start_round();
-                    r
-                });
-                slot.layout.get_or_insert_with(|| Arc::clone(&m.layout));
-                let data = m.payload.as_slice().get(m.range.clone());
-                let intact = m.buckets == red.plan().buckets()
-                    && data.is_some_and(|d| wire_checksum(d) == m.checksum);
-                let Some(data) = data.filter(|_| intact) else {
-                    // Bit corruption on the wire (or a protocol mismatch):
-                    // the first bad bucket rejects the whole contribution
-                    // once; the worker stays live.
-                    fleet.report.corrupted_messages += 1;
-                    probe::counter_add("dist.corrupted_messages", 1);
-                    probe::event(
-                        "fault",
-                        "message_corrupted",
-                        vec![
-                            ("worker", m.worker.into()),
-                            ("step", step.into()),
-                            ("bucket", m.bucket.into()),
-                        ],
-                    );
-                    expected.remove(&m.worker);
-                    expected_vec.retain(|&x| x != m.worker);
-                    done.remove(&m.worker);
-                    got.remove(&m.worker);
-                    continue;
-                };
-                if !red.accept(m.worker, m.bucket, data) {
-                    fleet.count_stale(); // duplicate bucket delivery
-                    continue;
-                }
-                let c = got.entry(m.worker).or_insert_with(|| Contribution {
-                    loss: m.loss,
-                    compute: m.compute,
-                    encode: m.encode,
-                    ready_us: vec![0; m.buckets],
-                });
-                if let Some(at) = c.ready_us.get_mut(m.bucket) {
-                    *at = m.ready_us;
-                }
-                if red.complete(m.worker) {
-                    done.insert(m.worker);
-                }
-                if eager {
-                    red.try_reduce(&expected_vec);
+impl PhaseSlot {
+    /// Reduces what `contributors` delivered into `mean`: the pinned-order
+    /// mean of worker-encoded payloads or, for a compressor without a
+    /// worker half, its central round, whose stats go to `central`.
+    /// AMP-style guard: a poisoned gradient (or a phase with no usable
+    /// contribution) reduces to nothing — `false` — and the step is skipped
+    /// on every replica.
+    fn reduce(
+        &mut self,
+        contributors: &[usize],
+        worker_side: bool,
+        compressor: &mut dyn GradCompressor,
+        central: &mut Option<RoundStats>,
+    ) -> bool {
+        let reduced = match (self.reducer.as_mut(), self.layout.as_ref()) {
+            (Some(red), Some(layout)) if !contributors.is_empty() => {
+                if worker_side {
+                    Some(red.finalize(contributors))
+                        .filter(|mean| !any_nonfinite(std::slice::from_ref(*mean)))
+                        .and_then(|mean| {
+                            let out = reclaim(&mut self.mean, mean.len())?;
+                            out.as_mut_slice().copy_from_slice(mean.as_slice());
+                            Some(())
+                        })
+                } else {
+                    central_round(red, layout, contributors, compressor, &mut self.mean)
+                        .map(|stats| *central = Some(stats))
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {
-                // Probe the missing members: a crashed worker dropped
-                // its receiver, so the probe send fails.
-                let missing: Vec<usize> =
-                    expected.iter().copied().filter(|x| !done.contains(x)).collect();
-                for x in missing {
-                    if !fleet.deliver(x, AggMsg::Ping) {
-                        expected.remove(&x);
-                        expected_vec.retain(|&y| y != x);
-                        got.remove(&x);
-                        fleet.mark_crashed(x, step);
-                    }
-                }
-                if fleet.membership.active_count() == 0 {
-                    return Err(DistError::AllWorkersDead { step });
-                }
-                if done.len() >= expected.len() {
-                    break; // crashes explained every missing member
-                }
-                retries += 1;
-                probe::counter_add("dist.retries", 1);
-                if retries > recovery.max_retries {
-                    let lost = expected.len() - done.len();
-                    fleet.report.lost_contributions += lost;
-                    probe::counter_add("dist.lost_contributions", lost as u64);
-                    probe::event(
-                        "fault",
-                        "contribution_lost",
-                        vec![("step", step.into()), ("lost", lost.into())],
-                    );
-                    break; // degrade: proceed with what arrived
-                }
-                timeout = Duration::from_secs_f64(timeout.as_secs_f64() * recovery.backoff);
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(DistError::AllWorkersDead { step });
+            _ => None,
+        };
+        if reduced.is_none() {
+            if let Some(r) = self.reducer.as_mut() {
+                r.mark_dirty();
             }
         }
+        reduced.is_some()
     }
-    if fleet.membership.active_count() == 0 {
-        return Err(DistError::AllWorkersDead { step });
-    }
-    got.retain(|x, _| done.contains(x) && expected.contains(x));
-    Ok(got)
 }
 
-/// The aggregator loop: processes the membership boundary (leaves, join
-/// admission with catch-up, periodic checkpoints), broadcasts each round,
-/// runs it phase by phase — collect with timeout/retry and crash
-/// detection, reduce over whoever delivered, broadcast the mean — and
-/// prices the round for the live member set.
-#[allow(clippy::too_many_arguments)]
-fn run_aggregator<'scope, 'env, M, F>(
-    ctx: &AggCtx<'env, F>,
+/// What the phases of one round add up to: the inputs of its pricing and of
+/// its `dist_step` row.
+#[derive(Default)]
+struct RoundTally {
+    /// The slowest contributor's compute (phase 0).
+    slowest: Duration,
+    /// Mean loss over the phase-0 contributors; `NaN` if there were none.
+    loss_mean: f32,
+    /// The slowest contributor's encode, summed over the phases.
+    encode: Duration,
+    /// Per bucket of phase 0, when the slowest contributor had it ready.
+    ready_us: Vec<u64>,
+    /// Who delivered the latest phase intact, ascending.
+    contributors: Vec<usize>,
+    /// The stats of the central round, if the aggregator played one.
+    central: Option<RoundStats>,
+}
+
+impl RoundTally {
+    fn absorb(&mut self, phase: usize, got: &BTreeMap<usize, Contribution>) {
+        self.contributors = got.keys().copied().collect();
+        if phase == 0 {
+            self.slowest = got.values().map(|c| c.compute).max().unwrap_or_default();
+            if !got.is_empty() {
+                self.loss_mean = got.values().map(|c| c.loss).sum::<f32>() / got.len() as f32;
+            }
+            let buckets = got.values().map(|c| c.ready_us.len()).max().unwrap_or(0);
+            self.ready_us = (0..buckets)
+                .map(|b| got.values().filter_map(|c| c.ready_us.get(b).copied()).max().unwrap_or(0))
+                .collect();
+        }
+        self.encode += got.values().map(|c| c.encode).max().unwrap_or_default();
+    }
+}
+
+/// The aggregator: the fleet it drives, what it takes to spawn a member
+/// mid-run, and the books of the run so far. Between two rounds it runs
+/// [`Aggregator::boundary`] — the one place where it talks to idle members
+/// — and [`Aggregator::play_round`] runs a round phase by phase: collect
+/// with timeout/retry and crash detection, reduce over whoever delivered,
+/// broadcast the mean, price the round for the live member set.
+struct Aggregator<'scope, 'env, F> {
+    env: &'env RunEnv<'env>,
+    factory: &'env F,
     scope: &'scope Scope<'scope, 'env>,
-    members: &mut Vec<ScopedJoinHandle<'scope, ()>>,
-    membership: Membership,
-    from_workers: &Receiver<WorkerMsg>,
-    snap_rx: &Receiver<Snapshot>,
-    compressor: &mut dyn GradCompressor,
-    pool_guard: &mut PoolWidthGuard,
-) -> DistResult<AggOutput>
+    /// Every member thread ever spawned; the caller joins them all.
+    handles: Vec<ScopedJoinHandle<'scope, ()>>,
+    from_workers: &'env Receiver<WorkerMsg>,
+    compressor: &'env mut dyn GradCompressor,
+    pool_guard: &'env mut PoolWidthGuard,
+    start_step: usize,
+    steps: usize,
+    /// Resolved pricing collective (option, else ring).
+    collective: CollectiveAlgo,
+    fleet: Fleet,
+    /// `(worker, scheduled step)` of every join request already granted.
+    admitted: BTreeSet<(usize, usize)>,
+    /// The member view of the latest `Step` broadcast, and its epoch.
+    members_arc: Arc<Vec<usize>>,
+    broadcast_epoch: u64,
+    books: Books,
+}
+
+impl<'scope, 'env, M, F> Aggregator<'scope, 'env, F>
 where
     M: Layer + Send,
     F: Fn(usize) -> M + Sync,
 {
-    let recovery = &ctx.opts.recovery;
-    let plan = &ctx.opts.membership;
-    let mut fleet = Fleet { membership, senders: BTreeMap::new(), report: FaultReport::default() };
-    // Every member runs the same kind of codec, so the first one spawned
-    // tells how many phases a round has and where compressor state lives.
-    let (mut worker_side, mut n_phases) = (false, 1);
-    for w in fleet.membership.active() {
-        let (codec, own) = member_codec(compressor, w);
-        (worker_side, n_phases) = (own, codec.phases());
-        spawn_member(ctx, scope, members, &mut fleet.senders, w, ctx.start_step, None, codec);
+    /// Spawns the initial fleet, then runs a boundary before every round and
+    /// one after the last, and tells the survivors to report.
+    fn run(&mut self) -> DistResult<()> {
+        // Every member runs the same kind of codec, so the first one spawned
+        // tells how many phases a round has and where compressor state lives.
+        let mut n_phases = 1;
+        for w in self.fleet.membership.active() {
+            let (codec, own) = member_codec(self.compressor, w);
+            (self.books.worker_side, n_phases) = (own, codec.phases());
+            self.spawn_member(w, self.start_step, None, codec);
+        }
+        self.books.slots = (0..n_phases)
+            .map(|_| PhaseSlot { reducer: None, layout: None, mean: Arc::new(Tensor::default()) })
+            .collect();
+        self.books.step_losses.reserve(self.steps.saturating_sub(self.start_step));
+        for step in self.start_step..=self.steps {
+            self.boundary(step)?;
+            if step < self.steps {
+                self.play_round(step)?;
+            }
+        }
+        // ---- Finish: survivors report their final parameters. ----
+        self.fleet.broadcast(self.steps, |_| AggMsg::Finish);
+        self.fleet.report.survivors = self.fleet.membership.active_count();
+        Ok(())
     }
-    // Join requests at or before the resume point were already satisfied
-    // by the original run: a checkpoint at step `u` implies the leader
-    // snapshot at `u` succeeded, which implies every join pending at `u`
-    // was admitted there. Whether those members later departed is encoded
-    // in the checkpointed member set — replaying the admission would
-    // resurrect them and diverge from the original run.
-    let mut admitted: BTreeSet<(usize, usize)> = plan.joins_through(ctx.start_step).collect();
 
-    let mut acc = BreakdownAccumulator::new();
-    let mut decode_base: Vec<(usize, Duration)> = Vec::new();
-    let mut step_losses = Vec::with_capacity(ctx.steps.saturating_sub(ctx.start_step));
-    let mut slots: Vec<PhaseSlot> = (0..n_phases)
-        .map(|_| PhaseSlot { reducer: None, layout: None, mean: Arc::new(Tensor::default()) })
-        .collect();
-    let mut checkpoints: Vec<PathBuf> = Vec::new();
-    // Leader snapshot of the previous round, keyed by the boundary step
-    // it describes; feeds both periodic checkpoints and joiner catch-up.
-    let mut pending_snapshot: Option<(usize, ModelState)> = None;
-    let mut members_arc: Arc<Vec<usize>> = Arc::new(fleet.membership.active());
-    let mut broadcast_epoch = fleet.membership.epoch();
+    /// Spawns one member thread (initial worker or mid-run joiner) and
+    /// registers its command channel.
+    fn spawn_member(
+        &mut self,
+        worker: usize,
+        entry_step: usize,
+        catch_up: Option<Arc<DistCheckpoint>>,
+        codec: Box<dyn WorkerCodec>,
+    ) {
+        let (tx, rx) = channel();
+        self.fleet.senders.insert(worker, tx);
+        let (env, factory) = (self.env, self.factory);
+        self.handles.push(self.scope.spawn(move || {
+            let ctx = WorkerCtx { env, worker, entry_step, rx, catch_up };
+            run_worker(ctx, factory(worker), codec);
+        }));
+    }
 
-    'steps: for step in ctx.start_step..ctx.steps {
-        // ---- Membership boundary: leaves, then join admission, then the
-        // checkpoint that records the post-transition member set. ----
-        let leavers: Vec<usize> = plan.leaves_at(step).collect();
+    /// The boundary before round `step` (after the last round for
+    /// `step == steps`), while every member is idle: replica state is asked
+    /// for where a periodic checkpoint or a waiting join needs it and
+    /// collected, then leavers are retired, joiners admitted, and the
+    /// checkpoint — which so records the post-transition member set — is cut
+    /// for the PUFT file and for the joiners to catch up from.
+    fn boundary(&mut self, step: usize) -> DistResult<()> {
+        let opts = self.env.opts;
+        // The end of the run retires and admits nobody.
+        let in_run = step < self.steps;
+        let pending: Vec<(usize, usize)> = opts
+            .membership
+            .joins_through(step)
+            .filter(|key| in_run && !self.admitted.contains(key))
+            .collect();
+        // There is no state to be had before the run's first round.
+        let after_a_round = step > self.start_step;
+        let want_ckpt = after_a_round
+            && opts.checkpoint.is_enabled()
+            && step.is_multiple_of(opts.checkpoint.every);
+        let mut state = None;
+        if want_ckpt || (after_a_round && !pending.is_empty()) {
+            // The lowest-indexed member with a channel doubles as snapshot
+            // leader; the others hold state only under a worker-side codec.
+            // All of them are asked before this boundary's leavers go: a
+            // leaver's codec rows are in the union.
+            let leader = self.fleet.senders.keys().next().copied();
+            let mut asked: BTreeSet<usize> = self.fleet.senders.keys().copied().collect();
+            asked.retain(|&x| {
+                (self.books.worker_side || Some(x) == leader)
+                    && self.fleet.deliver(x, AggMsg::Report { model: Some(x) == leader })
+            });
+            state = self.collect_state(step, asked, want_ckpt)?;
+        }
+        if in_run {
+            self.retire_leavers(step)?;
+        }
+        self.admit_joiners(step, &pending, state.is_some())?;
+        let Some(state) = state else { return Ok(()) };
+        let ck = checkpoint_of(step, state, &*self.compressor, &self.fleet.membership);
+        if want_ckpt {
+            if let Some(path) = opts.checkpoint.path_for(step) {
+                ck.save(&path)?;
+                probe::counter_add("dist.checkpoint_writes", 1);
+                probe::event("dist", "checkpoint_written", vec![("step", step.into())]);
+                self.books.checkpoints.push(path);
+            }
+        }
+        let ck = Arc::new(ck);
+        for &(wk, _) in &pending {
+            // A joiner's codec starts from the shared state the boundary
+            // gathered and no memory of its own.
+            let (codec, _) = member_codec(self.compressor, wk);
+            self.spawn_member(wk, step, Some(Arc::clone(&ck)), codec);
+        }
+        Ok(())
+    }
+
+    /// Retires the members scheduled to leave at `step`.
+    fn retire_leavers(&mut self, step: usize) -> DistResult<()> {
+        let leavers: Vec<usize> = self.env.opts.membership.leaves_at(step).collect();
         for wk in leavers {
-            if !fleet.membership.is_active(wk) {
+            if !self.fleet.membership.is_active(wk) {
                 continue; // departed earlier (e.g. crashed); nothing to retire
             }
-            let ok = fleet.deliver(wk, AggMsg::Retire);
-            fleet.senders.remove(&wk);
+            let ok = self.fleet.deliver(wk, AggMsg::Retire);
+            self.fleet.senders.remove(&wk);
             if ok {
-                fleet.membership.leave(wk, step)?;
-                note_member_event(fleet.membership.log().last());
+                self.fleet.membership.leave(wk, step)?;
+                note_member_event(self.fleet.membership.log().last());
             } else {
-                fleet.mark_crashed(wk, step);
+                self.fleet.mark_crashed(wk, step);
             }
         }
-        let pending: Vec<(usize, usize)> =
-            plan.joins_through(step).filter(|key| !admitted.contains(key)).collect();
-        let snap_ready = pending_snapshot.as_ref().is_some_and(|s| s.0 == step);
-        let mut admitted_now: Vec<usize> = Vec::new();
-        if snap_ready {
-            for &(wk, sched) in &pending {
-                if fleet.membership.is_active(wk) {
-                    return Err(DistError::Membership {
-                        reason: format!(
-                            "worker {wk} is scheduled to join at step {sched} but is already \
-                             an active member"
-                        ),
-                    });
-                }
-                fleet.membership.join(wk, step)?;
-                note_member_event(fleet.membership.log().last());
-                admitted.insert((wk, sched));
-                admitted_now.push(wk);
-            }
-        } else if !pending.is_empty() {
-            // No catch-up state for this boundary (start of a run, or the
-            // leader snapshot failed): the requests stay pending and are
-            // retried at the next boundary.
-            probe::counter_add("dist.join_deferrals", pending.len() as u64);
-        }
-        let want_ckpt_here = ctx.opts.checkpoint.is_enabled()
-            && step > ctx.start_step
-            && step.is_multiple_of(ctx.opts.checkpoint.every);
-        if (want_ckpt_here || !admitted_now.is_empty()) && snap_ready {
-            if let Some((s, state)) = pending_snapshot.take() {
-                let ck = checkpoint_of(s, state, &*compressor, &fleet.membership);
-                let mut on_disk: Option<PathBuf> = None;
-                if want_ckpt_here {
-                    on_disk = write_checkpoint(ctx, &ck, &mut checkpoints)?;
-                }
-                let shared = Arc::new(ck);
-                for &wk in &admitted_now {
-                    let catch_up = match &on_disk {
-                        Some(p) => CatchUp::Disk(p.clone()),
-                        None => CatchUp::Memory(Arc::clone(&shared)),
-                    };
-                    // A joiner's codec starts from the shared state the
-                    // snapshot gathered and no memory of its own.
-                    let (codec, _) = member_codec(compressor, wk);
-                    spawn_member(
-                        ctx,
-                        scope,
-                        members,
-                        &mut fleet.senders,
-                        wk,
-                        step,
-                        Some(catch_up),
-                        codec,
-                    );
-                }
-            }
-        }
-        // ---- Epoch sync: refresh the broadcast member view and re-price
-        // the tensor-pool width for the current member count. ----
-        if fleet.membership.epoch() != broadcast_epoch {
-            broadcast_epoch = fleet.membership.epoch();
-            members_arc = Arc::new(fleet.membership.active());
-            pool_guard.recap(fleet.membership.active_count());
-        }
+        Ok(())
+    }
 
-        let round_sp = probe::timed_span_with("dist", "round", || {
-            vec![
-                ("step", step.into()),
-                ("epoch", broadcast_epoch.into()),
-                ("live", members_arc.len().into()),
-            ]
+    /// Admits the `pending` join requests if this boundary's state arrived
+    /// (`have_state`); otherwise — the leader's report did not come — they
+    /// stay pending and are retried at the next boundary.
+    fn admit_joiners(
+        &mut self,
+        step: usize,
+        pending: &[(usize, usize)],
+        have_state: bool,
+    ) -> DistResult<()> {
+        if !have_state {
+            if !pending.is_empty() {
+                probe::counter_add("dist.join_deferrals", pending.len() as u64);
+            }
+            return Ok(());
+        }
+        for &(wk, sched) in pending {
+            if self.fleet.membership.is_active(wk) {
+                return Err(DistError::Membership {
+                    reason: format!(
+                        "worker {wk} is scheduled to join at step {sched} but is already \
+                         an active member"
+                    ),
+                });
+            }
+            self.fleet.membership.join(wk, step)?;
+            note_member_event(self.fleet.membership.log().last());
+            self.admitted.insert((wk, sched));
+        }
+        Ok(())
+    }
+
+    /// Collects the answers to boundary `step`'s [`AggMsg::Report`]s: the
+    /// leader's replica state and, for worker-side codecs, every member's
+    /// share of the compressor state, which is merged back into the
+    /// compressor so a checkpoint (or a joiner's codec) can be cut from it.
+    /// A report that does not come is probed for like a missing gradient. A
+    /// missed leader report when a periodic checkpoint is due (`want_ckpt`)
+    /// is a recorded checkpoint failure; joins waiting on it are simply
+    /// deferred.
+    fn collect_state(
+        &mut self,
+        step: usize,
+        mut asked: BTreeSet<usize>,
+        want_ckpt: bool,
+    ) -> DistResult<Option<ModelState>> {
+        let recovery = &self.env.opts.recovery;
+        // The wait is nobody's round: it gets a span of its own.
+        let sp = probe::timed_span_with("dist", "boundary_state", || {
+            vec![("boundary", step.into()), ("asked", asked.len().into())]
         });
+        let mut model: Option<ModelState> = None;
+        let mut codec_state: Vec<(String, Tensor)> = Vec::new();
+        let mut retries = 0u32;
+        while !asked.is_empty() && retries <= recovery.max_retries {
+            match self.from_workers.recv_timeout(recovery.step_timeout) {
+                Ok(WorkerMsg::Snapshot(s)) if s.next_step == step && asked.remove(&s.worker) => {
+                    model = model.or(s.model);
+                    merge_codec_states(&mut codec_state, s.codec);
+                }
+                // A report for a boundary long gone.
+                Ok(WorkerMsg::Snapshot(_) | WorkerMsg::Final(_)) => {}
+                Ok(WorkerMsg::Grads(m)) => self.fleet.discard_stale(&m, step),
+                Ok(WorkerMsg::Fatal { worker, reason }) => {
+                    return Err(DistError::WorkerFailed { worker, reason });
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    retries += 1;
+                    asked.retain(|&x| self.fleet.deliver(x, AggMsg::Ping));
+                }
+                Err(RecvTimeoutError::Disconnected) => break,
+            }
+        }
+        let _ = sp.finish();
+        let restored = !self.books.worker_side || self.compressor.restore_state(&codec_state);
+        let state = model.filter(|_| restored);
+        if state.is_none() && want_ckpt {
+            self.fleet.report.checkpoint_failures += 1;
+            probe::counter_add("dist.checkpoint_failures", 1);
+            probe::event("fault", "checkpoint_failed", vec![("step", step.into())]);
+        }
+        Ok(state)
+    }
 
-        // ---- Begin the round: a crashed member fails the send. ----
-        for &x in members_arc.iter() {
-            let msg =
-                AggMsg::Step { step, epoch: broadcast_epoch, members: Arc::clone(&members_arc) };
-            if !fleet.deliver(x, msg) {
-                fleet.mark_crashed(x, step);
+    /// Collects one phase's contributions from `expected`, one bucket message
+    /// at a time. A bucket is spliced into its sender's reducer slot on
+    /// arrival, and under a worker-side codec any bucket every expected
+    /// member has delivered is reduced at once — the reduction work tracks
+    /// the message stream instead of waiting for the slowest sender's last
+    /// bucket. The apply order stays pinned regardless (see
+    /// [`BucketedReducer`]).
+    ///
+    /// Slow members get `recovery.step_timeout` with bounded retry/backoff;
+    /// silent ones are probed and, if their channel is dead, marked crashed;
+    /// a bucket failing its checksum rejects its sender's whole contribution
+    /// once. Returns the members that delivered every bucket intact, in
+    /// worker-id order (the pinned reduction order).
+    fn collect_phase(
+        &mut self,
+        step: usize,
+        phase: usize,
+        mut expected: BTreeSet<usize>,
+    ) -> DistResult<BTreeMap<usize, Contribution>> {
+        let Self {
+            env, from_workers, fleet, books: Books { slots, worker_side: eager, .. }, ..
+        } = self;
+        let recovery = &env.opts.recovery;
+        let mut got: BTreeMap<usize, Contribution> = BTreeMap::new();
+        let Some(slot) = slots.get_mut(phase) else { return Ok(got) };
+        // The reducer wants the expected members as a slice; kept beside the
+        // set so that a steady round allocates nothing per bucket.
+        let mut expected_vec: Vec<usize> = expected.iter().copied().collect();
+        let mut done: BTreeSet<usize> = BTreeSet::new();
+        if let Some(r) = slot.reducer.as_mut() {
+            r.start_round();
+        }
+        let mut timeout = recovery.step_timeout;
+        let mut retries = 0u32;
+        while done.len() < expected.len() {
+            match from_workers.recv_timeout(timeout) {
+                Ok(WorkerMsg::Fatal { worker, reason }) => {
+                    return Err(DistError::WorkerFailed { worker, reason });
+                }
+                // A report for a boundary long gone.
+                Ok(WorkerMsg::Snapshot(_) | WorkerMsg::Final(_)) => {}
+                Ok(WorkerMsg::Grads(m)) => {
+                    if m.step != step || m.phase != phase || !expected.contains(&m.worker) {
+                        fleet.discard_stale(&m, step);
+                        continue;
+                    }
+                    // The run's first contribution to a phase fixes its bucket
+                    // plan (every worker derives the identical layout).
+                    let red = slot.reducer.get_or_insert_with(|| {
+                        let plan = BucketPlan::new(&m.layout, env.bucket_bytes);
+                        let mut r = BucketedReducer::new(plan);
+                        r.start_round();
+                        r
+                    });
+                    slot.layout.get_or_insert_with(|| Arc::clone(&m.layout));
+                    let data = m.payload.as_slice().get(m.range.clone());
+                    let intact = m.buckets == red.plan().buckets()
+                        && data.is_some_and(|d| wire_checksum(d) == m.checksum);
+                    let Some(data) = data.filter(|_| intact) else {
+                        // Bit corruption on the wire (or a protocol mismatch):
+                        // the first bad bucket rejects the whole contribution
+                        // once; the worker stays live.
+                        fleet.report.corrupted_messages += 1;
+                        probe::counter_add("dist.corrupted_messages", 1);
+                        probe::event(
+                            "fault",
+                            "message_corrupted",
+                            vec![
+                                ("worker", m.worker.into()),
+                                ("step", step.into()),
+                                ("bucket", m.bucket.into()),
+                            ],
+                        );
+                        expected.remove(&m.worker);
+                        expected_vec.retain(|&x| x != m.worker);
+                        done.remove(&m.worker);
+                        got.remove(&m.worker);
+                        continue;
+                    };
+                    if !red.accept(m.worker, m.bucket, data) {
+                        fleet.count_stale(); // duplicate bucket delivery
+                        continue;
+                    }
+                    let c = got.entry(m.worker).or_insert_with(|| Contribution {
+                        loss: m.loss,
+                        compute: m.compute,
+                        encode: m.encode,
+                        ready_us: vec![0; m.buckets],
+                    });
+                    if let Some(at) = c.ready_us.get_mut(m.bucket) {
+                        *at = m.ready_us;
+                    }
+                    if red.complete(m.worker) {
+                        done.insert(m.worker);
+                    }
+                    if *eager {
+                        red.try_reduce(&expected_vec);
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {
+                    // Probe the missing members: a crashed worker dropped
+                    // its receiver, so the probe send fails.
+                    let missing: Vec<usize> =
+                        expected.iter().copied().filter(|x| !done.contains(x)).collect();
+                    for x in missing {
+                        if !fleet.deliver(x, AggMsg::Ping) {
+                            expected.remove(&x);
+                            expected_vec.retain(|&y| y != x);
+                            got.remove(&x);
+                            fleet.mark_crashed(x, step);
+                        }
+                    }
+                    if fleet.membership.active_count() == 0 {
+                        return Err(DistError::AllWorkersDead { step });
+                    }
+                    if done.len() >= expected.len() {
+                        break; // crashes explained every missing member
+                    }
+                    retries += 1;
+                    probe::counter_add("dist.retries", 1);
+                    if retries > recovery.max_retries {
+                        let lost = expected.len() - done.len();
+                        fleet.report.lost_contributions += lost;
+                        probe::counter_add("dist.lost_contributions", lost as u64);
+                        probe::event(
+                            "fault",
+                            "contribution_lost",
+                            vec![("step", step.into()), ("lost", lost.into())],
+                        );
+                        break; // degrade: proceed with what arrived
+                    }
+                    timeout = Duration::from_secs_f64(timeout.as_secs_f64() * recovery.backoff);
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    return Err(DistError::AllWorkersDead { step });
+                }
             }
         }
         if fleet.membership.active_count() == 0 {
             return Err(DistError::AllWorkersDead { step });
         }
+        got.retain(|x, _| done.contains(x) && expected.contains(x));
+        Ok(got)
+    }
 
-        // The *next* boundary needs catch-up state if a periodic
-        // checkpoint falls on it or a join is waiting for admission.
-        let next_step = step + 1;
-        let want_ckpt =
-            ctx.opts.checkpoint.is_enabled() && next_step.is_multiple_of(ctx.opts.checkpoint.every);
-        let pending_join = next_step < ctx.steps
-            && plan.joins_through(next_step).any(|key| !admitted.contains(&key));
-        let want_state = want_ckpt || pending_join;
+    /// Plays round `step`: syncs the members' view of the fleet, broadcasts
+    /// the `Step`, and runs the phases — whoever delivered a phase intact is
+    /// whom the next phase waits for; everybody with a channel gets every
+    /// verdict.
+    fn play_round(&mut self, step: usize) -> DistResult<()> {
+        // ---- Epoch sync: refresh the broadcast member view and re-price
+        // the tensor-pool width for the current member count. ----
+        if self.fleet.membership.epoch() != self.broadcast_epoch {
+            self.broadcast_epoch = self.fleet.membership.epoch();
+            self.members_arc = Arc::new(self.fleet.membership.active());
+            self.pool_guard.recap(self.fleet.membership.active_count());
+        }
+        let (epoch, members) = (self.broadcast_epoch, Arc::clone(&self.members_arc));
+        let round_sp = probe::timed_span_with("dist", "round", || {
+            vec![("step", step.into()), ("epoch", epoch.into()), ("live", members.len().into())]
+        });
 
-        // ---- The round, phase by phase. Whoever delivered a phase intact
-        // is whom the next phase waits for; everybody with a channel gets
-        // every verdict. ----
-        let mut expected: BTreeSet<usize> = fleet.membership.active().into_iter().collect();
-        let mut slowest = Duration::ZERO;
-        let mut loss_mean = f32::NAN;
-        let mut encode = Duration::ZERO;
-        let mut ready_us: Vec<u64> = Vec::new();
-        let mut contributors: Vec<usize> = Vec::new();
-        let mut central: Option<RoundStats> = None;
-        for (phase, slot) in slots.iter_mut().enumerate() {
-            let got = collect_phase(
-                from_workers,
-                &mut fleet,
-                recovery,
-                ctx.bucket_bytes,
-                slot,
-                step,
-                phase,
-                expected,
-                worker_side,
-            )?;
-            contributors = got.keys().copied().collect();
-            if phase == 0 {
-                slowest = got.values().map(|c| c.compute).max().unwrap_or_default();
-                if !got.is_empty() {
-                    loss_mean = got.values().map(|c| c.loss).sum::<f32>() / got.len() as f32;
-                }
-                let buckets = got.values().map(|c| c.ready_us.len()).max().unwrap_or(0);
-                ready_us = (0..buckets)
-                    .map(|b| {
-                        got.values().filter_map(|c| c.ready_us.get(b).copied()).max().unwrap_or(0)
-                    })
-                    .collect();
+        // ---- Begin the round: a crashed member fails the send. ----
+        for &x in members.iter() {
+            let msg = AggMsg::Step { step, epoch, members: Arc::clone(&members) };
+            if !self.fleet.deliver(x, msg) {
+                self.fleet.mark_crashed(x, step);
             }
-            encode += got.values().map(|c| c.encode).max().unwrap_or_default();
-            // The lowest-indexed live member doubles as snapshot leader.
-            let leader = fleet.senders.keys().next().copied();
-            let last = phase + 1 == n_phases;
-            let report_of = |x: usize| match (want_state, Some(x) == leader) {
-                (true, true) => Report::Full,
-                (true, false) if worker_side => Report::Codec,
-                _ => Report::Nothing,
-            };
+        }
+        if self.fleet.membership.active_count() == 0 {
+            return Err(DistError::AllWorkersDead { step });
+        }
 
-            // ---- Reduce what arrived. AMP-style guard: a poisoned
-            // gradient (or a phase with no usable contribution) skips the
-            // step on every replica. The unchanged state is still valid,
-            // so snapshots proceed. ----
-            let reduced = match (slot.reducer.as_mut(), slot.layout.as_ref()) {
-                (Some(red), Some(layout)) if !contributors.is_empty() => {
-                    if worker_side {
-                        Some(red.finalize(&contributors))
-                            .filter(|mean| !any_nonfinite(std::slice::from_ref(*mean)))
-                            .and_then(|mean| {
-                                let out = reclaim(&mut slot.mean, mean.len())?;
-                                out.as_mut_slice().copy_from_slice(mean.as_slice());
-                                Some(())
-                            })
-                    } else {
-                        central_round(red, layout, &contributors, compressor, &mut slot.mean)
-                            .map(|stats| central = Some(stats))
-                    }
-                }
-                _ => None,
-            };
-            if reduced.is_none() {
-                if let Some(r) = slot.reducer.as_mut() {
-                    r.mark_dirty();
-                }
-                fleet.broadcast(step, |x| AggMsg::Skip { report: report_of(x) });
-                fleet.report.skipped_steps.push(step);
-                probe::event(
-                    "fault",
-                    "step_skipped",
-                    vec![("step", step.into()), ("contributors", contributors.len().into())],
-                );
-                acc.record_skipped(step, slowest);
-                step_losses.push(loss_mean);
-                probe::metrics_row(
-                    "dist_step",
-                    &[
-                        ("step", step.into()),
-                        ("loss", loss_mean.into()),
-                        ("contributors", contributors.len().into()),
-                        ("live", fleet.membership.active_count().into()),
-                        ("skipped", 1usize.into()),
-                    ],
-                );
-                pending_snapshot = collect_snapshot(
-                    ctx,
-                    snap_rx,
-                    &mut fleet,
-                    compressor,
-                    worker_side,
-                    want_state,
-                    want_ckpt,
-                    next_step,
-                );
-                round_sp.finish();
-                continue 'steps;
+        let mut expected: BTreeSet<usize> = self.fleet.membership.active().into_iter().collect();
+        let mut round = RoundTally { loss_mean: f32::NAN, ..RoundTally::default() };
+        let mut applied = true;
+        for phase in 0..self.books.slots.len() {
+            let got = self.collect_phase(step, phase, expected)?;
+            round.absorb(phase, &got);
+            let Some(slot) = self.books.slots.get_mut(phase) else { break };
+            let (contributors, central) = (&round.contributors, &mut round.central);
+            if !slot.reduce(contributors, self.books.worker_side, self.compressor, central) {
+                // The unchanged state is still valid: the next boundary may
+                // ask for it all the same.
+                self.fleet.broadcast(step, |_| AggMsg::Skip);
+                applied = false;
+                break;
             }
             let mean = &slot.mean;
             probe::hist_record("dist", "broadcast_bytes", (mean.len() * 4) as u64);
-            fleet.broadcast(step, |x| AggMsg::Reduced {
+            self.fleet.broadcast(step, |x| AggMsg::Reduced {
                 payload: Arc::clone(mean),
                 contributed: contributors.binary_search(&x).is_ok(),
-                report: if last { report_of(x) } else { Report::Nothing },
             });
             expected = contributors.iter().copied().collect();
         }
+        self.book_round(step, &round, applied)?;
+        round_sp.finish();
+        Ok(())
+    }
 
-        // ---- Price the round for the member set actually live. ----
-        let live_vec: Vec<usize> = fleet.membership.active();
-        let (profile, jitter) = match &ctx.opts.hetero {
-            Some(h) => (h.effective(&live_vec)?, h.jitter_factor(step as u64)),
-            None => (ClusterProfile { nodes: live_vec.len(), ..ctx.cfg.profile }, 1.0),
+    /// The epilogue of every round, applied or skipped: books it in the
+    /// breakdown, records its loss and writes its `dist_step` row.
+    fn book_round(&mut self, step: usize, round: &RoundTally, applied: bool) -> DistResult<()> {
+        let n_contributors = round.contributors.len();
+        let live = self.fleet.membership.active_count();
+        let outcome = if applied {
+            ("bytes", self.price_round(step, round)?.encoded_bytes.into())
+        } else {
+            self.fleet.report.skipped_steps.push(step);
+            probe::event(
+                "fault",
+                "step_skipped",
+                vec![("step", step.into()), ("contributors", n_contributors.into())],
+            );
+            self.books.acc.record_skipped(step, round.slowest);
+            ("skipped", 1usize.into())
         };
-        let n_contributors = contributors.len();
-        let stats = match central {
+        self.books.step_losses.push(round.loss_mean);
+        probe::metrics_row(
+            "dist_step",
+            &[
+                ("step", step.into()),
+                ("loss", round.loss_mean.into()),
+                ("contributors", n_contributors.into()),
+                ("live", live.into()),
+                outcome,
+            ],
+        );
+        Ok(())
+    }
+
+    /// Prices an applied round for the member set actually live and books
+    /// it; returns what it moved.
+    fn price_round(&mut self, step: usize, round: &RoundTally) -> DistResult<RoundStats> {
+        let opts = self.env.opts;
+        let live_vec: Vec<usize> = self.fleet.membership.active();
+        let (profile, jitter) = match &opts.hetero {
+            Some(h) => (h.effective(&live_vec)?, h.jitter_factor(step as u64)),
+            None => (ClusterProfile { nodes: live_vec.len(), ..self.env.cfg.profile }, 1.0),
+        };
+        let n_contributors = round.contributors.len();
+        let stats = match round.central {
             // Every node also packed its gradient for the central round.
-            Some(s) => RoundStats { encode_time: s.encode_time + encode, ..s },
+            Some(s) => RoundStats { encode_time: s.encode_time + round.encode, ..s },
             None => RoundStats::new(
-                slots.iter().filter_map(|s| s.layout.as_ref()).map(|l| l.total_bytes()).sum(),
+                self.books
+                    .slots
+                    .iter()
+                    .filter_map(|s| s.layout.as_ref())
+                    .map(|l| l.total_bytes())
+                    .sum(),
                 n_contributors,
                 AggregationKind::AllReduce,
-                encode,
+                round.encode,
                 Duration::ZERO,
             ),
         };
         // A central round's decode is the aggregator's; a worker-side
         // codec's is whatever the slowest worker reports when the run ends.
-        decode_base.push((step, stats.decode_time));
-        match slots.first().and_then(|s| s.reducer.as_ref()) {
-            Some(red) if worker_side && n_phases == 1 => {
+        self.books.decode_base.push((step, stats.decode_time));
+        match self.books.slots.first().and_then(|s| s.reducer.as_ref()) {
+            Some(red) if self.books.worker_side && self.books.slots.len() == 1 => {
                 // One linear phase over the gradient itself: each bucket's
                 // collective is priced with the selected algorithm and laid
                 // on a modeled timeline that starts when the slowest
                 // contributor produced that bucket's gradients — the comm
                 // time hidden under still-running backward is the round's
                 // *overlapped* share, the remainder is exposed.
-                let bucket_comms =
-                    overlap_timeline(red.plan(), &ready_us, slowest, n_contributors, |bytes| {
-                        profile.allreduce_with(ctx.collective, bytes).mul_f64(jitter)
-                    });
-                let group = match ctx.collective {
+                let algo = self.collective;
+                let price = |bytes| profile.allreduce_with(algo, bytes).mul_f64(jitter);
+                let bucket_comms = overlap_timeline(
+                    red.plan(),
+                    &round.ready_us,
+                    round.slowest,
+                    n_contributors,
+                    price,
+                );
+                let group = match algo {
                     CollectiveAlgo::Hierarchical { group } => {
                         Some(hier_group(profile.nodes, group))
                     }
                     _ => None,
                 };
-                acc.record_overlapped(
+                self.books.acc.record_overlapped(
                     step,
-                    ctx.collective.span_name(),
+                    algo.span_name(),
                     group,
                     profile.nodes,
                     &bucket_comms,
-                    slowest,
+                    round.slowest,
                     &stats,
                 );
             }
@@ -1884,63 +1987,24 @@ where
                 // Payloads that exist only once backward is over (a
                 // multi-phase codec's, or a central round's messages): one
                 // collective over the round's bytes, all of it exposed.
-                let kind =
-                    if worker_side { AggregationKind::AllReduce } else { compressor.aggregation() };
+                let kind = if self.books.worker_side {
+                    AggregationKind::AllReduce
+                } else {
+                    self.compressor.aggregation()
+                };
                 let comm = round_comm_time(&profile, kind, &stats).mul_f64(jitter);
-                acc.record_with_comm(step, kind, profile.nodes, comm, slowest, &stats);
+                self.books.acc.record_with_comm(
+                    step,
+                    kind,
+                    profile.nodes,
+                    comm,
+                    round.slowest,
+                    &stats,
+                );
             }
         }
-        step_losses.push(loss_mean);
-        probe::metrics_row(
-            "dist_step",
-            &[
-                ("step", step.into()),
-                ("loss", loss_mean.into()),
-                ("contributors", n_contributors.into()),
-                ("live", live_vec.len().into()),
-                ("bytes", stats.encoded_bytes.into()),
-            ],
-        );
-
-        pending_snapshot = collect_snapshot(
-            ctx,
-            snap_rx,
-            &mut fleet,
-            compressor,
-            worker_side,
-            want_state,
-            want_ckpt,
-            next_step,
-        );
-        round_sp.finish();
+        Ok(stats)
     }
-
-    // ---- Final boundary: a periodic checkpoint falling exactly on the
-    // end of the run is still written. ----
-    let want_ckpt_final = ctx.opts.checkpoint.is_enabled()
-        && ctx.steps > ctx.start_step
-        && ctx.steps.is_multiple_of(ctx.opts.checkpoint.every);
-    if want_ckpt_final && pending_snapshot.as_ref().is_some_and(|s| s.0 == ctx.steps) {
-        if let Some((s, state)) = pending_snapshot.take() {
-            let ck = checkpoint_of(s, state, &*compressor, &fleet.membership);
-            write_checkpoint(ctx, &ck, &mut checkpoints)?;
-        }
-    }
-
-    // ---- Finish: survivors report their final parameters. ----
-    fleet.broadcast(ctx.steps, |_| AggMsg::Finish);
-    fleet.report.survivors = fleet.membership.active_count();
-    Ok(AggOutput {
-        acc,
-        decode_base,
-        worker_side,
-        _slots: slots,
-        step_losses,
-        report: fleet.report,
-        checkpoints,
-        final_epoch: fleet.membership.epoch(),
-        membership: fleet.membership.into_log(),
-    })
 }
 
 /// The classic whole-tensor round, for compressors whose decode needs
@@ -1967,7 +2031,7 @@ fn central_round(
 }
 
 /// The checkpoint of boundary `step`: the leader's replica state, the
-/// compressor's (for worker-side codecs, what the snapshot gathered from
+/// compressor's (for worker-side codecs, what the boundary gathered from
 /// the members) and the member set as of now.
 fn checkpoint_of(
     step: usize,
@@ -1984,76 +2048,6 @@ fn checkpoint_of(
         members: membership.active(),
         epoch: membership.epoch(),
     }
-}
-
-/// Writes a periodic checkpoint, if the policy names a path for its step.
-fn write_checkpoint<F>(
-    ctx: &AggCtx<'_, F>,
-    ck: &DistCheckpoint,
-    checkpoints: &mut Vec<PathBuf>,
-) -> DistResult<Option<PathBuf>> {
-    let Some(path) = ctx.opts.checkpoint.path_for(ck.step) else { return Ok(None) };
-    ck.save(&path)?;
-    probe::counter_add("dist.checkpoint_writes", 1);
-    probe::event("dist", "checkpoint_written", vec![("step", ck.step.into())]);
-    checkpoints.push(path.clone());
-    Ok(Some(path))
-}
-
-/// Collects the post-round reports for the upcoming boundary: the leader's
-/// replica state and, for worker-side codecs, every member's share of the
-/// compressor state, which is merged back into `compressor` so a
-/// checkpoint (or a joiner's codec) can be cut from it. A report that does
-/// not come is probed for like a missing gradient. A missed leader
-/// snapshot when a periodic checkpoint is due is a recorded checkpoint
-/// failure; joins waiting on it are simply deferred.
-#[allow(clippy::too_many_arguments)]
-fn collect_snapshot<F>(
-    ctx: &AggCtx<'_, F>,
-    snap_rx: &Receiver<Snapshot>,
-    fleet: &mut Fleet,
-    compressor: &mut dyn GradCompressor,
-    worker_side: bool,
-    want_state: bool,
-    want_ckpt: bool,
-    next_step: usize,
-) -> Option<(usize, ModelState)> {
-    if !want_state {
-        return None;
-    }
-    let recovery = &ctx.opts.recovery;
-    // Whoever was asked: the leader, and with it every member whose codec
-    // holds state.
-    let mut asked: BTreeSet<usize> = match fleet.senders.keys().next() {
-        Some(_) if worker_side => fleet.senders.keys().copied().collect(),
-        Some(&leader) => [leader].into(),
-        None => BTreeSet::new(),
-    };
-    let mut model: Option<ModelState> = None;
-    let mut codec_state: Vec<(String, Tensor)> = Vec::new();
-    let mut retries = 0u32;
-    while !asked.is_empty() && retries <= recovery.max_retries {
-        match snap_rx.recv_timeout(recovery.step_timeout) {
-            Ok(s) if s.next_step == next_step && asked.remove(&s.worker) => {
-                model = model.or(s.model);
-                merge_codec_states(&mut codec_state, s.codec);
-            }
-            Ok(_) => {} // a report for a boundary long gone
-            Err(RecvTimeoutError::Timeout) => {
-                retries += 1;
-                asked.retain(|&x| fleet.deliver(x, AggMsg::Ping));
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    let restored = !worker_side || compressor.restore_state(&codec_state);
-    let pending = model.filter(|_| restored).map(|m| (next_step, m));
-    if pending.is_none() && want_ckpt {
-        fleet.report.checkpoint_failures += 1;
-        probe::counter_add("dist.checkpoint_failures", 1);
-        probe::event("fault", "checkpoint_failed", vec![("step", next_step.into())]);
-    }
-    pending
 }
 
 /// Extracts member `w`'s rows of a global batch (rows split evenly across

@@ -146,7 +146,11 @@ fn checkpoint_crash_resume_is_bitwise_identical() {
     let with_ckpt =
         train_data_parallel_with(factory, &batches, &mut ckpt_c, &cfg, &ckpt_opts).unwrap();
     assert_eq!(with_ckpt.final_params, clean.final_params);
-    assert!(!with_ckpt.checkpoints.is_empty());
+    // Six steps, every three: the boundary after round 2 and the one after
+    // the last round — the same function — each wrote its file.
+    let files: Vec<_> = [3, 6].iter().map(|&s| ckpt_opts.checkpoint.path_for(s).unwrap()).collect();
+    assert_eq!(with_ckpt.checkpoints, files);
+    assert_eq!(DistCheckpoint::load(&files[1]).unwrap().params, clean.final_params);
 
     // Crash the whole fleet after the step-3 checkpoint: the run dies, the
     // checkpoint survives on disk.

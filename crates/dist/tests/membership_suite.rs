@@ -7,6 +7,8 @@
 //! [`FaultPlan`], so every scenario is deterministic.
 
 use puffer_compress::none::NoCompression;
+use puffer_compress::powersgd::PowerSgd;
+use puffer_compress::GradCompressor;
 use puffer_dist::checkpoint::{CheckpointPolicy, DistCheckpoint};
 use puffer_dist::cost::{ClusterProfile, HeteroProfile};
 use puffer_dist::fault::FaultPlan;
@@ -217,6 +219,30 @@ fn join_admission_waits_for_a_periodic_checkpoint_boundary() {
     assert_eq!(ck.step, 2);
     assert_eq!(ck.members, vec![0, 1, 2]);
     assert_eq!(ck.epoch, 1);
+
+    // The joiner is seeded from the struct that file was written from, not
+    // from the file: the same run without a checkpoint directory ends on the
+    // same bits, log and epoch — with PowerSGD too, whose codec state the
+    // boundary gathers from the members either way.
+    let no_dir = RunOptions { checkpoint: CheckpointPolicy::disabled(), ..opts.clone() };
+    let mut comp = NoCompression::new();
+    let bare = train_data_parallel_with(|_| mlp(51), &batches, &mut comp, &cfg, &no_dir).unwrap();
+    assert!(bare.checkpoints.is_empty());
+    assert_eq!(bare.final_params, out.final_params, "NoCompression: file or no file");
+    assert_eq!(bare.membership, out.membership);
+    assert_eq!(bare.final_epoch, out.final_epoch);
+    let powersgd = |opts: &RunOptions| {
+        let mut comp = PowerSgd::new(2, 9);
+        let out = train_data_parallel_with(|_| mlp(51), &batches, &mut comp, &cfg, opts).unwrap();
+        (out, comp.state_snapshot())
+    };
+    let (filed, filed_state) = powersgd(&opts);
+    let (bare, bare_state) = powersgd(&no_dir);
+    assert_eq!(filed.faults.survivors, 3);
+    assert_eq!(bare.final_params, filed.final_params, "PowerSGD: file or no file");
+    assert_eq!(bare_state, filed_state, "compressor state");
+    assert_eq!(bare.membership, filed.membership);
+    assert_eq!(bare.final_epoch, filed.final_epoch);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -259,6 +285,24 @@ fn resume_with_wider_configured_fleet_restores_checkpointed_members() {
         width_before,
         "the pool-width cap must be restored after resume"
     );
+
+    // A join scheduled at or before the resume point was the original
+    // run's to admit, and the checkpointed member set says how that ended:
+    // the resumed run neither replays it nor defers it to a later boundary.
+    // One scheduled right after it is admitted where it asks to be.
+    let ck = DistCheckpoint::load(ck_path).unwrap();
+    let churn_opts = RunOptions {
+        resume: Some(ck),
+        membership: MembershipPlan::none().with_join(4, 2).with_join(3, 3),
+        recovery: quick_recovery(),
+        ..RunOptions::default()
+    };
+    let mut c3 = NoCompression::new();
+    let churned =
+        train_data_parallel_with(|_| mlp(61), &batches, &mut c3, &cfg5, &churn_opts).unwrap();
+    let log: Vec<_> = churned.membership.iter().map(|e| (e.kind, e.worker, e.step)).collect();
+    assert_eq!(log, [(MemberEventKind::Join, 3, 3)]);
+    assert_eq!(churned.faults.survivors, 4);
     std::fs::remove_dir_all(&dir).ok();
 }
 

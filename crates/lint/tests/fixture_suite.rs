@@ -131,6 +131,13 @@ fn compiler_held_contracts_stay_configured() {
         for lint in PANIC_FAMILY {
             assert!(deny.contains(lint), "{rel} no longer denies {lint}");
         }
+        // The trainer's function budget: the lint level in the crate, the
+        // threshold in the clippy.toml nearest to it.
+        if rel == "crates/dist/src/lib.rs" {
+            assert!(deny.contains("clippy::too_many_lines"), "{rel} lost its function budget");
+            let config = read("crates/dist/clippy.toml");
+            assert!(config.contains("\ntoo-many-lines-threshold = 120\n"), "budget moved");
+        }
     }
     let manifest = read("Cargo.toml");
     let lints = manifest.split("[workspace.lints.clippy]").nth(1).expect("workspace lint table");

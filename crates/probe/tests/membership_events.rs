@@ -6,11 +6,13 @@
 //!
 //! `puffer-probe` is upstream of `puffer-dist`, so this test replays the
 //! exact category/name/row-type literals the trainer uses
-//! (`puffer_dist::membership::{PROBE_CATEGORY, EV_*, ROW_TYPE}`); the
-//! dist-side membership suite asserts the trainer actually emits them.
+//! (`puffer_dist::membership::{PROBE_CATEGORY, EV_*, ROW_TYPE}`);
+//! `crates/dist/tests/membership_probe.rs` asserts the trainer actually
+//! emits them.
 
 use puffer_probe as probe;
 use puffer_probe::{ArgValue, ProbeConfig};
+use std::sync::{Mutex, PoisonError};
 
 const CATEGORY: &str = "membership";
 const ROW_TYPE: &str = "membership_event";
@@ -49,8 +51,14 @@ fn emit_all() {
     }
 }
 
+/// Both tests `reset()` and `configure()` the process-global probe: each
+/// holds this for its whole body, so the harness's threads run them one
+/// after the other.
+static PROBE: Mutex<()> = Mutex::new(());
+
 #[test]
 fn membership_events_round_trip_with_full_attribution() {
+    let _probe = PROBE.lock().unwrap_or_else(PoisonError::into_inner);
     probe::reset();
     probe::configure(ProbeConfig::in_memory());
     emit_all();
@@ -91,6 +99,7 @@ fn membership_events_round_trip_with_full_attribution() {
 
 #[test]
 fn membership_rows_survive_the_jsonl_file_exporter() {
+    let _probe = PROBE.lock().unwrap_or_else(PoisonError::into_inner);
     let dir = std::env::temp_dir().join(format!("puffer_probe_member_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let metrics_path = dir.join("membership.jsonl");

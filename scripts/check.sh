@@ -66,13 +66,9 @@ echo "== puffer-bench: system gates, insight pipeline, CLI and guarantee tests (
 # do); per Table 6 model, pooled == fresh bit for bit with zero steady-state
 # pool misses (§9). trace_demo_pipeline.rs is the Chrome-trace schema, the
 # insight gates, straggler attribution and byte-identical re-render on the
-# trace-demo run (§12); one assertion in it reads the scheduler — that the
-# slowed worker owns every straggler-bound round's critical path — and on a
-# host with fewer hardware threads than the demo's four workers it fails
-# about one run in three, as it did before it ran here (ROADMAP item 4):
-# rerun that test alone before believing it. cli.rs drives the binary:
-# nothing written without --out, one parseable line with it, `diff` fails a
-# lost gate. The lib tests pin the experiment tables against DESIGN.md §4.
+# trace-demo run (§12). cli.rs drives the binary: nothing written without
+# --out, one parseable line with it, `diff` fails a lost gate. The lib tests
+# pin the experiment tables against DESIGN.md §4.
 cargo test -q --release --offline --locked -p puffer-bench
 
 echo "== allocation steady-state gate under the scalar GEMM fallback"
