@@ -10,17 +10,35 @@
 //! per-step SVD cost can be measured against PowerSGD's power iteration
 //! and Pufferfish's zero-cost rounds.
 
-use crate::{AggregationKind, GradCompressor, RoundStats};
-use puffer_probe::Stopwatch;
-use puffer_tensor::svd::truncated_svd_seeded;
-use puffer_tensor::Tensor;
-use std::time::Duration;
+// Reached from the data-parallel trainer's worker threads, which must fail
+// typed, not panic (DESIGN.md §8): same deny list as `puffer-dist`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
+use crate::pack::PackLayout;
+use crate::{
+    copy_exact, factor_dims, length_mismatch, messages, reshape, u64_of, words_of, AggregationKind,
+    GradCompressor, WorkerCodec,
+};
+use puffer_tensor::svd::{truncated_svd_seeded, SvdFactors};
+use puffer_tensor::{Result, Tensor};
 
 /// ATOMO compressor at fixed spectral rank.
 #[derive(Debug)]
 pub struct Atomo {
     rank: usize,
     seed: u64,
+    /// Rounds played so far; with the seed it seeds the round's range finder.
     step: u64,
 }
 
@@ -39,14 +57,13 @@ impl Atomo {
     pub fn rank(&self) -> usize {
         self.rank
     }
+}
 
-    fn as_matrix(t: &Tensor) -> Option<Tensor> {
-        if t.ndim() < 2 {
-            return None;
-        }
-        let rows = t.shape()[0];
-        Some(t.reshape(&[rows, t.len() / rows]).expect("element count"))
-    }
+/// The round counter as its snapshot row (two bit-pattern words).
+fn step_row(step: u64) -> Vec<(String, Tensor)> {
+    let mut t = Tensor::zeros(&[2]);
+    t.as_mut_slice().copy_from_slice(&words_of(step));
+    vec![("step".to_string(), t)]
 }
 
 impl GradCompressor for Atomo {
@@ -59,67 +76,135 @@ impl GradCompressor for Atomo {
         AggregationKind::AllGather
     }
 
-    fn round(&mut self, worker_grads: &[Vec<Tensor>]) -> (Vec<Tensor>, RoundStats) {
-        self.step += 1;
-        let n_workers = worker_grads.len();
-        let n_layers = worker_grads[0].len();
-        let mut out: Vec<Tensor> = Vec::with_capacity(n_layers);
-        let mut bytes = 0usize;
-        let mut encode_time = Duration::ZERO;
-        let mut decode_time = Duration::ZERO;
-        for li in 0..n_layers {
-            let sample = &worker_grads[0][li];
-            match Self::as_matrix(sample) {
+    fn worker_codec(&mut self, _worker: usize) -> Box<dyn WorkerCodec> {
+        Box::new(AtomoWorker { rank: self.rank, seed: self.seed, step: self.step })
+    }
+
+    fn state_snapshot(&self) -> Vec<(String, Tensor)> {
+        step_row(self.step)
+    }
+
+    fn restore_state(&mut self, state: &[(String, Tensor)]) -> bool {
+        self.step = match state {
+            [] => 0,
+            [(name, t)] if name == "step" && t.len() == 2 => u64_of(t.as_slice()),
+            _ => return false,
+        };
+        true
+    }
+}
+
+/// One node's half of ATOMO: it factorizes its own matrices — the per-step
+/// SVD the paper's intro criticizes — ships `(U, σ, Vᵀ)` per matrix next to
+/// the raw 1-D tensors, and reconstructs and averages everybody's triplets
+/// itself. The round counter is shared state: every node that decodes a
+/// round counts it.
+#[derive(Debug)]
+pub struct AtomoWorker {
+    rank: usize,
+    seed: u64,
+    step: u64,
+}
+
+/// Writes `part` at the front of `out`; what is left of `out` comes back.
+fn put<'a>(out: &'a mut [f32], part: &[f32], op: &'static str) -> Result<&'a mut [f32]> {
+    let (head, tail) = out.split_at_mut(part.len().min(out.len()));
+    copy_exact(head, part, op)?;
+    Ok(tail)
+}
+
+impl WorkerCodec for AtomoWorker {
+    fn payload_layout(&self, _phase: usize, grads: &[&Tensor]) -> PackLayout {
+        let shapes = grads.iter().flat_map(|g| match factor_dims(g, self.rank) {
+            Some((m, n, r)) => vec![vec![m, r], vec![r], vec![r, n]],
+            None => vec![g.shape().to_vec()],
+        });
+        PackLayout::from_shapes(shapes.collect())
+    }
+
+    fn encode(
+        &mut self,
+        _phase: usize,
+        grads: &mut [&mut Tensor],
+        _reduced_prev: Option<&[f32]>,
+        mut out: &mut [f32],
+    ) -> Result<()> {
+        const OP: &str = "atomo encode";
+        let seed = self.seed ^ (self.step + 1);
+        for g in grads.iter_mut() {
+            let Some((m, n, r)) = factor_dims(g, self.rank) else {
+                out = put(out, g.as_slice(), OP)?;
+                continue;
+            };
+            let shape = g.shape().to_vec();
+            reshape(g, &[m, n])?;
+            let f = truncated_svd_seeded(g, r, seed)?;
+            reshape(g, &shape)?;
+            for part in [f.u.as_slice(), &f.s, f.vt.as_slice()] {
+                out = put(out, part, OP)?;
+            }
+        }
+        match out.len() {
+            0 => Ok(()),
+            left => Err(length_mismatch(0, left, OP)),
+        }
+    }
+
+    fn decode(
+        &mut self,
+        reduced_last: &[f32],
+        grads: &mut [&mut Tensor],
+        _contributed: bool,
+    ) -> Result<()> {
+        let len = grads.iter().fold(0, |len, g| match factor_dims(g, self.rank) {
+            Some((m, n, r)) => len + m * r + r + r * n,
+            None => len + g.len(),
+        });
+        let msgs = messages(reduced_last, len, "atomo decode")?;
+        let scale = 1.0 / msgs.len() as f32;
+        let mut at = 0;
+        for g in grads.iter_mut() {
+            let dims = factor_dims(g, self.rank);
+            let part = dims.map_or(g.len(), |(m, n, r)| m * r + r + r * n);
+            // Every message is `len` long and the parts add up to `len`.
+            let range = at..at + part;
+            at = range.end;
+            let parts = msgs.clone().filter_map(|msg| msg.get(range.clone()));
+            match dims {
                 None => {
-                    let mut mean = worker_grads[0][li].clone();
-                    for w in &worker_grads[1..] {
-                        mean.axpy(1.0, &w[li]).expect("shape");
+                    // Copy the first worker's, add the rest, scale once.
+                    for (w, raw) in parts.enumerate() {
+                        if w == 0 {
+                            copy_exact(g.as_mut_slice(), raw, "atomo decode")?;
+                        } else {
+                            g.as_mut_slice().iter_mut().zip(raw).for_each(|(a, b)| *a += b);
+                        }
                     }
-                    mean.scale(1.0 / n_workers as f32);
-                    bytes += mean.len() * 4;
-                    out.push(mean);
+                    g.scale(scale);
                 }
-                Some(m0) => {
-                    let (m, n) = (m0.shape()[0], m0.shape()[1]);
-                    let r = self.rank.min(m).min(n);
-                    // Encode: per-worker truncated SVD — the per-step cost
-                    // the paper's intro criticizes.
-                    let t_enc = Stopwatch::start();
-                    let factors: Vec<_> = worker_grads
-                        .iter()
-                        .map(|grads| {
-                            let mat = Self::as_matrix(&grads[li]).expect("checked");
-                            truncated_svd_seeded(&mat, r, self.seed ^ self.step)
-                                .expect("svd of finite gradient")
-                        })
-                        .collect();
-                    encode_time += t_enc.elapsed();
-                    bytes += (m * r + r + r * n) * 4;
-                    // Decode: every worker reconstructs and averages all
-                    // workers' triplets (allgather semantics).
-                    let t_dec = Stopwatch::start();
+                Some((m, n, r)) => {
                     let mut mean = Tensor::zeros(&[m, n]);
-                    for f in &factors {
-                        mean.axpy(1.0, &f.reconstruct()).expect("shape");
+                    for triplet in parts {
+                        let (u, rest) = triplet.split_at(m * r);
+                        let (s, vt) = rest.split_at(r);
+                        let f = SvdFactors {
+                            u: Tensor::from_vec(u.to_vec(), &[m, r])?,
+                            s: s.to_vec(),
+                            vt: Tensor::from_vec(vt.to_vec(), &[r, n])?,
+                        };
+                        mean.axpy(1.0, &f.reconstruct())?;
                     }
-                    mean.scale(1.0 / n_workers as f32);
-                    decode_time += t_dec.elapsed();
-                    out.push(mean.reshape(sample.shape()).expect("element count"));
+                    mean.scale(scale);
+                    copy_exact(g.as_mut_slice(), mean.as_slice(), "atomo decode")?;
                 }
             }
         }
-        // Per-node encode: each node factorizes only its own gradient.
-        encode_time /= n_workers.max(1) as u32;
-        (
-            out,
-            RoundStats::new(
-                bytes,
-                worker_grads.len(),
-                self.aggregation(),
-                encode_time,
-                decode_time,
-            ),
-        )
+        self.step += 1;
+        Ok(())
+    }
+
+    fn state_snapshot(&self) -> Vec<(String, Tensor)> {
+        step_row(self.step)
     }
 }
 
@@ -151,6 +236,7 @@ mod tests {
 
     #[test]
     fn encode_cost_is_measured_every_round() {
+        use std::time::Duration;
         // The defining pathology: encode time is nonzero on *every* round.
         let mut c = Atomo::new(2, 6);
         let grads = vec![vec![Tensor::randn(&[48, 48], 1.0, 7)]];

@@ -21,23 +21,24 @@
 //!   optimization of issuing **one** allreduce per iteration over a single
 //!   flattened gradient buffer (§4.1).
 //!
-//! Every method implements [`GradCompressor::round`], which plays one
-//! synchronization round in-process: it consumes each worker's per-layer
-//! gradients and returns the aggregated gradient every worker decodes,
-//! along with measured encode/decode times and the exact message size in
-//! bytes (fed to the `puffer-dist` communication cost model).
+//! Every method hands out a **worker-side half**
+//! ([`GradCompressor::worker_codec`] → [`WorkerCodec`]) and that is where
+//! its arithmetic lives: every node encodes its own gradient into a flat
+//! payload, the payloads of a phase are combined the way the method's
+//! collective does it ([`combine_in_order`]) — a pinned-order mean for an
+//! allreduce, the messages laid end to end in worker order for an allgather
+//! — and every node decodes the result itself. A round is a short sequence
+//! of such *phases* — one for the uncompressed baseline and for the
+//! allgather methods (Signum, Top-k, binary quantization, ATOMO), two for
+//! PowerSGD (`P`, then `Q`) — so a trainer never moves a full-size gradient
+//! to run them, and an allgather method's decode costs every node `p`
+//! messages (the appendix-F asymmetry).
 //!
-//! Allreduce-compatible methods additionally hand out a **worker-side
-//! half** ([`GradCompressor::worker_codec`] → [`WorkerCodec`]): every node
-//! encodes its own gradient into a flat payload, the payloads are reduced
-//! by a plain pinned-order mean (an allreduce), and every node decodes the
-//! reduced payload itself. A round is a short sequence of such linear
-//! *phases* — one for the uncompressed baseline, two for PowerSGD (`P`,
-//! then `Q`) — so a trainer never moves a full-size gradient to run them.
-//! For these methods `round` is a driver over the same halves, and the
-//! arithmetic exists once. Allgather methods (Signum, Top-k, binary
-//! quantization, ATOMO) need every worker's message to decode and have no
-//! worker half; `round` is their only form.
+//! [`GradCompressor::round`] plays one synchronization round in-process
+//! over those halves: it consumes each worker's per-layer gradients and
+//! returns the aggregated gradient every worker decodes, along with
+//! measured encode/decode times and the exact message size in bytes (fed to
+//! the `puffer-dist` communication cost model).
 //!
 //! The linear-algebra-heavy compressors — PowerSGD's power iteration /
 //! Gram–Schmidt orthogonalization and ATOMO's per-step SVD — run on
@@ -56,6 +57,7 @@ pub mod topk;
 
 use crate::pack::PackLayout;
 use puffer_probe as probe;
+use puffer_probe::Stopwatch;
 use puffer_tensor::{Result, Tensor, TensorError};
 use std::time::Duration;
 
@@ -129,12 +131,16 @@ pub trait GradCompressor {
     /// The collective the method's messages support.
     fn aggregation(&self) -> AggregationKind;
 
-    /// Plays one round.
+    /// Plays one round in-process: worker halves `0..n` are taken out of
+    /// `self`, encode, have their payloads combined by
+    /// [`combine_in_order`] and decode, and their states go back in.
     ///
     /// # Panics
     ///
-    /// Panics if workers disagree on layer shapes.
-    fn round(&mut self, worker_grads: &[Vec<Tensor>]) -> (Vec<Tensor>, RoundStats);
+    /// Panics if there are no workers or they disagree on layer shapes.
+    fn round(&mut self, worker_grads: &[Vec<Tensor>]) -> (Vec<Tensor>, RoundStats) {
+        drive_halves(self, worker_grads).expect("workers must agree on layer shapes")
+    }
 
     /// Freezes the method's cross-round state (error-feedback memory,
     /// warm-started queries, momentum) as named tensors so a trainer
@@ -154,34 +160,39 @@ pub trait GradCompressor {
     /// The worker-side half of the method for worker `worker`, carrying
     /// that worker's share of the cross-round state (which leaves `self`:
     /// hand the halves' [`WorkerCodec::state_snapshot`]s back through
-    /// [`GradCompressor::restore_state`] to make `self` whole again).
-    /// `None` — the default — for methods whose decode needs every
-    /// worker's message.
-    fn worker_codec(&mut self, worker: usize) -> Option<Box<dyn WorkerCodec>> {
-        let _ = worker;
-        None
-    }
+    /// [`GradCompressor::restore_state`] to make `self` whole again). A
+    /// worker first seen now gets the shared state and none of its own.
+    fn worker_codec(&mut self, worker: usize) -> Box<dyn WorkerCodec>;
 }
 
-/// One node's half of an allreduce-compatible compressor.
+/// One node's half of a compressor.
 ///
 /// A round runs [`WorkerCodec::phases`] phases. In phase `p` every node
-/// calls [`WorkerCodec::encode`] with the mean of the previous phase's
-/// payloads (`None` in phase 0) and contributes the payload it wrote to a
-/// linear reduction (sum in a pinned order, one scale by `1/n`); after the
-/// last phase [`WorkerCodec::decode`] turns the last mean into the round's
-/// gradient, in place. Nodes that see the same means hold the same shared
-/// state afterwards, whatever their own gradients were.
+/// calls [`WorkerCodec::encode`] with the combination of the previous
+/// phase's payloads (`None` in phase 0) and contributes the payload it
+/// wrote to the next one; after the last phase [`WorkerCodec::decode`]
+/// turns the last combination into the round's gradient, in place. What a
+/// combination is depends on the method's [`AggregationKind`]
+/// ([`combine_in_order`]): under `AllReduce` the mean of the payloads (sum
+/// in a pinned order, one scale by `1/n`), as long as one payload; under
+/// `AllGather` the contributors' payloads one after the other in worker-id
+/// order, `n` payloads long, each a message of bit patterns
+/// ([`f32::from_bits`]) nobody may do arithmetic on. Nodes that see the
+/// same combinations hold the same shared state afterwards, whatever their
+/// own gradients were.
 ///
 /// `encode` may overwrite `grads` (the round's gradient is whatever
 /// `decode` writes there); state that outlives the round changes only in
 /// `decode`, so a round dropped by [`WorkerCodec::abort`] leaves no trace.
 pub trait WorkerCodec: Send {
-    /// Number of reduce phases per round (at least 1). A one-phase codec's
-    /// payload must be tensor-by-tensor linear in the gradient list, so a
-    /// trainer may ship a payload tensor as soon as backward has produced
-    /// the gradient tensor of the same index.
-    fn phases(&self) -> usize;
+    /// Number of phases per round (at least 1; one unless the codec says
+    /// otherwise). A one-phase `AllReduce` codec's payload must be
+    /// tensor-by-tensor linear in the gradient list, so a trainer may ship
+    /// a payload tensor as soon as backward has produced the gradient
+    /// tensor of the same index.
+    fn phases(&self) -> usize {
+        1
+    }
 
     /// The tensors `phase`'s payload is made of, for gradients shaped
     /// like `grads`. Buckets are cut along these boundaries.
@@ -202,12 +213,13 @@ pub trait WorkerCodec: Send {
         out: &mut [f32],
     ) -> Result<()>;
 
-    /// Writes the round's mean gradient into `grads` from the mean of the
-    /// last phase's payloads and commits the cross-round state.
+    /// Writes the round's mean gradient into `grads` from the combination
+    /// of the last phase's payloads and commits the cross-round state.
     /// `contributed` is false when this node's payloads did not reach the
-    /// means (lost, late or rejected): it still decodes the same gradient
-    /// and shared state as everyone else, but its own error feedback keeps
-    /// the value it had before the round.
+    /// combinations (lost, late or rejected): it still decodes the same
+    /// gradient and shared state as everyone else, but its own memory
+    /// (error feedback, momentum, random stream) keeps the value it had
+    /// before the round.
     ///
     /// # Errors
     ///
@@ -237,8 +249,139 @@ pub(crate) fn length_mismatch(expected: usize, got: usize, op: &'static str) -> 
     TensorError::ShapeMismatch { expected: vec![expected], got: vec![got], op }
 }
 
-/// Exact mean of same-shaped tensors in slice order — the reduction a
-/// [`WorkerCodec`] phase asks for: copy the first, add the rest in order,
+/// The `m×n` matrix the low-rank methods factorize a gradient as
+/// (`c_out × rest` for conv weights) and the rank it gets, or `None` for the
+/// tensors sent raw.
+pub(crate) fn factor_dims(t: &Tensor, rank: usize) -> Option<(usize, usize, usize)> {
+    if t.ndim() < 2 || t.is_empty() {
+        return None;
+    }
+    let &m = t.shape().first()?;
+    let n = t.len() / m;
+    Some((m, n, rank.min(m).min(n)))
+}
+
+/// Gives `t` a new shape over the same storage (no copy, unlike
+/// [`Tensor::reshape`]).
+pub(crate) fn reshape(t: &mut Tensor, shape: &[usize]) -> Result<()> {
+    *t = Tensor::from_vec(std::mem::take(t).into_vec(), shape)?;
+    Ok(())
+}
+
+/// Coordinates of a gradient list, i.e. the length of its packed buffer.
+pub(crate) fn total_len<T: std::ops::Deref<Target = Tensor>>(grads: &[T]) -> usize {
+    grads.iter().map(|g| g.len()).sum()
+}
+
+/// `src` copied over `dst`, or the error of their lengths differing.
+pub(crate) fn copy_exact(dst: &mut [f32], src: &[f32], op: &'static str) -> Result<()> {
+    if dst.len() != src.len() {
+        return Err(length_mismatch(dst.len(), src.len(), op));
+    }
+    dst.copy_from_slice(src);
+    Ok(())
+}
+
+/// The messages, `len` words each, an allgather laid end to end.
+pub(crate) fn messages<'a>(
+    gathered: &'a [f32],
+    len: usize,
+    op: &'static str,
+) -> Result<std::slice::ChunksExact<'a, f32>> {
+    if len == 0 || gathered.is_empty() || !gathered.len().is_multiple_of(len) {
+        return Err(length_mismatch(len, gathered.len(), op));
+    }
+    Ok(gathered.chunks_exact(len))
+}
+
+/// A 64-bit word as the two payload words that carry it (low half first).
+pub(crate) fn words_of(x: u64) -> [f32; 2] {
+    [f32::from_bits(x as u32), f32::from_bits((x >> 32) as u32)]
+}
+
+/// Inverse of [`words_of`]; missing words read as zero.
+pub(crate) fn u64_of(pair: &[f32]) -> u64 {
+    let half = |i: usize| u64::from(pair.get(i).map_or(0, |w| w.to_bits()));
+    half(0) | half(1) << 32
+}
+
+/// One round over one half per worker, in-process (the provided
+/// [`GradCompressor::round`]).
+fn drive_halves<C: GradCompressor + ?Sized>(
+    compressor: &mut C,
+    worker_grads: &[Vec<Tensor>],
+) -> Result<(Vec<Tensor>, RoundStats)> {
+    let n_workers = worker_grads.len();
+    let kind = compressor.aggregation();
+    let mut halves: Vec<Box<dyn WorkerCodec>> =
+        (0..n_workers).map(|w| compressor.worker_codec(w)).collect();
+    // The halves work in place, so each gets its own copy to work on.
+    let mut grads: Vec<Vec<Tensor>> = worker_grads.to_vec();
+    let no_workers = length_mismatch(1, 0, "round");
+    let shapes: Vec<&Tensor> = worker_grads.first().ok_or(no_workers)?.iter().collect();
+
+    let mut encode_time = Duration::ZERO;
+    let mut bytes = 0usize;
+    let mut combined: Option<Tensor> = None;
+    for phase in 0..halves.first().map_or(0, |h| h.phases()) {
+        let len = halves.first().map_or(0, |h| h.payload_layout(phase, &shapes).total_len());
+        bytes += len * 4;
+        let mut payloads: Vec<Tensor> = Vec::with_capacity(n_workers);
+        for (half, g) in halves.iter_mut().zip(&mut grads) {
+            let t_enc = Stopwatch::start();
+            let mut out = Tensor::zeros(&[len]);
+            let mut g: Vec<&mut Tensor> = g.iter_mut().collect();
+            let prev = combined.as_ref().map(Tensor::as_slice);
+            half.encode(phase, &mut g, prev, out.as_mut_slice())?;
+            encode_time += t_enc.elapsed();
+            payloads.push(out);
+        }
+        combined = Some(combine_in_order(kind, &payloads.iter().collect::<Vec<_>>()));
+    }
+    let combined = combined.unwrap_or_default();
+    let t_dec = Stopwatch::start();
+    for (half, g) in halves.iter_mut().zip(&mut grads) {
+        let mut g: Vec<&mut Tensor> = g.iter_mut().collect();
+        half.decode(combined.as_slice(), &mut g, true)?;
+    }
+    // Per-node times: every node encodes its own gradient and decodes for
+    // itself, all of them at once.
+    let per_node = n_workers.max(1) as u32;
+    let (encode_time, decode_time) = (encode_time / per_node, t_dec.elapsed() / per_node);
+
+    let mut state: Vec<(String, Tensor)> = Vec::new();
+    for (name, t) in halves.iter().flat_map(|h| h.state_snapshot()) {
+        if !state.iter().any(|(n, _)| *n == name) {
+            state.push((name, t));
+        }
+    }
+    assert!(compressor.restore_state(&state), "{} rejected its halves' state", compressor.name());
+    let decoded = grads.into_iter().next().unwrap_or_default();
+    Ok((decoded, RoundStats::new(bytes, n_workers, kind, encode_time, decode_time)))
+}
+
+/// What a collective of `kind` makes of one phase's payloads, given in
+/// worker order: their [`mean_in_order`] (an allreduce) or the payloads end
+/// to end (an allgather). `puffer-dist`'s aggregator produces the same
+/// bits.
+///
+/// # Panics
+///
+/// Panics if `payloads` is empty or, for an allreduce, the lengths differ.
+pub fn combine_in_order(kind: AggregationKind, payloads: &[&Tensor]) -> Tensor {
+    match kind {
+        AggregationKind::AllReduce => mean_in_order(payloads),
+        AggregationKind::AllGather => {
+            assert!(!payloads.is_empty(), "no workers");
+            let mut all = Tensor::zeros(&[payloads.iter().map(|p| p.len()).sum()]);
+            pack::pack_into(payloads.iter().copied(), all.as_mut_slice());
+            all
+        }
+    }
+}
+
+/// Exact mean of same-shaped tensors in slice order — the reduction an
+/// allreduce [`WorkerCodec`] phase asks for: copy the first, add the rest in order,
 /// scale once by the f32 `1/n`. `puffer-dist`'s bucketed reducer produces
 /// the same bits bucket by bucket.
 ///

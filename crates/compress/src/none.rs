@@ -17,11 +17,8 @@
     )
 )]
 
-use crate::pack::{pack, pack_into, unpack, PackLayout};
-use crate::{
-    exact_mean, length_mismatch, AggregationKind, GradCompressor, RoundStats, WorkerCodec,
-};
-use puffer_probe::Stopwatch;
+use crate::pack::{pack_into, unpack_into, PackLayout};
+use crate::{length_mismatch, total_len, AggregationKind, GradCompressor, WorkerCodec};
 use puffer_tensor::{Result, Tensor};
 
 /// No compression: ships raw f32 gradients.
@@ -44,47 +41,17 @@ impl GradCompressor for NoCompression {
         AggregationKind::AllReduce
     }
 
-    fn worker_codec(&mut self, _worker: usize) -> Option<Box<dyn WorkerCodec>> {
-        Some(Box::new(IdentityCodec))
-    }
-
-    fn round(&mut self, worker_grads: &[Vec<Tensor>]) -> (Vec<Tensor>, RoundStats) {
-        // Encode = flatten into one buffer (the paper's packing step).
-        let t0 = Stopwatch::start();
-        let packed: Vec<_> = worker_grads.iter().map(|g| pack(g)).collect();
-        let encode_time = t0.elapsed() / worker_grads.len().max(1) as u32;
-        let bytes = packed.first().map(|(_, l)| l.total_bytes()).unwrap_or(0);
-        // Decode = unpack the (conceptually allreduced) buffer.
-        let t0 = Stopwatch::start();
-        let mean = exact_mean(worker_grads);
-        let (mean_buf, layout) = pack(&mean);
-        let out = unpack(&mean_buf, &layout);
-        let decode_time = t0.elapsed();
-        (
-            out,
-            RoundStats::new(
-                bytes,
-                worker_grads.len(),
-                self.aggregation(),
-                encode_time,
-                decode_time,
-            ),
-        )
+    fn worker_codec(&mut self, _worker: usize) -> Box<dyn WorkerCodec> {
+        Box::new(IdentityCodec)
     }
 }
 
 /// The identity worker half: one phase whose payload is the packed
 /// gradient, so the mean of the payloads *is* the mean gradient. Stateless.
-/// Also what carries a gradient to a central [`GradCompressor::round`] for
-/// the methods that have no worker half of their own.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdentityCodec;
 
 impl WorkerCodec for IdentityCodec {
-    fn phases(&self) -> usize {
-        1
-    }
-
     fn payload_layout(&self, _phase: usize, grads: &[&Tensor]) -> PackLayout {
         PackLayout::of_refs(grads)
     }
@@ -96,7 +63,7 @@ impl WorkerCodec for IdentityCodec {
         _reduced_prev: Option<&[f32]>,
         out: &mut [f32],
     ) -> Result<()> {
-        let total: usize = grads.iter().map(|g| g.len()).sum();
+        let total = total_len(grads);
         if out.len() != total {
             return Err(length_mismatch(total, out.len(), "identity encode"));
         }
@@ -110,23 +77,14 @@ impl WorkerCodec for IdentityCodec {
         grads: &mut [&mut Tensor],
         _contributed: bool,
     ) -> Result<()> {
-        let total: usize = grads.iter().map(|g| g.len()).sum();
-        if reduced_last.len() != total {
-            return Err(length_mismatch(total, reduced_last.len(), "identity decode"));
-        }
-        let mut rest = reduced_last;
-        for g in grads.iter_mut() {
-            let (head, tail) = rest.split_at(g.len());
-            g.as_mut_slice().copy_from_slice(head);
-            rest = tail;
-        }
-        Ok(())
+        unpack_into(reduced_last, grads, "identity decode")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pack::pack;
 
     #[test]
     fn round_is_exact() {
@@ -142,7 +100,7 @@ mod tests {
 
     #[test]
     fn identity_codec_round_trips_the_packed_gradient() {
-        let mut codec = NoCompression::new().worker_codec(3).expect("vanilla has a worker half");
+        let mut codec = NoCompression::new().worker_codec(3);
         assert_eq!(codec.phases(), 1);
         let mut grads = vec![Tensor::randn(&[2, 3], 1.0, 1), Tensor::randn(&[4], 1.0, 2)];
         let want = grads.clone();

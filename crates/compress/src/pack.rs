@@ -8,6 +8,7 @@
 //! bookkeeping.
 
 use puffer_tensor::Tensor;
+use std::collections::BTreeMap;
 
 /// The shape layout of a packed buffer, needed to unpack.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,45 +102,129 @@ impl PackLayout {
     }
 }
 
-/// Snapshot helper for compressors keeping one flat buffer per worker
-/// plus a layout: `[("layout", …), ("<prefix>.00", …), …]`.
-pub(crate) fn snapshot_flat_state(
-    layout: &PackLayout,
+/// Snapshot rows of a compressor keeping one flat buffer per worker id
+/// plus the layout they belong to: `[("layout", …), ("<prefix>.00", …), …]`,
+/// `NN` the worker id; nothing before the first round fixed a layout.
+pub(crate) fn snapshot_flat_state<'a>(
+    layout: Option<&PackLayout>,
     prefix: &str,
-    bufs: &[Tensor],
+    bufs: impl IntoIterator<Item = (usize, &'a Tensor)>,
 ) -> Vec<(String, Tensor)> {
+    let Some(layout) = layout else { return Vec::new() };
     let mut out = vec![("layout".to_string(), layout.to_tensor())];
-    for (w, b) in bufs.iter().enumerate() {
-        out.push((format!("{prefix}.{w:02}"), b.clone()));
-    }
+    let fits = bufs.into_iter().filter(|(_, b)| b.len() == layout.total_len());
+    out.extend(fits.map(|(w, b)| (format!("{prefix}.{w:02}"), b.clone())));
     out
 }
 
-/// Inverse of [`snapshot_flat_state`]; `None` on malformed or mismatched
-/// state.
+/// Inverse of [`snapshot_flat_state`], over the compressor's own snapshot
+/// or any union of its halves'; `None` on malformed or mismatched state.
 pub(crate) fn restore_flat_state(
     state: &[(String, Tensor)],
     prefix: &str,
-) -> Option<(PackLayout, Vec<Tensor>)> {
+) -> Option<(Option<PackLayout>, BTreeMap<usize, Tensor>)> {
+    if state.is_empty() {
+        return Some((None, BTreeMap::new()));
+    }
     let (_, lt) = state.iter().find(|(n, _)| n == "layout")?;
     let layout = PackLayout::from_tensor(lt)?;
-    let total = layout.total_len();
-    let mut bufs: Vec<(usize, Tensor)> = Vec::new();
-    for (name, t) in state {
-        if name == "layout" {
-            continue;
-        }
+    let mut bufs = BTreeMap::new();
+    for (name, t) in state.iter().filter(|(n, _)| n != "layout") {
         let w = name.strip_prefix(prefix)?.strip_prefix('.')?.parse::<usize>().ok()?;
-        if t.len() != total {
+        if t.len() != layout.total_len() {
             return None;
         }
-        bufs.push((w, t.clone()));
+        bufs.insert(w, t.clone());
     }
-    bufs.sort_by_key(|(w, _)| *w);
-    if bufs.iter().enumerate().any(|(i, (w, _))| i != *w) {
-        return None;
+    Some((Some(layout), bufs))
+}
+
+/// One worker's flat cross-round buffer over the packed gradient (Signum's
+/// momentum, Top-k's residual), the layout it belongs to, and the candidate
+/// the round in flight computed for it: [`FlatMemory::begin`] hands the
+/// candidate out, [`FlatMemory::commit`] — a codec's `decode` — makes it
+/// the memory, and a round that never gets there leaves no trace.
+#[derive(Debug)]
+pub(crate) struct FlatMemory {
+    worker: usize,
+    layout: Option<PackLayout>,
+    memory: Tensor,
+    pending: Tensor,
+}
+
+fn layout_of(grads: &[&mut Tensor]) -> PackLayout {
+    PackLayout::from_shapes(grads.iter().map(|g| g.shape().to_vec()).collect())
+}
+
+impl FlatMemory {
+    /// Worker `worker`'s memory as a compressor holds it between rounds
+    /// (`None`: it has none yet).
+    pub(crate) fn new(worker: usize, layout: Option<PackLayout>, memory: Option<Tensor>) -> Self {
+        FlatMemory {
+            worker,
+            layout,
+            memory: memory.unwrap_or_default(),
+            pending: Tensor::default(),
+        }
     }
-    Some((layout, bufs.into_iter().map(|(_, t)| t).collect()))
+
+    /// The candidate, as long as `grads` packed: a copy of the memory, or
+    /// zeros if there is none for gradients laid out like these.
+    pub(crate) fn begin(&mut self, grads: &[&mut Tensor]) -> &mut [f32] {
+        let layout = layout_of(grads);
+        if self.pending.len() != layout.total_len() {
+            self.pending = Tensor::zeros(&[layout.total_len()]);
+        }
+        let pending = self.pending.as_mut_slice();
+        if self.layout.as_ref() == Some(&layout) && self.memory.len() == pending.len() {
+            pending.copy_from_slice(self.memory.as_slice());
+        } else {
+            pending.fill(0.0);
+        }
+        pending
+    }
+
+    /// Ends a round over `grads`: the candidate becomes the memory if
+    /// `keep`. Returns the buffer that is free now, for scratch.
+    pub(crate) fn commit(&mut self, grads: &[&mut Tensor], keep: bool) -> &mut Tensor {
+        let layout = layout_of(grads);
+        if keep {
+            std::mem::swap(&mut self.memory, &mut self.pending);
+        }
+        if self.pending.len() != layout.total_len() {
+            self.pending = Tensor::zeros(&[layout.total_len()]);
+        }
+        self.layout = Some(layout);
+        &mut self.pending
+    }
+
+    /// This worker's rows of [`snapshot_flat_state`].
+    pub(crate) fn snapshot(&self, prefix: &str) -> Vec<(String, Tensor)> {
+        snapshot_flat_state(self.layout.as_ref(), prefix, [(self.worker, &self.memory)])
+    }
+}
+
+/// Copies `flat` back into the tensors it was packed from.
+///
+/// # Errors
+///
+/// Returns a shape error if `flat` is not as long as the tensors together.
+pub(crate) fn unpack_into(
+    flat: &[f32],
+    tensors: &mut [&mut Tensor],
+    op: &'static str,
+) -> puffer_tensor::Result<()> {
+    let total = crate::total_len(tensors);
+    if flat.len() != total {
+        return Err(crate::length_mismatch(total, flat.len(), op));
+    }
+    let mut rest = flat;
+    for t in tensors.iter_mut() {
+        let (head, tail) = rest.split_at(t.len());
+        t.as_mut_slice().copy_from_slice(head);
+        rest = tail;
+    }
+    Ok(())
 }
 
 /// Copies tensors into `out`, one after the other.

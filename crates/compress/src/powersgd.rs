@@ -39,7 +39,8 @@
 
 use crate::pack::PackLayout;
 use crate::{
-    length_mismatch, mean_in_order, AggregationKind, GradCompressor, RoundStats, WorkerCodec,
+    factor_dims, length_mismatch, mean_in_order, reshape, AggregationKind, GradCompressor,
+    RoundStats, WorkerCodec,
 };
 use puffer_probe::Stopwatch;
 use puffer_tensor::matmul::{matmul, matmul_nt, matmul_tn};
@@ -157,24 +158,6 @@ pub struct PowerSgdWorker {
     /// The orthogonalized mean `P̂` per matrix layer, from phase 1's
     /// `encode` until `decode` (or `abort`).
     p_hat: Vec<Option<Tensor>>,
-}
-
-/// The `m×n` matrix PowerSGD factorizes a gradient as (`c_out × rest` for
-/// conv weights) and the rank it gets, or `None` for the tensors sent raw.
-fn factor_dims(t: &Tensor, rank: usize) -> Option<(usize, usize, usize)> {
-    if t.ndim() < 2 || t.is_empty() {
-        return None;
-    }
-    let &m = t.shape().first()?;
-    let n = t.len() / m;
-    Some((m, n, rank.min(m).min(n)))
-}
-
-/// Gives `t` a new shape over the same storage (no copy, unlike
-/// [`Tensor::reshape`]).
-fn reshape(t: &mut Tensor, shape: &[usize]) -> Result<()> {
-    *t = Tensor::from_vec(std::mem::take(t).into_vec(), shape)?;
-    Ok(())
 }
 
 impl PowerSgdWorker {
@@ -408,8 +391,8 @@ impl GradCompressor for PowerSgd {
         self.drive_halves(worker_grads).expect("workers must agree on layer shapes")
     }
 
-    fn worker_codec(&mut self, worker: usize) -> Option<Box<dyn WorkerCodec>> {
-        Some(Box::new(self.take_half(worker)))
+    fn worker_codec(&mut self, worker: usize) -> Box<dyn WorkerCodec> {
+        Box::new(self.take_half(worker))
     }
 
     fn state_snapshot(&self) -> Vec<(String, Tensor)> {

@@ -9,12 +9,29 @@
 //! decompression cost the paper measures at 118.4 s/epoch on 16 nodes
 //! (Figure 7).
 
-use crate::pack::{pack, unpack, PackLayout};
-use crate::{AggregationKind, GradCompressor, RoundStats};
-use puffer_probe::Stopwatch;
+// Reached from the data-parallel trainer's worker threads, which must fail
+// typed, not panic (DESIGN.md §8): same deny list as `puffer-dist`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
+
+use crate::pack::{pack_into, unpack_into, PackLayout};
+use crate::{
+    length_mismatch, messages, total_len, u64_of, words_of, AggregationKind, GradCompressor,
+    WorkerCodec,
+};
 use puffer_tensor::rng::Rng;
-use puffer_tensor::Tensor;
-use std::time::Duration;
+use puffer_tensor::{Result, Tensor};
+use std::collections::BTreeMap;
 
 /// One worker's quantized flat gradient.
 #[derive(Debug, Clone)]
@@ -31,19 +48,54 @@ impl QuantMessage {
         let min = values.iter().copied().fold(f32::INFINITY, f32::min);
         let max = values.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let span = (max - min).max(f32::MIN_POSITIVE);
-        let mut bits = vec![0u64; values.len().div_ceil(64)];
-        for (i, &v) in values.iter().enumerate() {
-            let p = ((v - min) / span).clamp(0.0, 1.0);
-            if rng.gen_f32() < p {
-                bits[i / 64] |= 1u64 << (i % 64);
+        let mut word = |chunk: &[f32]| {
+            chunk.iter().enumerate().fold(0u64, |w, (j, &v)| {
+                let p = ((v - min) / span).clamp(0.0, 1.0);
+                w | u64::from(rng.gen_f32() < p) << j
+            })
+        };
+        QuantMessage {
+            min,
+            max,
+            bits: values.chunks(64).map(&mut word).collect(),
+            len: values.len(),
+        }
+    }
+
+    /// The message of `len` coordinates that travelled as `words`
+    /// ([`QuantMessage::write_words`]).
+    fn from_words(words: &[f32], len: usize) -> Option<Self> {
+        let (&[min, max], bits) = words.split_first_chunk()?;
+        Some(QuantMessage { min, max, bits: bits.chunks(2).map(u64_of).collect(), len })
+    }
+
+    /// Writes the message into a payload: the two levels, then two words
+    /// per 64 coordinates.
+    fn write_words(&self, out: &mut [f32]) -> Result<()> {
+        let Some((levels, bits)) =
+            out.split_first_chunk_mut().filter(|(_, b)| b.len() == 2 * self.bits.len())
+        else {
+            return Err(length_mismatch(self.bytes() / 4, out.len(), "binary-quant encode"));
+        };
+        *levels = [self.min, self.max];
+        for (pair, &w) in bits.chunks_exact_mut(2).zip(&self.bits) {
+            pair.copy_from_slice(&words_of(w));
+        }
+        Ok(())
+    }
+
+    /// Adds the expanded message onto `dense`, coordinate by coordinate.
+    fn add_to(&self, dense: &mut [f32]) {
+        for (chunk, word) in dense.chunks_mut(64).zip(&self.bits) {
+            for (j, d) in chunk.iter_mut().enumerate() {
+                *d += if word >> j & 1 == 1 { self.max } else { self.min };
             }
         }
-        QuantMessage { min, max, bits, len: values.len() }
     }
 
     /// Expands coordinate `i`.
     pub fn decode_at(&self, i: usize) -> f32 {
-        if self.bits[i / 64] >> (i % 64) & 1 == 1 {
+        if self.bits.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1) {
             self.max
         } else {
             self.min
@@ -66,18 +118,29 @@ impl QuantMessage {
     }
 }
 
-/// Stochastic binary quantization compressor.
+/// Stochastic binary quantization compressor: the seed, and where each
+/// worker's random stream stands between rounds.
 #[derive(Debug)]
 pub struct BinaryQuant {
-    rng: Rng,
-    layout: Option<PackLayout>,
+    seed: u64,
+    streams: BTreeMap<usize, Rng>,
 }
 
 impl BinaryQuant {
     /// Creates the compressor.
     pub fn new(seed: u64) -> Self {
-        BinaryQuant { rng: Rng::seed_from_u64(seed), layout: None }
+        BinaryQuant { seed, streams: BTreeMap::new() }
     }
+}
+
+/// Snapshot row of worker `worker`'s stream: its four state words as eight
+/// bit-pattern words.
+fn stream_row(worker: usize, rng: &Rng) -> (String, Tensor) {
+    let mut t = Tensor::zeros(&[8]);
+    for (pair, w) in t.as_mut_slice().chunks_exact_mut(2).zip(rng.state()) {
+        pair.copy_from_slice(&words_of(w));
+    }
+    (format!("rng.{worker:02}"), t)
 }
 
 impl GradCompressor for BinaryQuant {
@@ -89,45 +152,100 @@ impl GradCompressor for BinaryQuant {
         AggregationKind::AllGather
     }
 
-    fn round(&mut self, worker_grads: &[Vec<Tensor>]) -> (Vec<Tensor>, RoundStats) {
-        let n_workers = worker_grads.len();
-        let mut encode_time = Duration::ZERO;
-        let mut msgs = Vec::with_capacity(n_workers);
-        let mut total_len = 0;
-        for grads in worker_grads {
-            let t0 = Stopwatch::start();
-            let (flat, layout) = pack(grads);
-            total_len = layout.total_len();
-            self.layout = Some(layout);
-            msgs.push(QuantMessage::encode(flat.as_slice(), &mut self.rng));
-            encode_time += t0.elapsed();
-        }
-        let bytes = msgs[0].bytes();
-        // Per-node encode: each node only quantizes its own gradient.
-        encode_time /= n_workers.max(1) as u32;
+    /// Every worker draws from a stream of its own, so that a node can
+    /// quantize without knowing what the others drew; worker 0's is the
+    /// seed's own stream.
+    fn worker_codec(&mut self, worker: usize) -> Box<dyn WorkerCodec> {
+        let rng = self.streams.remove(&worker).unwrap_or_else(|| {
+            Rng::seed_from_u64(self.seed ^ (worker as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        });
+        Box::new(BinaryQuantWorker { worker, drawn: rng.clone(), rng, flat: Tensor::default() })
+    }
 
-        // Decode: expand every worker's message and average — O(workers · n),
-        // the dominant cost in the paper's appendix-F measurement.
-        let t0 = Stopwatch::start();
-        let mut dense = Tensor::zeros(&[total_len]);
-        for msg in &msgs {
-            for i in 0..total_len {
-                dense.as_mut_slice()[i] += msg.decode_at(i);
-            }
+    fn state_snapshot(&self) -> Vec<(String, Tensor)> {
+        self.streams.iter().map(|(&w, rng)| stream_row(w, rng)).collect()
+    }
+
+    fn restore_state(&mut self, state: &[(String, Tensor)]) -> bool {
+        let row = |(name, t): &(String, Tensor)| {
+            let worker = name.strip_prefix("rng.")?.parse::<usize>().ok()?;
+            let words: [u64; 4] =
+                t.as_slice().chunks(2).map(u64_of).collect::<Vec<_>>().try_into().ok()?;
+            Some((worker, Rng::from_state(words)))
+        };
+        let Some(streams) = state.iter().map(row).collect() else { return false };
+        self.streams = streams;
+        true
+    }
+}
+
+/// One node's half of binary quantization: it quantizes its own gradient
+/// with its own random stream and expands and averages everybody's
+/// messages itself — the `O(workers · n)` decode of the paper's appendix F.
+#[derive(Debug)]
+pub struct BinaryQuantWorker {
+    worker: usize,
+    rng: Rng,
+    /// Where the stream stands after the round in flight, until `decode`.
+    drawn: Rng,
+    /// The packed gradient in `encode`, the dense mean in `decode`.
+    flat: Tensor,
+}
+
+impl BinaryQuantWorker {
+    /// `flat`, as long as `grads` packed; and the payload words of a message.
+    fn sized_for(&mut self, grads: &[&mut Tensor]) -> (&mut Tensor, usize) {
+        let total = total_len(grads);
+        if self.flat.len() != total {
+            self.flat = Tensor::zeros(&[total]);
+        }
+        (&mut self.flat, 2 + 2 * total.div_ceil(64))
+    }
+}
+
+impl WorkerCodec for BinaryQuantWorker {
+    fn payload_layout(&self, _phase: usize, grads: &[&Tensor]) -> PackLayout {
+        PackLayout::from_shapes(vec![vec![2 + 2 * total_len(grads).div_ceil(64)]])
+    }
+
+    fn encode(
+        &mut self,
+        _phase: usize,
+        grads: &mut [&mut Tensor],
+        _reduced_prev: Option<&[f32]>,
+        out: &mut [f32],
+    ) -> Result<()> {
+        self.drawn = self.rng.clone();
+        let (flat, _) = self.sized_for(grads);
+        pack_into(grads.iter().map(|g| &**g), flat.as_mut_slice());
+        QuantMessage::encode(self.flat.as_slice(), &mut self.drawn).write_words(out)
+    }
+
+    fn decode(
+        &mut self,
+        reduced_last: &[f32],
+        grads: &mut [&mut Tensor],
+        contributed: bool,
+    ) -> Result<()> {
+        let (dense, words) = self.sized_for(grads);
+        let total = dense.len();
+        let msgs = messages(reduced_last, words, "binary-quant decode")?;
+        let n_workers = msgs.len();
+        // Expand every worker's message and average.
+        dense.as_mut_slice().fill(0.0);
+        for msg in msgs.filter_map(|m| QuantMessage::from_words(m, total)) {
+            msg.add_to(dense.as_mut_slice());
         }
         dense.scale(1.0 / n_workers as f32);
-        let out = unpack(&dense, self.layout.as_ref().expect("layout set"));
-        let decode_time = t0.elapsed();
-        (
-            out,
-            RoundStats::new(
-                bytes,
-                worker_grads.len(),
-                self.aggregation(),
-                encode_time,
-                decode_time,
-            ),
-        )
+        unpack_into(dense.as_slice(), grads, "binary-quant decode")?;
+        if contributed {
+            self.rng = self.drawn.clone();
+        }
+        Ok(())
+    }
+
+    fn state_snapshot(&self) -> Vec<(String, Tensor)> {
+        vec![stream_row(self.worker, &self.rng)]
     }
 }
 

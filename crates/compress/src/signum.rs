@@ -7,18 +7,35 @@
 //! paper measures in Figure 4 ("allgather is less efficient than
 //! allreduce").
 
-use crate::pack::{pack, PackLayout};
-use crate::{AggregationKind, GradCompressor, RoundStats};
-use puffer_probe::Stopwatch;
-use puffer_tensor::Tensor;
-use std::time::Duration;
+// Reached from the data-parallel trainer's worker threads, which must fail
+// typed, not panic (DESIGN.md §8): same deny list as `puffer-dist`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
-/// Signum compressor state.
+use crate::pack::{restore_flat_state, snapshot_flat_state, unpack_into, FlatMemory, PackLayout};
+use crate::{
+    length_mismatch, messages, total_len, u64_of, words_of, AggregationKind, GradCompressor,
+    WorkerCodec,
+};
+use puffer_tensor::{Result, Tensor};
+use std::collections::BTreeMap;
+
+/// Signum compressor state: what the worker halves hold between rounds.
 #[derive(Debug)]
 pub struct Signum {
     beta: f32,
-    /// Per-worker momentum over the packed flat gradient.
-    momentum: Vec<Tensor>,
+    /// Momentum over the packed flat gradient, per worker id.
+    momentum: BTreeMap<usize, Tensor>,
     layout: Option<PackLayout>,
 }
 
@@ -32,19 +49,27 @@ pub struct SignMessage {
 impl SignMessage {
     /// Encodes the signs of a flat buffer (negative → 0, non-negative → 1).
     pub fn encode(values: &[f32]) -> Self {
-        let mut bits = vec![0u64; values.len().div_ceil(64)];
-        for (i, &v) in values.iter().enumerate() {
-            if v >= 0.0 {
-                bits[i / 64] |= 1u64 << (i % 64);
-            }
+        let word = |chunk: &[f32]| {
+            chunk.iter().enumerate().fold(0u64, |w, (j, &v)| w | u64::from(v >= 0.0) << j)
+        };
+        SignMessage { bits: values.chunks(64).map(word).collect(), len: values.len() }
+    }
+
+    /// Writes the message into a payload, two words per 64 coordinates.
+    fn write_words(&self, out: &mut [f32]) -> Result<()> {
+        if out.len() != 2 * self.bits.len() {
+            return Err(length_mismatch(2 * self.bits.len(), out.len(), "signum encode"));
         }
-        SignMessage { bits, len: values.len() }
+        for (pair, &w) in out.chunks_exact_mut(2).zip(&self.bits) {
+            pair.copy_from_slice(&words_of(w));
+        }
+        Ok(())
     }
 
     /// Sign at coordinate `i`: `+1.0` or `-1.0`.
     pub fn sign(&self, i: usize) -> f32 {
         debug_assert!(i < self.len);
-        if self.bits[i / 64] >> (i % 64) & 1 == 1 {
+        if self.bits.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1) {
             1.0
         } else {
             -1.0
@@ -75,7 +100,7 @@ impl Signum {
     /// Panics if `beta` is not in `[0, 1)`.
     pub fn new(beta: f32) -> Self {
         assert!((0.0..1.0).contains(&beta), "beta must be in [0, 1)");
-        Signum { beta, momentum: Vec::new(), layout: None }
+        Signum { beta, momentum: BTreeMap::new(), layout: None }
     }
 }
 
@@ -88,81 +113,87 @@ impl GradCompressor for Signum {
         AggregationKind::AllGather
     }
 
-    fn round(&mut self, worker_grads: &[Vec<Tensor>]) -> (Vec<Tensor>, RoundStats) {
-        let n_workers = worker_grads.len();
-        let mut encode_time = Duration::ZERO;
-
-        // Encode: update momentum, take signs.
-        let mut msgs = Vec::with_capacity(n_workers);
-        for (w, grads) in worker_grads.iter().enumerate() {
-            let t0 = Stopwatch::start();
-            let (flat, layout) = pack(grads);
-            if self.layout.as_ref() != Some(&layout) {
-                self.layout = Some(layout.clone());
-                self.momentum = vec![Tensor::zeros(&[layout.total_len()]); n_workers];
-            }
-            if self.momentum.len() != n_workers {
-                self.momentum = vec![Tensor::zeros(&[flat.len()]); n_workers];
-            }
-            let mom = &mut self.momentum[w];
-            // m ← β m + (1 − β) g
-            mom.scale(self.beta);
-            mom.axpy(1.0 - self.beta, &flat).expect("shape");
-            msgs.push(SignMessage::encode(mom.as_slice()));
-            encode_time += t0.elapsed();
-        }
-        let bytes = msgs[0].bytes();
-        // Per-node encode: each node only signs its own momentum.
-        encode_time /= n_workers.max(1) as u32;
-
-        // Decode: majority vote over n_workers sign vectors (cost grows
-        // linearly with worker count — the allgather penalty).
-        let t0 = Stopwatch::start();
-        let layout = self.layout.as_ref().expect("layout set above");
-        let total = layout.total_len();
-        let mut voted = Tensor::zeros(&[total]);
-        for i in 0..total {
-            let mut v = 0.0f32;
-            for msg in &msgs {
-                v += msg.sign(i);
-            }
-            voted.as_mut_slice()[i] = if v >= 0.0 { 1.0 } else { -1.0 };
-        }
-        let out = crate::pack::unpack(&voted, layout);
-        let decode_time = t0.elapsed();
-        (
-            out,
-            RoundStats::new(
-                bytes,
-                worker_grads.len(),
-                self.aggregation(),
-                encode_time,
-                decode_time,
-            ),
-        )
+    fn worker_codec(&mut self, worker: usize) -> Box<dyn WorkerCodec> {
+        let momentum = self.momentum.remove(&worker);
+        let state = FlatMemory::new(worker, self.layout.clone(), momentum);
+        Box::new(SignumWorker { beta: self.beta, state })
     }
 
     fn state_snapshot(&self) -> Vec<(String, Tensor)> {
-        match &self.layout {
-            Some(layout) => crate::pack::snapshot_flat_state(layout, "mom", &self.momentum),
-            None => Vec::new(),
-        }
+        let momentum = self.momentum.iter().map(|(&w, m)| (w, m));
+        snapshot_flat_state(self.layout.as_ref(), "mom", momentum)
     }
 
     fn restore_state(&mut self, state: &[(String, Tensor)]) -> bool {
-        if state.is_empty() {
-            self.layout = None;
-            self.momentum.clear();
-            return true;
+        let Some((layout, momentum)) = restore_flat_state(state, "mom") else { return false };
+        (self.layout, self.momentum) = (layout, momentum);
+        true
+    }
+}
+
+/// One node's half of Signum: it keeps its own momentum, ships the signs
+/// of it, and takes the majority vote over everybody's signs itself — the
+/// decode whose cost grows with the worker count.
+#[derive(Debug)]
+pub struct SignumWorker {
+    beta: f32,
+    state: FlatMemory,
+}
+
+/// Payload words the signs of `total` coordinates take: two per 64.
+fn message_words(total: usize) -> usize {
+    2 * total.div_ceil(64)
+}
+
+impl WorkerCodec for SignumWorker {
+    fn payload_layout(&self, _phase: usize, grads: &[&Tensor]) -> PackLayout {
+        PackLayout::from_shapes(vec![vec![message_words(total_len(grads))]])
+    }
+
+    fn encode(
+        &mut self,
+        _phase: usize,
+        grads: &mut [&mut Tensor],
+        _reduced_prev: Option<&[f32]>,
+        out: &mut [f32],
+    ) -> Result<()> {
+        // m ← β m + (1 − β) g
+        let momentum = self.state.begin(grads);
+        let fresh = 1.0 - self.beta;
+        for (m, &g) in momentum.iter_mut().zip(grads.iter().flat_map(|g| g.as_slice())) {
+            *m *= self.beta;
+            *m += fresh * g;
         }
-        match crate::pack::restore_flat_state(state, "mom") {
-            Some((layout, momentum)) => {
-                self.layout = Some(layout);
-                self.momentum = momentum;
-                true
+        SignMessage::encode(momentum).write_words(out)
+    }
+
+    fn decode(
+        &mut self,
+        reduced_last: &[f32],
+        grads: &mut [&mut Tensor],
+        contributed: bool,
+    ) -> Result<()> {
+        let votes: Vec<&[f32]> =
+            messages(reduced_last, message_words(total_len(grads)), "signum decode")?.collect();
+        // Majority vote, 64 coordinates at a time: Σ ±1 ≥ 0 where at least
+        // half of the voters said +1.
+        let voted = self.state.commit(grads, contributed);
+        for (c, chunk) in voted.as_mut_slice().chunks_mut(64).enumerate() {
+            let mut ayes = [0usize; 64];
+            for word in votes.iter().filter_map(|vote| vote.get(2 * c..2 * c + 2)).map(u64_of) {
+                for (j, a) in ayes.iter_mut().enumerate() {
+                    *a += (word >> j & 1) as usize;
+                }
             }
-            None => false,
+            for (v, a) in chunk.iter_mut().zip(ayes) {
+                *v = if 2 * a >= votes.len() { 1.0 } else { -1.0 };
+            }
         }
+        unpack_into(voted.as_slice(), grads, "signum decode")
+    }
+
+    fn state_snapshot(&self) -> Vec<(String, Tensor)> {
+        self.state.snapshot("mom")
     }
 }
 

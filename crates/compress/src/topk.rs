@@ -7,18 +7,33 @@
 //! collective is allgather. The paper's appendix E names Top-k as the kind
 //! of flat-gradient compressor that composes well with Pufferfish.
 
-use crate::pack::{pack, unpack, PackLayout};
-use crate::{AggregationKind, GradCompressor, RoundStats};
-use puffer_probe::Stopwatch;
-use puffer_tensor::stats::top_k_indices;
-use puffer_tensor::Tensor;
-use std::time::Duration;
+// Reached from the data-parallel trainer's worker threads, which must fail
+// typed, not panic (DESIGN.md §8): same deny list as `puffer-dist`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::indexing_slicing
+    )
+)]
 
-/// Top-k compressor state.
+use crate::pack::{restore_flat_state, snapshot_flat_state, unpack_into, FlatMemory, PackLayout};
+use crate::{length_mismatch, messages, total_len, AggregationKind, GradCompressor, WorkerCodec};
+use puffer_tensor::stats::top_k_indices;
+use puffer_tensor::{Result, Tensor, TensorError};
+use std::collections::BTreeMap;
+
+/// Top-k compressor state: what the worker halves hold between rounds.
 #[derive(Debug)]
 pub struct TopK {
     ratio: f32,
-    memory: Vec<Tensor>,
+    /// Residual (everything not sent yet) per worker id.
+    memory: BTreeMap<usize, Tensor>,
     layout: Option<PackLayout>,
 }
 
@@ -31,7 +46,7 @@ impl TopK {
     /// Panics unless `0 < ratio <= 1`.
     pub fn new(ratio: f32) -> Self {
         assert!(ratio > 0.0 && ratio <= 1.0, "ratio must be in (0, 1]");
-        TopK { ratio, memory: Vec::new(), layout: None }
+        TopK { ratio, memory: BTreeMap::new(), layout: None }
     }
 
     /// The kept fraction.
@@ -49,85 +64,96 @@ impl GradCompressor for TopK {
         AggregationKind::AllGather
     }
 
-    fn round(&mut self, worker_grads: &[Vec<Tensor>]) -> (Vec<Tensor>, RoundStats) {
-        let n_workers = worker_grads.len();
-        let mut encode_time = Duration::ZERO;
-        let mut sparse_msgs: Vec<(Vec<u32>, Vec<f32>)> = Vec::with_capacity(n_workers);
-        let mut total_len = 0usize;
-        for (w, grads) in worker_grads.iter().enumerate() {
-            let t0 = Stopwatch::start();
-            let (mut flat, layout) = pack(grads);
-            total_len = layout.total_len();
-            if self.layout.as_ref() != Some(&layout) {
-                self.layout = Some(layout);
-                self.memory = vec![Tensor::zeros(&[total_len]); n_workers];
-            }
-            if self.memory.len() != n_workers {
-                self.memory = vec![Tensor::zeros(&[total_len]); n_workers];
-            }
-            // Error compensation.
-            flat.axpy(1.0, &self.memory[w]).expect("shape");
-            let k = ((total_len as f32 * self.ratio).ceil() as usize).clamp(1, total_len);
-            let abs: Vec<f32> = flat.as_slice().iter().map(|x| x.abs()).collect();
-            let idx = top_k_indices(&abs, k);
-            let vals: Vec<f32> = idx.iter().map(|&i| flat.as_slice()[i]).collect();
-            // Residual memory: everything not sent.
-            let mut residual = flat;
-            for &i in &idx {
-                residual.as_mut_slice()[i] = 0.0;
-            }
-            self.memory[w] = residual;
-            sparse_msgs.push((idx.iter().map(|&i| i as u32).collect(), vals));
-            encode_time += t0.elapsed();
-        }
-        let bytes = sparse_msgs[0].0.len() * (4 + 4);
-        // Per-node encode: each node only sparsifies its own gradient.
-        encode_time /= n_workers.max(1) as u32;
-
-        // Decode: scatter-add all workers' sparse messages, divide by count.
-        let t0 = Stopwatch::start();
-        let mut dense = Tensor::zeros(&[total_len]);
-        for (idx, vals) in &sparse_msgs {
-            for (&i, &v) in idx.iter().zip(vals) {
-                dense.as_mut_slice()[i as usize] += v;
-            }
-        }
-        dense.scale(1.0 / n_workers as f32);
-        let out = unpack(&dense, self.layout.as_ref().expect("layout set"));
-        let decode_time = t0.elapsed();
-        (
-            out,
-            RoundStats::new(
-                bytes,
-                worker_grads.len(),
-                self.aggregation(),
-                encode_time,
-                decode_time,
-            ),
-        )
+    fn worker_codec(&mut self, worker: usize) -> Box<dyn WorkerCodec> {
+        let state = FlatMemory::new(worker, self.layout.clone(), self.memory.remove(&worker));
+        Box::new(TopKWorker { ratio: self.ratio, state })
     }
 
     fn state_snapshot(&self) -> Vec<(String, Tensor)> {
-        match &self.layout {
-            Some(layout) => crate::pack::snapshot_flat_state(layout, "mem", &self.memory),
-            None => Vec::new(),
-        }
+        let memory = self.memory.iter().map(|(&w, m)| (w, m));
+        snapshot_flat_state(self.layout.as_ref(), "mem", memory)
     }
 
     fn restore_state(&mut self, state: &[(String, Tensor)]) -> bool {
-        if state.is_empty() {
-            self.layout = None;
-            self.memory.clear();
-            return true;
+        let Some((layout, memory)) = restore_flat_state(state, "mem") else { return false };
+        (self.layout, self.memory) = (layout, memory);
+        true
+    }
+}
+
+/// One node's half of Top-k: it keeps its own residual, ships its `k`
+/// largest error-compensated coordinates as (index, value) pairs, and
+/// scatter-adds everybody's pairs itself.
+#[derive(Debug)]
+pub struct TopKWorker {
+    ratio: f32,
+    state: FlatMemory,
+}
+
+impl TopKWorker {
+    /// How many of `total` coordinates are sent.
+    fn kept(&self, total: usize) -> usize {
+        ((total as f32 * self.ratio).ceil() as usize).max(1).min(total)
+    }
+}
+
+impl WorkerCodec for TopKWorker {
+    fn payload_layout(&self, _phase: usize, grads: &[&Tensor]) -> PackLayout {
+        PackLayout::from_shapes(vec![vec![self.kept(total_len(grads)), 2]])
+    }
+
+    fn encode(
+        &mut self,
+        _phase: usize,
+        grads: &mut [&mut Tensor],
+        _reduced_prev: Option<&[f32]>,
+        out: &mut [f32],
+    ) -> Result<()> {
+        let k = self.kept(total_len(grads));
+        if out.len() != 2 * k {
+            return Err(length_mismatch(2 * k, out.len(), "topk encode"));
         }
-        match crate::pack::restore_flat_state(state, "mem") {
-            Some((layout, memory)) => {
-                self.layout = Some(layout);
-                self.memory = memory;
-                true
-            }
-            None => false,
+        // Error compensation: what is ranked is the gradient plus the residual.
+        let flat = self.state.begin(grads);
+        for (m, &g) in flat.iter_mut().zip(grads.iter().flat_map(|g| g.as_slice())) {
+            *m += g;
         }
+        let abs: Vec<f32> = flat.iter().map(|x| x.abs()).collect();
+        // The new residual is everything not sent.
+        for (pair, i) in out.chunks_exact_mut(2).zip(top_k_indices(&abs, k)) {
+            let sent = flat.get_mut(i).map(std::mem::take).unwrap_or_default();
+            pair.copy_from_slice(&[f32::from_bits(i as u32), sent]);
+        }
+        Ok(())
+    }
+
+    fn decode(
+        &mut self,
+        reduced_last: &[f32],
+        grads: &mut [&mut Tensor],
+        contributed: bool,
+    ) -> Result<()> {
+        let total = total_len(grads);
+        let k = self.kept(total);
+        let msgs = messages(reduced_last, 2 * k, "topk decode")?;
+        let n_workers = msgs.len();
+        // Scatter-add every worker's pairs, divide by their number.
+        let dense = self.state.commit(grads, contributed);
+        let sum = dense.as_mut_slice();
+        sum.fill(0.0);
+        for pair in msgs.flat_map(|m| m.chunks_exact(2)) {
+            let &[i, v] = pair else { continue };
+            let i = i.to_bits() as usize;
+            let out_of_range =
+                || TensorError::IndexOutOfBounds { index: vec![i], shape: vec![total] };
+            *sum.get_mut(i).ok_or_else(out_of_range)? += v;
+        }
+        dense.scale(1.0 / n_workers as f32);
+        unpack_into(dense.as_slice(), grads, "topk decode")
+    }
+
+    fn state_snapshot(&self) -> Vec<(String, Tensor)> {
+        self.state.snapshot("mem")
     }
 }
 
@@ -177,7 +203,7 @@ mod tests {
         let mut c = TopK::new(0.5);
         let g = Tensor::randn(&[16], 1.0, 1);
         let (out, _) = c.round(&[vec![g.clone()]]);
-        let sum = &out[0] + &c.memory[0];
+        let sum = &out[0] + &c.memory[&0];
         assert!(l2_norm(&(&sum - &g)) < 1e-6);
     }
 

@@ -263,7 +263,7 @@ fn hand_driven_codecs_equal_round_and_every_worker_decodes_the_same_gradient() {
     let mut by_round = PowerSgd::new(2, 5);
     let mut owner = PowerSgd::new(2, 5);
     let mut codecs: Vec<Box<dyn WorkerCodec>> =
-        (0..workers).map(|w| owner.worker_codec(w).unwrap()).collect();
+        (0..workers).map(|w| owner.worker_codec(w)).collect();
     let all: Vec<usize> = (0..workers).collect();
     for round in 0..4 {
         let grads = gradients(shapes, workers, round, false);
@@ -278,7 +278,7 @@ fn hand_driven_codecs_equal_round_and_every_worker_decodes_the_same_gradient() {
     assert_same_state(&owner.state_snapshot(), &by_round.state_snapshot(), "merged state");
     // And codecs handed out again resume where the old ones stopped.
     let mut resumed: Vec<Box<dyn WorkerCodec>> =
-        (0..workers).map(|w| owner.worker_codec(w).unwrap()).collect();
+        (0..workers).map(|w| owner.worker_codec(w)).collect();
     let grads = gradients(shapes, workers, 9, false);
     let (want, _) = by_round.round(&grads);
     assert_same_tensors(&drive(&mut resumed, &grads, &all)[2], &want, "after restore");
@@ -290,7 +290,7 @@ fn abort_leaves_no_trace_and_a_lost_contribution_touches_only_its_owner() {
     let workers = 3;
     let mut owner = PowerSgd::new(2, 7);
     let mut codecs: Vec<Box<dyn WorkerCodec>> =
-        (0..workers).map(|w| owner.worker_codec(w).unwrap()).collect();
+        (0..workers).map(|w| owner.worker_codec(w)).collect();
     let all: Vec<usize> = (0..workers).collect();
     drive(&mut codecs, &gradients(shapes, workers, 0, false), &all);
     let before: Vec<_> = codecs.iter().map(|c| c.state_snapshot()).collect();
@@ -317,7 +317,7 @@ fn abort_leaves_no_trace_and_a_lost_contribution_touches_only_its_owner() {
     let mut pair_owner = PowerSgd::new(2, 7);
     assert!(pair_owner.restore_state(&union(&codecs)));
     let mut pair: Vec<Box<dyn WorkerCodec>> =
-        [0, 2].iter().map(|&w| pair_owner.worker_codec(w).unwrap()).collect();
+        [0, 2].iter().map(|&w| pair_owner.worker_codec(w)).collect();
 
     let second = gradients(shapes, workers, 2, false);
     let decoded = drive(&mut codecs, &second, &[0, 2]);
@@ -343,7 +343,7 @@ fn payloads_are_p_and_q_plus_the_raw_one_d_tensors() {
     let shapes = &layer_mixes()[1];
     let rank = 2;
     let mut owner = PowerSgd::new(rank, 3);
-    let codec = owner.worker_codec(0).unwrap();
+    let codec = owner.worker_codec(0);
     let grads = gradients(shapes, 1, 0, false).remove(0);
     let refs: Vec<&Tensor> = grads.iter().collect();
     let (mut p, mut q) = (0, 0);
@@ -363,7 +363,7 @@ fn payloads_are_p_and_q_plus_the_raw_one_d_tensors() {
     // A worker first seen mid-run starts from the shared Q and no memory.
     let mut warmed = PowerSgd::new(rank, 3);
     let _ = warmed.round(&gradients(shapes, 2, 0, false));
-    let joiner = warmed.worker_codec(5).unwrap().state_snapshot();
+    let joiner = warmed.worker_codec(5).state_snapshot();
     assert!(joiner.iter().any(|(n, _)| n.starts_with("q.")));
     assert!(!joiner.iter().any(|(n, _)| n.starts_with("m.")));
 }

@@ -10,19 +10,20 @@
 //! allreduce. Communication cost is accounted by the α–β model;
 //! computation and encode/decode are measured wall-clock.
 //!
-//! How a round is averaged depends on the compressor. An
-//! allreduce-compatible one (vanilla SGD, PowerSGD) hands every worker its
-//! own [`WorkerCodec`]: the round is a short sequence of *linear reduce
-//! phases* in which each worker encodes a flat payload, the aggregator sums
-//! the payloads in worker-id order, scales once by `1/n` and broadcasts the
-//! mean, and after the last phase every worker decodes the mean gradient
-//! straight into its own `p.grad`. The aggregator never sees, copies or
-//! decodes a gradient — PowerSGD moves `Σ(m+n)·r` floats per worker and
-//! round, and its encode/decode cost is paid once per node, in parallel,
-//! the way the paper's Fig. 4(b) charges it. Only the allgather methods
-//! (Signum, Top-k, binary quantization, ATOMO), whose decode needs every
-//! worker's message, still ship the packed gradient to the aggregator,
-//! which plays their [`GradCompressor::round`] centrally.
+//! Every round has one shape. The compressor hands every worker its own
+//! [`WorkerCodec`]: the round is a short sequence of *phases* in which each
+//! worker encodes a flat payload, the aggregator combines the payloads and
+//! broadcasts the result, and after the last phase every worker decodes the
+//! mean gradient straight into its own `p.grad`. The one thing that differs
+//! per collective is the combination ([`AggregationKind`]): an allreduce
+//! method's payloads (vanilla SGD, PowerSGD) are summed in worker-id order
+//! and scaled once by `1/n`; an allgather method's messages (Signum, Top-k,
+//! binary quantization, ATOMO) are laid end to end in worker-id order, and
+//! every worker decodes all `p` of them itself. The aggregator never sees,
+//! copies or decodes a gradient — PowerSGD moves `Σ(m+n)·r` floats per
+//! worker and round, Signum one bit per coordinate — and encode/decode cost
+//! is paid once per node, in parallel, an allgather method's decode growing
+//! with the node count, the way the paper's Fig. 4(b) and Fig. 7 charge it.
 //!
 //! On top of that baseline the trainer is **fault-tolerant**
 //! ([`train_data_parallel_with`]): a seeded [`FaultPlan`] injects
@@ -59,16 +60,16 @@
 //! order per bucket, buckets concatenated), so the final parameters are
 //! **bitwise identical** to the one-flat-bucket run at any bucket size,
 //! worker count, or collective algorithm; the default (`usize::MAX`) *is*
-//! the one-flat-bucket run. For a one-phase codec — the payload is the
-//! gradient itself — per-bucket communication is priced by the selected
+//! the one-flat-bucket run. For a one-phase allreduce codec — the payload is
+//! the gradient itself — per-bucket communication is priced by the selected
 //! [`CollectiveAlgo`] (ring, binary tree, or two-level hierarchical —
 //! [`RunOptions::collective`]) and laid on an
 //! overlap timeline against the measured per-bucket readiness offsets:
 //! the share of comm hidden under still-running backward is *overlapped*,
 //! the remainder is *exposed* ([`EpochBreakdown::comm_exposed`]).
 //! Payloads that exist only once backward is over (PowerSGD's `P` and `Q`,
-//! a central round's messages) are priced as one collective over the
-//! round's bytes, all of it exposed.
+//! an allgather method's message) are priced as one collective of the
+//! method's kind over the round's bytes, all of it exposed.
 //!
 //! Worker compute runs on `puffer-tensor`'s threaded kernels; for the
 //! duration of a run the tensor pool is capped so that
@@ -88,8 +89,7 @@ use crate::membership::{
     MemberEvent, MemberEventKind, Membership, MembershipPlan, EV_CATCH_UP, EV_CRASHED, EV_JOINED,
     EV_LEFT, PROBE_CATEGORY, ROW_TYPE,
 };
-use puffer_compress::none::IdentityCodec;
-use puffer_compress::pack::{pack_into, unpack, PackLayout};
+use puffer_compress::pack::{pack_into, PackLayout};
 use puffer_compress::{AggregationKind, GradCompressor, RoundStats, WorkerCodec};
 use puffer_nn::layer::{Layer, Mode};
 use puffer_nn::loss::softmax_cross_entropy;
@@ -271,10 +271,10 @@ pub struct DistOutcome {
 }
 
 /// One bucket of one phase of one worker's per-step contribution. A round
-/// is a short sequence of linear reduce *phases* (one for the identity
-/// codec, two for PowerSGD — see [`WorkerCodec`]); in each the worker
-/// encodes a flat payload (the paper's single-allreduce pack, §4.1, for the
-/// identity codec), which is split into [`BucketPlan`] buckets in
+/// is a short sequence of *phases* (one for the identity codec and the
+/// allgather codecs, two for PowerSGD — see [`WorkerCodec`]); in each the
+/// worker encodes a flat payload (the paper's single-allreduce pack, §4.1,
+/// for the identity codec), which is split into [`BucketPlan`] buckets in
 /// reverse-backward order. Each bucket travels as its own message with its
 /// own checksum and readiness offset, so the aggregator can start reducing
 /// (and the α–β timeline can start pricing) a bucket before the sender's
@@ -309,6 +309,9 @@ struct GradMsg {
     /// [`wire_checksum`] over this bucket's range only: corruption rejects
     /// the whole contribution but is *detected* per bucket.
     checksum: u64,
+    /// The sender's gradient is non-finite. Set under an allgather codec,
+    /// whose message is bit patterns the aggregator cannot test.
+    nonfinite: bool,
 }
 
 /// Everything a worker ever tells the aggregator, on the run's one uplink.
@@ -333,6 +336,7 @@ struct Contribution {
     encode: Duration,
     /// Per-bucket readiness offsets (µs into the worker's compute).
     ready_us: Vec<u64>,
+    nonfinite: bool,
 }
 
 #[derive(Clone)]
@@ -527,7 +531,8 @@ where
     let (start_step, membership) = starting_fleet(global_batches, compressor, cfg, opts)?;
     let mut pool_guard = PoolWidthGuard::cap_for(membership.active_count());
     let (uplink, from_workers) = channel::<WorkerMsg>();
-    let env = RunEnv { cfg, opts, bucket_bytes, batches: global_batches, uplink };
+    let kind = compressor.aggregation();
+    let env = RunEnv { cfg, opts, bucket_bytes, kind, batches: global_batches, uplink };
     let joined = std::thread::scope(|scope| {
         let mut agg = Aggregator {
             env: &env,
@@ -610,18 +615,15 @@ where
     };
     // Every worker decoded for itself after the aggregator had moved on;
     // the slowest one is the round's critical path.
-    for (step, base) in books.decode_base {
-        let slowest = slowest_decode.get(&step).copied().unwrap_or_default();
-        books.acc.record_decode(step, base + slowest);
+    for (step, slowest) in slowest_decode {
+        books.acc.record_decode(step, slowest);
     }
-    if books.worker_side {
-        let restored = compressor.restore_state(&codec_state);
-        release(codec_state.into_iter().map(|(_, t)| t));
-        if !restored {
-            return Err(DistError::Checkpoint {
-                reason: format!("compressor {} rejected its own workers' state", compressor.name()),
-            });
-        }
+    let restored = compressor.restore_state(&codec_state);
+    release(codec_state.into_iter().map(|(_, t)| t));
+    if !restored {
+        return Err(DistError::Checkpoint {
+            reason: format!("compressor {} rejected its own workers' state", compressor.name()),
+        });
     }
     Ok(DistOutcome {
         breakdown: books.acc.breakdown(),
@@ -712,6 +714,8 @@ struct RunEnv<'a> {
     opts: &'a RunOptions,
     /// Resolved gradient bucket size in bytes (option, else `usize::MAX`).
     bucket_bytes: usize,
+    /// How the compressor's payloads are combined: by mean or end to end.
+    kind: AggregationKind,
     batches: &'a [(Tensor, Vec<usize>)],
     uplink: Sender<WorkerMsg>,
 }
@@ -792,19 +796,6 @@ impl Fleet {
             "stale_message",
             vec![("worker", m.worker.into()), ("msg_step", m.step.into()), ("step", step.into())],
         );
-    }
-}
-
-/// The worker half a member runs: the compressor's own if it has one
-/// (the bool), else the identity codec carrying raw gradients to the
-/// aggregator's central [`GradCompressor::round`].
-fn member_codec(
-    compressor: &mut dyn GradCompressor,
-    worker: usize,
-) -> (Box<dyn WorkerCodec>, bool) {
-    match compressor.worker_codec(worker) {
-        Some(codec) => (codec, true),
-        None => (Box::new(IdentityCodec), false),
     }
 }
 
@@ -900,6 +891,7 @@ fn send_phase(
     loss: f32,
     compute: Duration,
     encode: Duration,
+    nonfinite: bool,
 ) -> bool {
     let w = ctx.worker;
     let faults = &ctx.env.opts.faults;
@@ -919,6 +911,7 @@ fn send_phase(
             compute,
             encode,
             checksum,
+            nonfinite,
         }));
         let mut attempt = 0u32;
         let sent = loop {
@@ -1186,8 +1179,15 @@ impl<M: Layer> Replica<'_, M> {
         let w = self.ctx.worker;
         let faults = &self.ctx.env.opts.faults;
         // Backward announces gradients tensor by tensor; only a one-phase
-        // codec's payload tensors are final the moment their gradients are.
-        let overlaps = self.phases.len() == 1;
+        // allreduce codec's payload tensors are final the moment their
+        // gradients are.
+        let gather = self.ctx.env.kind == AggregationKind::AllGather;
+        let overlaps = self.phases.len() == 1 && !gather;
+        // A gathered message is bit patterns the aggregator cannot test, so
+        // the worker checks its own gradient and flags what it sends; there
+        // is nothing worth encoding then.
+        let nonfinite = gather
+            && self.model.params().iter().any(|p| any_nonfinite(std::slice::from_ref(&p.grad)));
         let mut reduced: Option<Arc<Tensor>> = None;
         let mut contributing = true;
         for (p, plan) in self.phases.iter_mut().enumerate() {
@@ -1198,12 +1198,16 @@ impl<M: Layer> Replica<'_, M> {
                 return None;
             };
             let prev = reduced.as_deref().map(Tensor::as_slice);
-            let encoded = self.codec.encode(
-                p,
-                &mut grads_of(&mut self.model.params_mut()),
-                prev,
-                payload.as_mut_slice(),
-            );
+            let encoded = if nonfinite {
+                Ok(())
+            } else {
+                self.codec.encode(
+                    p,
+                    &mut grads_of(&mut self.model.params_mut()),
+                    prev,
+                    payload.as_mut_slice(),
+                )
+            };
             if let Err(e) = encoded {
                 report_fatal(&self.ctx, step, format!("encode, phase {p}: {e}"));
                 return None;
@@ -1233,7 +1237,9 @@ impl<M: Layer> Replica<'_, M> {
                     _ => compute_us,
                 };
                 let (ctx, loss) = (&self.ctx, done.loss);
-                if !send_phase(ctx, step, p, plan, &checksums, &ready_us, loss, compute, encode) {
+                if !send_phase(
+                    ctx, step, p, plan, &checksums, &ready_us, loss, compute, encode, nonfinite,
+                ) {
                     return None; // aggregator gone
                 }
                 if p == 0 && faults.crashes_mid_round(w, step) {
@@ -1352,11 +1358,6 @@ struct Books {
     /// Every phase of every round but the decodes, which the caller books
     /// once the workers have reported theirs.
     acc: BreakdownAccumulator,
-    /// Per executed (not skipped) step, the decode time already known to
-    /// the aggregator: a central round's, zero for worker-side codecs.
-    decode_base: Vec<(usize, Duration)>,
-    /// Whether the compressor's state lives in worker halves.
-    worker_side: bool,
     /// One per reduce phase. The broadcast buffers are handed out of the
     /// aggregator with the rest so that they outlive the workers: whoever
     /// drops the last handle to a mean gets its storage, and that has to be
@@ -1377,34 +1378,29 @@ struct PhaseSlot {
 }
 
 impl PhaseSlot {
-    /// Reduces what `contributors` delivered into `mean`: the pinned-order
-    /// mean of worker-encoded payloads or, for a compressor without a
-    /// worker half, its central round, whose stats go to `central`.
-    /// AMP-style guard: a poisoned gradient (or a phase with no usable
-    /// contribution) reduces to nothing — `false` — and the step is skipped
-    /// on every replica.
-    fn reduce(
-        &mut self,
-        contributors: &[usize],
-        worker_side: bool,
-        compressor: &mut dyn GradCompressor,
-        central: &mut Option<RoundStats>,
-    ) -> bool {
-        let reduced = match (self.reducer.as_mut(), self.layout.as_ref()) {
-            (Some(red), Some(layout)) if !contributors.is_empty() => {
-                if worker_side {
-                    Some(red.finalize(contributors))
-                        .filter(|mean| !any_nonfinite(std::slice::from_ref(*mean)))
-                        .and_then(|mean| {
-                            let out = reclaim(&mut self.mean, mean.len())?;
-                            out.as_mut_slice().copy_from_slice(mean.as_slice());
-                            Some(())
-                        })
-                } else {
-                    central_round(red, layout, contributors, compressor, &mut self.mean)
-                        .map(|stats| *central = Some(stats))
+    /// Combines what `contributors` delivered into `mean`, the way a
+    /// collective of `kind` does: the pinned-order mean of their payloads,
+    /// or their messages end to end in worker-id order. AMP-style guard: a
+    /// poisoned gradient — a non-finite mean, or a gathered message its
+    /// sender `flagged` — or a phase with no usable contribution combines to
+    /// nothing — `false` — and the step is skipped on every replica.
+    fn reduce(&mut self, contributors: &[usize], kind: AggregationKind, flagged: bool) -> bool {
+        let reduced = match self.reducer.as_mut() {
+            Some(red) if !contributors.is_empty() && !flagged => match kind {
+                AggregationKind::AllReduce => Some(red.finalize(contributors))
+                    .filter(|mean| !any_nonfinite(std::slice::from_ref(*mean)))
+                    .and_then(|mean| {
+                        let out = reclaim(&mut self.mean, mean.len())?;
+                        out.as_mut_slice().copy_from_slice(mean.as_slice());
+                        Some(())
+                    }),
+                AggregationKind::AllGather => {
+                    let parts: Vec<&Tensor> =
+                        contributors.iter().filter_map(|x| red.assembled(*x)).collect();
+                    reclaim(&mut self.mean, parts.iter().map(|t| t.len()).sum())
+                        .map(|out| pack_into(parts, out.as_mut_slice()))
                 }
-            }
+            },
             _ => None,
         };
         if reduced.is_none() {
@@ -1430,13 +1426,14 @@ struct RoundTally {
     ready_us: Vec<u64>,
     /// Who delivered the latest phase intact, ascending.
     contributors: Vec<usize>,
-    /// The stats of the central round, if the aggregator played one.
-    central: Option<RoundStats>,
+    /// One of them flagged its gradient as non-finite.
+    nonfinite: bool,
 }
 
 impl RoundTally {
     fn absorb(&mut self, phase: usize, got: &BTreeMap<usize, Contribution>) {
         self.contributors = got.keys().copied().collect();
+        self.nonfinite = got.values().any(|c| c.nonfinite);
         if phase == 0 {
             self.slowest = got.values().map(|c| c.compute).max().unwrap_or_default();
             if !got.is_empty() {
@@ -1487,12 +1484,12 @@ where
     /// Spawns the initial fleet, then runs a boundary before every round and
     /// one after the last, and tells the survivors to report.
     fn run(&mut self) -> DistResult<()> {
-        // Every member runs the same kind of codec, so the first one spawned
-        // tells how many phases a round has and where compressor state lives.
+        // Every member runs the same kind of codec, so any of them tells how
+        // many phases a round has.
         let mut n_phases = 1;
         for w in self.fleet.membership.active() {
-            let (codec, own) = member_codec(self.compressor, w);
-            (self.books.worker_side, n_phases) = (own, codec.phases());
+            let codec = self.compressor.worker_codec(w);
+            n_phases = codec.phases();
             self.spawn_member(w, self.start_step, None, codec);
         }
         self.books.slots = (0..n_phases)
@@ -1552,15 +1549,12 @@ where
         let mut state = None;
         if want_ckpt || (after_a_round && !pending.is_empty()) {
             // The lowest-indexed member with a channel doubles as snapshot
-            // leader; the others hold state only under a worker-side codec.
-            // All of them are asked before this boundary's leavers go: a
-            // leaver's codec rows are in the union.
+            // leader; the others report their codec's state. All of them are
+            // asked before this boundary's leavers go: a leaver's codec rows
+            // are in the union.
             let leader = self.fleet.senders.keys().next().copied();
             let mut asked: BTreeSet<usize> = self.fleet.senders.keys().copied().collect();
-            asked.retain(|&x| {
-                (self.books.worker_side || Some(x) == leader)
-                    && self.fleet.deliver(x, AggMsg::Report { model: Some(x) == leader })
-            });
+            asked.retain(|&x| self.fleet.deliver(x, AggMsg::Report { model: Some(x) == leader }));
             state = self.collect_state(step, asked, want_ckpt)?;
         }
         if in_run {
@@ -1581,7 +1575,7 @@ where
         for &(wk, _) in &pending {
             // A joiner's codec starts from the shared state the boundary
             // gathered and no memory of its own.
-            let (codec, _) = member_codec(self.compressor, wk);
+            let codec = self.compressor.worker_codec(wk);
             self.spawn_member(wk, step, Some(Arc::clone(&ck)), codec);
         }
         Ok(())
@@ -1638,9 +1632,9 @@ where
     }
 
     /// Collects the answers to boundary `step`'s [`AggMsg::Report`]s: the
-    /// leader's replica state and, for worker-side codecs, every member's
-    /// share of the compressor state, which is merged back into the
-    /// compressor so a checkpoint (or a joiner's codec) can be cut from it.
+    /// leader's replica state and every member's share of the compressor
+    /// state, which is merged back into the compressor so a checkpoint (or
+    /// a joiner's codec) can be cut from it.
     /// A report that does not come is probed for like a missing gradient. A
     /// missed leader report when a periodic checkpoint is due (`want_ckpt`)
     /// is a recorded checkpoint failure; joins waiting on it are simply
@@ -1679,7 +1673,7 @@ where
             }
         }
         let _ = sp.finish();
-        let restored = !self.books.worker_side || self.compressor.restore_state(&codec_state);
+        let restored = self.compressor.restore_state(&codec_state);
         let state = model.filter(|_| restored);
         if state.is_none() && want_ckpt {
             self.fleet.report.checkpoint_failures += 1;
@@ -1691,10 +1685,10 @@ where
 
     /// Collects one phase's contributions from `expected`, one bucket message
     /// at a time. A bucket is spliced into its sender's reducer slot on
-    /// arrival, and under a worker-side codec any bucket every expected
-    /// member has delivered is reduced at once — the reduction work tracks
-    /// the message stream instead of waiting for the slowest sender's last
-    /// bucket. The apply order stays pinned regardless (see
+    /// arrival, and where payloads are combined by their mean any bucket
+    /// every expected member has delivered is reduced at once — the
+    /// reduction work tracks the message stream instead of waiting for the
+    /// slowest sender's last bucket. The apply order stays pinned regardless (see
     /// [`BucketedReducer`]).
     ///
     /// Slow members get `recovery.step_timeout` with bounded retry/backoff;
@@ -1708,10 +1702,9 @@ where
         phase: usize,
         mut expected: BTreeSet<usize>,
     ) -> DistResult<BTreeMap<usize, Contribution>> {
-        let Self {
-            env, from_workers, fleet, books: Books { slots, worker_side: eager, .. }, ..
-        } = self;
+        let Self { env, from_workers, fleet, books: Books { slots, .. }, .. } = self;
         let recovery = &env.opts.recovery;
+        let eager = env.kind == AggregationKind::AllReduce;
         let mut got: BTreeMap<usize, Contribution> = BTreeMap::new();
         let Some(slot) = slots.get_mut(phase) else { return Ok(got) };
         // The reducer wants the expected members as a slice; kept beside the
@@ -1777,6 +1770,7 @@ where
                         compute: m.compute,
                         encode: m.encode,
                         ready_us: vec![0; m.buckets],
+                        nonfinite: m.nonfinite,
                     });
                     if let Some(at) = c.ready_us.get_mut(m.bucket) {
                         *at = m.ready_us;
@@ -1784,7 +1778,7 @@ where
                     if red.complete(m.worker) {
                         done.insert(m.worker);
                     }
-                    if *eager {
+                    if eager {
                         red.try_reduce(&expected_vec);
                     }
                 }
@@ -1869,8 +1863,8 @@ where
             let got = self.collect_phase(step, phase, expected)?;
             round.absorb(phase, &got);
             let Some(slot) = self.books.slots.get_mut(phase) else { break };
-            let (contributors, central) = (&round.contributors, &mut round.central);
-            if !slot.reduce(contributors, self.books.worker_side, self.compressor, central) {
+            let contributors = &round.contributors;
+            if !slot.reduce(contributors, self.env.kind, round.nonfinite) {
                 // The unchanged state is still valid: the next boundary may
                 // ask for it all the same.
                 self.fleet.broadcast(step, |_| AggMsg::Skip);
@@ -1931,27 +1925,18 @@ where
             None => (ClusterProfile { nodes: live_vec.len(), ..self.env.cfg.profile }, 1.0),
         };
         let n_contributors = round.contributors.len();
-        let stats = match round.central {
-            // Every node also packed its gradient for the central round.
-            Some(s) => RoundStats { encode_time: s.encode_time + round.encode, ..s },
-            None => RoundStats::new(
-                self.books
-                    .slots
-                    .iter()
-                    .filter_map(|s| s.layout.as_ref())
-                    .map(|l| l.total_bytes())
-                    .sum(),
-                n_contributors,
-                AggregationKind::AllReduce,
-                round.encode,
-                Duration::ZERO,
-            ),
-        };
-        // A central round's decode is the aggregator's; a worker-side
-        // codec's is whatever the slowest worker reports when the run ends.
-        self.books.decode_base.push((step, stats.decode_time));
+        let kind = self.env.kind;
+        let bytes = self
+            .books
+            .slots
+            .iter()
+            .filter_map(|s| s.layout.as_ref())
+            .map(|l| l.total_bytes())
+            .sum();
+        // The decode is whatever the slowest worker reports when the run ends.
+        let stats = RoundStats::new(bytes, n_contributors, kind, round.encode, Duration::ZERO);
         match self.books.slots.first().and_then(|s| s.reducer.as_ref()) {
-            Some(red) if self.books.worker_side && self.books.slots.len() == 1 => {
+            Some(red) if kind == AggregationKind::AllReduce && self.books.slots.len() == 1 => {
                 // One linear phase over the gradient itself: each bucket's
                 // collective is priced with the selected algorithm and laid
                 // on a modeled timeline that starts when the slowest
@@ -1985,13 +1970,9 @@ where
             }
             _ => {
                 // Payloads that exist only once backward is over (a
-                // multi-phase codec's, or a central round's messages): one
-                // collective over the round's bytes, all of it exposed.
-                let kind = if self.books.worker_side {
-                    AggregationKind::AllReduce
-                } else {
-                    self.compressor.aggregation()
-                };
+                // multi-phase codec's, or an allgather method's message):
+                // one collective of the method's kind over the round's
+                // bytes, all of it exposed.
                 let comm = round_comm_time(&profile, kind, &stats).mul_f64(jitter);
                 self.books.acc.record_with_comm(
                     step,
@@ -2007,32 +1988,9 @@ where
     }
 }
 
-/// The classic whole-tensor round, for compressors whose decode needs
-/// every worker's message: reassembles each contributor's flat gradient,
-/// plays [`GradCompressor::round`] and packs the decoded mean into the
-/// broadcast buffer. `None` when a contribution is poisoned (the round is
-/// not played).
-fn central_round(
-    red: &mut BucketedReducer,
-    layout: &PackLayout,
-    contributors: &[usize],
-    compressor: &mut dyn GradCompressor,
-    mean: &mut Arc<Tensor>,
-) -> Option<RoundStats> {
-    let flats: Vec<&Tensor> = contributors.iter().filter_map(|x| red.assembled(*x)).collect();
-    if flats.iter().any(|t| any_nonfinite(std::slice::from_ref(*t))) {
-        return None;
-    }
-    let contributions: Vec<Vec<Tensor>> = flats.iter().map(|flat| unpack(flat, layout)).collect();
-    let (decoded, stats) = compressor.round(&contributions);
-    let out = reclaim(mean, layout.total_len())?;
-    pack_into(decoded.iter(), out.as_mut_slice());
-    Some(stats)
-}
-
 /// The checkpoint of boundary `step`: the leader's replica state, the
-/// compressor's (for worker-side codecs, what the boundary gathered from
-/// the members) and the member set as of now.
+/// compressor's (what the boundary gathered from the members' codecs) and
+/// the member set as of now.
 fn checkpoint_of(
     step: usize,
     state: ModelState,
@@ -2082,6 +2040,7 @@ mod tests {
     use puffer_compress::none::NoCompression;
     use puffer_compress::powersgd::PowerSgd;
     use puffer_compress::signum::Signum;
+    use puffer_compress::topk::TopK;
     use puffer_nn::activation::Relu;
     use puffer_nn::linear::Linear;
     use puffer_nn::Sequential;
@@ -2208,11 +2167,11 @@ mod tests {
     }
 
     #[test]
-    fn bucket_size_never_changes_what_a_codec_or_a_central_round_computes() {
+    fn bucket_size_never_changes_what_a_codec_computes() {
         // PowerSGD's P and Q payloads are bucketed like any other payload,
-        // and a compressor without a worker half (Signum) still rides the
-        // bucketed transport to the aggregator's central round: at any
-        // bucket size the results match the one-bucket run bitwise.
+        // and so are the messages of the allgather codecs (Signum's sign
+        // words, Top-k's pairs): at any bucket size the results match the
+        // one-bucket run bitwise.
         let batches = synthetic_batches(3, 8);
         let cfg = DistConfig {
             workers: 2,
@@ -2221,21 +2180,22 @@ mod tests {
             weight_decay: 0.0,
             profile: ClusterProfile::p3_like(2),
         };
-        let opts = |bytes: usize| RunOptions { bucket_bytes: Some(bytes), ..Default::default() };
-        let powersgd = |bytes: usize| {
-            let mut comp = PowerSgd::new(2, 9);
-            train_data_parallel_with(|_| mlp(13), &batches, &mut comp, &cfg, &opts(bytes)).unwrap()
-        };
-        let signum = |bytes: usize| {
-            let mut comp = Signum::new(0.9);
-            train_data_parallel_with(|_| mlp(13), &batches, &mut comp, &cfg, &opts(bytes)).unwrap()
-        };
-        for run in [&powersgd as &dyn Fn(usize) -> DistOutcome, &signum] {
+        let compressors: [fn() -> Box<dyn GradCompressor>; 3] = [
+            || Box::new(PowerSgd::new(2, 9)),
+            || Box::new(Signum::new(0.9)),
+            || Box::new(TopK::new(0.25)),
+        ];
+        for make in compressors {
+            let run = |bytes: usize| {
+                let opts = RunOptions { bucket_bytes: Some(bytes), ..Default::default() };
+                let mut comp = make();
+                train_data_parallel_with(|_| mlp(13), &batches, comp.as_mut(), &cfg, &opts).unwrap()
+            };
             let flat = run(usize::MAX);
             let bucketed = run(64);
             assert_eq!(flat.final_params, bucketed.final_params);
-            // Neither payload exists before backward is over: every comm
-            // nanosecond is exposed.
+            // None of these payloads exists before backward is over: every
+            // comm nanosecond is exposed.
             assert_eq!(bucketed.breakdown.comm, bucketed.breakdown.comm_exposed);
             assert!(bucketed.breakdown.encode > Duration::ZERO);
             assert!(bucketed.breakdown.decode > Duration::ZERO);
@@ -2299,8 +2259,14 @@ mod tests {
         };
         let mut comp = Signum::new(0.9);
         let out = train_data_parallel(|_| mlp(7), &batches, &mut comp, &cfg).unwrap();
-        assert!(out.breakdown.comm > Duration::ZERO);
+        // One sign bit per coordinate goes up — never a gradient — and the
+        // round is priced as an allgather of those messages.
+        let bytes_per_worker = (6 * 16 + 16 + 16 * 3 + 3usize).div_ceil(64) * 8;
+        assert_eq!(out.breakdown.comm, 2 * cfg.profile.allgather(bytes_per_worker));
+        // Nobody decodes on the workers' behalf: the decode booked is the
+        // duration the slowest of them measured around its own vote.
         assert!(out.breakdown.decode > Duration::ZERO);
+        assert!(out.breakdown.encode > Duration::ZERO);
     }
 
     #[test]

@@ -6,8 +6,13 @@
 //! Every fault below is injected from a seeded [`FaultPlan`], so the whole
 //! suite is deterministic.
 
+use puffer_compress::atomo::Atomo;
 use puffer_compress::none::NoCompression;
 use puffer_compress::powersgd::PowerSgd;
+use puffer_compress::quant::BinaryQuant;
+use puffer_compress::signum::Signum;
+use puffer_compress::topk::TopK;
+use puffer_compress::GradCompressor;
 use puffer_dist::checkpoint::{CheckpointPolicy, DistCheckpoint};
 use puffer_dist::cost::{ClusterProfile, HeteroProfile};
 use puffer_dist::error::DistError;
@@ -121,69 +126,101 @@ fn crash_degrades_to_survivors_with_renormalized_mean() {
     assert!(rel < 1e-3, "degraded run drifted from clean run: rel error {rel}");
 }
 
+/// The six compressors.
+fn compressors() -> [fn() -> Box<dyn GradCompressor>; 6] {
+    [
+        || Box::new(NoCompression::new()),
+        || Box::new(PowerSgd::new(2, 9)),
+        || Box::new(Signum::new(0.9)),
+        || Box::new(TopK::new(0.25)),
+        || Box::new(BinaryQuant::new(5)),
+        || Box::new(Atomo::new(2, 7)),
+    ]
+}
+
+/// An MLP whose middle weight is wide enough (both sides over 32) for the
+/// SVD's seeded range finder: below that ATOMO's round counter seeds nothing.
+fn wide_mlp(seed_base: u64) -> Sequential {
+    Sequential::new(vec![
+        Box::new(Linear::new(6, 40, true, seed_base).unwrap()),
+        Box::new(Relu::new()),
+        Box::new(Linear::new(40, 36, true, seed_base + 1).unwrap()),
+        Box::new(Relu::new()),
+        Box::new(Linear::new(36, 3, true, seed_base + 2).unwrap()),
+    ])
+}
+
 #[test]
 fn checkpoint_crash_resume_is_bitwise_identical() {
     // The flagship robustness claim: checkpoint at step 3, crash every
     // worker at step 4, resume from the on-disk checkpoint, and land on
-    // final parameters bitwise identical to an uninterrupted run — with
-    // PowerSGD in the loop, so optimizer momentum AND the compressor's
-    // error-feedback/query state must both survive the round trip.
-    let batches = mixed_batches(6, 8);
+    // final parameters bitwise identical to an uninterrupted run — under
+    // every compressor, so optimizer momentum AND whatever the method
+    // carries from round to round (PowerSGD's error feedback and queries,
+    // Signum's momentum, Top-k's residual, the quantizer's random streams,
+    // ATOMO's round counter) must all survive the round trip.
+    let batches = mixed_batches(6, 32);
     let cfg = zero_cost_cfg(2);
-    let factory = |_w: usize| mlp(21);
+    let factory = |_w: usize| wide_mlp(21);
+    for make in compressors() {
+        let mut clean_c = make();
+        let name = clean_c.name();
+        let clean = train_data_parallel(factory, &batches, clean_c.as_mut(), &cfg).unwrap();
 
-    let mut clean_c = PowerSgd::new(2, 9);
-    let clean = train_data_parallel(factory, &batches, &mut clean_c, &cfg).unwrap();
+        // Checkpointing alone must not perturb the run.
+        let dir = scratch_dir(&format!("resume_{name}"));
+        let ckpt_opts = RunOptions {
+            checkpoint: CheckpointPolicy::every(3, &dir),
+            recovery: quick_recovery(),
+            ..RunOptions::default()
+        };
+        let mut ckpt_c = make();
+        let with_ckpt =
+            train_data_parallel_with(factory, &batches, ckpt_c.as_mut(), &cfg, &ckpt_opts).unwrap();
+        assert_eq!(with_ckpt.final_params, clean.final_params, "{name}");
+        // Six steps, every three: the boundary after round 2 and the one
+        // after the last round — the same function — each wrote its file.
+        let files: Vec<_> =
+            [3, 6].iter().map(|&s| ckpt_opts.checkpoint.path_for(s).unwrap()).collect();
+        assert_eq!(with_ckpt.checkpoints, files, "{name}");
+        assert_eq!(DistCheckpoint::load(&files[1]).unwrap().params, clean.final_params, "{name}");
 
-    // Checkpointing alone must not perturb the run.
-    let dir = scratch_dir("resume");
-    let ckpt_opts = RunOptions {
-        checkpoint: CheckpointPolicy::every(3, &dir),
-        recovery: quick_recovery(),
-        ..RunOptions::default()
-    };
-    let mut ckpt_c = PowerSgd::new(2, 9);
-    let with_ckpt =
-        train_data_parallel_with(factory, &batches, &mut ckpt_c, &cfg, &ckpt_opts).unwrap();
-    assert_eq!(with_ckpt.final_params, clean.final_params);
-    // Six steps, every three: the boundary after round 2 and the one after
-    // the last round — the same function — each wrote its file.
-    let files: Vec<_> = [3, 6].iter().map(|&s| ckpt_opts.checkpoint.path_for(s).unwrap()).collect();
-    assert_eq!(with_ckpt.checkpoints, files);
-    assert_eq!(DistCheckpoint::load(&files[1]).unwrap().params, clean.final_params);
+        // Crash the whole fleet after the step-3 checkpoint: the run dies,
+        // the checkpoint survives on disk.
+        let crash_dir = scratch_dir(&format!("resume_crash_{name}"));
+        let crash_opts = RunOptions {
+            faults: FaultPlan::new(3).with_crash(0, 4).with_crash(1, 4),
+            checkpoint: CheckpointPolicy::every(3, &crash_dir),
+            recovery: quick_recovery(),
+            ..RunOptions::default()
+        };
+        let mut crash_c = make();
+        let err = train_data_parallel_with(factory, &batches, crash_c.as_mut(), &cfg, &crash_opts)
+            .unwrap_err();
+        assert!(matches!(err, DistError::AllWorkersDead { step: 4 }), "{name}: {err:?}");
 
-    // Crash the whole fleet after the step-3 checkpoint: the run dies, the
-    // checkpoint survives on disk.
-    let crash_dir = scratch_dir("resume_crash");
-    let crash_opts = RunOptions {
-        faults: FaultPlan::new(3).with_crash(0, 4).with_crash(1, 4),
-        checkpoint: CheckpointPolicy::every(3, &crash_dir),
-        recovery: quick_recovery(),
-        ..RunOptions::default()
-    };
-    let mut crash_c = PowerSgd::new(2, 9);
-    let err =
-        train_data_parallel_with(factory, &batches, &mut crash_c, &cfg, &crash_opts).unwrap_err();
-    assert!(matches!(err, DistError::AllWorkersDead { step: 4 }), "{err:?}");
-
-    // Resume from the surviving checkpoint with a *fresh* compressor.
-    let path = CheckpointPolicy::every(3, &crash_dir).path_for(3).unwrap();
-    let ck = DistCheckpoint::load(&path).unwrap();
-    assert_eq!(ck.step, 3);
-    let resume_opts =
-        RunOptions { resume: Some(ck), recovery: quick_recovery(), ..RunOptions::default() };
-    let mut resume_c = PowerSgd::new(2, 9);
-    let resumed =
-        train_data_parallel_with(factory, &batches, &mut resume_c, &cfg, &resume_opts).unwrap();
-    assert_eq!(resumed.final_params, clean.final_params, "resume must be bitwise identical");
-    assert_eq!(resumed.step_losses.len(), 3, "resume replays only steps 3..6");
+        // Resume from the surviving checkpoint with a *fresh* compressor.
+        let path = CheckpointPolicy::every(3, &crash_dir).path_for(3).unwrap();
+        let ck = DistCheckpoint::load(&path).unwrap();
+        assert_eq!(ck.step, 3);
+        let resume_opts =
+            RunOptions { resume: Some(ck), recovery: quick_recovery(), ..RunOptions::default() };
+        let mut resume_c = make();
+        let resumed =
+            train_data_parallel_with(factory, &batches, resume_c.as_mut(), &cfg, &resume_opts)
+                .unwrap();
+        assert_eq!(resumed.final_params, clean.final_params, "{name}: resume must be bitwise");
+        assert_eq!(resumed.step_losses.len(), 3, "resume replays only steps 3..6");
+    }
 }
 
 #[test]
 fn nonfinite_gradient_skips_the_step_in_lockstep() {
     // A poisoned gradient at (worker 1, step 2) must skip that step on
     // every replica — the run then equals, bitwise, a run whose batch
-    // list never contained step 2 at all.
+    // list never contained step 2 at all. Under vanilla SGD the aggregator
+    // sees it in the mean; Signum's sign words hide it, so the worker flags
+    // its own message.
     let batches = mixed_batches(5, 8);
     let cfg = zero_cost_cfg(2);
     let opts = RunOptions {
@@ -191,17 +228,27 @@ fn nonfinite_gradient_skips_the_step_in_lockstep() {
         recovery: quick_recovery(),
         ..RunOptions::default()
     };
-    let mut comp = NoCompression::new();
-    let out = train_data_parallel_with(|_| mlp(31), &batches, &mut comp, &cfg, &opts).unwrap();
-    assert_eq!(out.faults.skipped_steps, vec![2]);
-    assert_eq!(out.breakdown.skipped_steps, 1);
-    assert_eq!(out.step_losses.len(), 5);
+    let methods: [fn() -> Box<dyn GradCompressor>; 2] =
+        [|| Box::new(NoCompression::new()), || Box::new(Signum::new(0.9))];
+    for make in methods {
+        let mut comp = make();
+        let out =
+            train_data_parallel_with(|_| mlp(31), &batches, comp.as_mut(), &cfg, &opts).unwrap();
+        assert_eq!(out.faults.skipped_steps, vec![2], "{}", comp.name());
+        assert_eq!(out.breakdown.skipped_steps, 1);
+        assert_eq!(out.step_losses.len(), 5);
 
-    let mut without: Vec<_> = batches.clone();
-    without.remove(2);
-    let mut ref_c = NoCompression::new();
-    let reference = train_data_parallel(|_| mlp(31), &without, &mut ref_c, &cfg).unwrap();
-    assert_eq!(out.final_params, reference.final_params, "skip must not desynchronize replicas");
+        let mut without: Vec<_> = batches.clone();
+        without.remove(2);
+        let mut ref_c = make();
+        let reference = train_data_parallel(|_| mlp(31), &without, ref_c.as_mut(), &cfg).unwrap();
+        assert_eq!(
+            out.final_params, reference.final_params,
+            "skip must not desynchronize replicas"
+        );
+        // The skipped round left no trace in anybody's codec either.
+        assert_eq!(comp.state_snapshot(), ref_c.state_snapshot(), "{}", comp.name());
+    }
 }
 
 #[test]

@@ -119,9 +119,15 @@ fn compiler_held_contracts_stay_configured() {
     let read = |rel: &str| {
         std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("read {rel}: {e}"))
     };
-    for rel in
-        ["crates/dist/src/lib.rs", "crates/compress/src/powersgd.rs", "crates/compress/src/none.rs"]
-    {
+    for rel in [
+        "crates/dist/src/lib.rs",
+        "crates/compress/src/powersgd.rs",
+        "crates/compress/src/none.rs",
+        "crates/compress/src/signum.rs",
+        "crates/compress/src/topk.rs",
+        "crates/compress/src/quant.rs",
+        "crates/compress/src/atomo.rs",
+    ] {
         let src = read(rel);
         let deny = src
             .split("#![cfg_attr(\n    not(test),\n    deny(")

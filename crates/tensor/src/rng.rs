@@ -30,6 +30,16 @@ impl Rng {
         Rng { s }
     }
 
+    /// The generator's position in its stream, for a checkpoint.
+    pub fn state(&self) -> [u64; 4] {
+        self.s
+    }
+
+    /// The generator at a position [`Rng::state`] reported.
+    pub fn from_state(s: [u64; 4]) -> Self {
+        Rng { s }
+    }
+
     /// The next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
@@ -204,6 +214,14 @@ mod tests {
             [true, true, false, true, true, true, true, true]
         );
         assert_eq!(r.next_u64(), 0x1C2503D28C43D52B);
+    }
+
+    #[test]
+    fn a_restored_state_continues_the_stream() {
+        let mut a = Rng::seed_from_u64(7);
+        let _ = a.next_u64();
+        let mut b = Rng::from_state(a.state());
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

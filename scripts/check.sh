@@ -49,11 +49,13 @@ echo "== tensor suite under the scalar GEMM fallback (PUFFER_SIMD=0)"
 PUFFER_SIMD=0 cargo test -q --offline --locked -p puffer-tensor
 
 echo "== worker-side codec suites under the scalar GEMM fallback (PUFFER_SIMD=0)"
-# `cargo test -q` above ran them with SIMD on. PowerSGD's halves must equal
-# the central round they replaced, and the threaded trainer its sequential
-# re-enactment (parameters, compressor state, the parent commit's recorded
-# digest), bit for bit on both GEMM paths.
+# `cargo test -q` above ran them with SIMD on. PowerSGD's halves and the
+# allgather methods' (ATOMO's SVD is GEMM-backed) must equal the central
+# rounds they replaced, and the threaded trainer its sequential
+# re-enactment (parameters, compressor state, the parent commits' recorded
+# digests), bit for bit on both GEMM paths.
 PUFFER_SIMD=0 cargo test -q --offline --locked -p puffer-compress --test powersgd_worker_halves
+PUFFER_SIMD=0 cargo test -q --offline --locked -p puffer-compress --test gather_worker_halves
 PUFFER_SIMD=0 cargo test -q --offline --locked -p puffer-dist --test worker_codec_suite
 
 echo "== puffer-bench: system gates, insight pipeline, CLI and guarantee tests (release)"

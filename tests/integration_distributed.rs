@@ -137,26 +137,33 @@ fn compressed_training_still_converges_end_to_end() {
 #[test]
 fn sequential_and_threaded_paths_agree_on_losses() {
     // The measurement path (sequential) and the threaded trainer implement
-    // the same synchronous algorithm: from identical inits, their first
-    // training step must produce the same loss.
-    let data = batches(1, 8, 8, 4);
+    // the same synchronous algorithm over the same worker halves — the
+    // identity codec's mean, Signum's gathered sign words — so from
+    // identical inits their losses agree, the first step's and, the update
+    // being the same, the second's.
+    let data = batches(2, 8, 8, 4);
     let profile = ClusterProfile::zero_cost(2);
-    let mut model = ResNet::new(ResNetConfig::resnet18(0.0625, 4, 21)).unwrap();
-    let mut comp = NoCompression::new();
-    let (_, seq_loss) =
-        measure_sequential_epoch(&mut model, &data, 2, &mut comp, &profile, 0.05).unwrap();
+    let methods: [fn() -> Box<dyn GradCompressor>; 2] =
+        [|| Box::new(NoCompression::new()), || Box::new(Signum::new(0.9))];
+    for make in methods {
+        let mut model = ResNet::new(ResNetConfig::resnet18(0.0625, 4, 21)).unwrap();
+        let mut comp = make();
+        let (_, seq_loss) =
+            measure_sequential_epoch(&mut model, &data, 2, comp.as_mut(), &profile, 0.05).unwrap();
 
-    let cfg = DistConfig { workers: 2, lr: 0.05, momentum: 0.9, weight_decay: 1e-4, profile };
-    let mut comp = NoCompression::new();
-    let out = train_data_parallel(
-        |_| ResNet::new(ResNetConfig::resnet18(0.0625, 4, 21)).unwrap(),
-        &data,
-        &mut comp,
-        &cfg,
-    )
-    .unwrap();
-    let thr_loss = out.step_losses[0];
-    assert!((seq_loss - thr_loss).abs() < 1e-4, "sequential {seq_loss} vs threaded {thr_loss}");
+        let cfg = DistConfig { workers: 2, lr: 0.05, momentum: 0.9, weight_decay: 1e-4, profile };
+        let mut comp = make();
+        let out = train_data_parallel(
+            |_| ResNet::new(ResNetConfig::resnet18(0.0625, 4, 21)).unwrap(),
+            &data,
+            comp.as_mut(),
+            &cfg,
+        )
+        .unwrap();
+        let thr_loss = out.step_losses.iter().sum::<f32>() / out.step_losses.len() as f32;
+        let name = comp.name();
+        assert!((seq_loss - thr_loss).abs() < 1e-4, "{name}: {seq_loss} vs threaded {thr_loss}");
+    }
 }
 
 #[test]
