@@ -230,12 +230,14 @@ impl Layer for ResBlock {
         for u in rest {
             main = u.forward(&main, mode);
         }
-        let mut y = match &mut self.shortcut {
-            Some(s) => &main + &s.forward(input, mode),
-            None => &main + input,
-        };
-        self.relu.forward(&mut y, mode);
-        y
+        // The main path's output is owned and dead after the add: the sum
+        // goes into it (`a += b` and `a + b` are the same bits).
+        match &mut self.shortcut {
+            Some(s) => main += &s.forward(input, mode),
+            None => main += input,
+        }
+        self.relu.forward(&mut main, mode);
+        main
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -246,11 +248,12 @@ impl Layer for ResBlock {
         for u in rest.iter_mut().rev() {
             gm = u.backward(&gm);
         }
-        // Residual path.
+        // Residual path, added into the main path's gradient.
         match &mut self.shortcut {
-            Some(s) => &gm + &s.backward(&g),
-            None => &gm + &g,
+            Some(s) => gm += &s.backward(&g),
+            None => gm += &g,
         }
+        gm
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -10,10 +10,154 @@
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use crate::{NnError, Result};
-use puffer_tensor::Tensor;
+use puffer_tensor::{workspace, Tensor};
+use std::ops::Range;
 
 const BN_EPS: f32 = 1e-5;
 const BN_MOMENTUM: f32 = 0.1;
+
+/// Accumulator chains a per-channel reduction keeps in flight. A chain is
+/// one `f32` accumulator and the elements added to it, in order: a plane's
+/// sum, a channel's `Σ(x−μ)²`, a channel's `Σdy` and `Σdy·x̂`. One chain
+/// advances an element per floating-point add latency however fast memory
+/// is, so [`BatchNorm2d`] walks `ABREAST` consecutive planes together — one
+/// chain each, because consecutive planes belong to different channels.
+/// Which additions share an accumulator, and in which order, is the same as
+/// walking the planes one after another; only the interleaving in time
+/// differs, and no result depends on that. 4 and 8 measured alike, 2 up to
+/// a third slower (EXPERIMENTS.md, "BatchNorm at memory speed").
+const ABREAST: usize = 4;
+
+/// Elements a chain takes before the next chain has its turn. The runs are
+/// of constant length, so the compiler unrolls a round of `ABREAST` runs and
+/// the chains' additions interleave (it loads each run as a vector and
+/// transposes them, one chain per lane); a whole plane per turn would be one
+/// chain at a time again.
+const TILE: usize = 4;
+
+/// Planes `p0..p0 + K` of an `[N, C, spatial]` activation.
+#[inline(always)]
+fn planes_at<const K: usize>(data: &[f32], spatial: usize, p0: usize) -> [&[f32]; K] {
+    std::array::from_fn(|j| &data[(p0 + j) * spatial..][..spatial])
+}
+
+/// The channels of planes `p0..p0 + K` (`K ≤ c`).
+#[inline(always)]
+fn channels_at<const K: usize>(c: usize, p0: usize) -> [usize; K] {
+    let c0 = p0 % c;
+    std::array::from_fn(|j| if c0 + j < c { c0 + j } else { c0 + j - c })
+}
+
+/// Advances `K` chains abreast over planes of `spatial` elements:
+/// `step(j, run)` feeds chain `j` the elements `run` of its plane, and every
+/// chain gets its runs in ascending order, [`TILE`] elements at a time and
+/// then the rest of the plane.
+#[inline(always)]
+fn abreast<const K: usize>(spatial: usize, mut step: impl FnMut(usize, Range<usize>)) {
+    let tiled = spatial - spatial % TILE;
+    for s in (0..tiled).step_by(TILE) {
+        (0..K).for_each(|j| step(j, s..s + TILE));
+    }
+    (0..K).for_each(|j| step(j, tiled..spatial));
+}
+
+/// Calls `group(p0, true)` for every run of [`ABREAST`] consecutive planes
+/// and `group(p, false)` for each plane left over, in memory order. Runs are
+/// only formed when they cannot hold two planes of one channel
+/// (`c ≥ ABREAST`), so a channel's chain never meets itself inside a run.
+fn for_plane_groups(planes: usize, c: usize, mut group: impl FnMut(usize, bool)) {
+    let abreast = if c >= ABREAST { planes - planes % ABREAST } else { 0 };
+    (0..abreast).step_by(ABREAST).for_each(|p0| group(p0, true));
+    (abreast..planes).for_each(|p| group(p, false));
+}
+
+/// Per-channel batch mean and biased variance of an `[N, C, spatial]`
+/// activation with `count` elements per channel.
+fn batch_stats(x: &[f32], c: usize, spatial: usize, count: f32) -> (Vec<f32>, Vec<f32>) {
+    /// Appends the sums of planes `p0..p0 + K`: each its own chain, seeded
+    /// like `Iterator::sum`, its elements added in memory order.
+    fn plane_sums<const K: usize>(x: &[f32], spatial: usize, p0: usize, sums: &mut Vec<f32>) {
+        let planes = planes_at::<K>(x, spatial, p0);
+        let mut acc = [std::iter::empty::<f32>().sum(); K];
+        abreast::<K>(spatial, |j, run| planes[j][run].iter().for_each(|v| acc[j] += v));
+        sums.extend_from_slice(&acc);
+    }
+    /// Continues the `Σ(x−μ)²` chains of the channels of planes `p0..p0 + K`.
+    fn squares<const K: usize>(x: &[f32], spatial: usize, p0: usize, mean: &[f32], sq: &mut [f32]) {
+        let planes = planes_at::<K>(x, spatial, p0);
+        let channels = channels_at::<K>(mean.len(), p0);
+        let (m, mut acc) = (channels.map(|ci| mean[ci]), channels.map(|ci| sq[ci]));
+        abreast::<K>(spatial, |j, run| {
+            for v in &planes[j][run] {
+                let d = v - m[j];
+                acc[j] += d * d;
+            }
+        });
+        channels.into_iter().zip(acc).for_each(|(ci, acc)| sq[ci] = acc);
+    }
+
+    let planes = x.len() / spatial;
+    let mut sums = Vec::with_capacity(planes);
+    for_plane_groups(planes, c, |p0, abreast| match abreast {
+        true => plane_sums::<ABREAST>(x, spatial, p0, &mut sums),
+        false => plane_sums::<1>(x, spatial, p0, &mut sums),
+    });
+    // A channel's sum folds its planes' sums in image order.
+    let mean: Vec<f32> = (0..c)
+        .map(|ci| {
+            let mut sum = 0.0;
+            for plane_sum in sums.iter().skip(ci).step_by(c) {
+                sum += plane_sum;
+            }
+            sum / count
+        })
+        .collect();
+    let mut sq = vec![0.0f32; c];
+    for_plane_groups(planes, c, |p0, abreast| match abreast {
+        true => squares::<ABREAST>(x, spatial, p0, &mean, &mut sq),
+        false => squares::<1>(x, spatial, p0, &mean, &mut sq),
+    });
+    let var = sq.iter().map(|&sq| sq / count).collect();
+    (mean, var)
+}
+
+/// Per-channel `[Σdy, Σdy·x̂]`, each one chain over the channel's planes in
+/// image order.
+fn grad_sums(dy: &[f32], x_hat: &[f32], c: usize, spatial: usize) -> Vec<[f32; 2]> {
+    /// Continues both chains of the channels of planes `p0..p0 + K`.
+    fn group<const K: usize>(
+        dy: &[f32],
+        x_hat: &[f32],
+        spatial: usize,
+        p0: usize,
+        sums: &mut [[f32; 2]],
+    ) {
+        let (gs, hs) = (planes_at::<K>(dy, spatial, p0), planes_at::<K>(x_hat, spatial, p0));
+        let channels = channels_at::<K>(sums.len(), p0);
+        let mut sum_dy = channels.map(|ci| sums[ci][0]);
+        let mut sum_dy_xhat = channels.map(|ci| sums[ci][1]);
+        abreast::<K>(spatial, |j, run| {
+            for (g, xh) in gs[j][run.clone()].iter().zip(&hs[j][run]) {
+                sum_dy[j] += g;
+                sum_dy_xhat[j] += g * xh;
+            }
+        });
+        for (j, ci) in channels.into_iter().enumerate() {
+            sums[ci] = [sum_dy[j], sum_dy_xhat[j]];
+        }
+    }
+
+    let mut sums = vec![[0.0f32; 2]; c];
+    for_plane_groups(dy.len() / spatial, c, |p0, abreast| match abreast {
+        true => group::<ABREAST>(dy, x_hat, spatial, p0, &mut sums),
+        false => group::<1>(dy, x_hat, spatial, p0, &mut sums),
+    });
+    sums
+}
+
+fn inv_std(var: &[f32]) -> Vec<f32> {
+    var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect()
+}
 
 /// Per-channel batch normalization over `[N, C, H, W]`.
 #[derive(Debug)]
@@ -125,6 +269,22 @@ impl BatchNorm2d {
     pub fn gamma(&self) -> &Tensor {
         &self.gamma.value
     }
+
+    /// What the last train-mode forward kept for `backward`: x̂ and the
+    /// per-channel `1/√(σ²+ε)`. Read by the bitwise oracle suite
+    /// (`tests/batchnorm_bitwise.rs`).
+    pub fn cached(&self) -> Option<(&Tensor, &[f32])> {
+        self.cache.as_ref().map(|cache| (&cache.x_hat, &cache.inv_std[..]))
+    }
+
+    /// Channel `ci`'s `(γ, β)`; `(1, 0)` without the affine pair.
+    fn scale_shift(&self, ci: usize) -> (f32, f32) {
+        if self.affine {
+            (self.gamma.value.as_slice()[ci], self.beta.value.as_slice()[ci])
+        } else {
+            (1.0, 0.0)
+        }
+    }
 }
 
 impl Layer for BatchNorm2d {
@@ -133,29 +293,23 @@ impl Layer for BatchNorm2d {
         let s = input.shape().to_vec();
         let (n, c, spatial) = (s[0], s[1], s[2] * s[3]);
         assert_eq!(c, self.channels, "BatchNorm2d channel mismatch");
-        let count = (n * spatial) as f32;
-
         let x = input.as_slice();
-        let (mean, var): (Vec<f32>, Vec<f32>) = match mode {
-            Mode::Train => {
-                let mut mean = vec![0.0f32; c];
-                let mut var = vec![0.0f32; c];
-                for ci in 0..c {
-                    let mut sum = 0.0;
-                    for ni in 0..n {
-                        sum += x[(ni * c + ci) * spatial..][..spatial].iter().sum::<f32>();
-                    }
-                    let m = sum / count;
-                    let mut sq = 0.0;
-                    for ni in 0..n {
-                        for &v in &x[(ni * c + ci) * spatial..][..spatial] {
-                            let d = v - m;
-                            sq += d * d;
-                        }
-                    }
-                    mean[ci] = m;
-                    var[ci] = sq / count;
+        // Both branches push one element per element of `x`, in memory
+        // order, into buffers taken empty: nothing here is filled first.
+        let mut out = workspace::take_with_capacity(x.len());
+        match mode {
+            Mode::Eval => {
+                let inv_std = inv_std(&self.running_var);
+                for (idx, xs) in x.chunks_exact(spatial).enumerate() {
+                    let ci = idx % c;
+                    let (g, b) = self.scale_shift(ci);
+                    let (m, is) = (self.running_mean[ci], inv_std[ci]);
+                    out.extend(xs.iter().map(|&v| g * ((v - m) * is) + b));
                 }
+            }
+            Mode::Train => {
+                let count = (n * spatial) as f32;
+                let (mean, var) = batch_stats(x, c, spatial, count);
                 // Update running statistics (unbiased variance, as PyTorch).
                 let unbias = if count > 1.0 { count / (count - 1.0) } else { 1.0 };
                 for ci in 0..c {
@@ -164,36 +318,20 @@ impl Layer for BatchNorm2d {
                     self.running_var[ci] =
                         (1.0 - BN_MOMENTUM) * self.running_var[ci] + BN_MOMENTUM * var[ci] * unbias;
                 }
-                (mean, var)
-            }
-            Mode::Eval => (self.running_mean.clone(), self.running_var.clone()),
-        };
-
-        let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + BN_EPS).sqrt()).collect();
-        let mut x_hat = Tensor::zeros(&s);
-        let mut out = Tensor::zeros(&s);
-        let planes = out
-            .as_mut_slice()
-            .chunks_exact_mut(spatial)
-            .zip(x_hat.as_mut_slice().chunks_exact_mut(spatial))
-            .zip(x.chunks_exact(spatial));
-        for (idx, ((o, xh), xs)) in planes.enumerate() {
-            let ci = idx % c;
-            let (g, b) = if self.affine {
-                (self.gamma.value.as_slice()[ci], self.beta.value.as_slice()[ci])
-            } else {
-                (1.0, 0.0)
-            };
-            let (m, is) = (mean[ci], inv_std[ci]);
-            for ((o, h), &v) in o.iter_mut().zip(xh).zip(xs) {
-                *h = (v - m) * is;
-                *o = g * *h + b;
+                let inv_std = inv_std(&var);
+                let mut x_hat = workspace::take_with_capacity(x.len());
+                for (idx, xs) in x.chunks_exact(spatial).enumerate() {
+                    let ci = idx % c;
+                    let (g, b) = self.scale_shift(ci);
+                    let (m, is) = (mean[ci], inv_std[ci]);
+                    x_hat.extend(xs.iter().map(|&v| (v - m) * is));
+                    out.extend(x_hat[idx * spatial..].iter().map(|&h| g * h + b));
+                }
+                let x_hat = Tensor::from_vec(x_hat, &s).expect("one x̂ per element of x");
+                self.cache = Some(BnCache { x_hat, inv_std, shape: s.clone() });
             }
         }
-        if mode == Mode::Train {
-            self.cache = Some(BnCache { x_hat, inv_std, shape: s });
-        }
-        out
+        Tensor::from_vec(out, &s).expect("one output per element of x")
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -203,36 +341,28 @@ impl Layer for BatchNorm2d {
         let (n, c, spatial) = (s[0], s[1], s[2] * s[3]);
         let count = (n * spatial) as f32;
 
-        let mut gin = Tensor::zeros(s);
-        let (dy, x_hat, dx) = (grad_output.as_slice(), cache.x_hat.as_slice(), gin.as_mut_slice());
-        for ci in 0..c {
-            // Channel-wise sums: Σdy, Σdy·x̂.
-            let (mut sum_dy, mut sum_dy_xhat) = (0.0f32, 0.0f32);
-            for ni in 0..n {
-                let base = (ni * c + ci) * spatial;
-                for (&g, &xh) in dy[base..][..spatial].iter().zip(&x_hat[base..][..spatial]) {
-                    sum_dy += g;
-                    sum_dy_xhat += g * xh;
-                }
-            }
-            if self.affine {
+        let (dy, x_hat) = (grad_output.as_slice(), cache.x_hat.as_slice());
+        // Channel-wise sums: Σdy, Σdy·x̂.
+        let sums = grad_sums(dy, x_hat, c, spatial);
+        if self.affine {
+            for (ci, [sum_dy, sum_dy_xhat]) in sums.iter().enumerate() {
                 self.gamma.grad.as_mut_slice()[ci] += sum_dy_xhat;
                 self.beta.grad.as_mut_slice()[ci] += sum_dy;
             }
-            let g = if self.affine { self.gamma.value.as_slice()[ci] } else { 1.0 };
-            let k = g * cache.inv_std[ci];
+        }
+        let mut dx = workspace::take_with_capacity(dy.len());
+        let planes = dy.chunks_exact(spatial).zip(x_hat.chunks_exact(spatial));
+        for (idx, (gs, hs)) in planes.enumerate() {
+            let ci = idx % c;
+            let [sum_dy, sum_dy_xhat] = sums[ci];
+            let k = self.scale_shift(ci).0 * cache.inv_std[ci];
             // `xh * sum_dy_xhat / count` divides a per-element product, so
             // only the first of the two quotients is loop-invariant.
             let mean_dy = sum_dy / count;
-            for ni in 0..n {
-                let base = (ni * c + ci) * spatial;
-                let rows = dy[base..][..spatial].iter().zip(&x_hat[base..][..spatial]);
-                for (d, (&g, &xh)) in dx[base..][..spatial].iter_mut().zip(rows) {
-                    *d = k * (g - mean_dy - xh * sum_dy_xhat / count);
-                }
-            }
+            let rows = gs.iter().zip(hs);
+            dx.extend(rows.map(|(&g, &xh)| k * (g - mean_dy - xh * sum_dy_xhat / count)));
         }
-        gin
+        Tensor::from_vec(dx, s).expect("one gradient per element of dy")
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -545,10 +545,13 @@ pub fn conv2d_forward(x: &Tensor, weight: &Tensor, geo: &ConvGeometry) -> Result
     let c_out = weight.shape().first().copied().unwrap_or(0);
     check_shape(weight, &[c_out, geo.c_in, geo.k, geo.k], "conv2d_forward")?;
     let (rows, hw) = (geo.patch_rows(), geo.h_out() * geo.w_out());
-    let mut out = Tensor::zeros(&[n, c_out, geo.h_out(), geo.w_out()]);
-    if out.is_empty() || rows == 0 {
-        return Ok(out);
+    let shape = [n, c_out, geo.h_out(), geo.w_out()];
+    if shape.contains(&0) || rows == 0 {
+        return Ok(Tensor::zeros(&shape));
     }
+    // Every path below stores each element of `out`: a copied slab, the
+    // direct kernel's tiles, the engine's product.
+    let mut out = Tensor::unfilled(&shape);
     if default_profile() == MatmulProfile::Reproducible {
         let w_mat = weight.reshape(&[c_out, rows])?;
         for (img, slab) in out.as_mut_slice().chunks_exact_mut(c_out * hw).enumerate() {
@@ -671,12 +674,13 @@ pub fn conv2d_grad_input(weight: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> 
     check_shape(dout, &[n, c_out, geo.h_out(), geo.w_out()], "conv2d_grad_input")?;
     let (c_in, rows) = (geo.c_in, geo.patch_rows());
     let (hw_in, hw_out) = (geo.h * geo.w, geo.h_out() * geo.w_out());
-    let mut dx = Tensor::zeros(&[n, c_in, geo.h, geo.w]);
-    if dx.is_empty() || c_out == 0 {
-        return Ok(dx);
+    let shape = [n, c_in, geo.h, geo.w];
+    if shape.contains(&0) || c_out == 0 {
+        return Ok(Tensor::zeros(&shape));
     }
 
     if default_profile() == MatmulProfile::Reproducible {
+        let mut dx = Tensor::unfilled(&shape);
         let w_mat = weight.reshape(&[c_out, rows])?;
         for (img, planes) in dx.as_mut_slice().chunks_exact_mut(c_in * hw_in).enumerate() {
             let dy = image(dout, img).reshape(&[c_out, hw_out])?;
@@ -688,17 +692,22 @@ pub fn conv2d_grad_input(weight: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> 
     let _sp = kernel_span("conv2d_grad_input", rows, c_out, n * hw_out);
     let parallel = parallel_under_default(c_out * rows * n * hw_out);
     if direct(geo, c_out) {
+        // The direct kernel stores every element of `dx`.
+        let mut dx = Tensor::unfilled(&shape);
         let (w, dout) = (weight.as_slice(), dout.as_slice());
         conv_direct::grad_input(w, dout, dx.as_mut_slice(), geo, n, c_out, parallel);
         return Ok(dx);
     }
+    // The scatter adds into `dx`.
+    let mut dx = Tensor::zeros(&shape);
     let group = (SCATTER_BLOCK / (rows * hw_out)).clamp(1, n);
     let parts = if parallel { pool::num_threads().min(n) } else { 1 };
     // Per part: one group's Wᵀ·dOut and the block scratch of its GEMM, all
-    // taken on this thread (see `gemm::gemm` for why).
+    // taken on this thread (see `gemm::gemm` for why) and unfilled: the
+    // engine stores every element of the one and packs over the other.
     let (cols_len, gemm_len) =
         (rows * group * hw_out, gemm::scratch_len(rows, c_out, group * hw_out));
-    let mut scratch = workspace::take(parts * (cols_len + gemm_len));
+    let mut scratch = workspace::take_unfilled(parts * (cols_len + gemm_len));
     let (w, dy) = (weight.as_slice(), dout.as_slice());
     let dy_geo = ConvGeometry { c_in: c_out, h: 1, w: hw_out, k: 1, stride: 1, padding: 0 };
     let planes = SendPtr(dx.as_mut_slice().as_mut_ptr());
@@ -721,7 +730,6 @@ pub fn conv2d_grad_input(weight: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> 
             for (gi, planes) in planes.chunks_mut(group * c_in * hw_in).enumerate() {
                 let ncols = planes.len() / (c_in * hw_in) * hw_out;
                 let cols = &mut cols[..rows * ncols];
-                cols.fill(0.0);
                 let dy = &dy[(imgs.start + gi * group) * c_out * hw_out..][..c_out * ncols];
                 gemm::gemm_in(
                     &View::row_major(w, rows),

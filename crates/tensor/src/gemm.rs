@@ -31,7 +31,9 @@
 //!
 //! Block scratch comes from the per-thread arenas ([`crate::workspace`]) and
 //! is sized `min(KC, k) × min(NC, n)`, so steady-state steps allocate
-//! nothing fresh and a small product holds a small block. Threads split the
+//! nothing fresh and a small product holds a small block. It is taken
+//! unfilled: every panel the kernel reads was packed just before, and
+//! [`PanelSource::pack_panel`] overwrites its panel element for element. Threads split the
 //! panels of the larger of `n` and `m`; each packs the blocks of its own
 //! range, so there is no shared packed operand and no barrier.
 //!
@@ -49,9 +51,11 @@
 //!
 //! # Determinism
 //!
-//! Every output element is one accumulator reduced over `p = 0..k` in
-//! ascending order with a single rounding per step:
-//! `c ← fma(a[i,p], b[p,j], c)`. Vectorization is across the NR *column
+//! Every output element is one accumulator, started at `+0.0` and reduced
+//! over `p = 0..k` in ascending order with a single rounding per step:
+//! `c ← fma(a[i,p], b[p,j], c)`. The first KC block starts its accumulators
+//! in registers instead of loading them, so C is written, never read first,
+//! and needs no zero fill. Vectorization is across the NR *column
 //! lanes* — different output elements — so lane order never touches any
 //! element's reduction order. KC blocking stores the accumulator to C at a
 //! block boundary and reloads the same bits for the next block, which is
@@ -288,15 +292,14 @@ unsafe impl Send for SendPtr {}
 // disjoint-region argument above covers every derived write.
 unsafe impl Sync for SendPtr {}
 
-/// `C += A · B` for an `m×k` A and a `k×n` B, both given as depth-major
+/// `C = A · B` for an `m×k` A and a `k×n` B, both given as depth-major
 /// [`PanelSource`]s — `a_cols` is the logical `k×m` operand `Aᵀ` (for a
-/// [`View`] of A, `a.t()`), `b` the logical `k×n` operand — accumulated into
-/// `c` through `layout`. Each element continues its fused chain from the
-/// value already in `c`, so a zeroed `c` yields the product and successive
-/// calls over consecutive depth ranges yield the same bits as one call.
-/// `parallel` splits the panels of the larger of `n` and `m` across the
-/// worker pool; results are bitwise identical for every thread count and
-/// for SIMD on/off.
+/// [`View`] of A, `a.t()`), `b` the logical `k×n` operand — stored into `c`
+/// through `layout`. Every element of the product is overwritten with its
+/// fused chain from `+0.0` (all `+0.0` when `k = 0`); what `c` held is never
+/// read, so it may come from [`workspace::take_unfilled_vec`]. `parallel`
+/// splits the panels of the larger of `n` and `m` across the worker pool;
+/// results are bitwise identical for every thread count and for SIMD on/off.
 ///
 /// # Panics
 ///
@@ -313,17 +316,20 @@ pub fn gemm(
     n: usize,
     parallel: bool,
 ) {
-    if m == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 {
         return;
     }
     let eng = Engine::new(a_cols, b, c, layout, m, k, n);
+    if k == 0 {
+        return eng.store_zeros();
+    }
     // Threads split the panels of the longer side of C. All block scratch
     // is taken here, on the calling thread, and handed out by part: which
     // pool thread runs a part is up to the scheduler, and scratch drawn
     // from the workers' own arenas would make a warmed-up step allocate
     // whenever a part lands on a thread that has not run one before.
     let split = Split::new(m, k, n, if parallel { pool::num_threads() } else { 1 });
-    let mut scratch = workspace::take(split.parts * split.scratch_len());
+    let mut scratch = workspace::take_unfilled(split.parts * split.scratch_len());
     pool::run_chunked(&mut scratch, split.scratch_len(), |first, chunk| {
         for (part, blocks) in (first..).zip(chunk.chunks_exact_mut(split.scratch_len())) {
             eng.run_part(&split, part, blocks);
@@ -339,7 +345,8 @@ pub(crate) fn scratch_len(m: usize, k: usize, n: usize) -> usize {
 /// [`gemm`] on the calling thread alone, packing into `scratch` (at least
 /// [`scratch_len`] floats) instead of this thread's arena: for callers that
 /// are themselves one part of a pool dispatch and were handed their scratch
-/// by the dispatching thread. Same bits as [`gemm`].
+/// by the dispatching thread; the scratch need not be filled. Same bits as
+/// [`gemm`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_in(
     a_cols: &dyn PanelSource,
@@ -351,15 +358,15 @@ pub(crate) fn gemm_in(
     n: usize,
     scratch: &mut [f32],
 ) {
-    if m == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 {
         return;
     }
+    let eng = Engine::new(a_cols, b, c, layout, m, k, n);
+    if k == 0 {
+        return eng.store_zeros();
+    }
     let split = Split::new(m, k, n, 1);
-    Engine::new(a_cols, b, c, layout, m, k, n).run_part(
-        &split,
-        0,
-        &mut scratch[..split.scratch_len()],
-    );
+    eng.run_part(&split, 0, &mut scratch[..split.scratch_len()]);
 }
 
 /// How one product is cut into parts and how large each part's packed
@@ -460,6 +467,17 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// The product of an empty depth: `+0.0` in every element.
+    fn store_zeros(&self) {
+        for i in 0..self.m {
+            for j in 0..self.n {
+                // SAFETY: `new` checked that every (i, j) of the product is
+                // in bounds, and no worker is running.
+                unsafe { *self.c.0.add(self.layout.offset(i, j)) = 0.0 };
+            }
+        }
+    }
+
     /// Runs part `part` of `split` with `blocks` as its B and A block
     /// scratch.
     fn run_part(&self, split: &Split, part: usize, blocks: &mut [f32]) {
@@ -473,9 +491,10 @@ impl<'a> Engine<'a> {
     /// the full `jc → pc → ic` nest, packing each B block and each A block
     /// into this part's scratch just before sweeping it; the blocks hold as
     /// many whole panels as the scratch has room for. Per element the KC
-    /// loop continues the same fused accumulator chain — stored to C at a
-    /// block edge and reloaded bit-for-bit — so the result is independent
-    /// of the blocking and of which thread owns the range.
+    /// loop continues the same fused accumulator chain — started at `+0.0`
+    /// in the first block, stored to C at a block edge and reloaded
+    /// bit-for-bit — so the result is independent of the blocking and of
+    /// which thread owns the range.
     fn run(
         &self,
         rows: Range<usize>,
@@ -508,9 +527,9 @@ impl<'a> Engine<'a> {
                                 // gemm() checked that the layout's largest
                                 // offset is in bounds.
                                 let tile = unsafe { self.c.0.add(self.layout.offset(i, j)) };
-                                kernel(self.simd, kc, pa, pb, tile, self.layout.seg);
+                                kernel(self.simd, p0 > 0, kc, pa, pb, tile, self.layout.seg);
                             } else {
-                                self.edge_tile(kc, pa, pb, (i, rows_live), (j, cols_live));
+                                self.edge_tile(p0 > 0, kc, pa, pb, (i, rows_live), (j, cols_live));
                             }
                         }
                     }
@@ -522,12 +541,14 @@ impl<'a> Engine<'a> {
     /// Runs the register-tile kernel on a tile that is short (the last
     /// rows or columns of C) or whose columns straddle a layout segment.
     /// The tile stages through a stack buffer: valid C elements are loaded
-    /// into it, the same full-size kernel runs (padded lanes compute over
+    /// into it (`resume`; the first KC block starts from the buffer's
+    /// `+0.0`), the same full-size kernel runs (padded lanes compute over
     /// packed zeros and are discarded), and the valid region is stored back
     /// — per element the identical fused chain, so edge handling never
     /// perturbs results.
     fn edge_tile(
         &self,
+        resume: bool,
         kc: usize,
         pa: &[f32],
         pb: &[f32],
@@ -539,14 +560,16 @@ impl<'a> Engine<'a> {
         for (q, off) in col.iter_mut().enumerate().take(cols) {
             *off = self.layout.offset(i, j + q);
         }
-        for t in 0..rows {
-            for q in 0..cols {
-                // SAFETY: (i+t, j+q) is a valid element of this worker's
-                // panel range; gemm() checked the layout's bounds.
-                unsafe { tile[t * NR + q] = *self.c.0.add(col[q] + t * self.layout.seg) };
+        if resume {
+            for t in 0..rows {
+                for q in 0..cols {
+                    // SAFETY: (i+t, j+q) is a valid element of this worker's
+                    // panel range; gemm() checked the layout's bounds.
+                    unsafe { tile[t * NR + q] = *self.c.0.add(col[q] + t * self.layout.seg) };
+                }
             }
         }
-        kernel(self.simd, kc, pa, pb, tile.as_mut_ptr(), NR);
+        kernel(self.simd, true, kc, pa, pb, tile.as_mut_ptr(), NR);
         for t in 0..rows {
             for q in 0..cols {
                 // SAFETY: same element set as the loads above.
@@ -556,31 +579,35 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Dispatches one MR×NR register tile to the vector or scalar kernel.
+/// Dispatches one MR×NR register tile to the vector or scalar kernel. The
+/// accumulators continue from the tile's values in C (`resume`) or start at
+/// `+0.0` without reading C — what a zero-filled C would have loaded.
 #[inline]
-fn kernel(simd: bool, kc: usize, pa: &[f32], pb: &[f32], c: *mut f32, ldc: usize) {
+fn kernel(simd: bool, resume: bool, kc: usize, pa: &[f32], pb: &[f32], c: *mut f32, ldc: usize) {
     #[cfg(target_arch = "x86_64")]
     if simd {
         // SAFETY: `simd` is only true when is_x86_feature_detected! reported
         // AVX2+FMA (see simd_enabled/set_simd_enabled), and the pointer
         // contract is the same as kernel_scalar's, upheld by Engine::run.
-        unsafe { avx::kernel_6x16(kc, pa.as_ptr(), pb.as_ptr(), c, ldc) };
+        unsafe { avx::kernel_6x16(resume, kc, pa.as_ptr(), pb.as_ptr(), c, ldc) };
         return;
     }
     let _ = simd;
-    kernel_scalar(kc, pa, pb, c, ldc);
+    kernel_scalar(resume, kc, pa, pb, c, ldc);
 }
 
 /// Scalar micro-kernel: the identical fused chain as the AVX2 kernel,
 /// `acc ← f32::mul_add(a, b, acc)`, which rounds once per step exactly like
 /// `_mm256_fmadd_ps` — so the two paths are bitwise interchangeable.
-fn kernel_scalar(kc: usize, pa: &[f32], pb: &[f32], c: *mut f32, ldc: usize) {
+fn kernel_scalar(resume: bool, kc: usize, pa: &[f32], pb: &[f32], c: *mut f32, ldc: usize) {
     let mut acc = [[0.0f32; NR]; MR];
-    for (t, row) in acc.iter_mut().enumerate() {
-        for (q, slot) in row.iter_mut().enumerate() {
-            // SAFETY: Engine hands a tile with MR rows of stride ldc and
-            // NR valid columns per row.
-            *slot = unsafe { *c.add(t * ldc + q) };
+    if resume {
+        for (t, row) in acc.iter_mut().enumerate() {
+            for (q, slot) in row.iter_mut().enumerate() {
+                // SAFETY: Engine hands a tile with MR rows of stride ldc and
+                // NR valid columns per row.
+                *slot = unsafe { *c.add(t * ldc + q) };
+            }
         }
     }
     for p in 0..kc {
@@ -614,7 +641,8 @@ mod avx {
     };
 
     /// 6×16 micro-kernel: twelve accumulators (`MR` rows × two 8-lane
-    /// halves) are loaded from C, swept by `kc` fused multiply–adds each —
+    /// halves) are loaded from C (`resume`) or start at `+0.0`, swept by
+    /// `kc` fused multiply–adds each —
     /// `acc ← fma(broadcast(a), b, acc)`, one rounding per step, ascending
     /// `p` — and stored back. Lanes are distinct output columns, so
     /// vector width never reorders any element's reduction.
@@ -628,12 +656,21 @@ mod avx {
     // detection gate in super::kernel; all pointer accesses stay inside the
     // packed panels and the caller's C tile per the contract above.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn kernel_6x16(kc: usize, pa: *const f32, pb: *const f32, c: *mut f32, ldc: usize) {
+    pub unsafe fn kernel_6x16(
+        resume: bool,
+        kc: usize,
+        pa: *const f32,
+        pb: *const f32,
+        c: *mut f32,
+        ldc: usize,
+    ) {
         const { assert!(NR == 16) };
         let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
-        for (t, row) in acc.iter_mut().enumerate() {
-            row[0] = _mm256_loadu_ps(c.add(t * ldc));
-            row[1] = _mm256_loadu_ps(c.add(t * ldc + 8));
+        if resume {
+            for (t, row) in acc.iter_mut().enumerate() {
+                row[0] = _mm256_loadu_ps(c.add(t * ldc));
+                row[1] = _mm256_loadu_ps(c.add(t * ldc + 8));
+            }
         }
         for p in 0..kc {
             let b0 = _mm256_loadu_ps(pb.add(p * NR));
@@ -672,8 +709,9 @@ mod tests {
         c
     }
 
+    /// The product into a C full of NaN: the engine must not read it.
     fn run_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-        let mut c = vec![0.0f32; m * n];
+        let mut c = vec![f32::NAN; m * n];
         gemm(
             &View::row_major(a, k).t(),
             &View::row_major(b, n),
@@ -722,6 +760,16 @@ mod tests {
     }
 
     #[test]
+    fn empty_depth_stores_zeros() {
+        for simd in [true, false] {
+            set_simd_enabled(simd);
+            let c = run_gemm(&[], &[], 7, 0, 18);
+            assert!(c.iter().all(|v| v.to_bits() == 0), "simd={simd}");
+        }
+        set_simd_enabled(true);
+    }
+
+    #[test]
     fn transposed_views_match_explicit_transpose() {
         let (m, k, n) = (9, 21, 14);
         let at = filled(k * m, 3); // stored k×m, viewed as m×k
@@ -733,7 +781,7 @@ mod tests {
             }
         }
         let want = run_gemm(&a, &b, m, k, n);
-        let mut got = vec![0.0f32; m * n];
+        let mut got = vec![f32::NAN; m * n];
         gemm(
             &View::row_major(&at, m),
             &View::row_major(&b, n),

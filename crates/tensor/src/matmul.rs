@@ -141,23 +141,29 @@ pub fn matmul_with_profile(a: &Tensor, b: &Tensor, profile: MatmulProfile) -> Re
         });
     }
     let _sp = kernel_span("matmul", m, ka, n);
-    let mut c = Tensor::zeros(&[m, n]);
-    match profile {
+    // The engine stores every element of its product; the reference loop
+    // adds into zeros.
+    Ok(match profile {
         MatmulProfile::Reproducible => {
-            mm_ikj(a.as_slice(), b.as_slice(), c.as_mut_slice(), m, ka, n)
+            let mut c = Tensor::zeros(&[m, n]);
+            mm_ikj(a.as_slice(), b.as_slice(), c.as_mut_slice(), m, ka, n);
+            c
         }
-        MatmulProfile::Optimized => gemm::gemm(
-            &View::row_major(a.as_slice(), ka).t(),
-            &View::row_major(b.as_slice(), n),
-            c.as_mut_slice(),
-            CLayout::row_major(n),
-            m,
-            ka,
-            n,
-            parallel_under_default(m * ka * n),
-        ),
-    }
-    Ok(c)
+        MatmulProfile::Optimized => {
+            let mut c = Tensor::unfilled(&[m, n]);
+            gemm::gemm(
+                &View::row_major(a.as_slice(), ka).t(),
+                &View::row_major(b.as_slice(), n),
+                c.as_mut_slice(),
+                CLayout::row_major(n),
+                m,
+                ka,
+                n,
+                parallel_under_default(m * ka * n),
+            );
+            c
+        }
+    })
 }
 
 /// `C = Aᵀ · B` without materializing the transpose (`A: k×m`, `B: k×n`).
@@ -183,11 +189,8 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         });
     }
     let _sp = kernel_span("matmul_tn", m, k, n);
-    let mut c = Tensor::zeros(&[m, n]);
-    if m == 0 || n == 0 {
-        return Ok(c);
-    }
     if default_profile() == MatmulProfile::Optimized {
+        let mut c = Tensor::unfilled(&[m, n]);
         // A is stored k×m, which is already the depth-major operand.
         gemm::gemm(
             &View::row_major(a.as_slice(), m),
@@ -199,6 +202,10 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             n,
             parallel_under_default(m * k * n),
         );
+        return Ok(c);
+    }
+    let mut c = Tensor::zeros(&[m, n]);
+    if m == 0 || n == 0 {
         return Ok(c);
     }
     let (av, bv) = (a.as_slice(), b.as_slice());
@@ -241,11 +248,8 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         });
     }
     let _sp = kernel_span("matmul_nt", m, k, n);
-    let mut c = Tensor::zeros(&[m, n]);
-    if m == 0 || n == 0 {
-        return Ok(c);
-    }
     if default_profile() == MatmulProfile::Optimized {
+        let mut c = Tensor::unfilled(&[m, n]);
         gemm::gemm(
             &View::row_major(a.as_slice(), k).t(),
             &View::row_major(b.as_slice(), k).t(),
@@ -256,6 +260,10 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
             n,
             parallel_under_default(m * k * n),
         );
+        return Ok(c);
+    }
+    let mut c = Tensor::zeros(&[m, n]);
+    if m == 0 || n == 0 {
         return Ok(c);
     }
     let (av, bv) = (a.as_slice(), b.as_slice());

@@ -68,8 +68,9 @@ pub const MAX_THREADS: usize = 256;
 
 /// How long a worker with nothing to do polls for the next job before it
 /// parks on the job queue. It has to outlast the gaps between the
-/// fan-outs of one training step (a BatchNorm or ReLU between two
-/// convolutions: 0.1–0.4 ms at the benchmark's sizes) and the ~0.2 ms a
+/// fan-outs of one training step (a BatchNorm and its ReLU between two
+/// convolutions: 0.08–0.35 ms at the benchmark's sizes, batch 16) and the
+/// ~0.2 ms a
 /// hypervisor itself polls before it deschedules a halted virtual CPU;
 /// below 0.2 ms the stacked state described in the module docs lasted whole
 /// runs, from 0.5 ms on a cold start left it within a second.

@@ -80,6 +80,14 @@ impl Tensor {
         Tensor { data, shape: shape.to_vec() }
     }
 
+    /// A tensor of the given shape for a kernel that stores every element
+    /// before anything reads one ([`workspace::take_unfilled_vec`]: stale
+    /// values in release builds, NaN in debug builds).
+    pub(crate) fn unfilled(shape: &[usize]) -> Self {
+        let data = workspace::take_unfilled_vec(shape.iter().product());
+        Tensor { data, shape: shape.to_vec() }
+    }
+
     /// Creates a tensor from an existing buffer.
     ///
     /// # Errors

@@ -21,15 +21,30 @@
 //!
 //! # Determinism
 //!
-//! Pooled execution is **bitwise identical** to fresh allocation: every
-//! buffer handed out is either fully zeroed ([`take_zeroed`], [`take`]) or
-//! fully overwritten from a source slice ([`take_copied`]) before any
-//! element can be read, so recycled contents can never leak into results.
-//! Kernels that rely on zero-initialized output (GEMM accumulating into C,
-//! `im2col`'s implicit zero padding) see exactly the state a fresh
-//! `vec![0.0; len]` would give them. [`set_enabled`] switches the whole
-//! subsystem off so tests can compare pooled and fresh execution bit for
-//! bit.
+//! Pooled execution is **bitwise identical** to fresh allocation: before
+//! any element of a buffer handed out can be read, it has been
+//!
+//! * *zeroed* ([`take_zeroed`], [`take`]) — kernels that rely on
+//!   zero-initialized storage (the direct convolutions' zero borders, the
+//!   scatter of `conv2d_grad_input`, `im2col`'s implicit padding) see
+//!   exactly the state a fresh `vec![0.0; len]` would give them;
+//! * *copied* from a source slice ([`take_copied`]) or pushed by its
+//!   producer ([`take_with_capacity`]); or
+//! * *fully overwritten by its kernel* ([`take_unfilled`],
+//!   [`take_unfilled_vec`]): the GEMM engine's packing blocks, which
+//!   `PanelSource::pack_panel` must overwrite element for element, and the
+//!   outputs of kernels that store every element they own (the engine's C,
+//!   the direct convolutions' `y` and `dx`). Filling those first is a pass
+//!   over memory nobody reads. The rule for taking a buffer this way: a
+//!   fill may go only where the writer provably stores every element that
+//!   is later read. Debug builds hold the rule to account — the buffer
+//!   comes back filled with NaN, so an element the kernel skipped poisons
+//!   whatever reads it and every bitwise suite run under `cargo test` fails
+//!   loudly; release builds hand the buffer over untouched.
+//!
+//! So recycled contents can never leak into results. [`set_enabled`]
+//! switches the whole subsystem off so tests can compare pooled and fresh
+//! execution bit for bit.
 //!
 //! # Counters
 //!
@@ -105,7 +120,8 @@ fn class_for_capacity(capacity: usize) -> usize {
     (usize::BITS - 1 - capacity.leading_zeros()) as usize
 }
 
-/// Pops a pooled buffer (length 0, capacity ≥ `len`) or allocates fresh.
+/// Pops a pooled buffer (capacity ≥ `len`, still holding whatever its last
+/// user left in it, at whatever length) or allocates an empty one.
 fn take_raw(len: usize) -> Vec<f32> {
     if enabled() {
         // `try_with` so a take during thread-local teardown degrades to a
@@ -121,9 +137,8 @@ fn take_raw(len: usize) -> Vec<f32> {
             })
             .ok()
             .flatten();
-        if let Some(mut buf) = reused {
+        if let Some(buf) = reused {
             probe::counter_add("alloc.pool_hits", 1);
-            buf.clear();
             return buf;
         }
     }
@@ -141,7 +156,9 @@ pub fn take_with_capacity(len: usize) -> Vec<f32> {
     if len == 0 {
         return Vec::new();
     }
-    take_raw(len)
+    let mut buf = take_raw(len);
+    buf.clear();
+    buf
 }
 
 /// A pooled buffer of exactly `len` zeros — the pooled `vec![0.0; len]`.
@@ -150,7 +167,30 @@ pub fn take_zeroed(len: usize) -> Vec<f32> {
         return Vec::new();
     }
     let mut buf = take_raw(len);
+    buf.clear();
     buf.resize(len, 0.0);
+    buf
+}
+
+/// A pooled buffer of exactly `len` elements of no particular value, for a
+/// kernel that overwrites every one of them before anything reads it (module
+/// docs, "Determinism"). A recycled buffer keeps what its last user left in
+/// it — only elements past that user's length are written, with zeros, so
+/// no element is ever uninitialized memory; under `debug_assertions` all of
+/// it is NaN instead.
+pub fn take_unfilled_vec(len: usize) -> Vec<f32> {
+    if len == 0 {
+        return Vec::new();
+    }
+    let mut buf = take_raw(len);
+    if cfg!(debug_assertions) {
+        buf.clear();
+        buf.resize(len, f32::NAN);
+    } else {
+        // Shrinks without touching an element, or appends zeros to the
+        // stale prefix.
+        buf.resize(len, 0.0);
+    }
     buf
 }
 
@@ -160,6 +200,7 @@ pub fn take_copied(src: &[f32]) -> Vec<f32> {
         return Vec::new();
     }
     let mut buf = take_raw(src.len());
+    buf.clear();
     buf.extend_from_slice(src);
     buf
 }
@@ -205,7 +246,7 @@ pub fn thread_arena_bytes() -> usize {
     ARENA.try_with(|cell| cell.borrow().held_bytes).unwrap_or(0)
 }
 
-/// A zeroed scratch buffer borrowed from the pool; RAII-returned on drop.
+/// A scratch buffer borrowed from the pool; RAII-returned on drop.
 ///
 /// Dereferences to `[f32]`, so kernels use it exactly like the
 /// `Vec<f32>` it replaces.
@@ -248,6 +289,12 @@ impl Drop for ScratchBuf {
 /// Takes a zeroed scratch buffer of `len` elements from the pool.
 pub fn take(len: usize) -> ScratchBuf {
     ScratchBuf { buf: take_zeroed(len) }
+}
+
+/// Takes a scratch buffer of `len` elements that its user overwrites in full
+/// before reading any ([`take_unfilled_vec`]).
+pub fn take_unfilled(len: usize) -> ScratchBuf {
+    ScratchBuf { buf: take_unfilled_vec(len) }
 }
 
 /// The workspace facade: associated-function spellings of the module API.
@@ -311,6 +358,39 @@ mod tests {
     }
 
     #[test]
+    fn take_unfilled_is_poisoned_in_debug_and_untouched_in_release() {
+        clear_thread_arena();
+        let mut dirty = vec![7.5f32; 100];
+        dirty.reserve(28); // capacity 128 → class 7
+        recycle(dirty);
+        // Class 7 again, longer than what the last user left behind.
+        let buf = take_unfilled(120);
+        assert_eq!(buf.len(), 120);
+        if cfg!(debug_assertions) {
+            // A kernel that skipped an element would hand on a NaN.
+            assert!(buf.iter().all(|x| x.is_nan()));
+        } else {
+            // No pass over the stale prefix; zeros only past its end.
+            assert!(buf[..100].iter().all(|&x| x == 7.5));
+            assert!(buf[100..].iter().all(|&x| x == 0.0));
+        }
+        drop(buf);
+        // Shorter than the stale contents: nothing is written at all.
+        let buf = take_unfilled_vec(70);
+        assert_eq!(buf.len(), 70);
+        if !cfg!(debug_assertions) {
+            assert!(buf.iter().all(|&x| x == 7.5));
+        }
+        // A fresh allocation has no stale contents to hand over.
+        clear_thread_arena();
+        let fresh = take_unfilled_vec(9);
+        assert!(fresh.iter().all(|&x| if cfg!(debug_assertions) { x.is_nan() } else { x == 0.0 }));
+        // And the zeroed takes still zero a buffer that comes back dirty.
+        recycle(vec![f32::NAN; 64]);
+        assert!(take(64).iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
     fn take_copied_matches_source() {
         recycle(vec![9.0f32; 64]);
         let src: Vec<f32> = (0..40).map(|i| i as f32).collect();
@@ -338,6 +418,7 @@ mod tests {
     fn zero_len_takes_are_empty_and_free() {
         assert!(take_zeroed(0).is_empty());
         assert!(take_copied(&[]).is_empty());
+        assert!(take_unfilled_vec(0).is_empty());
         assert!(take_with_capacity(0).capacity() == 0);
         recycle(Vec::new()); // no-op
     }

@@ -40,6 +40,15 @@ cargo test -q --offline --locked -p puffer-lint
 echo "== probe overhead guard (disabled-probe cost < 2% on a GEMM)"
 cargo test -q --offline --locked --release -p puffer-tensor --test probe_overhead
 
+echo "== BatchNorm2d against the loops it replaced, debug and release"
+# The layer runs its per-channel sums four chains abreast and pushes its
+# outputs instead of filling them (DESIGN.md §2); the oracle is the previous
+# commit's loops, verbatim. Both profiles: the element-wise passes
+# auto-vectorize differently in them and the bits must not. Scalar Rust
+# only, so there is no PUFFER_SIMD=0 twin to run.
+cargo test -q --offline --locked -p puffer-nn --test batchnorm_bitwise
+cargo test -q --release --offline --locked -p puffer-nn --test batchnorm_bitwise
+
 echo "== tensor suite under the scalar GEMM fallback (PUFFER_SIMD=0)"
 # The blocked engine promises bitwise-identical results with the SIMD
 # micro-kernel disabled; prove the whole tensor suite agrees — the
