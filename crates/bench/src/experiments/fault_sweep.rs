@@ -6,7 +6,9 @@
 //! wall-clock). Synchronous SGD runs at the pace of the slowest member, so
 //! throughput degrades with the straggler factor for *both* models — but
 //! the Pufferfish hybrid's smaller gradient keeps its per-step
-//! communication cheaper at every slowdown.
+//! communication cheaper at every slowdown. `total_s` is the breakdown's
+//! total, built on per-node compute: on a host with fewer hardware threads
+//! than workers it is a node's own time, not a time-sliced thread's.
 //!
 //! Usage: `puffer-bench fault-sweep` (`--quick` shrinks the run).
 

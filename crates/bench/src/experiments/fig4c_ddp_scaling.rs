@@ -9,7 +9,11 @@
 //! [`BucketPlan`] and [`overlap_timeline`] at DDP's 25 MB bucket size,
 //! with buckets becoming ready at evenly spaced points of backward. Shape
 //! under reproduction: Pufferfish's per-epoch speedup grows with node
-//! count (paper: 1.52× at 16 nodes).
+//! count (paper: 1.52× at 16 nodes). Every time column is per node: the
+//! per-batch times are one model's on the calling thread, and the
+//! convergence check at the end — an 8-replica `train_data_parallel` run,
+//! of which only the losses are printed — times each replica only while it
+//! has a hardware thread to itself.
 
 use crate::setups;
 use crate::table::Table;

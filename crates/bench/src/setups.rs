@@ -7,21 +7,26 @@
 //! architecture's shape (stage structure, hybrid plans, rank ratios).
 //! [`breakdown_table`] is the one *method × per-epoch breakdown* loop
 //! behind Figures 4(a), 4(b), 6, 7, the ATOMO claim and the end-to-end
-//! comparison.
+//! comparison: every phase of every method is a run of the data-parallel
+//! trainer ([`train_data_parallel`]) with one replica per node, so the
+//! figures report the real protocol — per-node codec halves, momentum
+//! carried across epochs, BatchNorm statistics per replica — and their
+//! compute/encode/decode columns are the slowest node's own time at any
+//! node count on any host.
 
 use crate::scale::RunScale;
 use puffer_compress::GradCompressor;
 use puffer_data::images::{ImageDataset, ImageDatasetConfig};
 use puffer_data::text::{TextCorpus, TextCorpusConfig};
 use puffer_data::translation::{TranslationConfig, TranslationDataset};
-use puffer_dist::breakdown::{measure_sequential_epoch, EpochBreakdown};
-use puffer_dist::cost::ClusterProfile;
-use puffer_dist::trainer::DistConfig;
+use puffer_dist::breakdown::EpochBreakdown;
+use puffer_dist::trainer::{train_data_parallel, DistConfig};
 use puffer_models::lstm_lm::{LstmLm, LstmLmConfig};
 use puffer_models::resnet::{ResNet, ResNetConfig, ResNetHybridPlan};
 use puffer_models::transformer::{TransformerConfig, TransformerModel};
 use puffer_models::units::FactorInit;
 use puffer_models::vgg::{Vgg, VggConfig};
+use puffer_nn::checkpoint::{load_state_dict, state_dict};
 use puffer_nn::layer::{Layer, Mode};
 use puffer_nn::loss::softmax_cross_entropy;
 use puffer_nn::optim::Sgd;
@@ -311,13 +316,59 @@ impl MethodRun {
     }
 }
 
+/// Trains `run.model` for `n` more epochs of `batches` under `codec` in one
+/// [`train_data_parallel`] run of `cfg.workers` replicas seeded from its
+/// state — momentum carried from epoch to epoch, BatchNorm statistics per
+/// replica — and books the epochs: the run's breakdown in `n` equal parts,
+/// each with the mean of its own steps' losses. The model is left holding
+/// the surviving replica's parameters and buffers.
+fn train_phase(
+    run: &mut MethodRun,
+    cfg: &DistConfig,
+    plan: &ResNetHybridPlan,
+    batches: &[(Tensor, Vec<usize>)],
+    codec: Codec,
+    n: usize,
+) {
+    if n == 0 {
+        return;
+    }
+    let ImageModel::ResNet(net) = &run.model else {
+        unreachable!("breakdown_table builds ResNets")
+    };
+    let (config, hybrid) = (net.config().clone(), net.low_rank_block_count() > 0);
+    let state = state_dict(net);
+    // Same shapes as `run.model` (random factors cost no SVD), then its state.
+    let replica = |_| {
+        let mut net = ResNet::new(config.clone()).expect("valid config");
+        if hybrid {
+            net = net.to_hybrid(plan, FactorInit::Random(0)).expect("hybrid");
+        }
+        load_state_dict(&mut net, &state).expect("same architecture");
+        net
+    };
+    let phase: Vec<_> = (0..n).flat_map(|_| batches.iter().cloned()).collect();
+    let out = train_data_parallel(replica, &phase, codec().as_mut(), cfg).expect("phase");
+    let per_epoch = out.breakdown.scaled(1.0 / n as f64);
+    for losses in out.step_losses.chunks(batches.len().max(1)) {
+        run.epochs.push((per_epoch, losses.iter().sum::<f32>() / losses.len() as f32));
+    }
+    let trained: Vec<(String, Tensor)> =
+        out.final_params.into_iter().chain(out.final_buffers).map(|t| (String::new(), t)).collect();
+    load_state_dict(&mut run.model, &trained).expect("same architecture");
+}
+
 /// The rows of a *method × per-epoch breakdown* table: trains each method
-/// for `epochs` epochs over `batches` on a simulated `nodes`-node p3-like
-/// cluster — computation and encode/decode measured on real gradients,
-/// worker by worker on the calling thread (no contention, whatever the
-/// host's core count), communication priced by the α–β model — and returns
-/// every epoch's breakdown. `vanilla` builds the full-rank model, `plan`
-/// is its paper hybrid.
+/// for `epochs` epochs over `batches` on a `nodes`-node p3-like cluster —
+/// `nodes` replicas on the trainer's worker threads, computation and
+/// encode/decode measured there on real gradients (the slowest node's own
+/// time: members are admitted to their timed regions so that the host is
+/// never oversubscribed, whatever its core count), communication priced by
+/// the α–β model — and returns every epoch's breakdown. A Pufferfish arm is
+/// two runs with Algorithm 1's switch between them: the warm-up's trained
+/// model is factorized on the calling thread (timed), and the hybrid run
+/// starts from its state with fresh momentum. `vanilla` builds the
+/// full-rank model, `plan` is its paper hybrid.
 ///
 /// # Panics
 ///
@@ -329,21 +380,7 @@ pub fn breakdown_table(
     epochs: usize,
     methods: &[Method],
 ) -> Vec<MethodRun> {
-    let profile = ClusterProfile::p3_like(nodes);
-    let run_epochs = |run: &mut MethodRun, codec: Codec, n: usize| {
-        let mut compressor = codec();
-        for _ in 0..n {
-            let epoch = measure_sequential_epoch(
-                &mut run.model,
-                batches,
-                nodes,
-                compressor.as_mut(),
-                &profile,
-                0.05,
-            );
-            run.epochs.push(epoch.expect("epoch"));
-        }
-    };
+    let cfg = DistConfig::p3(nodes, 0.05);
     let measure = |m: &Method| {
         let mut run = MethodRun {
             method: m.name,
@@ -353,7 +390,7 @@ pub fn breakdown_table(
             model: vanilla().into(),
         };
         if let Some((warmup, warmup_codec)) = m.warmup {
-            run_epochs(&mut run, warmup_codec, warmup);
+            train_phase(&mut run, &cfg, plan, batches, warmup_codec, warmup);
             run.warmup_epochs = warmup;
             let ImageModel::ResNet(net) = run.model else { unreachable!("built above") };
             let t0 = Stopwatch::start();
@@ -362,7 +399,7 @@ pub fn breakdown_table(
             run.model = hybrid.into();
         }
         let rest = epochs - run.warmup_epochs;
-        run_epochs(&mut run, m.codec, rest);
+        train_phase(&mut run, &cfg, plan, batches, m.codec, rest);
         run
     };
     methods.iter().map(measure).collect()
@@ -386,5 +423,50 @@ mod tests {
         let m = transformer(64, Some(TRANSFORMER_RANK), 2);
         assert!(m.param_count() > 0);
         let _ = lstm_lm(200, 3);
+    }
+
+    #[test]
+    fn breakdown_table_trains_both_phases_on_the_trainer() {
+        use puffer_compress::powersgd::PowerSgd;
+        use puffer_models::resnet::ResNetConfig;
+        use std::time::Duration;
+
+        let vanilla = || ResNet::new(ResNetConfig::resnet18(0.0625, 4, 1)).expect("valid config");
+        let batches = gaussian_batches(3, &[8, 3, 16, 16], 4, 5);
+        let methods = [
+            Method::baseline("vanilla", no_codec),
+            Method {
+                name: "pufferfish",
+                codec: no_codec,
+                warmup: Some((1, || Box::new(PowerSgd::new(2, 3)))),
+            },
+        ];
+        let plan = ResNetHybridPlan::resnet18_paper();
+        let runs = breakdown_table(2, (&vanilla, &plan), &batches, 2, &methods);
+        let [base, puffer] = &runs[..] else { panic!("one run per method") };
+
+        for run in &runs {
+            assert_eq!(run.epochs.len(), 2, "{}", run.method);
+            for (bd, loss) in &run.epochs {
+                assert!(bd.total() > Duration::ZERO && bd.comm_exposed <= bd.comm);
+                assert!(loss.is_finite());
+            }
+        }
+        assert_eq!((base.warmup_epochs, base.svd_s), (0, 0.0));
+        assert_eq!(puffer.warmup_epochs, 1);
+        assert!(puffer.svd_s > 0.0);
+        // The hybrid ships fewer bytes than the full-rank model.
+        assert!(puffer.model.param_count() < base.model.param_count());
+        assert!(puffer.last().0.comm < base.last().0.comm);
+
+        // What comes back is the trained replica, BatchNorm statistics and all.
+        let (x, labels) = &batches[0];
+        for run in runs {
+            let mut model = run.model;
+            assert_ne!(model.buffers(), vanilla().buffers(), "{}", run.method);
+            let logits = model.forward(x, Mode::Eval);
+            let (loss, _) = softmax_cross_entropy(&logits, labels, 0.0).expect("loss");
+            assert!(loss.is_finite(), "{}: {loss}", run.method);
+        }
     }
 }

@@ -56,6 +56,17 @@ impl Layer for ImageModel {
         }
     }
 
+    fn backward_with_ready(
+        &mut self,
+        grad_output: &Tensor,
+        on_ready: &mut dyn FnMut(usize),
+    ) -> Tensor {
+        match self {
+            ImageModel::Vgg(m) => m.backward_with_ready(grad_output, on_ready),
+            ImageModel::ResNet(m) => m.backward_with_ready(grad_output, on_ready),
+        }
+    }
+
     fn params(&self) -> Vec<&Param> {
         match self {
             ImageModel::Vgg(m) => m.params(),
@@ -350,6 +361,20 @@ mod tests {
             seed: 3,
         })
         .unwrap()
+    }
+
+    #[test]
+    fn image_model_passes_its_networks_readiness_on() {
+        // conv units 3, FC 1, classifier: five announcements, not the
+        // trait default's one.
+        let mut model = ImageModel::from(tiny_vgg());
+        let y = model.forward(&Tensor::randn(&[2, 3, 16, 16], 1.0, 1), Mode::Train);
+        let mut announced = Vec::new();
+        let _ = model.backward_with_ready(&Tensor::ones(y.shape()), &mut |first| {
+            announced.push(first);
+        });
+        assert_eq!(announced.len(), 5, "{announced:?}");
+        assert_eq!(announced.last(), Some(&0));
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //! Figure 4(a)/(b), Figure 6, and Figure 7 bar charts.
 //!
 //! A breakdown combines **measured** per-batch compute and encode/decode
-//! times (from real gradient work and real compressor rounds) with
-//! **modeled** communication time (the α–β cost model), per synchronization
-//! round.
+//! times (real gradient work and real codec halves on the trainer's worker
+//! threads, each the slowest node's own time: a member is admitted to its
+//! timed regions so that the host is never oversubscribed while its clock
+//! runs — [`crate::membership::PoolWidthGuard`]) with **modeled**
+//! communication time (the α–β cost model), per synchronization round.
+//! [`crate::trainer`] is the only producer: the accumulator is what its
+//! aggregator books every round into.
 
 use crate::cost::ClusterProfile;
-use puffer_compress::{AggregationKind, GradCompressor, RoundStats};
+use puffer_compress::{AggregationKind, RoundStats};
 use puffer_probe as probe;
 use std::time::Duration;
 
@@ -118,20 +122,6 @@ impl BreakdownAccumulator {
     /// Creates an empty accumulator.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Records one synchronization round at global step `step`.
-    pub fn record(
-        &mut self,
-        step: usize,
-        profile: &ClusterProfile,
-        compressor: &dyn GradCompressor,
-        compute: Duration,
-        stats: &RoundStats,
-    ) {
-        let comm = round_comm_time(profile, compressor.aggregation(), stats);
-        self.record_with_comm(step, compressor.aggregation(), profile.nodes, comm, compute, stats);
-        self.record_decode(step, stats.decode_time);
     }
 
     /// Records one round with an explicitly priced communication time —
@@ -270,73 +260,26 @@ impl BreakdownAccumulator {
     }
 }
 
-/// Measures one data-parallel epoch **sequentially**: worker shards are
-/// computed one after another on the calling thread (so compute timings are
-/// free of thread contention), the compressor plays a real round per step,
-/// and communication is modeled. The model is actually updated each step
-/// with the decoded mean gradient, so repeated calls converge like real
-/// training. Per-step compute is the *maximum* shard time (the synchronous
-/// straggler).
-///
-/// Returns the epoch's breakdown and the mean training loss.
-///
-/// # Errors
-///
-/// Returns [`DistError::BatchTooSmall`] if a batch cannot feed `nodes`
-/// shards and [`DistError::WorkerFailed`] if a loss evaluation rejects its
-/// inputs.
-pub fn measure_sequential_epoch<M: Layer>(
-    model: &mut M,
-    global_batches: &[(Tensor, Vec<usize>)],
-    nodes: usize,
-    compressor: &mut dyn GradCompressor,
-    profile: &ClusterProfile,
-    lr: f32,
-) -> DistResult<(EpochBreakdown, f32)> {
-    use puffer_nn::loss::softmax_cross_entropy;
-    let mut acc = BreakdownAccumulator::new();
-    let mut loss_sum = 0.0f64;
-    let mut steps = 0usize;
-    let mut opt = puffer_nn::optim::Sgd::new(lr, 0.9, 1e-4);
-    for batch in global_batches {
-        let mut worker_grads: Vec<Vec<Tensor>> = Vec::with_capacity(nodes);
-        let mut slowest = Duration::ZERO;
-        let mut loss_mean = 0.0f32;
-        for w in 0..nodes {
-            let (images, labels) = crate::trainer::shard_batch(batch, w, nodes)?;
-            let sp = probe::timed_span_with("dist", "shard_compute", || vec![("worker", w.into())]);
-            model.zero_grad();
-            let logits = model.forward(&images, Mode::Train);
-            let (loss, dl) = softmax_cross_entropy(&logits, &labels, 0.0)
-                .map_err(|e| DistError::WorkerFailed { worker: w, reason: e.to_string() })?;
-            let _ = model.backward(&dl);
-            slowest = slowest.max(sp.finish());
-            loss_mean += loss / nodes as f32;
-            worker_grads.push(model.params().iter().map(|p| p.grad.clone()).collect());
-        }
-        let (mean, stats) = compressor.round(&worker_grads);
-        acc.record(steps, profile, compressor, slowest, &stats);
-        model.zero_grad();
-        for (p, g) in model.params_mut().into_iter().zip(mean) {
-            p.grad = g;
-        }
-        opt.step(&mut model.params_mut());
-        loss_sum += loss_mean as f64;
-        steps += 1;
-    }
-    Ok((acc.breakdown(), (loss_sum / steps.max(1) as f64) as f32))
-}
-
-use crate::error::{DistError, DistResult};
-use puffer_nn::layer::{Layer, Mode};
-use puffer_tensor::Tensor;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use puffer_compress::none::NoCompression;
     use puffer_compress::signum::Signum;
+    use puffer_compress::GradCompressor;
     use puffer_tensor::Tensor;
+
+    /// Books one synchronous round the way the trainer does: the round's
+    /// collective priced by the α–β model, then its decode.
+    fn book(
+        acc: &mut BreakdownAccumulator,
+        profile: &ClusterProfile,
+        kind: AggregationKind,
+        stats: &RoundStats,
+    ) {
+        let comm = round_comm_time(profile, kind, stats);
+        acc.record_with_comm(0, kind, profile.nodes, comm, Duration::from_millis(3), stats);
+        acc.record_decode(0, stats.decode_time);
+    }
 
     #[test]
     fn total_is_sum() {
@@ -365,7 +308,7 @@ mod tests {
         let (_, stats) = vanilla.round(&grads);
 
         let mut sync = BreakdownAccumulator::new();
-        sync.record(0, &profile, &vanilla, Duration::from_millis(3), &stats);
+        book(&mut sync, &profile, vanilla.aggregation(), &stats);
         assert_eq!(sync.breakdown().comm_exposed, sync.breakdown().comm);
 
         let mut over = BreakdownAccumulator::new();
@@ -401,11 +344,11 @@ mod tests {
 
         let mut acc_v = BreakdownAccumulator::new();
         let (_, stats) = vanilla.round(&grads);
-        acc_v.record(0, &profile, &vanilla, Duration::from_millis(3), &stats);
+        book(&mut acc_v, &profile, vanilla.aggregation(), &stats);
 
         let mut acc_s = BreakdownAccumulator::new();
         let (_, stats) = signum.round(&grads);
-        acc_s.record(0, &profile, &signum, Duration::from_millis(3), &stats);
+        book(&mut acc_s, &profile, signum.aggregation(), &stats);
 
         // Signum moves 32× fewer bytes; on 4 nodes its comm must be smaller.
         assert!(acc_s.breakdown().comm < acc_v.breakdown().comm);

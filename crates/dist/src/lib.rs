@@ -20,7 +20,9 @@
 //!   overlap timeline that prices a bucketed round — for the aggregator
 //!   and for the paper's Figure 4(c) DDP scaling study alike;
 //! * [`breakdown`] — per-epoch breakdown accounting combining measured
-//!   compute/encode/decode times with modeled communication;
+//!   compute/encode/decode times — the slowest node's own, at any worker
+//!   count — with modeled communication, booked by the trainer's
+//!   aggregator round by round;
 //! * [`ring`] — an executable ring allreduce whose per-step trace
 //!   validates the closed-form cost model;
 //! * [`trainer`] — a **real multi-threaded data-parallel trainer**
@@ -43,9 +45,10 @@
 //! through epochs — a [`membership::MembershipPlan`] schedules mid-run
 //! joins (catch-up from the latest checkpoint) and voluntary leaves,
 //! crashes shrink the set, workers re-shard the data stream on every
-//! epoch change, and the tensor-pool width cap is re-priced for the
-//! current member count (pool width is only ever touched through
-//! [`membership::PoolWidthGuard`]).
+//! epoch change, and the hardware threads are re-divided among the current
+//! members: the tensor-pool width cap and, with it, how many members may be
+//! inside a timed region at once (both only ever touched through
+//! [`membership::PoolWidthGuard`], which also holds the crate's one lock).
 
 // The fault-tolerance layer exists to survive worker failure; a panic inside
 // it is a failure mode it cannot model. Every fallible step surfaces as

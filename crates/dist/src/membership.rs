@@ -15,12 +15,13 @@
 //! * [`MembershipPlan`] — a deterministic schedule of joins and voluntary
 //!   leaves by global step, mirroring [`crate::fault::FaultPlan`]'s
 //!   builder style so churn scenarios are exactly reproducible.
-//! * [`PoolWidthGuard`] — the RAII tensor-pool-width cap, relocated here
-//!   from the trainer: the membership module is the **only** place in
-//!   `puffer-dist` allowed to mutate the pool width (enforced by the
-//!   `dist-pool-width-via-membership` lint rule), because the correct
-//!   width is a function of the active member count and must be re-priced
-//!   on every epoch change.
+//! * [`PoolWidthGuard`] — how the hardware threads are divided among the
+//!   members: the RAII tensor-pool-width cap and, beside it, admission to
+//!   the members' timed regions (`Slots`). The membership module is the
+//!   **only** place in `puffer-dist` allowed to mutate the pool width
+//!   (enforced by the `dist-pool-width-via-membership` lint rule) and holds
+//!   the crate's one lock, because both numbers are functions of the active
+//!   member count and must be re-priced together on every epoch change.
 //!
 //! The trainer's catch-up protocol (how a joiner obtains state and enters
 //! the lockstep round) lives in [`crate::trainer`]; see DESIGN.md §11 for
@@ -28,6 +29,7 @@
 
 use crate::error::{DistError, DistResult};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Probe event category used for every membership transition.
 pub const PROBE_CATEGORY: &str = "membership";
@@ -318,38 +320,117 @@ impl MembershipPlan {
     }
 }
 
-/// Restores the tensor pool width when the run ends, even on an error
-/// path (the old trainer leaked the cap when a worker panicked), and
-/// re-prices it on every membership epoch change via
-/// [`PoolWidthGuard::recap`].
+/// Admission to the replicas' timed regions — forward/backward, a phase's
+/// encode, decode + optimizer step: at most `limit` members are inside one
+/// at a time, so a member's clock reads its own work there and not the
+/// scheduler's share of an oversubscribed host.
+///
+/// The crate's one lock, and why it cannot hang: one mutex, so no order;
+/// held for a counter update, never across a channel call, a sleep or a
+/// second wait; what a member holds while it computes is a [`Slot`], not the
+/// lock, nothing in a timed region waits for another member, and `limit ≥
+/// 1`: every slot comes back and every waiter gets in. Both integers are
+/// valid after each single write and nothing that can panic runs under the
+/// lock, so a poisoned one is simply taken.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a counting wait has no sender to be a channel receive of; the liveness argument \
+              the ban asks for is the module's doc"
+)]
+mod admission {
+    use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+    #[derive(Debug)]
+    pub(crate) struct Slots {
+        /// `(members inside a timed region, how many may be)`.
+        state: Mutex<(usize, usize)>,
+        freed: Condvar,
+    }
+
+    /// One member's place inside a timed region, given back on drop — an
+    /// early return, an injected crash and a panic's unwind included.
+    pub(crate) struct Slot<'a>(&'a Slots);
+
+    impl Slots {
+        pub(super) fn new() -> Self {
+            Slots { state: Mutex::new((0, 1)), freed: Condvar::new() }
+        }
+
+        fn state(&self) -> MutexGuard<'_, (usize, usize)> {
+            self.state.lock().unwrap_or_else(PoisonError::into_inner)
+        }
+
+        pub(super) fn set_limit(&self, limit: usize) {
+            self.state().1 = limit.max(1);
+            self.freed.notify_all();
+        }
+
+        /// Waits until fewer than `limit` members are inside, then enters.
+        pub(crate) fn enter(&self) -> Slot<'_> {
+            let mut state = self.state();
+            while state.0 >= state.1 {
+                state = self.freed.wait(state).unwrap_or_else(PoisonError::into_inner);
+            }
+            state.0 += 1;
+            Slot(self)
+        }
+    }
+
+    impl Drop for Slot<'_> {
+        fn drop(&mut self) {
+            let mut state = self.0.state();
+            state.0 = state.0.saturating_sub(1);
+            drop(state);
+            self.0.freed.notify_one();
+        }
+    }
+}
+pub(crate) use admission::Slots;
+
+/// How a run divides the hardware threads among its members: the tensor
+/// pool is capped to `hw / members` threads (at least one), and at most
+/// `hw / pool width` members are inside a timed region at once
+/// (`Slots`) — every member, when `members ≤ hw`. Both are re-priced on
+/// every membership epoch change ([`PoolWidthGuard::recap`]); the width is
+/// restored when the run ends, even on an error path.
 ///
 /// Public so integration tests can exercise the width-restore contract
 /// (including under panics and nested probe spans) directly.
 pub struct PoolWidthGuard {
     prev: usize,
+    slots: Arc<Slots>,
 }
 
 impl PoolWidthGuard {
-    /// Caps the pool so `workers × pool threads` stays within the
-    /// hardware parallelism. Thread count never changes numerical results
-    /// (the pool's kernels are bitwise deterministic), only contention.
+    /// Caps the pool so `concurrently computing members × pool threads`
+    /// stays within the hardware parallelism. Neither number changes
+    /// numerical results (the pool's kernels are bitwise deterministic, a
+    /// member's arithmetic does not depend on when it runs), only
+    /// contention.
     pub fn cap_for(n_workers: usize) -> Self {
         let prev = puffer_tensor::pool::num_threads();
-        let mut guard = PoolWidthGuard { prev };
+        let mut guard = PoolWidthGuard { prev, slots: Arc::new(Slots::new()) };
         guard.recap(n_workers);
         guard
     }
 
-    /// Re-prices the cap for a changed active member count (join or
-    /// departure): the freed — or newly contended — hardware threads are
-    /// redistributed across the members that remain.
+    /// Re-prices the cap and the admission bound for a changed active
+    /// member count (join or departure): the freed — or newly contended —
+    /// hardware threads are redistributed across the members that remain.
     #[expect(
         clippy::disallowed_methods,
         reason = "this guard is the pool width's one writer in puffer-dist"
     )]
     pub fn recap(&mut self, n_workers: usize) {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        puffer_tensor::pool::set_num_threads((hw / n_workers.max(1)).max(1).min(self.prev));
+        let width = (hw / n_workers.max(1)).max(1).min(self.prev);
+        puffer_tensor::pool::set_num_threads(width);
+        self.slots.set_limit(hw / width);
+    }
+
+    /// The run's admission counter, for its member threads to share.
+    pub(crate) fn slots(&self) -> Arc<Slots> {
+        Arc::clone(&self.slots)
     }
 }
 

@@ -72,12 +72,15 @@
 //! method's kind over the round's bytes, all of it exposed.
 //!
 //! Worker compute runs on `puffer-tensor`'s threaded kernels; for the
-//! duration of a run the tensor pool is capped so that
-//! `members × pool threads` does not oversubscribe the hardware
-//! (`PUFFER_NUM_THREADS` still sets the outer bound). The cap is
-//! re-priced on every membership epoch change and restored by an RAII
-//! guard even if the run errors (see [`PoolWidthGuard`], which lives in
-//! the membership module — the only place allowed to touch pool width).
+//! duration of a run [`PoolWidthGuard`] (in the membership module — the
+//! only place allowed to touch pool width, and the home of the crate's one
+//! lock) divides the hardware threads among the members: the tensor pool is
+//! capped to `hw / members` threads, at least one, and a member holds one of
+//! `hw / pool width` slots through each of its *timed regions* —
+//! forward/backward, a phase's encode, decode + optimizer step — giving it
+//! back before anything that waits. The compute, encode and decode columns
+//! are therefore a node's own time at any worker count; with `members ≤ hw`
+//! everybody has a slot and nobody waits.
 
 use crate::breakdown::{round_comm_time, BreakdownAccumulator, EpochBreakdown};
 use crate::bucket::{overlap_timeline, BucketPlan, BucketedReducer, ReadyTracker};
@@ -86,8 +89,8 @@ use crate::cost::{hier_group, ClusterProfile, CollectiveAlgo};
 use crate::error::{DistError, DistResult};
 use crate::fault::{any_nonfinite, wire_checksum, FaultPlan, FaultReport};
 use crate::membership::{
-    MemberEvent, MemberEventKind, Membership, MembershipPlan, EV_CATCH_UP, EV_CRASHED, EV_JOINED,
-    EV_LEFT, PROBE_CATEGORY, ROW_TYPE,
+    MemberEvent, MemberEventKind, Membership, MembershipPlan, Slots, EV_CATCH_UP, EV_CRASHED,
+    EV_JOINED, EV_LEFT, PROBE_CATEGORY, ROW_TYPE,
 };
 use puffer_compress::pack::{pack_into, PackLayout};
 use puffer_compress::{AggregationKind, GradCompressor, RoundStats, WorkerCodec};
@@ -259,6 +262,9 @@ pub struct DistOutcome {
     /// Final parameter values of the lowest-indexed surviving replica
     /// (all survivors are bitwise identical).
     pub final_params: Vec<Tensor>,
+    /// That replica's [`Layer::buffers`] (BatchNorm running statistics):
+    /// with `final_params`, everything it takes to rebuild the trained model.
+    pub final_buffers: Vec<Tensor>,
     /// Account of every degradation the run absorbed.
     pub faults: FaultReport,
     /// Paths of the checkpoints written during the run, in step order.
@@ -370,6 +376,7 @@ enum AggMsg {
 struct FinalReport {
     worker: usize,
     params: Vec<Tensor>,
+    buffers: Vec<Tensor>,
     /// Its codec's share of the compressor state.
     codec: Vec<(String, Tensor)>,
     /// `(step, wall-clock of WorkerCodec::decode)` for every applied step.
@@ -532,7 +539,8 @@ where
     let mut pool_guard = PoolWidthGuard::cap_for(membership.active_count());
     let (uplink, from_workers) = channel::<WorkerMsg>();
     let kind = compressor.aggregation();
-    let env = RunEnv { cfg, opts, bucket_bytes, kind, batches: global_batches, uplink };
+    let slots = pool_guard.slots();
+    let env = RunEnv { cfg, opts, bucket_bytes, kind, batches: global_batches, uplink, slots };
     let joined = std::thread::scope(|scope| {
         let mut agg = Aggregator {
             env: &env,
@@ -588,7 +596,7 @@ where
     // survivors applied identical updates). Everything a worker hands over
     // was allocated on its thread: what is kept is copied into this
     // thread's storage, the originals are freed.
-    let mut finals: Option<Vec<Tensor>> = None;
+    let mut finals: Option<(Vec<Tensor>, Vec<Tensor>)> = None;
     let mut codec_state: Vec<(String, Tensor)> = Vec::new();
     let mut slowest_decode: BTreeMap<usize, Duration> = BTreeMap::new();
     let mut reports: Vec<FinalReport> = from_workers
@@ -606,11 +614,11 @@ where
         }
         merge_codec_states(&mut codec_state, r.codec);
         if finals.is_none() {
-            finals = Some(r.params.clone());
+            finals = Some((r.params.clone(), r.buffers.clone()));
         }
-        release(r.params);
+        release(r.params.into_iter().chain(r.buffers));
     }
-    let Some(final_params) = finals else {
+    let Some((final_params, final_buffers)) = finals else {
         return Err(DistError::AllWorkersDead { step: global_batches.len() });
     };
     // Every worker decoded for itself after the aggregator had moved on;
@@ -629,6 +637,7 @@ where
         breakdown: books.acc.breakdown(),
         step_losses: books.step_losses,
         final_params,
+        final_buffers,
         faults: fleet.report,
         checkpoints: books.checkpoints,
         final_epoch: fleet.membership.epoch(),
@@ -718,6 +727,8 @@ struct RunEnv<'a> {
     kind: AggregationKind,
     batches: &'a [(Tensor, Vec<usize>)],
     uplink: Sender<WorkerMsg>,
+    /// Admission to the members' timed regions (see [`PoolWidthGuard`]).
+    slots: Arc<Slots>,
 }
 
 /// What makes one member thread that member.
@@ -1108,9 +1119,10 @@ impl<M: Layer> Replica<'_, M> {
             next_step = step + 1;
         }
         let params: Vec<Tensor> = self.model.params().iter().map(|p| p.value.clone()).collect();
+        let buffers = self.model.buffers();
         let codec = self.codec.state_snapshot();
         // Best-effort: the trainer may already be on its way out.
-        let report = FinalReport { worker: w, params, codec, decodes: self.decodes };
+        let report = FinalReport { worker: w, params, buffers, codec, decodes: self.decodes };
         self.ctx.env.uplink.send(WorkerMsg::Final(report)).ok()
     }
 
@@ -1120,6 +1132,9 @@ impl<M: Layer> Replica<'_, M> {
     fn compute(&mut self, step: usize, images: &Tensor, labels: &[usize]) -> Option<Computed> {
         let w = self.ctx.worker;
         let faults = &self.ctx.env.opts.faults;
+        // The clock starts once this member is admitted and the slot goes
+        // back before the straggler's sleep.
+        let slot = self.ctx.env.slots.enter();
         let sp = probe::timed_span_with("dist", "worker_compute", || {
             vec![("worker", w.into()), ("step", step.into())]
         });
@@ -1144,6 +1159,7 @@ impl<M: Layer> Replica<'_, M> {
         });
         tracker.finish(clock.elapsed().as_micros() as u64);
         let measured = sp.finish();
+        drop(slot);
         let delay = faults.compute_delay(w, step, measured);
         if delay > Duration::ZERO {
             probe::event(
@@ -1192,6 +1208,8 @@ impl<M: Layer> Replica<'_, M> {
         let mut contributing = true;
         for (p, plan) in self.phases.iter_mut().enumerate() {
             let len = plan.layout.total_len();
+            // Held for the encode only: what follows resends and waits.
+            let slot = self.ctx.env.slots.enter();
             let clock = probe::Stopwatch::start();
             let Some(payload) = reclaim(&mut plan.payload, len) else {
                 report_fatal(&self.ctx, step, "payload buffer is still shared".into());
@@ -1220,6 +1238,7 @@ impl<M: Layer> Replica<'_, M> {
                 packing if overlaps => (done.compute + packing, Duration::ZERO),
                 encoding => (done.compute, encoding),
             };
+            drop(slot);
             let compute_us = compute.as_micros() as u64;
             if contributing {
                 let checksums: Vec<u64> = (0..plan.plan.buckets())
@@ -1269,6 +1288,7 @@ impl<M: Layer> Replica<'_, M> {
     /// step. `None`: a fatal error was reported and the worker exits.
     fn apply(&mut self, step: usize, mean: Arc<Tensor>, contributing: bool) -> Option<()> {
         let w = self.ctx.worker;
+        let _slot = self.ctx.env.slots.enter();
         let ap = probe::timed_span_with("dist", "apply", || {
             vec![("worker", w.into()), ("step", step.into())]
         });

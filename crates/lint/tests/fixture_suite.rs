@@ -145,6 +145,26 @@ fn compiler_held_contracts_stay_configured() {
             assert!(config.contains("\ntoo-many-lines-threshold = 120\n"), "budget moved");
         }
     }
+    // puffer-dist shares nothing but messages, with one exception that
+    // carries its own liveness argument: the locks stay banned, and the
+    // admission counter in membership.rs stays the only place that is let
+    // off (lib.rs's canaries expect the lint bare, to show it still fires).
+    let config = read("crates/dist/clippy.toml");
+    for banned in ["std::sync::Mutex", "std::sync::RwLock", "std::sync::Condvar"] {
+        assert!(config.contains(&format!("path = \"{banned}\"")), "puffer-dist allows {banned}");
+    }
+    let let_off = |src: &str| {
+        let src: String = src.split_whitespace().collect();
+        ["expect(clippy::disallowed_types,", "allow(clippy::disallowed_types"]
+            .iter()
+            .map(|attr| src.matches(attr).count())
+            .sum::<usize>()
+    };
+    for file in std::fs::read_dir(root.join("crates/dist/src")).expect("dist sources").flatten() {
+        let src = std::fs::read_to_string(file.path()).expect("dist source");
+        let want = usize::from(file.file_name() == "membership.rs");
+        assert_eq!(let_off(&src), want, "{}", file.path().display());
+    }
     let manifest = read("Cargo.toml");
     let lints = manifest.split("[workspace.lints.clippy]").nth(1).expect("workspace lint table");
     assert!(lints.contains("let_underscore_must_use = \"deny\""));

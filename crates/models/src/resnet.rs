@@ -402,14 +402,29 @@ impl Layer for ResNet {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_with_ready(grad_output, &mut |_| {})
+    }
+
+    fn backward_with_ready(
+        &mut self,
+        grad_output: &Tensor,
+        on_ready: &mut dyn FnMut(usize),
+    ) -> Tensor {
+        // Parameters are ordered stem, blocks, fc and backward runs them in
+        // reverse: once a child returns, every tensor from its first one on
+        // holds its final gradient.
+        let mut first = self.params().len() - self.fc.params().len();
         let g = self.fc.backward(grad_output);
+        on_ready(first);
         let mut g = self.gap.backward(&g);
-        for stage in self.stages.iter_mut().rev() {
-            for block in stage.iter_mut().rev() {
-                g = block.backward(&g);
-            }
+        for block in self.stages.iter_mut().flatten().rev() {
+            g = block.backward(&g);
+            first -= block.params().len();
+            on_ready(first);
         }
-        self.stem.backward(&g)
+        let g = self.stem.backward(&g);
+        on_ready(0);
+        g
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -471,6 +486,24 @@ mod tests {
         assert_eq!(y.shape(), &[2, 4]);
         let g = net.backward(&Tensor::ones(&[2, 4]));
         assert_eq!(g.shape(), x.shape());
+    }
+
+    #[test]
+    fn backward_announces_readiness_block_by_block() {
+        // fc, then the eight blocks last to first, then the stem — for the
+        // vanilla network and for the paper's hybrid, whose blocks hold
+        // three tensors per factorized conv instead of one.
+        let vanilla = tiny_resnet18();
+        let hybrid =
+            vanilla.to_hybrid(&ResNetHybridPlan::resnet18_paper(), FactorInit::Random(3)).unwrap();
+        for mut net in [vanilla, hybrid] {
+            let mut children = vec![net.stem.params().len()];
+            children.extend(net.stages.iter().flatten().map(|b| b.params().len()));
+            children.push(net.fc.params().len());
+            assert_eq!(children.len(), 10);
+            let x = Tensor::randn(&[2, 3, 16, 16], 1.0, 2);
+            crate::units::tests::assert_announces_children_in_reverse(&mut net, &children, &x);
+        }
     }
 
     #[test]

@@ -450,6 +450,43 @@ pub(crate) mod tests {
         t.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// The readiness contract of a model whose parameters are its
+    /// `children`'s, in order, and whose backward runs them in reverse:
+    /// `backward_with_ready` announces each child's first tensor index as
+    /// that child finishes — strictly decreasing, ending at 0 — and leaves
+    /// the bits `backward` leaves in every gradient and in the input's.
+    pub(crate) fn assert_announces_children_in_reverse(
+        model: &mut dyn Layer,
+        children: &[usize],
+        x: &Tensor,
+    ) {
+        let firsts: Vec<usize> = children
+            .iter()
+            .scan(0, |at, n| {
+                let first = *at;
+                *at += n;
+                Some(first)
+            })
+            .collect();
+        assert_eq!(children.iter().sum::<usize>(), model.params().len());
+
+        model.zero_grad();
+        let y = model.forward(x, Mode::Train);
+        let dy = Tensor::randn(y.shape(), 1.0, 77);
+        let dx = model.backward(&dy);
+        let plain = grad_bits(model);
+
+        model.zero_grad();
+        let _ = model.forward(x, Mode::Train);
+        let mut announced = Vec::new();
+        let dx_ready = model.backward_with_ready(&dy, &mut |first| announced.push(first));
+        assert_eq!(announced, firsts.iter().rev().copied().collect::<Vec<_>>());
+        assert!(announced.windows(2).all(|w| w[0] > w[1]), "strictly decreasing: {announced:?}");
+        assert_eq!(announced.last(), Some(&0));
+        assert_eq!(grad_bits(model), plain, "parameter gradients");
+        assert_eq!(bits(&dx_ready), bits(&dx), "input gradient");
+    }
+
     #[test]
     fn fused_relu_unit_equals_conv_bn_relu_layers_bitwise() {
         // The fused mask (a reused Vec<bool>, applied as a select) against

@@ -233,7 +233,20 @@ impl Layer for Vgg {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.backward_with_ready(grad_output, &mut |_| {})
+    }
+
+    fn backward_with_ready(
+        &mut self,
+        grad_output: &Tensor,
+        on_ready: &mut dyn FnMut(usize),
+    ) -> Tensor {
+        // Parameters are ordered conv units, FC units, classifier and
+        // backward runs them in reverse: once a child returns, every tensor
+        // from its first one on holds its final gradient.
+        let mut first = self.params().len() - self.classifier.params().len();
         let mut g = self.classifier.backward(grad_output);
+        on_ready(first);
         for (i, fc) in self.fc_units.iter_mut().enumerate().rev() {
             let mask = self.fc_relu_masks[i].as_ref().expect("backward before train-mode forward");
             for (gv, &m) in g.as_mut_slice().iter_mut().zip(mask) {
@@ -242,6 +255,8 @@ impl Layer for Vgg {
                 }
             }
             g = fc.backward(&g);
+            first -= fc.params().len();
+            on_ready(first);
         }
         g = self.flatten.backward(&g);
         let mut pool_idx = self.pools.len();
@@ -251,6 +266,8 @@ impl Layer for Vgg {
                 g = self.pools[pool_idx].backward(&g);
             }
             g = unit.backward(&g);
+            first -= unit.params().len();
+            on_ready(first);
         }
         g
     }
@@ -311,6 +328,19 @@ mod tests {
         assert_eq!(y.shape(), &[2, 4]);
         let g = vgg.backward(&Tensor::ones(&[2, 4]));
         assert_eq!(g.shape(), x.shape());
+    }
+
+    #[test]
+    fn backward_announces_readiness_layer_by_layer() {
+        // VGG-11: classifier, the two hidden FCs, then the eight conv units
+        // last to first.
+        let mut vgg = tiny_vgg();
+        let mut children: Vec<usize> = vgg.conv_units.iter().map(|u| u.params().len()).collect();
+        children.extend(vgg.fc_units.iter().map(|f| f.params().len()));
+        children.push(vgg.classifier.params().len());
+        assert_eq!(children.len(), 11);
+        let x = Tensor::randn(&[2, 3, 32, 32], 1.0, 2);
+        crate::units::tests::assert_announces_children_in_reverse(&mut vgg, &children, &x);
     }
 
     #[test]

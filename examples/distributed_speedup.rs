@@ -5,7 +5,12 @@
 //! allreduce) for (a) the vanilla model, (b) the Pufferfish hybrid, and
 //! (c) the vanilla model with Signum gradient compression — then prints
 //! each run's compute / encode+decode / communication breakdown under a
-//! 10 Gbps 8-node cluster cost model.
+//! 10 Gbps 8-node cluster cost model. The compute and encode+decode columns
+//! are **per node**: the slowest node's own time, summed over the steps. On
+//! a host with fewer than eight hardware threads the replicas take turns in
+//! the regions their clocks cover (one per hardware thread at a time)
+//! instead of time-slicing, so the columns read the same there as on a
+//! machine with a core per worker; the run's wall time is not a column.
 //!
 //! ```sh
 //! cargo run --release --example distributed_speedup

@@ -79,7 +79,11 @@ echo "== puffer-bench: system gates, insight pipeline, CLI and guarantee tests (
 # insight gates, straggler attribution and byte-identical re-render on the
 # trace-demo run (§12). cli.rs drives the binary: nothing written without
 # --out, one parseable line with it, `diff` fails a lost gate. The lib tests
-# pin the experiment tables against DESIGN.md §4.
+# pin the experiment tables against DESIGN.md §4 and run `breakdown_table` —
+# the loop behind Fig. 4(a)/(b), 6, 7, atomo-overhead and end-to-end-speedup
+# — end to end on two nodes (setups::tests::
+# breakdown_table_trains_both_phases_on_the_trainer: warm-up run, timed SVD
+# switch, hybrid run, the trained model rebuilt from params + buffers).
 cargo test -q --release --offline --locked -p puffer-bench
 
 echo "== allocation steady-state gate under the scalar GEMM fallback"

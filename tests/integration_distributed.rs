@@ -7,14 +7,17 @@ use pufferfish_repro::compress::none::NoCompression;
 use pufferfish_repro::compress::powersgd::PowerSgd;
 use pufferfish_repro::compress::signum::Signum;
 use pufferfish_repro::compress::GradCompressor;
-use pufferfish_repro::dist::breakdown::measure_sequential_epoch;
+use pufferfish_repro::dist::breakdown::EpochBreakdown;
 use pufferfish_repro::dist::cost::ClusterProfile;
-use pufferfish_repro::dist::trainer::{train_data_parallel, DistConfig};
+use pufferfish_repro::dist::trainer::{
+    train_data_parallel, train_data_parallel_with, DistConfig, RunOptions,
+};
 use pufferfish_repro::models::resnet::{ResNet, ResNetConfig, ResNetHybridPlan};
 use pufferfish_repro::models::units::FactorInit;
 use pufferfish_repro::nn::layer::{Layer, Mode};
 use pufferfish_repro::nn::loss::softmax_cross_entropy;
 use pufferfish_repro::nn::optim::Sgd;
+use pufferfish_repro::nn::param::Param;
 use pufferfish_repro::tensor::Tensor;
 
 /// `n` copies of one fixed labeled batch: a memorization task, so loss
@@ -50,32 +53,34 @@ fn four_worker_cnn_matches_single_process() {
     assert!(late < early, "memorization should reduce loss: {early} -> {late}");
 }
 
+/// The breakdown of an 8-node p3-like run of `replica` over `data` under
+/// `comp`.
+fn eight_node_breakdown(
+    replica: impl Fn(usize) -> ResNet + Sync,
+    data: &[(Tensor, Vec<usize>)],
+    comp: &mut dyn GradCompressor,
+) -> EpochBreakdown {
+    train_data_parallel(replica, data, comp, &DistConfig::p3(8, 0.05)).unwrap().breakdown
+}
+
 #[test]
 fn pufferfish_hybrid_ships_fewer_bytes_than_vanilla() {
     let data = batches(2, 8, 8, 4);
-    let profile = ClusterProfile::p3_like(8);
-    let mut vanilla = ResNet::new(ResNetConfig::resnet18(0.0625, 4, 1)).unwrap();
-    let mut comp = NoCompression::new();
-    let (bd_v, _) =
-        measure_sequential_epoch(&mut vanilla, &data, 8, &mut comp, &profile, 0.05).unwrap();
-
-    let mut hybrid = ResNet::new(ResNetConfig::resnet18(0.0625, 4, 1))
-        .unwrap()
-        .to_hybrid(&ResNetHybridPlan::resnet18_paper(), FactorInit::Random(3))
-        .unwrap();
-    let mut comp = NoCompression::new();
-    let (bd_p, _) =
-        measure_sequential_epoch(&mut hybrid, &data, 8, &mut comp, &profile, 0.05).unwrap();
+    let vanilla = |_: usize| ResNet::new(ResNetConfig::resnet18(0.0625, 4, 1)).unwrap();
+    let bd_v = eight_node_breakdown(vanilla, &data, &mut NoCompression::new());
+    let hybrid = |w| {
+        vanilla(w).to_hybrid(&ResNetHybridPlan::resnet18_paper(), FactorInit::Random(3)).unwrap()
+    };
+    let bd_p = eight_node_breakdown(hybrid, &data, &mut NoCompression::new());
     assert!(bd_p.comm < bd_v.comm, "hybrid comm {:?} !< vanilla {:?}", bd_p.comm, bd_v.comm);
 }
 
 #[test]
 fn powersgd_moves_fewest_bytes_but_pays_codec() {
     let data = batches(2, 8, 8, 4);
-    let profile = ClusterProfile::p3_like(8);
     let run = |comp: &mut dyn GradCompressor| {
-        let mut model = ResNet::new(ResNetConfig::resnet18(0.0625, 4, 1)).unwrap();
-        measure_sequential_epoch(&mut model, &data, 8, comp, &profile, 0.05).unwrap().0
+        let replica = |_: usize| ResNet::new(ResNetConfig::resnet18(0.0625, 4, 1)).unwrap();
+        eight_node_breakdown(replica, &data, comp)
     };
     let vanilla = run(&mut NoCompression::new());
     let powersgd = run(&mut PowerSgd::new(2, 5));
@@ -109,6 +114,63 @@ fn powersgd_moves_fewest_bytes_but_pays_codec() {
     );
 }
 
+/// A ResNet that announces its gradients the way the `Layer` default does:
+/// all at once, when backward is over.
+struct AnnouncesAtTheEnd(ResNet);
+
+impl Layer for AnnouncesAtTheEnd {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        self.0.forward(input, mode)
+    }
+    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
+        self.0.backward(grad_output)
+    }
+    fn params(&self) -> Vec<&Param> {
+        self.0.params()
+    }
+    fn params_mut(&mut self) -> Vec<&mut Param> {
+        self.0.params_mut()
+    }
+    fn describe(&self) -> String {
+        self.0.describe()
+    }
+    fn buffers(&self) -> Vec<Tensor> {
+        self.0.buffers()
+    }
+    fn load_buffers(&mut self, buffers: &[Tensor]) {
+        self.0.load_buffers(buffers)
+    }
+}
+
+#[test]
+fn bucketed_resnet_hides_comm_under_its_backward() {
+    // ResNet-18 announces gradient readiness block by block, so a bucket's
+    // collective starts while the earlier blocks are still in backward. A
+    // model that announces everything at the end can only hide what fits
+    // under the payload pack — that run *is* the pack window. Readiness
+    // moves pricing, never arithmetic.
+    let data = batches(6, 16, 16, 4);
+    let cfg = DistConfig::p3(2, 0.05);
+    let opts = RunOptions { bucket_bytes: Some(128 << 10), ..RunOptions::default() };
+    let net = |_: usize| ResNet::new(ResNetConfig::resnet18(0.125, 4, 17)).unwrap();
+    let ready =
+        train_data_parallel_with(net, &data, &mut NoCompression::new(), &cfg, &opts).unwrap();
+    let at_the_end = |w| AnnouncesAtTheEnd(net(w));
+    let packed =
+        train_data_parallel_with(at_the_end, &data, &mut NoCompression::new(), &cfg, &opts)
+            .unwrap();
+    assert_eq!(ready.final_params, packed.final_params);
+    assert_eq!(ready.breakdown.comm, packed.breakdown.comm);
+    let hidden = |b: &EpochBreakdown| b.comm - b.comm_exposed;
+    let (overlapped, pack_window) = (hidden(&ready.breakdown), hidden(&packed.breakdown));
+    assert!(ready.breakdown.comm_exposed < ready.breakdown.comm);
+    assert!(
+        overlapped > 2 * pack_window,
+        "hidden under backward {overlapped:?}, under the pack alone {pack_window:?}, of {:?}",
+        ready.breakdown.comm
+    );
+}
+
 #[test]
 fn compressed_training_still_converges_end_to_end() {
     // PowerSGD-compressed data-parallel training on a real CNN reduces the
@@ -132,38 +194,6 @@ fn compressed_training_still_converges_end_to_end() {
     let early: f32 = out.step_losses[..4].iter().sum::<f32>() / 4.0;
     let late: f32 = out.step_losses[out.step_losses.len() - 4..].iter().sum::<f32>() / 4.0;
     assert!(late < early, "compressed training diverged: {early} -> {late}");
-}
-
-#[test]
-fn sequential_and_threaded_paths_agree_on_losses() {
-    // The measurement path (sequential) and the threaded trainer implement
-    // the same synchronous algorithm over the same worker halves — the
-    // identity codec's mean, Signum's gathered sign words — so from
-    // identical inits their losses agree, the first step's and, the update
-    // being the same, the second's.
-    let data = batches(2, 8, 8, 4);
-    let profile = ClusterProfile::zero_cost(2);
-    let methods: [fn() -> Box<dyn GradCompressor>; 2] =
-        [|| Box::new(NoCompression::new()), || Box::new(Signum::new(0.9))];
-    for make in methods {
-        let mut model = ResNet::new(ResNetConfig::resnet18(0.0625, 4, 21)).unwrap();
-        let mut comp = make();
-        let (_, seq_loss) =
-            measure_sequential_epoch(&mut model, &data, 2, comp.as_mut(), &profile, 0.05).unwrap();
-
-        let cfg = DistConfig { workers: 2, lr: 0.05, momentum: 0.9, weight_decay: 1e-4, profile };
-        let mut comp = make();
-        let out = train_data_parallel(
-            |_| ResNet::new(ResNetConfig::resnet18(0.0625, 4, 21)).unwrap(),
-            &data,
-            comp.as_mut(),
-            &cfg,
-        )
-        .unwrap();
-        let thr_loss = out.step_losses.iter().sum::<f32>() / out.step_losses.len() as f32;
-        let name = comp.name();
-        assert!((seq_loss - thr_loss).abs() < 1e-4, "{name}: {seq_loss} vs threaded {thr_loss}");
-    }
 }
 
 #[test]
