@@ -178,7 +178,7 @@ impl MultiHeadAttention {
         }
         let out = self.wo.apply(&z);
         self.cache = Some(AttnCache { q_in, kv_in, q, k, v, attn, z, b, tq, tk });
-        out.reshape(&[b, tq, dm]).expect("unflatten")
+        Tensor::from_vec(out.into_vec(), &[b, tq, dm]).expect("unflatten")
     }
 
     /// Backward pass: accumulates projection gradients and returns
@@ -256,8 +256,8 @@ impl MultiHeadAttention {
         let mut dkv_in = self.wk.backward(&cache.kv_in, &dk);
         dkv_in.axpy(1.0, &self.wv.backward(&cache.kv_in, &dv)).expect("shape");
         (
-            dq_in.reshape(&[b, tq, dm]).expect("unflatten"),
-            dkv_in.reshape(&[b, tk, dm]).expect("unflatten"),
+            Tensor::from_vec(dq_in.into_vec(), &[b, tq, dm]).expect("unflatten"),
+            Tensor::from_vec(dkv_in.into_vec(), &[b, tk, dm]).expect("unflatten"),
         )
     }
 
@@ -350,7 +350,7 @@ impl FeedForward {
         let mut out = self.w2.apply(&h);
         crate::linear::add_bias_rows(&mut out, &self.b2.value);
         self.cache = Some((flat, h));
-        out.reshape(&s).expect("unflatten")
+        Tensor::from_vec(out.into_vec(), &s).expect("unflatten")
     }
 
     /// Backward pass: accumulates gradients, returns `∂L/∂input`.
@@ -374,7 +374,7 @@ impl FeedForward {
         }
         crate::linear::accumulate_bias_grad(&mut self.b1.grad, &dh);
         let din = self.w1.backward(&flat, &dh);
-        din.reshape(&s).expect("unflatten")
+        Tensor::from_vec(din.into_vec(), &s).expect("unflatten")
     }
 
     /// Immutable parameter views (`w1, b1, w2, b2` order).

@@ -447,55 +447,72 @@ impl Layer for LayerNorm {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let f = self.features;
         assert_eq!(input.shape()[input.ndim() - 1], f, "LayerNorm feature mismatch");
-        let rows = input.len() / f;
-        let mut x_hat = Tensor::zeros(input.shape());
-        let mut out = Tensor::zeros(input.shape());
-        let mut inv_std = vec![0.0f32; rows];
-        for (r, inv_std_r) in inv_std.iter_mut().enumerate() {
-            let row = &input.as_slice()[r * f..(r + 1) * f];
+        let (x, gamma, beta) =
+            (input.as_slice(), self.gamma.value.as_slice(), self.beta.value.as_slice());
+        // Rows are pushed in memory order into buffers taken empty: y in
+        // both modes, x̂ and 1/σ only in train mode, which keeps them.
+        let mut out = workspace::take_with_capacity(x.len());
+        let mut x_hat = Vec::new();
+        let mut inv_std = Vec::new();
+        if mode == Mode::Train {
+            x_hat = workspace::take_with_capacity(x.len());
+            inv_std.reserve_exact(x.len() / f);
+        }
+        for row in x.chunks_exact(f) {
             let mean: f32 = row.iter().sum::<f32>() / f as f32;
             let var: f32 = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / f as f32;
             let is = 1.0 / (var + self.eps).sqrt();
-            *inv_std_r = is;
-            for (j, &xj) in row.iter().enumerate() {
-                let xh = (xj - mean) * is;
-                x_hat.as_mut_slice()[r * f + j] = xh;
-                out.as_mut_slice()[r * f + j] =
-                    self.gamma.value.as_slice()[j] * xh + self.beta.value.as_slice()[j];
+            let normalized = row.iter().map(|&xj| (xj - mean) * is);
+            let affine = |(xh, (&g, &b)): (f32, (&f32, &f32))| g * xh + b;
+            match mode {
+                Mode::Train => {
+                    let start = x_hat.len();
+                    x_hat.extend(normalized);
+                    out.extend(
+                        x_hat[start..].iter().copied().zip(gamma.iter().zip(beta)).map(affine),
+                    );
+                    inv_std.push(is);
+                }
+                Mode::Eval => out.extend(normalized.zip(gamma.iter().zip(beta)).map(affine)),
             }
         }
         if mode == Mode::Train {
+            let x_hat = Tensor::from_vec(x_hat, input.shape()).expect("one x̂ per element of x");
             self.cache = Some(LnCache { x_hat, inv_std });
         }
-        out
+        Tensor::from_vec(out, input.shape()).expect("one output per element of x")
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let cache = self.cache.as_ref().expect("backward before train-mode forward");
         let f = self.features;
         assert_eq!(grad_output.len(), cache.x_hat.len(), "LayerNorm gradient shape mismatch");
-        let rows = grad_output.len() / f;
-        let mut gin = Tensor::zeros(grad_output.shape());
-        for r in 0..rows {
+        let gamma = self.gamma.value.as_slice();
+        let (gamma_grad, beta_grad) =
+            (self.gamma.grad.as_mut_slice(), self.beta.grad.as_mut_slice());
+        let (dy, x_hat) = (grad_output.as_slice(), cache.x_hat.as_slice());
+        let mut dx = workspace::take_with_capacity(dy.len());
+        let rows = dy.chunks_exact(f).zip(x_hat.chunks_exact(f)).zip(&cache.inv_std);
+        for ((dys, xhs), &is) in rows {
             let (mut sum_dy, mut sum_dy_xhat) = (0.0f32, 0.0f32);
-            for j in 0..f {
-                let dy = grad_output.as_slice()[r * f + j] * self.gamma.value.as_slice()[j];
-                let xh = cache.x_hat.as_slice()[r * f + j];
+            for ((&dy_raw, &xh), &g) in dys.iter().zip(xhs).zip(gamma) {
+                let dy = dy_raw * g;
                 sum_dy += dy;
                 sum_dy_xhat += dy * xh;
             }
-            for j in 0..f {
-                let idx = r * f + j;
-                let dy_raw = grad_output.as_slice()[idx];
-                let xh = cache.x_hat.as_slice()[idx];
-                self.gamma.grad.as_mut_slice()[j] += dy_raw * xh;
-                self.beta.grad.as_mut_slice()[j] += dy_raw;
-                let dy = dy_raw * self.gamma.value.as_slice()[j];
-                gin.as_mut_slice()[idx] =
-                    cache.inv_std[r] * (dy - sum_dy / f as f32 - xh * sum_dy_xhat / f as f32);
+            // Each feature's dγ and dβ take their rows in order, as before;
+            // which feature goes first within a row changes nothing.
+            let grads = gamma_grad.iter_mut().zip(beta_grad.iter_mut());
+            for ((dg, db), (&dy_raw, &xh)) in grads.zip(dys.iter().zip(xhs)) {
+                *dg += dy_raw * xh;
+                *db += dy_raw;
             }
+            dx.extend(dys.iter().zip(xhs).zip(gamma).map(|((&dy_raw, &xh), &g)| {
+                let dy = dy_raw * g;
+                is * (dy - sum_dy / f as f32 - xh * sum_dy_xhat / f as f32)
+            }));
         }
-        gin
+        Tensor::from_vec(dx, grad_output.shape()).expect("one gradient per element of dy")
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -589,6 +606,87 @@ mod tests {
             let row = &y.as_slice()[r * 8..(r + 1) * 8];
             let mean: f32 = row.iter().sum::<f32>() / 8.0;
             assert!(mean.abs() < 1e-4);
+        }
+    }
+
+    /// The loops the layer's pushed passes replaced, verbatim but for the
+    /// parameter access: `(y, x̂, 1/σ)` and `(dx, dγ, dβ)`.
+    #[allow(clippy::type_complexity)]
+    fn layernorm_reference(
+        x: &[f32],
+        dy: &[f32],
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+    ) -> ((Vec<f32>, Vec<f32>, Vec<f32>), (Vec<f32>, Vec<f32>, Vec<f32>)) {
+        let f = gamma.len();
+        let rows = x.len() / f;
+        let (mut x_hat, mut out, mut inv_std) =
+            (vec![0.0; x.len()], vec![0.0; x.len()], vec![0.0; rows]);
+        for (r, inv_std_r) in inv_std.iter_mut().enumerate() {
+            let row = &x[r * f..(r + 1) * f];
+            let mean: f32 = row.iter().sum::<f32>() / f as f32;
+            let var: f32 = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / f as f32;
+            let is = 1.0 / (var + eps).sqrt();
+            *inv_std_r = is;
+            for (j, &xj) in row.iter().enumerate() {
+                let xh = (xj - mean) * is;
+                x_hat[r * f + j] = xh;
+                out[r * f + j] = gamma[j] * xh + beta[j];
+            }
+        }
+        let (mut gin, mut dgamma, mut dbeta) = (vec![0.0; x.len()], vec![0.0; f], vec![0.0; f]);
+        for r in 0..rows {
+            let (mut sum_dy, mut sum_dy_xhat) = (0.0f32, 0.0f32);
+            for j in 0..f {
+                let d = dy[r * f + j] * gamma[j];
+                let xh = x_hat[r * f + j];
+                sum_dy += d;
+                sum_dy_xhat += d * xh;
+            }
+            for j in 0..f {
+                let idx = r * f + j;
+                let dy_raw = dy[idx];
+                let xh = x_hat[idx];
+                dgamma[j] += dy_raw * xh;
+                dbeta[j] += dy_raw;
+                let d = dy_raw * gamma[j];
+                gin[idx] = inv_std[r] * (d - sum_dy / f as f32 - xh * sum_dy_xhat / f as f32);
+            }
+        }
+        ((out, x_hat, inv_std), (gin, dgamma, dbeta))
+    }
+
+    #[test]
+    fn layernorm_matches_the_loops_it_replaced_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (shape, seed) in [(vec![3usize, 5], 1u64), (vec![2, 7, 32], 2), (vec![1, 1, 1], 3)] {
+            let f = shape[shape.len() - 1];
+            let mut ln = LayerNorm::new(f).unwrap();
+            ln.gamma.value = Tensor::randn(&[f], 1.0, seed + 10);
+            ln.beta.value = Tensor::randn(&[f], 1.0, seed + 20);
+            let x = Tensor::randn(&shape, 3.0, seed);
+            let dy = Tensor::randn(&shape, 1.0, seed + 30);
+            let ((y, x_hat, inv_std), (dx, dgamma, dbeta)) = layernorm_reference(
+                x.as_slice(),
+                dy.as_slice(),
+                ln.gamma.value.as_slice(),
+                ln.beta.value.as_slice(),
+                ln.eps,
+            );
+            let eval = ln.forward(&x, Mode::Eval);
+            assert!(ln.cache.is_none(), "eval keeps nothing");
+            assert_eq!(bits(eval.as_slice()), bits(&y), "eval y, {shape:?}");
+            let train = ln.forward(&x, Mode::Train);
+            assert_eq!(train.shape(), &shape[..]);
+            assert_eq!(bits(train.as_slice()), bits(&y), "train y, {shape:?}");
+            let cache = ln.cache.as_ref().unwrap();
+            assert_eq!(bits(cache.x_hat.as_slice()), bits(&x_hat), "x̂, {shape:?}");
+            assert_eq!(bits(&cache.inv_std), bits(&inv_std), "1/σ, {shape:?}");
+            let got = ln.backward(&dy);
+            assert_eq!(bits(got.as_slice()), bits(&dx), "dx, {shape:?}");
+            assert_eq!(bits(ln.gamma.grad.as_slice()), bits(&dgamma), "dγ, {shape:?}");
+            assert_eq!(bits(ln.beta.grad.as_slice()), bits(&dbeta), "dβ, {shape:?}");
         }
     }
 

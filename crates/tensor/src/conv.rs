@@ -36,7 +36,7 @@
 //! per-element order, so results are bitwise identical for every thread
 //! count.
 
-use crate::gemm::{self, copy_run, CLayout, PanelSource, SendPtr, View, NR};
+use crate::gemm::{self, copy_run, CLayout, Isa, PanelSource, SendPtr, View, NR};
 use crate::matmul::{
     default_profile, kernel_span, matmul, matmul_nt, matmul_tn, parallel_under_default,
     MatmulProfile,
@@ -385,7 +385,16 @@ impl PanelSource for Patches<'_> {
     /// property of `kx`), row validity (of `ky`) and the source offset (one
     /// plane further per `ci`) are each worked out where they change, and
     /// the innermost loop is one fixed-length copy every `k²`-th panel row.
-    fn pack_panel(&self, p0: usize, kc: usize, j0: usize, w: usize, r: usize, dst: &mut [f32]) {
+    fn pack_panel(
+        &self,
+        p0: usize,
+        kc: usize,
+        j0: usize,
+        w: usize,
+        r: usize,
+        dst: &mut [f32],
+        _isa: Isa,
+    ) {
         let (g, kk) = (&self.g, self.g.k * self.g.k);
         if w < r {
             for row in dst.chunks_exact_mut(r) {
@@ -469,7 +478,16 @@ struct PatchesT<'a> {
 }
 
 impl PanelSource for PatchesT<'_> {
-    fn pack_panel(&self, p0: usize, kc: usize, j0: usize, w: usize, r: usize, dst: &mut [f32]) {
+    fn pack_panel(
+        &self,
+        p0: usize,
+        kc: usize,
+        j0: usize,
+        w: usize,
+        r: usize,
+        dst: &mut [f32],
+        _isa: Isa,
+    ) {
         let g = &self.g;
         assert!(w <= r && r <= NR);
         // Padding positions and lanes past `w` are never written below.

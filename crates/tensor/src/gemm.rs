@@ -22,12 +22,28 @@
 //! The engine never sees an operand's storage. It asks a [`PanelSource`]
 //! for one micro-panel at a time — `kc` rows of `r` lanes — and the source
 //! writes it straight into the block. A strided [`View`] is one source
-//! (row-major and transposed matrices; unit strides take `copy_from_slice`
-//! / slice-zip fast paths); the convolution sources in [`crate::conv`] read
-//! edge-clipped runs of pixels from the NCHW activation, so no patch matrix
-//! is ever materialised. Where a C element lives is a [`CLayout`]: plain
-//! row-major, or an NCHW activation addressed as its `C × N·H·W` matrix, so
-//! a convolution's output needs no reshuffle either.
+//! (row-major and transposed matrices); the convolution sources in
+//! [`crate::conv`] read edge-clipped runs of pixels from the NCHW
+//! activation, so no patch matrix is ever materialised. Where a C element
+//! lives is a [`CLayout`]: plain row-major, or an NCHW activation addressed
+//! as its `C × N·H·W` matrix, so a convolution's output needs no reshuffle
+//! either.
+//!
+//! A `View` with unit depth stride (the A of `matmul` and `matmul_nt`, the B
+//! of `matmul_nt`, a convolution's weight) packs through in-register 8×8
+//! transposes — eight depth rows of eight lanes loaded lane by lane, stored
+//! as eight whole panel rows — and one with unit lane stride and `r = MR`
+//! (the A of `matmul_tn`) through one masked 8-lane load and store per depth
+//! row; a unit-lane-stride B panel moves 16-float rows, and everything else
+//! takes the scalar loops, which are also the `PUFFER_SIMD=0` path and the
+//! oracle of `tests/pack_bitwise.rs`. The choice is the product's [`Isa`],
+//! read once per [`gemm`] call. Either way a panel only *copies*: shuffles,
+//! loads and stores move bit patterns, so NaN payloads, signed zeros and
+//! subnormals arrive unchanged and no result can depend on the path. The
+//! vector paths read through raw pointers behind two asserts — `dst` is
+//! `kc·r` floats, and the panel's last source index, the largest it reads,
+//! is inside the view's slice — and masked loads never touch a lane past
+//! it.
 //!
 //! Block scratch comes from the per-thread arenas ([`crate::workspace`]) and
 //! is sized `min(KC, k) × min(NC, n)`, so steady-state steps allocate
@@ -144,6 +160,23 @@ pub fn set_simd_enabled(on: bool) {
     SIMD.store(if on && simd_supported() { 2 } else { 1 }, Ordering::Relaxed);
 }
 
+/// The kernel choice of one product, read from [`simd_enabled`] once per
+/// [`gemm`] call and handed to every micro-kernel call and every
+/// [`PanelSource::pack_panel`]. [`Isa::current`] is the only constructor,
+/// so an `Isa` that selects the AVX2 paths was made on a host that has
+/// AVX2 + FMA.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Isa {
+    avx2: bool,
+}
+
+impl Isa {
+    /// The choice [`simd_enabled`] makes now.
+    pub fn current() -> Self {
+        Isa { avx2: simd_enabled() }
+    }
+}
+
 /// The effective `(KC, MC, NC)` blocking: the defaults above unless
 /// [`set_blocking`] changed them. MC is a multiple of MR and NC a multiple
 /// of NR, so block edges coincide with register-tile edges.
@@ -169,8 +202,19 @@ pub trait PanelSource: Sync {
     /// consecutive rows of `r` lanes (`dst.len() == kc·r`, `w ≤ r`) with
     /// zeros in lanes `w..r`. Must overwrite every element of `dst` — the
     /// block it belongs to is reused — and must only copy, so packed
-    /// contents cannot depend on who packs them.
-    fn pack_panel(&self, p0: usize, kc: usize, j0: usize, w: usize, r: usize, dst: &mut [f32]);
+    /// contents cannot depend on who packs them, nor on `isa`, which only
+    /// says whether vector copies may be used.
+    #[allow(clippy::too_many_arguments)]
+    fn pack_panel(
+        &self,
+        p0: usize,
+        kc: usize,
+        j0: usize,
+        w: usize,
+        r: usize,
+        dst: &mut [f32],
+        isa: Isa,
+    );
 }
 
 /// Copies a run of lanes. The lengths panels are usually cut into move as
@@ -217,14 +261,86 @@ impl<'a> View<'a> {
     pub fn t(self) -> Self {
         View { data: self.data, rs: self.cs, cs: self.rs }
     }
+
+    /// Index in `data` of element `(i, j)`; `None` where it overflows.
+    fn index(&self, i: usize, j: usize) -> Option<usize> {
+        i.checked_mul(self.rs)?.checked_add(j.checked_mul(self.cs)?)
+    }
+
+    /// The vector half of [`View::pack_panel`]: unit depth stride with
+    /// `r ∈ {MR, NR}` goes through in-register 8×8 transposes, unit lane
+    /// stride with `r = MR` through one masked row copy per depth row.
+    /// Returns `false`, having touched nothing, for every other panel.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    fn pack_avx(
+        &self,
+        p0: usize,
+        kc: usize,
+        j0: usize,
+        w: usize,
+        r: usize,
+        dst: &mut [f32],
+        isa: Isa,
+    ) -> bool {
+        let lane_contiguous = self.cs == 1 && r == MR;
+        let depth_contiguous = self.cs != 1 && self.rs == 1 && (r == MR || r == NR);
+        if !isa.avx2 || !(lane_contiguous || depth_contiguous) || kc == 0 || w == 0 {
+            return false;
+        }
+        // Every element the panel reads is (p0 + p, j0 + q) with p < kc and
+        // q < w; with non-negative strides the first is the smallest index
+        // and the last the largest, so these two bound every read.
+        let first = self.index(p0, j0);
+        let last =
+            (p0.checked_add(kc - 1).zip(j0.checked_add(w - 1))).and_then(|(i, j)| self.index(i, j));
+        assert!(w <= r && kc.checked_mul(r) == Some(dst.len()), "pack_panel: dst is not kc·r");
+        let (Some(first), Some(last)) = (first, last) else {
+            panic!("pack_panel: panel index overflows");
+        };
+        assert!(last < self.data.len(), "pack_panel: panel reads past its view");
+        let src = self.data[first..].as_ptr();
+        if lane_contiguous {
+            // SAFETY: `isa.avx2` comes from `Isa::current`, true only after
+            // runtime detection found AVX2 + FMA. Reads are src + p·rs + q
+            // for p < kc, q < w — element (p0 + p, j0 + q), at most `last`,
+            // which is inside `data` — and writes are the kc·MR floats of
+            // `dst`, asserted above.
+            unsafe { avx::pack_lane_contiguous(src, self.rs, kc, w, dst.as_mut_ptr()) };
+        } else if r == MR {
+            // SAFETY: as above; reads are src + q·cs + p for q < w, p < kc,
+            // and writes the kc·MR floats of `dst`.
+            unsafe { avx::pack_depth_contiguous::<MR>(src, self.cs, kc, w, dst.as_mut_ptr()) };
+        } else {
+            // SAFETY: as above, with r = NR.
+            unsafe { avx::pack_depth_contiguous::<NR>(src, self.cs, kc, w, dst.as_mut_ptr()) };
+        }
+        true
+    }
 }
 
 /// Rows of the view are the reduction depth, columns the lanes. Unit lane
 /// stride (a row-major B) copies whole rows; unit depth stride (a row-major
 /// A seen through [`View::t`]) zips each lane's contiguous source run into
-/// its strided panel column.
+/// its strided panel column. With AVX2 both take vector paths instead
+/// ([`View::pack_avx`]) where the panel shape has one; the scalar code is
+/// the fallback and the test oracle, and both copy the same bits.
 impl PanelSource for View<'_> {
-    fn pack_panel(&self, p0: usize, kc: usize, j0: usize, w: usize, r: usize, dst: &mut [f32]) {
+    fn pack_panel(
+        &self,
+        p0: usize,
+        kc: usize,
+        j0: usize,
+        w: usize,
+        r: usize,
+        dst: &mut [f32],
+        isa: Isa,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if self.pack_avx(p0, kc, j0, w, r, dst, isa) {
+            return;
+        }
+        let _ = isa;
         let base = p0 * self.rs + j0 * self.cs;
         if self.cs == 1 {
             for (p, row) in dst.chunks_exact_mut(r).enumerate() {
@@ -328,7 +444,7 @@ pub fn gemm(
     // pool thread runs a part is up to the scheduler, and scratch drawn
     // from the workers' own arenas would make a warmed-up step allocate
     // whenever a part lands on a thread that has not run one before.
-    let split = Split::new(m, k, n, if parallel { pool::num_threads() } else { 1 });
+    let split = Split::new(eng.blocking, m, k, n, if parallel { pool::num_threads() } else { 1 });
     let mut scratch = workspace::take_unfilled(split.parts * split.scratch_len());
     pool::run_chunked(&mut scratch, split.scratch_len(), |first, chunk| {
         for (part, blocks) in (first..).zip(chunk.chunks_exact_mut(split.scratch_len())) {
@@ -339,7 +455,7 @@ pub fn gemm(
 
 /// Floats of block scratch [`gemm_in`] needs for an `m×k×n` product.
 pub(crate) fn scratch_len(m: usize, k: usize, n: usize) -> usize {
-    Split::new(m, k, n, 1).scratch_len()
+    Split::new(blocking(), m, k, n, 1).scratch_len()
 }
 
 /// [`gemm`] on the calling thread alone, packing into `scratch` (at least
@@ -365,7 +481,7 @@ pub(crate) fn gemm_in(
     if k == 0 {
         return eng.store_zeros();
     }
-    let split = Split::new(m, k, n, 1);
+    let split = Split::new(eng.blocking, m, k, n, 1);
     eng.run_part(&split, 0, &mut scratch[..split.scratch_len()]);
 }
 
@@ -383,8 +499,13 @@ struct Split {
 }
 
 impl Split {
-    fn new(m: usize, k: usize, n: usize, threads: usize) -> Self {
-        let (kc, mc, nc) = blocking();
+    fn new(
+        (kc, mc, nc): (usize, usize, usize),
+        m: usize,
+        k: usize,
+        n: usize,
+        threads: usize,
+    ) -> Self {
         let (pm, pn) = (m.div_ceil(MR), n.div_ceil(NR));
         let cols = n >= m;
         let (panels, others) = if cols { (pn, pm) } else { (pm, pn) };
@@ -410,6 +531,7 @@ impl Split {
 
 /// Packs panels `panels` (each `r` lanes of the `d`-lane operand `src`) of
 /// depth rows `p0..p0+kc` back to back into `block`.
+#[allow(clippy::too_many_arguments)]
 fn pack_block(
     src: &dyn PanelSource,
     p0: usize,
@@ -418,10 +540,11 @@ fn pack_block(
     r: usize,
     d: usize,
     block: &mut [f32],
+    isa: Isa,
 ) {
     for (dst, id) in block.chunks_exact_mut(r * kc).zip(panels) {
         let j0 = id * r;
-        src.pack_panel(p0, kc, j0, r.min(d - j0), r, dst);
+        src.pack_panel(p0, kc, j0, r.min(d - j0), r, dst, isa);
     }
 }
 
@@ -434,8 +557,10 @@ struct Engine<'a> {
     m: usize,
     k: usize,
     n: usize,
-    kc: usize,
-    simd: bool,
+    /// `(KC, MC, NC)`, read once: the split and the loop nest of one
+    /// product must agree on it whatever `set_blocking` does meanwhile.
+    blocking: (usize, usize, usize),
+    isa: Isa,
 }
 
 impl<'a> Engine<'a> {
@@ -462,8 +587,8 @@ impl<'a> Engine<'a> {
             m,
             k,
             n,
-            kc: blocking().0,
-            simd: simd_enabled(),
+            blocking: blocking(),
+            isa: Isa::current(),
         }
     }
 
@@ -502,17 +627,18 @@ impl<'a> Engine<'a> {
         a_block: &mut [f32],
         b_block: &mut [f32],
     ) {
-        let kc_cap = self.kc.min(self.k);
+        let kc_max = self.blocking.0;
+        let kc_cap = kc_max.min(self.k);
         let nb = b_block.len() / (NR * kc_cap);
         let mb = a_block.len() / (MR * kc_cap);
         for jb in cols.clone().step_by(nb.max(1)) {
             let jb_end = (jb + nb).min(cols.end);
-            for p0 in (0..self.k).step_by(self.kc) {
-                let kc = self.kc.min(self.k - p0);
-                pack_block(self.b, p0, kc, jb..jb_end, NR, self.n, b_block);
+            for p0 in (0..self.k).step_by(kc_max) {
+                let kc = kc_max.min(self.k - p0);
+                pack_block(self.b, p0, kc, jb..jb_end, NR, self.n, b_block, self.isa);
                 for ib in rows.clone().step_by(mb.max(1)) {
                     let ib_end = (ib + mb).min(rows.end);
-                    pack_block(self.a, p0, kc, ib..ib_end, MR, self.m, a_block);
+                    pack_block(self.a, p0, kc, ib..ib_end, MR, self.m, a_block, self.isa);
                     for (pb, jp) in b_block.chunks_exact(NR * kc).zip(jb..jb_end) {
                         let j = jp * NR;
                         let cols_live = NR.min(self.n - j);
@@ -527,7 +653,7 @@ impl<'a> Engine<'a> {
                                 // gemm() checked that the layout's largest
                                 // offset is in bounds.
                                 let tile = unsafe { self.c.0.add(self.layout.offset(i, j)) };
-                                kernel(self.simd, p0 > 0, kc, pa, pb, tile, self.layout.seg);
+                                kernel(self.isa, p0 > 0, kc, pa, pb, tile, self.layout.seg);
                             } else {
                                 self.edge_tile(p0 > 0, kc, pa, pb, (i, rows_live), (j, cols_live));
                             }
@@ -569,7 +695,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        kernel(self.simd, true, kc, pa, pb, tile.as_mut_ptr(), NR);
+        kernel(self.isa, true, kc, pa, pb, tile.as_mut_ptr(), NR);
         for t in 0..rows {
             for q in 0..cols {
                 // SAFETY: same element set as the loads above.
@@ -583,16 +709,16 @@ impl<'a> Engine<'a> {
 /// accumulators continue from the tile's values in C (`resume`) or start at
 /// `+0.0` without reading C — what a zero-filled C would have loaded.
 #[inline]
-fn kernel(simd: bool, resume: bool, kc: usize, pa: &[f32], pb: &[f32], c: *mut f32, ldc: usize) {
+fn kernel(isa: Isa, resume: bool, kc: usize, pa: &[f32], pb: &[f32], c: *mut f32, ldc: usize) {
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: `simd` is only true when is_x86_feature_detected! reported
-        // AVX2+FMA (see simd_enabled/set_simd_enabled), and the pointer
-        // contract is the same as kernel_scalar's, upheld by Engine::run.
+    if isa.avx2 {
+        // SAFETY: `isa.avx2` is only true when is_x86_feature_detected!
+        // reported AVX2+FMA (see Isa::current), and the pointer contract is
+        // the same as kernel_scalar's, upheld by Engine::run.
         unsafe { avx::kernel_6x16(resume, kc, pa.as_ptr(), pb.as_ptr(), c, ldc) };
         return;
     }
-    let _ = simd;
+    let _ = isa;
     kernel_scalar(resume, kc, pa, pb, c, ldc);
 }
 
@@ -630,15 +756,148 @@ fn kernel_scalar(resume: bool, kc: usize, pa: &[f32], pb: &[f32], c: *mut f32, l
 
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    //! The AVX2+FMA register-tile kernel. Everything here is reachable only
-    //! through [`super::kernel`], which checks runtime feature detection
-    //! before taking this path.
+    //! The AVX2+FMA register-tile kernel and the two vector packers of
+    //! [`super::View`]. Everything here is reachable only through an
+    //! [`super::Isa`] that runtime feature detection made.
 
     use super::{MR, NR};
     use core::arch::x86_64::{
-        __m256, _mm256_broadcast_ss, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        __m256, __m256i, _mm256_broadcast_ss, _mm256_cmpgt_epi32, _mm256_fmadd_ps, _mm256_loadu_ps,
+        _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_permute2f128_ps, _mm256_set1_epi32,
+        _mm256_setr_epi32, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps,
+        _mm256_unpackhi_ps, _mm256_unpacklo_ps,
     };
+
+    /// A mask of lanes `0..n` (all eight for `n ≥ 8`) for the masked loads
+    /// and stores, which neither read nor write the lanes it leaves out.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn lanes_below(n: usize) -> __m256i {
+        let n = n.min(8) as i32;
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(n), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+    }
+
+    /// Transposes an 8×8 block held as eight row vectors: lane `i` of
+    /// result `t` is lane `t` of row `i`. Only shuffles, so every bit
+    /// pattern — NaN payloads, signed zeros, subnormals — moves unchanged.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    fn transpose8(v: [__m256; 8]) -> [__m256; 8] {
+        // Pairs of rows interleaved: lanes (i, i+1) of rows 2a and 2a+1.
+        let t0 = _mm256_unpacklo_ps(v[0], v[1]);
+        let t1 = _mm256_unpackhi_ps(v[0], v[1]);
+        let t2 = _mm256_unpacklo_ps(v[2], v[3]);
+        let t3 = _mm256_unpackhi_ps(v[2], v[3]);
+        let t4 = _mm256_unpacklo_ps(v[4], v[5]);
+        let t5 = _mm256_unpackhi_ps(v[4], v[5]);
+        let t6 = _mm256_unpacklo_ps(v[6], v[7]);
+        let t7 = _mm256_unpackhi_ps(v[6], v[7]);
+        // Quads: column c of rows 0–3 (resp. 4–7) in each 128-bit half,
+        // columns c and c + 4 in the two halves.
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(s0, s4),
+            _mm256_permute2f128_ps::<0x20>(s1, s5),
+            _mm256_permute2f128_ps::<0x20>(s2, s6),
+            _mm256_permute2f128_ps::<0x20>(s3, s7),
+            _mm256_permute2f128_ps::<0x31>(s0, s4),
+            _mm256_permute2f128_ps::<0x31>(s1, s5),
+            _mm256_permute2f128_ps::<0x31>(s2, s6),
+            _mm256_permute2f128_ps::<0x31>(s3, s7),
+        ]
+    }
+
+    /// Packs a panel of `R ∈ {MR, NR}` lanes whose depth is contiguous:
+    /// lane `q` holds its `kc` depth values at `src + q·cs`, and panel row
+    /// `p` goes to `dst + p·R`. Per block of 8 depth rows and group of 8
+    /// lanes, each live lane is one 8-wide load (a masked one for the last
+    /// `kc % 8` rows), the block is transposed in registers and its rows
+    /// are stored whole; lanes `w..` are zero vectors, never read. With
+    /// `R = MR` a row store also writes two zeros into the next row, which
+    /// that row's store overwrites after it; the panel's last row is stored
+    /// masked. Full blocks of full panels — all but the last block of all
+    /// but the last panel of an operand — take the branch-free loops.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and FMA at runtime; `1 ≤ w ≤ R` and `kc ≥ 1`;
+    /// `src + q·cs + p` must be readable for every `q < w`, `p < kc`, and
+    /// `dst` writable for `kc·R` floats.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn pack_depth_contiguous<const R: usize>(
+        src: *const f32,
+        cs: usize,
+        kc: usize,
+        w: usize,
+        dst: *mut f32,
+    ) {
+        const { assert!((R == MR || R == NR) && MR <= 8 && NR == 16) };
+        for p0 in (0..kc).step_by(8) {
+            let rows = (kc - p0).min(8);
+            for g in (0..R).step_by(8) {
+                let mut block = [_mm256_setzero_ps(); 8];
+                let lanes = &mut block[..R.min(8)];
+                let at = |q: usize| src.add((g + q) * cs + p0);
+                if w == R && rows == 8 {
+                    for (q, lane) in lanes.iter_mut().enumerate() {
+                        *lane = _mm256_loadu_ps(at(q));
+                    }
+                } else {
+                    let depth = lanes_below(rows);
+                    for (q, lane) in lanes.iter_mut().enumerate().take(w.saturating_sub(g)) {
+                        *lane = _mm256_maskload_ps(at(q), depth);
+                    }
+                }
+                let block = transpose8(block);
+                let at = |t: usize| dst.add((p0 + t) * R + g);
+                if rows == 8 && (R == NR || p0 + 8 < kc) {
+                    for (t, row) in block.into_iter().enumerate() {
+                        _mm256_storeu_ps(at(t), row);
+                    }
+                } else {
+                    for (t, row) in block.into_iter().enumerate().take(rows) {
+                        if R == MR && p0 + t + 1 == kc {
+                            _mm256_maskstore_ps(at(t), lanes_below(MR), row);
+                        } else {
+                            _mm256_storeu_ps(at(t), row);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Packs a panel of `r = MR` lanes whose lanes are contiguous: depth row
+    /// `p` is `w` floats at `src + p·rs`, moved by one masked 8-lane load
+    /// (lanes `w..` read nothing and load zeros) and one store to
+    /// `dst + p·MR`, whose two extra lanes the next row's store overwrites;
+    /// the last row is stored masked.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and FMA at runtime; `1 ≤ w ≤ MR` and `kc ≥ 1`;
+    /// `src + p·rs + q` must be readable for every `p < kc`, `q < w`, and
+    /// `dst` writable for `kc·MR` floats.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn pack_lane_contiguous(
+        src: *const f32,
+        rs: usize,
+        kc: usize,
+        w: usize,
+        dst: *mut f32,
+    ) {
+        let live = lanes_below(w);
+        for p in 0..kc - 1 {
+            _mm256_storeu_ps(dst.add(p * MR), _mm256_maskload_ps(src.add(p * rs), live));
+        }
+        let row = _mm256_maskload_ps(src.add((kc - 1) * rs), live);
+        _mm256_maskstore_ps(dst.add((kc - 1) * MR), lanes_below(MR), row);
+    }
 
     /// 6×16 micro-kernel: twelve accumulators (`MR` rows × two 8-lane
     /// halves) are loaded from C (`resume`) or start at `+0.0`, swept by

@@ -5,7 +5,7 @@
 //! the same protocol in the bench harness.
 
 use crate::rng::Rng;
-use crate::Tensor;
+use crate::{workspace, Tensor};
 
 impl Tensor {
     /// Standard-normal tensor scaled by `std`, deterministic in `seed`.
@@ -20,15 +20,20 @@ impl Tensor {
     /// ```
     pub fn randn(shape: &[usize], std: f32, seed: u64) -> Self {
         let mut rng = Rng::seed_from_u64(seed);
-        let mut t = Tensor::zeros(shape);
-        fill_normal(t.as_mut_slice(), std, &mut rng);
-        t
+        let len = shape.iter().product();
+        // Pushed, not filled and then overwritten: a pooled buffer that
+        // misses the arena would be zeroed in full first.
+        let mut data = workspace::take_with_capacity(len);
+        data.extend(normal_samples(std, &mut rng).take(len));
+        Tensor::from_vec(data, shape).expect("one sample per element")
     }
 
     /// Uniform tensor on `[lo, hi)`, deterministic in `seed`.
     pub fn rand_uniform(shape: &[usize], lo: f32, hi: f32, seed: u64) -> Self {
         let mut rng = Rng::seed_from_u64(seed);
-        let mut t = Tensor::zeros(shape);
+        // Overwritten in place: with a draw this cheap, pushing it measured
+        // slower than the fill a missed arena take still costs.
+        let mut t = Tensor::unfilled(shape);
         for x in t.as_mut_slice() {
             *x = rng.gen_range(lo..hi);
         }
@@ -36,21 +41,17 @@ impl Tensor {
     }
 }
 
-/// Fills `buf` with N(0, std²) samples via Box–Muller.
-pub fn fill_normal(buf: &mut [f32], std: f32, rng: &mut Rng) {
-    let mut i = 0;
-    while i < buf.len() {
+/// N(0, std²) samples via Box–Muller: each pair of uniforms gives a cosine
+/// sample and then a sine sample.
+fn normal_samples(std: f32, rng: &mut Rng) -> impl Iterator<Item = f32> + '_ {
+    std::iter::repeat_with(move || {
         let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
         let u2: f32 = rng.gen_range(0.0..1.0);
         let r = (-2.0 * u1.ln()).sqrt();
         let theta = 2.0 * std::f32::consts::PI * u2;
-        buf[i] = r * theta.cos() * std;
-        i += 1;
-        if i < buf.len() {
-            buf[i] = r * theta.sin() * std;
-            i += 1;
-        }
-    }
+        [r * theta.cos() * std, r * theta.sin() * std]
+    })
+    .flatten()
 }
 
 /// Kaiming (He) normal initialization for a layer with `fan_in` inputs.

@@ -49,6 +49,14 @@ echo "== BatchNorm2d against the loops it replaced, debug and release"
 cargo test -q --offline --locked -p puffer-nn --test batchnorm_bitwise
 cargo test -q --release --offline --locked -p puffer-nn --test batchnorm_bitwise
 
+echo "== GEMM operand packer against its per-element oracle, release"
+# The tensor suite below runs it in debug (it switches SIMD on and off
+# itself, whatever PUFFER_SIMD says). The vector packers (8×8 transposes,
+# masked row copies) read through raw pointers behind bounds asserts, and
+# codegen differs between the profiles: both must hold, on sources that end
+# exactly at the last element a panel reads.
+cargo test -q --release --offline --locked -p puffer-tensor --test pack_bitwise
+
 echo "== tensor suite under the scalar GEMM fallback (PUFFER_SIMD=0)"
 # The blocked engine promises bitwise-identical results with the SIMD
 # micro-kernel disabled; prove the whole tensor suite agrees — the
