@@ -1,4 +1,4 @@
-//! GEMM sweep for the blocked SIMD `Optimized` engine: thread scaling,
+//! GEMM sweep for the blocked SIMD engine: thread scaling,
 //! SIMD-vs-scalar-fallback, and the paper's low-rank shapes.
 //!
 //! Times square matmuls at 128/512/1024 plus the Pufferfish factorized
@@ -30,7 +30,7 @@ use crate::table::Table;
 use crate::{Args, Record};
 use puffer_probe::Stopwatch;
 use puffer_tensor::gemm;
-use puffer_tensor::matmul::{matmul_with_profile, MatmulProfile};
+use puffer_tensor::matmul::matmul;
 use puffer_tensor::{pool, Tensor};
 
 /// Median-of-`reps` wall time for one `m×k · k×n` matmul, in seconds.
@@ -38,7 +38,7 @@ fn time_matmul(a: &Tensor, b: &Tensor, reps: usize) -> f64 {
     let mut samples = Vec::with_capacity(reps);
     for _ in 0..reps {
         let t0 = Stopwatch::start();
-        let c = matmul_with_profile(a, b, MatmulProfile::Optimized).unwrap();
+        let c = matmul(a, b).unwrap();
         samples.push(t0.elapsed().as_secs_f64());
         // Keep the result observable so the multiply cannot be elided.
         assert!(c.as_slice()[0].is_finite());
@@ -114,7 +114,7 @@ pub fn run(_args: &Args) -> Record {
             for &threads in &grid {
                 pool::set_num_threads(threads);
                 // Warm the pool and caches outside the timed region.
-                let _ = matmul_with_profile(&a, &b, MatmulProfile::Optimized).unwrap();
+                let _ = matmul(&a, &b).unwrap();
                 let secs = time_matmul(&a, &b, reps);
                 let base_secs = *base.get_or_insert(secs);
                 t.row(vec![

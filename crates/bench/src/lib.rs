@@ -1,7 +1,7 @@
 //! Experiment harness for the Pufferfish reproduction.
 //!
-//! One binary, `puffer-bench <experiment|all|list> [--quick] [--optimized]
-//! [--verbose] [--out FILE]`, over the static tables in [`experiments`]:
+//! One binary, `puffer-bench <experiment|all|list> [--quick] [--verbose]
+//! [--out FILE]`, over the static tables in [`experiments`]:
 //! one module per paper table/figure (see `DESIGN.md` §4 for the full
 //! index) plus the system gates (`soak`, `overlap-sweep`, `alloc-churn`)
 //! and tools (`gemm-scaling`, `fault-sweep`, `trace-demo`, `insight`,

@@ -1,5 +1,5 @@
-//! `puffer-bench <experiment|all|list> [--quick] [--optimized] [--verbose]
-//! [--out FILE]` — see the library docs.
+//! `puffer-bench <experiment|all|list> [--quick] [--verbose] [--out FILE]` —
+//! see the library docs.
 
 use puffer_bench::experiments::{all, find, Experiment, PAPER};
 use puffer_bench::Args;
@@ -7,9 +7,7 @@ use std::process::ExitCode;
 
 fn usage(error: &str) -> ExitCode {
     eprintln!("puffer-bench: {error}");
-    eprintln!(
-        "usage: puffer-bench <experiment|all|list> [--quick] [--optimized] [--verbose] [--out FILE]"
-    );
+    eprintln!("usage: puffer-bench <experiment|all|list> [--quick] [--verbose] [--out FILE]");
     eprintln!("       (`puffer-bench list` names the experiments)");
     ExitCode::from(2)
 }

@@ -2,7 +2,7 @@
 //!
 //! Every experiment takes the same [`Args`]: `--quick` (CI-sized, seconds;
 //! the default is minutes-scale runs that produce smoother curves),
-//! `--optimized`, `--verbose`, `--out FILE`, and for the two file tools
+//! `--verbose`, `--out FILE`, and for the two file tools
 //! (`diff`, `insight`) their input paths.
 
 use std::path::PathBuf;
@@ -36,9 +36,6 @@ impl RunScale {
 pub struct Args {
     /// `--quick` or the full-length default.
     pub scale: RunScale,
-    /// `--optimized`: the speed-optimized compute profile (the paper's
-    /// appendix-J cuDNN setting; Table 20 is `table6-minibench --optimized`).
-    pub optimized: bool,
     /// `--verbose`: `appendix-architectures` prints every per-layer ledger.
     pub verbose: bool,
     /// `--out FILE`: append the run's record to `FILE` as one JSON line.
@@ -51,7 +48,7 @@ pub struct Args {
 impl Args {
     /// No flags: a full-length run that writes nothing.
     pub fn full() -> Self {
-        Args { scale: RunScale::Full, optimized: false, verbose: false, out: None, paths: vec![] }
+        Args { scale: RunScale::Full, verbose: false, out: None, paths: vec![] }
     }
 
     /// `--quick` alone.
@@ -70,7 +67,6 @@ impl Args {
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--quick" => parsed.scale = RunScale::Quick,
-                "--optimized" => parsed.optimized = true,
                 "--verbose" => parsed.verbose = true,
                 "--out" => match args.next() {
                     Some(path) => parsed.out = Some(PathBuf::from(path)),
@@ -101,13 +97,13 @@ mod tests {
     }
 
     #[test]
-    fn parse_takes_the_four_flags_and_rejects_the_rest() {
+    fn parse_takes_the_three_flags_and_rejects_the_rest() {
         let strings = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         assert_eq!(Args::parse(strings(&[])), Ok(Args::full()));
         assert_eq!(Args::parse(strings(&["--quick"])), Ok(Args::quick()));
-        let all = Args::parse(strings(&["a.json", "--optimized", "--out", "r.jsonl", "--verbose"]))
-            .expect("valid");
-        assert!(all.optimized && all.verbose && all.scale == RunScale::Full);
+        let all =
+            Args::parse(strings(&["a.json", "--out", "r.jsonl", "--verbose"])).expect("valid");
+        assert!(all.verbose && all.scale == RunScale::Full);
         assert_eq!(all.out, Some(PathBuf::from("r.jsonl")));
         assert_eq!(all.paths, vec![PathBuf::from("a.json")]);
         // The retired spellings are errors, not silently ignored.

@@ -18,8 +18,8 @@
 //! ships `P_w` of every matrix layer next to the raw 1-D tensors, phase 1
 //! ships `Q_w`, and each node decodes and keeps its **own** error memory —
 //! keyed by worker id, so a node that misses a round, leaves or joins never
-//! touches anybody else's residual. [`PowerSgd::round`] drives one half per
-//! worker in-process and reduces their payloads with
+//! touches anybody else's residual. [`GradCompressor::round`] drives one
+//! half per worker in-process and reduces their payloads with
 //! [`crate::mean_in_order`], the sum a trainer's allreduce performs.
 
 // Reached from the data-parallel trainer's worker threads, which must fail
@@ -38,11 +38,7 @@
 )]
 
 use crate::pack::PackLayout;
-use crate::{
-    factor_dims, length_mismatch, mean_in_order, reshape, AggregationKind, GradCompressor,
-    RoundStats, WorkerCodec,
-};
-use puffer_probe::Stopwatch;
+use crate::{factor_dims, length_mismatch, reshape, AggregationKind, GradCompressor, WorkerCodec};
 use puffer_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use puffer_tensor::svd::orthogonalize_columns;
 use puffer_tensor::{workspace, Result, Tensor, TensorError};
@@ -89,60 +85,6 @@ impl PowerSgd {
             memory: self.memory.remove(&worker).unwrap_or_default(),
             p_hat: Vec::new(),
         }
-    }
-}
-
-impl PowerSgd {
-    /// One round over one half per worker, in-process: both phases reduced
-    /// by [`mean_in_order`], `M̂` decoded once and shared.
-    fn drive_halves(&mut self, worker_grads: &[Vec<Tensor>]) -> Result<(Vec<Tensor>, RoundStats)> {
-        let n_workers = worker_grads.len();
-        let mut halves: Vec<PowerSgdWorker> = (0..n_workers).map(|w| self.take_half(w)).collect();
-        // The halves work in place, so each gets its own copy to work on.
-        let mut grads: Vec<Vec<Tensor>> = worker_grads.to_vec();
-        let no_workers = length_mismatch(1, 0, "powersgd round");
-        let shapes: Vec<&Tensor> = worker_grads.first().ok_or(no_workers)?.iter().collect();
-
-        let t_enc = Stopwatch::start();
-        let mut bytes = 0usize;
-        let mut reduced: Option<Tensor> = None;
-        for phase in 0..2 {
-            let len = halves.first().map_or(0, |h| h.payload_layout(phase, &shapes).total_len());
-            bytes += len * 4;
-            let mut payloads: Vec<Tensor> = Vec::with_capacity(n_workers);
-            for (half, g) in halves.iter_mut().zip(&mut grads) {
-                let mut out = Tensor::zeros(&[len]);
-                let mut g: Vec<&mut Tensor> = g.iter_mut().collect();
-                let prev = reduced.as_ref().map(Tensor::as_slice);
-                half.encode(phase, &mut g, prev, out.as_mut_slice())?;
-                payloads.push(out);
-            }
-            reduced = Some(mean_in_order(&payloads.iter().collect::<Vec<_>>()));
-        }
-        // Per-node encode: each node computes only its own P/Q products
-        // (the allreduce sums them in flight).
-        let encode_time = t_enc.elapsed() / n_workers.max(1) as u32;
-
-        let t_dec = Stopwatch::start();
-        let q_mean = reduced.unwrap_or_default();
-        let mut decoded: Vec<Tensor> = Vec::new();
-        for (half, g) in halves.iter_mut().zip(&mut grads) {
-            let mut g: Vec<&mut Tensor> = g.iter_mut().collect();
-            if decoded.is_empty() {
-                half.finish(q_mean.as_slice(), &mut g, true, None)?;
-                decoded = g.into_iter().map(std::mem::take).collect();
-            } else {
-                half.finish(q_mean.as_slice(), &mut g, true, Some(&decoded))?;
-            }
-        }
-        let decode_time = t_dec.elapsed();
-
-        for half in halves {
-            self.queries = half.queries;
-            self.memory.insert(half.worker, half.memory);
-        }
-        let stats = RoundStats::new(bytes, n_workers, self.aggregation(), encode_time, decode_time);
-        Ok((decoded, stats))
     }
 }
 
@@ -235,15 +177,12 @@ impl PowerSgdWorker {
 
     /// The end of a round: `M̂ = P̂·Q̄ᵀ` replaces the gradient, the error
     /// memory becomes `M_w − M̂` (if this worker contributed) and `Q̄` the
-    /// next round's warm start. `decoded`, when given, is the list another
-    /// half of the same round already decoded into — `M̂` is the same on
-    /// every node, so an in-process driver computes it once.
+    /// next round's warm start.
     fn finish(
         &mut self,
         mut q_mean: &[f32],
         grads: &mut [&mut Tensor],
         contributed: bool,
-        decoded: Option<&[Tensor]>,
     ) -> Result<()> {
         let (_, len) = self.payload_lens(grads);
         if q_mean.len() != len {
@@ -253,40 +192,27 @@ impl PowerSgdWorker {
         self.memory.resize_with(grads.len(), || None);
         self.p_hat.resize_with(grads.len(), || None);
         let state = self.queries.iter_mut().zip(&mut self.memory).zip(&mut self.p_hat);
-        for ((li, g), ((query, memory), p_hat)) in grads.iter_mut().enumerate().zip(state) {
+        for (g, ((query, memory), p_hat)) in grads.iter_mut().zip(state) {
             let Some((m, n, r)) = factor_dims(g, self.rank) else { continue };
             let (head, tail) = q_mean.split_at(n * r);
             q_mean = tail;
             let q = Tensor::from_vec(workspace::take_copied(head), &[n, r])?;
-            let p_hat = p_hat.take();
-            match decoded.and_then(|d| d.get(li)) {
-                Some(m_hat) => {
-                    // `g` is not the round's output here: it turns into the
-                    // residual where it stands.
-                    g.axpy(-1.0, m_hat)?;
-                    let mut e = std::mem::take(&mut **g);
-                    reshape(&mut e, &[m, n])?;
-                    *memory = Some(e);
-                }
-                None => {
-                    let p_hat = p_hat.ok_or(TensorError::WrongDimensions {
-                        expected: 2,
-                        got: 0,
-                        op: "powersgd decode before phase 1",
-                    })?;
-                    let mut m_hat = matmul_nt(&p_hat, &q)?;
-                    let shape = g.shape().to_vec();
-                    reshape(g, &[m, n])?;
-                    if contributed {
-                        g.axpy(-1.0, &m_hat)?;
-                        std::mem::swap(&mut **g, &mut m_hat);
-                        *memory = Some(m_hat);
-                    } else {
-                        std::mem::swap(&mut **g, &mut m_hat);
-                    }
-                    reshape(g, &shape)?;
-                }
+            let p_hat = p_hat.take().ok_or(TensorError::WrongDimensions {
+                expected: 2,
+                got: 0,
+                op: "powersgd decode before phase 1",
+            })?;
+            let mut m_hat = matmul_nt(&p_hat, &q)?;
+            let shape = g.shape().to_vec();
+            reshape(g, &[m, n])?;
+            if contributed {
+                g.axpy(-1.0, &m_hat)?;
+                std::mem::swap(&mut **g, &mut m_hat);
+                *memory = Some(m_hat);
+            } else {
+                std::mem::swap(&mut **g, &mut m_hat);
             }
+            reshape(g, &shape)?;
             *query = Some(q);
         }
         Ok(())
@@ -357,7 +283,7 @@ impl WorkerCodec for PowerSgdWorker {
         grads: &mut [&mut Tensor],
         contributed: bool,
     ) -> Result<()> {
-        self.finish(reduced_last, grads, contributed, None)
+        self.finish(reduced_last, grads, contributed)
     }
 
     fn abort(&mut self) {
@@ -380,15 +306,6 @@ impl GradCompressor for PowerSgd {
 
     fn aggregation(&self) -> AggregationKind {
         AggregationKind::AllReduce
-    }
-
-    #[expect(
-        clippy::expect_used,
-        reason = "the trait's documented panic; the trainer never plays this round, PowerSGD \
-                  has a worker half"
-    )]
-    fn round(&mut self, worker_grads: &[Vec<Tensor>]) -> (Vec<Tensor>, RoundStats) {
-        self.drive_halves(worker_grads).expect("workers must agree on layer shapes")
     }
 
     fn worker_codec(&mut self, worker: usize) -> Box<dyn WorkerCodec> {

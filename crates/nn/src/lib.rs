@@ -15,11 +15,9 @@
 //! Every layer bottoms out in `puffer-tensor`'s cache-blocked SIMD GEMM —
 //! convolutions feed it straight from their NCHW activations — which fans
 //! out to the process-wide worker pool
-//! (re-exported here as [`threading`], since [`pool`] is pooling layers)
-//! under the default `Optimized` matmul profile. Forward/backward results
-//! are bitwise identical for every thread count; set
-//! `PUFFER_NUM_THREADS=1` (or switch the profile to `Reproducible`) to
-//! force strictly sequential execution.
+//! (re-exported here as [`threading`], since [`pool`] is pooling layers).
+//! Forward/backward results are bitwise identical for every thread count;
+//! set `PUFFER_NUM_THREADS=1` to force strictly sequential execution.
 //!
 //! # Example
 //!

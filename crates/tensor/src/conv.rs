@@ -8,14 +8,13 @@
 //! unrolling the paper uses to define conv-layer factorization
 //! (`W_unrolled ∈ R^{c_in k² × c_out}`, paper §2.2). [`im2col`] writes that
 //! patch matrix out and [`col2im`] is its adjoint; they are the reference
-//! the rest of this module is tested against, and what the `Reproducible`
-//! profile runs.
+//! the rest of this module is tested against.
 //!
-//! Under the `Optimized` profile [`conv2d_forward`], [`conv2d_grad_weight`]
-//! and [`conv2d_grad_input`] never build the patch matrix. They hand the
-//! GEMM engine a [`PanelSource`] that packs each micro-panel straight from
-//! the NCHW activation — a panel row is an edge-clipped run of input pixels
-//! — and a [`CLayout`] that stores C tiles straight into NCHW, so a
+//! [`conv2d_forward`], [`conv2d_grad_weight`] and [`conv2d_grad_input`]
+//! never build the patch matrix. They hand the GEMM engine a
+//! [`PanelSource`] that packs each micro-panel straight from the NCHW
+//! activation — a panel row is an edge-clipped run of input pixels — and a
+//! [`CLayout`] that stores C tiles straight into NCHW, so a
 //! convolution reads its input once per KC×NC block and writes its output
 //! once. Forward and weight gradient run the same ascending fused chain per
 //! element as `matmul(W, im2col(x))` / `matmul_nt(dOut, im2col(x))` and are
@@ -37,10 +36,7 @@
 //! count.
 
 use crate::gemm::{self, copy_run, CLayout, Isa, PanelSource, SendPtr, View, NR};
-use crate::matmul::{
-    default_profile, kernel_span, matmul, matmul_nt, matmul_tn, parallel_under_default,
-    MatmulProfile,
-};
+use crate::matmul::{kernel_span, parallel_under_default};
 use crate::{conv_direct, pool, workspace, Result, Tensor, TensorError};
 use puffer_probe as probe;
 
@@ -547,12 +543,11 @@ fn direct(geo: &ConvGeometry, c_out: usize) -> bool {
 /// `y = W ∗ x`: `x: (N, c_in, h, w)`, `weight: (c_out, c_in, k, k)` →
 /// `(N, c_out, h_out, w_out)`.
 ///
-/// Under the `Optimized` profile this is one GEMM `W · patches(x)` whose B
-/// panels are packed from `x` and whose C tiles are stored into NCHW; every
-/// output element is the fused chain over ascending `(ci, ky, kx)` that
-/// `matmul(W, im2col(x))` computes, bit for bit — as it is in the direct
-/// kernel a thin stride-1 layer takes instead (module docs). `Reproducible`
-/// runs that explicit lowering image by image.
+/// One GEMM `W · patches(x)` whose B panels are packed from `x` and whose C
+/// tiles are stored into NCHW; every output element is the fused chain over
+/// ascending `(ci, ky, kx)` that `matmul(W, im2col(x))` computes, bit for
+/// bit — as it is in the direct kernel a thin stride-1 layer takes instead
+/// (module docs).
 ///
 /// # Errors
 ///
@@ -567,17 +562,9 @@ pub fn conv2d_forward(x: &Tensor, weight: &Tensor, geo: &ConvGeometry) -> Result
     if shape.contains(&0) || rows == 0 {
         return Ok(Tensor::zeros(&shape));
     }
-    // Every path below stores each element of `out`: a copied slab, the
-    // direct kernel's tiles, the engine's product.
+    // Both paths below store each element of `out`: the direct kernel's
+    // tiles, the engine's product.
     let mut out = Tensor::unfilled(&shape);
-    if default_profile() == MatmulProfile::Reproducible {
-        let w_mat = weight.reshape(&[c_out, rows])?;
-        for (img, slab) in out.as_mut_slice().chunks_exact_mut(c_out * hw).enumerate() {
-            let y = matmul(&w_mat, &im2col(&image(x, img), geo)?)?;
-            slab.copy_from_slice(y.as_slice());
-        }
-        return Ok(out);
-    }
     let _sp = kernel_span("conv2d_forward", c_out, rows, n * hw);
     let parallel = parallel_under_default(c_out * rows * n * hw);
     if direct(geo, c_out) {
@@ -601,13 +588,11 @@ pub fn conv2d_forward(x: &Tensor, weight: &Tensor, geo: &ConvGeometry) -> Result
 /// `dW = dOut ∗ x`: `x: (N, c_in, h, w)`, `dout: (N, c_out, h_out, w_out)`
 /// → `(c_out, c_in, k, k)`.
 ///
-/// Under the `Optimized` profile this is one GEMM `dOut · patches(x)ᵀ` with
-/// both operands packed from NCHW — `x` is the layer's *input*, so nothing
-/// patch-sized is kept between forward and backward — and every element is
-/// the fused chain over ascending `(img, oy, ox)` that
-/// `matmul_nt(dOut, im2col(x))` computes, bit for bit — as it is in the
-/// direct kernel a thin stride-1 layer takes instead. `Reproducible` sums
-/// that explicit lowering over the images.
+/// One GEMM `dOut · patches(x)ᵀ` with both operands packed from NCHW — `x`
+/// is the layer's *input*, so nothing patch-sized is kept between forward
+/// and backward — and every element is the fused chain over ascending
+/// `(img, oy, ox)` that `matmul_nt(dOut, im2col(x))` computes, bit for bit —
+/// as it is in the direct kernel a thin stride-1 layer takes instead.
 ///
 /// # Errors
 ///
@@ -620,16 +605,6 @@ pub fn conv2d_grad_weight(x: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> Resu
     let (rows, hw) = (geo.patch_rows(), geo.h_out() * geo.w_out());
     let mut dw = Tensor::zeros(&[c_out, geo.c_in, geo.k, geo.k]);
     if dw.is_empty() || n == 0 {
-        return Ok(dw);
-    }
-    if default_profile() == MatmulProfile::Reproducible {
-        for img in 0..n {
-            let dy = image(dout, img).reshape(&[c_out, hw])?;
-            let part = matmul_nt(&dy, &im2col(&image(x, img), geo)?)?;
-            for (d, s) in dw.as_mut_slice().iter_mut().zip(part.as_slice()) {
-                *d += s;
-            }
-        }
         return Ok(dw);
     }
     let _sp = kernel_span("conv2d_grad_weight", c_out, n * hw, rows);
@@ -666,8 +641,8 @@ pub const SCATTER_BLOCK: usize = 1 << 18;
 /// `dX = Wᵀ ∗ dOut`: `weight: (c_out, c_in, k, k)`,
 /// `dout: (N, c_out, h_out, w_out)` → `(N, c_in, h, w)`.
 ///
-/// Under the `Optimized` profile a group of whole images at a time (as many
-/// as fit [`SCATTER_BLOCK`], at least one), `Wᵀ · dOut_group` is computed
+/// A group of whole images at a time (as many as fit [`SCATTER_BLOCK`], at
+/// least one), `Wᵀ · dOut_group` is computed
 /// into cache-resident scratch — B panels packed straight from `dOut` — and
 /// scattered into those images' planes at once, in [`col2im`]'s order: each
 /// patch-matrix element is the fused chain over ascending `co` that
@@ -677,8 +652,7 @@ pub const SCATTER_BLOCK: usize = 1 << 18;
 /// images, each running its groups start to finish, so a call is one pool
 /// dispatch. A thin stride-1 layer takes a direct kernel instead, which
 /// gathers each pixel's taps in that same two-level order without writing
-/// `Wᵀ · dOut` at all. `Reproducible` runs the explicit lowering image by
-/// image.
+/// `Wᵀ · dOut` at all.
 ///
 /// # Errors
 ///
@@ -695,16 +669,6 @@ pub fn conv2d_grad_input(weight: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> 
     let shape = [n, c_in, geo.h, geo.w];
     if shape.contains(&0) || c_out == 0 {
         return Ok(Tensor::zeros(&shape));
-    }
-
-    if default_profile() == MatmulProfile::Reproducible {
-        let mut dx = Tensor::unfilled(&shape);
-        let w_mat = weight.reshape(&[c_out, rows])?;
-        for (img, planes) in dx.as_mut_slice().chunks_exact_mut(c_in * hw_in).enumerate() {
-            let dy = image(dout, img).reshape(&[c_out, hw_out])?;
-            planes.copy_from_slice(col2im(&matmul_tn(&w_mat, &dy)?, geo, 1)?.as_slice());
-        }
-        return Ok(dx);
     }
 
     let _sp = kernel_span("conv2d_grad_input", rows, c_out, n * hw_out);
@@ -766,14 +730,6 @@ pub fn conv2d_grad_input(weight: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> 
         }
     });
     Ok(dx)
-}
-
-/// Image `img` of an NCHW batch as its own `(1, C, H, W)` tensor.
-fn image(t: &Tensor, img: usize) -> Tensor {
-    let s = t.shape();
-    let len = s[1] * s[2] * s[3];
-    let data = workspace::take_copied(&t.as_slice()[img * len..][..len]);
-    Tensor::from_vec(data, &[1, s[1], s[2], s[3]]).expect("length is the shape's product")
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //! micro-kernel.
 //!
 //! This module is the single dense-compute core of the repository: the
-//! `Optimized` profile of [`crate::matmul`] (plain, `ᵀ·` and `·ᵀ` variants)
-//! and the implicit-GEMM convolution primitives of [`crate::conv`] all
+//! products of [`crate::matmul`] (plain, `ᵀ·` and `·ᵀ` variants) and the
+//! implicit-GEMM convolution primitives of [`crate::conv`] all
 //! funnel into [`gemm`]. The engine follows the classic three-level
 //! blocking hierarchy (Goto/BLIS), packing each operand block right where
 //! it is consumed:

@@ -17,8 +17,8 @@
 //! # Threading
 //!
 //! Dense kernels (GEMM, convolution, large elementwise ops) fan out to a
-//! lazily-initialized process-wide worker [`pool`] under the default
-//! `Optimized` matmul profile. `PUFFER_NUM_THREADS` (or
+//! lazily-initialized process-wide worker [`pool`] above a size threshold.
+//! `PUFFER_NUM_THREADS` (or
 //! [`pool::set_num_threads`]) controls the width; `PUFFER_NUM_THREADS=1`
 //! runs everything inline without spawning a single thread. All parallel
 //! kernels partition output regions and preserve the sequential per-element

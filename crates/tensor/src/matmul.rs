@@ -1,22 +1,18 @@
-//! Profile-dispatched dense matrix multiplication.
+//! Dense matrix multiplication on the blocked engine.
 //!
-//! Two execution profiles mirror the paper's two cuDNN settings (Table 6 vs
-//! Table 20): [`MatmulProfile::Reproducible`] uses a straightforward,
-//! strictly sequential ikj loop, while [`MatmulProfile::Optimized`] routes
-//! through the BLIS-style cache-blocked SIMD engine in [`crate::gemm`] —
-//! KC/MC/NC blocking, micro-panels packed block by block into workspace
-//! scratch, a runtime-detected AVX2+FMA 6×16 register-tile kernel, and
-//! thread partitioning over panel ranges. The fused-transpose variants
-//! ([`matmul_tn`], [`matmul_nt`]) feed the same engine through strided
-//! views, as do the implicit-GEMM convolutions of [`crate::conv`], so every
-//! `puffer-nn` layer hits the fast path too.
+//! [`matmul`] routes through the BLIS-style cache-blocked SIMD engine in
+//! [`crate::gemm`] — KC/MC/NC blocking, micro-panels packed block by block
+//! into workspace scratch, a runtime-detected AVX2+FMA 6×16 register-tile
+//! kernel, and thread partitioning over panel ranges. The fused-transpose
+//! variants ([`matmul_tn`], [`matmul_nt`]) feed the same engine through
+//! strided views, as do the implicit-GEMM convolutions of [`crate::conv`],
+//! so every `puffer-nn` layer hits the one engine too.
 //!
 //! The engine is **bitwise deterministic across thread counts and SIMD
 //! on/off**: every `(i, j)` element is a single accumulator reduced over
 //! `p = 0..k` in ascending order with one fused rounding per step,
 //! regardless of blocking, tile ownership, or vector width (lanes are
-//! distinct output columns). Only the profile switch changes results
-//! (within f32 associativity); the thread count never does.
+//! distinct output columns).
 
 use crate::gemm::{self, CLayout, View};
 use crate::pool;
@@ -37,19 +33,6 @@ pub(crate) fn kernel_span(name: &'static str, m: usize, k: usize, n: usize) -> p
 /// Probe category of every dense kernel in this module.
 const Q: &str = "tensor";
 
-/// Execution profile for [`matmul_with_profile`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[repr(u8)]
-pub enum MatmulProfile {
-    /// Simple ikj-ordered triple loop; sequential on the caller thread.
-    /// Stands in for the paper's "reproducibility optimized cuDNN" setting.
-    Reproducible = 0,
-    /// Cache-blocked SIMD engine ([`crate::gemm`]); stands in for "speed
-    /// optimized cuDNN".
-    #[default]
-    Optimized = 1,
-}
-
 /// Default minimum multiply–add count before a dense kernel fans out to
 /// the pool. Recalibrated for the blocked SIMD engine: at ~50 GFLOPS a
 /// 2^20-MAC GEMM runs in ~20 µs, about the break-even point against pool
@@ -57,9 +40,7 @@ pub enum MatmulProfile {
 /// 2^18).
 const PAR_MIN_FLOPS: usize = 1 << 20;
 
-use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
-
-static DEFAULT_PROFILE: AtomicU8 = AtomicU8::new(1);
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 static PAR_THRESHOLD: AtomicUsize = AtomicUsize::new(PAR_MIN_FLOPS);
 
@@ -76,31 +57,10 @@ pub fn parallel_threshold() -> usize {
     PAR_THRESHOLD.load(Ordering::Relaxed)
 }
 
-/// Sets the process-wide default profile used by [`matmul`] (and therefore
-/// by every layer in `puffer-nn`). Mirrors toggling
-/// `cudnn.benchmark`/`cudnn.deterministic` in the paper's Table 6 vs
-/// Table 20 runtime benchmarks. Under `Reproducible`, every dense kernel in
-/// this crate (including the fused transpose variants, convolution lowering
-/// and large elementwise ops) runs strictly sequentially.
-pub fn set_default_profile(profile: MatmulProfile) {
-    DEFAULT_PROFILE.store(profile as u8, Ordering::Relaxed);
-}
-
-/// The current process-wide default profile.
-pub fn default_profile() -> MatmulProfile {
-    match DEFAULT_PROFILE.load(Ordering::Relaxed) {
-        0 => MatmulProfile::Reproducible,
-        _ => MatmulProfile::Optimized,
-    }
-}
-
 /// Whether a dense kernel of `work` multiply–adds should fan out to the
-/// worker pool under the process-wide default profile. `Reproducible`
-/// always answers no, keeping that regime strictly sequential.
+/// worker pool.
 pub(crate) fn parallel_under_default(work: usize) -> bool {
-    default_profile() == MatmulProfile::Optimized
-        && work >= parallel_threshold()
-        && pool::num_threads() > 1
+    work >= parallel_threshold() && pool::num_threads() > 1
 }
 
 /// `C = A · B` for 2-D tensors.
@@ -120,15 +80,6 @@ pub(crate) fn parallel_under_default(work: usize) -> bool {
 /// # Ok::<(), puffer_tensor::TensorError>(())
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_with_profile(a, b, default_profile())
-}
-
-/// `C = A · B` under an explicit execution [`MatmulProfile`].
-///
-/// # Errors
-///
-/// Same as [`matmul`].
-pub fn matmul_with_profile(a: &Tensor, b: &Tensor, profile: MatmulProfile) -> Result<Tensor> {
     check_2d(a, "matmul")?;
     check_2d(b, "matmul")?;
     let (m, ka) = (a.shape()[0], a.shape()[1]);
@@ -141,36 +92,26 @@ pub fn matmul_with_profile(a: &Tensor, b: &Tensor, profile: MatmulProfile) -> Re
         });
     }
     let _sp = kernel_span("matmul", m, ka, n);
-    // The engine stores every element of its product; the reference loop
-    // adds into zeros.
-    Ok(match profile {
-        MatmulProfile::Reproducible => {
-            let mut c = Tensor::zeros(&[m, n]);
-            mm_ikj(a.as_slice(), b.as_slice(), c.as_mut_slice(), m, ka, n);
-            c
-        }
-        MatmulProfile::Optimized => {
-            let mut c = Tensor::unfilled(&[m, n]);
-            gemm::gemm(
-                &View::row_major(a.as_slice(), ka).t(),
-                &View::row_major(b.as_slice(), n),
-                c.as_mut_slice(),
-                CLayout::row_major(n),
-                m,
-                ka,
-                n,
-                parallel_under_default(m * ka * n),
-            );
-            c
-        }
-    })
+    // The engine stores every element of its product.
+    let mut c = Tensor::unfilled(&[m, n]);
+    gemm::gemm(
+        &View::row_major(a.as_slice(), ka).t(),
+        &View::row_major(b.as_slice(), n),
+        c.as_mut_slice(),
+        CLayout::row_major(n),
+        m,
+        ka,
+        n,
+        parallel_under_default(m * ka * n),
+    );
+    Ok(c)
 }
 
 /// `C = Aᵀ · B` without materializing the transpose (`A: k×m`, `B: k×n`).
 ///
-/// Under the `Optimized` default profile this is the blocked engine fed a
-/// column-strided view of A — packing absorbs the transpose, so the
-/// micro-kernel runs at full speed on the paper's `rᵀ·` backward GEMMs.
+/// The blocked engine fed a column-strided view of A — packing absorbs the
+/// transpose, so the micro-kernel runs at full speed on the paper's `rᵀ·`
+/// backward GEMMs.
 ///
 /// # Errors
 ///
@@ -189,47 +130,25 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         });
     }
     let _sp = kernel_span("matmul_tn", m, k, n);
-    if default_profile() == MatmulProfile::Optimized {
-        let mut c = Tensor::unfilled(&[m, n]);
-        // A is stored k×m, which is already the depth-major operand.
-        gemm::gemm(
-            &View::row_major(a.as_slice(), m),
-            &View::row_major(b.as_slice(), n),
-            c.as_mut_slice(),
-            CLayout::row_major(n),
-            m,
-            k,
-            n,
-            parallel_under_default(m * k * n),
-        );
-        return Ok(c);
-    }
-    let mut c = Tensor::zeros(&[m, n]);
-    if m == 0 || n == 0 {
-        return Ok(c);
-    }
-    let (av, bv) = (a.as_slice(), b.as_slice());
-    let cv = c.as_mut_slice();
-    // Reproducible: sequential outer-product accumulation over k, reusing
-    // each B row across all output rows.
-    for p in 0..k {
-        let arow = &av[p * m..(p + 1) * m];
-        let brow = &bv[p * n..(p + 1) * n];
-        for (i, &aip) in arow.iter().enumerate() {
-            let crow = &mut cv[i * n..(i + 1) * n];
-            for (cj, bj) in crow.iter_mut().zip(brow) {
-                *cj += aip * bj;
-            }
-        }
-    }
+    let mut c = Tensor::unfilled(&[m, n]);
+    // A is stored k×m, which is already the depth-major operand.
+    gemm::gemm(
+        &View::row_major(a.as_slice(), m),
+        &View::row_major(b.as_slice(), n),
+        c.as_mut_slice(),
+        CLayout::row_major(n),
+        m,
+        k,
+        n,
+        parallel_under_default(m * k * n),
+    );
     Ok(c)
 }
 
 /// `C = A · Bᵀ` without materializing the transpose (`A: m×k`, `B: n×k`).
 ///
-/// Under the `Optimized` default profile this is the blocked engine fed a
-/// column-strided view of B — the layout Linear layers store their weights
-/// in, so every forward pass takes this route.
+/// The blocked engine fed a column-strided view of B — the layout Linear
+/// layers store their weights in, so every forward pass takes this route.
 ///
 /// # Errors
 ///
@@ -248,102 +167,18 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         });
     }
     let _sp = kernel_span("matmul_nt", m, k, n);
-    if default_profile() == MatmulProfile::Optimized {
-        let mut c = Tensor::unfilled(&[m, n]);
-        gemm::gemm(
-            &View::row_major(a.as_slice(), k).t(),
-            &View::row_major(b.as_slice(), k).t(),
-            c.as_mut_slice(),
-            CLayout::row_major(n),
-            m,
-            k,
-            n,
-            parallel_under_default(m * k * n),
-        );
-        return Ok(c);
-    }
-    let mut c = Tensor::zeros(&[m, n]);
-    if m == 0 || n == 0 {
-        return Ok(c);
-    }
-    let (av, bv) = (a.as_slice(), b.as_slice());
-    for (i, crow) in c.as_mut_slice().chunks_exact_mut(n).enumerate() {
-        let arow = &av[i * k..(i + 1) * k];
-        for (j, cj) in crow.iter_mut().enumerate() {
-            *cj = dot_unrolled(arow, &bv[j * k..(j + 1) * k]);
-        }
-    }
+    let mut c = Tensor::unfilled(&[m, n]);
+    gemm::gemm(
+        &View::row_major(a.as_slice(), k).t(),
+        &View::row_major(b.as_slice(), k).t(),
+        c.as_mut_slice(),
+        CLayout::row_major(n),
+        m,
+        k,
+        n,
+        parallel_under_default(m * k * n),
+    );
     Ok(c)
-}
-
-/// Matrix–vector product `y = A · x` (`A: m×k`, `x: k`).
-///
-/// Stays on the unrolled-dot path: with one output column there is no
-/// register tile to fill, so the blocked engine has nothing to offer.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if `x.len() != k`.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    check_2d(a, "matvec")?;
-    let (m, k) = (a.shape()[0], a.shape()[1]);
-    if x.len() != k {
-        return Err(TensorError::ShapeMismatch {
-            expected: vec![k],
-            got: x.shape().to_vec(),
-            op: "matvec",
-        });
-    }
-    let (av, xv) = (a.as_slice(), x.as_slice());
-    let mut y = Tensor::zeros(&[m]);
-    if m == 0 {
-        return Ok(y);
-    }
-    let rows = |i0: usize, chunk: &mut [f32]| {
-        for (li, yo) in chunk.iter_mut().enumerate() {
-            let i = i0 + li;
-            *yo = dot_unrolled(&av[i * k..(i + 1) * k], xv);
-        }
-    };
-    if parallel_under_default(m * k) {
-        pool::run_chunked(y.as_mut_slice(), 1, rows);
-    } else {
-        rows(0, y.as_mut_slice());
-    }
-    Ok(y)
-}
-
-/// 4-lane unrolled dot product: independent accumulators keep the FP adder
-/// pipeline full; the lane-combination order is fixed, so the result only
-/// depends on the inputs.
-#[inline]
-fn dot_unrolled(x: &[f32], y: &[f32]) -> f32 {
-    let xc = x.chunks_exact(4);
-    let yc = y.chunks_exact(4);
-    let tail: f32 = xc.remainder().iter().zip(yc.remainder()).map(|(a, b)| a * b).sum();
-    let mut acc = [0.0f32; 4];
-    for (xs, ys) in xc.zip(yc) {
-        for l in 0..4 {
-            acc[l] += xs[l] * ys[l];
-        }
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
-}
-
-fn mm_ikj(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (p, &aip) in arow.iter().enumerate() {
-            if aip == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            for (cj, bj) in crow.iter_mut().zip(brow) {
-                *cj += aip * bj;
-            }
-        }
-    }
 }
 
 fn check_2d(t: &Tensor, op: &'static str) -> Result<()> {
@@ -381,14 +216,10 @@ mod tests {
     }
 
     #[test]
-    fn matmul_matches_naive_both_profiles() {
+    fn matmul_matches_naive() {
         let a = Tensor::randn(&[37, 53], 1.0, 1);
         let b = Tensor::randn(&[53, 29], 1.0, 2);
-        let reference = naive(&a, &b);
-        for profile in [MatmulProfile::Reproducible, MatmulProfile::Optimized] {
-            let c = matmul_with_profile(&a, &b, profile).unwrap();
-            assert_close(&c, &reference, 1e-3);
-        }
+        assert_close(&matmul(&a, &b).unwrap(), &naive(&a, &b), 1e-3);
     }
 
     #[test]
@@ -415,31 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn transposed_variants_match_reproducible_too() {
-        let prev = default_profile();
-        set_default_profile(MatmulProfile::Reproducible);
-        let a = Tensor::randn(&[11, 7], 1.0, 14);
-        let b = Tensor::randn(&[11, 13], 1.0, 15);
-        let tn = matmul_tn(&a, &b).unwrap();
-        let c = Tensor::randn(&[9, 7], 1.0, 16);
-        let d = Tensor::randn(&[5, 7], 1.0, 17);
-        let nt = matmul_nt(&c, &d).unwrap();
-        set_default_profile(prev);
-        assert_close(&tn, &matmul(&a.transpose(), &b).unwrap(), 1e-4);
-        assert_close(&nt, &matmul(&c, &d.transpose()).unwrap(), 1e-4);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = Tensor::randn(&[6, 4], 1.0, 8);
-        let x = Tensor::randn(&[4], 1.0, 9);
-        let y = matvec(&a, &x).unwrap();
-        let xm = x.reshape(&[4, 1]).unwrap();
-        let ym = matmul(&a, &xm).unwrap();
-        assert_close(&y, &ym.reshape(&[6]).unwrap(), 1e-5);
-    }
-
-    #[test]
     fn dimension_errors() {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[4, 5]);
@@ -454,7 +260,6 @@ mod tests {
         assert!(matmul_tn(&v, &a).is_err());
         assert!(matmul_nt(&a, &v).is_err());
         assert!(matmul_nt(&v, &a).is_err());
-        assert!(matvec(&a, &Tensor::zeros(&[2])).is_err());
     }
 
     #[test]
@@ -477,19 +282,19 @@ mod tests {
     }
 
     #[test]
-    fn optimized_is_bitwise_stable_across_thread_counts() {
+    fn bitwise_stable_across_thread_counts() {
         let a = Tensor::randn(&[70, 33], 1.0, 10);
         let b = Tensor::randn(&[33, 41], 1.0, 11);
         let prev_threshold = parallel_threshold();
         set_parallel_threshold(0);
         let prev = pool::num_threads();
         pool::set_num_threads(1);
-        let one = matmul_with_profile(&a, &b, MatmulProfile::Optimized).unwrap();
+        let one = matmul(&a, &b).unwrap();
         pool::set_num_threads(4);
-        let four = matmul_with_profile(&a, &b, MatmulProfile::Optimized).unwrap();
+        let four = matmul(&a, &b).unwrap();
         pool::set_num_threads(prev);
         set_parallel_threshold(prev_threshold);
-        assert_eq!(one, four, "thread count must not change Optimized results");
+        assert_eq!(one, four, "thread count must not change results");
     }
 
     #[test]

@@ -18,8 +18,7 @@
 //! compare identical kernels under different thread counts). With an
 //! effective count of 1 — in particular under `PUFFER_NUM_THREADS=1` —
 //! every call runs inline on the caller thread and **no worker threads are
-//! ever spawned**, so single-threaded CI and the `Reproducible` matmul
-//! profile pay zero threading overhead.
+//! ever spawned**, so single-threaded CI pays zero threading overhead.
 //!
 //! # Idle workers
 //!

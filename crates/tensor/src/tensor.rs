@@ -1,10 +1,9 @@
 //! The dense row-major [`Tensor`] type.
 //!
 //! Elementwise ops (`map`, `zip_map`, `axpy`, `scale`, …) fan out to the
-//! process-wide worker pool ([`crate::pool`]) above a size threshold when
-//! the `Optimized` matmul profile is the process default. Each element is
-//! computed independently, so parallel results are bitwise identical to
-//! sequential ones.
+//! process-wide worker pool ([`crate::pool`]) above a size threshold. Each
+//! element is computed independently, so parallel results are bitwise
+//! identical to sequential ones.
 
 use crate::matmul::parallel_under_default;
 use crate::{pool, workspace, Result, TensorError};

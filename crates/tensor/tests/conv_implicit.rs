@@ -12,14 +12,11 @@ mod common;
 use common::{assert_bits, oracle, Case};
 use puffer_tensor::conv::{conv2d_forward, conv2d_grad_input, conv2d_grad_weight, ConvGeometry};
 use puffer_tensor::gemm;
-use puffer_tensor::matmul::{
-    parallel_threshold, set_default_profile, set_parallel_threshold, MatmulProfile,
-};
-use puffer_tensor::stats::rel_error;
+use puffer_tensor::matmul::{parallel_threshold, set_parallel_threshold};
 use puffer_tensor::{pool, Tensor};
 use std::sync::Mutex;
 
-/// Thread count, SIMD switch, blocking, parallel threshold and profile are
+/// Thread count, SIMD switch, blocking and parallel threshold are
 /// process-global; every test in this binary serializes on this lock.
 static GLOBAL: Mutex<()> = Mutex::new(());
 
@@ -54,7 +51,6 @@ impl Drop for Knobs {
         let (kc, mc, nc) = self.blocking;
         gemm::set_blocking(kc, mc, nc);
         gemm::set_simd_enabled(self.simd);
-        set_default_profile(MatmulProfile::Optimized);
     }
 }
 
@@ -144,23 +140,6 @@ fn grad_input_is_bitwise_col2im_however_images_are_grouped_and_split() {
             let dx = conv2d_grad_input(&o.w, &o.dout, &case.geo).unwrap();
             assert_bits(&dx, &o.dx, "dX", &format!("{geo:?} n={n} threads={threads}"));
         }
-    }
-}
-
-#[test]
-fn reproducible_profile_agrees_with_optimized() {
-    let _g = lock();
-    let _knobs = Knobs::save();
-    for (ci, case) in cases().iter().enumerate().step_by(5) {
-        let o = oracle(case, 300 + ci as u64);
-        set_default_profile(MatmulProfile::Reproducible);
-        let y = conv2d_forward(&o.x, &o.w, &case.geo).unwrap();
-        let dw = conv2d_grad_weight(&o.x, &o.dout, &case.geo).unwrap();
-        let dx = conv2d_grad_input(&o.w, &o.dout, &case.geo).unwrap();
-        set_default_profile(MatmulProfile::Optimized);
-        assert!(rel_error(&o.y, &y) < 1e-5, "forward {:?}", case.geo);
-        assert!(rel_error(&o.dw, &dw) < 1e-5, "dW {:?}", case.geo);
-        assert!(rel_error(&o.dx, &dx) < 1e-5, "dX {:?}", case.geo);
     }
 }
 

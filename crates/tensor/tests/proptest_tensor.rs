@@ -3,8 +3,7 @@
 
 use puffer_tensor::f16::round_f16;
 use puffer_tensor::matmul::{
-    matmul, matmul_nt, matmul_tn, matmul_with_profile, parallel_threshold, set_parallel_threshold,
-    MatmulProfile,
+    matmul, matmul_nt, matmul_tn, parallel_threshold, set_parallel_threshold,
 };
 use puffer_tensor::pool::{num_threads, set_num_threads};
 use puffer_tensor::rng::{check, Rng};
@@ -155,7 +154,7 @@ fn optimized_gemm_bitwise_deterministic_across_threads() {
         let mut reference = None;
         for &t in &[1usize, 2, 4, 8] {
             set_num_threads(t);
-            let c = matmul_with_profile(&a, &b, MatmulProfile::Optimized).unwrap();
+            let c = matmul(&a, &b).unwrap();
             let tn = matmul_tn(&at, &b).unwrap();
             let nt = matmul_nt(&a, &bt).unwrap();
             match &reference {

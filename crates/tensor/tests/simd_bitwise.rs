@@ -1,5 +1,5 @@
 //! Bitwise-equality and allocation-freedom tests for the blocked GEMM
-//! engine — the two properties the whole `Optimized` profile stands on:
+//! engine — the two properties every dense product and convolution stands on:
 //!
 //! 1. the AVX2+FMA micro-kernel, the `mul_add` scalar fallback, and a
 //!    naive fused-chain oracle all produce *identical bits*, for any
@@ -14,9 +14,7 @@
 use std::sync::Mutex;
 
 use puffer_tensor::gemm;
-use puffer_tensor::matmul::{
-    matmul_with_profile, parallel_threshold, set_parallel_threshold, MatmulProfile,
-};
+use puffer_tensor::matmul::{matmul, parallel_threshold, set_parallel_threshold};
 use puffer_tensor::pool::{num_threads, set_num_threads};
 use puffer_tensor::{workspace, Tensor};
 
@@ -86,7 +84,7 @@ fn simd_and_scalar_fallback_are_bitwise_identical_to_the_fma_oracle() {
             set_num_threads(threads);
             for simd in [true, false] {
                 gemm::set_simd_enabled(simd);
-                let c = matmul_with_profile(&a, &b, MatmulProfile::Optimized).unwrap();
+                let c = matmul(&a, &b).unwrap();
                 assert_eq!(
                     c.as_slice(),
                     &oracle[..],
@@ -117,7 +115,7 @@ fn results_are_bitwise_invariant_to_the_blocking_configuration() {
         let oracle = fma_reference(a.as_slice(), b.as_slice(), m, k, n);
         for &(kc, mc, nc) in &blockings {
             gemm::set_blocking(kc, mc, nc);
-            let c = matmul_with_profile(&a, &b, MatmulProfile::Optimized).unwrap();
+            let c = matmul(&a, &b).unwrap();
             assert_eq!(
                 c.as_slice(),
                 &oracle[..],
@@ -146,14 +144,14 @@ fn steady_state_gemm_never_misses_the_workspace_pool() {
     // Warm-up: the first iterations are allowed to allocate the packed-A /
     // packed-B buffers (and the output) into the thread arena.
     for _ in 0..3 {
-        let _ = matmul_with_profile(&a, &b, MatmulProfile::Optimized).unwrap();
+        let _ = matmul(&a, &b).unwrap();
     }
 
     let misses_before = puffer_probe::counter_value("alloc.pool_misses").unwrap_or(0.0);
     for _ in 0..10 {
         // The output Tensor and both packed-operand scratch buffers all
         // recycle into the thread arena on drop, so every take is a hit.
-        let _ = matmul_with_profile(&a, &b, MatmulProfile::Optimized).unwrap();
+        let _ = matmul(&a, &b).unwrap();
     }
     let misses_after = puffer_probe::counter_value("alloc.pool_misses").unwrap_or(0.0);
     assert_eq!(

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: the offline locked build, formatting, lints, and the full
-# test suite. Referenced from ROADMAP.md; run before every PR.
+# Tier-1 gate: the offline locked build, formatting, lints, every crate's
+# test suite, and the benchmark at quick size. Referenced from ROADMAP.md;
+# run before every PR.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -20,11 +21,11 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 
-echo "== cargo test -q"
-cargo test -q --offline --locked
-
-echo "== fault-injection suite (fixed seeds)"
-cargo test -q --offline --locked -p puffer-dist --test fault_suite
+echo "== cargo test -q --workspace"
+# Every crate's unit, integration and doc tests: the fault-injection suite,
+# the puffer-lint self-test (seeded fixture violations must be caught) and
+# the BatchNorm2d oracle among them.
+cargo test -q --offline --locked --workspace
 
 echo "== puffer-lint (the four token rules, DESIGN.md §8)"
 # What no type-resolved lint expresses: kernel scratch from the arena,
@@ -33,20 +34,15 @@ echo "== puffer-lint (the four token rules, DESIGN.md §8)"
 # as file:line:col and fail the gate.
 cargo run --release --offline --locked -q -p puffer-lint
 
-echo "== puffer-lint self-test (seeded fixture violations must be caught)"
-# Also pins the clippy deny lists the retired rules became.
-cargo test -q --offline --locked -p puffer-lint
-
 echo "== probe overhead guard (disabled-probe cost < 2% on a GEMM)"
 cargo test -q --offline --locked --release -p puffer-tensor --test probe_overhead
 
-echo "== BatchNorm2d against the loops it replaced, debug and release"
+echo "== BatchNorm2d against the loops it replaced, release"
 # The layer runs its per-channel sums four chains abreast and pushes its
 # outputs instead of filling them (DESIGN.md §2); the oracle is the previous
-# commit's loops, verbatim. Both profiles: the element-wise passes
-# auto-vectorize differently in them and the bits must not. Scalar Rust
-# only, so there is no PUFFER_SIMD=0 twin to run.
-cargo test -q --offline --locked -p puffer-nn --test batchnorm_bitwise
+# commit's loops, verbatim. The workspace run above is the debug profile;
+# the element-wise passes auto-vectorize differently in release and the
+# bits must not. Scalar Rust only, so there is no PUFFER_SIMD=0 twin to run.
 cargo test -q --release --offline --locked -p puffer-nn --test batchnorm_bitwise
 
 echo "== GEMM operand packer against its per-element oracle, release"
@@ -96,6 +92,26 @@ cargo test -q --release --offline --locked -p puffer-bench
 
 echo "== allocation steady-state gate under the scalar GEMM fallback"
 PUFFER_SIMD=0 cargo test -q --release --offline --locked -p puffer-bench --test gates alloc_churn
+
+echo "== benchmark, quick: all four workloads correct"
+# benchmark/ is a cargo workspace of its own, so a name it imports from the
+# crates that is renamed or removed fails nowhere above. One set-up and one
+# unit per workload through the real trainers: finite losses and
+# parameters, the final loss within ±5 % of benchmark/golden.json, the SVD
+# switch. Untraced: the traced run's driven-step band is a timing check.
+# Cargo rewrites benchmark/Cargo.lock on every build; it is put back.
+lock_copy="$(mktemp)"
+cp benchmark/Cargo.lock "$lock_copy"
+bench_log="$(mktemp)"
+bench_status=0
+bash benchmark/run.sh --quick | tee "$bench_log" || bench_status=$?
+cp "$lock_copy" benchmark/Cargo.lock
+correct="$(grep -c '"correct": *true' "$bench_log" || true)"
+rm -f "$lock_copy" "$bench_log"
+if [ "$bench_status" -ne 0 ] || [ "$correct" -ne 4 ]; then
+    echo "benchmark/run.sh --quick: exit $bench_status, $correct of 4 workloads correct" >&2
+    exit 1
+fi
 
 echo "== the run left the tree as it found it"
 if [ "$(git status --porcelain)" != "$TREE_BEFORE" ]; then
