@@ -117,6 +117,7 @@ pub const RULES: &[RuleInfo] = &[
 /// `puffer_tensor::workspace` rather than the global allocator (the
 /// workspace module itself is the one place allowed to allocate).
 const KERNEL_MODULES: &[&str] = &[
+    "crates/tensor/src/attention.rs",
     "crates/tensor/src/matmul.rs",
     "crates/tensor/src/gemm.rs",
     "crates/tensor/src/conv.rs",

@@ -9,6 +9,7 @@
 use crate::lstm::MatOp;
 use crate::param::Param;
 use crate::{NnError, Result};
+use puffer_tensor::attention::{self, Heads};
 use puffer_tensor::Tensor;
 
 /// Rank configuration for a Transformer block.
@@ -50,9 +51,7 @@ struct AttnCache {
     v: Tensor,
     attn: Tensor, // [B, p, Tq, Tk] softmax weights
     z: Tensor,    // [B·Tq, d_model] concatenated head outputs
-    b: usize,
-    tq: usize,
-    tk: usize,
+    shape: Heads,
 }
 
 impl MultiHeadAttention {
@@ -125,59 +124,10 @@ impl MultiHeadAttention {
         let k = self.wk.apply(&kv_in);
         let v = self.wv.apply(&kv_in);
 
-        let p = self.heads;
-        let dh = dm / p;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut attn = Tensor::zeros(&[b, p, tq, tk]);
-        let mut z = Tensor::zeros(&[b * tq, dm]);
-        let (qs, ks, vs) = (q.as_slice(), k.as_slice(), v.as_slice());
-        let (attn_s, zs) = (attn.as_mut_slice(), z.as_mut_slice());
-        for bi in 0..b {
-            for h in 0..p {
-                for i in 0..tq {
-                    // scores[i][j] = <Q_i, K_j> * scale
-                    let qrow = &qs[(bi * tq + i) * dm + h * dh..][..dh];
-                    let srow = &mut attn_s[((bi * p + h) * tq + i) * tk..][..tk];
-                    let mut max = f32::NEG_INFINITY;
-                    for (j, score) in srow.iter_mut().enumerate() {
-                        let krow = &ks[(bi * tk + j) * dm + h * dh..][..dh];
-                        let mut s = 0.0;
-                        for (a, bv) in qrow.iter().zip(krow) {
-                            s += a * bv;
-                        }
-                        s *= scale;
-                        if causal && j > i {
-                            s = f32::NEG_INFINITY;
-                        }
-                        *score = s;
-                        max = max.max(s);
-                    }
-                    // softmax in place
-                    let mut zsum = 0.0;
-                    for score in srow.iter_mut() {
-                        let e = (*score - max).exp();
-                        *score = e;
-                        zsum += e;
-                    }
-                    for score in srow.iter_mut() {
-                        *score /= zsum;
-                    }
-                    // z_i = Σ_j a_ij V_j
-                    let zrow = &mut zs[(bi * tq + i) * dm + h * dh..][..dh];
-                    for (j, &a) in srow.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let vrow = &vs[(bi * tk + j) * dm + h * dh..][..dh];
-                        for (zo, vv) in zrow.iter_mut().zip(vrow) {
-                            *zo += a * vv;
-                        }
-                    }
-                }
-            }
-        }
+        let shape = Heads { batch: b, heads: self.heads, tq, tk };
+        let (attn, z) = attention::forward(&q, &k, &v, shape, causal);
         let out = self.wo.apply(&z);
-        self.cache = Some(AttnCache { q_in, kv_in, q, k, v, attn, z, b, tq, tk });
+        self.cache = Some(AttnCache { q_in, kv_in, q, k, v, attn, z, shape });
         Tensor::from_vec(out.into_vec(), &[b, tq, dm]).expect("unflatten")
     }
 
@@ -189,69 +139,14 @@ impl MultiHeadAttention {
     /// Panics if called before [`MultiHeadAttention::forward`].
     pub fn backward(&mut self, grad_output: &Tensor) -> (Tensor, Tensor) {
         let cache = self.cache.take().expect("backward before forward");
-        let (b, tq, tk, dm) = (cache.b, cache.tq, cache.tk, self.d_model);
+        let Heads { batch: b, tq, tk, .. } = cache.shape;
+        let dm = self.d_model;
         assert_eq!(grad_output.shape(), &[b, tq, dm], "attention gradient shape mismatch");
         let dout = grad_output.reshape(&[b * tq, dm]).expect("flatten");
         let dz = self.wo.backward(&cache.z, &dout);
 
-        let p = self.heads;
-        let dh = dm / p;
-        let scale = 1.0 / (dh as f32).sqrt();
-        let mut dq = Tensor::zeros(&[b * tq, dm]);
-        let mut dk = Tensor::zeros(&[b * tk, dm]);
-        let mut dv = Tensor::zeros(&[b * tk, dm]);
-        // One pooled row buffer shared across all (batch, head, query) rows;
-        // every element is overwritten before it is read.
-        let mut da = puffer_tensor::workspace::take(tk);
-        let (dzs, attn_s) = (dz.as_slice(), cache.attn.as_slice());
-        let (qs, ks, vs) = (cache.q.as_slice(), cache.k.as_slice(), cache.v.as_slice());
-        let (dqs, dks, dvs) = (dq.as_mut_slice(), dk.as_mut_slice(), dv.as_mut_slice());
-        for bi in 0..b {
-            for h in 0..p {
-                for i in 0..tq {
-                    let qrow_base = (bi * tq + i) * dm + h * dh;
-                    let dzrow = &dzs[qrow_base..qrow_base + dh];
-                    let arow = &attn_s[((bi * p + h) * tq + i) * tk..][..tk];
-                    // dA_ij = <dZ_i, V_j>; dV_j += a_ij dZ_i
-                    for (j, (daj, &a)) in da.iter_mut().zip(arow).enumerate() {
-                        let vrow_base = (bi * tk + j) * dm + h * dh;
-                        let mut acc = 0.0;
-                        for (dzv, vv) in dzrow.iter().zip(&vs[vrow_base..vrow_base + dh]) {
-                            acc += dzv * vv;
-                        }
-                        *daj = acc;
-                        if a != 0.0 {
-                            let dvrow = &mut dvs[vrow_base..vrow_base + dh];
-                            for (dvv, dzv) in dvrow.iter_mut().zip(dzrow) {
-                                *dvv += a * dzv;
-                            }
-                        }
-                    }
-                    // Softmax backward: dS_ij = a_ij (dA_ij − Σ_l a_il dA_il)
-                    let dot: f32 = arow.iter().zip(da.iter()).map(|(a, daj)| a * daj).sum();
-                    for (daj, &a) in da.iter_mut().zip(arow) {
-                        *daj = a * (*daj - dot) * scale;
-                    }
-                    // dQ_i += Σ_j dS_ij K_j ; dK_j += dS_ij Q_i
-                    let qrow = &qs[qrow_base..qrow_base + dh];
-                    let dqrow = &mut dqs[qrow_base..qrow_base + dh];
-                    for (j, &ds) in da.iter().enumerate() {
-                        if ds == 0.0 {
-                            continue;
-                        }
-                        let krow_base = (bi * tk + j) * dm + h * dh;
-                        let krow = &ks[krow_base..krow_base + dh];
-                        let dkrow = &mut dks[krow_base..krow_base + dh];
-                        for ((dqv, kv), (dkv, qv)) in
-                            dqrow.iter_mut().zip(krow).zip(dkrow.iter_mut().zip(qrow))
-                        {
-                            *dqv += ds * kv;
-                            *dkv += ds * qv;
-                        }
-                    }
-                }
-            }
-        }
+        let (dq, dk, dv) =
+            attention::backward(&dz, &cache.attn, &cache.q, &cache.k, &cache.v, cache.shape);
         let dq_in = self.wq.backward(&cache.q_in, &dq);
         let mut dkv_in = self.wk.backward(&cache.kv_in, &dk);
         dkv_in.axpy(1.0, &self.wv.backward(&cache.kv_in, &dv)).expect("shape");
@@ -465,6 +360,55 @@ mod tests {
             kvp.as_mut_slice()[i] = orig;
             let num = (fp - fm) / (2.0 * eps);
             assert!((num - dkv.as_slice()[i]).abs() < 2e-2, "kv elem {i}");
+        }
+    }
+
+    /// The decoder's path: causal self-attention, one tensor as query and
+    /// key/value, so its gradient is the sum of both. Checked against
+    /// central differences for the input and every projection weight, dense
+    /// and factorized.
+    #[test]
+    fn causal_self_attention_gradcheck() {
+        for rank in [BlockRank::Full, BlockRank::LowRank(2)] {
+            let mut attn = MultiHeadAttention::new(4, 2, rank, 16).unwrap();
+            let x = Tensor::randn(&[2, 3, 4], 0.7, 17);
+            let kappa = Tensor::rand_uniform(&[2, 3, 4], -1.0, 1.0, 18);
+            let _ = attn.forward(&x, &x, true);
+            let (dq, dkv) = attn.backward(&kappa);
+            let mut dx = dq.clone();
+            dx.axpy(1.0, &dkv).unwrap();
+            let eps = 1e-2;
+            let objective = |attn: &mut MultiHeadAttention, x: &Tensor| -> f32 {
+                attn.forward(x, x, true).dot(&kappa).unwrap()
+            };
+            let mut xp = x.clone();
+            for i in 0..x.len() {
+                let orig = xp.as_slice()[i];
+                xp.as_mut_slice()[i] = orig + eps;
+                let fp = objective(&mut attn, &xp);
+                xp.as_mut_slice()[i] = orig - eps;
+                let fm = objective(&mut attn, &xp);
+                xp.as_mut_slice()[i] = orig;
+                let num = (fp - fm) / (2.0 * eps);
+                assert!((num - dx.as_slice()[i]).abs() < 2e-2, "{rank:?} x elem {i}");
+            }
+            let grads: Vec<Tensor> = attn.params().iter().map(|p| p.grad.clone()).collect();
+            for (pi, grad) in grads.iter().enumerate() {
+                for i in 0..grad.len() {
+                    let nudge = |attn: &mut MultiHeadAttention, v: f32| {
+                        attn.params_mut()[pi].value.as_mut_slice()[i] = v;
+                    };
+                    let orig = attn.params()[pi].value.as_slice()[i];
+                    nudge(&mut attn, orig + eps);
+                    let fp = objective(&mut attn, &x);
+                    nudge(&mut attn, orig - eps);
+                    let fm = objective(&mut attn, &x);
+                    nudge(&mut attn, orig);
+                    let num = (fp - fm) / (2.0 * eps);
+                    let name = &attn.params()[pi].name;
+                    assert!((num - grad.as_slice()[i]).abs() < 2e-2, "{rank:?} {name} elem {i}");
+                }
+            }
         }
     }
 

@@ -4,7 +4,8 @@
 //! workspace is built on: a row-major dense [`Tensor`], cache-blocked
 //! matrix multiplication, convolution primitives (implicit GEMM, direct
 //! kernels for thin stride-1 layers, and the explicit im2col / col2im
-//! lowering kept as their reference), a one-sided
+//! lowering kept as their reference), the per-head core of scaled
+//! dot-product [`attention`], a one-sided
 //! Jacobi [singular value decomposition](svd) (the operation at the heart of
 //! Pufferfish's "vanilla warm-up" factorization), IEEE 754 binary16
 //! emulation used by the mixed-precision experiments, and the random weight
@@ -47,6 +48,7 @@
 //! assert_eq!(vt.shape(), &[2, 6]);
 //! ```
 
+pub mod attention;
 pub mod conv;
 mod conv_direct;
 pub mod error;

@@ -53,6 +53,24 @@ echo "== GEMM operand packer against its per-element oracle, release"
 # exactly at the last element a panel reads.
 cargo test -q --release --offline --locked -p puffer-tensor --test pack_bitwise
 
+echo "== attention kernels against the loops they replaced, release"
+# puffer_tensor::attention runs the Transformer's per-head scores, softmax
+# and gradients as AVX2 lane kernels that must keep the bits of the scalar
+# loops the layer ran before (the module docs carry the argument). The
+# oracle suite keeps those loops verbatim and switches SIMD on and off
+# itself; the workspace run above is the debug profile, and the kernels'
+# raw-pointer tiles and their auto-vectorized scalar twins compile
+# differently in release.
+cargo test -q --release --offline --locked -p puffer-tensor --test attention_bitwise
+
+echo "== attention layer under the scalar fallback (PUFFER_SIMD=0)"
+# The layer's own tests (the gradchecks, causal included) and its oracle
+# against the previous layer (all four projections' gradients), with the
+# kernels' scalar twins from process start, as a PUFFER_SIMD=0 run gets
+# them; the oracle also flips SIMD in-process.
+PUFFER_SIMD=0 cargo test -q --offline --locked -p puffer-nn --lib attention
+PUFFER_SIMD=0 cargo test -q --offline --locked -p puffer-nn --test attention_bitwise
+
 echo "== tensor suite under the scalar GEMM fallback (PUFFER_SIMD=0)"
 # The blocked engine promises bitwise-identical results with the SIMD
 # micro-kernel disabled; prove the whole tensor suite agrees — the
