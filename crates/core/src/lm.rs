@@ -113,8 +113,7 @@ pub fn train_lm(vanilla: LstmLm, corpus: &TextCorpus, cfg: &LmTrainConfig) -> Re
             clip_grad_norm(&mut model.params_mut(), cfg.clip);
             // Vanilla SGD (no momentum), per the paper's LSTM recipe.
             for p in model.params_mut() {
-                let g = p.grad.clone();
-                p.value.axpy(-lr, &g).expect("shape");
+                p.value.axpy(-lr, &p.grad)?;
             }
             loss_sum += loss as f64;
             steps += 1;

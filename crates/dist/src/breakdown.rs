@@ -57,6 +57,7 @@ impl EpochBreakdown {
     /// Scales every time component (e.g. extrapolating from a measured
     /// subset of batches to a full epoch). `skipped_steps` is a count, not
     /// a time, and is left untouched.
+    #[expect(clippy::float_arithmetic, reason = "scales timings, not gradients")]
     pub fn scaled(&self, factor: f64) -> EpochBreakdown {
         let s = |d: Duration| Duration::from_secs_f64(d.as_secs_f64() * factor);
         EpochBreakdown {

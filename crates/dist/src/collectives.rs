@@ -17,6 +17,11 @@
 //! closed forms against an actual execution.
 
 #![expect(
+    clippy::float_arithmetic,
+    reason = "a reference schedule run in memory to check the cost model; no \
+              trainer gradient is summed here"
+)]
+#![expect(
     clippy::indexing_slicing,
     reason = "an in-memory reference schedule behind a `# Panics` contract (equal-length \
               buffers, asserted on entry); the trainer prices collectives through `cost` and \

@@ -23,6 +23,11 @@
 //!   to share the same α/β as the inter-group fabric (a pessimistic,
 //!   single-profile model).
 
+#![expect(
+    clippy::float_arithmetic,
+    reason = "prices communication in seconds; no gradient is summed here"
+)]
+
 use crate::error::{DistError, DistResult};
 use std::time::Duration;
 

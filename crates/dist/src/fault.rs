@@ -49,6 +49,7 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Deterministic uniform value in `[0, 1)` from a seed.
+#[expect(clippy::float_arithmetic, reason = "a fault-injection draw, not a gradient")]
 pub(crate) fn unit_in_01(x: u64) -> f64 {
     (splitmix64(x) >> 11) as f64 / (1u64 << 53) as f64
 }
@@ -177,6 +178,7 @@ impl FaultPlan {
     /// Extra compute delay for `worker` at `step` given its measured
     /// compute time: `(slowdown − 1 + jitter·u)·measured`, capped at
     /// [`MAX_INJECTED_DELAY`]. Deterministic in `(seed, worker, step)`.
+    #[expect(clippy::float_arithmetic, reason = "prices an injected delay, not a gradient")]
     pub fn compute_delay(&self, worker: usize, step: usize, measured: Duration) -> Duration {
         let factor = self.slowdown.get(&worker).copied().unwrap_or(1.0);
         let jitter = if self.jitter > 0.0 {

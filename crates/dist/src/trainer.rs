@@ -1457,7 +1457,9 @@ impl RoundTally {
         if phase == 0 {
             self.slowest = got.values().map(|c| c.compute).max().unwrap_or_default();
             if !got.is_empty() {
-                self.loss_mean = got.values().map(|c| c.loss).sum::<f32>() / got.len() as f32;
+                #[expect(clippy::float_arithmetic, reason = "the reported loss, not a gradient")]
+                let mean = got.values().map(|c| c.loss).sum::<f32>() / got.len() as f32;
+                self.loss_mean = mean;
             }
             let buckets = got.values().map(|c| c.ready_us.len()).max().unwrap_or(0);
             self.ready_us = (0..buckets)
@@ -1834,7 +1836,12 @@ where
                         );
                         break; // degrade: proceed with what arrived
                     }
-                    timeout = Duration::from_secs_f64(timeout.as_secs_f64() * recovery.backoff);
+                    #[expect(
+                        clippy::float_arithmetic,
+                        reason = "the retry backoff, not a gradient"
+                    )]
+                    let secs = timeout.as_secs_f64() * recovery.backoff;
+                    timeout = Duration::from_secs_f64(secs);
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     return Err(DistError::AllWorkersDead { step });

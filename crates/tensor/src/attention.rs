@@ -44,6 +44,10 @@
 //! dispatch amortizes, and the layers that call this run between GEMMs that
 //! already decide for themselves.
 
+// Scratch comes from the workspace arena, never from `vec![x; n]` or
+// `Vec::with_capacity` (crates/tensor/clippy.toml, DESIGN.md §8).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use crate::gemm::{self, Isa, PanelSource, View, NR};
 use crate::workspace;
 use crate::Tensor;
@@ -140,7 +144,7 @@ pub fn forward(q: &Tensor, k: &Tensor, v: &Tensor, shape: Heads, causal: bool) -
     let scale = 1.0 / (g.dh as f32).sqrt();
     let mut attn = Tensor::unfilled(&[shape.batch, shape.heads, tq, tk]);
     let mut z = Tensor::unfilled(&[shape.batch * tq, g.dm]);
-    let avx = use_avx();
+    let avx = gemm::simd_enabled();
     let mut scratch = workspace::take_unfilled(g.dh * g.tkp + tq * g.tkp);
     let (yt, s) = scratch.split_at_mut(g.dh * g.tkp);
     let (qs, ks, vs) = (q.as_slice(), k.as_slice(), v.as_slice());
@@ -188,7 +192,7 @@ pub fn backward(
     let mut dq = Tensor::unfilled(q.shape());
     let mut dk = Tensor::unfilled(k.shape());
     let mut dv = Tensor::unfilled(v.shape());
-    let avx = use_avx();
+    let avx = gemm::simd_enabled();
     let mut scratch = workspace::take_unfilled(g.dh * g.tkp + tq * g.tkp);
     let (yt, ds) = scratch.split_at_mut(g.dh * g.tkp);
     let (dzs, attn_s) = (dz.as_slice(), weights.as_slice());
@@ -237,18 +241,6 @@ fn softmax_row(scores: &[f32], row: &mut [f32], live: usize) {
     }
 }
 
-/// The runtime switch and, beside the kernels it guards, the CPU's word.
-fn use_avx() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        gemm::simd_enabled() && is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// Floats a head operand starting at its first element must hold for
 /// `rows` positions.
 fn head_len(g: &Geo, rows: usize) -> usize {
@@ -279,8 +271,9 @@ fn dots(avx: bool, g: &Geo, x: &[f32], y: &[f32], scale: f32, yt: &mut [f32], ou
         let mut i = 0;
         while i < tq {
             let rows = (tq - i).min(ROWS);
-            // SAFETY: `avx` is true only when AVX2 was detected (`use_avx`);
-            // rows `i .. i + rows <= tq` of `x` hold `dh` floats each at
+            // SAFETY: `avx` is `gemm::simd_enabled()`, true only after
+            // `simd_supported()` detected AVX2 and FMA on this CPU; rows
+            // `i .. i + rows <= tq` of `x` hold `dh` floats each at
             // pitch `dm`, `yt` holds `tkp / NR` panels of `dh` rows of NR
             // and `out` `tq` rows of `tkp`, all asserted above.
             unsafe {
@@ -336,8 +329,9 @@ fn weighted_sum(
             let mut r = 0;
             while r < n_out {
                 let rows = (n_out - r).min(ROWS);
-                // SAFETY: `avx` is true only when AVX2 was detected
-                // (`use_avx`); lanes `d0 .. d0 + LANES <= dh` of rows
+                // SAFETY: `avx` is `gemm::simd_enabled()`, true only after
+                // `simd_supported()` detected AVX2 and FMA on this CPU; lanes
+                // `d0 .. d0 + LANES <= dh` of rows
                 // `c < n_in` of `m` and rows `r .. r + rows <= n_out` of
                 // `out`, and every weight index of those rows, are in bounds
                 // as asserted above.
@@ -378,8 +372,9 @@ fn weighted_sum(
 #[cfg(target_arch = "x86_64")]
 mod avx {
     //! The AVX2 forms of the two tile kernels. Reachable only through the
-    //! safe wrappers in the parent module, which check runtime feature
-    //! detection and every bound these rely on. Multiplies and adds stay
+    //! safe wrappers in the parent module, which take them only when
+    //! `gemm::simd_enabled()` is true (runtime detection found AVX2 and FMA)
+    //! and assert every bound these rely on. Multiplies and adds stay
     //! separate instructions: `fma` is not enabled here, so nothing can
     //! contract them.
 
@@ -397,8 +392,6 @@ mod avx {
     /// Requires AVX2. `x + r·dm + d` must be readable for `r < R`, `d < dh`;
     /// `yt` must hold `tkp / NR` panels of `dh` rows of [`NR`] floats and
     /// `out` `R` rows of `tkp`; `tkp` must be a multiple of [`NR`].
-    // SAFETY: the target_feature promise is discharged by the runtime
-    // detection gate in super::dots, which also asserts the bounds.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dots_tile<const R: usize>(
         x: *const f32,
@@ -409,23 +402,27 @@ mod avx {
         scale: f32,
         out: *mut f32,
     ) {
-        let scale = _mm256_set1_ps(scale);
-        for p in 0..tkp / NR {
-            let panel = yt.add(p * dh * NR);
-            let mut acc = [[_mm256_setzero_ps(); 2]; R];
-            for d in 0..dh {
-                let y0 = _mm256_loadu_ps(panel.add(d * NR));
-                let y1 = _mm256_loadu_ps(panel.add(d * NR + LANES));
-                for (r, acc) in acc.iter_mut().enumerate() {
-                    let xv = _mm256_broadcast_ss(&*x.add(r * dm + d));
-                    acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(xv, y0));
-                    acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(xv, y1));
+        // SAFETY: every pointer below is offset, read and written only within
+        // the ranges the `# Safety` section above makes the caller guarantee.
+        unsafe {
+            let scale = _mm256_set1_ps(scale);
+            for p in 0..tkp / NR {
+                let panel = yt.add(p * dh * NR);
+                let mut acc = [[_mm256_setzero_ps(); 2]; R];
+                for d in 0..dh {
+                    let y0 = _mm256_loadu_ps(panel.add(d * NR));
+                    let y1 = _mm256_loadu_ps(panel.add(d * NR + LANES));
+                    for (r, acc) in acc.iter_mut().enumerate() {
+                        let xv = _mm256_broadcast_ss(&*x.add(r * dm + d));
+                        acc[0] = _mm256_add_ps(acc[0], _mm256_mul_ps(xv, y0));
+                        acc[1] = _mm256_add_ps(acc[1], _mm256_mul_ps(xv, y1));
+                    }
                 }
-            }
-            for (r, acc) in acc.iter().enumerate() {
-                let row = out.add(r * tkp + p * NR);
-                _mm256_storeu_ps(row, _mm256_mul_ps(acc[0], scale));
-                _mm256_storeu_ps(row.add(LANES), _mm256_mul_ps(acc[1], scale));
+                for (r, acc) in acc.iter().enumerate() {
+                    let row = out.add(r * tkp + p * NR);
+                    _mm256_storeu_ps(row, _mm256_mul_ps(acc[0], scale));
+                    _mm256_storeu_ps(row.add(LANES), _mm256_mul_ps(acc[1], scale));
+                }
             }
         }
     }
@@ -438,8 +435,6 @@ mod avx {
     /// Requires AVX2. `w + r·rs + c·cs` must be readable for `r < R`,
     /// `c < n_in`; `m + c·dm` for [`LANES`] floats for `c < n_in`, and
     /// `out + r·dm` writable for [`LANES`] floats for `r < R`.
-    // SAFETY: the target_feature promise is discharged by the runtime
-    // detection gate in super::weighted_sum, which also asserts the bounds.
     #[target_feature(enable = "avx2")]
     pub unsafe fn weighted_tile<const R: usize>(
         w: *const f32,
@@ -450,18 +445,22 @@ mod avx {
         dm: usize,
         out: *mut f32,
     ) {
-        let mut acc = [_mm256_setzero_ps(); R];
-        for c in 0..n_in {
-            let mv = _mm256_loadu_ps(m.add(c * dm));
-            for (r, acc) in acc.iter_mut().enumerate() {
-                let a = *w.add(r * rs + c * cs);
-                if a != 0.0 {
-                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(_mm256_set1_ps(a), mv));
+        // SAFETY: every pointer below is offset, read and written only within
+        // the ranges the `# Safety` section above makes the caller guarantee.
+        unsafe {
+            let mut acc = [_mm256_setzero_ps(); R];
+            for c in 0..n_in {
+                let mv = _mm256_loadu_ps(m.add(c * dm));
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let a = *w.add(r * rs + c * cs);
+                    if a != 0.0 {
+                        *acc = _mm256_add_ps(*acc, _mm256_mul_ps(_mm256_set1_ps(a), mv));
+                    }
                 }
             }
-        }
-        for (r, acc) in acc.iter().enumerate() {
-            _mm256_storeu_ps(out.add(r * dm), *acc);
+            for (r, acc) in acc.iter().enumerate() {
+                _mm256_storeu_ps(out.add(r * dm), *acc);
+            }
         }
     }
 }

@@ -35,6 +35,10 @@
 //! per-element order, so results are bitwise identical for every thread
 //! count.
 
+// Scratch comes from the workspace arena, never from `vec![x; n]` or
+// `Vec::with_capacity` (crates/tensor/clippy.toml, DESIGN.md §8).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use crate::gemm::{self, copy_run, CLayout, Isa, PanelSource, SendPtr, View, NR};
 use crate::matmul::{kernel_span, parallel_under_default};
 use crate::{conv_direct, pool, workspace, Result, Tensor, TensorError};

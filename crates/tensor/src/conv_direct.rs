@@ -54,6 +54,10 @@
 //! split images, or tap tiles for the weight gradient; no element's chain is
 //! ever split).
 
+// Scratch comes from the workspace arena, never from `vec![x; n]` or
+// `Vec::with_capacity` (crates/tensor/clippy.toml, DESIGN.md §8).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use crate::conv::ConvGeometry;
 use crate::gemm::{self, copy_run, SendPtr};
 use crate::pool::{self, chunk_range};
@@ -85,18 +89,6 @@ type Tile = [[f32; 2 * LANES]; ROWS];
 /// `dOut` by `k − 1 − padding`), and few output channels.
 pub(crate) fn applies(geo: &ConvGeometry, c_out: usize) -> bool {
     geo.stride == 1 && geo.k > 1 && geo.k > geo.padding && c_out <= MAX_C_OUT
-}
-
-/// The engine's switch and, beside the kernels it guards, the CPU's word.
-fn use_avx() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        gemm::simd_enabled() && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
 }
 
 /// One image's operand as zero-bordered planes, and the result plane
@@ -255,7 +247,7 @@ pub(crate) fn forward(
             }
         }
     }
-    let avx = use_avx();
+    let avx = gemm::simd_enabled();
     for_image_parts(n, parallel, pl.padded_len(c_in), y, c_out * hw_out, |xpad, imgs, y| {
         let mut tile = [[0.0f32; 2 * LANES]; ROWS];
         for (img, y) in imgs.zip(y.chunks_exact_mut(c_out * hw_out)) {
@@ -289,9 +281,10 @@ fn forward_tile(
     pl.check(c, src, xpad);
     #[cfg(target_arch = "x86_64")]
     if avx {
-        // SAFETY: `avx` is true only when AVX2 and FMA were detected
-        // (`use_avx`); `wt` holds `c·k²` rows of `rows` weights and every
-        // load from `xpad` is in bounds, both asserted above.
+        // SAFETY: `avx` is `gemm::simd_enabled()`, true only after
+        // `simd_supported()` detected AVX2 and FMA on this CPU; `wt` holds
+        // `c·k²` rows of `rows` weights and every load from `xpad` is in
+        // bounds, both asserted above.
         unsafe {
             match rows {
                 1 => avx::forward_tile::<1>(pl, c, wt.as_ptr(), xpad.as_ptr(), src, tile),
@@ -373,7 +366,7 @@ pub(crate) fn grad_input(
             }
         }
     }
-    let avx = use_avx();
+    let avx = gemm::simd_enabled();
     for_image_parts(n, parallel, pl.padded_len(c_out), dx, c_in * hw_in, |dpad, imgs, dx| {
         let mut tile = [[0.0f32; 2 * LANES]; ROWS];
         for (img, dx) in imgs.zip(dx.chunks_exact_mut(c_in * hw_in)) {
@@ -414,10 +407,11 @@ fn grad_input_tile(
     assert_eq!(valid.len(), kk * pl.run_count() * LANES, "direct conv: mask table length");
     #[cfg(target_arch = "x86_64")]
     if avx {
-        // SAFETY: `avx` is true only when AVX2 and FMA were detected
-        // (`use_avx`); `wt` holds `k²·c` rows of `rows` weights, every load
-        // from `dpad` is in bounds and `valid` holds LANES floats for each
-        // (tap, run) with both runs below `pl.run_count()`, all asserted above.
+        // SAFETY: `avx` is `gemm::simd_enabled()`, true only after
+        // `simd_supported()` detected AVX2 and FMA on this CPU; `wt` holds
+        // `k²·c` rows of `rows` weights, every load from `dpad` is in bounds
+        // and `valid` holds LANES floats for each (tap, run) with both runs
+        // below `pl.run_count()`, all asserted above.
         unsafe {
             let (wt, dpad, valid) = (wt.as_ptr(), dpad.as_ptr(), valid.as_ptr());
             match rows {
@@ -507,7 +501,7 @@ pub(crate) fn grad_weight(
     let group = (DW_GROUP / (x_len + dt_len)).clamp(1, n);
     let part_len = group * (x_len + dt_len) + tiles.div_ceil(parts) * nt * cr;
     let mut scratch = workspace::take(parts * part_len);
-    let avx = use_avx();
+    let avx = gemm::simd_enabled();
     pool::run_chunked(&mut scratch, part_len, |first, chunk| {
         for (part, scratch) in (first..).zip(chunk.chunks_exact_mut(part_len)) {
             let own = chunk_range(tiles, parts, part);
@@ -588,11 +582,11 @@ fn grad_weight_tile(
     assert!(at[..nt].iter().all(|&at| at + last < x_len), "direct conv: tap outside x");
     #[cfg(target_arch = "x86_64")]
     if avx {
-        // SAFETY: `avx` is true only when AVX2 and FMA were detected
-        // (`use_avx`); `xpad` holds `imgs` images of `x_len` floats, `dt`
-        // `cr` floats per pixel of each, `acc` `cr` per tap, and each tap's
-        // offset plus the last pixel's is inside an image, all asserted
-        // above.
+        // SAFETY: `avx` is `gemm::simd_enabled()`, true only after
+        // `simd_supported()` detected AVX2 and FMA on this CPU; `xpad` holds
+        // `imgs` images of `x_len` floats, `dt` `cr` floats per pixel of
+        // each, `acc` `cr` per tap, and each tap's offset plus the last
+        // pixel's is inside an image, all asserted above.
         unsafe {
             let (x, dt, acc) = (xpad.as_ptr(), dt.as_ptr(), acc.as_mut_ptr());
             match vecs {
@@ -625,8 +619,9 @@ fn grad_weight_tile(
 #[cfg(target_arch = "x86_64")]
 mod avx {
     //! The AVX2+FMA forms of the three tile kernels. Reachable only through
-    //! the safe wrappers in the parent module, which check runtime feature
-    //! detection and every bound these rely on.
+    //! the safe wrappers in the parent module, which take them only when
+    //! `gemm::simd_enabled()` is true (runtime detection found AVX2 and FMA)
+    //! and assert every bound these rely on.
 
     use super::{Planes, Tile, DW_ACCS, LANES};
     use core::arch::x86_64::{
@@ -642,8 +637,6 @@ mod avx {
     /// Requires AVX2 and FMA. `wt` must hold `c·k²` rows of `R` weights;
     /// `x + src[v] + ci·pitch + ky·wp + kx` must be readable for [`LANES`]
     /// floats for every channel and tap.
-    // SAFETY: the target_feature promise is discharged by the runtime
-    // detection gate in super::forward_tile, which also asserts the bounds.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn forward_tile<const R: usize>(
         pl: &Planes,
@@ -653,25 +646,29 @@ mod avx {
         src: [usize; 2],
         tile: &mut Tile,
     ) {
-        let mut acc = [[_mm256_setzero_ps(); 2]; R];
-        for ci in 0..c {
-            for ky in 0..pl.k {
-                let row = x.add(ci * pl.pitch + ky * pl.wp);
-                for kx in 0..pl.k {
-                    let b0 = _mm256_loadu_ps(row.add(src[0] + kx));
-                    let b1 = _mm256_loadu_ps(row.add(src[1] + kx));
-                    for (r, acc) in acc.iter_mut().enumerate() {
-                        let a = _mm256_broadcast_ss(&*wt.add(r));
-                        acc[0] = _mm256_fmadd_ps(a, b0, acc[0]);
-                        acc[1] = _mm256_fmadd_ps(a, b1, acc[1]);
+        // SAFETY: every pointer below is offset, read and written only within
+        // the ranges the `# Safety` section above makes the caller guarantee.
+        unsafe {
+            let mut acc = [[_mm256_setzero_ps(); 2]; R];
+            for ci in 0..c {
+                for ky in 0..pl.k {
+                    let row = x.add(ci * pl.pitch + ky * pl.wp);
+                    for kx in 0..pl.k {
+                        let b0 = _mm256_loadu_ps(row.add(src[0] + kx));
+                        let b1 = _mm256_loadu_ps(row.add(src[1] + kx));
+                        for (r, acc) in acc.iter_mut().enumerate() {
+                            let a = _mm256_broadcast_ss(&*wt.add(r));
+                            acc[0] = _mm256_fmadd_ps(a, b0, acc[0]);
+                            acc[1] = _mm256_fmadd_ps(a, b1, acc[1]);
+                        }
+                        wt = wt.add(R);
                     }
-                    wt = wt.add(R);
                 }
             }
-        }
-        for (row, acc) in tile.iter_mut().zip(&acc) {
-            _mm256_storeu_ps(row.as_mut_ptr(), acc[0]);
-            _mm256_storeu_ps(row.as_mut_ptr().add(LANES), acc[1]);
+            for (row, acc) in tile.iter_mut().zip(&acc) {
+                _mm256_storeu_ps(row.as_mut_ptr(), acc[0]);
+                _mm256_storeu_ps(row.as_mut_ptr().add(LANES), acc[1]);
+            }
         }
     }
 
@@ -685,9 +682,6 @@ mod avx {
     /// `d + src[v] + co·pitch + ky·wp + kx` must be readable for [`LANES`]
     /// floats for every channel and tap, and `valid` for [`LANES`] floats
     /// at `(tap · pl.run_count() + runs[v]) · LANES`.
-    // SAFETY: the target_feature promise is discharged by the runtime
-    // detection gate in super::grad_input_tile, which also asserts the
-    // bounds.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn grad_input_tile<const R: usize>(
@@ -700,35 +694,45 @@ mod avx {
         runs: [usize; 2],
         tile: &mut Tile,
     ) {
-        // Twelve chains keep both FMA ports busy; the pixels' sums live in
-        // `tile` meanwhile and are touched once per tap.
-        for row in tile.iter_mut().take(R) {
-            *row = [0.0; 2 * LANES];
-        }
-        // Through a raw pointer, so that the sums stay where they are
-        // instead of being shadowed on the stack.
-        let sums = tile.as_mut_ptr().cast::<f32>();
-        for tap in 0..pl.k * pl.k {
-            let at = (pl.k - 1 - tap / pl.k) * pl.wp + (pl.k - 1 - tap % pl.k);
-            let mut acc = [[_mm256_setzero_ps(); 2]; R];
-            let mut plane = d.add(at);
-            for _ in 0..c {
-                let b0 = _mm256_loadu_ps(plane.add(src[0]));
-                let b1 = _mm256_loadu_ps(plane.add(src[1]));
-                for (r, acc) in acc.iter_mut().enumerate() {
-                    let a = _mm256_broadcast_ss(&*wt.add(r));
-                    acc[0] = _mm256_fmadd_ps(a, b0, acc[0]);
-                    acc[1] = _mm256_fmadd_ps(a, b1, acc[1]);
-                }
-                wt = wt.add(R);
-                plane = plane.add(pl.pitch);
+        // SAFETY: every pointer below is offset, read and written only within
+        // the ranges the `# Safety` section above makes the caller guarantee.
+        unsafe {
+            // Twelve chains keep both FMA ports busy; the pixels' sums live in
+            // `tile` meanwhile and are touched once per tap.
+            for row in tile.iter_mut().take(R) {
+                *row = [0.0; 2 * LANES];
             }
-            let m0 = _mm256_loadu_ps(valid.add((tap * pl.run_count() + runs[0]) * LANES));
-            let m1 = _mm256_loadu_ps(valid.add((tap * pl.run_count() + runs[1]) * LANES));
-            for (r, acc) in acc.iter().enumerate() {
-                let (lo, hi) = (sums.add(2 * r * LANES), sums.add((2 * r + 1) * LANES));
-                _mm256_storeu_ps(lo, _mm256_add_ps(_mm256_loadu_ps(lo), _mm256_and_ps(acc[0], m0)));
-                _mm256_storeu_ps(hi, _mm256_add_ps(_mm256_loadu_ps(hi), _mm256_and_ps(acc[1], m1)));
+            // Through a raw pointer, so that the sums stay where they are
+            // instead of being shadowed on the stack.
+            let sums = tile.as_mut_ptr().cast::<f32>();
+            for tap in 0..pl.k * pl.k {
+                let at = (pl.k - 1 - tap / pl.k) * pl.wp + (pl.k - 1 - tap % pl.k);
+                let mut acc = [[_mm256_setzero_ps(); 2]; R];
+                let mut plane = d.add(at);
+                for _ in 0..c {
+                    let b0 = _mm256_loadu_ps(plane.add(src[0]));
+                    let b1 = _mm256_loadu_ps(plane.add(src[1]));
+                    for (r, acc) in acc.iter_mut().enumerate() {
+                        let a = _mm256_broadcast_ss(&*wt.add(r));
+                        acc[0] = _mm256_fmadd_ps(a, b0, acc[0]);
+                        acc[1] = _mm256_fmadd_ps(a, b1, acc[1]);
+                    }
+                    wt = wt.add(R);
+                    plane = plane.add(pl.pitch);
+                }
+                let m0 = _mm256_loadu_ps(valid.add((tap * pl.run_count() + runs[0]) * LANES));
+                let m1 = _mm256_loadu_ps(valid.add((tap * pl.run_count() + runs[1]) * LANES));
+                for (r, acc) in acc.iter().enumerate() {
+                    let (lo, hi) = (sums.add(2 * r * LANES), sums.add((2 * r + 1) * LANES));
+                    _mm256_storeu_ps(
+                        lo,
+                        _mm256_add_ps(_mm256_loadu_ps(lo), _mm256_and_ps(acc[0], m0)),
+                    );
+                    _mm256_storeu_ps(
+                        hi,
+                        _mm256_add_ps(_mm256_loadu_ps(hi), _mm256_and_ps(acc[1], m1)),
+                    );
+                }
             }
         }
     }
@@ -743,9 +747,6 @@ mod avx {
     /// of every image, `acc` as many per tap, and
     /// `x + img·x_len + at[t] + oy·wp + ox` must be readable for every
     /// image, tap `t < NT` and pixel.
-    // SAFETY: the target_feature promise is discharged by the runtime
-    // detection gate in super::grad_weight_tile, which also asserts the
-    // bounds.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn grad_weight_tile<const NT: usize, const NV: usize>(
         pl: &Planes,
@@ -757,37 +758,41 @@ mod avx {
         acc: *mut f32,
     ) {
         const { assert!(NT * NV <= DW_ACCS) };
-        let mut sums = [[_mm256_setzero_ps(); NV]; NT];
-        for (t, sums) in sums.iter_mut().enumerate() {
-            for (v, sum) in sums.iter_mut().enumerate() {
-                *sum = _mm256_loadu_ps(acc.add((t * NV + v) * LANES));
-            }
-        }
-        let mut d = dt;
-        for img in 0..imgs {
-            let mut taps = [x; NT];
-            for (tap, &at) in taps.iter_mut().zip(at) {
-                *tap = x.add(img * x_len + at);
-            }
-            for oy in 0..pl.rows {
-                for ox in oy * pl.wp..oy * pl.wp + pl.cols {
-                    let mut dv = [_mm256_setzero_ps(); NV];
-                    for (v, dv) in dv.iter_mut().enumerate() {
-                        *dv = _mm256_loadu_ps(d.add(v * LANES));
-                    }
-                    for (sums, tap) in sums.iter_mut().zip(&taps) {
-                        let b = _mm256_broadcast_ss(&*tap.add(ox));
-                        for (sum, &dv) in sums.iter_mut().zip(&dv) {
-                            *sum = _mm256_fmadd_ps(dv, b, *sum);
-                        }
-                    }
-                    d = d.add(NV * LANES);
+        // SAFETY: every pointer below is offset, read and written only within
+        // the ranges the `# Safety` section above makes the caller guarantee.
+        unsafe {
+            let mut sums = [[_mm256_setzero_ps(); NV]; NT];
+            for (t, sums) in sums.iter_mut().enumerate() {
+                for (v, sum) in sums.iter_mut().enumerate() {
+                    *sum = _mm256_loadu_ps(acc.add((t * NV + v) * LANES));
                 }
             }
-        }
-        for (t, sums) in sums.iter().enumerate() {
-            for (v, &sum) in sums.iter().enumerate() {
-                _mm256_storeu_ps(acc.add((t * NV + v) * LANES), sum);
+            let mut d = dt;
+            for img in 0..imgs {
+                let mut taps = [x; NT];
+                for (tap, &at) in taps.iter_mut().zip(at) {
+                    *tap = x.add(img * x_len + at);
+                }
+                for oy in 0..pl.rows {
+                    for ox in oy * pl.wp..oy * pl.wp + pl.cols {
+                        let mut dv = [_mm256_setzero_ps(); NV];
+                        for (v, dv) in dv.iter_mut().enumerate() {
+                            *dv = _mm256_loadu_ps(d.add(v * LANES));
+                        }
+                        for (sums, tap) in sums.iter_mut().zip(&taps) {
+                            let b = _mm256_broadcast_ss(&*tap.add(ox));
+                            for (sum, &dv) in sums.iter_mut().zip(&dv) {
+                                *sum = _mm256_fmadd_ps(dv, b, *sum);
+                            }
+                        }
+                        d = d.add(NV * LANES);
+                    }
+                }
+            }
+            for (t, sums) in sums.iter().enumerate() {
+                for (v, &sum) in sums.iter().enumerate() {
+                    _mm256_storeu_ps(acc.add((t * NV + v) * LANES), sum);
+                }
             }
         }
     }

@@ -83,6 +83,10 @@
 //! `crates/tensor/tests/simd_bitwise.rs` against the scalar `mul_add`
 //! reference.
 
+// Scratch comes from the workspace arena, never from `vec![x; n]` or
+// `Vec::with_capacity` (crates/tensor/clippy.toml, DESIGN.md §8).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use crate::{pool, workspace};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
@@ -837,34 +841,38 @@ mod avx {
         dst: *mut f32,
     ) {
         const { assert!((R == MR || R == NR) && MR <= 8 && NR == 16) };
-        for p0 in (0..kc).step_by(8) {
-            let rows = (kc - p0).min(8);
-            for g in (0..R).step_by(8) {
-                let mut block = [_mm256_setzero_ps(); 8];
-                let lanes = &mut block[..R.min(8)];
-                let at = |q: usize| src.add((g + q) * cs + p0);
-                if w == R && rows == 8 {
-                    for (q, lane) in lanes.iter_mut().enumerate() {
-                        *lane = _mm256_loadu_ps(at(q));
+        // SAFETY: every pointer below is offset, read and written only within
+        // the ranges the `# Safety` section above makes the caller guarantee.
+        unsafe {
+            for p0 in (0..kc).step_by(8) {
+                let rows = (kc - p0).min(8);
+                for g in (0..R).step_by(8) {
+                    let mut block = [_mm256_setzero_ps(); 8];
+                    let lanes = &mut block[..R.min(8)];
+                    let at = |q: usize| src.add((g + q) * cs + p0);
+                    if w == R && rows == 8 {
+                        for (q, lane) in lanes.iter_mut().enumerate() {
+                            *lane = _mm256_loadu_ps(at(q));
+                        }
+                    } else {
+                        let depth = lanes_below(rows);
+                        for (q, lane) in lanes.iter_mut().enumerate().take(w.saturating_sub(g)) {
+                            *lane = _mm256_maskload_ps(at(q), depth);
+                        }
                     }
-                } else {
-                    let depth = lanes_below(rows);
-                    for (q, lane) in lanes.iter_mut().enumerate().take(w.saturating_sub(g)) {
-                        *lane = _mm256_maskload_ps(at(q), depth);
-                    }
-                }
-                let block = transpose8(block);
-                let at = |t: usize| dst.add((p0 + t) * R + g);
-                if rows == 8 && (R == NR || p0 + 8 < kc) {
-                    for (t, row) in block.into_iter().enumerate() {
-                        _mm256_storeu_ps(at(t), row);
-                    }
-                } else {
-                    for (t, row) in block.into_iter().enumerate().take(rows) {
-                        if R == MR && p0 + t + 1 == kc {
-                            _mm256_maskstore_ps(at(t), lanes_below(MR), row);
-                        } else {
+                    let block = transpose8(block);
+                    let at = |t: usize| dst.add((p0 + t) * R + g);
+                    if rows == 8 && (R == NR || p0 + 8 < kc) {
+                        for (t, row) in block.into_iter().enumerate() {
                             _mm256_storeu_ps(at(t), row);
+                        }
+                    } else {
+                        for (t, row) in block.into_iter().enumerate().take(rows) {
+                            if R == MR && p0 + t + 1 == kc {
+                                _mm256_maskstore_ps(at(t), lanes_below(MR), row);
+                            } else {
+                                _mm256_storeu_ps(at(t), row);
+                            }
                         }
                     }
                 }
@@ -891,12 +899,16 @@ mod avx {
         w: usize,
         dst: *mut f32,
     ) {
-        let live = lanes_below(w);
-        for p in 0..kc - 1 {
-            _mm256_storeu_ps(dst.add(p * MR), _mm256_maskload_ps(src.add(p * rs), live));
+        // SAFETY: every pointer below is offset, read and written only within
+        // the ranges the `# Safety` section above makes the caller guarantee.
+        unsafe {
+            let live = lanes_below(w);
+            for p in 0..kc - 1 {
+                _mm256_storeu_ps(dst.add(p * MR), _mm256_maskload_ps(src.add(p * rs), live));
+            }
+            let row = _mm256_maskload_ps(src.add((kc - 1) * rs), live);
+            _mm256_maskstore_ps(dst.add((kc - 1) * MR), lanes_below(MR), row);
         }
-        let row = _mm256_maskload_ps(src.add((kc - 1) * rs), live);
-        _mm256_maskstore_ps(dst.add((kc - 1) * MR), lanes_below(MR), row);
     }
 
     /// 6×16 micro-kernel: twelve accumulators (`MR` rows × two 8-lane
@@ -911,9 +923,6 @@ mod avx {
     /// Requires AVX2 and FMA at runtime; `pa`/`pb` must hold `kc` packed
     /// rows of MR / NR elements, and `c` must address an MR×NR tile with
     /// row stride `ldc` that no other thread touches.
-    // SAFETY: the target_feature promise is discharged by the runtime
-    // detection gate in super::kernel; all pointer accesses stay inside the
-    // packed panels and the caller's C tile per the contract above.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn kernel_6x16(
         resume: bool,
@@ -924,26 +933,30 @@ mod avx {
         ldc: usize,
     ) {
         const { assert!(NR == 16) };
-        let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
-        if resume {
-            for (t, row) in acc.iter_mut().enumerate() {
-                row[0] = _mm256_loadu_ps(c.add(t * ldc));
-                row[1] = _mm256_loadu_ps(c.add(t * ldc + 8));
+        // SAFETY: every pointer below is offset, read and written only within
+        // the ranges the `# Safety` section above makes the caller guarantee.
+        unsafe {
+            let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
+            if resume {
+                for (t, row) in acc.iter_mut().enumerate() {
+                    row[0] = _mm256_loadu_ps(c.add(t * ldc));
+                    row[1] = _mm256_loadu_ps(c.add(t * ldc + 8));
+                }
             }
-        }
-        for p in 0..kc {
-            let b0 = _mm256_loadu_ps(pb.add(p * NR));
-            let b1 = _mm256_loadu_ps(pb.add(p * NR + 8));
-            let ap = pa.add(p * MR);
-            for (t, row) in acc.iter_mut().enumerate() {
-                let a = _mm256_broadcast_ss(&*ap.add(t));
-                row[0] = _mm256_fmadd_ps(a, b0, row[0]);
-                row[1] = _mm256_fmadd_ps(a, b1, row[1]);
+            for p in 0..kc {
+                let b0 = _mm256_loadu_ps(pb.add(p * NR));
+                let b1 = _mm256_loadu_ps(pb.add(p * NR + 8));
+                let ap = pa.add(p * MR);
+                for (t, row) in acc.iter_mut().enumerate() {
+                    let a = _mm256_broadcast_ss(&*ap.add(t));
+                    row[0] = _mm256_fmadd_ps(a, b0, row[0]);
+                    row[1] = _mm256_fmadd_ps(a, b1, row[1]);
+                }
             }
-        }
-        for (t, row) in acc.iter().enumerate() {
-            _mm256_storeu_ps(c.add(t * ldc), row[0]);
-            _mm256_storeu_ps(c.add(t * ldc + 8), row[1]);
+            for (t, row) in acc.iter().enumerate() {
+                _mm256_storeu_ps(c.add(t * ldc), row[0]);
+                _mm256_storeu_ps(c.add(t * ldc + 8), row[1]);
+            }
         }
     }
 }

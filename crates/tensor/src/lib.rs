@@ -48,6 +48,13 @@
 //! assert_eq!(vt.shape(), &[2, 6]);
 //! ```
 
+// `crates/tensor/clippy.toml` bans the two fresh-buffer calls; only the
+// kernel modules deny them, outside their tests (DESIGN.md §8).
+#![allow(
+    clippy::disallowed_methods,
+    reason = "fresh buffers are banned in the kernel modules, which deny this lint themselves"
+)]
+
 pub mod attention;
 pub mod conv;
 mod conv_direct;
@@ -69,3 +76,30 @@ pub use tensor::Tensor;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, TensorError>;
+
+/// One seeded violation per contract the compiler holds in this crate
+/// (DESIGN.md §8). Dropping an entry from `clippy.toml` leaves its
+/// `#[expect]` unfulfilled and fails `cargo clippy -- -D warnings` here. An
+/// `#[expect]` switches its own lint on, so these only show that the lints
+/// still see the patterns; that the kernel modules deny the fresh buffers
+/// and `Cargo.toml` the unsafe operations is pinned by the root package's
+/// `code_contracts` test.
+#[cfg(clippy)]
+#[allow(dead_code, reason = "linted, never called")]
+mod clippy_canaries {
+    #[expect(clippy::disallowed_methods)]
+    fn filled(n: usize) -> Vec<f32> {
+        vec![0.0; n]
+    }
+    #[expect(clippy::disallowed_methods)]
+    fn reserved(n: usize) -> Vec<f32> {
+        Vec::with_capacity(n)
+    }
+    /// # Safety
+    ///
+    /// `p` is readable.
+    #[expect(unsafe_op_in_unsafe_fn)]
+    unsafe fn read(p: *const f32) -> f32 {
+        *p
+    }
+}

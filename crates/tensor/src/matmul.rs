@@ -14,6 +14,10 @@
 //! regardless of blocking, tile ownership, or vector width (lanes are
 //! distinct output columns).
 
+// Scratch comes from the workspace arena, never from `vec![x; n]` or
+// `Vec::with_capacity` (crates/tensor/clippy.toml, DESIGN.md §8).
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
+
 use crate::gemm::{self, CLayout, View};
 use crate::pool;
 use crate::{Result, Tensor, TensorError};

@@ -14,6 +14,11 @@
 //!
 //! The SIMD switch is process-global, so every test serializes on one lock.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the oracles build plain buffers; the arena rule binds the kernel modules"
+)]
+
 use std::sync::Mutex;
 
 use puffer_tensor::gemm::{self, Isa, PanelSource, View, MR, NR};

@@ -11,6 +11,11 @@
 //! probe counters are process-global, so every test serializes on one
 //! mutex and restores what it changed.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the oracles build plain buffers; the arena rule binds the kernel modules"
+)]
+
 use std::sync::Mutex;
 
 use puffer_tensor::gemm;

@@ -19,20 +19,18 @@ echo "== cargo fmt --check"
 cargo fmt --check
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
+# The code contracts (DESIGN.md §8): no panic site in puffer-dist or the
+# worker codecs, kernel scratch from the arena, float sums only in the two
+# pinned reducers, clocks in puffer-probe, no hash-order reductions, no
+# locks in puffer-dist, and every unsafe operation in a documented block,
+# so no SIMD intrinsic runs outside a feature gate.
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 
 echo "== cargo test -q --workspace"
 # Every crate's unit, integration and doc tests: the fault-injection suite,
-# the puffer-lint self-test (seeded fixture violations must be caught) and
-# the BatchNorm2d oracle among them.
+# the BatchNorm2d oracle and tests/code_contracts.rs (one quantile
+# definition; the deny lists the clippy step above relies on) among them.
 cargo test -q --offline --locked --workspace
-
-echo "== puffer-lint (the four token rules, DESIGN.md §8)"
-# What no type-resolved lint expresses: kernel scratch from the arena,
-# gated SIMD, pinned accumulation owners, one quantile implementation.
-# Everything else is clippy configuration, checked above. Findings print
-# as file:line:col and fail the gate.
-cargo run --release --offline --locked -q -p puffer-lint
 
 echo "== probe overhead guard (disabled-probe cost < 2% on a GEMM)"
 cargo test -q --offline --locked --release -p puffer-tensor --test probe_overhead

@@ -27,7 +27,7 @@ pub use pufferfish as core;
 /// unfulfilled and fails `cargo clippy -- -D warnings` here. An `#[expect]`
 /// switches its own lint on, so the last one only shows that clippy still
 /// sees a dropped `write!` result; that `Cargo.toml` still denies it is
-/// pinned by `puffer-lint`'s `fixture_suite`.
+/// pinned by the `code_contracts` test.
 #[cfg(clippy)]
 #[allow(dead_code, reason = "linted, never called")]
 mod clippy_canaries {
