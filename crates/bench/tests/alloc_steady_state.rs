@@ -94,8 +94,8 @@ fn image_trainer_step_is_allocation_free_after_warmup() {
 /// matrices, 9× the activations — so buffers recycled past the cap were
 /// freed and the next step allocated them again. With convolutions caching
 /// their inputs instead, the whole step fits and stays allocation-free —
-/// the direct kernels of the thin stride-1 layers included, which stage one
-/// image's padded operand at a time.
+/// the direct kernels, which every convolution of this model takes and which
+/// stage one image's operand at a time, included.
 #[test]
 fn hybrid_resnet18_batch32_step_is_allocation_free_and_under_the_arena_cap() {
     let _guard = GLOBAL.lock().unwrap();
@@ -121,15 +121,17 @@ fn hybrid_resnet18_batch32_step_is_allocation_free_and_under_the_arena_cap() {
     train_step(&mut model, &mut opt, &images, &labels);
     let after = pool_misses();
     let held = workspace::thread_arena_bytes();
-    // The stem, the dense 16→16 block and every stride-1 `U` (c_out = rank
-    // ≤ 32) run the direct kernels, forward, dW and dX: their padded planes,
-    // transposed dOut and packed weights are arena scratch like the
+    // All 34 convolutions — the stem, the dense 16→16 block, every `U`
+    // (stride 1 or 2, c_out = rank ≤ 32), every 1×1 `V` and the three 1×1
+    // stride-2 shortcuts — run the direct kernels, forward, dW and dX (the
+    // stem's dX too: `Conv2d::backward` always returns it): their phase
+    // planes, transposed dOut and packed weights are arena scratch like the
     // engine's blocks, taken on this thread.
     let direct = direct_calls() - direct_before;
     probe::reset();
     workspace::clear_thread_arena();
 
-    assert!(direct >= 3.0 * 14.0, "only {direct} convolution calls took the direct kernels");
+    assert_eq!(direct, 3.0 * 34.0, "convolution calls that took the direct kernels");
 
     assert_eq!(
         after,

@@ -1,12 +1,12 @@
 //! A whole training step of the paper's hybrid ResNet-18 — dense and
-//! factorized convolutions, both input-gradient lowerings, 1×1 shortcuts —
-//! must leave bit-identical parameters whatever the pool width: every
-//! convolution partitions output regions across threads and keeps each
-//! element's reduction order (DESIGN.md §10). The stem, the dense 16→16
-//! block and every stride-1 `U` run the direct kernels, which split images
-//! (forward, input gradient) and tap tiles (weight gradient); the stride-2
-//! and 1×1 layers run the implicit GEMM, which splits panels. Six images
-//! over four threads is the uneven split of both.
+//! factorized convolutions, stride 1 and 2, 1×1 shortcuts — must leave
+//! bit-identical parameters whatever the pool width: every convolution
+//! partitions output regions across threads and keeps each element's
+//! reduction order (DESIGN.md §10). All of them run the direct kernels,
+//! which split images (forward, input gradient) and tiles of taps × output
+//! channels (weight gradient); the implicit GEMM's panel split is
+//! `tests/conv_implicit.rs`' business in `puffer-tensor`. Six images over
+//! four threads is an uneven split.
 
 use puffer_models::resnet::{ResNet, ResNetConfig, ResNetHybridPlan};
 use puffer_models::units::FactorInit;

@@ -94,10 +94,9 @@ impl Conv2d {
             .expect("weight is (c_out, c_in, k, k)");
         w_mat.transpose()
     }
-}
 
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+    /// `y = W ∗ x (+ b)` and the geometry it ran with.
+    fn apply(&self, input: &Tensor) -> (Tensor, ConvGeometry) {
         assert_eq!(input.ndim(), 4, "Conv2d expects [N, C, H, W]");
         let s = input.shape();
         assert_eq!(s[1], self.c_in, "Conv2d channel mismatch");
@@ -113,6 +112,23 @@ impl Layer for Conv2d {
         if let Some(b) = &self.bias {
             add_channel_bias(&mut out, &b.value);
         }
+        (out, geo)
+    }
+
+    /// [`Layer::forward`] of an input the caller hands over: training caches
+    /// it as it is instead of a copy.
+    fn forward_owned(&mut self, input: Tensor, mode: Mode) -> Tensor {
+        let (out, geo) = self.apply(&input);
+        if mode == Mode::Train {
+            self.cached_input = Some((input, geo));
+        }
+        out
+    }
+}
+
+impl Layer for Conv2d {
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
+        let (out, geo) = self.apply(input);
         if mode == Mode::Train {
             self.cached_input = Some((input.clone(), geo));
         }
@@ -250,7 +266,7 @@ impl LowRankConv2d {
 impl Layer for LowRankConv2d {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         let mid = self.u.forward(input, mode);
-        self.v.forward(&mid, mode)
+        self.v.forward_owned(mid, mode)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {

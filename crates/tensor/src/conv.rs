@@ -22,12 +22,16 @@
 //! block to `Wᵀ · dOut` while the block is still cached, bitwise equal to
 //! `col2im(matmul_tn(W, dOut))` (see [`conv2d_grad_input`]).
 //!
-//! A stride-1 `k × k` layer with at most [`DIRECT_MAX_C_OUT`] output
-//! channels — Pufferfish's factorized `U` convolution above all — would
-//! amortise each packed patch element over too few multiply–adds, so the
-//! three primitives hand it to direct kernels that read the operands in
-//! place (`conv_direct.rs`). Those run the same chains and produce the same
-//! bits; which path a layer takes is decided by its geometry alone.
+//! A stride-1 or stride-2 layer with at most [`DIRECT_MAX_C_OUT`] output
+//! channels ([`DIRECT_MAX_C_OUT_1X1`] for a 1×1 kernel) — Pufferfish's
+//! factorized `U` and `V` convolutions above all — would amortise each
+//! packed patch element over too few multiply–adds, so the three primitives
+//! hand it to direct kernels that read the operands in place or from
+//! per-image phase planes (`conv_direct.rs`: at stride 2 each padded image
+//! is cut into its four `(row, column)`-parity planes, on which a tap is
+//! again one contiguous load at a fixed offset). Those run the same chains
+//! and produce the same bits; which path a layer takes is decided by its
+//! geometry alone.
 //!
 //! The explicit lowerings fan out to the worker pool above a size threshold
 //! ([`im2col`] over patch-matrix rows, [`col2im`] over `(image, channel)`
@@ -550,8 +554,8 @@ fn direct(geo: &ConvGeometry, c_out: usize) -> bool {
 /// One GEMM `W · patches(x)` whose B panels are packed from `x` and whose C
 /// tiles are stored into NCHW; every output element is the fused chain over
 /// ascending `(ci, ky, kx)` that `matmul(W, im2col(x))` computes, bit for
-/// bit — as it is in the direct kernel a thin stride-1 layer takes instead
-/// (module docs).
+/// bit — as it is in the direct kernel a thin layer takes instead (module
+/// docs).
 ///
 /// # Errors
 ///
@@ -596,7 +600,7 @@ pub fn conv2d_forward(x: &Tensor, weight: &Tensor, geo: &ConvGeometry) -> Result
 /// is the layer's *input*, so nothing patch-sized is kept between forward
 /// and backward — and every element is the fused chain over ascending
 /// `(img, oy, ox)` that `matmul_nt(dOut, im2col(x))` computes, bit for bit —
-/// as it is in the direct kernel a thin stride-1 layer takes instead.
+/// as it is in the direct kernel a thin layer takes instead.
 ///
 /// # Errors
 ///
@@ -607,10 +611,13 @@ pub fn conv2d_grad_weight(x: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> Resu
     let c_out = dout.shape().get(1).copied().unwrap_or(0);
     check_shape(dout, &[n, c_out, geo.h_out(), geo.w_out()], "conv2d_grad_weight")?;
     let (rows, hw) = (geo.patch_rows(), geo.h_out() * geo.w_out());
-    let mut dw = Tensor::zeros(&[c_out, geo.c_in, geo.k, geo.k]);
-    if dw.is_empty() || n == 0 {
-        return Ok(dw);
+    let shape = [c_out, geo.c_in, geo.k, geo.k];
+    if shape.contains(&0) || n == 0 {
+        return Ok(Tensor::zeros(&shape));
     }
+    // Both paths below store each element of `dw`: the direct kernel's
+    // accumulators, the engine's product.
+    let mut dw = Tensor::unfilled(&shape);
     let _sp = kernel_span("conv2d_grad_weight", c_out, n * hw, rows);
     let parallel = parallel_under_default(c_out * rows * n * hw);
     if direct(geo, c_out) {
@@ -632,11 +639,14 @@ pub fn conv2d_grad_weight(x: &Tensor, dout: &Tensor, geo: &ConvGeometry) -> Resu
     Ok(dw)
 }
 
-/// Widest layer, in output channels, whose stride-1 `k × k` (`k > 1`,
-/// `k > padding`) convolutions take the direct kernels instead of the
-/// implicit GEMM (module docs). A constant of the build, not a setting:
+/// Widest layer, in output channels, whose stride-1 or stride-2 `k × k`
+/// (`k > 1`, `k > padding`) convolutions take the direct kernels instead of
+/// the implicit GEMM (module docs). A constant of the build, not a setting:
 /// results are the same bits on either path.
 pub const DIRECT_MAX_C_OUT: usize = conv_direct::MAX_C_OUT;
+
+/// [`DIRECT_MAX_C_OUT`] for 1×1 convolutions, stride 1 or 2.
+pub const DIRECT_MAX_C_OUT_1X1: usize = conv_direct::MAX_C_OUT_1X1;
 
 /// Elements of `Wᵀ · dOut` one step of [`conv2d_grad_input`] holds (1 MiB):
 /// half an L2, so the block is still cached when it is scattered.
@@ -654,9 +664,9 @@ pub const SCATTER_BLOCK: usize = 1 << 18;
 /// ascending `(ky, kx)`. The result is bitwise equal to
 /// `col2im(matmul_tn(W, dOut))`, whatever the grouping. Threads split the
 /// images, each running its groups start to finish, so a call is one pool
-/// dispatch. A thin stride-1 layer takes a direct kernel instead, which
-/// gathers each pixel's taps in that same two-level order without writing
-/// `Wᵀ · dOut` at all.
+/// dispatch. A thin layer takes a direct kernel instead, which gathers each
+/// pixel's taps in that same two-level order without writing `Wᵀ · dOut` at
+/// all.
 ///
 /// # Errors
 ///

@@ -758,6 +758,11 @@ fn kernel_scalar(resume: bool, kc: usize, pa: &[f32], pb: &[f32], c: *mut f32, l
     }
 }
 
+/// The lane mask and 8×8 transpose of the vector packers, shared with the
+/// direct convolutions' kernels.
+#[cfg(target_arch = "x86_64")]
+pub(crate) use avx::{lanes_below, transpose8};
+
 #[cfg(target_arch = "x86_64")]
 mod avx {
     //! The AVX2+FMA register-tile kernel and the two vector packers of
@@ -775,7 +780,7 @@ mod avx {
     /// A mask of lanes `0..n` (all eight for `n ≥ 8`) for the masked loads
     /// and stores, which neither read nor write the lanes it leaves out.
     #[target_feature(enable = "avx2", enable = "fma")]
-    fn lanes_below(n: usize) -> __m256i {
+    pub(crate) fn lanes_below(n: usize) -> __m256i {
         let n = n.min(8) as i32;
         _mm256_cmpgt_epi32(_mm256_set1_epi32(n), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
     }
@@ -784,7 +789,7 @@ mod avx {
     /// result `t` is lane `t` of row `i`. Only shuffles, so every bit
     /// pattern — NaN payloads, signed zeros, subnormals — moves unchanged.
     #[target_feature(enable = "avx2", enable = "fma")]
-    fn transpose8(v: [__m256; 8]) -> [__m256; 8] {
+    pub(crate) fn transpose8(v: [__m256; 8]) -> [__m256; 8] {
         // Pairs of rows interleaved: lanes (i, i+1) of rows 2a and 2a+1.
         let t0 = _mm256_unpacklo_ps(v[0], v[1]);
         let t1 = _mm256_unpackhi_ps(v[0], v[1]);

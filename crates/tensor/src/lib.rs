@@ -3,7 +3,7 @@
 //! This crate provides the linear-algebra kernel that the rest of the
 //! workspace is built on: a row-major dense [`Tensor`], cache-blocked
 //! matrix multiplication, convolution primitives (implicit GEMM, direct
-//! kernels for thin stride-1 layers, and the explicit im2col / col2im
+//! kernels for thin stride-1/2 and 1×1 layers, and the explicit im2col / col2im
 //! lowering kept as their reference), the per-head core of scaled
 //! dot-product [`attention`], a one-sided
 //! Jacobi [singular value decomposition](svd) (the operation at the heart of

@@ -3,7 +3,10 @@
 //! `conv_implicit.rs` and `conv_direct.rs` compare against bit for bit.
 #![allow(dead_code)] // each test binary uses its own subset
 
-use puffer_tensor::conv::{col2im, im2col, ConvGeometry};
+use puffer_tensor::conv::{
+    col2im, conv2d_forward, conv2d_grad_input, conv2d_grad_weight, im2col, ConvGeometry,
+    DIRECT_MAX_C_OUT, DIRECT_MAX_C_OUT_1X1,
+};
 use puffer_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use puffer_tensor::Tensor;
 
@@ -84,4 +87,39 @@ pub fn assert_bits(got: &Tensor, want: &Tensor, what: &str, ctx: &str) {
     for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "{what}[{i}]: {a} vs {b}, {ctx}");
     }
+}
+
+/// `(y, dW, dX)` of one layer.
+pub type Results = (Tensor, Tensor, Tensor);
+
+/// The implicit-GEMM engine on `case`'s layer: widened with zero filters
+/// and zero `dOut` channels to one channel more than the direct kernels
+/// take, the primitives fall through to it. Output channels are independent
+/// in `y` and `dW`, and in `dX` a zero channel appends `fma(0, 0, acc)` to a
+/// chain whose `acc` is not `−0.0` — the first `c_out` channels of the
+/// widened results are the engine's results for the layer itself.
+pub fn engine(case: &Case, o: &Oracle) -> Results {
+    let g = &case.geo;
+    let wide = if g.k == 1 { DIRECT_MAX_C_OUT_1X1 } else { DIRECT_MAX_C_OUT } + 1;
+    let wide = wide.max(case.c_out);
+    // Copies `t` with its channel axis resized from `from` to `to` channels
+    // (zero-filled, or cut).
+    let resize = |t: &Tensor, axis: usize, from: usize, to: usize| {
+        let mut shape = t.shape().to_vec();
+        let inner: usize = shape[axis + 1..].iter().product();
+        shape[axis] = to;
+        let mut out = Tensor::zeros(&shape);
+        let slabs = t.as_slice().chunks_exact(from * inner);
+        for (src, dst) in slabs.zip(out.as_mut_slice().chunks_exact_mut(to * inner)) {
+            let kept = src.len().min(dst.len());
+            dst[..kept].copy_from_slice(&src[..kept]);
+        }
+        out
+    };
+    let (w, dout) = (resize(&o.w, 0, case.c_out, wide), resize(&o.dout, 1, case.c_out, wide));
+    (
+        resize(&conv2d_forward(&o.x, &w, g).unwrap(), 1, wide, case.c_out),
+        resize(&conv2d_grad_weight(&o.x, &dout, g).unwrap(), 0, wide, case.c_out),
+        conv2d_grad_input(&w, &dout, g).unwrap(),
+    )
 }

@@ -2,18 +2,19 @@
 //! `conv2d_grad_weight` and `conv2d_grad_input` against the implicit-GEMM
 //! engine and the explicit `im2col` / `col2im` lowering.
 //!
-//! Contract (DESIGN.md §10): for stride-1 `k × k` layers of at most
-//! `DIRECT_MAX_C_OUT` output channels the three primitives run direct
-//! kernels whose every output element has the engine's bits — `to_bits`
-//! equal to `matmul(W, im2col(x))`, `matmul_nt(dOut, im2col(x))` and
-//! `col2im(matmul_tn(W, dOut))`, non-finite operands included — for every
-//! thread count and with SIMD on or off.
+//! Contract (DESIGN.md §10): for stride-1 and stride-2 layers of at most
+//! `DIRECT_MAX_C_OUT` output channels (`DIRECT_MAX_C_OUT_1X1` for 1×1
+//! kernels) the three primitives run direct kernels whose every output
+//! element has the engine's bits — `to_bits` equal to `matmul(W, im2col(x))`,
+//! `matmul_nt(dOut, im2col(x))` and `col2im(matmul_tn(W, dOut))`, non-finite
+//! operands included — for every thread count and with SIMD on or off.
 
 mod common;
 
-use common::{assert_bits, operands, oracle_of, Case, Oracle};
+use common::{assert_bits, engine, operands, oracle_of, Case, Oracle, Results};
 use puffer_tensor::conv::{
     conv2d_forward, conv2d_grad_input, conv2d_grad_weight, ConvGeometry, DIRECT_MAX_C_OUT,
+    DIRECT_MAX_C_OUT_1X1,
 };
 use puffer_tensor::gemm;
 use puffer_tensor::matmul::{parallel_threshold, set_parallel_threshold};
@@ -67,9 +68,6 @@ fn macs(case: &Case) -> usize {
     case.n * case.c_out * case.geo.patch_rows() * case.geo.h_out() * case.geo.w_out()
 }
 
-/// `(y, dW, dX)` of one layer.
-type Results = (Tensor, Tensor, Tensor);
-
 /// The three primitives as the layers call them.
 fn primitives(case: &Case, o: &Oracle) -> Results {
     (
@@ -79,56 +77,36 @@ fn primitives(case: &Case, o: &Oracle) -> Results {
     )
 }
 
-/// The implicit-GEMM engine on the same layer: widened with zero filters
-/// and zero `dOut` channels to one channel more than the direct kernels
-/// take, the primitives fall through to it. Output channels are independent
-/// in `y` and `dW`, and in `dX` a zero channel appends `fma(0, 0, acc)` to a
-/// chain whose `acc` is not `−0.0` — the first `c_out` channels of the
-/// widened results are the engine's results for the layer itself.
-fn engine(case: &Case, o: &Oracle) -> Results {
-    let (g, wide) = (&case.geo, DIRECT_MAX_C_OUT + 1);
-    // Copies `t` with its channel axis resized from `from` to `to` channels
-    // (zero-filled, or cut).
-    let resize = |t: &Tensor, axis: usize, from: usize, to: usize| {
-        let mut shape = t.shape().to_vec();
-        let inner: usize = shape[axis + 1..].iter().product();
-        shape[axis] = to;
-        let mut out = Tensor::zeros(&shape);
-        let slabs = t.as_slice().chunks_exact(from * inner);
-        for (src, dst) in slabs.zip(out.as_mut_slice().chunks_exact_mut(to * inner)) {
-            let kept = src.len().min(dst.len());
-            dst[..kept].copy_from_slice(&src[..kept]);
-        }
-        out
-    };
-    let (w, dout) = (resize(&o.w, 0, case.c_out, wide), resize(&o.dout, 1, case.c_out, wide));
-    (
-        resize(&conv2d_forward(&o.x, &w, g).unwrap(), 1, wide, case.c_out),
-        resize(&conv2d_grad_weight(&o.x, &dout, g).unwrap(), 0, wide, case.c_out),
-        conv2d_grad_input(&w, &dout, g).unwrap(),
-    )
-}
-
 fn assert_same((y, dw, dx): &Results, want: &Oracle, ctx: &str) {
     assert_bits(y, &want.y, "forward", ctx);
     assert_bits(dw, &want.dw, "dW", ctx);
     assert_bits(dx, &want.dx, "dX", ctx);
 }
 
-/// k ∈ {2,3,5,7} × pad ∈ {0 … k−1} × planes {4², 7×5, 8², 9×6, 16², 32²}
-/// (widths that are not lane multiples included) × c_out ∈ {1,4,6,7,8,16,
-/// the constant, the constant + 1 — which falls through to the engine} ×
-/// c_in ∈ {1,3,16,130}, two images.
+/// stride ∈ {1, 2} × k ∈ {1,2,3,5,7} × pad ∈ {0 … k−1} × planes {4², 7×5,
+/// 8², 9×6, 16², 32²} (widths that are not lane multiples, and both
+/// parities of `h + 2p − k`, so that stride-2 phases end short, included) ×
+/// c_out ∈ {1,4,6,7,8,16, the bound, the bound + 1 — which falls through to
+/// the engine} for `k > 1`, and {1,4,7,16,40,64, the 1×1 bound, + 1} for
+/// 1×1 (40 and up cut the weight gradient into channel blocks) × c_in ∈
+/// {1,3,16,130}, two images.
 fn grid() -> Vec<Case> {
     let mut out = Vec::new();
-    for &k in &[2usize, 3, 5, 7] {
-        for padding in 0..k {
-            for &(h, w) in &[(4usize, 4usize), (7, 5), (8, 8), (9, 6), (16, 16), (32, 32)] {
-                for &c_out in &[1usize, 4, 6, 7, 8, 16, DIRECT_MAX_C_OUT, DIRECT_MAX_C_OUT + 1] {
-                    for &c_in in &[1usize, 3, 16, 130] {
-                        let geo = ConvGeometry { c_in, h, w, k, stride: 1, padding };
-                        if geo.validate().is_ok() {
-                            out.push(Case { geo, n: 2, c_out });
+    for &stride in &[1usize, 2] {
+        for &k in &[1usize, 2, 3, 5, 7] {
+            let c_outs = if k == 1 {
+                [1usize, 4, 7, 16, 40, 64, DIRECT_MAX_C_OUT_1X1, DIRECT_MAX_C_OUT_1X1 + 1]
+            } else {
+                [1usize, 4, 6, 7, 8, 16, DIRECT_MAX_C_OUT, DIRECT_MAX_C_OUT + 1]
+            };
+            for padding in 0..k {
+                for &(h, w) in &[(4usize, 4usize), (7, 5), (8, 8), (9, 6), (16, 16), (32, 32)] {
+                    for &c_out in &c_outs {
+                        for &c_in in &[1usize, 3, 16, 130] {
+                            let geo = ConvGeometry { c_in, h, w, k, stride, padding };
+                            if geo.validate().is_ok() {
+                                out.push(Case { geo, n: 2, c_out });
+                            }
                         }
                     }
                 }
@@ -138,8 +116,9 @@ fn grid() -> Vec<Case> {
     out
 }
 
-/// The whole grid is some 25 G multiply–adds per primitive, and the scalar
-/// twins run at a few hundred million a second. Every case is checked
+/// The whole grid is 6,592 cases and some 31 G multiply–adds per primitive
+/// (a fifth of them at stride 2), and the scalar twins run at a few hundred
+/// million a second. Every case is checked
 /// against the explicit lowering with the AVX2 kernels at one thread count
 /// (rotating through 1/2/4/8); the cases under a million multiply–adds and
 /// every 16th of the rest are checked at all thread counts × SIMD on/off and
@@ -171,9 +150,11 @@ fn direct_equals_engine_equals_explicit_lowering() {
 
 #[test]
 fn more_images_than_threads_and_fewer() {
-    // Threads split images (forward, dX) and tap tiles (dW): five images on
-    // 1/2/4/8 threads, and a one-tap-tile weight gradient (c_in·k² = 4 taps)
-    // on more threads than tiles.
+    // Threads split images (forward, dX) and weight-gradient tiles (dW):
+    // five images on 1/2/4/8 threads, a one-tile weight gradient
+    // (c_in·k² = 4 taps) on more threads than tiles, a stride-2 layer, and a
+    // 1×1 layer whose 100 output channels are four channel blocks of the
+    // weight gradient.
     let _g = lock();
     let _knobs = Knobs::save();
     let cases = [
@@ -186,6 +167,16 @@ fn more_images_than_threads_and_fewer() {
             geo: ConvGeometry { c_in: 1, h: 6, w: 6, k: 2, stride: 1, padding: 1 },
             n: 1,
             c_out: 20,
+        },
+        Case {
+            geo: ConvGeometry { c_in: 5, h: 11, w: 10, k: 3, stride: 2, padding: 1 },
+            n: 5,
+            c_out: 9,
+        },
+        Case {
+            geo: ConvGeometry { c_in: 6, h: 7, w: 9, k: 1, stride: 2, padding: 0 },
+            n: 5,
+            c_out: 100,
         },
     ];
     for (i, case) in cases.iter().enumerate() {
@@ -211,7 +202,8 @@ fn poke(t: &mut Tensor, (img, c, y, x): (usize, usize, usize, usize), v: f32) {
 #[test]
 fn non_finite_operands_reach_the_same_elements_with_the_same_bits() {
     // NaN / ±Inf in dOut, in x and in one weight tap, at corner, edge and
-    // interior positions: a non-finite x meets finite weights only where a
+    // interior positions and at every stride-2 phase (the four parities of
+    // a row and a column): a non-finite x meets finite weights only where a
     // window covers it, a non-finite weight turns the zero border into NaN
     // in forward and dW (as the packed panel's zeros do) and must not in dX
     // (the scatter skips taps outside dOut).
@@ -222,30 +214,57 @@ fn non_finite_operands_reach_the_same_elements_with_the_same_bits() {
         ConvGeometry { c_in: 2, h: 7, w: 5, k: 5, stride: 1, padding: 2 },
         ConvGeometry { c_in: 3, h: 8, w: 8, k: 2, stride: 1, padding: 1 },
         ConvGeometry { c_in: 2, h: 10, w: 9, k: 3, stride: 1, padding: 0 },
+        ConvGeometry { c_in: 3, h: 9, w: 6, k: 3, stride: 2, padding: 1 },
+        ConvGeometry { c_in: 2, h: 8, w: 7, k: 5, stride: 2, padding: 2 },
+        ConvGeometry { c_in: 3, h: 8, w: 9, k: 2, stride: 2, padding: 1 },
+        ConvGeometry { c_in: 2, h: 10, w: 9, k: 3, stride: 2, padding: 0 },
+        ConvGeometry { c_in: 3, h: 7, w: 6, k: 1, stride: 1, padding: 0 },
+        ConvGeometry { c_in: 3, h: 7, w: 5, k: 1, stride: 2, padding: 0 },
     ];
     let mut checked = 0;
+    let mut expected = 0;
     for (gi, geo) in geos.iter().enumerate() {
         let case = Case { geo: *geo, n: 2, c_out: 5 };
         let (ho, wo, k) = (geo.h_out(), geo.w_out(), geo.k);
-        let spots = |h: usize, w: usize| [(0, 0), (0, w / 2), (h - 1, w - 1), (h / 2, w / 2)];
+        let spots = |h: usize, w: usize| {
+            let mut spots: Vec<(usize, usize)> = [(0, 0), (0, 1), (1, 0), (1, 1)]
+                .into_iter()
+                .chain([(0, w / 2), (h - 1, w - 1), (h / 2, w / 2)])
+                .map(|(y, x)| (y.min(h - 1), x.min(w - 1)))
+                .collect();
+            spots.sort_unstable();
+            spots.dedup();
+            spots
+        };
         for (vi, &v) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY].iter().enumerate() {
             let mut variants = Vec::new();
             for (y, x) in spots(ho, wo) {
                 let mut o = operands(&case, 7 + gi as u64);
                 poke(&mut o.2, (vi % 2, 3, y, x), v);
-                variants.push((format!("dOut[{y},{x}]"), o));
+                variants.push((format!("dOut[{y},{x}]"), o, true));
             }
+            // At stride 2 a window may skip the last input row or column;
+            // a value there reaches nothing.
+            let covered = |i: usize, out: usize| {
+                (0..k).any(|t| {
+                    (i + geo.padding)
+                        .checked_sub(t)
+                        .is_some_and(|d| d % geo.stride == 0 && d / geo.stride < out)
+                })
+            };
             for (y, x) in spots(geo.h, geo.w) {
                 let mut o = operands(&case, 7 + gi as u64);
                 poke(&mut o.0, (1 - vi % 2, 1, y, x), v);
-                variants.push((format!("x[{y},{x}]"), o));
+                let reached = covered(y, ho) && covered(x, wo);
+                variants.push((format!("x[{y},{x}]"), o, reached));
             }
             for (ky, kx) in spots(k, k) {
                 let mut o = operands(&case, 7 + gi as u64);
                 poke(&mut o.1, (2, 1, ky, kx), v);
-                variants.push((format!("w[{ky},{kx}]"), o));
+                variants.push((format!("w[{ky},{kx}]"), o, true));
             }
-            for (what, o) in variants {
+            expected += spots(ho, wo).len() + spots(geo.h, geo.w).len() + spots(k, k).len();
+            for (what, o, reached) in variants {
                 reference_knobs();
                 let want = oracle_of(&case, o);
                 let ctx = format!("engine, {v} in {what}, {geo:?}");
@@ -259,12 +278,13 @@ fn non_finite_operands_reach_the_same_elements_with_the_same_bits() {
                     }
                 }
                 let poisoned = |t: &Tensor| t.as_slice().iter().filter(|a| !a.is_finite()).count();
-                assert!(poisoned(&want.y) + poisoned(&want.dw) + poisoned(&want.dx) > 0);
+                let poisoned = poisoned(&want.y) + poisoned(&want.dw) + poisoned(&want.dx);
+                assert_eq!(poisoned > 0, reached, "{v} in {what}, {geo:?}");
                 checked += 1;
             }
         }
     }
-    assert_eq!(checked, geos.len() * 3 * 12);
+    assert_eq!(checked, expected);
 }
 
 #[test]

@@ -5,11 +5,13 @@
 //! **bitwise** equal to `matmul(W, im2col(x))` / `matmul_nt(dOut,
 //! im2col(x))`, `conv2d_grad_input` to `col2im(matmul_tn(W, dOut))`; and
 //! all three are bitwise invariant to thread count, SIMD on/off and the
-//! KC/MC/NC blocking.
+//! KC/MC/NC blocking. The layers here are thin enough for the direct
+//! kernels (`conv_direct.rs` tests those), so every engine check widens the
+//! layer past their bound with zero filters (`common::engine`).
 
 mod common;
 
-use common::{assert_bits, oracle, Case};
+use common::{assert_bits, engine, oracle, Case};
 use puffer_tensor::conv::{conv2d_forward, conv2d_grad_input, conv2d_grad_weight, ConvGeometry};
 use puffer_tensor::gemm;
 use puffer_tensor::matmul::{parallel_threshold, set_parallel_threshold};
@@ -107,11 +109,9 @@ fn fused_matches_explicit_lowering_across_threads_simd_and_blockings() {
                         "{:?} n={} c_out={} kc={kc} mc={mc} nc={nc} simd={simd} threads={threads}",
                         case.geo, case.n, case.c_out
                     );
-                    let y = conv2d_forward(&o.x, &o.w, &case.geo).unwrap();
+                    let (y, dw, dx) = engine(case, &o);
                     assert_bits(&y, &o.y, "forward", &ctx);
-                    let dw = conv2d_grad_weight(&o.x, &o.dout, &case.geo).unwrap();
                     assert_bits(&dw, &o.dw, "dW", &ctx);
-                    let dx = conv2d_grad_input(&o.w, &o.dout, &case.geo).unwrap();
                     assert_bits(&dx, &o.dx, "dX", &ctx);
                 }
             }
@@ -137,7 +137,7 @@ fn grad_input_is_bitwise_col2im_however_images_are_grouped_and_split() {
         let o = oracle(&case, 500 + hw as u64);
         for threads in [1usize, 2, 8] {
             pool::set_num_threads(threads);
-            let dx = conv2d_grad_input(&o.w, &o.dout, &case.geo).unwrap();
+            let (_, _, dx) = engine(&case, &o);
             assert_bits(&dx, &o.dx, "dX", &format!("{geo:?} n={n} threads={threads}"));
         }
     }

@@ -61,6 +61,13 @@ echo "== attention kernels against the loops they replaced, release"
 # differently in release.
 cargo test -q --release --offline --locked -p puffer-tensor --test attention_bitwise
 
+echo "== direct convolutions against the engine and the explicit lowering, release"
+# conv_direct.rs runs every stride-1/stride-2, k×k/1×1 thin layer through
+# AVX2 tiles that read phase planes and dOut in place through raw pointers
+# behind bounds asserts; the suite switches SIMD on and off itself, and the
+# tiles and their scalar twins compile differently in release.
+cargo test -q --release --offline --locked -p puffer-tensor --test conv_direct
+
 echo "== attention layer under the scalar fallback (PUFFER_SIMD=0)"
 # The layer's own tests (the gradchecks, causal included) and its oracle
 # against the previous layer (all four projections' gradients), with the
