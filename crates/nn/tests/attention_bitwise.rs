@@ -17,7 +17,7 @@ use std::sync::Mutex;
 use puffer_nn::attention::{BlockRank, MultiHeadAttention};
 use puffer_nn::lstm::MatOp;
 use puffer_nn::param::Param;
-use puffer_tensor::gemm::set_simd_enabled;
+use puffer_tensor::gemm;
 use puffer_tensor::Tensor;
 
 static SIMD_LOCK: Mutex<()> = Mutex::new(());
@@ -228,10 +228,10 @@ fn check(
     causal: bool,
 ) {
     let _g = SIMD_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for simd in [true, false] {
-        set_simd_enabled(simd);
+    for tier in gemm::host_tiers() {
+        gemm::set_tier(tier);
         let at = format!(
-            "d={d} heads={heads} {rank:?} b={b} tq={tq} tk={tk} causal={causal} simd={simd}"
+            "d={d} heads={heads} {rank:?} b={b} tq={tq} tk={tk} causal={causal} tier={tier:?}"
         );
         let mut layer = MultiHeadAttention::new(d, heads, rank, 5).expect("valid config");
         let mut oracle = Oracle::new(d, heads, rank, 5);
@@ -257,7 +257,7 @@ fn check(
             assert_bits(&format!("{} grad {at}", p.name), &p.grad, &o.grad);
         }
     }
-    set_simd_enabled(true);
+    gemm::set_tier(gemm::Tier::Avx512);
 }
 
 #[test]

@@ -12,7 +12,7 @@
 //! These kernels vectorize across *elements* and keep every element's
 //! operations in the order of the scalar loops the layer used to run, so
 //! their results equal those loops' bit for bit, and the AVX2 forms equal
-//! their scalar twins ([`crate::gemm::set_simd_enabled`] picks one):
+//! their scalar twins ([`crate::gemm::set_tier`] picks one):
 //!
 //! * **Dot products** (`S = Q·Kᵀ`, `dA = dZ·Vᵀ`): one chain per `(i, j)`
 //!   from `+0.0` over ascending `d`, a rounded multiply and then a rounded
@@ -48,7 +48,7 @@
 // `Vec::with_capacity` (crates/tensor/clippy.toml, DESIGN.md §8).
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
-use crate::gemm::{self, Isa, PanelSource, View, NR};
+use crate::gemm::{Isa, PanelSource, View, NR};
 use crate::workspace;
 use crate::Tensor;
 use puffer_probe as probe;
@@ -144,7 +144,7 @@ pub fn forward(q: &Tensor, k: &Tensor, v: &Tensor, shape: Heads, causal: bool) -
     let scale = 1.0 / (g.dh as f32).sqrt();
     let mut attn = Tensor::unfilled(&[shape.batch, shape.heads, tq, tk]);
     let mut z = Tensor::unfilled(&[shape.batch * tq, g.dm]);
-    let avx = gemm::simd_enabled();
+    let isa = Isa::current();
     let mut scratch = workspace::take_unfilled(g.dh * g.tkp + tq * g.tkp);
     let (yt, s) = scratch.split_at_mut(g.dh * g.tkp);
     let (qs, ks, vs) = (q.as_slice(), k.as_slice(), v.as_slice());
@@ -152,13 +152,13 @@ pub fn forward(q: &Tensor, k: &Tensor, v: &Tensor, shape: Heads, causal: bool) -
     for bi in 0..shape.batch {
         for h in 0..shape.heads {
             let (qa, ka) = (g.at(bi, h, tq), g.at(bi, h, tk));
-            dots(avx, &g, &qs[qa..], &ks[ka..], scale, yt, s);
+            dots(isa, &g, &qs[qa..], &ks[ka..], scale, yt, s);
             let a = &mut attn_s[(bi * shape.heads + h) * tq * tk..][..tq * tk];
             for i in 0..tq {
                 let live = if causal { i + 1 } else { tk };
                 softmax_row(&s[i * g.tkp..][..tk], &mut a[i * tk..][..tk], live);
             }
-            weighted_sum(avx, &g, a, (tk, 1), tq, tk, &vs[ka..], &mut zs[qa..]);
+            weighted_sum(isa, &g, a, (tk, 1), tq, tk, &vs[ka..], &mut zs[qa..]);
         }
     }
     (attn, z)
@@ -192,7 +192,7 @@ pub fn backward(
     let mut dq = Tensor::unfilled(q.shape());
     let mut dk = Tensor::unfilled(k.shape());
     let mut dv = Tensor::unfilled(v.shape());
-    let avx = gemm::simd_enabled();
+    let isa = Isa::current();
     let mut scratch = workspace::take_unfilled(g.dh * g.tkp + tq * g.tkp);
     let (yt, ds) = scratch.split_at_mut(g.dh * g.tkp);
     let (dzs, attn_s) = (dz.as_slice(), weights.as_slice());
@@ -203,8 +203,8 @@ pub fn backward(
             let (qa, ka) = (g.at(bi, h, tq), g.at(bi, h, tk));
             let a = &attn_s[(bi * shape.heads + h) * tq * tk..][..tq * tk];
             // dA_ij = <dZ_i, V_j>; dV_j = Σ_i a_ij dZ_i
-            dots(avx, &g, &dzs[qa..], &vs[ka..], 1.0, yt, ds);
-            weighted_sum(avx, &g, a, (1, tk), tk, tq, &dzs[qa..], &mut dvs[ka..]);
+            dots(isa, &g, &dzs[qa..], &vs[ka..], 1.0, yt, ds);
+            weighted_sum(isa, &g, a, (1, tk), tk, tq, &dzs[qa..], &mut dvs[ka..]);
             // Softmax backward: dS_ij = a_ij (dA_ij − Σ_l a_il dA_il) / √dh
             for i in 0..tq {
                 let (arow, da) = (&a[i * tk..][..tk], &mut ds[i * g.tkp..][..tk]);
@@ -214,8 +214,8 @@ pub fn backward(
                 }
             }
             // dQ_i = Σ_j dS_ij K_j ; dK_j = Σ_i dS_ij Q_i
-            weighted_sum(avx, &g, ds, (g.tkp, 1), tq, tk, &ks[ka..], &mut dqs[qa..]);
-            weighted_sum(avx, &g, ds, (1, g.tkp), tk, tq, &qs[qa..], &mut dks[ka..]);
+            weighted_sum(isa, &g, ds, (g.tkp, 1), tq, tk, &ks[ka..], &mut dqs[qa..]);
+            weighted_sum(isa, &g, ds, (1, g.tkp), tk, tq, &qs[qa..], &mut dks[ka..]);
         }
     }
     (dq, dk, dv)
@@ -256,12 +256,12 @@ fn head_len(g: &Geo, rows: usize) -> usize {
 /// one chain per element from `+0.0`, ascending `d`, multiply then add, the
 /// chain's value then scaled (`1.0` leaves it as it is). `yt` is scratch
 /// for `y` with keys as lanes.
-fn dots(avx: bool, g: &Geo, x: &[f32], y: &[f32], scale: f32, yt: &mut [f32], out: &mut [f32]) {
+fn dots(isa: Isa, g: &Geo, x: &[f32], y: &[f32], scale: f32, yt: &mut [f32], out: &mut [f32]) {
     let (dm, dh, tq, tk, tkp) = (g.dm, g.dh, g.tq, g.tk, g.tkp);
     assert!(x.len() >= head_len(g, tq) && y.len() >= head_len(g, tk), "attention: head operand");
     assert!(yt.len() >= dh * tkp && out.len() >= tq * tkp, "attention: dot scratch");
     #[cfg(target_arch = "x86_64")]
-    if avx {
+    if isa.avx2() {
         // Keys become lanes, NR to a panel, by the GEMM engine's packer:
         // yt[(p·dh + d)·NR + q] = y_{p·NR + q}[d], zeros past tk.
         let view = View { data: y, rs: 1, cs: dm };
@@ -271,8 +271,8 @@ fn dots(avx: bool, g: &Geo, x: &[f32], y: &[f32], scale: f32, yt: &mut [f32], ou
         let mut i = 0;
         while i < tq {
             let rows = (tq - i).min(ROWS);
-            // SAFETY: `avx` is `gemm::simd_enabled()`, true only after
-            // `simd_supported()` detected AVX2 and FMA on this CPU; rows
+            // SAFETY: `isa.avx2()` holds only on a tier runtime
+            // detection found, so this CPU has AVX2 and FMA; rows
             // `i .. i + rows <= tq` of `x` hold `dh` floats each at
             // pitch `dm`, `yt` holds `tkp / NR` panels of `dh` rows of NR
             // and `out` `tq` rows of `tkp`, all asserted above.
@@ -290,7 +290,7 @@ fn dots(avx: bool, g: &Geo, x: &[f32], y: &[f32], scale: f32, yt: &mut [f32], ou
         }
         return;
     }
-    let _ = (avx, yt);
+    let _ = (isa, yt);
     for i in 0..tq {
         let xrow = &x[i * dm..][..dh];
         for (j, o) in out[i * tkp..][..tk].iter_mut().enumerate() {
@@ -309,7 +309,7 @@ fn dots(avx: bool, g: &Geo, x: &[f32], y: &[f32], scale: f32, yt: &mut [f32], ou
 /// element from `+0.0`, multiply then add, stored once.
 #[allow(clippy::too_many_arguments)]
 fn weighted_sum(
-    avx: bool,
+    isa: Isa,
     g: &Geo,
     w: &[f32],
     (rs, cs): (usize, usize),
@@ -324,13 +324,13 @@ fn weighted_sum(
     assert!(n_out * n_in == 0 || last(n_out, rs) + last(n_in, cs) < w.len(), "attention: w");
     let mut d0 = 0;
     #[cfg(target_arch = "x86_64")]
-    if avx {
+    if isa.avx2() {
         while d0 + LANES <= dh {
             let mut r = 0;
             while r < n_out {
                 let rows = (n_out - r).min(ROWS);
-                // SAFETY: `avx` is `gemm::simd_enabled()`, true only after
-                // `simd_supported()` detected AVX2 and FMA on this CPU; lanes
+                // SAFETY: `isa.avx2()` holds only on a tier runtime
+                // detection found, so this CPU has AVX2 and FMA; lanes
                 // `d0 .. d0 + LANES <= dh` of rows
                 // `c < n_in` of `m` and rows `r .. r + rows <= n_out` of
                 // `out`, and every weight index of those rows, are in bounds
@@ -350,7 +350,7 @@ fn weighted_sum(
             d0 += LANES;
         }
     }
-    let _ = avx;
+    let _ = isa;
     if d0 == dh {
         return;
     }
@@ -373,7 +373,7 @@ fn weighted_sum(
 mod avx {
     //! The AVX2 forms of the two tile kernels. Reachable only through the
     //! safe wrappers in the parent module, which take them only when
-    //! `gemm::simd_enabled()` is true (runtime detection found AVX2 and FMA)
+    //! `Isa::avx2` holds (runtime detection found AVX2 and FMA)
     //! and assert every bound these rely on. Multiplies and adds stay
     //! separate instructions: `fma` is not enabled here, so nothing can
     //! contract them.

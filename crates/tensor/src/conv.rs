@@ -372,6 +372,104 @@ impl PatchGeo {
     fn col(&self, ox: usize, kx: usize) -> isize {
         (ox * self.stride + kx) as isize - self.pad
     }
+
+    /// Whether a gathered panel may read `x`: its indices, and their sums
+    /// with the padding's negative offsets, fit `i32`.
+    #[cfg(target_arch = "x86_64")]
+    fn gatherable(x: &[f32]) -> bool {
+        x.len() <= i32::MAX as usize / 2
+    }
+
+    /// Asserts that every element a gathered panel of channels up to
+    /// `ci_last` and images up to `img_last` keeps is inside `x`: the
+    /// largest is the last pixel of plane `(img_last, ci_last)`.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_gather_bound(&self, x: &[f32], img_last: usize, ci_last: usize) {
+        let end = ((img_last * self.c + ci_last + 1) * self.h).checked_mul(self.w);
+        assert!(end.is_some_and(|end| end <= x.len()), "pack_panel: panel reads past its source");
+    }
+
+    /// The gather coordinates of output positions `j0..j0 + count`, in
+    /// order: the offset of the window's top-left input pixel (in the
+    /// padding, so possibly negative) and its input row and column.
+    #[cfg(target_arch = "x86_64")]
+    fn positions(&self, j0: usize, count: usize) -> impl Iterator<Item = gemm::Coord> + '_ {
+        let (mut img, mut oy, mut ox) = self.position(j0);
+        let plane = self.c * self.h * self.w;
+        (0..count).map(move |_| {
+            let y = (oy * self.stride) as isize - self.pad;
+            let x = (ox * self.stride) as isize - self.pad;
+            let off = (img * plane) as isize + y * self.w as isize + x;
+            (ox, oy) = (ox + 1, oy + usize::from(ox + 1 == self.wo));
+            if ox == self.wo {
+                ox = 0;
+            }
+            if oy == self.ho {
+                (oy, img) = (0, img + 1);
+            }
+            gemm::Coord { off: off as i32, y: y as i32, x: x as i32 }
+        })
+    }
+
+    /// The gather coordinates of patch rows `p0..p0 + count`, `p = (ci, ky,
+    /// kx)`, in order: the tap's offset from a window's top-left pixel and
+    /// its kernel row and column.
+    #[cfg(target_arch = "x86_64")]
+    fn taps(&self, p0: usize, count: usize) -> impl Iterator<Item = gemm::Coord> + '_ {
+        let (k, kk) = (self.k, self.k * self.k);
+        let (mut ci, mut ky, mut kx) = (p0 / kk, (p0 % kk) / k, p0 % k);
+        (0..count).map(move |_| {
+            let off = (ci * self.h + ky) * self.w + kx;
+            let tap = gemm::Coord { off: off as i32, y: ky as i32, x: kx as i32 };
+            kx += 1;
+            if kx == k {
+                (kx, ky) = (0, ky + 1);
+            }
+            if ky == k {
+                (ky, ci) = (0, ci + 1);
+            }
+            tap
+        })
+    }
+}
+
+/// Packs a panel of up to 16 lanes by one masked gather per depth row
+/// ([`gemm::gather_panel`]), lane and row coordinates adding to an input
+/// pixel or to the padding. For the 512-bit tier, where a panel's lanes do
+/// not lie in one contiguous run.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+fn pack_gathered(
+    x: &[f32],
+    g: &PatchGeo,
+    lanes: impl Iterator<Item = gemm::Coord>,
+    rows: impl Iterator<Item = gemm::Coord>,
+    (kc, w, r): (usize, usize, usize),
+    dst: &mut [f32],
+    isa: Isa,
+) {
+    assert!(isa.avx512() && w <= r && r <= NR && dst.len() == kc * r, "pack_panel: gather shape");
+    let mut coords = [gemm::Coord::default(); NR];
+    for (slot, lane) in coords.iter_mut().zip(lanes.take(w)) {
+        *slot = lane;
+    }
+    // SAFETY: `isa.avx512()` holds only on a tier runtime detection
+    // found, so this CPU has AVX-512F, AVX2 and FMA. A lane is kept
+    // only where its input row and column are inside the plane, so its
+    // index is a pixel of a plane the caller bounded inside `x`
+    // (`assert_gather_bound`), which also keeps it within `i32`
+    // (`gatherable`); `dst` is `kc` rows of `r`, asserted above, and
+    // `rows` yields `kc` rows.
+    unsafe {
+        gemm::gather_panel(
+            x.as_ptr(),
+            (g.h as i32, g.w as i32),
+            &coords[..w],
+            rows.take(kc),
+            r,
+            dst.as_mut_ptr(),
+        );
+    }
 }
 
 /// The patch matrix of an NCHW activation as a GEMM operand that is never
@@ -384,7 +482,9 @@ struct Patches<'a> {
 }
 
 impl PanelSource for Patches<'_> {
-    /// The lanes are cut into runs inside one output row; per run the loops
+    /// On the 512-bit tier a panel whose lanes span output rows is gathered
+    /// (one masked gather per patch row). Otherwise the lanes are cut into
+    /// runs inside one output row; per run the loops
     /// go kernel column → kernel row → channel, so that edge clipping (a
     /// property of `kx`), row validity (of `ky`) and the source offset (one
     /// plane further per `ci`) are each worked out where they change, and
@@ -397,9 +497,16 @@ impl PanelSource for Patches<'_> {
         w: usize,
         r: usize,
         dst: &mut [f32],
-        _isa: Isa,
+        isa: Isa,
     ) {
         let (g, kk) = (&self.g, self.g.k * self.g.k);
+        #[cfg(target_arch = "x86_64")]
+        if isa.avx512() && g.position(j0).2 + w > g.wo && PatchGeo::gatherable(self.x) {
+            g.assert_gather_bound(self.x, g.position(j0 + w - 1).0, (p0 + kc - 1) / kk);
+            let (lanes, rows) = (g.positions(j0, w), g.taps(p0, kc));
+            return pack_gathered(self.x, g, lanes, rows, (kc, w, r), dst, isa);
+        }
+        let _ = isa;
         if w < r {
             for row in dst.chunks_exact_mut(r) {
                 row[w..].fill(0.0);
@@ -475,7 +582,10 @@ impl Patches<'_> {
 /// The transposed patch matrix: depth `p = (img, oy, ox)`, lanes
 /// `j = (ci, ky, kx)`. With a 1×1 geometry this is an NCHW activation read
 /// as its `N·H·W × C` matrix, which is how the weight gradient reads
-/// `dOut`.
+/// `dOut`: a run of positions is then contiguous in every lane's plane, and
+/// the vector tiers pack it with [`View`]'s transposes. On the 512-bit tier
+/// any other geometry is gathered, one masked gather per position; the
+/// scalar loops below are the fallback and the oracle.
 struct PatchesT<'a> {
     x: &'a [f32],
     g: PatchGeo,
@@ -490,10 +600,27 @@ impl PanelSource for PatchesT<'_> {
         w: usize,
         r: usize,
         dst: &mut [f32],
-        _isa: Isa,
+        isa: Isa,
     ) {
         let g = &self.g;
         assert!(w <= r && r <= NR);
+        if isa.avx2() && g.k == 1 && g.stride == 1 && g.pad == 0 {
+            // Lane q is channel j0 + q, and a run of positions is a
+            // contiguous run of each of its planes: the View packer's
+            // depth-contiguous transposes, one run at a time.
+            let plane = g.h * g.w;
+            return g.for_each_run(p0, kc, |pl, len, img, oy, ox0| {
+                let start = (img * g.c + j0) * plane + oy * g.w + ox0;
+                let run = View { data: &self.x[start..], rs: 1, cs: plane };
+                run.pack_panel(0, len, 0, w, r, &mut dst[pl * r..(pl + len) * r], isa);
+            });
+        }
+        #[cfg(target_arch = "x86_64")]
+        if isa.avx512() && PatchGeo::gatherable(self.x) {
+            g.assert_gather_bound(self.x, g.position(p0 + kc - 1).0, (j0 + w - 1) / (g.k * g.k));
+            let (lanes, rows) = (g.taps(j0, w), g.positions(p0, kc));
+            return pack_gathered(self.x, g, lanes, rows, (kc, w, r), dst, isa);
+        }
         // Padding positions and lanes past `w` are never written below.
         dst.fill(0.0);
         // Per lane: its tap and the output columns the tap can read.
@@ -827,6 +954,94 @@ mod tests {
         let ones = Tensor::ones(&[4, 2]);
         let img = col2im(&ones, &g, 1).unwrap();
         assert_eq!(img.as_slice(), &[1.0, 2.0, 1.0, 1.0, 2.0, 1.0]);
+    }
+
+    /// `len` values, every third a bit pattern a copy must carry unchanged:
+    /// NaNs with payloads and either sign, ±0, ±Inf, subnormals.
+    fn payload(len: usize) -> Vec<f32> {
+        const SPECIALS: [u32; 8] = [
+            0x7fc0_0000,
+            0xffc0_1234,
+            0x7f80_0001,
+            0x8000_0000,
+            0x7f80_0000,
+            0xff80_0000,
+            0x0000_0001,
+            0x807f_ffff,
+        ];
+        (0..len)
+            .map(|i| match i % 3 {
+                0 => f32::from_bits(SPECIALS[(i / 3) % SPECIALS.len()]),
+                _ => i as f32 * 0.5 - 7.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_tier_packs_the_patch_matrix_bits() {
+        // Planes of H·W ∈ {1, 4, 9, 16, 25, 35}, 'same' and unpadded, stride
+        // 1 and 2, 3×3 and 1×1 (the collapsed planes of dOut): panels cut
+        // at every offset, against the explicit patch matrix bit for bit.
+        let shapes = [
+            (1, 1, 1, 1, 0),
+            (2, 2, 3, 1, 1),
+            (3, 3, 3, 1, 1),
+            (4, 4, 3, 1, 1),
+            (4, 4, 1, 1, 0),
+            (5, 5, 3, 2, 1),
+            (5, 5, 1, 2, 0),
+            (7, 5, 3, 1, 0),
+        ];
+        for (h, w, k, stride, padding) in shapes {
+            let g = geo(3, h, w, k, stride, padding);
+            let n = 3;
+            let x = Tensor::from_vec(payload(n * 3 * h * w), &[n, 3, h, w]).unwrap();
+            let cols = im2col(&x, &g).unwrap();
+            let (rows, npos) = (g.patch_rows(), n * g.h_out() * g.w_out());
+            let at = |p: usize, j: usize| cols.as_slice()[p * npos + j].to_bits();
+            let pg = PatchGeo::new(&g);
+            let (fwd, bwd) =
+                (Patches { x: x.as_slice(), g: pg }, PatchesT { x: x.as_slice(), g: pg });
+            for tier in gemm::host_tiers() {
+                let isa = Isa::clamped(tier);
+                for r in [gemm::MR, NR] {
+                    // Patches: depth = taps, lanes = positions.
+                    for (p0, kc) in [(0, rows), (1, rows - 1), (rows / 2, rows - rows / 2)] {
+                        for j0 in (0..npos).step_by(5) {
+                            let wl = r.min(npos - j0);
+                            let mut dst = vec![f32::NAN; kc * r];
+                            fwd.pack_panel(p0, kc, j0, wl, r, &mut dst, isa);
+                            for (i, v) in dst.iter().enumerate() {
+                                let (p, q) = (i / r, i % r);
+                                let want = if q < wl { at(p0 + p, j0 + q) } else { 0 };
+                                assert_eq!(
+                                    v.to_bits(),
+                                    want,
+                                    "Patches {g:?} {tier:?} r={r} p0={p0} j0={j0} ({p},{q})"
+                                );
+                            }
+                        }
+                    }
+                    // PatchesT: depth = positions, lanes = taps.
+                    for (p0, kc) in [(0, npos), (1, npos - 1), (npos / 2, npos - npos / 2)] {
+                        for j0 in (0..rows).step_by(3) {
+                            let wl = r.min(rows - j0);
+                            let mut dst = vec![f32::NAN; kc * r];
+                            bwd.pack_panel(p0, kc, j0, wl, r, &mut dst, isa);
+                            for (i, v) in dst.iter().enumerate() {
+                                let (p, q) = (i / r, i % r);
+                                let want = if q < wl { at(j0 + q, p0 + p) } else { 0 };
+                                assert_eq!(
+                                    v.to_bits(),
+                                    want,
+                                    "PatchesT {g:?} {tier:?} r={r} p0={p0} j0={j0} ({p},{q})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -77,7 +77,7 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use crate::conv::ConvGeometry;
-use crate::gemm::{self, SendPtr};
+use crate::gemm::{Isa, SendPtr};
 use crate::pool::{self, chunk_range};
 use crate::workspace;
 use std::ops::Range;
@@ -534,7 +534,7 @@ pub(crate) fn forward(
             }
         }
     }
-    let avx = gemm::simd_enabled();
+    let isa = Isa::current();
     let part_len = st.scratch_len(c_in, need);
     for_image_parts(n, parallel, part_len, y, c_out * hw_out, |xpad, imgs, y| {
         for (img, y) in imgs.zip(y.chunks_exact_mut(c_out * hw_out)) {
@@ -542,7 +542,7 @@ pub(crate) fn forward(
             for (rows, count, co) in tile_groups(c_out) {
                 let wt = &wt[co.start * depth..co.end * depth];
                 let y = &mut y[co.start * hw_out..co.end * hw_out];
-                forward_rows(avx, (rows, count), &taps, (c_in, pitch), wt, xs, &pl, y);
+                forward_rows(isa, (rows, count), &taps, (c_in, pitch), wt, xs, &pl, y);
             }
         }
     });
@@ -577,7 +577,7 @@ macro_rules! tile_kernel {
 /// staged channels of `pitch` floats and all taps.
 #[allow(clippy::too_many_arguments)]
 fn forward_rows(
-    avx: bool,
+    isa: Isa,
     (rows, count): (usize, usize),
     taps: &Taps,
     (c, pitch): (usize, usize),
@@ -591,9 +591,9 @@ fn forward_rows(
     assert!(pl.need(c, pitch, taps) <= xs.len(), "direct conv: run outside its planes");
     assert_eq!(y.len(), count * rows * pl.len(), "direct conv: result length");
     #[cfg(target_arch = "x86_64")]
-    if avx {
-        // SAFETY: `avx` is `gemm::simd_enabled()`, true only after
-        // `simd_supported()` detected AVX2 and FMA on this CPU; `wt` holds
+    if isa.avx2() {
+        // SAFETY: `isa.avx2()` holds only on a tier runtime
+        // detection found, so this CPU has AVX2 and FMA; `wt` holds
         // `count` tiles of one row of `rows` weights per channel and tap,
         // every run's loads from `xs` are in bounds (`need` covers the last
         // run) and `y` holds `count · rows` planes of every run's results,
@@ -604,7 +604,7 @@ fn forward_rows(
         }
         return;
     }
-    let _ = avx;
+    let _ = isa;
     let tiles = wt.chunks_exact(rows * depth).zip(y.chunks_exact_mut(rows * pl.len()));
     for (wt, y) in tiles {
         for (src, dst) in pl.tiles() {
@@ -786,7 +786,7 @@ pub(crate) fn grad_input(
             }
         }
     }
-    let avx = gemm::simd_enabled();
+    let isa = Isa::current();
     let stage_len = st.scratch_len(c_out, need);
     // Past stride 1 the phases' results are gathered into a scratch image
     // and interleaved into dX; at stride 1 the one phase is dX itself. A
@@ -799,7 +799,7 @@ pub(crate) fn grad_input(
                 let wt = &wt[ci.start * kk * c_out..ci.end * kk * c_out];
                 let out = &mut out[ci.start * hw_in + ph.off..];
                 let geo = (k, c_out, st.pitch(), hw_in);
-                grad_input_rows(avx, (rows, count), ph, geo, wt, ds, mask, out);
+                grad_input_rows(isa, (rows, count), ph, geo, wt, ds, mask, out);
             }
         }
     };
@@ -841,7 +841,7 @@ pub(crate) fn grad_input(
 /// the phase's masks `valid`.
 #[allow(clippy::too_many_arguments)]
 fn grad_input_rows(
-    avx: bool,
+    isa: Isa,
     (rows, count): (usize, usize),
     ph: &Phase,
     geo: (usize, usize, usize, usize),
@@ -860,9 +860,9 @@ fn grad_input_rows(
     let planes = count * rows;
     assert!((planes - 1) * plane_len + pl.len() <= out.len(), "direct conv: result length");
     #[cfg(target_arch = "x86_64")]
-    if avx {
-        // SAFETY: `avx` is `gemm::simd_enabled()`, true only after
-        // `simd_supported()` detected AVX2 and FMA on this CPU; `wt` holds
+    if isa.avx2() {
+        // SAFETY: `isa.avx2()` holds only on a tier runtime
+        // detection found, so this CPU has AVX2 and FMA; `wt` holds
         // `count` tiles of `k²·c` rows of `rows` weights and every tap's
         // kernel indices are below `k`, every run's loads from `ds` are in
         // bounds (`need`
@@ -876,7 +876,7 @@ fn grad_input_rows(
         }
         return;
     }
-    let _ = avx;
+    let _ = isa;
     let run_count = pl.run_count();
     for (tile, wt) in wt.chunks_exact(tile_len).enumerate() {
         let out = &mut out[tile * rows * plane_len..];
@@ -971,7 +971,7 @@ pub(crate) fn grad_weight(
     let group = (DW_GROUP / (x_len + dt_len)).clamp(1, n);
     let part_len = group * (xs_len + dt_len) + units.div_ceil(parts) * nt * cb;
     let mut scratch = workspace::take(parts * part_len);
-    let avx = gemm::simd_enabled();
+    let isa = Isa::current();
     pool::run_chunked(&mut scratch, part_len, |first, chunk| {
         for (part, scratch) in (first..).zip(chunk.chunks_exact_mut(part_len)) {
             let own = chunk_range(units, parts, part);
@@ -989,7 +989,7 @@ pub(crate) fn grad_weight(
                         st.stage(&x[planes], &mut xpad[at..]);
                     }
                     let planes = &dout[img * c_out * hw_out..][..c_out * hw_out];
-                    transpose_into(avx, planes, hw_out, dt, cr);
+                    transpose_into(isa, planes, hw_out, dt, cr);
                 }
                 let xs = if in_place {
                     &x[img0 * x_len..(img0 + imgs) * x_len]
@@ -1010,7 +1010,7 @@ pub(crate) fn grad_weight(
                         *at = ci * pitch + xy.ty[ky] + xy.tx[kx];
                     }
                     let block = (unit % blocks * cb, cr);
-                    grad_weight_tile(avx, (nt, vb), &pl, x_len, xs, &at, dt, block, acc);
+                    grad_weight_tile(isa, (nt, vb), &pl, x_len, xs, &at, dt, block, acc);
                 }
             }
         }
@@ -1033,15 +1033,15 @@ pub(crate) fn grad_weight(
 /// floats into `dst`: `dst[p·cr + ch] = src[ch·hw + p]`; lanes `c..cr` are
 /// left as they are. Whole 8×8 blocks go through in-register transposes,
 /// which move every bit pattern unchanged; the rest is copied one by one.
-fn transpose_into(avx: bool, src: &[f32], hw: usize, dst: &mut [f32], cr: usize) {
+fn transpose_into(isa: Isa, src: &[f32], hw: usize, dst: &mut [f32], cr: usize) {
     let c = src.len() / hw.max(1);
     assert_eq!(src.len(), c * hw, "direct conv: planes length");
     assert!(c <= cr && dst.len() == hw * cr, "direct conv: transposed length");
     let (mut c8, mut p8) = (c / LANES * LANES, hw / LANES * LANES);
     #[cfg(target_arch = "x86_64")]
-    if avx && c8 > 0 && p8 > 0 {
-        // SAFETY: `avx` is `gemm::simd_enabled()`, true only after
-        // `simd_supported()` detected AVX2 and FMA on this CPU; the blocks
+    if isa.avx2() && c8 > 0 && p8 > 0 {
+        // SAFETY: `isa.avx2()` holds only on a tier runtime
+        // detection found, so this CPU has AVX2 and FMA; the blocks
         // read channels below `c8 ≤ c` and pixels below `p8 ≤ hw` of `src`
         // and write rows below `p8` and lanes below `c8 ≤ cr` of `dst`,
         // whose lengths are asserted above.
@@ -1051,7 +1051,7 @@ fn transpose_into(avx: bool, src: &[f32], hw: usize, dst: &mut [f32], cr: usize)
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = avx;
+        let _ = isa;
         (c8, p8) = (0, 0);
     }
     for (p, lanes) in dst.chunks_exact_mut(cr).enumerate() {
@@ -1069,7 +1069,7 @@ fn transpose_into(avx: bool, src: &[f32], hw: usize, dst: &mut [f32], cr: usize)
 /// `c0` floats into a pixel.
 #[allow(clippy::too_many_arguments)]
 fn grad_weight_tile(
-    avx: bool,
+    isa: Isa,
     (nt, vecs): (usize, usize),
     pl: &Planes,
     x_len: usize,
@@ -1087,9 +1087,9 @@ fn grad_weight_tile(
     let last = (pl.rows - 1) * pl.wp + pl.cols - 1;
     assert!(at[..nt].iter().all(|&at| at + last < x_len), "direct conv: tap outside x");
     #[cfg(target_arch = "x86_64")]
-    if avx {
-        // SAFETY: `avx` is `gemm::simd_enabled()`, true only after
-        // `simd_supported()` detected AVX2 and FMA on this CPU; `xs` holds
+    if isa.avx2() {
+        // SAFETY: `isa.avx2()` holds only on a tier runtime
+        // detection found, so this CPU has AVX2 and FMA; `xs` holds
         // `imgs` images of `x_len` floats, `dt` `cr` floats per pixel of
         // each with this block's `cb` inside them, `acc` `cb` per tap, and
         // each tap's offset plus the last pixel's is inside an image, all
@@ -1106,7 +1106,7 @@ fn grad_weight_tile(
         }
         return;
     }
-    let _ = avx;
+    let _ = isa;
     let mut d = dt.chunks_exact(cr);
     for x in xs.chunks_exact(x_len) {
         for oy in 0..pl.rows {
@@ -1127,7 +1127,7 @@ fn grad_weight_tile(
 mod avx {
     //! The AVX2+FMA forms of the three tile kernels. Reachable only through
     //! the safe wrappers in the parent module, which take them only when
-    //! `gemm::simd_enabled()` is true (runtime detection found AVX2 and FMA)
+    //! `Isa::avx2` holds (runtime detection found AVX2 and FMA)
     //! and assert every bound these rely on.
 
     use super::{Planes, Taps, Tile, DW_ACCS, LANES};

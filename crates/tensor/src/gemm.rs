@@ -30,20 +30,21 @@
 //! either.
 //!
 //! A `View` with unit depth stride (the A of `matmul` and `matmul_nt`, the B
-//! of `matmul_nt`, a convolution's weight) packs through in-register 8×8
-//! transposes — eight depth rows of eight lanes loaded lane by lane, stored
-//! as eight whole panel rows — and one with unit lane stride and `r = MR`
-//! (the A of `matmul_tn`) through one masked 8-lane load and store per depth
-//! row; a unit-lane-stride B panel moves 16-float rows, and everything else
-//! takes the scalar loops, which are also the `PUFFER_SIMD=0` path and the
-//! oracle of `tests/pack_bitwise.rs`. The choice is the product's [`Isa`],
-//! read once per [`gemm`] call. Either way a panel only *copies*: shuffles,
-//! loads and stores move bit patterns, so NaN payloads, signed zeros and
-//! subnormals arrive unchanged and no result can depend on the path. The
-//! vector paths read through raw pointers behind two asserts — `dst` is
-//! `kc·r` floats, and the panel's last source index, the largest it reads,
-//! is inside the view's slice — and masked loads never touch a lane past
-//! it.
+//! of `matmul_nt`, a convolution's weight) packs through in-register
+//! transposes — depth rows of lanes loaded lane by lane, stored as whole
+//! panel rows: 16×16 in `zmm` for a 16-lane panel on the 512-bit tier, 8×8
+//! in `ymm` otherwise — and one with unit lane stride (the A of `matmul_tn`,
+//! the B of `matmul`) through one masked row copy per depth row (8 lanes
+//! for `r = MR`, and 16 `k`-masked lanes for `r = NR` on the 512-bit tier);
+//! everything else takes the scalar loops, which are also the
+//! `PUFFER_SIMD=0` path and the oracle of `tests/pack_bitwise.rs`. The
+//! convolution sources gather or transpose (`conv.rs`). The choice is the product's [`Isa`], read once per [`gemm`]
+//! call. Either way a panel only *copies*: shuffles, gathers, loads and
+//! stores move bit patterns, so NaN payloads, signed zeros and subnormals
+//! arrive unchanged and no result can depend on the path. The vector paths
+//! read through raw pointers behind two asserts — `dst` is `kc·r` floats,
+//! and the panel's last source index, the largest it reads, is inside the
+//! view's slice — and masked loads never touch a lane past it.
 //!
 //! Block scratch comes from the per-thread arenas ([`crate::workspace`]) and
 //! is sized `min(KC, k) × min(NC, n)`, so steady-state steps allocate
@@ -55,15 +56,28 @@
 //!
 //! # The micro-kernel
 //!
-//! The register tile is MR=6 × NR=16: twelve 8-lane f32 accumulators, two
-//! B vectors and one A broadcast fill 15 of the 16 AVX2 `ymm` registers,
-//! and every `p` step issues 12 FMAs against 8 load-port µops — the
-//! FMA-throughput-bound shape on every AVX2 core. The kernel is selected
-//! at runtime via `is_x86_feature_detected!("avx2")/("fma")` and can be
-//! forced off with `PUFFER_SIMD=0` (or [`set_simd_enabled`]); the scalar
-//! fallback computes the *identical* fused chain through [`f32::mul_add`],
-//! which (like the hardware FMA) rounds once per step, so SIMD-on and
-//! SIMD-off results are **bitwise identical**.
+//! The engine runs one of three [`Tier`]s, resolved once from runtime
+//! feature detection (`PUFFER_SIMD=0` forces the scalar one; [`set_tier`]
+//! picks one in-process, clamped to what the host has). The register tile
+//! is written once, generic over the lane width (`avx::tile`):
+//!
+//! * **AVX-512F** — 12×32, two A panels × two B panels: 24 `zmm`
+//!   accumulators, two B vectors and one broadcast in 27 of the 32
+//!   registers, 24 FMAs per `p` step. Panels a block has left over take the
+//!   12×16, 6×32 and 6×16 forms of the same tile.
+//! * **AVX2 + FMA** — 6×16, one panel pair: twelve `ymm` accumulators, two B
+//!   vectors and one broadcast in 15 of the 16 registers, 12 FMAs against 8
+//!   load-port µops.
+//! * **Scalar** — the *identical* fused chain through [`f32::mul_add`],
+//!   which (like the hardware FMA) rounds once per step.
+//!
+//! MR, NR and every packing layout are the same on all three, and lanes are
+//! distinct output elements, so all three are **bitwise identical**. A tile
+//! whose rows are all live and whose vectors each land whole in one segment
+//! of the [`CLayout`] moves them with plain loads and stores; a short tile,
+//! or one straddling NCHW segments (every tile when `H·W < 16`), moves each
+//! row run by run with masked stores (`k`-masks on the 512-bit tier), so
+//! edges run the full tile too.
 //!
 //! # Determinism
 //!
@@ -119,66 +133,197 @@ static KC: AtomicUsize = AtomicUsize::new(KC_DEFAULT);
 static MC: AtomicUsize = AtomicUsize::new(MC_DEFAULT);
 static NC: AtomicUsize = AtomicUsize::new(NC_DEFAULT);
 
-/// `0` = unresolved, `1` = scalar fallback, `2` = AVX2+FMA kernel.
-static SIMD: AtomicU8 = AtomicU8::new(0);
+/// A kernel tier: how wide the vector code the engine runs is. Ordered, so
+/// a tier includes every one below it — the 512-bit tier also runs the
+/// 8-lane packers and the AVX2 kernels of the direct convolutions and of
+/// attention.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Tier {
+    /// The `f32::mul_add` loops: the test oracle and the `PUFFER_SIMD=0`
+    /// path.
+    Scalar,
+    /// 8-lane `ymm` kernels: AVX2 + FMA.
+    Avx2,
+    /// 16-lane `zmm` kernels: AVX-512F, with AVX2 + FMA.
+    Avx512,
+}
 
-/// Whether this build/host can run the vector micro-kernel at all
-/// (compile-time x86-64 and runtime AVX2 + FMA detection).
-pub fn simd_supported() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+impl Tier {
+    /// Every tier, narrowest first.
+    pub const ALL: [Tier; 3] = [Tier::Scalar, Tier::Avx2, Tier::Avx512];
+
+    /// The name reports and tables print.
+    pub fn name(self) -> &'static str {
+        match self {
+            Tier::Scalar => "scalar",
+            Tier::Avx2 => "avx2",
+            Tier::Avx512 => "avx512",
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+
+    /// f32 lanes of one vector register (1 for the scalar loops).
+    pub fn lanes(self) -> usize {
+        match self {
+            Tier::Scalar => 1,
+            Tier::Avx2 => 8,
+            Tier::Avx512 => 16,
+        }
+    }
+
+    fn code(self) -> u8 {
+        self as u8 + 1
+    }
+
+    fn from_code(code: u8) -> Self {
+        Tier::ALL[usize::from(code.clamp(1, 3) - 1)]
     }
 }
 
-/// Whether the vector micro-kernel is currently in use. Resolves lazily:
-/// `PUFFER_SIMD=0` (or `false`/`off`) forces the scalar fallback, otherwise
-/// runtime feature detection decides. Results are bitwise identical either
-/// way; the switch exists for A/B benchmarking and fallback testing.
-pub fn simd_enabled() -> bool {
-    match SIMD.load(Ordering::Relaxed) {
+/// `0` = unresolved, otherwise [`Tier::code`] of the tier in use.
+static TIER: AtomicU8 = AtomicU8::new(0);
+
+/// The widest tier this build and host can run, from runtime feature
+/// detection: AVX-512F with AVX2 and FMA, AVX2 with FMA, or scalar.
+pub fn host_tier() -> Tier {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            return if is_x86_feature_detected!("avx512f") { Tier::Avx512 } else { Tier::Avx2 };
+        }
+    }
+    Tier::Scalar
+}
+
+/// Whether this build/host can run vector kernels at all (compile-time
+/// x86-64 and runtime AVX2 + FMA detection).
+pub fn simd_supported() -> bool {
+    host_tier() >= Tier::Avx2
+}
+
+/// The tiers this host can run, narrowest first: what the bitwise suites
+/// and `gemm-scaling` step through.
+pub fn host_tiers() -> impl Iterator<Item = Tier> {
+    Tier::ALL.into_iter().filter(|&t| t <= host_tier())
+}
+
+/// The tier in use. Resolves lazily: `PUFFER_SIMD=0` (or `false`/`off`)
+/// forces the scalar loops, otherwise it is [`host_tier`]. Results are
+/// bitwise identical on every tier; the switch exists for A/B benchmarking
+/// and fallback testing.
+pub fn tier() -> Tier {
+    match TIER.load(Ordering::Relaxed) {
         0 => {
             let env_off = std::env::var("PUFFER_SIMD")
                 .map(|v| matches!(v.trim(), "0" | "false" | "off"))
                 .unwrap_or(false);
-            let on = !env_off && simd_supported();
-            // Losing the race means `set_simd_enabled` or another resolver
-            // already stored the answer, which the load below reads.
-            SIMD.compare_exchange(0, if on { 2 } else { 1 }, Ordering::Relaxed, Ordering::Relaxed)
-                .ok();
-            SIMD.load(Ordering::Relaxed) == 2
+            let resolved = if env_off { Tier::Scalar } else { host_tier() };
+            // Losing the race means `set_tier` or another resolver already
+            // stored the answer, which the load below reads.
+            TIER.compare_exchange(0, resolved.code(), Ordering::Relaxed, Ordering::Relaxed).ok();
+            Tier::from_code(TIER.load(Ordering::Relaxed))
         }
-        s => s == 2,
+        code => Tier::from_code(code),
     }
 }
 
-/// Forces the micro-kernel choice at runtime. Requesting SIMD on a host
-/// without AVX2+FMA keeps the scalar fallback (the setting is effective,
-/// not aspirational). The bitwise-equality tests toggle this to compare
-/// both paths in one process.
-pub fn set_simd_enabled(on: bool) {
-    SIMD.store(if on && simd_supported() { 2 } else { 1 }, Ordering::Relaxed);
+/// Sets the tier for the rest of the process, clamped to [`host_tier`] (the
+/// setting is effective, not aspirational), and returns the tier now in
+/// use. The bitwise-equality tests and `gemm-scaling` step through the
+/// tiers with it in one process.
+pub fn set_tier(want: Tier) -> Tier {
+    let tier = want.min(host_tier());
+    TIER.store(tier.code(), Ordering::Relaxed);
+    tier
 }
 
-/// The kernel choice of one product, read from [`simd_enabled`] once per
-/// [`gemm`] call and handed to every micro-kernel call and every
-/// [`PanelSource::pack_panel`]. [`Isa::current`] is the only constructor,
-/// so an `Isa` that selects the AVX2 paths was made on a host that has
-/// AVX2 + FMA.
+/// The kernel choice of one product, read from [`tier`] once per [`gemm`]
+/// call and handed to every micro-kernel call and every
+/// [`PanelSource::pack_panel`]. Both constructors, [`Isa::current`] and
+/// [`Isa::clamped`], stay within [`host_tier`], so an `Isa` that selects a
+/// vector path was made on a host that has the features it needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Isa {
-    avx2: bool,
+    tier: Tier,
 }
 
 impl Isa {
-    /// The choice [`simd_enabled`] makes now.
+    /// The choice [`tier`] makes now.
     pub fn current() -> Self {
-        Isa { avx2: simd_enabled() }
+        Isa { tier: tier() }
     }
+
+    /// `tier`, clamped to [`host_tier`] like [`set_tier`], without touching
+    /// the process-wide setting: for driving one packer on every tier.
+    pub fn clamped(tier: Tier) -> Self {
+        Isa { tier: tier.min(host_tier()) }
+    }
+
+    /// The tier this choice runs.
+    pub fn tier(self) -> Tier {
+        self.tier
+    }
+
+    /// Whether the AVX2 + FMA paths may run (the 512-bit tier includes
+    /// them).
+    pub(crate) fn avx2(self) -> bool {
+        self.tier >= Tier::Avx2
+    }
+
+    /// Whether the AVX-512F paths may run.
+    pub(crate) fn avx512(self) -> bool {
+        self.tier == Tier::Avx512
+    }
+
+    /// The largest register tile, in `(A, B)` panels: 2 × 2 (12 × 32) at
+    /// 16 lanes, one MR × NR panel pair otherwise.
+    fn tile_panels(self) -> (usize, usize) {
+        if self.avx512() {
+            (2, 2)
+        } else {
+            (1, 1)
+        }
+    }
+
+    /// Lanes per vector of the tier's tile; the scalar kernel treats a
+    /// whole NR-wide panel as its one "vector".
+    fn vector_lanes(self) -> usize {
+        match self.tier {
+            Tier::Scalar => NR,
+            tier => tier.lanes(),
+        }
+    }
+}
+
+/// Runs a register-only fused multiply–add loop on `tier` (clamped to the
+/// host): `iters` steps of twelve independent accumulators, one vector of
+/// the tier's lanes each, and no memory traffic. Returns the floating-point
+/// operations it ran (two per lane per FMA) and a sum of its accumulators,
+/// which keeps the loop observable. Timed on one thread (`gemm-scaling`), it
+/// is the core's FMA peak at that width: the bound every kernel of the tier
+/// reads against.
+pub fn fma_peak_loop(tier: Tier, iters: usize) -> (f64, f32) {
+    const ACCS: usize = 12;
+    let tier = tier.min(host_tier());
+    let flops = (2 * ACCS * tier.lanes() * iters) as f64;
+    #[cfg(target_arch = "x86_64")]
+    {
+        if tier == Tier::Avx512 {
+            // SAFETY: the tier is clamped to what runtime detection found,
+            // so this host has AVX-512F, AVX2 and FMA.
+            return (flops, unsafe { avx::fma_loop_avx512::<ACCS>(iters) });
+        }
+        if tier == Tier::Avx2 {
+            // SAFETY: as above, with AVX2 and FMA.
+            return (flops, unsafe { avx::fma_loop_avx2::<ACCS>(iters) });
+        }
+    }
+    let mut acc = [0.0f32; ACCS];
+    for _ in 0..iters {
+        for x in acc.iter_mut() {
+            *x = x.mul_add(0.999_999, 1e-7);
+        }
+    }
+    (flops, acc.iter().sum())
 }
 
 /// The effective `(KC, MC, NC)` blocking: the defaults above unless
@@ -272,9 +417,11 @@ impl<'a> View<'a> {
     }
 
     /// The vector half of [`View::pack_panel`]: unit depth stride with
-    /// `r ∈ {MR, NR}` goes through in-register 8×8 transposes, unit lane
-    /// stride with `r = MR` through one masked row copy per depth row.
-    /// Returns `false`, having touched nothing, for every other panel.
+    /// `r ∈ {MR, NR}` goes through in-register transposes (16×16 for
+    /// `r = NR` on the 512-bit tier, 8×8 otherwise), unit lane stride with
+    /// `r = MR` through one masked 8-lane row copy per depth row, and with
+    /// `r = NR` on the 512-bit tier through one masked 16-lane one. Returns
+    /// `false`, having touched nothing, for every other panel.
     #[cfg(target_arch = "x86_64")]
     #[allow(clippy::too_many_arguments)]
     fn pack_avx(
@@ -287,9 +434,9 @@ impl<'a> View<'a> {
         dst: &mut [f32],
         isa: Isa,
     ) -> bool {
-        let lane_contiguous = self.cs == 1 && r == MR;
+        let lane_contiguous = self.cs == 1 && (r == MR || (r == NR && isa.avx512()));
         let depth_contiguous = self.cs != 1 && self.rs == 1 && (r == MR || r == NR);
-        if !isa.avx2 || !(lane_contiguous || depth_contiguous) || kc == 0 || w == 0 {
+        if !isa.avx2() || !(lane_contiguous || depth_contiguous) || kc == 0 || w == 0 {
             return false;
         }
         // Every element the panel reads is (p0 + p, j0 + q) with p < kc and
@@ -303,21 +450,28 @@ impl<'a> View<'a> {
             panic!("pack_panel: panel index overflows");
         };
         assert!(last < self.data.len(), "pack_panel: panel reads past its view");
-        let src = self.data[first..].as_ptr();
-        if lane_contiguous {
-            // SAFETY: `isa.avx2` comes from `Isa::current`, true only after
-            // runtime detection found AVX2 + FMA. Reads are src + p·rs + q
-            // for p < kc, q < w — element (p0 + p, j0 + q), at most `last`,
-            // which is inside `data` — and writes are the kc·MR floats of
-            // `dst`, asserted above.
-            unsafe { avx::pack_lane_contiguous(src, self.rs, kc, w, dst.as_mut_ptr()) };
+        let (src, out) = (self.data[first..].as_ptr(), dst.as_mut_ptr());
+        // SAFETY (every call below): `isa.avx2()` / `isa.avx512()` hold
+        // only on a tier runtime detection found, so this CPU has AVX2 + FMA
+        // / AVX-512F as well. Reads are element (p0 + p, j0 + q)
+        // for p < kc, q < w — src + p·rs + q·cs, at most `last`, which is
+        // inside `data` — and writes are the kc·r floats of `dst`, all
+        // asserted above.
+        if lane_contiguous && r == NR {
+            // SAFETY: see above; only the 512-bit tier takes r = NR here.
+            unsafe { avx::pack_lane_contiguous16(src, self.rs, kc, w, out) };
+        } else if lane_contiguous {
+            // SAFETY: see above; r = MR.
+            unsafe { avx::pack_lane_contiguous(src, self.rs, kc, w, out) };
         } else if r == MR {
-            // SAFETY: as above; reads are src + q·cs + p for q < w, p < kc,
-            // and writes the kc·MR floats of `dst`.
-            unsafe { avx::pack_depth_contiguous::<MR>(src, self.cs, kc, w, dst.as_mut_ptr()) };
+            // SAFETY: see above.
+            unsafe { avx::pack_depth_contiguous::<MR>(src, self.cs, kc, w, out) };
+        } else if isa.avx512() {
+            // SAFETY: see above; r = NR.
+            unsafe { avx::pack_depth_contiguous16(src, self.cs, kc, w, out) };
         } else {
-            // SAFETY: as above, with r = NR.
-            unsafe { avx::pack_depth_contiguous::<NR>(src, self.cs, kc, w, dst.as_mut_ptr()) };
+            // SAFETY: see above; r = NR.
+            unsafe { avx::pack_depth_contiguous::<NR>(src, self.cs, kc, w, out) };
         }
         true
     }
@@ -635,6 +789,7 @@ impl<'a> Engine<'a> {
         let kc_cap = kc_max.min(self.k);
         let nb = b_block.len() / (NR * kc_cap);
         let mb = a_block.len() / (MR * kc_cap);
+        let (ap_max, bp_max) = self.isa.tile_panels();
         for jb in cols.clone().step_by(nb.max(1)) {
             let jb_end = (jb + nb).min(cols.end);
             for p0 in (0..self.k).step_by(kc_max) {
@@ -643,100 +798,150 @@ impl<'a> Engine<'a> {
                 for ib in rows.clone().step_by(mb.max(1)) {
                     let ib_end = (ib + mb).min(rows.end);
                     pack_block(self.a, p0, kc, ib..ib_end, MR, self.m, a_block, self.isa);
-                    for (pb, jp) in b_block.chunks_exact(NR * kc).zip(jb..jb_end) {
-                        let j = jp * NR;
-                        let cols_live = NR.min(self.n - j);
-                        let in_one_segment = j % self.layout.seg + cols_live <= self.layout.seg;
-                        for (pa, ip) in a_block.chunks_exact(MR * kc).zip(ib..ib_end) {
+                    // Tiles of up to `ap_max × bp_max` panels: the register
+                    // tile of the tier, and narrower ones for the panels a
+                    // block has left over.
+                    let mut jp = jb;
+                    while jp < jb_end {
+                        let bp = bp_max.min(jb_end - jp);
+                        let pb = &b_block[(jp - jb) * NR * kc..][..bp * NR * kc];
+                        let tile_cols = self.tile_cols(jp * NR, bp * NR);
+                        let mut ip = ib;
+                        while ip < ib_end {
+                            let ap = ap_max.min(ib_end - ip);
+                            let pa = &a_block[(ip - ib) * MR * kc..][..ap * MR * kc];
                             let i = ip * MR;
-                            let rows_live = MR.min(self.m - i);
-                            if rows_live == MR && cols_live == NR && in_one_segment {
-                                // SAFETY: (i..i+MR) × (j..j+NR) is inside
-                                // this worker's panel range, its NR columns
-                                // are contiguous within one segment, and
-                                // gemm() checked that the layout's largest
-                                // offset is in bounds.
-                                let tile = unsafe { self.c.0.add(self.layout.offset(i, j)) };
-                                kernel(self.isa, p0 > 0, kc, pa, pb, tile, self.layout.seg);
-                            } else {
-                                self.edge_tile(p0 > 0, kc, pa, pb, (i, rows_live), (j, cols_live));
-                            }
+                            let live = (ap * MR).min(self.m - i);
+                            // SAFETY: row i < m starts at offset i·seg, at
+                            // most the offset of (m − 1, 0), which gemm()
+                            // checked is inside C.
+                            let c = unsafe { self.c.0.add(i * self.layout.seg) };
+                            let tile =
+                                Tile { c, ldc: self.layout.seg, rows: live, cols: &tile_cols };
+                            kernel(self.isa, (ap, bp), p0 > 0, kc, pa, pb, &tile);
+                            ip += ap;
                         }
+                        jp += bp;
                     }
                 }
             }
         }
     }
 
-    /// Runs the register-tile kernel on a tile that is short (the last
-    /// rows or columns of C) or whose columns straddle a layout segment.
-    /// The tile stages through a stack buffer: valid C elements are loaded
-    /// into it (`resume`; the first KC block starts from the buffer's
-    /// `+0.0`), the same full-size kernel runs (padded lanes compute over
-    /// packed zeros and are discarded), and the valid region is stored back
-    /// — per element the identical fused chain, so edge handling never
-    /// perturbs results.
-    fn edge_tile(
-        &self,
-        resume: bool,
-        kc: usize,
-        pa: &[f32],
-        pb: &[f32],
-        (i, rows): (usize, usize),
-        (j, cols): (usize, usize),
-    ) {
-        let mut tile = [0.0f32; MR * NR];
-        let mut col = [0usize; NR];
-        for (q, off) in col.iter_mut().enumerate().take(cols) {
-            *off = self.layout.offset(i, j + q);
-        }
-        if resume {
-            for t in 0..rows {
-                for q in 0..cols {
-                    // SAFETY: (i+t, j+q) is a valid element of this worker's
-                    // panel range; gemm() checked the layout's bounds.
-                    unsafe { tile[t * NR + q] = *self.c.0.add(col[q] + t * self.layout.seg) };
-                }
+    /// Where columns `j..j + width` of C go, cut into the tier's vectors
+    /// and each vector into runs that stay inside one layout segment; lanes
+    /// at or past `n` are in no run.
+    fn tile_cols(&self, j: usize, width: usize) -> TileCols {
+        let (seg, seg_stride) = (self.layout.seg, self.layout.seg_stride);
+        let lanes = self.isa.vector_lanes();
+        let mut out = TileCols { runs: [Run::default(); 2 * NR], ends: [0; 2], dense: true };
+        let mut count = 0;
+        for v in 0..width / lanes {
+            let j0 = j + v * lanes;
+            let live = lanes.min(self.n.saturating_sub(j0));
+            let (mut s, mut r, mut q) = (j0 / seg, j0 % seg, 0);
+            while q < live {
+                let len = (seg - r).min(live - q);
+                out.runs[count] = Run { lo: q, hi: q + len, off: s * seg_stride + r };
+                (count, q, s, r) = (count + 1, q + len, s + 1, 0);
             }
+            let first = if v == 0 { 0 } else { out.ends[v - 1] };
+            out.dense &= live == lanes && count == first + 1;
+            out.ends[v] = count;
         }
-        kernel(self.isa, true, kc, pa, pb, tile.as_mut_ptr(), NR);
-        for t in 0..rows {
-            for q in 0..cols {
-                // SAFETY: same element set as the loads above.
-                unsafe { *self.c.0.add(col[q] + t * self.layout.seg) = tile[t * NR + q] };
-            }
-        }
+        out
     }
 }
 
-/// Dispatches one MR×NR register tile to the vector or scalar kernel. The
-/// accumulators continue from the tile's values in C (`resume`) or start at
-/// `+0.0` without reading C — what a zero-filled C would have loaded.
+/// Lanes `lo..hi` of a tile row's vector live at `off..off + (hi − lo)` from
+/// the start of the row in C.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Run {
+    lo: usize,
+    hi: usize,
+    off: usize,
+}
+
+/// The columns of one register tile: at most two vectors (two `ymm` halves
+/// of one B panel, or one `zmm` per B panel of a pair; the scalar kernel's
+/// one 16-lane "vector"), each cut into [`Run`]s.
+pub(crate) struct TileCols {
+    runs: [Run; 2 * NR],
+    /// Vector `v`'s runs are `runs[ends[v − 1]..ends[v]]`.
+    ends: [usize; 2],
+    /// Every vector is one run of all its lanes: plain loads and stores.
+    dense: bool,
+}
+
+impl TileCols {
+    #[inline]
+    fn vector(&self, v: usize) -> &[Run] {
+        &self.runs[if v == 0 { 0 } else { self.ends[v - 1] }..self.ends[v]]
+    }
+}
+
+/// One register tile of C: rows `0..rows` (of the kernel's `ROWS`) start
+/// `ldc` apart from `c`, and each row's columns go where `cols` says.
+pub(crate) struct Tile<'a> {
+    c: *mut f32,
+    ldc: usize,
+    rows: usize,
+    cols: &'a TileCols,
+}
+
+/// Dispatches one register tile of `ap` A panels × `bp` B panels to the
+/// tier's kernel. The accumulators continue from the tile's values in C
+/// (`resume`) or start at `+0.0` without reading C — what a zero-filled C
+/// would have loaded. Rows past `tile.rows` and lanes in no run are computed
+/// over packed zeros and never stored, so a short or straddling tile runs
+/// the same chains as a full one.
 #[inline]
-fn kernel(isa: Isa, resume: bool, kc: usize, pa: &[f32], pb: &[f32], c: *mut f32, ldc: usize) {
+fn kernel(
+    isa: Isa,
+    (ap, bp): (usize, usize),
+    resume: bool,
+    kc: usize,
+    pa: &[f32],
+    pb: &[f32],
+    tile: &Tile,
+) {
+    assert!(pa.len() >= ap * MR * kc && pb.len() >= bp * NR * kc, "kernel: short panels");
     #[cfg(target_arch = "x86_64")]
-    if isa.avx2 {
-        // SAFETY: `isa.avx2` is only true when is_x86_feature_detected!
-        // reported AVX2+FMA (see Isa::current), and the pointer contract is
-        // the same as kernel_scalar's, upheld by Engine::run.
-        unsafe { avx::kernel_6x16(resume, kc, pa.as_ptr(), pb.as_ptr(), c, ldc) };
-        return;
+    {
+        if isa.avx512() {
+            // SAFETY: `isa.avx512()` holds only on a tier runtime
+            // detection found, so this CPU has AVX-512F, AVX2 and FMA; the panels are asserted above and the
+            // tile's rows and runs are elements of C that this worker owns
+            // (Engine::run and Engine::tile_cols).
+            unsafe { avx::tile_avx512((ap, bp), resume, kc, pa.as_ptr(), pb.as_ptr(), tile) };
+            return;
+        }
+        if isa.avx2() {
+            // SAFETY: as above, with AVX2 and FMA; the AVX2 tier runs
+            // single-panel tiles only (Isa::tile_panels).
+            unsafe { avx::tile_avx2(resume, kc, pa.as_ptr(), pb.as_ptr(), tile) };
+            return;
+        }
     }
-    let _ = isa;
-    kernel_scalar(resume, kc, pa, pb, c, ldc);
+    kernel_scalar(resume, kc, pa, pb, tile);
 }
 
-/// Scalar micro-kernel: the identical fused chain as the AVX2 kernel,
+/// Scalar micro-kernel: the identical fused chain as the vector kernels,
 /// `acc ← f32::mul_add(a, b, acc)`, which rounds once per step exactly like
-/// `_mm256_fmadd_ps` — so the two paths are bitwise interchangeable.
-fn kernel_scalar(resume: bool, kc: usize, pa: &[f32], pb: &[f32], c: *mut f32, ldc: usize) {
+/// `vfmadd` — so every tier is bitwise interchangeable. One MR × NR tile.
+fn kernel_scalar(resume: bool, kc: usize, pa: &[f32], pb: &[f32], tile: &Tile) {
     let mut acc = [[0.0f32; NR]; MR];
+    let elements = |t: usize| {
+        tile.cols.vector(0).iter().flat_map(move |run| {
+            (run.lo..run.hi).map(move |q| (q, t * tile.ldc + run.off + q - run.lo))
+        })
+    };
     if resume {
-        for (t, row) in acc.iter_mut().enumerate() {
-            for (q, slot) in row.iter_mut().enumerate() {
-                // SAFETY: Engine hands a tile with MR rows of stride ldc and
-                // NR valid columns per row.
-                *slot = unsafe { *c.add(t * ldc + q) };
+        for (t, row) in acc.iter_mut().enumerate().take(tile.rows) {
+            for (q, at) in elements(t) {
+                // SAFETY: Engine::run hands a tile whose live rows and runs
+                // are elements of C that this worker owns.
+                row[q] = unsafe { *tile.c.add(at) };
             }
         }
     }
@@ -750,18 +955,19 @@ fn kernel_scalar(resume: bool, kc: usize, pa: &[f32], pb: &[f32], c: *mut f32, l
             }
         }
     }
-    for (t, row) in acc.iter().enumerate() {
-        for (q, &v) in row.iter().enumerate() {
-            // SAFETY: same tile contract as the loads above.
-            unsafe { *c.add(t * ldc + q) = v };
+    for (t, row) in acc.iter().enumerate().take(tile.rows) {
+        for (q, at) in elements(t) {
+            // SAFETY: same elements as the loads above.
+            unsafe { *tile.c.add(at) = row[q] };
         }
     }
 }
 
 /// The lane mask and 8×8 transpose of the vector packers, shared with the
-/// direct convolutions' kernels.
+/// direct convolutions' kernels, and the gathering packer of the
+/// convolution sources.
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx::{lanes_below, transpose8};
+pub(crate) use avx::{gather_panel, lanes_below, transpose8, Coord};
 
 #[cfg(target_arch = "x86_64")]
 mod avx {
@@ -769,13 +975,8 @@ mod avx {
     //! [`super::View`]. Everything here is reachable only through an
     //! [`super::Isa`] that runtime feature detection made.
 
-    use super::{MR, NR};
-    use core::arch::x86_64::{
-        __m256, __m256i, _mm256_broadcast_ss, _mm256_cmpgt_epi32, _mm256_fmadd_ps, _mm256_loadu_ps,
-        _mm256_maskload_ps, _mm256_maskstore_ps, _mm256_permute2f128_ps, _mm256_set1_epi32,
-        _mm256_setr_epi32, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps,
-        _mm256_unpackhi_ps, _mm256_unpacklo_ps,
-    };
+    use super::{Run, Tile, MR, NR};
+    use core::arch::x86_64::*;
 
     /// A mask of lanes `0..n` (all eight for `n ≥ 8`) for the masked loads
     /// and stores, which neither read nor write the lanes it leaves out.
@@ -916,51 +1117,560 @@ mod avx {
         }
     }
 
-    /// 6×16 micro-kernel: twelve accumulators (`MR` rows × two 8-lane
-    /// halves) are loaded from C (`resume`) or start at `+0.0`, swept by
-    /// `kc` fused multiply–adds each —
-    /// `acc ← fma(broadcast(a), b, acc)`, one rounding per step, ascending
-    /// `p` — and stored back. Lanes are distinct output columns, so
-    /// vector width never reorders any element's reduction.
+    /// One vector register's worth of f32 lanes and the operations the
+    /// register tile needs, so [`tile`] is written once and instantiated at
+    /// 8 lanes ([`Y8`], AVX2) and 16 ([`Z16`], AVX-512F). Every method is
+    /// `#[inline(always)]` and only reached from a `#[target_feature]`
+    /// wrapper that enables its instructions.
     ///
     /// # Safety
     ///
-    /// Requires AVX2 and FMA at runtime; `pa`/`pb` must hold `kc` packed
-    /// rows of MR / NR elements, and `c` must address an MR×NR tile with
-    /// row stride `ldc` that no other thread touches.
+    /// Every method needs its type's features at runtime; the pointer ones
+    /// need their lanes readable / writable.
+    pub(crate) trait Lanes {
+        const N: usize;
+        type V: Copy;
+        unsafe fn zero() -> Self::V;
+        unsafe fn load(p: *const f32) -> Self::V;
+        unsafe fn store(p: *mut f32, v: Self::V);
+        unsafe fn splat(p: *const f32) -> Self::V;
+        unsafe fn fma(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
+        /// A vector whose lanes `run.lo..run.hi` come from `c + run.off..`
+        /// for each of `runs`; other lanes are unspecified.
+        unsafe fn load_runs(c: *const f32, runs: &[Run]) -> Self::V;
+        /// Lanes `run.lo..run.hi` of `v` to `c + run.off..` for each of
+        /// `runs`; nothing else written.
+        unsafe fn store_runs(c: *mut f32, runs: &[Run], v: Self::V);
+    }
+
+    /// 8-lane `ymm` (AVX2 + FMA).
+    pub(crate) struct Y8;
+
+    /// 16-lane `zmm` (AVX-512F).
+    pub(crate) struct Z16;
+
+    // SAFETY (every block in the two impls): the trait's contract — the
+    // caller runs with the type's features and hands pointers whose lanes
+    // are in bounds.
+    impl Lanes for Y8 {
+        const N: usize = 8;
+        type V = __m256;
+        #[inline(always)]
+        unsafe fn zero() -> __m256 {
+            // SAFETY: see the impl.
+            unsafe { _mm256_setzero_ps() }
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m256 {
+            // SAFETY: see the impl.
+            unsafe { _mm256_loadu_ps(p) }
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m256) {
+            // SAFETY: see the impl.
+            unsafe { _mm256_storeu_ps(p, v) }
+        }
+        #[inline(always)]
+        unsafe fn splat(p: *const f32) -> __m256 {
+            // SAFETY: see the impl.
+            unsafe { _mm256_broadcast_ss(&*p) }
+        }
+        #[inline(always)]
+        unsafe fn fma(a: __m256, b: __m256, c: __m256) -> __m256 {
+            // SAFETY: see the impl.
+            unsafe { _mm256_fmadd_ps(a, b, c) }
+        }
+        #[inline(always)]
+        unsafe fn load_runs(c: *const f32, runs: &[Run]) -> __m256 {
+            // SAFETY: see the impl.
+            unsafe { y8_load_runs(c, runs) }
+        }
+        #[inline(always)]
+        unsafe fn store_runs(c: *mut f32, runs: &[Run], v: __m256) {
+            // SAFETY: see the impl.
+            unsafe { y8_store_runs(c, runs, v) }
+        }
+    }
+
+    impl Lanes for Z16 {
+        const N: usize = 16;
+        type V = __m512;
+        #[inline(always)]
+        unsafe fn zero() -> __m512 {
+            // SAFETY: see the impl.
+            unsafe { _mm512_setzero_ps() }
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> __m512 {
+            // SAFETY: see the impl.
+            unsafe { _mm512_loadu_ps(p) }
+        }
+        #[inline(always)]
+        unsafe fn store(p: *mut f32, v: __m512) {
+            // SAFETY: see the impl.
+            unsafe { _mm512_storeu_ps(p, v) }
+        }
+        #[inline(always)]
+        unsafe fn splat(p: *const f32) -> __m512 {
+            // SAFETY: see the impl.
+            unsafe { _mm512_set1_ps(*p) }
+        }
+        #[inline(always)]
+        unsafe fn fma(a: __m512, b: __m512, c: __m512) -> __m512 {
+            // SAFETY: see the impl.
+            unsafe { _mm512_fmadd_ps(a, b, c) }
+        }
+        #[inline(always)]
+        unsafe fn load_runs(c: *const f32, runs: &[Run]) -> __m512 {
+            // SAFETY: see the impl.
+            unsafe { z16_load_runs(c, runs) }
+        }
+        #[inline(always)]
+        unsafe fn store_runs(c: *mut f32, runs: &[Run], v: __m512) {
+            // SAFETY: see the impl.
+            unsafe { z16_store_runs(c, runs, v) }
+        }
+    }
+
+    // The run-by-run moves of a tile that is short or straddles segments,
+    // kept out of line: the tile's accumulators must stay in registers,
+    // which a loop over runs inside the tile would keep them from.
+
+    /// [`Lanes::load_runs`] of [`Y8`], through a spill.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 at runtime; every run's floats readable.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn kernel_6x16(
+    #[inline(never)]
+    unsafe fn y8_load_runs(c: *const f32, runs: &[Run]) -> __m256 {
+        let mut lanes = [0.0f32; 8];
+        for run in runs {
+            for (q, lane) in lanes.iter_mut().enumerate().take(run.hi).skip(run.lo) {
+                // SAFETY: the caller's contract.
+                *lane = unsafe { *c.add(run.off + q - run.lo) };
+            }
+        }
+        // SAFETY: `lanes` holds eight floats.
+        unsafe { _mm256_loadu_ps(lanes.as_ptr()) }
+    }
+
+    /// [`Lanes::store_runs`] of [`Y8`], through a spill.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 at runtime; every run's floats writable.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    #[inline(never)]
+    unsafe fn y8_store_runs(c: *mut f32, runs: &[Run], v: __m256) {
+        let mut lanes = [0.0f32; 8];
+        // SAFETY: `lanes` holds eight floats.
+        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), v) };
+        for run in runs {
+            for (q, &lane) in lanes.iter().enumerate().take(run.hi).skip(run.lo) {
+                // SAFETY: the caller's contract.
+                unsafe { *c.add(run.off + q - run.lo) = lane };
+            }
+        }
+    }
+
+    /// [`Lanes::load_runs`] of [`Z16`]: per run, a `k`-masked load of its
+    /// floats, expanded into its lanes.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F at runtime; every run's floats readable.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    #[inline(never)]
+    unsafe fn z16_load_runs(c: *const f32, runs: &[Run]) -> __m512 {
+        let mut v = _mm512_setzero_ps();
+        for run in runs {
+            // SAFETY: the caller's contract; the masked load reads exactly
+            // the run's `hi − lo` floats.
+            let x = unsafe { _mm512_maskz_loadu_ps(span(0, run.hi - run.lo), c.add(run.off)) };
+            v = _mm512_mask_expand_ps(v, span(run.lo, run.hi), x);
+        }
+        v
+    }
+
+    /// [`Lanes::store_runs`] of [`Z16`]: per run, its lanes compressed to
+    /// the bottom and stored `k`-masked.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F at runtime; every run's floats writable.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    #[inline(never)]
+    unsafe fn z16_store_runs(c: *mut f32, runs: &[Run], v: __m512) {
+        for run in runs {
+            let x = _mm512_maskz_compress_ps(span(run.lo, run.hi), v);
+            // SAFETY: the caller's contract; the masked store writes exactly
+            // the run's `hi − lo` floats.
+            unsafe { _mm512_mask_storeu_ps(c.add(run.off), span(0, run.hi - run.lo), x) };
+        }
+    }
+
+    /// The `k` mask of lanes `lo..hi` (`hi ≤ 16`).
+    #[inline(always)]
+    fn span(lo: usize, hi: usize) -> __mmask16 {
+        (((1u32 << hi) - 1) & !((1u32 << lo) - 1)) as __mmask16
+    }
+
+    /// Expands `$row!(r)` for each row `r` of an A panel: the row loops of
+    /// [`tile`] written out, so no accumulator is ever indexed by a loop
+    /// variable and all of them stay in registers.
+    macro_rules! panel_rows {
+        ($row:ident) => {
+            const { assert!(MR == 6) };
+            $row!(0);
+            $row!(1);
+            $row!(2);
+            $row!(3);
+            $row!(4);
+            $row!(5);
+        };
+    }
+
+    /// The register tile, `AP` A panels (`pa` and on at `MR·kc` apart) ×
+    /// `VECS` vectors of `L::N` lanes (`VECS·L::N / NR` B panels, `pb` and
+    /// on at `NR·kc` apart): `AP·MR·VECS` accumulators are loaded from C
+    /// (`resume`) or start at `+0.0`, swept by `kc` fused multiply–adds each
+    /// — `acc ← fma(broadcast(a), b, acc)`, one rounding per step, ascending
+    /// `p` — and stored back. Lanes are distinct output columns, so vector
+    /// width never reorders any element's reduction. A tile whose rows are
+    /// all live and whose vectors each land whole in one layout segment
+    /// moves them with plain loads and stores; any other moves its rows
+    /// `< out.rows` run by run ([`Lanes::store_runs`]).
+    ///
+    /// # Safety
+    ///
+    /// Requires `L`'s features at runtime; `pa` must hold `AP` and `pb`
+    /// `VECS·L::N / NR` packed panels of `kc` rows, and the tile's live rows
+    /// and runs must be elements of C that no other thread touches.
+    #[inline(always)]
+    unsafe fn tile<L: Lanes, const AP: usize, const VECS: usize>(
         resume: bool,
         kc: usize,
         pa: *const f32,
         pb: *const f32,
-        c: *mut f32,
-        ldc: usize,
+        out: &Tile,
+    ) {
+        const { assert!(AP <= 2 && VECS <= 2) };
+        let (cols, whole) = (out.cols, out.rows == AP * MR && out.cols.dense);
+        // SAFETY: every pointer below is offset, read and written only within
+        // the ranges the `# Safety` section above makes the caller guarantee.
+        unsafe {
+            let mut acc = [[[L::zero(); VECS]; MR]; AP];
+            if resume {
+                for (ai, panel) in acc.iter_mut().enumerate() {
+                    macro_rules! load_row {
+                        ($r:literal) => {
+                            if ai * MR + $r < out.rows {
+                                let c = out.c.add((ai * MR + $r) * out.ldc);
+                                for (v, x) in panel[$r].iter_mut().enumerate() {
+                                    *x = if whole {
+                                        L::load(c.add(cols.runs[v].off))
+                                    } else {
+                                        L::load_runs(c, cols.vector(v))
+                                    };
+                                }
+                            }
+                        };
+                    }
+                    panel_rows!(load_row);
+                }
+            }
+            let b_at = |v: usize| pb.add((v * L::N / NR) * NR * kc + (v * L::N) % NR);
+            for p in 0..kc {
+                let mut b = [L::zero(); VECS];
+                for (v, bv) in b.iter_mut().enumerate() {
+                    *bv = L::load(b_at(v).add(p * NR));
+                }
+                for (ai, panel) in acc.iter_mut().enumerate() {
+                    let a = pa.add(ai * MR * kc + p * MR);
+                    macro_rules! fma_row {
+                        ($r:literal) => {
+                            let ar = L::splat(a.add($r));
+                            for (x, &bv) in panel[$r].iter_mut().zip(&b) {
+                                *x = L::fma(ar, bv, *x);
+                            }
+                        };
+                    }
+                    panel_rows!(fma_row);
+                }
+            }
+            for (ai, panel) in acc.iter().enumerate() {
+                macro_rules! store_row {
+                    ($r:literal) => {
+                        if ai * MR + $r < out.rows {
+                            let c = out.c.add((ai * MR + $r) * out.ldc);
+                            for (v, &x) in panel[$r].iter().enumerate() {
+                                if whole {
+                                    L::store(c.add(cols.runs[v].off), x);
+                                } else {
+                                    L::store_runs(c, cols.vector(v), x);
+                                }
+                            }
+                        }
+                    };
+                }
+                panel_rows!(store_row);
+            }
+        }
+    }
+
+    /// The AVX2 tier's 6×16 tile: twelve `ymm` accumulators (`MR` rows × two
+    /// 8-lane halves), two B vectors and one A broadcast fill 15 of the 16
+    /// `ymm` registers, 12 FMAs per `p` against 8 load-port µops.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and FMA at runtime, and [`tile`]'s contract for one A
+    /// and one B panel.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn tile_avx2(resume: bool, kc: usize, pa: *const f32, pb: *const f32, out: &Tile) {
+        const { assert!(NR == 2 * Y8::N) };
+        // SAFETY: the caller's contract, and the features are enabled here.
+        unsafe { tile::<Y8, 1, 2>(resume, kc, pa, pb, out) }
+    }
+
+    /// The AVX-512 tier's tiles: `ap ∈ {1, 2}` A panels × `bp ∈ {1, 2}` B
+    /// panels, one `zmm` per B panel and row. The full 2 × 2 tile is 12×32:
+    /// 24 accumulators, two B vectors and a broadcast in 27 of the 32 `zmm`
+    /// registers, 24 FMAs per `p` against 14 loads. The narrower ones take
+    /// the panels a block has left over.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F, AVX2 and FMA at runtime, and [`tile`]'s contract
+    /// for `ap` A and `bp` B panels.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub unsafe fn tile_avx512(
+        (ap, bp): (usize, usize),
+        resume: bool,
+        kc: usize,
+        pa: *const f32,
+        pb: *const f32,
+        out: &Tile,
+    ) {
+        const { assert!(NR == Z16::N) };
+        // SAFETY: the caller's contract, and the features are enabled here.
+        unsafe {
+            match (ap, bp) {
+                (2, 2) => tile::<Z16, 2, 2>(resume, kc, pa, pb, out),
+                (2, _) => tile::<Z16, 2, 1>(resume, kc, pa, pb, out),
+                (_, 2) => tile::<Z16, 1, 2>(resume, kc, pa, pb, out),
+                _ => tile::<Z16, 1, 1>(resume, kc, pa, pb, out),
+            }
+        }
+    }
+
+    /// `iters` steps of `x ← fma(x, m, a)` on `ACCS` independent
+    /// accumulators — enough to cover the FMA latency on both ports — with
+    /// `m` just under one, so the values settle instead of overflowing.
+    /// Returns lane 0 of each accumulator, summed.
+    ///
+    /// # Safety
+    ///
+    /// Requires `L`'s features at runtime.
+    #[inline(always)]
+    unsafe fn fma_loop<L: Lanes, const ACCS: usize>(iters: usize) -> f32 {
+        let (m, a) = (0.999_999f32, 1e-7f32);
+        let mut lanes = [0.0f32; 16];
+        // SAFETY: the caller's contract; `lanes` holds a vector of either
+        // width.
+        unsafe {
+            let (vm, va) = (L::splat(&m), L::splat(&a));
+            let mut acc = [L::zero(); ACCS];
+            for _ in 0..iters {
+                for x in acc.iter_mut() {
+                    *x = L::fma(*x, vm, va);
+                }
+            }
+            let mut sum = 0.0;
+            for x in acc {
+                L::store(lanes.as_mut_ptr(), x);
+                sum += lanes[0];
+            }
+            sum
+        }
+    }
+
+    /// [`fma_loop`] in `ymm`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and FMA at runtime.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn fma_loop_avx2<const ACCS: usize>(iters: usize) -> f32 {
+        // SAFETY: the features are enabled here.
+        unsafe { fma_loop::<Y8, ACCS>(iters) }
+    }
+
+    /// [`fma_loop`] in `zmm`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F, AVX2 and FMA at runtime.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub unsafe fn fma_loop_avx512<const ACCS: usize>(iters: usize) -> f32 {
+        // SAFETY: the features are enabled here.
+        unsafe { fma_loop::<Z16, ACCS>(iters) }
+    }
+
+    /// Transposes a 16×16 block held as sixteen row vectors: lane `i` of
+    /// result `t` is lane `t` of row `i`. Pairs, then quads inside each
+    /// 128-bit block, then the 4×4 transpose of the 128-bit blocks. Only
+    /// shuffles, so every bit pattern moves unchanged.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    fn transpose16(r: [__m512; 16]) -> [__m512; 16] {
+        let mut t = [_mm512_setzero_ps(); 16];
+        for i in 0..8 {
+            t[2 * i] = _mm512_unpacklo_ps(r[2 * i], r[2 * i + 1]);
+            t[2 * i + 1] = _mm512_unpackhi_ps(r[2 * i], r[2 * i + 1]);
+        }
+        // u[4i + c]: column 4L + c of rows 4i..4i+4 in 128-bit block L.
+        let mut u = [_mm512_setzero_ps(); 16];
+        for i in 0..4 {
+            u[4 * i] = _mm512_shuffle_ps::<0x44>(t[4 * i], t[4 * i + 2]);
+            u[4 * i + 1] = _mm512_shuffle_ps::<0xEE>(t[4 * i], t[4 * i + 2]);
+            u[4 * i + 2] = _mm512_shuffle_ps::<0x44>(t[4 * i + 1], t[4 * i + 3]);
+            u[4 * i + 3] = _mm512_shuffle_ps::<0xEE>(t[4 * i + 1], t[4 * i + 3]);
+        }
+        let mut out = [_mm512_setzero_ps(); 16];
+        for c in 0..4 {
+            let v0 = _mm512_shuffle_f32x4::<0x44>(u[c], u[4 + c]);
+            let v1 = _mm512_shuffle_f32x4::<0xEE>(u[c], u[4 + c]);
+            let v2 = _mm512_shuffle_f32x4::<0x44>(u[8 + c], u[12 + c]);
+            let v3 = _mm512_shuffle_f32x4::<0xEE>(u[8 + c], u[12 + c]);
+            out[c] = _mm512_shuffle_f32x4::<0x88>(v0, v2);
+            out[4 + c] = _mm512_shuffle_f32x4::<0xDD>(v0, v2);
+            out[8 + c] = _mm512_shuffle_f32x4::<0x88>(v1, v3);
+            out[12 + c] = _mm512_shuffle_f32x4::<0xDD>(v1, v3);
+        }
+        out
+    }
+
+    /// [`pack_depth_contiguous`] at 16 lanes, for `R = NR`: per block of 16
+    /// depth rows, each live lane is one `k`-masked load of the block's rows
+    /// (lanes `w..` are zero vectors, never read), the block is transposed
+    /// in registers and its live rows are stored whole.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F at runtime; `1 ≤ w ≤ NR` and `kc ≥ 1`;
+    /// `src + q·cs + p` must be readable for every `q < w`, `p < kc`, and
+    /// `dst` writable for `kc·NR` floats.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub unsafe fn pack_depth_contiguous16(
+        src: *const f32,
+        cs: usize,
+        kc: usize,
+        w: usize,
+        dst: *mut f32,
     ) {
         const { assert!(NR == 16) };
         // SAFETY: every pointer below is offset, read and written only within
         // the ranges the `# Safety` section above makes the caller guarantee.
         unsafe {
-            let mut acc: [[__m256; 2]; MR] = [[_mm256_setzero_ps(); 2]; MR];
-            if resume {
-                for (t, row) in acc.iter_mut().enumerate() {
-                    row[0] = _mm256_loadu_ps(c.add(t * ldc));
-                    row[1] = _mm256_loadu_ps(c.add(t * ldc + 8));
+            for p0 in (0..kc).step_by(16) {
+                let rows = (kc - p0).min(16);
+                let depth = span(0, rows);
+                let mut block = [_mm512_setzero_ps(); 16];
+                for (q, lane) in block.iter_mut().enumerate().take(w) {
+                    *lane = _mm512_maskz_loadu_ps(depth, src.add(q * cs + p0));
+                }
+                for (t, row) in transpose16(block).into_iter().enumerate().take(rows) {
+                    _mm512_storeu_ps(dst.add((p0 + t) * NR), row);
                 }
             }
+        }
+    }
+
+    /// Packs a panel of `NR` lanes whose lanes are contiguous: depth row
+    /// `p` is `w` floats at `src + p·rs`, moved by one `k`-masked load
+    /// (lanes `w..` read nothing and load zeros) and one store to
+    /// `dst + p·NR`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F at runtime; `w ≤ NR`; `src + p·rs + q` must be
+    /// readable for every `p < kc`, `q < w`, and `dst` writable for `kc·NR`
+    /// floats.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub unsafe fn pack_lane_contiguous16(
+        src: *const f32,
+        rs: usize,
+        kc: usize,
+        w: usize,
+        dst: *mut f32,
+    ) {
+        const { assert!(NR == 16) };
+        let live = span(0, w);
+        // SAFETY: every pointer below is offset, read and written only within
+        // the ranges the `# Safety` section above makes the caller guarantee.
+        unsafe {
             for p in 0..kc {
-                let b0 = _mm256_loadu_ps(pb.add(p * NR));
-                let b1 = _mm256_loadu_ps(pb.add(p * NR + 8));
-                let ap = pa.add(p * MR);
-                for (t, row) in acc.iter_mut().enumerate() {
-                    let a = _mm256_broadcast_ss(&*ap.add(t));
-                    row[0] = _mm256_fmadd_ps(a, b0, row[0]);
-                    row[1] = _mm256_fmadd_ps(a, b1, row[1]);
-                }
+                _mm512_storeu_ps(dst.add(p * NR), _mm512_maskz_loadu_ps(live, src.add(p * rs)));
             }
-            for (t, row) in acc.iter().enumerate() {
-                _mm256_storeu_ps(c.add(t * ldc), row[0]);
-                _mm256_storeu_ps(c.add(t * ldc + 8), row[1]);
+        }
+    }
+
+    /// Where a gathered panel reads, per lane or per depth row: an offset
+    /// into the source and the input row and column it stands for (`off`
+    /// of a lane plus `off` of a row is the element's index; `y`s and `x`s
+    /// add likewise, and the element is a zero of the padding unless both
+    /// sums are inside the plane).
+    #[derive(Debug, Clone, Copy, Default)]
+    pub(crate) struct Coord {
+        pub off: i32,
+        pub y: i32,
+        pub x: i32,
+    }
+
+    /// Packs one depth row per item of `rows`, `r ≤ 16` lanes each, by one
+    /// `k`-masked gather: lane `q < lanes.len()` of row `p` is
+    /// `src[lanes[q].off + rows[p].off]` where `lanes[q].y + rows[p].y` is
+    /// in `0..h` and `lanes[q].x + rows[p].x` in `0..w`, else `+0.0`, as are
+    /// lanes `lanes.len()..r`. The gather reads only the lanes its mask
+    /// keeps, and the row is stored with one `k`-masked store of `r` lanes.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512F at runtime; `lanes.len() ≤ r ≤ 16`; every index a
+    /// kept lane forms must be readable from `src`, and `dst` writable for
+    /// `r` floats per row.
+    #[target_feature(enable = "avx512f", enable = "avx2", enable = "fma")]
+    pub unsafe fn gather_panel(
+        src: *const f32,
+        (h, w): (i32, i32),
+        lanes: &[Coord],
+        rows: impl Iterator<Item = Coord>,
+        r: usize,
+        dst: *mut f32,
+    ) {
+        let mut coords = [[0i32; 16]; 3];
+        for (q, lane) in lanes.iter().enumerate() {
+            (coords[0][q], coords[1][q], coords[2][q]) = (lane.off, lane.y, lane.x);
+        }
+        let (live, row_mask) = (span(0, lanes.len()), span(0, r));
+        // SAFETY: every pointer below is offset, read and written only within
+        // the ranges the `# Safety` section above makes the caller guarantee;
+        // `coords` holds three rows of sixteen.
+        unsafe {
+            let lane_off = _mm512_loadu_epi32(coords[0].as_ptr());
+            let lane_y = _mm512_loadu_epi32(coords[1].as_ptr());
+            let lane_x = _mm512_loadu_epi32(coords[2].as_ptr());
+            let (vh, vw) = (_mm512_set1_epi32(h), _mm512_set1_epi32(w));
+            for (p, row) in rows.enumerate() {
+                // Unsigned compares: a negative sum wraps past h and w.
+                let y = _mm512_add_epi32(lane_y, _mm512_set1_epi32(row.y));
+                let x = _mm512_add_epi32(lane_x, _mm512_set1_epi32(row.x));
+                let keep =
+                    _mm512_mask_cmplt_epu32_mask(_mm512_cmplt_epu32_mask(y, vh) & live, x, vw);
+                let idx = _mm512_add_epi32(lane_off, _mm512_set1_epi32(row.off));
+                let v = _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), keep, idx, src);
+                _mm512_mask_storeu_ps(dst.add(p * r), row_mask, v);
             }
         }
     }
@@ -1022,28 +1732,28 @@ mod tests {
             let want = fma_reference(&a, &b, m, k, n);
             for &(kc, mc, nc) in &[(256usize, 96usize, 2048usize), (8, 12, 32), (1, 6, 16)] {
                 set_blocking(kc, mc, nc);
-                for simd in [true, false] {
-                    set_simd_enabled(simd);
+                for tier in host_tiers() {
+                    set_tier(tier);
                     let got = run_gemm(&a, &b, m, k, n);
                     assert_eq!(
                         got, want,
-                        "(m,k,n)=({m},{k},{n}) kc={kc} mc={mc} nc={nc} simd={simd}"
+                        "(m,k,n)=({m},{k},{n}) kc={kc} mc={mc} nc={nc} tier={tier:?}"
                     );
                 }
             }
             set_blocking(KC_DEFAULT, MC_DEFAULT, NC_DEFAULT);
-            set_simd_enabled(true);
+            set_tier(Tier::Avx512);
         }
     }
 
     #[test]
     fn empty_depth_stores_zeros() {
-        for simd in [true, false] {
-            set_simd_enabled(simd);
+        for tier in host_tiers() {
+            set_tier(tier);
             let c = run_gemm(&[], &[], 7, 0, 18);
-            assert!(c.iter().all(|v| v.to_bits() == 0), "simd={simd}");
+            assert!(c.iter().all(|v| v.to_bits() == 0), "tier={tier:?}");
         }
-        set_simd_enabled(true);
+        set_tier(Tier::Avx512);
     }
 
     #[test]
@@ -1086,11 +1796,15 @@ mod tests {
     }
 
     #[test]
-    fn simd_switch_is_effective_only_when_supported() {
-        set_simd_enabled(true);
-        assert_eq!(simd_enabled(), simd_supported());
-        set_simd_enabled(false);
-        assert!(!simd_enabled());
-        set_simd_enabled(true);
+    fn the_tier_setter_clamps_to_the_host() {
+        for want in Tier::ALL {
+            let got = set_tier(want);
+            assert_eq!(got, want.min(host_tier()));
+            assert_eq!(tier(), got);
+            assert_eq!(Isa::current().tier(), got);
+            assert_eq!(Isa::clamped(want), Isa::current());
+        }
+        assert_eq!(simd_supported(), host_tier() >= Tier::Avx2);
+        set_tier(Tier::Avx512);
     }
 }

@@ -20,7 +20,7 @@
 use std::sync::Mutex;
 
 use puffer_tensor::attention::{self, Heads};
-use puffer_tensor::gemm::set_simd_enabled;
+use puffer_tensor::gemm;
 use puffer_tensor::Tensor;
 
 static SIMD_LOCK: Mutex<()> = Mutex::new(());
@@ -251,9 +251,9 @@ fn check(c: Case, values: Values, seed: u64) {
     let shape = Heads { batch: c.b, heads: c.heads, tq: c.tq, tk: c.tk };
     let (wo, zo) = oracle_forward(&q, &k, &v, c.b, c.heads, c.tq, c.tk, c.causal);
     let (dqo, dko, dvo) = oracle_backward(&dz, &wo, &q, &k, &v, c.b, c.heads, c.tq, c.tk);
-    for simd in [true, false] {
-        set_simd_enabled(simd);
-        let at = format!("{c:?} {values:?} simd={simd}");
+    for tier in gemm::host_tiers() {
+        gemm::set_tier(tier);
+        let at = format!("{c:?} {values:?} tier={tier:?}");
         let (w, z) = attention::forward(&q, &k, &v, shape, c.causal);
         assert_same(&format!("weights {at}"), &w, &wo);
         assert_same(&format!("z {at}"), &z, &zo);
@@ -262,7 +262,7 @@ fn check(c: Case, values: Values, seed: u64) {
         assert_same(&format!("dk {at}"), &dk, &dko);
         assert_same(&format!("dv {at}"), &dv, &dvo);
     }
-    set_simd_enabled(true);
+    gemm::set_tier(gemm::Tier::Avx512);
 }
 
 const DH: [usize; 5] = [1, 3, 8, 16, 64];

@@ -33,17 +33,17 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 struct Knobs {
     threads: usize,
     threshold: usize,
-    simd: bool,
+    tier: gemm::Tier,
 }
 
 impl Knobs {
-    /// Saves the knobs and sets the oracle's: one thread, SIMD on, every
+    /// Saves the knobs and sets the oracle's: one thread, the widest tier, every
     /// eligible call parallel.
     fn save() -> Self {
         let saved = Knobs {
             threads: pool::num_threads(),
             threshold: parallel_threshold(),
-            simd: gemm::simd_enabled(),
+            tier: gemm::tier(),
         };
         set_parallel_threshold(0);
         reference_knobs();
@@ -55,13 +55,13 @@ impl Drop for Knobs {
     fn drop(&mut self) {
         pool::set_num_threads(self.threads);
         set_parallel_threshold(self.threshold);
-        gemm::set_simd_enabled(self.simd);
+        gemm::set_tier(self.tier);
     }
 }
 
 fn reference_knobs() {
     pool::set_num_threads(1);
-    gemm::set_simd_enabled(true);
+    gemm::set_tier(gemm::Tier::Avx512);
 }
 
 fn macs(case: &Case) -> usize {
@@ -135,12 +135,12 @@ fn direct_equals_engine_equals_explicit_lowering() {
         if thorough {
             assert_same(&engine(case, &want), &want, &format!("engine, {case:?}"));
         }
-        for simd in [true, false] {
+        for tier in [gemm::host_tier(), gemm::Tier::Scalar] {
             for &t in &threads {
-                if thorough || (simd && t == threads[i % 4]) {
-                    gemm::set_simd_enabled(simd);
+                if thorough || (tier > gemm::Tier::Scalar && t == threads[i % 4]) {
+                    gemm::set_tier(tier);
                     pool::set_num_threads(t);
-                    let ctx = format!("{case:?} simd={simd} threads={t}");
+                    let ctx = format!("{case:?} tier={tier:?} threads={t}");
                     assert_same(&primitives(case, &want), &want, &ctx);
                 }
             }
@@ -182,11 +182,11 @@ fn more_images_than_threads_and_fewer() {
     for (i, case) in cases.iter().enumerate() {
         reference_knobs();
         let want = oracle_of(case, operands(case, 50 + i as u64));
-        for simd in [true, false] {
+        for tier in [gemm::host_tier(), gemm::Tier::Scalar] {
             for threads in [1usize, 2, 4, 8] {
-                gemm::set_simd_enabled(simd);
+                gemm::set_tier(tier);
                 pool::set_num_threads(threads);
-                let ctx = format!("{case:?} simd={simd} threads={threads}");
+                let ctx = format!("{case:?} tier={tier:?} threads={threads}");
                 assert_same(&primitives(case, &want), &want, &ctx);
             }
         }
@@ -269,11 +269,11 @@ fn non_finite_operands_reach_the_same_elements_with_the_same_bits() {
                 let want = oracle_of(&case, o);
                 let ctx = format!("engine, {v} in {what}, {geo:?}");
                 assert_same(&engine(&case, &want), &want, &ctx);
-                for simd in [true, false] {
+                for tier in [gemm::host_tier(), gemm::Tier::Scalar] {
                     for threads in [1usize, 2] {
-                        gemm::set_simd_enabled(simd);
+                        gemm::set_tier(tier);
                         pool::set_num_threads(threads);
-                        let ctx = format!("{v} in {what}, {geo:?} simd={simd} threads={threads}");
+                        let ctx = format!("{v} in {what}, {geo:?} tier={tier:?} threads={threads}");
                         assert_same(&primitives(&case, &want), &want, &ctx);
                     }
                 }

@@ -4,7 +4,7 @@
 //! Contract (DESIGN.md §10): `conv2d_forward` and `conv2d_grad_weight` are
 //! **bitwise** equal to `matmul(W, im2col(x))` / `matmul_nt(dOut,
 //! im2col(x))`, `conv2d_grad_input` to `col2im(matmul_tn(W, dOut))`; and
-//! all three are bitwise invariant to thread count, SIMD on/off and the
+//! all three are bitwise invariant to thread count, kernel tier and the
 //! KC/MC/NC blocking. The layers here are thin enough for the direct
 //! kernels (`conv_direct.rs` tests those), so every engine check widens the
 //! layer past their bound with zero filters (`common::engine`).
@@ -32,7 +32,7 @@ struct Knobs {
     threads: usize,
     threshold: usize,
     blocking: (usize, usize, usize),
-    simd: bool,
+    tier: gemm::Tier,
 }
 
 impl Knobs {
@@ -41,7 +41,7 @@ impl Knobs {
             threads: pool::num_threads(),
             threshold: parallel_threshold(),
             blocking: gemm::blocking(),
-            simd: gemm::simd_enabled(),
+            tier: gemm::tier(),
         }
     }
 }
@@ -52,7 +52,7 @@ impl Drop for Knobs {
         set_parallel_threshold(self.threshold);
         let (kc, mc, nc) = self.blocking;
         gemm::set_blocking(kc, mc, nc);
-        gemm::set_simd_enabled(self.simd);
+        gemm::set_tier(self.tier);
     }
 }
 
@@ -97,19 +97,50 @@ fn fused_matches_explicit_lowering_across_threads_simd_and_blockings() {
     for (ci, case) in cases().iter().enumerate() {
         pool::set_num_threads(1);
         gemm::set_blocking(256, 96, 2048);
-        gemm::set_simd_enabled(true);
+        gemm::set_tier(gemm::Tier::Avx512);
         let o = oracle(case, 100 + ci as u64);
         for &(kc, mc, nc) in &[(256usize, 96usize, 2048usize), (8, 12, 32), (5, 6, 16)] {
             gemm::set_blocking(kc, mc, nc);
-            for simd in [true, false] {
-                gemm::set_simd_enabled(simd);
+            for tier in gemm::host_tiers() {
+                gemm::set_tier(tier);
                 for threads in [1usize, 2, 4, 8] {
                     pool::set_num_threads(threads);
                     let ctx = format!(
-                        "{:?} n={} c_out={} kc={kc} mc={mc} nc={nc} simd={simd} threads={threads}",
+                        "{:?} n={} c_out={} kc={kc} mc={mc} nc={nc} tier={tier:?} threads={threads}",
                         case.geo, case.n, case.c_out
                     );
                     let (y, dw, dx) = engine(case, &o);
+                    assert_bits(&y, &o.y, "forward", &ctx);
+                    assert_bits(&dw, &o.dw, "dW", &ctx);
+                    assert_bits(&dx, &o.dx, "dX", &ctx);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn planes_whose_tiles_straddle_images_match_on_every_tier() {
+    // H·W ∈ {1, 4, 9, 16, 25}: in NCHW every 16-column tile of a plane
+    // under 16 positions straddles images (VGG's 2×2 stage), and the
+    // 512-bit tier's 32-column tiles straddle them at 16 and 25 too. 30
+    // input channels make the 3×3 depth 270, past one KC = 256 block, so
+    // those tiles also resume from C.
+    let _g = lock();
+    let _knobs = Knobs::save();
+    set_parallel_threshold(0);
+    for side in 1..=5usize {
+        for (c_in, k, padding) in [(30usize, 3usize, 1usize), (5, 1, 0)] {
+            let geo = ConvGeometry { c_in, h: side, w: side, k, stride: 1, padding };
+            let case = Case { geo, n: 7, c_out: 7 };
+            pool::set_num_threads(1);
+            let o = oracle(&case, 700 + side as u64);
+            for tier in gemm::host_tiers() {
+                gemm::set_tier(tier);
+                for threads in [1usize, 2] {
+                    pool::set_num_threads(threads);
+                    let ctx = format!("{geo:?} tier={tier:?} threads={threads}");
+                    let (y, dw, dx) = engine(&case, &o);
                     assert_bits(&y, &o.y, "forward", &ctx);
                     assert_bits(&dw, &o.dw, "dW", &ctx);
                     assert_bits(&dx, &o.dx, "dX", &ctx);

@@ -1,8 +1,9 @@
 //! The GEMM operand packer against a per-element oracle, bit for bit.
 //!
-//! `View::pack_panel` has vector paths (an in-register 8×8 transpose when
-//! depth is contiguous, masked row copies when lanes are) and the scalar
-//! loops they replaced, chosen by the engine's SIMD switch. Packing only
+//! `View::pack_panel` has vector paths (in-register transposes when depth is
+//! contiguous — 16×16 in `zmm` on the 512-bit tier, 8×8 in `ymm` — masked
+//! row copies when lanes are) and the scalar loops they replaced, chosen by
+//! the engine's kernel tier; every tier the host has runs here. Packing only
 //! copies, so both must write `dst[p·r + q] = v(p0 + p, j0 + q)` for
 //! `q < w` and `+0.0` for `q ≥ w`, for every bit pattern — NaN payloads,
 //! signed zeros, infinities and subnormals included — and must read nothing
@@ -12,7 +13,7 @@
 //! faults instead of passing. Then the three `matmul*` variants, whose
 //! operands cover every orientation, against the fused-chain oracle.
 //!
-//! The SIMD switch is process-global, so every test serializes on one lock.
+//! The kernel tier is process-global, so every test serializes on one lock.
 
 #![allow(
     clippy::disallowed_methods,
@@ -135,7 +136,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 
 /// Restores the engine's global knobs when a test ends, pass or fail.
 struct Knobs {
-    simd: bool,
+    tier: gemm::Tier,
     threads: usize,
     threshold: usize,
     blocking: (usize, usize, usize),
@@ -144,7 +145,7 @@ struct Knobs {
 impl Knobs {
     fn save() -> Self {
         Knobs {
-            simd: gemm::simd_enabled(),
+            tier: gemm::tier(),
             threads: num_threads(),
             threshold: parallel_threshold(),
             blocking: gemm::blocking(),
@@ -154,7 +155,7 @@ impl Knobs {
 
 impl Drop for Knobs {
     fn drop(&mut self) {
-        gemm::set_simd_enabled(self.simd);
+        gemm::set_tier(self.tier);
         set_num_threads(self.threads);
         set_parallel_threshold(self.threshold);
         let (kc, mc, nc) = self.blocking;
@@ -211,11 +212,11 @@ fn orientations(k: usize, d: usize) -> [(&'static str, usize, usize); 3] {
 }
 
 #[test]
-fn every_orientation_packs_the_oracle_bits_with_simd_on_and_off() {
+fn every_orientation_packs_the_oracle_bits_on_every_tier() {
     let _g = lock();
     let _knobs = Knobs::save();
     let mut checked = 0usize;
-    for kc in [1usize, 7, 8, 9, 255, 256] {
+    for kc in [1usize, 7, 8, 9, 15, 16, 17, 255, 256] {
         for r in [MR, NR] {
             for w in 1..=r {
                 // A panel at the origin and one deep inside a larger operand.
@@ -228,15 +229,15 @@ fn every_orientation_packs_the_oracle_bits_with_simd_on_and_off() {
                         let src = PageEnd::new(&full[..=last]);
                         let v = View { data: src.as_slice(), rs, cs };
                         let want = oracle(&v, (p0, kc), (j0, w), r);
-                        for simd in [true, false] {
-                            gemm::set_simd_enabled(simd);
+                        for tier in gemm::host_tiers() {
+                            gemm::set_tier(tier);
                             let mut dst = PageEnd::new(&vec![f32::NAN; kc * r]);
                             let dst = dst.as_mut_slice();
                             v.pack_panel(p0, kc, j0, w, r, dst, Isa::current());
                             let got: Vec<u32> = dst.iter().map(|x| x.to_bits()).collect();
                             assert!(
                                 got == want,
-                                "{name} kc={kc} r={r} w={w} p0={p0} j0={j0} simd={simd}: \
+                                "{name} kc={kc} r={r} w={w} p0={p0} j0={j0} tier={tier:?}: \
                                  first difference at {:?}",
                                 got.iter().zip(&want).position(|(g, w)| g != w)
                             );
@@ -247,7 +248,7 @@ fn every_orientation_packs_the_oracle_bits_with_simd_on_and_off() {
             }
         }
     }
-    assert_eq!(checked, 6 * (MR + NR) * 2 * 3 * 2);
+    assert_eq!(checked, 9 * (MR + NR) * 2 * 3 * gemm::host_tiers().count());
 }
 
 /// The vector paths' bounds asserts, on the two orientations that have
@@ -262,13 +263,13 @@ fn a_panel_reading_past_its_view_panics_on_both_paths() {
         let last = (kc - 1) * rs + (w - 1) * cs;
         let short = payload(last);
         let v = View { data: &short, rs, cs };
-        for simd in [true, false] {
-            gemm::set_simd_enabled(simd);
+        for tier in gemm::host_tiers() {
+            gemm::set_tier(tier);
             let mut dst = vec![0.0f32; kc * r];
             let packed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 v.pack_panel(0, kc, 0, w, r, &mut dst, Isa::current());
             }));
-            assert!(packed.is_err(), "{name} simd={simd}: read one element past its view");
+            assert!(packed.is_err(), "{name} tier={tier:?}: read one element past its view");
         }
     }
 }
@@ -339,9 +340,9 @@ fn all_three_matmul_variants_match_the_fma_oracle_through_every_packer() {
             gemm::set_blocking(kc, mc, nc);
             for threads in [1usize, 2] {
                 set_num_threads(threads);
-                for simd in [true, false] {
-                    gemm::set_simd_enabled(simd);
-                    let ctx = format!("{m}x{k}x{n} kc={kc} threads={threads} simd={simd}");
+                for tier in gemm::host_tiers() {
+                    gemm::set_tier(tier);
+                    let ctx = format!("{m}x{k}x{n} kc={kc} threads={threads} tier={tier:?}");
                     assert_eq!(bits(&matmul(&a, &b).unwrap()), want, "matmul {ctx}");
                     assert_eq!(bits(&matmul_tn(&at, &b).unwrap()), want, "matmul_tn {ctx}");
                     assert_eq!(bits(&matmul_nt(&a, &bt).unwrap()), want, "matmul_nt {ctx}");

@@ -1,13 +1,14 @@
 //! Bitwise-equality and allocation-freedom tests for the blocked GEMM
 //! engine — the two properties every dense product and convolution stands on:
 //!
-//! 1. the AVX2+FMA micro-kernel, the `mul_add` scalar fallback, and a
-//!    naive fused-chain oracle all produce *identical bits*, for any
-//!    blocking configuration and thread count;
+//! 1. every kernel tier the host has — the 16-lane AVX-512 tiles, the
+//!    8-lane AVX2 tile, the `mul_add` scalar loops — and a naive
+//!    fused-chain oracle all produce *identical bits*, for any blocking
+//!    configuration and thread count;
 //! 2. once warm, a steady-state GEMM of a fixed shape never touches the
 //!    heap (`alloc.pool_misses` stays flat).
 //!
-//! The engine's SIMD switch, blocking parameters, pool width, and the
+//! The engine's kernel tier, blocking parameters, pool width, and the
 //! probe counters are process-global, so every test serializes on one
 //! mutex and restores what it changed.
 
@@ -57,6 +58,7 @@ struct EngineState {
     threshold: usize,
     threads: usize,
     blocking: (usize, usize, usize),
+    tier: gemm::Tier,
 }
 
 fn save_state() -> EngineState {
@@ -64,6 +66,7 @@ fn save_state() -> EngineState {
         threshold: parallel_threshold(),
         threads: num_threads(),
         blocking: gemm::blocking(),
+        tier: gemm::tier(),
     }
 }
 
@@ -72,7 +75,7 @@ fn restore_state(s: &EngineState) {
     set_num_threads(s.threads);
     let (kc, mc, nc) = s.blocking;
     gemm::set_blocking(kc, mc, nc);
-    gemm::set_simd_enabled(true);
+    gemm::set_tier(s.tier);
 }
 
 #[test]
@@ -87,20 +90,52 @@ fn simd_and_scalar_fallback_are_bitwise_identical_to_the_fma_oracle() {
         let oracle = fma_reference(a.as_slice(), b.as_slice(), m, k, n);
         for threads in [1usize, 2, 4, 8] {
             set_num_threads(threads);
-            for simd in [true, false] {
-                gemm::set_simd_enabled(simd);
+            for tier in gemm::host_tiers() {
+                gemm::set_tier(tier);
                 let c = matmul(&a, &b).unwrap();
                 assert_eq!(
                     c.as_slice(),
                     &oracle[..],
-                    "bits diverged at {m}x{k}x{n}, simd={simd}, threads={threads} \
-                     (simd_supported={})",
-                    gemm::simd_supported()
+                    "bits diverged at {m}x{k}x{n}, tier={tier:?}, threads={threads} \
+                     (host tier {:?})",
+                    gemm::host_tier()
                 );
             }
         }
     }
 
+    restore_state(&saved);
+}
+
+#[test]
+fn every_tier_matches_the_oracle_around_the_tile_edges_and_the_depth_block() {
+    // Rows around one and two MR = 6 panels (the 16-lane tier's 12-row
+    // tile and its one-panel leftovers), columns around one, two and three
+    // NR = 16 panels (its 32-column tile), depths past one and two KC = 256
+    // blocks, so tiles resume from C.
+    let _g = lock();
+    let saved = save_state();
+    set_parallel_threshold(0);
+    for m in [11usize, 12, 13, 18, 23] {
+        for n in [15usize, 16, 17, 31, 32, 33, 48] {
+            for k in [257usize, 513] {
+                let a = Tensor::randn(&[m, k], 1.0, 61 + m as u64);
+                let b = Tensor::randn(&[k, n], 1.0, 62 + n as u64);
+                let oracle = fma_reference(a.as_slice(), b.as_slice(), m, k, n);
+                for threads in [1usize, 2] {
+                    set_num_threads(threads);
+                    for tier in gemm::host_tiers() {
+                        gemm::set_tier(tier);
+                        let c = matmul(&a, &b).unwrap();
+                        assert!(
+                            c.as_slice() == &oracle[..],
+                            "bits diverged at {m}x{k}x{n}, tier={tier:?}, threads={threads}"
+                        );
+                    }
+                }
+            }
+        }
+    }
     restore_state(&saved);
 }
 

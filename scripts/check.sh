@@ -44,12 +44,23 @@ echo "== BatchNorm2d against the loops it replaced, release"
 cargo test -q --release --offline --locked -p puffer-nn --test batchnorm_bitwise
 
 echo "== GEMM operand packer against its per-element oracle, release"
-# The tensor suite below runs it in debug (it switches SIMD on and off
-# itself, whatever PUFFER_SIMD says). The vector packers (8×8 transposes,
-# masked row copies) read through raw pointers behind bounds asserts, and
+# The tensor suite below runs it in debug (it steps through every tier the
+# host has itself, whatever PUFFER_SIMD says). The vector packers (16×16 and
+# 8×8 transposes, masked row copies) read through raw pointers behind bounds
+# asserts, and
 # codegen differs between the profiles: both must hold, on sources that end
 # exactly at the last element a panel reads.
 cargo test -q --release --offline --locked -p puffer-tensor --test pack_bitwise
+
+echo "== GEMM tiles and implicit-GEMM convolutions on every tier, release"
+# The register tiles (12x32 zmm on the 512-bit tier, 6x16 ymm on AVX2) and
+# the convolution sources' gathers and transposes address C and the
+# activations through raw pointers, and the tiles only keep their
+# accumulators in registers once the optimizer has unrolled them: the
+# workspace run above is the debug profile, and the two compile differently.
+# Both suites step through every tier the host has themselves.
+cargo test -q --release --offline --locked -p puffer-tensor --test simd_bitwise
+cargo test -q --release --offline --locked -p puffer-tensor --test conv_implicit
 
 echo "== attention kernels against the loops they replaced, release"
 # puffer_tensor::attention runs the Transformer's per-head scores, softmax
