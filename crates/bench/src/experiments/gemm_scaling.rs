@@ -57,7 +57,7 @@ fn time_matmul(a: &Tensor, b: &Tensor, reps: usize) -> f64 {
 /// One core's FMA peak on `tier`, in GFLOP/s: the fastest of seven timed
 /// runs of the register-only loop (a peak is the best the core does), each
 /// long enough (~0.1 s on a vector tier) to settle the core's clock.
-fn fma_peak(tier: Tier) -> f64 {
+pub(crate) fn fma_peak(tier: Tier) -> f64 {
     let iters = if tier == Tier::Scalar { 1 << 20 } else { 1 << 22 };
     let mut best = f64::INFINITY;
     let mut flops = 0.0;

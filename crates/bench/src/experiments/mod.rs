@@ -4,6 +4,7 @@
 pub mod alloc_churn;
 pub mod appendix_architectures;
 pub mod atomo_overhead;
+pub mod conv_roofline;
 pub mod diff;
 pub mod end_to_end_speedup;
 pub mod fault_sweep;
@@ -75,6 +76,7 @@ pub static TOOLS: &[Experiment] = &[
     ("overlap-sweep", overlap_sweep::run),
     ("alloc-churn", alloc_churn::run),
     ("gemm-scaling", gemm_scaling::run),
+    ("conv-roofline", conv_roofline::run),
     ("fault-sweep", fault_sweep::run),
     ("trace-demo", trace_demo::run),
     ("insight", insight::run),

@@ -94,8 +94,8 @@ fn list_names_every_subcommand_and_bad_invocations_exit_2() {
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout);
     let names: Vec<&str> = stdout.lines().collect();
-    assert_eq!(names.len(), 32, "24 paper experiments + 8 tools:\n{stdout}");
-    let tools = "soak overlap-sweep alloc-churn gemm-scaling fault-sweep trace-demo insight diff";
+    assert_eq!(names.len(), 33, "24 paper experiments + 9 tools:\n{stdout}");
+    let tools = "soak overlap-sweep alloc-churn gemm-scaling conv-roofline fault-sweep trace-demo insight diff";
     for tool in tools.split_whitespace() {
         assert!(names.contains(&tool), "list lacks {tool}:\n{stdout}");
     }

@@ -963,11 +963,12 @@ fn kernel_scalar(resume: bool, kc: usize, pa: &[f32], pb: &[f32], tile: &Tile) {
     }
 }
 
-/// The lane mask and 8×8 transpose of the vector packers, shared with the
-/// direct convolutions' kernels, and the gathering packer of the
+/// The lane mask and 8×8 transpose of the vector packers and the vector
+/// widths of the register tile, shared with the direct convolutions'
+/// kernels, and the gathering packer of the
 /// convolution sources.
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx::{gather_panel, lanes_below, transpose8, Coord};
+pub(crate) use avx::{gather_panel, lanes_below, transpose8, Coord, Lanes, Y8, Z16};
 
 #[cfg(target_arch = "x86_64")]
 mod avx {

@@ -7,7 +7,8 @@
 //! kernels) the three primitives run direct kernels whose every output
 //! element has the engine's bits — `to_bits` equal to `matmul(W, im2col(x))`,
 //! `matmul_nt(dOut, im2col(x))` and `col2im(matmul_tn(W, dOut))`, non-finite
-//! operands included — for every thread count and with SIMD on or off.
+//! operands included — for every thread count and on every kernel tier the
+//! host has (scalar, 8-lane AVX2, 16-lane AVX-512F).
 
 mod common;
 
@@ -21,7 +22,7 @@ use puffer_tensor::matmul::{parallel_threshold, set_parallel_threshold};
 use puffer_tensor::{pool, Tensor};
 use std::sync::Mutex;
 
-/// Thread count, SIMD switch and parallel threshold are process-global;
+/// Thread count, kernel tier and parallel threshold are process-global;
 /// every test in this binary serializes on this lock.
 static GLOBAL: Mutex<()> = Mutex::new(());
 
@@ -86,10 +87,12 @@ fn assert_same((y, dw, dx): &Results, want: &Oracle, ctx: &str) {
 /// stride ∈ {1, 2} × k ∈ {1,2,3,5,7} × pad ∈ {0 … k−1} × planes {4², 7×5,
 /// 8², 9×6, 16², 32²} (widths that are not lane multiples, and both
 /// parities of `h + 2p − k`, so that stride-2 phases end short, included) ×
-/// c_out ∈ {1,4,6,7,8,16, the bound, the bound + 1 — which falls through to
-/// the engine} for `k > 1`, and {1,4,7,16,40,64, the 1×1 bound, + 1} for
-/// 1×1 (40 and up cut the weight gradient into channel blocks) × c_in ∈
-/// {1,3,16,130}, two images.
+/// c_out ∈ {1,4,7,9,16,17, the bound, the bound + 1 — which falls through to
+/// the engine} for `k > 1` (7 and 17 cut the forward and input-gradient
+/// tiles of both widths in two; 9 and 17 take the 16-lane weight-gradient
+/// tile), and {1,4,7,16,40,64, the 1×1 bound, + 1} for 1×1 (40 and up cut
+/// the weight gradient into channel blocks) × c_in ∈ {1,3,16,130}, two
+/// images.
 fn grid() -> Vec<Case> {
     let mut out = Vec::new();
     for &stride in &[1usize, 2] {
@@ -97,7 +100,7 @@ fn grid() -> Vec<Case> {
             let c_outs = if k == 1 {
                 [1usize, 4, 7, 16, 40, 64, DIRECT_MAX_C_OUT_1X1, DIRECT_MAX_C_OUT_1X1 + 1]
             } else {
-                [1usize, 4, 6, 7, 8, 16, DIRECT_MAX_C_OUT, DIRECT_MAX_C_OUT + 1]
+                [1usize, 4, 7, 9, 16, 17, DIRECT_MAX_C_OUT, DIRECT_MAX_C_OUT + 1]
             };
             for padding in 0..k {
                 for &(h, w) in &[(4usize, 4usize), (7, 5), (8, 8), (9, 6), (16, 16), (32, 32)] {
@@ -119,9 +122,9 @@ fn grid() -> Vec<Case> {
 /// The whole grid is 6,592 cases and some 31 G multiply–adds per primitive
 /// (a fifth of them at stride 2), and the scalar twins run at a few hundred
 /// million a second. Every case is checked
-/// against the explicit lowering with the AVX2 kernels at one thread count
+/// against the explicit lowering on each vector tier at one thread count
 /// (rotating through 1/2/4/8); the cases under a million multiply–adds and
-/// every 16th of the rest are checked at all thread counts × SIMD on/off and
+/// every 16th of the rest are checked at all thread counts × every tier and
 /// against the engine as well.
 #[test]
 fn direct_equals_engine_equals_explicit_lowering() {
@@ -135,7 +138,7 @@ fn direct_equals_engine_equals_explicit_lowering() {
         if thorough {
             assert_same(&engine(case, &want), &want, &format!("engine, {case:?}"));
         }
-        for tier in [gemm::host_tier(), gemm::Tier::Scalar] {
+        for tier in gemm::host_tiers() {
             for &t in &threads {
                 if thorough || (tier > gemm::Tier::Scalar && t == threads[i % 4]) {
                     gemm::set_tier(tier);
@@ -182,8 +185,54 @@ fn more_images_than_threads_and_fewer() {
     for (i, case) in cases.iter().enumerate() {
         reference_knobs();
         let want = oracle_of(case, operands(case, 50 + i as u64));
-        for tier in [gemm::host_tier(), gemm::Tier::Scalar] {
+        for tier in gemm::host_tiers() {
             for threads in [1usize, 2, 4, 8] {
+                gemm::set_tier(tier);
+                pool::set_num_threads(threads);
+                let ctx = format!("{case:?} tier={tier:?} threads={threads}");
+                assert_same(&primitives(case, &want), &want, &ctx);
+            }
+        }
+    }
+}
+
+/// Every run layout of both vector widths: result planes 1 … 9, 12, 16, 17
+/// and 33 wide — one row per run, two or four (at 16 lanes; two at 8)
+/// rows per run, several runs per row, with groups of rows cut short by
+/// the plane's height — at stride 1 and 2 (whose input-gradient phases are
+/// planes of their own), 3×3 and 1×1 (read as one long row), with the
+/// output channels stepping across the forward and input-gradient tiles
+/// (6 and 12 rows) and the weight gradient's 8- and 16-lane blocks:
+/// c_out ∈ {1,4,5,8,9,15,16,17,24,32}, and for 1×1 also 64, 128 and 129
+/// (past the bound: the engine). Every tier, one and two threads.
+#[test]
+fn every_run_layout_matches_on_every_tier() {
+    let _g = lock();
+    let _knobs = Knobs::save();
+    let c_outs = [1usize, 4, 5, 8, 9, 15, 16, 17, 24, 32];
+    let wide = [64usize, DIRECT_MAX_C_OUT_1X1, DIRECT_MAX_C_OUT_1X1 + 1];
+    let mut cases = Vec::new();
+    for (i, &w_out) in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 33].iter().enumerate() {
+        for (j, &h_out) in [1usize, 2, 3, 4, 5, 7].iter().enumerate() {
+            for (stride, k, padding) in [(1, 3, 1), (2, 3, 1), (1, 1, 0), (2, 1, 0)] {
+                // The input whose output is h_out × w_out (odd at stride 2,
+                // so that the phases end short too).
+                let (h, w) = ((h_out - 1) * stride + 1, (w_out - 1) * stride + 1);
+                let at = i * 7 + j * 3 + stride + k;
+                let c_out =
+                    if k == 1 && at % 5 == 0 { wide[at % 3] } else { c_outs[at % c_outs.len()] };
+                let c_in = [3usize, 5, 20][at % 3];
+                let geo = ConvGeometry { c_in, h, w, k, stride, padding };
+                cases.push(Case { geo, n: 2, c_out });
+            }
+        }
+    }
+    for (i, case) in cases.iter().enumerate() {
+        assert!(case.geo.validate().is_ok(), "{case:?}");
+        reference_knobs();
+        let want = oracle_of(case, operands(case, 3000 + i as u64));
+        for tier in gemm::host_tiers() {
+            for threads in [1usize, 2] {
                 gemm::set_tier(tier);
                 pool::set_num_threads(threads);
                 let ctx = format!("{case:?} tier={tier:?} threads={threads}");
@@ -269,7 +318,7 @@ fn non_finite_operands_reach_the_same_elements_with_the_same_bits() {
                 let want = oracle_of(&case, o);
                 let ctx = format!("engine, {v} in {what}, {geo:?}");
                 assert_same(&engine(&case, &want), &want, &ctx);
-                for tier in [gemm::host_tier(), gemm::Tier::Scalar] {
+                for tier in gemm::host_tiers() {
                     for threads in [1usize, 2] {
                         gemm::set_tier(tier);
                         pool::set_num_threads(threads);

@@ -74,9 +74,10 @@ cargo test -q --release --offline --locked -p puffer-tensor --test attention_bit
 
 echo "== direct convolutions against the engine and the explicit lowering, release"
 # conv_direct.rs runs every stride-1/stride-2, k×k/1×1 thin layer through
-# AVX2 tiles that read phase planes and dOut in place through raw pointers
-# behind bounds asserts; the suite switches SIMD on and off itself, and the
-# tiles and their scalar twins compile differently in release.
+# the 8-lane (AVX2) and 16-lane (AVX-512F) tiles, which read phase planes
+# and dOut in place through raw pointers behind bounds asserts; the suite
+# steps through every tier the host has (scalar, avx2, avx512) itself, and
+# the tiles and their scalar twins compile differently in release.
 cargo test -q --release --offline --locked -p puffer-tensor --test conv_direct
 
 echo "== attention layer under the scalar fallback (PUFFER_SIMD=0)"
@@ -92,7 +93,8 @@ echo "== tensor suite under the scalar GEMM fallback (PUFFER_SIMD=0)"
 # micro-kernel disabled; prove the whole tensor suite agrees — the
 # implicit-GEMM convolution suite (tests/conv_implicit.rs) and the direct
 # kernels' (tests/conv_direct.rs) included — not just the dedicated A/B
-# tests (which force both paths in-process anyway).
+# tests. Those set every tier of the host in-process themselves, so the
+# direct kernels' three tiers run here too, from a scalar start.
 PUFFER_SIMD=0 cargo test -q --offline --locked -p puffer-tensor
 
 echo "== worker-side codec suites under the scalar GEMM fallback (PUFFER_SIMD=0)"
