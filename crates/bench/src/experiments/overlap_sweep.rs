@@ -6,10 +6,10 @@
 //! nanosecond exposed) and once with size-targeted buckets reduced as
 //! backward produces them. Four gates:
 //!
-//! * **overlap** — exposed comm drops by at least [`REDUCTION_FLOOR`]
+//! * **overlap** — exposed comm drops by at least `REDUCTION_FLOOR`
 //!   versus the synchronous run. This one is a wall-clock measurement of
-//!   [`WORKERS`] threads running side by side, so it gates only where
-//!   [`std::thread::available_parallelism`] is at least [`WORKERS`]; on a
+//!   `WORKERS` threads running side by side, so it gates only where
+//!   [`std::thread::available_parallelism`] is at least `WORKERS`; on a
 //!   smaller machine the workers time-slice, the measured exposure is the
 //!   scheduler's, and the gate passes with the cut recorded as information;
 //! * **bitwise** — both runs end in identical parameters (overlap is a

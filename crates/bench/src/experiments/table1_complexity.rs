@@ -11,8 +11,8 @@ use crate::{Args, Record};
 use puffer_nn::complexity as cx;
 use puffer_nn::conv::{Conv2d, LowRankConv2d};
 use puffer_nn::layer::Layer;
-use puffer_nn::linear::{Linear, LowRankLinear};
-use puffer_nn::lstm::{GateRank, LstmLayer};
+use puffer_nn::linear::{BlockRank, Linear};
+use puffer_nn::lstm::LstmLayer;
 
 /// Prints Table 1 and gates on the formulas matching the instantiated layers.
 pub fn run(_args: &Args) -> Record {
@@ -31,7 +31,7 @@ pub fn run(_args: &Args) -> Record {
         commas(fc.param_count() as u64),
         commas(cx::fc_macs(m, n)),
     ]);
-    let fc_lr = LowRankLinear::new(n as usize, m as usize, r as usize, false, 1).unwrap();
+    let fc_lr = Linear::low_rank(n as usize, m as usize, r as usize, false, 1).unwrap();
     t.row(vec![
         "Factorized FC".into(),
         "r(m+n)".into(),
@@ -63,8 +63,8 @@ pub fn run(_args: &Args) -> Record {
     // LSTM at d = h = 1500, r = 375 (parameter formulas exclude biases in
     // Table 1; our instantiated layers include the 4h gate biases).
     let (d, hh, rl) = (1500u64, 1500u64, 375u64);
-    let lstm = LstmLayer::new(48, 48, GateRank::Full, 1).unwrap();
-    let lstm_lr = LstmLayer::new(48, 48, GateRank::LowRank(12), 1).unwrap();
+    let lstm = LstmLayer::new(48, 48, BlockRank::Full, 1).unwrap();
+    let lstm_lr = LstmLayer::new(48, 48, BlockRank::LowRank(12), 1).unwrap();
     t.row(vec![
         "Vanilla LSTM".into(),
         "4(dh + h^2)".into(),

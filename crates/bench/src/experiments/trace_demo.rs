@@ -27,7 +27,7 @@ use puffer_compress::none::NoCompression;
 use puffer_dist::fault::FaultPlan;
 use puffer_dist::trainer::{train_data_parallel_with, DistConfig, DistOutcome, RunOptions};
 use puffer_nn::activation::Relu;
-use puffer_nn::linear::{Linear, LowRankLinear};
+use puffer_nn::linear::Linear;
 use puffer_nn::Sequential;
 use puffer_probe as probe;
 use puffer_probe::ProbeConfig;
@@ -48,7 +48,7 @@ fn demo_model(seed: u64) -> Sequential {
     Sequential::new(vec![
         Box::new(Linear::new(12, 32, true, seed).expect("demo linear")),
         Box::new(Relu::new()),
-        Box::new(LowRankLinear::new(32, 32, 4, true, seed + 1).expect("demo low-rank")),
+        Box::new(Linear::low_rank(32, 32, 4, true, seed + 1).expect("demo low-rank")),
         Box::new(Relu::new()),
         Box::new(Linear::new(32, 4, true, seed + 2).expect("demo head")),
     ])

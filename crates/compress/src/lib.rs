@@ -9,7 +9,6 @@
 //! * [`signum`] — SignSGD with majority vote / Signum (Bernstein et al.
 //!   2018): 1 bit per coordinate of the momentum, **not** allreduce-
 //!   compatible (allgather), as the paper emphasizes in §4.2.
-//! * [`topk`] — Top-k sparsification with error feedback (allgather).
 //! * [`quant`] — stochastic binary quantization (Suresh et al. 2016), the
 //!   appendix-F case study whose decompression cost scales with the number
 //!   of workers.
@@ -29,7 +28,7 @@
 //! allreduce, the messages laid end to end in worker order for an allgather
 //! — and every node decodes the result itself. A round is a short sequence
 //! of such *phases* — one for the uncompressed baseline and for the
-//! allgather methods (Signum, Top-k, binary quantization, ATOMO), two for
+//! allgather methods (Signum, binary quantization, ATOMO), two for
 //! PowerSGD (`P`, then `Q`) — so a trainer never moves a full-size gradient
 //! to run them, and an allgather method's decode costs every node `p`
 //! messages (the appendix-F asymmetry).
@@ -53,7 +52,6 @@ pub mod pack;
 pub mod powersgd;
 pub mod quant;
 pub mod signum;
-pub mod topk;
 
 use crate::pack::PackLayout;
 use puffer_probe as probe;
@@ -432,7 +430,6 @@ mod tests {
         use crate::powersgd::PowerSgd;
         use crate::quant::BinaryQuant;
         use crate::signum::Signum;
-        use crate::topk::TopK;
 
         // Two workers, one 16×8 matrix layer + one length-8 vector layer:
         // 136 coordinates, 544 raw bytes per worker.
@@ -458,8 +455,6 @@ mod tests {
         check(Box::new(Atomo::new(2, 1)), (16 * 2 + 2 + 2 * 8) * 4 + 8 * 4);
         // Signum: 1 bit per coordinate, packed into u64 words.
         check(Box::new(Signum::new(0.9)), 136usize.div_ceil(64) * 8);
-        // Top-k 25%: ⌈136/4⌉ = 34 (index, value) pairs.
-        check(Box::new(TopK::new(0.25)), 34 * (4 + 4));
         // Binary quantization: (min, max) header + 1 bit per coordinate.
         check(Box::new(BinaryQuant::new(1)), 8 + 136usize.div_ceil(64) * 8);
     }

@@ -140,7 +140,7 @@ pub(crate) fn restore_flat_state(
 }
 
 /// One worker's flat cross-round buffer over the packed gradient (Signum's
-/// momentum, Top-k's residual), the layout it belongs to, and the candidate
+/// momentum), the layout it belongs to, and the candidate
 /// the round in flight computed for it: [`FlatMemory::begin`] hands the
 /// candidate out, [`FlatMemory::commit`] — a codec's `decode` — makes it
 /// the memory, and a round that never gets there leaves no trace.

@@ -2,7 +2,7 @@
 //! replaced.
 //!
 //! The `Reference` impls below are the rounds `Signum::round`,
-//! `TopK::round`, `BinaryQuant::round` and `Atomo::round` used to be —
+//! `BinaryQuant::round` and `Atomo::round` used to be —
 //! every worker's gradient in one place, one decode, memory indexed by
 //! position among the workers — kept here as the oracles. The halves,
 //! whether driven by the provided `GradCompressor::round` or by hand
@@ -15,10 +15,8 @@ use puffer_compress::atomo::Atomo;
 use puffer_compress::pack::{pack, unpack, PackLayout};
 use puffer_compress::quant::BinaryQuant;
 use puffer_compress::signum::Signum;
-use puffer_compress::topk::TopK;
 use puffer_compress::{combine_in_order, AggregationKind, GradCompressor, WorkerCodec};
 use puffer_tensor::rng::Rng;
-use puffer_tensor::stats::top_k_indices;
 use puffer_tensor::svd::truncated_svd_seeded;
 use puffer_tensor::Tensor;
 
@@ -79,50 +77,6 @@ impl Reference for SignumRef {
 
     fn state_snapshot(&self) -> Vec<(String, Tensor)> {
         flat_rows(&self.layout, "mom", &self.momentum)
-    }
-}
-
-struct TopKRef {
-    ratio: f32,
-    memory: Vec<Tensor>,
-    layout: Option<PackLayout>,
-}
-
-impl Reference for TopKRef {
-    fn round(&mut self, worker_grads: &[Vec<Tensor>]) -> (Vec<Tensor>, usize) {
-        let n_workers = worker_grads.len();
-        let mut sparse: Vec<(Vec<u32>, Vec<f32>)> = Vec::new();
-        let mut total = 0;
-        for (w, grads) in worker_grads.iter().enumerate() {
-            let (mut flat, layout) = pack(grads);
-            total = layout.total_len();
-            if self.layout.as_ref() != Some(&layout) || self.memory.len() != n_workers {
-                self.layout = Some(layout);
-                self.memory = vec![Tensor::zeros(&[total]); n_workers];
-            }
-            flat.axpy(1.0, &self.memory[w]).unwrap();
-            let k = ((total as f32 * self.ratio).ceil() as usize).clamp(1, total);
-            let abs: Vec<f32> = flat.as_slice().iter().map(|x| x.abs()).collect();
-            let idx = top_k_indices(&abs, k);
-            let vals: Vec<f32> = idx.iter().map(|&i| flat.as_slice()[i]).collect();
-            for &i in &idx {
-                flat.as_mut_slice()[i] = 0.0;
-            }
-            self.memory[w] = flat;
-            sparse.push((idx.iter().map(|&i| i as u32).collect(), vals));
-        }
-        let mut dense = Tensor::zeros(&[total]);
-        for (idx, vals) in &sparse {
-            for (&i, &v) in idx.iter().zip(vals) {
-                dense.as_mut_slice()[i as usize] += v;
-            }
-        }
-        dense.scale(1.0 / n_workers as f32);
-        (unpack(&dense, self.layout.as_ref().unwrap()), sparse[0].0.len() * 8)
-    }
-
-    fn state_snapshot(&self) -> Vec<(String, Tensor)> {
-        flat_rows(&self.layout, "mem", &self.memory)
     }
 }
 
@@ -245,10 +199,6 @@ fn signum() -> Pair {
     (Box::new(Signum::new(0.9)), Box::new(SignumRef { beta: 0.9, momentum: vec![], layout: None }))
 }
 
-fn topk() -> Pair {
-    (Box::new(TopK::new(0.1)), Box::new(TopKRef { ratio: 0.1, memory: vec![], layout: None }))
-}
-
 fn atomo() -> Pair {
     (Box::new(Atomo::new(2, 7)), Box::new(AtomoRef { rank: 2, seed: 7, step: 0 }))
 }
@@ -310,7 +260,6 @@ fn union(codecs: &[Box<dyn WorkerCodec>]) -> Vec<(String, Tensor)> {
 fn halves_equal_the_central_rounds_bit_for_bit() {
     for (method, make, worker_counts) in [
         ("signum", signum as fn() -> Pair, &[1usize, 2, 4][..]),
-        ("topk", topk, &[1, 2, 4]),
         ("atomo", atomo, &[1, 2, 4]),
         // Beyond one worker the parent's single stream is not reproducible.
         ("binary-quant", quant, &[1]),
@@ -421,12 +370,9 @@ fn abort_leaves_no_trace_and_a_lost_contribution_touches_only_its_owner() {
     let shapes = &layer_mixes()[1];
     let workers = 3;
     let all: Vec<usize> = (0..workers).collect();
-    for (method, make) in [
-        ("signum", signum as fn() -> Pair),
-        ("topk", topk),
-        ("atomo", atomo),
-        ("binary-quant", quant),
-    ] {
+    for (method, make) in
+        [("signum", signum as fn() -> Pair), ("atomo", atomo), ("binary-quant", quant)]
+    {
         let (mut owner, _) = make();
         let mut codecs: Vec<Box<dyn WorkerCodec>> =
             (0..workers).map(|w| owner.worker_codec(w)).collect();
@@ -471,12 +417,9 @@ fn abort_leaves_no_trace_and_a_lost_contribution_touches_only_its_owner() {
 #[test]
 fn a_buffer_of_the_wrong_length_is_an_error_not_a_panic() {
     let shapes = &layer_mixes()[0];
-    for (method, make) in [
-        ("signum", signum as fn() -> Pair),
-        ("topk", topk),
-        ("atomo", atomo),
-        ("binary-quant", quant),
-    ] {
+    for (method, make) in
+        [("signum", signum as fn() -> Pair), ("atomo", atomo), ("binary-quant", quant)]
+    {
         let (mut owner, _) = make();
         let mut codec = owner.worker_codec(0);
         let mut grads = gradients(shapes, 1, 0).remove(0);

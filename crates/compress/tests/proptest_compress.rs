@@ -4,9 +4,8 @@
 use puffer_compress::atomo::Atomo;
 use puffer_compress::none::NoCompression;
 use puffer_compress::powersgd::PowerSgd;
-use puffer_compress::quant::QuantMessage;
+use puffer_compress::quant::{BinaryQuant, QuantMessage};
 use puffer_compress::signum::Signum;
-use puffer_compress::topk::TopK;
 use puffer_compress::{exact_mean, GradCompressor};
 use puffer_tensor::rng::{check, Rng};
 use puffer_tensor::stats::{l2_norm, rel_error};
@@ -33,31 +32,6 @@ fn vanilla_equals_exact_mean() {
         for (a, b) in out.iter().zip(&reference) {
             assert!(rel_error(b, a) < 1e-5);
         }
-    });
-}
-
-#[test]
-fn topk_full_ratio_equals_exact_mean() {
-    check("topk_full_ratio_equals_exact_mean", 24, |rng| {
-        let (workers, seed) = (rng.gen_range(1..4usize), rng.gen_range(0..200u64));
-        let g = grads(workers, 3, 3, seed);
-        let (out, _) = TopK::new(1.0).round(&g);
-        let reference = exact_mean(&g);
-        for (a, b) in out.iter().zip(&reference) {
-            assert!(rel_error(b, a) < 1e-5);
-        }
-    });
-}
-
-#[test]
-fn topk_output_supported_on_at_most_k_per_worker() {
-    check("topk_output_supported_on_at_most_k_per_worker", 24, |rng| {
-        let (ratio, seed) = (rng.gen_range(0.1..0.6), rng.gen_range(0..200u64));
-        let g = vec![vec![Tensor::randn(&[20], 1.0, seed)]];
-        let (out, _) = TopK::new(ratio).round(&g);
-        let k = ((20.0 * ratio).ceil() as usize).max(1);
-        let nonzero = out[0].as_slice().iter().filter(|&&v| v != 0.0).count();
-        assert!(nonzero <= k, "{nonzero} > {k}");
     });
 }
 
@@ -142,7 +116,7 @@ fn compressors_preserve_shapes() {
             Box::new(NoCompression::new()),
             Box::new(PowerSgd::new(2, seed)),
             Box::new(Signum::new(0.9)),
-            Box::new(TopK::new(0.3)),
+            Box::new(BinaryQuant::new(seed)),
             Box::new(Atomo::new(2, seed)),
         ];
         for mut c in compressors {

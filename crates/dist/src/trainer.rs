@@ -17,7 +17,7 @@
 //! mean gradient straight into its own `p.grad`. The one thing that differs
 //! per collective is the combination ([`AggregationKind`]): an allreduce
 //! method's payloads (vanilla SGD, PowerSGD) are summed in worker-id order
-//! and scaled once by `1/n`; an allgather method's messages (Signum, Top-k,
+//! and scaled once by `1/n`; an allgather method's messages (Signum,
 //! binary quantization, ATOMO) are laid end to end in worker-id order, and
 //! every worker decodes all `p` of them itself. The aggregator never sees,
 //! copies or decodes a gradient — PowerSGD moves `Σ(m+n)·r` floats per
@@ -2066,8 +2066,8 @@ mod tests {
     use super::*;
     use puffer_compress::none::NoCompression;
     use puffer_compress::powersgd::PowerSgd;
+    use puffer_compress::quant::BinaryQuant;
     use puffer_compress::signum::Signum;
-    use puffer_compress::topk::TopK;
     use puffer_nn::activation::Relu;
     use puffer_nn::linear::Linear;
     use puffer_nn::Sequential;
@@ -2197,8 +2197,8 @@ mod tests {
     fn bucket_size_never_changes_what_a_codec_computes() {
         // PowerSGD's P and Q payloads are bucketed like any other payload,
         // and so are the messages of the allgather codecs (Signum's sign
-        // words, Top-k's pairs): at any bucket size the results match the
-        // one-bucket run bitwise.
+        // words, the quantizer's levels and bit words): at any bucket size
+        // the results match the one-bucket run bitwise.
         let batches = synthetic_batches(3, 8);
         let cfg = DistConfig {
             workers: 2,
@@ -2210,7 +2210,7 @@ mod tests {
         let compressors: [fn() -> Box<dyn GradCompressor>; 3] = [
             || Box::new(PowerSgd::new(2, 9)),
             || Box::new(Signum::new(0.9)),
-            || Box::new(TopK::new(0.25)),
+            || Box::new(BinaryQuant::new(5)),
         ];
         for make in compressors {
             let run = |bytes: usize| {

@@ -10,13 +10,13 @@
 //! compressor state bit for bit, including in the rounds where a fault
 //! removes somebody: error feedback, momentum and residuals belong to a
 //! worker id, so nobody else's memory moves. Every case runs over PowerSGD
-//! (two allreduce phases), Signum and Top-k (one allgather phase each).
+//! (two allreduce phases), Signum and binary quantization (one allgather
+//! phase each, with per-worker momentum and random streams).
 
 use puffer_compress::atomo::Atomo;
 use puffer_compress::powersgd::PowerSgd;
 use puffer_compress::quant::BinaryQuant;
 use puffer_compress::signum::Signum;
-use puffer_compress::topk::TopK;
 use puffer_compress::{combine_in_order, GradCompressor, WorkerCodec};
 use puffer_dist::cost::ClusterProfile;
 use puffer_dist::fault::{message_checksum, FaultPlan};
@@ -47,15 +47,13 @@ const POWERSGD: Method =
     Method { name: "powersgd", make: || Box::new(PowerSgd::new(2, 9)), memory_rows: "m" };
 const SIGNUM: Method =
     Method { name: "signum", make: || Box::new(Signum::new(0.9)), memory_rows: "mom" };
-const TOPK: Method =
-    Method { name: "topk", make: || Box::new(TopK::new(0.25)), memory_rows: "mem" };
 const ATOMO: Method =
     Method { name: "atomo", make: || Box::new(Atomo::new(2, 7)), memory_rows: "" };
 const QUANT: Method =
     Method { name: "binary-quant", make: || Box::new(BinaryQuant::new(5)), memory_rows: "rng" };
 /// The methods the fault cases run over: the ones with memory of their own
 /// that a central round used to keep by position.
-const METHODS: [Method; 3] = [POWERSGD, SIGNUM, TOPK];
+const METHODS: [Method; 3] = [POWERSGD, SIGNUM, QUANT];
 
 fn mlp(seed: u64) -> Sequential {
     Sequential::new(vec![
@@ -270,13 +268,10 @@ const PARENT_DIGEST: u64 = 0xa21e_3ace_ed52_75c4;
 /// aggregator, the method's `round` played there — with SIMD on and off;
 /// both bucket sizes gave the same bits. `None`: the parent snapshot
 /// nothing for the method.
-const PARENT_GATHER_DIGESTS: [(Method, usize, u64, Option<u64>); 10] = [
+const PARENT_GATHER_DIGESTS: [(Method, usize, u64, Option<u64>); 7] = [
     (SIGNUM, 1, 0xfd88_e26e_2f03_69b3, Some(0xbaa9_e0e1_5542_20c8)),
     (SIGNUM, 2, 0x1810_67c0_c040_8807, Some(0x59ea_a27b_bcd1_44c4)),
     (SIGNUM, 4, 0xb44a_ef15_904f_3b21, Some(0xd447_03ec_d4cd_761c)),
-    (TOPK, 1, 0x123f_3a1b_c808_552c, Some(0x1554_97f3_697d_0109)),
-    (TOPK, 2, 0x8a90_dc2f_f6d4_926a, Some(0xe2c7_54ef_2f47_c07f)),
-    (TOPK, 4, 0xad4e_8609_3a06_2d9b, Some(0xecce_2422_7633_d77f)),
     (ATOMO, 1, 0x1795_065b_1db5_e395, None),
     (ATOMO, 2, 0x2d8b_0587_6079_731a, None),
     (ATOMO, 4, 0xd648_bae5_e037_3af3, None),
@@ -309,7 +304,7 @@ fn gather_codecs_land_on_the_parents_bits() {
 #[test]
 fn a_lost_contribution_leaves_every_other_workers_memory_alone() {
     // Worker 1's round-2 payload never arrives. The parent indexed error
-    // memory (PowerSGD's, then Signum's momentum and Top-k's residual) by
+    // memory (PowerSGD's, then Signum's momentum) by
     // position among the contributors and wiped all of it when their number
     // changed: here workers 0 and 2 must end exactly where a fleet in which
     // worker 1 simply sat that round out would have put them, and worker 1
@@ -365,8 +360,9 @@ fn a_skipped_step_leaves_the_compressor_state_untouched() {
 
 #[test]
 fn a_joiner_starts_from_the_shared_queries_and_no_memory() {
-    // What is shared is PowerSGD's queries and, for Signum and Top-k, only
-    // the layout: the joiner's momentum / residual starts at zero.
+    // What is shared is PowerSGD's queries and, for Signum and binary
+    // quantization, only the layout: the joiner's momentum starts at zero
+    // and its random stream at its own seed.
     let batches = batches(5, 12);
     let cfg = cfg(3);
     let mut rounds: Vec<Round> = (0..3).map(|_| Round::clean(&[0, 1, 2])).collect();

@@ -17,7 +17,7 @@
 //!   against the analytic cost model in `puffer_dist::cost`.
 //! * **[`report`]** — render the per-run text report and
 //!   its JSON form, with gates a CI check can assert.
-//! * **[`diff`]** — compare any two bench records with noise-aware
+//! * **[`diff`](mod@diff)** — compare any two bench records with noise-aware
 //!   thresholds (the `puffer-bench diff` regression check).
 //!
 //! Everything here is deterministic: the same input document produces

@@ -2,12 +2,13 @@
 //! model (appendix Table 12), with vanilla and per-gate low-rank variants
 //! plus the SVD warm-start conversion.
 
+use crate::units::warm_start_factors;
 use puffer_nn::embedding::Embedding;
-use puffer_nn::lstm::{GateRank, LstmLayer, MatOp};
+use puffer_nn::linear::{BlockRank, MatOp};
+use puffer_nn::lstm::LstmLayer;
 use puffer_nn::param::Param;
 use puffer_nn::{NnError, Result};
 use puffer_tensor::rng::Rng;
-use puffer_tensor::svd::truncated_svd_seeded;
 use puffer_tensor::Tensor;
 
 /// Configuration of the LSTM language model.
@@ -20,7 +21,7 @@ pub struct LstmLmConfig {
     /// Number of stacked LSTM layers (the paper uses 2).
     pub layers: usize,
     /// Gate rank (full or factorized).
-    pub rank: GateRank,
+    pub rank: BlockRank,
     /// Dropout probability between layers (the paper uses 0.65 at full
     /// scale; CPU-scale runs typically use less).
     pub dropout: f32,
@@ -31,7 +32,7 @@ pub struct LstmLmConfig {
 impl LstmLmConfig {
     /// A CPU-scale default mirroring the paper's shape (2 tied layers).
     pub fn small(vocab: usize, dim: usize, seed: u64) -> Self {
-        LstmLmConfig { vocab, dim, layers: 2, rank: GateRank::Full, dropout: 0.0, seed }
+        LstmLmConfig { vocab, dim, layers: 2, rank: BlockRank::Full, dropout: 0.0, seed }
     }
 }
 
@@ -225,7 +226,7 @@ impl LstmLm {
     /// Propagates factorization errors.
     pub fn to_low_rank(&self, rank: usize, warm_start: bool) -> Result<Self> {
         let mut config = self.config;
-        config.rank = GateRank::LowRank(rank);
+        config.rank = BlockRank::LowRank(rank);
         let mut model = LstmLm::new(config)?;
         model.embedding.param_mut().value = self.embedding.param().value.clone();
         model.decoder_bias.value = self.decoder_bias.value.clone();
@@ -233,14 +234,12 @@ impl LstmLm {
             for (li, lstm) in self.lstms.iter().enumerate() {
                 for gi in 0..4 {
                     let (wx, wh, bias) = lstm.gate_weights(gi);
-                    let fx = truncated_svd_seeded(&wx, rank, 0x5EED + gi as u64)?;
-                    let (ux, vx) = fx.split_balanced();
-                    let fh = truncated_svd_seeded(&wh, rank, 0x5EED + 10 + gi as u64)?;
-                    let (uh, vh) = fh.split_balanced();
+                    let (ux, vx) = warm_start_factors(&wx, rank, 0x5EED + gi as u64)?;
+                    let (uh, vh) = warm_start_factors(&wh, rank, 0x5EED + 10 + gi as u64)?;
                     model.lstms[li].set_gate(
                         gi,
-                        MatOp::from_factors("wx", ux, vx),
-                        MatOp::from_factors("wh", uh, vh),
+                        MatOp::from_factors("wx", ux, vx)?,
+                        MatOp::from_factors("wh", uh, vh)?,
                         bias,
                     );
                 }

@@ -374,7 +374,7 @@ impl ResNet {
             }
             stages.push(blocks);
         }
-        let fc = Linear::from_weights(self.fc.weight().clone(), self.fc.bias().cloned())?;
+        let fc = Linear::from_weights(self.fc.weight(), self.fc.bias().cloned())?;
         Ok(ResNet { config: self.config.clone(), stem, stages, gap: GlobalAvgPool::new(), fc })
     }
 

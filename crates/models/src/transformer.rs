@@ -2,14 +2,14 @@
 //! tied embeddings (appendix Tables 16–17), hybrid low-rank conversion
 //! included (first encoder layer and first decoder layer stay full-rank).
 
+use crate::units::warm_start_factors;
 use puffer_nn::attention::{BlockRank, FeedForward, MultiHeadAttention};
 use puffer_nn::embedding::Embedding;
 use puffer_nn::layer::{Layer, Mode};
-use puffer_nn::lstm::MatOp;
+use puffer_nn::linear::MatOp;
 use puffer_nn::norm::LayerNorm;
 use puffer_nn::param::Param;
 use puffer_nn::{NnError, Result};
-use puffer_tensor::svd::truncated_svd_seeded;
 use puffer_tensor::Tensor;
 
 /// Configuration of the Transformer.
@@ -345,9 +345,8 @@ impl TransformerModel {
             return Ok(model);
         }
         let fac = |w: &Tensor, name: &str, salt: u64| -> Result<MatOp> {
-            let f = truncated_svd_seeded(w, rank, 0x5EED + salt)?;
-            let (u, vt) = f.split_balanced();
-            Ok(MatOp::from_factors(name, u, vt))
+            let (u, vt) = warm_start_factors(w, rank, 0x5EED + salt)?;
+            MatOp::from_factors(name, u, vt)
         };
         for (l, (src, dst)) in self.enc.iter().zip(&mut model.enc).enumerate() {
             if l == 0 {

@@ -4,7 +4,7 @@
 
 use puffer_nn::conv::{Conv2d, LowRankConv2d};
 use puffer_nn::layer::{Layer, Mode};
-use puffer_nn::linear::{Linear, LowRankLinear};
+use puffer_nn::linear::Linear;
 use puffer_nn::norm::BatchNorm2d;
 use puffer_nn::param::Param;
 use puffer_nn::Result;
@@ -21,6 +21,14 @@ pub enum FactorInit {
     Random(u64),
 }
 
+/// Pufferfish's warm start (§3): the truncated SVD `W ≈ ŨΣṼᵀ` of a dense
+/// weight at `rank`, split as `U = ŨΣ^½` and `Vᵀ = Σ^½Ṽᵀ`. Every
+/// factorization in the model zoo starts here; `seed` picks the randomized
+/// SVD's sketch.
+pub(crate) fn warm_start_factors(w: &Tensor, rank: usize, seed: u64) -> Result<(Tensor, Tensor)> {
+    Ok(truncated_svd_seeded(w, rank, seed)?.split_balanced())
+}
+
 /// Factorizes a dense convolution into a [`LowRankConv2d`] at `rank`.
 ///
 /// # Errors
@@ -31,32 +39,24 @@ pub fn factorize_conv(conv: &Conv2d, rank: usize, init: FactorInit) -> Result<Lo
     match init {
         FactorInit::Random(seed) => LowRankConv2d::new(c_in, c_out, k, stride, padding, rank, seed),
         FactorInit::WarmStart => {
-            let unrolled = conv.unrolled_weight(); // (c_in k², c_out)
-            let f = truncated_svd_seeded(&unrolled, rank, 0x5EED)?;
-            let (u, vt) = f.split_balanced(); // u: (c_in k², r), vt: (r, c_out)
+            // u: (c_in k², r), vt: (r, c_out) of the unrolled (c_in k², c_out) weight
+            let (u, vt) = warm_start_factors(&conv.unrolled_weight(), rank, 0x5EED)?;
             let u4 = u.transpose().reshape(&[rank, c_in, k, k]).expect("factor element count");
-            let v2 = vt.transpose(); // (c_out, r)
-            LowRankConv2d::from_factors(u4, v2, stride, padding)
+            LowRankConv2d::from_factors(u4, vt.transpose(), stride, padding)
         }
     }
 }
 
-/// Factorizes a dense FC layer into a [`LowRankLinear`] at `rank`,
-/// carrying the bias over unchanged.
+/// Factorizes an FC layer at `rank`, carrying the bias over unchanged.
 ///
 /// # Errors
 ///
 /// Propagates construction errors (rank out of range).
-pub fn factorize_linear(layer: &Linear, rank: usize, init: FactorInit) -> Result<LowRankLinear> {
+pub fn factorize_linear(layer: &Linear, rank: usize, init: FactorInit) -> Result<Linear> {
     match init {
         FactorInit::Random(seed) => {
-            let mut lr = LowRankLinear::new(
-                layer.in_features(),
-                layer.out_features(),
-                rank,
-                layer.bias().is_some(),
-                seed,
-            )?;
+            let (fin, fout) = (layer.in_features(), layer.out_features());
+            let mut lr = Linear::low_rank(fin, fout, rank, layer.bias().is_some(), seed)?;
             // Random factors, but keep the (possibly trained) bias.
             if let (Some(b), Some(p)) = (layer.bias(), lr.params_mut().pop()) {
                 p.value = b.clone();
@@ -64,9 +64,8 @@ pub fn factorize_linear(layer: &Linear, rank: usize, init: FactorInit) -> Result
             Ok(lr)
         }
         FactorInit::WarmStart => {
-            let f = truncated_svd_seeded(layer.weight(), rank, 0x5EED)?;
-            let (u, vt) = f.split_balanced();
-            LowRankLinear::from_factors(u, vt, layer.bias().cloned())
+            let (u, vt) = warm_start_factors(&layer.weight(), rank, 0x5EED)?;
+            Linear::from_factors(u, vt, layer.bias().cloned())
         }
     }
 }
@@ -304,83 +303,6 @@ impl Layer for ConvBnUnit {
     }
 }
 
-/// An FC layer that is either dense or factorized.
-#[derive(Debug)]
-pub enum FcKind {
-    /// Full-rank FC.
-    Dense(Linear),
-    /// Factorized FC.
-    LowRank(LowRankLinear),
-}
-
-impl FcKind {
-    /// Converts a dense FC into a factorized twin.
-    ///
-    /// # Errors
-    ///
-    /// Propagates factorization errors; errors if already factorized.
-    pub fn to_low_rank(&self, rank: usize, init: FactorInit) -> Result<Self> {
-        match self {
-            FcKind::Dense(l) => Ok(FcKind::LowRank(factorize_linear(l, rank, init)?)),
-            FcKind::LowRank(_) => Err(puffer_nn::NnError::BadConfig {
-                layer: "FcKind",
-                reason: "layer is already low-rank".into(),
-            }),
-        }
-    }
-
-    /// `(in_features, out_features)`.
-    pub fn dims(&self) -> (usize, usize) {
-        match self {
-            FcKind::Dense(l) => (l.in_features(), l.out_features()),
-            // Param order is [u (out×r), vt (r×in), bias?].
-            FcKind::LowRank(l) => (l.params()[1].value.shape()[1], l.params()[0].value.shape()[0]),
-        }
-    }
-
-    /// Whether this FC is factorized.
-    pub fn is_low_rank(&self) -> bool {
-        matches!(self, FcKind::LowRank(_))
-    }
-}
-
-impl Layer for FcKind {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        match self {
-            FcKind::Dense(l) => l.forward(input, mode),
-            FcKind::LowRank(l) => l.forward(input, mode),
-        }
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        match self {
-            FcKind::Dense(l) => l.backward(grad_output),
-            FcKind::LowRank(l) => l.backward(grad_output),
-        }
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        match self {
-            FcKind::Dense(l) => l.params(),
-            FcKind::LowRank(l) => l.params(),
-        }
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        match self {
-            FcKind::Dense(l) => l.params_mut(),
-            FcKind::LowRank(l) => l.params_mut(),
-        }
-    }
-
-    fn describe(&self) -> String {
-        match self {
-            FcKind::Dense(l) => l.describe(),
-            FcKind::LowRank(l) => l.describe(),
-        }
-    }
-}
-
 /// Rounds `channels × ratio` to a rank, clamping to the valid range
 /// `[1, min(c_in·k², c_out)]`. The paper uses `ratio = 0.25` everywhere.
 pub fn rank_for(channels: usize, ratio: f32, max: usize) -> usize {
@@ -542,17 +464,6 @@ pub(crate) mod tests {
         assert_eq!(lr.bn.state(), unit.bn.state());
         // Double factorization is rejected.
         assert!(lr.to_low_rank(2, FactorInit::WarmStart).is_err());
-    }
-
-    #[test]
-    fn fc_kind_round_trip() {
-        let dense = FcKind::Dense(Linear::new(8, 4, true, 11).unwrap());
-        assert!(!dense.is_low_rank());
-        assert_eq!(dense.dims(), (8, 4));
-        let lr = dense.to_low_rank(2, FactorInit::Random(1)).unwrap();
-        assert!(lr.is_low_rank());
-        assert_eq!(lr.dims(), (8, 4));
-        assert!(lr.to_low_rank(2, FactorInit::Random(1)).is_err());
     }
 
     #[test]

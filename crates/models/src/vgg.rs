@@ -7,9 +7,9 @@
 //! shape (stage structure, pooling schedule, classifier head, hybrid-K
 //! semantics).
 
-use crate::units::{rank_for, ConvBnUnit, FactorInit, FcKind};
+use crate::units::{factorize_linear, rank_for, ConvBnUnit, FactorInit, FusedRelu};
 use puffer_nn::layer::{Layer, Mode};
-use puffer_nn::linear::Linear;
+use puffer_nn::linear::{BlockRank, Linear};
 use puffer_nn::param::Param;
 use puffer_nn::pool::{Flatten, MaxPool2d};
 use puffer_nn::Result;
@@ -83,8 +83,8 @@ pub struct Vgg {
     pool_after: Vec<bool>,
     pools: Vec<MaxPool2d>,
     flatten: Flatten,
-    fc_units: Vec<FcKind>,
-    fc_relu_masks: Vec<Option<Vec<bool>>>,
+    fc_units: Vec<Linear>,
+    fc_relus: Vec<FusedRelu>,
     classifier: Linear,
 }
 
@@ -114,20 +114,19 @@ impl Vgg {
         let mut feat = c_in * final_hw * final_hw;
         let mut fc_units = Vec::new();
         for &h in &config.fc_hidden {
-            fc_units.push(FcKind::Dense(Linear::new(feat, h, true, seed)?));
+            fc_units.push(Linear::new(feat, h, true, seed)?);
             seed = seed.wrapping_add(1);
             feat = h;
         }
         let classifier = Linear::new(feat, config.classes, true, seed)?;
-        let n_fc = fc_units.len();
         Ok(Vgg {
             config,
             conv_units,
             pool_after,
             pools,
             flatten: Flatten::new(),
+            fc_relus: fc_units.iter().map(|_| FusedRelu::default()).collect(),
             fc_units,
-            fc_relu_masks: (0..n_fc).map(|_| None).collect(),
             classifier,
         })
     }
@@ -167,26 +166,23 @@ impl Vgg {
         for (j, fc) in self.fc_units.iter().enumerate() {
             let idx = n_convs + j + 1;
             if idx >= first_low_rank {
-                let (fin, fout) = fc.dims();
+                let (fin, fout) = (fc.in_features(), fc.out_features());
                 let rank = rank_for(fout, rank_ratio, fin.min(fout));
-                fc_units.push(fc.to_low_rank(rank, init)?);
+                fc_units.push(factorize_linear(fc, rank, init)?);
             } else {
-                fc_units.push(clone_fc(fc)?);
+                fc_units.push(Linear::from_weights(fc.weight(), fc.bias().cloned())?);
             }
         }
-        let classifier = Linear::from_weights(
-            self.classifier.weight().clone(),
-            self.classifier.bias().cloned(),
-        )?;
-        let n_fc = fc_units.len();
+        let classifier =
+            Linear::from_weights(self.classifier.weight(), self.classifier.bias().cloned())?;
         Ok(Vgg {
             config: self.config.clone(),
             conv_units,
             pool_after: self.pool_after.clone(),
             pools: self.config.stages.iter().map(|_| MaxPool2d::new(2, 2)).collect(),
             flatten: Flatten::new(),
+            fc_relus: fc_units.iter().map(|_| FusedRelu::default()).collect(),
             fc_units,
-            fc_relu_masks: (0..n_fc).map(|_| None).collect(),
             classifier,
         })
     }
@@ -194,19 +190,7 @@ impl Vgg {
     /// Number of factorized layers (for tests and reporting).
     pub fn low_rank_layer_count(&self) -> usize {
         self.conv_units.iter().filter(|u| u.conv.is_low_rank()).count()
-            + self.fc_units.iter().filter(|f| f.is_low_rank()).count()
-    }
-}
-
-fn clone_fc(fc: &FcKind) -> Result<FcKind> {
-    match fc {
-        FcKind::Dense(l) => {
-            Ok(FcKind::Dense(Linear::from_weights(l.weight().clone(), l.bias().cloned())?))
-        }
-        FcKind::LowRank(_) => Err(puffer_nn::NnError::BadConfig {
-            layer: "Vgg",
-            reason: "cannot deep-copy an already-hybrid FC".into(),
-        }),
+            + self.fc_units.iter().filter(|f| f.rank() != BlockRank::Full).count()
     }
 }
 
@@ -222,12 +206,9 @@ impl Layer for Vgg {
             }
         }
         x = self.flatten.forward(&x, mode);
-        for (i, fc) in self.fc_units.iter_mut().enumerate() {
+        for (fc, relu) in self.fc_units.iter_mut().zip(&mut self.fc_relus) {
             x = fc.forward(&x, mode);
-            if mode == Mode::Train {
-                self.fc_relu_masks[i] = Some(x.as_slice().iter().map(|&v| v > 0.0).collect());
-            }
-            x.map_inplace(|v| v.max(0.0));
+            relu.forward(&mut x, mode);
         }
         self.classifier.forward(&x, mode)
     }
@@ -247,14 +228,8 @@ impl Layer for Vgg {
         let mut first = self.params().len() - self.classifier.params().len();
         let mut g = self.classifier.backward(grad_output);
         on_ready(first);
-        for (i, fc) in self.fc_units.iter_mut().enumerate().rev() {
-            let mask = self.fc_relu_masks[i].as_ref().expect("backward before train-mode forward");
-            for (gv, &m) in g.as_mut_slice().iter_mut().zip(mask) {
-                if !m {
-                    *gv = 0.0;
-                }
-            }
-            g = fc.backward(&g);
+        for (fc, relu) in self.fc_units.iter_mut().zip(&self.fc_relus).rev() {
+            g = fc.backward(&relu.backward(&g));
             first -= fc.params().len();
             on_ready(first);
         }

@@ -4,30 +4,16 @@
 //! The paper factorizes all learnable matrices in the attention
 //! (`W^Q, W^K, W^V, W^O`) and FFN (`W_1, W_2`) of every encoder/decoder
 //! layer except the first of each stack; biases, LayerNorm, and positional
-//! encodings stay dense (they are vectors).
+//! encodings stay dense (they are vectors). Each projection is a
+//! [`MatOp`], the dense-or-factorized map FC layers and the LSTM gates use
+//! too; a block's [`BlockRank`] applies to all of its projections.
 
-use crate::lstm::MatOp;
+pub use crate::linear::BlockRank;
+use crate::linear::MatOp;
 use crate::param::Param;
 use crate::{NnError, Result};
 use puffer_tensor::attention::{self, Heads};
 use puffer_tensor::Tensor;
-
-/// Rank configuration for a Transformer block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockRank {
-    /// Dense projections.
-    Full,
-    /// All projection matrices factorized at this rank.
-    LowRank(usize),
-}
-
-fn make_op(name: &str, out_dim: usize, in_dim: usize, rank: BlockRank, seed: u64) -> MatOp {
-    let std = (2.0 / (in_dim + out_dim) as f32).sqrt();
-    match rank {
-        BlockRank::Full => MatOp::dense(name, out_dim, in_dim, std, seed),
-        BlockRank::LowRank(r) => MatOp::low_rank(name, out_dim, in_dim, r, std, seed),
-    }
-}
 
 /// Multi-head scaled dot-product attention with `p` heads over model
 /// dimension `d_model = p·d`.
@@ -69,19 +55,15 @@ impl MultiHeadAttention {
                 reason: format!("d_model {d_model} must be a nonzero multiple of heads {heads}"),
             });
         }
-        if let BlockRank::LowRank(r) = rank {
-            if r == 0 || r > d_model {
-                return Err(NnError::BadConfig {
-                    layer: "MultiHeadAttention",
-                    reason: format!("rank {r} out of range for d_model {d_model}"),
-                });
-            }
-        }
+        // Xavier-normal scale, `std = √(2 / (in + out))`, for every projection.
+        let std = (2.0 / (d_model + d_model) as f32).sqrt();
+        let op =
+            |name, salt| MatOp::new(name, d_model, d_model, rank, std, seed.wrapping_add(salt));
         Ok(MultiHeadAttention {
-            wq: make_op("attention.wq", d_model, d_model, rank, seed),
-            wk: make_op("attention.wk", d_model, d_model, rank, seed.wrapping_add(10)),
-            wv: make_op("attention.wv", d_model, d_model, rank, seed.wrapping_add(20)),
-            wo: make_op("attention.wo", d_model, d_model, rank, seed.wrapping_add(30)),
+            wq: op("attention.wq", 0)?,
+            wk: op("attention.wk", 10)?,
+            wv: op("attention.wv", 20)?,
+            wo: op("attention.wo", 30)?,
             heads,
             d_model,
             cache: None,
@@ -195,21 +177,11 @@ impl FeedForward {
     ///
     /// Returns [`NnError::BadConfig`] on a zero dimension or excessive rank.
     pub fn new(d_model: usize, rank: BlockRank, seed: u64) -> Result<Self> {
-        if d_model == 0 {
-            return Err(NnError::BadConfig { layer: "FeedForward", reason: "zero d_model".into() });
-        }
-        if let BlockRank::LowRank(r) = rank {
-            if r == 0 || r > d_model {
-                return Err(NnError::BadConfig {
-                    layer: "FeedForward",
-                    reason: format!("rank {r} out of range for d_model {d_model}"),
-                });
-            }
-        }
         let hidden = 4 * d_model;
+        let std = (2.0 / (d_model + hidden) as f32).sqrt();
         Ok(FeedForward {
-            w1: make_op("ffn.layer1", hidden, d_model, rank, seed),
-            w2: make_op("ffn.layer2", d_model, hidden, rank, seed.wrapping_add(40)),
+            w1: MatOp::new("ffn.layer1", hidden, d_model, rank, std, seed)?,
+            w2: MatOp::new("ffn.layer2", d_model, hidden, rank, std, seed.wrapping_add(40))?,
             b1: Param::new_no_decay("ffn.bias1", Tensor::zeros(&[hidden])),
             b2: Param::new_no_decay("ffn.bias2", Tensor::zeros(&[d_model])),
             d_model,
@@ -421,7 +393,7 @@ mod tests {
         let factorize = |w: &Tensor, name: &str| {
             let f = puffer_tensor::svd::truncated_svd(w, 8).unwrap();
             let (u, vt) = f.split_balanced();
-            MatOp::from_factors(name, u, vt)
+            MatOp::from_factors(name, u, vt).unwrap()
         };
         let mut lr = MultiHeadAttention::new(8, 2, BlockRank::LowRank(4), 9).unwrap();
         lr.set_projections(
@@ -482,7 +454,11 @@ mod tests {
         assert!(MultiHeadAttention::new(8, 0, BlockRank::Full, 1).is_err());
         assert!(MultiHeadAttention::new(8, 2, BlockRank::LowRank(9), 1).is_err());
         assert!(FeedForward::new(0, BlockRank::Full, 1).is_err());
+        assert!(MultiHeadAttention::new(8, 2, BlockRank::LowRank(0), 1).is_err());
+        assert!(MultiHeadAttention::new(8, 2, BlockRank::LowRank(8), 1).is_ok());
         assert!(FeedForward::new(8, BlockRank::LowRank(0), 1).is_err());
+        assert!(FeedForward::new(8, BlockRank::LowRank(9), 1).is_err()); // > min(8, 32)
+        assert!(FeedForward::new(8, BlockRank::LowRank(8), 1).is_ok());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! (paper §2.2, Figure 1).
 
 use crate::layer::{Layer, Mode};
+use crate::linear::{check_rank, BlockRank};
 use crate::param::Param;
 use crate::{NnError, Result};
 use puffer_tensor::conv::{conv2d_forward, conv2d_grad_input, conv2d_grad_weight, ConvGeometry};
@@ -200,12 +201,7 @@ impl LowRankConv2d {
         rank: usize,
         seed: u64,
     ) -> Result<Self> {
-        if rank == 0 || rank > (c_in * k * k).min(c_out) {
-            return Err(NnError::BadConfig {
-                layer: "LowRankConv2d",
-                reason: format!("rank {rank} out of range for ({c_in}, {c_out}, k={k})"),
-            });
-        }
+        check_rank("LowRankConv2d", c_in * k * k, c_out, BlockRank::LowRank(rank))?;
         let mut u = Conv2d::new(c_in, rank, k, stride, padding, false, seed)?;
         let v = Conv2d::new(rank, c_out, 1, 1, 0, false, seed.wrapping_add(1))?;
         u.weight.name = "conv_u.weight".into();
@@ -400,6 +396,8 @@ mod tests {
         assert!(Conv2d::new(4, 4, 3, 0, 1, false, 1).is_err());
         assert!(LowRankConv2d::new(2, 4, 3, 1, 1, 0, 1).is_err());
         assert!(LowRankConv2d::new(2, 4, 3, 1, 1, 5, 1).is_err()); // > min(18, 4)
+        assert!(LowRankConv2d::new(1, 16, 3, 1, 1, 10, 1).is_err()); // > min(9, 16)
+        assert!(LowRankConv2d::new(1, 16, 3, 1, 1, 9, 1).is_ok());
     }
 
     #[test]

@@ -1,20 +1,216 @@
-//! Fully connected layers: vanilla [`Linear`] and Pufferfish's
-//! [`LowRankLinear`] (`W ≈ U·Vᵀ`, paper §2.1).
+//! The dense-or-factorized linear map [`MatOp`] and the fully connected
+//! layer [`Linear`] built on it.
+//!
+//! Pufferfish factorizes every weight the same way: `W ∈ R^{out×in}`
+//! becomes `U·Vᵀ` with `U ∈ R^{out×r}` and `Vᵀ ∈ R^{r×in}` (paper §2.1).
+//! [`MatOp`] is that one map, dense or factorized; FC layers, the LSTM
+//! gates ([`crate::lstm`]) and the Transformer projections
+//! ([`crate::attention`]) all hold one.
 
 use crate::layer::{Layer, Mode};
 use crate::param::Param;
 use crate::{NnError, Result};
-use puffer_tensor::init::kaiming_normal;
 use puffer_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use puffer_tensor::Tensor;
 
-/// Dense layer `y = x·Wᵀ + b` with `W ∈ R^{out×in}`.
+/// The rank a [`MatOp`] is built at: dense, or factorized at rank `r`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockRank {
+    /// Dense weight.
+    Full,
+    /// `U·Vᵀ` at this rank.
+    LowRank(usize),
+}
+
+/// Checks that an `out×in` matrix can be built at `rank`: both dimensions
+/// nonzero and, factorized, `1 ≤ r ≤ min(in, out)`. The one rank check;
+/// [`crate::conv::LowRankConv2d`] calls it with `in = c_in·k²`.
+pub(crate) fn check_rank(
+    layer: &'static str,
+    in_dim: usize,
+    out_dim: usize,
+    rank: BlockRank,
+) -> Result<()> {
+    let max = in_dim.min(out_dim);
+    let fits = match rank {
+        BlockRank::Full => max > 0,
+        BlockRank::LowRank(r) => (1..=max).contains(&r),
+    };
+    if fits {
+        return Ok(());
+    }
+    Err(NnError::BadConfig {
+        layer,
+        reason: format!(
+            "{rank:?} needs nonzero dimensions and a rank in 1..=min(in, out), got {in_dim}→{out_dim}"
+        ),
+    })
+}
+
+/// A linear map `y = x·Wᵀ` whose weight is dense (`W ∈ R^{out×in}`) or
+/// factorized (`U ∈ R^{out×r}`, `Vᵀ ∈ R^{r×in}`).
+#[derive(Debug)]
+pub enum MatOp {
+    /// Dense weight.
+    Dense(Param),
+    /// Low-rank factors.
+    LowRank {
+        /// `U ∈ R^{out×r}`.
+        u: Param,
+        /// `Vᵀ ∈ R^{r×in}`.
+        vt: Param,
+    },
+}
+
+impl MatOp {
+    /// Creates an `out_dim×in_dim` op at `rank`. A dense weight is drawn
+    /// from `N(0, std²)`. Each factor entry is drawn with standard deviation
+    /// `√(std/√r)`, `Vᵀ` from the seed after `U`'s, so that `U·Vᵀ` has the
+    /// dense weight's variance. The parameters are named `name`, or
+    /// `{name}_u` and `{name}_v`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::BadConfig`] if a dimension is zero or the rank is
+    /// outside `1..=min(in_dim, out_dim)`.
+    pub fn new(
+        name: &str,
+        out_dim: usize,
+        in_dim: usize,
+        rank: BlockRank,
+        std: f32,
+        seed: u64,
+    ) -> Result<Self> {
+        check_rank("MatOp", in_dim, out_dim, rank)?;
+        Ok(match rank {
+            BlockRank::Full => {
+                MatOp::Dense(Param::new(name, Tensor::randn(&[out_dim, in_dim], std, seed)))
+            }
+            BlockRank::LowRank(r) => {
+                let factor_std = (std / (r as f32).sqrt()).sqrt();
+                MatOp::LowRank {
+                    u: Param::new(
+                        format!("{name}_u"),
+                        Tensor::randn(&[out_dim, r], factor_std, seed),
+                    ),
+                    vt: Param::new(
+                        format!("{name}_v"),
+                        Tensor::randn(&[r, in_dim], factor_std, seed.wrapping_add(1)),
+                    ),
+                }
+            }
+        })
+    }
+
+    /// Builds a low-rank op from explicit factors `U: out×r`, `Vᵀ: r×in`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::BadConfig`] if the factors are not 2-D or their
+    /// inner dimensions differ.
+    pub fn from_factors(name: &str, u: Tensor, vt: Tensor) -> Result<Self> {
+        if u.ndim() != 2 || vt.ndim() != 2 || u.shape()[1] != vt.shape()[0] {
+            return Err(NnError::BadConfig {
+                layer: "MatOp",
+                reason: format!("incompatible factors {:?} / {:?}", u.shape(), vt.shape()),
+            });
+        }
+        Ok(MatOp::LowRank {
+            u: Param::new(format!("{name}_u"), u),
+            vt: Param::new(format!("{name}_v"), vt),
+        })
+    }
+
+    /// Output dimension.
+    pub fn out_dim(&self) -> usize {
+        match self {
+            MatOp::Dense(w) => w.value.shape()[0],
+            MatOp::LowRank { u, .. } => u.value.shape()[0],
+        }
+    }
+
+    /// Input dimension.
+    pub fn in_dim(&self) -> usize {
+        match self {
+            MatOp::Dense(w) => w.value.shape()[1],
+            MatOp::LowRank { vt, .. } => vt.value.shape()[1],
+        }
+    }
+
+    /// Whether the op is dense, or factorized at which rank.
+    pub fn rank(&self) -> BlockRank {
+        match self {
+            MatOp::Dense(_) => BlockRank::Full,
+            MatOp::LowRank { u, .. } => BlockRank::LowRank(u.value.shape()[1]),
+        }
+    }
+
+    /// `y = x·Wᵀ` for `x: [n, in]`.
+    pub fn apply(&self, x: &Tensor) -> Tensor {
+        match self {
+            MatOp::Dense(w) => matmul_nt(x, &w.value).expect("MatOp shape"),
+            MatOp::LowRank { u, vt } => {
+                let h = matmul_nt(x, &vt.value).expect("MatOp shape");
+                matmul_nt(&h, &u.value).expect("MatOp shape")
+            }
+        }
+    }
+
+    /// Accumulates parameter gradients for `y = x·Wᵀ` given `x` and
+    /// `dy`, returning `dx`. A factorized op recomputes `x·Vᵀ` rather than
+    /// keeping it from [`MatOp::apply`].
+    pub fn backward(&mut self, x: &Tensor, dy: &Tensor) -> Tensor {
+        match self {
+            MatOp::Dense(w) => {
+                let dw = matmul_tn(dy, x).expect("MatOp shape");
+                w.grad.axpy(1.0, &dw).expect("grad shape");
+                matmul(dy, &w.value).expect("MatOp shape")
+            }
+            MatOp::LowRank { u, vt } => {
+                // dU = dYᵀ·H, dH = dY·U, dVᵀ = dHᵀ·X, dX = dH·Vᵀ
+                let hidden = matmul_nt(x, &vt.value).expect("MatOp shape");
+                let du = matmul_tn(dy, &hidden).expect("MatOp shape");
+                u.grad.axpy(1.0, &du).expect("grad shape");
+                let dh = matmul(dy, &u.value).expect("MatOp shape");
+                let dvt = matmul_tn(&dh, x).expect("MatOp shape");
+                vt.grad.axpy(1.0, &dvt).expect("grad shape");
+                matmul(&dh, &vt.value).expect("MatOp shape")
+            }
+        }
+    }
+
+    /// The effective dense matrix (`W` or `U·Vᵀ`).
+    pub fn effective(&self) -> Tensor {
+        match self {
+            MatOp::Dense(w) => w.value.clone(),
+            MatOp::LowRank { u, vt } => matmul(&u.value, &vt.value).expect("factor shapes"),
+        }
+    }
+
+    /// Immutable parameter views (`[w]` or `[u, vt]`).
+    pub fn params(&self) -> Vec<&Param> {
+        match self {
+            MatOp::Dense(w) => vec![w],
+            MatOp::LowRank { u, vt } => vec![u, vt],
+        }
+    }
+
+    /// Mutable parameter views, same order as [`MatOp::params`].
+    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+        match self {
+            MatOp::Dense(w) => vec![w],
+            MatOp::LowRank { u, vt } => vec![u, vt],
+        }
+    }
+}
+
+/// Fully connected layer `y = x·Wᵀ + b` over a [`MatOp`] weight named
+/// `weight` (dense) or `weight_u`, `weight_v` (factorized). Factorized, it
+/// holds `r·(out+in)` weights instead of `out·in` (Table 1).
 #[derive(Debug)]
 pub struct Linear {
-    weight: Param,
+    op: MatOp,
     bias: Option<Param>,
-    in_features: usize,
-    out_features: usize,
     cached_input: Option<Tensor>,
 }
 
@@ -25,19 +221,40 @@ impl Linear {
     ///
     /// Returns [`NnError::BadConfig`] if either dimension is zero.
     pub fn new(in_features: usize, out_features: usize, bias: bool, seed: u64) -> Result<Self> {
-        if in_features == 0 || out_features == 0 {
-            return Err(NnError::BadConfig {
-                layer: "Linear",
-                reason: format!("dimensions must be nonzero, got {in_features}x{out_features}"),
-            });
-        }
-        let weight =
-            Param::new("weight", kaiming_normal(&[out_features, in_features], in_features, seed));
-        let bias = bias.then(|| Param::new_no_decay("bias", Tensor::zeros(&[out_features])));
-        Ok(Linear { weight, bias, in_features, out_features, cached_input: None })
+        Self::with_rank(in_features, out_features, BlockRank::Full, bias, seed)
     }
 
-    /// Creates a layer from explicit weights (used by warm-start surgery).
+    /// Creates a randomly initialized factorized layer whose `U·Vᵀ` has
+    /// Kaiming variance: each factor gets its fourth root.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::BadConfig`] if either dimension is zero or `rank`
+    /// is outside `1..=min(in, out)`.
+    pub fn low_rank(
+        in_features: usize,
+        out_features: usize,
+        rank: usize,
+        bias: bool,
+        seed: u64,
+    ) -> Result<Self> {
+        Self::with_rank(in_features, out_features, BlockRank::LowRank(rank), bias, seed)
+    }
+
+    fn with_rank(
+        in_features: usize,
+        out_features: usize,
+        rank: BlockRank,
+        bias: bool,
+        seed: u64,
+    ) -> Result<Self> {
+        let std = (2.0 / in_features as f32).sqrt();
+        let op = MatOp::new("weight", out_features, in_features, rank, std, seed)?;
+        let bias = bias.then(|| Param::new_no_decay("bias", Tensor::zeros(&[out_features])));
+        Ok(Linear { op, bias, cached_input: None })
+    }
+
+    /// Creates a dense layer from explicit weights.
     ///
     /// # Errors
     ///
@@ -50,37 +267,52 @@ impl Linear {
                 reason: "weight must be 2-D".into(),
             });
         }
-        let (out_features, in_features) = (weight.shape()[0], weight.shape()[1]);
+        Self::from_op(MatOp::Dense(Param::new("weight", weight)), bias)
+    }
+
+    /// Creates a factorized layer from explicit factors (`U: out×r`,
+    /// `Vᵀ: r×in`), the output of Pufferfish's SVD warm-start.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NnError::BadConfig`] on factor shape mismatch or a bias of
+    /// the wrong length.
+    pub fn from_factors(u: Tensor, vt: Tensor, bias: Option<Tensor>) -> Result<Self> {
+        Self::from_op(MatOp::from_factors("weight", u, vt)?, bias)
+    }
+
+    fn from_op(op: MatOp, bias: Option<Tensor>) -> Result<Self> {
         if let Some(b) = &bias {
-            if b.len() != out_features {
+            if b.len() != op.out_dim() {
                 return Err(NnError::BadConfig {
                     layer: "Linear",
-                    reason: format!("bias length {} != out features {out_features}", b.len()),
+                    reason: format!("bias length {} != out features {}", b.len(), op.out_dim()),
                 });
             }
         }
-        Ok(Linear {
-            weight: Param::new("weight", weight),
-            bias: bias.map(|b| Param::new_no_decay("bias", b)),
-            in_features,
-            out_features,
-            cached_input: None,
-        })
+        let bias = bias.map(|b| Param::new_no_decay("bias", b));
+        Ok(Linear { op, bias, cached_input: None })
     }
 
     /// Input feature count.
     pub fn in_features(&self) -> usize {
-        self.in_features
+        self.op.in_dim()
     }
 
     /// Output feature count.
     pub fn out_features(&self) -> usize {
-        self.out_features
+        self.op.out_dim()
     }
 
-    /// The weight matrix (`out×in`).
-    pub fn weight(&self) -> &Tensor {
-        &self.weight.value
+    /// Whether the weight is dense, or factorized at which rank.
+    pub fn rank(&self) -> BlockRank {
+        self.op.rank()
+    }
+
+    /// The effective weight matrix (`out×in`): `W`, or `U·Vᵀ` when
+    /// factorized.
+    pub fn weight(&self) -> Tensor {
+        self.op.effective()
     }
 
     /// The bias vector, if present.
@@ -92,8 +324,8 @@ impl Linear {
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
         assert_eq!(input.ndim(), 2, "Linear expects [batch, features]");
-        assert_eq!(input.shape()[1], self.in_features, "Linear input feature mismatch");
-        let mut y = matmul_nt(input, &self.weight.value).expect("shapes checked");
+        assert_eq!(input.shape()[1], self.in_features(), "Linear input feature mismatch");
+        let mut y = self.op.apply(input);
         if let Some(b) = &self.bias {
             add_bias_rows(&mut y, &b.value);
         }
@@ -105,198 +337,32 @@ impl Layer for Linear {
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
         let x = self.cached_input.as_ref().expect("backward before train-mode forward");
-        let dw = matmul_tn(grad_output, x).expect("shapes checked");
-        self.weight.grad.axpy(1.0, &dw).expect("grad shape");
+        let dx = self.op.backward(x, grad_output);
         if let Some(b) = &mut self.bias {
             accumulate_bias_grad(&mut b.grad, grad_output);
         }
-        matmul(grad_output, &self.weight.value).expect("shapes checked")
+        dx
     }
 
     fn params(&self) -> Vec<&Param> {
-        let mut v = vec![&self.weight];
+        let mut v = self.op.params();
         v.extend(self.bias.as_ref());
         v
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = vec![&mut self.weight];
+        let mut v = self.op.params_mut();
         v.extend(self.bias.as_mut());
         v
     }
 
     fn describe(&self) -> String {
-        format!("Linear({}→{})", self.in_features, self.out_features)
-    }
-}
-
-/// Pufferfish factorized dense layer `y = ((x·V)·Uᵀ) + b` where the dense
-/// `W ∈ R^{out×in}` is replaced by `U ∈ R^{out×r}` and `Vᵀ ∈ R^{r×in}`.
-///
-/// Parameter count drops from `out·in` to `r·(out+in)` (Table 1).
-#[derive(Debug)]
-pub struct LowRankLinear {
-    u: Param,
-    vt: Param,
-    bias: Option<Param>,
-    in_features: usize,
-    out_features: usize,
-    rank: usize,
-    cached_input: Option<Tensor>,
-    cached_hidden: Option<Tensor>,
-}
-
-impl LowRankLinear {
-    /// Creates a randomly initialized factorized layer.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] if any dimension is zero or
-    /// `rank > min(in, out)`.
-    pub fn new(
-        in_features: usize,
-        out_features: usize,
-        rank: usize,
-        bias: bool,
-        seed: u64,
-    ) -> Result<Self> {
-        validate_rank("LowRankLinear", in_features, out_features, rank)?;
-        // Initialize so that U·Vᵀ has Kaiming-like variance: each factor gets
-        // the fourth root of the target variance.
-        let std = (2.0 / in_features as f32).sqrt() / (rank as f32).sqrt();
-        let u = Param::new("weight_u", Tensor::randn(&[out_features, rank], std.sqrt(), seed));
-        let vt = Param::new(
-            "weight_v",
-            Tensor::randn(&[rank, in_features], std.sqrt(), seed.wrapping_add(1)),
-        );
-        let bias = bias.then(|| Param::new_no_decay("bias", Tensor::zeros(&[out_features])));
-        Ok(LowRankLinear {
-            u,
-            vt,
-            bias,
-            in_features,
-            out_features,
-            rank,
-            cached_input: None,
-            cached_hidden: None,
-        })
-    }
-
-    /// Creates a factorized layer from explicit factors (`U: out×r`,
-    /// `Vᵀ: r×in`), the output of Pufferfish's SVD warm-start.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::BadConfig`] on factor shape mismatch.
-    pub fn from_factors(u: Tensor, vt: Tensor, bias: Option<Tensor>) -> Result<Self> {
-        if u.ndim() != 2 || vt.ndim() != 2 || u.shape()[1] != vt.shape()[0] {
-            return Err(NnError::BadConfig {
-                layer: "LowRankLinear",
-                reason: format!("incompatible factors {:?} / {:?}", u.shape(), vt.shape()),
-            });
+        let (fin, fout) = (self.in_features(), self.out_features());
+        match self.rank() {
+            BlockRank::Full => format!("Linear({fin}→{fout})"),
+            BlockRank::LowRank(r) => format!("LowRankLinear({fin}→{fout}, r={r})"),
         }
-        let (out_features, rank) = (u.shape()[0], u.shape()[1]);
-        let in_features = vt.shape()[1];
-        if let Some(b) = &bias {
-            if b.len() != out_features {
-                return Err(NnError::BadConfig {
-                    layer: "LowRankLinear",
-                    reason: format!("bias length {} != out features {out_features}", b.len()),
-                });
-            }
-        }
-        Ok(LowRankLinear {
-            u: Param::new("weight_u", u),
-            vt: Param::new("weight_v", vt),
-            bias: bias.map(|b| Param::new_no_decay("bias", b)),
-            in_features,
-            out_features,
-            rank,
-            cached_input: None,
-            cached_hidden: None,
-        })
     }
-
-    /// The factorization rank.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Reconstructs the effective dense weight `U·Vᵀ` (for tests/analysis).
-    pub fn effective_weight(&self) -> Tensor {
-        matmul(&self.u.value, &self.vt.value).expect("factor shapes are consistent")
-    }
-}
-
-impl Layer for LowRankLinear {
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Tensor {
-        assert_eq!(input.ndim(), 2, "LowRankLinear expects [batch, features]");
-        assert_eq!(input.shape()[1], self.in_features, "LowRankLinear input feature mismatch");
-        let hidden = matmul_nt(input, &self.vt.value).expect("shapes checked"); // [N, r]
-        let mut y = matmul_nt(&hidden, &self.u.value).expect("shapes checked"); // [N, out]
-        if let Some(b) = &self.bias {
-            add_bias_rows(&mut y, &b.value);
-        }
-        if mode == Mode::Train {
-            crate::layer::cache_activation(&mut self.cached_input, input);
-            self.cached_hidden = Some(hidden);
-        }
-        y
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let x = self.cached_input.as_ref().expect("backward before train-mode forward");
-        let h = self.cached_hidden.as_ref().expect("backward before train-mode forward");
-        // dU = dYᵀ·H, dH = dY·U, dVᵀ = dHᵀ·X, dX = dH·Vᵀ
-        let du = matmul_tn(grad_output, h).expect("shapes checked");
-        self.u.grad.axpy(1.0, &du).expect("grad shape");
-        let dh = matmul(grad_output, &self.u.value).expect("shapes checked");
-        let dvt = matmul_tn(&dh, x).expect("shapes checked");
-        self.vt.grad.axpy(1.0, &dvt).expect("grad shape");
-        if let Some(b) = &mut self.bias {
-            accumulate_bias_grad(&mut b.grad, grad_output);
-        }
-        matmul(&dh, &self.vt.value).expect("shapes checked")
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        let mut v = vec![&self.u, &self.vt];
-        v.extend(self.bias.as_ref());
-        v
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = vec![&mut self.u, &mut self.vt];
-        v.extend(self.bias.as_mut());
-        v
-    }
-
-    fn describe(&self) -> String {
-        format!("LowRankLinear({}→{}, r={})", self.in_features, self.out_features, self.rank)
-    }
-}
-
-pub(crate) fn validate_rank(
-    layer: &'static str,
-    in_features: usize,
-    out_features: usize,
-    rank: usize,
-) -> Result<()> {
-    if in_features == 0 || out_features == 0 || rank == 0 {
-        return Err(NnError::BadConfig {
-            layer,
-            reason: format!(
-                "dimensions must be nonzero, got {in_features}x{out_features} rank {rank}"
-            ),
-        });
-    }
-    if rank > in_features.min(out_features) {
-        return Err(NnError::BadConfig {
-            layer,
-            reason: format!("rank {rank} exceeds min({in_features}, {out_features})"),
-        });
-    }
-    Ok(())
 }
 
 /// Adds a bias vector to every row of a `[rows, features]` activation.
@@ -349,7 +415,7 @@ mod tests {
 
     #[test]
     fn low_rank_gradcheck() {
-        let mut l = LowRankLinear::new(5, 4, 2, true, 3).unwrap();
+        let mut l = Linear::low_rank(5, 4, 2, true, 3).unwrap();
         let x = Tensor::randn(&[3, 5], 1.0, 4);
         assert!(finite_diff_input_check(&mut l, &x, 1e-2) < 1e-2);
         assert!(finite_diff_param_check(&mut l, &x, 1e-2) < 1e-2);
@@ -357,12 +423,11 @@ mod tests {
 
     #[test]
     fn full_rank_factorization_is_exact() {
-        // With r = min(in, out), LowRankLinear can represent any Linear.
-        let dense = Linear::new(6, 4, false, 5).unwrap();
-        let f = puffer_tensor::svd::truncated_svd(dense.weight(), 4).unwrap();
+        // With r = min(in, out), a factorized Linear can represent any dense one.
+        let mut dense = Linear::new(6, 4, false, 5).unwrap();
+        let f = puffer_tensor::svd::truncated_svd(&dense.weight(), 4).unwrap();
         let (u, vt) = f.split_balanced();
-        let mut lr = LowRankLinear::from_factors(u, vt, None).unwrap();
-        let mut dense = dense;
+        let mut lr = Linear::from_factors(u, vt, None).unwrap();
         let x = Tensor::randn(&[3, 6], 1.0, 6);
         let yd = dense.forward(&x, Mode::Eval);
         let yl = lr.forward(&x, Mode::Eval);
@@ -374,8 +439,11 @@ mod tests {
         let (m, n, r) = (128usize, 64usize, 16usize);
         let dense = Linear::new(n, m, false, 1).unwrap();
         assert_eq!(dense.param_count(), m * n);
-        let lr = LowRankLinear::new(n, m, r, false, 1).unwrap();
+        let lr = Linear::low_rank(n, m, r, false, 1).unwrap();
         assert_eq!(lr.param_count(), r * (m + n));
+        assert_eq!(lr.describe(), "LowRankLinear(64→128, r=16)");
+        let names: Vec<&str> = lr.params().iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["weight_u", "weight_v"]);
     }
 
     #[test]
@@ -391,17 +459,26 @@ mod tests {
     #[test]
     fn constructors_validate() {
         assert!(Linear::new(0, 4, true, 1).is_err());
-        assert!(LowRankLinear::new(4, 4, 5, true, 1).is_err());
-        assert!(LowRankLinear::new(4, 4, 0, true, 1).is_err());
+        assert!(Linear::low_rank(4, 4, 5, true, 1).is_err());
+        assert!(Linear::low_rank(4, 4, 0, true, 1).is_err());
+        assert!(Linear::low_rank(6, 3, 4, true, 1).is_err()); // > min(6, 3)
+        assert!(Linear::low_rank(6, 3, 3, true, 1).is_ok());
         let u = Tensor::zeros(&[4, 2]);
         let vt = Tensor::zeros(&[3, 5]);
-        assert!(LowRankLinear::from_factors(u, vt, None).is_err());
+        assert!(Linear::from_factors(u, vt, None).is_err());
+        let (u, vt) = (Tensor::zeros(&[4, 2]), Tensor::zeros(&[2, 5]));
+        assert!(Linear::from_factors(u, vt, Some(Tensor::zeros(&[5]))).is_err());
+        assert!(MatOp::new("w", 3, 4, BlockRank::LowRank(0), 1.0, 1).is_err());
+        assert!(MatOp::new("w", 3, 4, BlockRank::LowRank(4), 1.0, 1).is_err());
+        assert!(MatOp::new("w", 0, 4, BlockRank::Full, 1.0, 1).is_err());
+        assert!(MatOp::new("w", 3, 4, BlockRank::LowRank(3), 1.0, 1).is_ok());
     }
 
     #[test]
     fn effective_weight_matches_factors() {
-        let lr = LowRankLinear::new(4, 3, 2, false, 7).unwrap();
-        let w = lr.effective_weight();
+        let lr = Linear::low_rank(4, 3, 2, false, 7).unwrap();
+        assert_eq!(lr.rank(), BlockRank::LowRank(2));
+        let w = lr.weight();
         assert_eq!(w.shape(), &[3, 4]);
     }
 
@@ -418,6 +495,39 @@ mod tests {
         let g2 = l.params()[0].grad.clone();
         for (a, b) in g1.as_slice().iter().zip(g2.as_slice()) {
             assert!((b - 2.0 * a).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn matop_dense_vs_lowrank_full_rank_equivalence() {
+        let w = Tensor::randn(&[4, 6], 1.0, 1);
+        let f = puffer_tensor::svd::truncated_svd(&w, 4).unwrap();
+        let (u, vt) = f.split_balanced();
+        let dense = MatOp::Dense(Param::new("w", w));
+        let lr = MatOp::from_factors("w", u, vt).unwrap();
+        let x = Tensor::randn(&[3, 6], 1.0, 2);
+        assert!(rel_error(&dense.apply(&x), &lr.apply(&x)) < 1e-3);
+    }
+
+    #[test]
+    fn matop_backward_gradcheck() {
+        for rank in [BlockRank::Full, BlockRank::LowRank(2)] {
+            let mut op = MatOp::new("w", 3, 4, rank, 0.5, 1).unwrap();
+            let x = Tensor::randn(&[2, 4], 1.0, 3);
+            let kappa = Tensor::rand_uniform(&[2, 3], -1.0, 1.0, 4);
+            let dx = op.backward(&x, &kappa);
+            let eps = 1e-2;
+            let mut xp = x.clone();
+            for idx in 0..x.len() {
+                let orig = xp.as_slice()[idx];
+                xp.as_mut_slice()[idx] = orig + eps;
+                let fp = op.apply(&xp).dot(&kappa).unwrap();
+                xp.as_mut_slice()[idx] = orig - eps;
+                let fm = op.apply(&xp).dot(&kappa).unwrap();
+                xp.as_mut_slice()[idx] = orig;
+                let num = (fp - fm) / (2.0 * eps);
+                assert!((num - dx.as_slice()[idx]).abs() < 1e-2);
+            }
         }
     }
 }

@@ -4,144 +4,14 @@
 //! (`W_ii, W_if, W_ig, W_io` on the input and `W_hi, W_hf, W_hg, W_ho` on
 //! the hidden state), giving `4dr + 12hr` parameters per layer versus
 //! `4(dh + h²)` for the vanilla layer (Table 1; appendix Table 12 lists the
-//! factor shapes `1500×375` / `375×1500`).
+//! factor shapes `1500×375` / `375×1500`). Each gate matrix is a
+//! [`MatOp`], the dense-or-factorized map FC layers and attention use too.
 
 use crate::activation::sigmoid;
+use crate::linear::{BlockRank, MatOp};
 use crate::param::Param;
-use crate::{NnError, Result};
-use puffer_tensor::matmul::{matmul, matmul_nt, matmul_tn};
+use crate::Result;
 use puffer_tensor::Tensor;
-
-/// A linear map that is either dense (`W ∈ R^{out×in}`) or factorized
-/// (`U ∈ R^{out×r}`, `Vᵀ ∈ R^{r×in}`). The shared building block of the
-/// LSTM and attention layers, applied as `y = x·Wᵀ`.
-#[derive(Debug)]
-pub enum MatOp {
-    /// Dense weight.
-    Dense(Param),
-    /// Low-rank factors.
-    LowRank {
-        /// `U ∈ R^{out×r}`.
-        u: Param,
-        /// `Vᵀ ∈ R^{r×in}`.
-        vt: Param,
-    },
-}
-
-impl MatOp {
-    /// Creates a dense op with N(0, std²) initialization.
-    pub fn dense(name: &str, out_dim: usize, in_dim: usize, std: f32, seed: u64) -> Self {
-        MatOp::Dense(Param::new(name, Tensor::randn(&[out_dim, in_dim], std, seed)))
-    }
-
-    /// Creates a low-rank op with N(0, std) per-factor initialization.
-    pub fn low_rank(
-        name: &str,
-        out_dim: usize,
-        in_dim: usize,
-        rank: usize,
-        std: f32,
-        seed: u64,
-    ) -> Self {
-        let fs = std / (rank as f32).sqrt();
-        MatOp::LowRank {
-            u: Param::new(format!("{name}_u"), Tensor::randn(&[out_dim, rank], fs.sqrt(), seed)),
-            vt: Param::new(
-                format!("{name}_v"),
-                Tensor::randn(&[rank, in_dim], fs.sqrt(), seed.wrapping_add(1)),
-            ),
-        }
-    }
-
-    /// Builds a low-rank op from explicit factors.
-    pub fn from_factors(name: &str, u: Tensor, vt: Tensor) -> Self {
-        MatOp::LowRank {
-            u: Param::new(format!("{name}_u"), u),
-            vt: Param::new(format!("{name}_v"), vt),
-        }
-    }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        match self {
-            MatOp::Dense(w) => w.value.shape()[0],
-            MatOp::LowRank { u, .. } => u.value.shape()[0],
-        }
-    }
-
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        match self {
-            MatOp::Dense(w) => w.value.shape()[1],
-            MatOp::LowRank { vt, .. } => vt.value.shape()[1],
-        }
-    }
-
-    /// `y = x·Wᵀ` for `x: [n, in]`.
-    pub fn apply(&self, x: &Tensor) -> Tensor {
-        match self {
-            MatOp::Dense(w) => matmul_nt(x, &w.value).expect("MatOp shape"),
-            MatOp::LowRank { u, vt } => {
-                let h = matmul_nt(x, &vt.value).expect("MatOp shape");
-                matmul_nt(&h, &u.value).expect("MatOp shape")
-            }
-        }
-    }
-
-    /// Accumulates parameter gradients for `y = x·Wᵀ` given `x` and
-    /// `dy`, returning `dx`.
-    pub fn backward(&mut self, x: &Tensor, dy: &Tensor) -> Tensor {
-        match self {
-            MatOp::Dense(w) => {
-                let dw = matmul_tn(dy, x).expect("MatOp shape");
-                w.grad.axpy(1.0, &dw).expect("grad shape");
-                matmul(dy, &w.value).expect("MatOp shape")
-            }
-            MatOp::LowRank { u, vt } => {
-                let hidden = matmul_nt(x, &vt.value).expect("MatOp shape");
-                let du = matmul_tn(dy, &hidden).expect("MatOp shape");
-                u.grad.axpy(1.0, &du).expect("grad shape");
-                let dh = matmul(dy, &u.value).expect("MatOp shape");
-                let dvt = matmul_tn(&dh, x).expect("MatOp shape");
-                vt.grad.axpy(1.0, &dvt).expect("grad shape");
-                matmul(&dh, &vt.value).expect("MatOp shape")
-            }
-        }
-    }
-
-    /// The effective dense matrix (`W` or `U·Vᵀ`).
-    pub fn effective(&self) -> Tensor {
-        match self {
-            MatOp::Dense(w) => w.value.clone(),
-            MatOp::LowRank { u, vt } => matmul(&u.value, &vt.value).expect("factor shapes"),
-        }
-    }
-
-    /// Immutable parameter views.
-    pub fn params(&self) -> Vec<&Param> {
-        match self {
-            MatOp::Dense(w) => vec![w],
-            MatOp::LowRank { u, vt } => vec![u, vt],
-        }
-    }
-
-    /// Mutable parameter views.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        match self {
-            MatOp::Dense(w) => vec![w],
-            MatOp::LowRank { u, vt } => vec![u, vt],
-        }
-    }
-}
-
-/// Rank used by a gate matrix: full or factorized at rank `r`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateRank {
-    /// Dense gate matrices.
-    Full,
-    /// Per-gate factorization at this rank.
-    LowRank(usize),
-}
 
 const GATE_NAMES: [&str; 4] = ["i", "f", "g", "o"];
 
@@ -170,7 +40,6 @@ pub struct LstmLayer {
     gates: Vec<Gate>,
     d: usize,
     h: usize,
-    rank: GateRank,
     cache: Vec<StepCache>,
 }
 
@@ -179,43 +48,22 @@ impl LstmLayer {
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::BadConfig`] for zero dimensions or a rank
+    /// Returns [`crate::NnError::BadConfig`] for zero dimensions or a rank
     /// exceeding `min(d, h)`.
-    pub fn new(d: usize, h: usize, rank: GateRank, seed: u64) -> Result<Self> {
-        if d == 0 || h == 0 {
-            return Err(NnError::BadConfig { layer: "LstmLayer", reason: "zero dimension".into() });
-        }
-        if let GateRank::LowRank(r) = rank {
-            if r == 0 || r > d.min(h) {
-                return Err(NnError::BadConfig {
-                    layer: "LstmLayer",
-                    reason: format!("rank {r} out of range for d={d}, h={h}"),
-                });
-            }
-        }
+    pub fn new(d: usize, h: usize, rank: BlockRank, seed: u64) -> Result<Self> {
         // PyTorch LSTM init: U(-1/sqrt(h), 1/sqrt(h)); we use a normal with
         // matching scale.
         let std = 1.0 / (h as f32).sqrt();
         let mut gates = Vec::with_capacity(4);
         for (gi, gname) in GATE_NAMES.iter().enumerate() {
             let s = seed.wrapping_add(100 * gi as u64);
-            let (wx, wh) = match rank {
-                GateRank::Full => (
-                    MatOp::dense(&format!("weight.i{gname}"), h, d, std, s),
-                    MatOp::dense(&format!("weight.h{gname}"), h, h, std, s.wrapping_add(1)),
-                ),
-                GateRank::LowRank(r) => (
-                    MatOp::low_rank(&format!("weight.i{gname}"), h, d, r, std, s),
-                    MatOp::low_rank(&format!("weight.h{gname}"), h, h, r, std, s.wrapping_add(1)),
-                ),
-            };
             gates.push(Gate {
-                wx,
-                wh,
+                wx: MatOp::new(&format!("weight.i{gname}"), h, d, rank, std, s)?,
+                wh: MatOp::new(&format!("weight.h{gname}"), h, h, rank, std, s.wrapping_add(1))?,
                 bias: Param::new_no_decay(format!("bias.{gname}"), Tensor::zeros(&[h])),
             });
         }
-        Ok(LstmLayer { gates, d, h, rank, cache: Vec::new() })
+        Ok(LstmLayer { gates, d, h, cache: Vec::new() })
     }
 
     /// `(input_size, hidden_size)`.
@@ -224,8 +72,8 @@ impl LstmLayer {
     }
 
     /// The gate rank configuration.
-    pub fn rank(&self) -> GateRank {
-        self.rank
+    pub fn rank(&self) -> BlockRank {
+        self.gates[0].wx.rank()
     }
 
     /// Immutable parameter views (stable order: per gate `wx, wh, bias`).
@@ -400,41 +248,8 @@ mod tests {
     use puffer_tensor::stats::rel_error;
 
     #[test]
-    fn matop_dense_vs_lowrank_full_rank_equivalence() {
-        let w = Tensor::randn(&[4, 6], 1.0, 1);
-        let f = puffer_tensor::svd::truncated_svd(&w, 4).unwrap();
-        let (u, vt) = f.split_balanced();
-        let dense = MatOp::Dense(Param::new("w", w));
-        let lr = MatOp::from_factors("w", u, vt);
-        let x = Tensor::randn(&[3, 6], 1.0, 2);
-        assert!(rel_error(&dense.apply(&x), &lr.apply(&x)) < 1e-3);
-    }
-
-    #[test]
-    fn matop_backward_gradcheck() {
-        for op in [&mut MatOp::dense("w", 3, 4, 0.5, 1), &mut MatOp::low_rank("w", 3, 4, 2, 0.5, 2)]
-        {
-            let x = Tensor::randn(&[2, 4], 1.0, 3);
-            let kappa = Tensor::rand_uniform(&[2, 3], -1.0, 1.0, 4);
-            let dx = op.backward(&x, &kappa);
-            let eps = 1e-2;
-            let mut xp = x.clone();
-            for idx in 0..x.len() {
-                let orig = xp.as_slice()[idx];
-                xp.as_mut_slice()[idx] = orig + eps;
-                let fp = op.apply(&xp).dot(&kappa).unwrap();
-                xp.as_mut_slice()[idx] = orig - eps;
-                let fm = op.apply(&xp).dot(&kappa).unwrap();
-                xp.as_mut_slice()[idx] = orig;
-                let num = (fp - fm) / (2.0 * eps);
-                assert!((num - dx.as_slice()[idx]).abs() < 1e-2);
-            }
-        }
-    }
-
-    #[test]
     fn lstm_forward_shapes_and_state_flow() {
-        let mut lstm = LstmLayer::new(5, 7, GateRank::Full, 1).unwrap();
+        let mut lstm = LstmLayer::new(5, 7, BlockRank::Full, 1).unwrap();
         let xs: Vec<Tensor> = (0..4).map(|t| Tensor::randn(&[2, 5], 1.0, t)).collect();
         let hs = lstm.forward_seq(&xs);
         assert_eq!(hs.len(), 4);
@@ -445,7 +260,7 @@ mod tests {
 
     #[test]
     fn lstm_bptt_gradcheck_input() {
-        let mut lstm = LstmLayer::new(3, 4, GateRank::Full, 2).unwrap();
+        let mut lstm = LstmLayer::new(3, 4, BlockRank::Full, 2).unwrap();
         let xs: Vec<Tensor> = (0..3).map(|t| Tensor::randn(&[2, 3], 0.5, 10 + t)).collect();
         let hs = lstm.forward_seq(&xs);
         let dhs: Vec<Tensor> =
@@ -474,7 +289,7 @@ mod tests {
 
     #[test]
     fn lstm_bptt_gradcheck_params_low_rank() {
-        let mut lstm = LstmLayer::new(3, 3, GateRank::LowRank(2), 3).unwrap();
+        let mut lstm = LstmLayer::new(3, 3, BlockRank::LowRank(2), 3).unwrap();
         let xs: Vec<Tensor> = (0..2).map(|t| Tensor::randn(&[1, 3], 0.5, 20 + t)).collect();
         let hs = lstm.forward_seq(&xs);
         let dhs: Vec<Tensor> =
@@ -505,22 +320,25 @@ mod tests {
     #[test]
     fn param_count_matches_table1() {
         let (d, h, r) = (20usize, 16usize, 4usize);
-        let full = LstmLayer::new(d, h, GateRank::Full, 1).unwrap();
+        let full = LstmLayer::new(d, h, BlockRank::Full, 1).unwrap();
         assert_eq!(full.param_count(), 4 * (d * h + h * h) + 4 * h);
-        let lr = LstmLayer::new(d, h, GateRank::LowRank(r), 1).unwrap();
+        let lr = LstmLayer::new(d, h, BlockRank::LowRank(r), 1).unwrap();
         assert_eq!(lr.param_count(), 4 * d * r + 12 * h * r + 4 * h);
     }
 
     #[test]
     fn constructor_validation() {
-        assert!(LstmLayer::new(0, 4, GateRank::Full, 1).is_err());
-        assert!(LstmLayer::new(4, 4, GateRank::LowRank(5), 1).is_err());
-        assert!(LstmLayer::new(4, 4, GateRank::LowRank(0), 1).is_err());
+        assert!(LstmLayer::new(0, 4, BlockRank::Full, 1).is_err());
+        assert!(LstmLayer::new(4, 4, BlockRank::LowRank(5), 1).is_err());
+        assert!(LstmLayer::new(4, 4, BlockRank::LowRank(0), 1).is_err());
+        assert!(LstmLayer::new(6, 3, BlockRank::LowRank(4), 1).is_err()); // > min(d, h)
+        assert!(LstmLayer::new(3, 6, BlockRank::LowRank(4), 1).is_err());
+        assert!(LstmLayer::new(3, 6, BlockRank::LowRank(3), 1).is_ok());
     }
 
     #[test]
     fn empty_sequence() {
-        let mut lstm = LstmLayer::new(2, 2, GateRank::Full, 1).unwrap();
+        let mut lstm = LstmLayer::new(2, 2, BlockRank::Full, 1).unwrap();
         assert!(lstm.forward_seq(&[]).is_empty());
         assert!(lstm.backward_seq(&[]).is_empty());
     }

@@ -15,7 +15,7 @@
 use std::sync::Mutex;
 
 use puffer_nn::attention::{BlockRank, MultiHeadAttention};
-use puffer_nn::lstm::MatOp;
+use puffer_nn::linear::MatOp;
 use puffer_nn::param::Param;
 use puffer_tensor::gemm;
 use puffer_tensor::Tensor;
@@ -24,10 +24,7 @@ static SIMD_LOCK: Mutex<()> = Mutex::new(());
 
 fn make_op(name: &str, out_dim: usize, in_dim: usize, rank: BlockRank, seed: u64) -> MatOp {
     let std = (2.0 / (in_dim + out_dim) as f32).sqrt();
-    match rank {
-        BlockRank::Full => MatOp::dense(name, out_dim, in_dim, std, seed),
-        BlockRank::LowRank(r) => MatOp::low_rank(name, out_dim, in_dim, r, std, seed),
-    }
+    MatOp::new(name, out_dim, in_dim, rank, std, seed).expect("rank fits")
 }
 
 struct Oracle {

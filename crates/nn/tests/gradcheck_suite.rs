@@ -5,7 +5,7 @@ use puffer_nn::activation::{Relu, Tanh};
 use puffer_nn::conv::{Conv2d, LowRankConv2d};
 use puffer_nn::dropout::Dropout;
 use puffer_nn::layer::{finite_diff_input_check, finite_diff_param_check, Layer, Mode, Sequential};
-use puffer_nn::linear::{Linear, LowRankLinear};
+use puffer_nn::linear::Linear;
 use puffer_nn::norm::{BatchNorm2d, LayerNorm};
 use puffer_nn::pool::{Flatten, GlobalAvgPool, MaxPool2d};
 use puffer_tensor::Tensor;
@@ -28,8 +28,8 @@ fn dense_layers_gradcheck() {
     let x2 = Tensor::randn(&[3, 5], 0.8, 1);
     check_input("linear", &mut Linear::new(5, 4, true, 1).unwrap(), &x2);
     check_params("linear", &mut Linear::new(5, 4, true, 2).unwrap(), &x2);
-    check_input("low_rank_linear", &mut LowRankLinear::new(5, 4, 2, true, 3).unwrap(), &x2);
-    check_params("low_rank_linear", &mut LowRankLinear::new(5, 4, 2, true, 4).unwrap(), &x2);
+    check_input("low_rank_linear", &mut Linear::low_rank(5, 4, 2, true, 3).unwrap(), &x2);
+    check_params("low_rank_linear", &mut Linear::low_rank(5, 4, 2, true, 4).unwrap(), &x2);
 }
 
 #[test]
@@ -100,9 +100,9 @@ fn low_rank_layers_match_dense_gradients_at_full_rank() {
     // At full rank with warm-start factors, the *input gradients* of the
     // factorized layer match the dense layer's (chain rule through UVᵀ).
     let mut dense = Linear::new(4, 3, false, 30).unwrap();
-    let f = puffer_tensor::svd::truncated_svd(dense.weight(), 3).unwrap();
+    let f = puffer_tensor::svd::truncated_svd(&dense.weight(), 3).unwrap();
     let (u, vt) = f.split_balanced();
-    let mut lr = LowRankLinear::from_factors(u, vt, None).unwrap();
+    let mut lr = Linear::from_factors(u, vt, None).unwrap();
     let x = Tensor::randn(&[2, 4], 1.0, 31);
     let kappa = Tensor::rand_uniform(&[2, 3], -1.0, 1.0, 32);
     let _ = dense.forward(&x, Mode::Train);

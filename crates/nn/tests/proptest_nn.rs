@@ -2,7 +2,7 @@
 //! runner (`puffer_tensor::rng::check`).
 
 use puffer_nn::layer::{Layer, Mode};
-use puffer_nn::linear::{Linear, LowRankLinear};
+use puffer_nn::linear::Linear;
 use puffer_nn::loss::softmax_cross_entropy;
 use puffer_nn::norm::{BatchNorm2d, LayerNorm};
 use puffer_nn::optim::{clip_grad_norm, Sgd};
@@ -36,7 +36,7 @@ fn low_rank_linear_is_linear_too() {
     check("low_rank_linear_is_linear_too", 32, |rng| {
         let x = tensor2(rng, 2, 6);
         let a = rng.gen_range(-2.0..2.0);
-        let mut l = LowRankLinear::new(6, 4, 2, false, 9).unwrap();
+        let mut l = Linear::low_rank(6, 4, 2, false, 9).unwrap();
         let fx = l.forward(&x, Mode::Eval);
         let scaled = x.map(|v| a * v);
         let fs = l.forward(&scaled, Mode::Eval);

@@ -9,7 +9,8 @@
 
 use puffer_nn::conv::Conv2d;
 use puffer_nn::layer::{Layer, Mode};
-use puffer_nn::lstm::{GateRank, LstmLayer};
+use puffer_nn::linear::BlockRank;
+use puffer_nn::lstm::LstmLayer;
 use puffer_tensor::rng::{check, Rng};
 use puffer_tensor::{matmul, pool, workspace, Tensor};
 use std::sync::Mutex;
@@ -113,7 +114,7 @@ fn lstm_pooled_matches_fresh() {
         let xs = [tensor2(rng, 2, 4), tensor2(rng, 2, 4), tensor2(rng, 2, 4)];
         let seed = rng.gen_range(0..1000u64);
         assert_bitwise(fresh_vs_pooled(|| {
-            let mut lstm = LstmLayer::new(4, 5, GateRank::Full, seed).unwrap();
+            let mut lstm = LstmLayer::new(4, 5, BlockRank::Full, seed).unwrap();
             let hs = lstm.forward_seq(&xs);
             let dhs: Vec<Tensor> = hs.iter().map(|h| Tensor::ones(h.shape())).collect();
             let dxs = lstm.backward_seq(&dhs);

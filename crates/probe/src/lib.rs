@@ -7,7 +7,7 @@
 //! crash detection, NaN-skips, checkpoints). This crate makes both
 //! observable with three primitives, all built on `std` alone:
 //!
-//! * **Spans** — RAII guards ([`span`], [`timed_span`]) on a thread-local
+//! * **Spans** — RAII guards ([`span()`], [`timed_span`]) on a thread-local
 //!   span stack. Completed spans become Chrome trace-event `"X"` records
 //!   keyed by static category/name, so a whole faulty distributed run can
 //!   be dropped into `chrome://tracing` / [Perfetto](https://ui.perfetto.dev)
@@ -35,7 +35,7 @@
 //! # Overhead
 //!
 //! Collection is off by default behind one relaxed atomic load
-//! ([`enabled`]). A disabled [`span`] constructs `SpanGuard(None)` and
+//! ([`enabled`]). A disabled [`span()`] constructs `SpanGuard(None)` and
 //! touches nothing else; a disabled [`counter_add`] is a load and a
 //! branch. The overhead guard in `puffer-tensor`'s `probe_overhead` test
 //! proves the disabled probe costs < 2% on a GEMM microbench (in

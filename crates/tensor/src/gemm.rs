@@ -481,7 +481,7 @@ impl<'a> View<'a> {
 /// stride (a row-major B) copies whole rows; unit depth stride (a row-major
 /// A seen through [`View::t`]) zips each lane's contiguous source run into
 /// its strided panel column. With AVX2 both take vector paths instead
-/// ([`View::pack_avx`]) where the panel shape has one; the scalar code is
+/// (`View::pack_avx`) where the panel shape has one; the scalar code is
 /// the fallback and the test oracle, and both copy the same bits.
 impl PanelSource for View<'_> {
     fn pack_panel(

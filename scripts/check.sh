@@ -26,6 +26,11 @@ echo "== cargo clippy --workspace --all-targets -- -D warnings"
 # so no SIMD intrinsic runs outside a feature gate.
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 
+echo "== cargo doc --workspace --no-deps, warnings denied"
+# An intra-doc link to a deleted, renamed or private item, or an ambiguous
+# one, is a warning rustdoc prints and nothing else would catch.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
+
 echo "== cargo test -q --workspace"
 # Every crate's unit, integration and doc tests: the fault-injection suite,
 # the BatchNorm2d oracle and tests/code_contracts.rs (one quantile

@@ -163,7 +163,6 @@ fn compiler_held_contracts_stay_configured() {
         "crates/compress/src/powersgd.rs",
         "crates/compress/src/none.rs",
         "crates/compress/src/signum.rs",
-        "crates/compress/src/topk.rs",
         "crates/compress/src/quant.rs",
         "crates/compress/src/atomo.rs",
     ] {
